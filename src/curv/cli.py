@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Subcommands: point, slice, verify {identity, minor, inequality}, barrier,
-example. Every report embeds the tool version, the effective configuration,
+example. Each handler computes results and a verdict; one runner does the
+rest. Every report embeds the tool version, the effective configuration,
 the seed, and the tolerances; identical configuration and seed give
-byte-identical output. Exit codes: 0 all checks passed, 1 violation found,
-2 usage or configuration error.
+byte-identical output. Exit codes: 0 all checks passed, 1 violation found
+or nothing checked, 2 usage or configuration error.
 """
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .inequality import WHICH, check_prod, pick_levels, run_suite, slice_points
 from .metrics import constant_ambient, spherical_ambient
 from .reporting import emit, jsonable, meta_block, render_csv, render_json
 from .revolution import (
+    JUNCTION_TOL,
     RevolutionProfile,
     cap_curvature,
     cap_scalar_curvature,
@@ -44,22 +45,9 @@ from .syminv import randomized_identity_suite
 
 MIN_TOL = 1e-14
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized run description echoed into every report."""
-
-    command: str
-    options: dict = dc_field(default_factory=dict)
-    seed: int | None = None
-    tolerances: dict = dc_field(default_factory=dict)
-    out: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if value < MIN_TOL:
-                raise ValueError(f"tolerance {name} = {value} is below the floor {MIN_TOL}")
+#: parsed arguments that route a run or pick its output; every other argument
+#: except the tolerance flags is echoed into the report's config
+_NOT_CONFIG = frozenset({"config", "command", "suite", "handler", "tolerances", "out", "format"})
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -110,103 +98,75 @@ def _flatten(d: dict) -> tuple[list[str], list]:
     return cols, row
 
 
-def _render(config: RunConfig, results: list, csv_table=None) -> str:
-    meta = meta_block(config.command, config.options, config.seed, config.tolerances)
-    if config.format == "csv":
+def _run(args) -> int:
+    """The one run path: resolve output and tolerances, call the subcommand's
+    handler, then render the report and map its verdict to the exit code."""
+    out, fmt = args.out, args.format
+    if out in ("csv", "json"):  # a bare format name selects it, on stdout
+        out, fmt = None, fmt or out
+    tol = {
+        key: getattr(args, flag) if isinstance(flag, str) else flag
+        for key, flag in args.tolerances.items()
+    }
+    for key, value in tol.items():
+        if value < MIN_TOL:
+            raise ValueError(f"tolerance {key} = {value} is below the floor {MIN_TOL}")
+    results, passed, csv_table = args.handler(args, tol)
+    skip = _NOT_CONFIG | {flag for flag in args.tolerances.values() if isinstance(flag, str)}
+    config = {k: v for k, v in vars(args).items() if k not in skip}
+    command = " ".join(filter(None, (args.command, getattr(args, "suite", None))))
+    meta = meta_block(command, config, getattr(args, "seed", None), tol)
+    if fmt == "csv":
         if csv_table is None:
-            if len(results) == 1:
-                cols, row = _flatten(jsonable(results[0]))
-                return render_csv(cols, [row])
-            rows = [_flatten(jsonable(r))[1] for r in results]
-            cols = _flatten(jsonable(results[0]))[0] if results else []
-            return render_csv(cols, rows)
-        return render_csv(*csv_table)
-    return render_json(meta, results)
-
-
-def _resolve_out(args) -> tuple[str | None, str]:
-    """--out csv / --out json select the format with stdout output."""
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", None)
-    if out in ("csv", "json"):
-        return None, out if fmt is None else fmt
-    return out, fmt or "json"
+            flat = [_flatten(jsonable(r)) for r in results]
+            csv_table = (flat[0][0] if flat else [], [row for _, row in flat])
+        text = render_csv(*csv_table)
+    else:
+        text = render_json(meta, results)
+    emit(text, out)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # handlers
 
 
-def _handle_point(args) -> int:
+def _handle_point(args, tol):
     x = _parse_point(args.at)
-    dim = args.dim or x.size
-    f = parse_field(args.field, dim)
+    f = parse_field(args.field, args.dim or x.size)
     if x.size != f.dim:
         raise ValueError(f"point has dimension {x.size} but field {f.name} has {f.dim}")
     ambient = _ambient(args.ambient, f.dim)
-    out, fmt = _resolve_out(args)
-    config = RunConfig(
-        command="point",
-        options={"field": args.field, "ambient": args.ambient, "at": args.at, "dim": f.dim},
-        seed=None,
-        tolerances={},
-        out=out,
-        format=fmt,
-    )
+    args.dim = f.dim  # the report echoes the resolved dimension
     if ambient is None:
-        pt = extrinsic_point(f, flat_base(f.dim), x)
-        result = {
-            "x": list(pt.x),
-            "value": pt.u,
-            "w": pt.w,
-            "nu": list(pt.nu),
-            "mean_curvature": pt.mean_curvature,
-            "norm_a2": pt.norm_a2,
-            "principal": list(pt.principal),
-            "scalar_curvature": pt.scalar_curvature,
-        }
+        geo = pt = extrinsic_point(f, flat_base(f.dim), x)
+        result = {}
     else:
-        cp = conformal_point(f, ambient, x)
-        pt = cp.point
-        result = {
-            "x": list(pt.x),
-            "value": pt.u,
-            "w": pt.w,
-            "nu": list(pt.nu),
-            "phi": cp.phi,
-            "dphi_nu": cp.dphi_nu,
-            "mean_curvature": cp.mean_curvature,
-            "norm_a2": cp.norm_a2,
-            "principal": list(cp.principal),
-        }
-        if cp.scalar_curvature is not None:
-            result["scalar_curvature"] = cp.scalar_curvature
-        if ambient.name == "spherical":
-            direct = mean_curvature_spherical(f, x)
-            result["mean_curvature_direct"] = direct
-            result["route_residual"] = abs(direct - cp.mean_curvature)
-    emit(_render(config, [result]), out)
-    return 0
+        geo = conformal_point(f, ambient, x)
+        pt = geo.point
+        result = {"phi": geo.phi, "dphi_nu": geo.dphi_nu}
+    result.update({
+        "x": list(pt.x),
+        "value": pt.u,
+        "w": pt.w,
+        "nu": list(pt.nu),
+        "mean_curvature": geo.mean_curvature,
+        "norm_a2": geo.norm_a2,
+        "principal": list(geo.principal),
+    })
+    if geo.scalar_curvature is not None:
+        result["scalar_curvature"] = geo.scalar_curvature
+    if ambient is not None and ambient.is_round_sphere:
+        direct = mean_curvature_spherical(f, x)
+        result["mean_curvature_direct"] = direct
+        result["route_residual"] = abs(direct - geo.mean_curvature)
+    return [result], True, None
 
 
-def _handle_slice(args) -> int:
-    dim = args.dim
-    f = parse_field(args.field, dim)
+def _handle_slice(args, tol):
+    f = parse_field(args.field, args.dim)
+    args.dim = f.dim  # the report echoes the resolved dimension
     base = flat_base(f.dim)
-    tol = args.tol
-    gap_tol = args.gap_tol
-    out, fmt = _resolve_out(args)
-    config = RunConfig(
-        command="slice",
-        options={
-            "field": args.field, "eps": args.eps, "rays": args.rays,
-            "dim": f.dim, "seed": args.seed,
-        },
-        seed=args.seed,
-        tolerances={"minor": tol, "gap": gap_tol},
-        out=out,
-        format=fmt,
-    )
     results = []
     worst_residual = 0.0
     min_gap = np.inf
@@ -227,7 +187,8 @@ def _handle_slice(args) -> int:
                 "minor_residual": residual,
                 "gap": rep.gap,
             })
-    ok = worst_residual <= tol and (not results or min_gap >= -gap_tol)
+    # a sweep that found no slice point checked nothing and fails
+    ok = bool(results) and worst_residual <= tol["minor"] and min_gap >= -tol["gap"]
     results.append({
         "summary": True,
         "points": len(results),
@@ -237,56 +198,28 @@ def _handle_slice(args) -> int:
     })
     cols = ["eps", "cos_angle", "grad_norm", "h_sigma", "minor_residual", "gap"]
     rows = [[r[c] for c in cols] for r in results if "summary" not in r]
-    emit(_render(config, results, csv_table=(cols, rows)), out)
-    return 0 if ok else 1
+    return results, ok, (cols, rows)
 
 
-def _handle_verify_identity(args) -> int:
+def _handle_verify_identity(args, tol):
     orders = _parse_orders(args.n)
-    tol = args.tol
-    out, fmt = _resolve_out(args)
-    config = RunConfig(
-        command="verify identity",
-        options={"n": args.n, "trials": args.trials, "seed": args.seed},
-        seed=args.seed,
-        tolerances={"residual": tol},
-        out=out,
-        format=fmt,
-    )
     suite = randomized_identity_suite(orders=orders, trials=args.trials, seed=args.seed)
-    ok = suite.max_rel_residual <= tol
-    results = [{
+    ok = suite.max_rel_residual <= tol["residual"]
+    return [{
         "orders": list(suite.orders),
         "trials": suite.trials,
         "max_rel_residual": suite.max_rel_residual,
         "worst_order": suite.worst_order,
         "passed": ok,
-    }]
-    emit(_render(config, results), out)
-    return 0 if ok else 1
+    }], ok, None
 
 
-def _handle_verify_minor(args) -> int:
-    tol = args.tol
-    fd_tol = args.fd_tol
-    out, fmt = _resolve_out(args)
-    config = RunConfig(
-        command="verify minor",
-        options={
-            "fields": args.fields, "points": args.points, "seed": args.seed,
-            "fd": args.fd, "fd_step": args.fd_step, "dim": args.dim,
-        },
-        seed=args.seed,
-        tolerances={"analytic": tol, "fd": fd_tol},
-        out=out,
-        format=fmt,
-    )
+def _handle_verify_minor(args, tol):
     base = flat_base(args.dim)
     worst = 0.0
     worst_fd = 0.0
     slopes_all: list[float] = []
     checked = 0
-    results = []
     for i in range(args.fields):
         f = random_trig_field(args.dim, seed=args.seed + i)
         try:
@@ -319,44 +252,30 @@ def _handle_verify_minor(args) -> int:
                 with np.errstate(divide="ignore"):
                     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
                 slopes_all.extend(float(s) for s in slopes)
-    ok = checked > 0 and worst <= tol
+    ok = checked > 0 and worst <= tol["analytic"]
     if args.fd:
-        ok = ok and worst_fd <= fd_tol
-    results.append({
+        ok = ok and worst_fd <= tol["fd"]
+    return [{
         "points_checked": checked,
         "worst_analytic_residual": worst,
         "worst_fd_residual": worst_fd if args.fd else None,
         "median_fd_slope": float(np.median(slopes_all)) if slopes_all else None,
         "passed": ok,
-    })
-    emit(_render(config, results), out)
-    return 0 if ok else 1
+    }], ok, None
 
 
-def _handle_verify_inequality(args) -> int:
-    gap_tol = args.gap_tol
-    out, fmt = _resolve_out(args)
-    config = RunConfig(
-        command="verify inequality",
-        options={
-            "which": args.which, "fields": args.fields, "seed": args.seed,
-            "dim": args.dim, "rays": args.rays, "levels": args.levels,
-        },
-        seed=args.seed,
-        tolerances={"gap": gap_tol},
-        out=out,
-        format=fmt,
-    )
+def _handle_verify_inequality(args, tol):
     suite = run_suite(
         args.which, dim=args.dim, n_fields=args.fields, rays=args.rays,
-        levels=args.levels, seed=args.seed, gap_tol=gap_tol,
+        levels=args.levels, seed=args.seed, gap_tol=tol["gap"],
     )
-    ok = suite.violations == 0
+    # a suite that checked no point fails, and has no minimum gap
+    ok = suite.points > 0 and suite.violations == 0
     results = [{
         "which": suite.which,
         "fields": suite.fields,
         "points": suite.points,
-        "min_gap": suite.min_gap,
+        "min_gap": suite.min_gap if suite.points else None,
         "violations": suite.violations,
         "passed": ok,
     }]
@@ -364,42 +283,25 @@ def _handle_verify_inequality(args) -> int:
         results += [
             {"violation": True, "x": list(r.x), "eps": r.eps, "gap": r.gap}
             for r in suite.reports
-            if r.gap < -gap_tol
+            if r.gap < -tol["gap"]
         ]
-    emit(_render(config, results), out)
-    return 0 if ok else 1
+    return results, ok, None
 
 
-def _handle_barrier(args) -> int:
+def _handle_barrier(args, tol):
     f = parse_field(args.field, args.dim)
     if args.negate:
         f = NegatedField(f)
-    touch_tol = args.touch_tol
-    out, fmt = _resolve_out(args)
-    config = RunConfig(
-        command="barrier",
-        options={
-            "field": args.field, "negate": args.negate, "a": args.a,
-            "aprime": args.aprime, "lambda_max": args.lambda_max,
-            "radial": args.radial, "angular": args.angular,
-            "dim": args.dim, "seed": args.seed,
-        },
-        seed=args.seed,
-        tolerances={"touch": touch_tol, "gradient_bound": 1e-6, "ring": 1e-8},
-        out=out,
-        format=fmt,
-    )
     aprime = args.aprime if args.aprime is not None else args.a + 0.05 * (1.0 - args.a)
     try:
         run = slide(
             f, (args.a, 1.0), aprime, args.lambda_max,
             radial=args.radial, angular=args.angular, seed=args.seed,
-            touch_tol=touch_tol,
+            touch_tol=tol["touch"],
         )
     except NoTouchError as exc:
-        emit(_render(config, [{"outcome": "no-touch", "detail": str(exc),
-                               "hint": "rerun with --negate"}]), out)
-        return 1
+        no_touch = {"outcome": "no-touch", "detail": str(exc), "hint": "rerun with --negate"}
+        return [no_touch], False, None
     result = {
         "outcome": "degenerate" if run.degenerate else "touch",
         "lam_star": run.lam_star,
@@ -412,11 +314,11 @@ def _handle_barrier(args) -> int:
         "boundary_touch": run.boundary_touch,
         "successful": run.successful,
     }
-    ok = run.touch_gap <= touch_tol
+    ok = run.touch_gap <= tol["touch"]
     if run.successful:
         margin = gradient_bound_margin(run)
         result["gradient_bound_margin"] = margin
-        ok = ok and margin >= -1e-6
+        ok = ok and margin >= -tol["gradient_bound"]
     rho = float(np.linalg.norm(run.x0))
     if not run.degenerate and run.grad_norm > 1e-12:
         bounds = comparison_bounds(run)
@@ -428,22 +330,12 @@ def _handle_barrier(args) -> int:
             ring = ring_mean_curvature(rho, run.u0, run.dim)
             ring_slice = ring_mean_curvature_via_slices(rho, run.u0, run.dim)
             result["ring_residual"] = abs(ring - ring_slice)
-            ok = ok and result["ring_residual"] <= 1e-8
+            ok = ok and result["ring_residual"] <= tol["ring"]
     result["passed"] = ok
-    emit(_render(config, [result]), out)
-    return 0 if ok else 1
+    return [result], ok, None
 
 
-def _handle_example(args) -> int:
-    out, fmt = _resolve_out(args)
-    config = RunConfig(
-        command="example",
-        options={"name": args.name, "a": args.a, "count": args.count},
-        seed=None,
-        tolerances={"scalar_floor": 1e-10, "junction": 1e-3, "locus": 1e-6},
-        out=out,
-        format=fmt,
-    )
+def _handle_example(args, tol):
     if args.name == "euclid-cone":
         table = sweep_f(count=args.count)
         gauss = table[:, 2] * table[:, 3]
@@ -456,13 +348,13 @@ def _handle_example(args) -> int:
             "f_at_1": f1[0],
             "vertical_tangent_at_0": bool(np.isinf(f0[1]) and f0[1] > 0),
             "passed": bool(
-                gauss.min() >= -1e-10 and f0[0] == 1.0 and f1[0] == 0.0 and np.isinf(f0[1])
+                gauss.min() >= -tol["scalar_floor"]
+                and f0[0] == 1.0 and f1[0] == 0.0 and np.isinf(f0[1])
             ),
         }
         cols = ["z", "value", "lam1", "lam2", "scalar"]
         rows = [[float(v) for v in row] for row in table]
-        emit(_render(config, [checks], csv_table=(cols, rows)), out)
-        return 0 if checks["passed"] else 1
+        return [checks], checks["passed"], (cols, rows)
 
     # spherical-glued
     a = args.a
@@ -470,7 +362,7 @@ def _handle_example(args) -> int:
     v_table = sweep_v(a, count=max(2, args.count // 2))
     scal = u_table[:, 4]
     i_min = int(scal.argmin())
-    junction = junction_c2_check(a)
+    junction = junction_c2_check(a, tol=tol["junction"])
     mono = monotonicity_checks(a, samples=2000)
     checks = {
         "cap_curvature": cap_curvature(a),
@@ -485,16 +377,15 @@ def _handle_example(args) -> int:
         "monotonicity_passed": mono.passed,
     }
     checks["passed"] = bool(
-        scal.min() >= 2.0 - 1e-10
-        and checks["equality_locus_offset"] <= 1e-6
+        scal.min() >= 2.0 - tol["scalar_floor"]
+        and checks["equality_locus_offset"] <= tol["locus"]
         and junction.passed
         and mono.passed
     )
     cols = ["branch", "r", "value", "lam1", "lam2", "scalar"]
     rows = [[0.0] + [float(v) for v in row] for row in u_table]
     rows += [[1.0] + [float(v) for v in row] for row in v_table]
-    emit(_render(config, [checks], csv_table=(cols, rows)), out)
-    return 0 if checks["passed"] else 1
+    return [checks], checks["passed"], (cols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key = value defaults file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_io(sp):
+    def add_run(sp, handler, tolerances=None):
+        """I/O flags last, then the handler and its tolerances (key -> flag or value)."""
         sp.add_argument("--out", default=None, help="output path; bare 'csv'/'json' select the format")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
+        sp.set_defaults(handler=handler, tolerances=tolerances or {})
 
     sp = sub.add_parser("point", help="extrinsic/conformal data at one point")
     sp.add_argument("--field", required=True)
     sp.add_argument("--ambient", default="flat")
     sp.add_argument("--at", required=True, help="comma-separated coordinates")
     sp.add_argument("--dim", type=int, default=None)
-    add_io(sp)
-    sp.set_defaults(handler=_handle_point)
+    add_run(sp, _handle_point)
 
     sp = sub.add_parser("slice", help="level-slice sweep")
     sp.add_argument("--field", required=True)
@@ -532,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--gap-tol", type=float, default=1e-8)
-    add_io(sp)
-    sp.set_defaults(handler=_handle_slice)
+    add_run(sp, _handle_slice, {"minor": "tol", "gap": "gap_tol"})
 
     spv = sub.add_parser("verify", help="verification suites")
     vsub = spv.add_subparsers(dest="suite", required=True)
@@ -543,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-10)
-    add_io(sp)
-    sp.set_defaults(handler=_handle_verify_identity)
+    add_run(sp, _handle_verify_identity, {"residual": "tol"})
 
     sp = vsub.add_parser("minor", help="slice minor relation residuals")
     sp.add_argument("--fields", type=int, default=50)
@@ -555,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fd-step", type=float, default=1e-2)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--fd-tol", type=float, default=1e-4)
-    add_io(sp)
-    sp.set_defaults(handler=_handle_verify_minor)
+    add_run(sp, _handle_verify_minor, {"analytic": "tol", "fd": "fd_tol"})
 
     sp = vsub.add_parser("inequality", help="trace inequality suites")
     sp.add_argument("--which", choices=WHICH, required=True)
@@ -566,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--gap-tol", type=float, default=1e-8)
-    add_io(sp)
-    sp.set_defaults(handler=_handle_verify_inequality)
+    add_run(sp, _handle_verify_inequality, {"gap": "gap_tol"})
 
     sp = sub.add_parser("barrier", help="cone barrier slide and comparison bounds")
     sp.add_argument("--field", required=True)
@@ -580,15 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--touch-tol", type=float, default=1e-8)
-    add_io(sp)
-    sp.set_defaults(handler=_handle_barrier)
+    add_run(sp, _handle_barrier, {"touch": "touch_tol", "gradient_bound": 1e-6, "ring": 1e-8})
 
     sp = sub.add_parser("example", help="explicit example surfaces and sweeps")
     sp.add_argument("--name", choices=("euclid-cone", "spherical-glued"), required=True)
     sp.add_argument("--a", type=float, default=0.5)
     sp.add_argument("--count", type=int, default=1000)
-    add_io(sp)
-    sp.set_defaults(handler=_handle_example)
+    add_run(sp, _handle_example, {"scalar_floor": 1e-10, "junction": JUNCTION_TOL, "locus": 1e-6})
 
     return p
 
@@ -640,7 +526,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return _run(args)
     except BrokenPipeError:
         # downstream consumer (head, less) closed the stream mid-report
         return 0

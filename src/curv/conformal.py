@@ -58,7 +58,7 @@ class ConformalPoint:
     mean_curvature: float
     norm_a2: float
     principal: np.ndarray
-    scalar_curvature: float | None  # via the round Gauss relation; spherical only
+    scalar_curvature: float | None  # via the round Gauss relation; round-sphere ambient only
 
     @property
     def dim(self) -> int:
@@ -78,7 +78,7 @@ def conformal_point(field: ScalarField, ambient: AmbientSpec, x) -> ConformalPoi
     # the Gauss relation R = n(n-1) + Hbar^2 - |Abar|^2 needs the rescaled
     # ambient to be the unit round sphere; leave R unset otherwise
     scalar = None
-    if ambient.name == "spherical":
+    if ambient.is_round_sphere:
         scalar = float(n * (n - 1) + hbar * hbar - norm2)
     return ConformalPoint(
         point=pt,

@@ -53,12 +53,13 @@ class Box:
                 t = min(t, (lo[k] - center[k]) / d)
         return max(t, 0.0)
 
+    def probe_extent(self) -> float:
+        """Half-width of the origin-centred cube that covers the box."""
+        return max(abs(v) for v in (*self.lo, *self.hi))
 
-@dataclass(frozen=True)
-class Ball:
-    dim_: int
-    radius: float
-    center: tuple[float, ...] | None = None
+
+class _RoundDomain:
+    """Geometry shared by the round domains: a center and an outer rim."""
 
     @property
     def dim(self) -> int:
@@ -67,46 +68,50 @@ class Ball:
     def _center(self) -> np.ndarray:
         return np.zeros(self.dim_) if self.center is None else np.asarray(self.center)
 
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        return bool(np.linalg.norm(x - self._center()) <= self.radius - margin)
-
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0) -> float:
-        # largest t with |center + t d - c| <= radius - margin
+        # largest t with |center + t d - c| <= rim - margin
         c = center - self._center()
-        r = self.radius - margin
+        r = self.rim - margin
         b = float(c @ direction)
         disc = b * b - (c @ c - r * r)
         if disc < 0:
             return 0.0
         return max(-b + np.sqrt(disc), 0.0)
 
+    def probe_extent(self) -> float:
+        """Half-width of the origin-centred cube that probes the domain,
+        capped at 1.5 for large or unbounded domains."""
+        return min(float(self.rim), 1.5)
+
 
 @dataclass(frozen=True)
-class Annulus:
+class Ball(_RoundDomain):
+    dim_: int
+    radius: float
+    center: tuple[float, ...] | None = None
+
+    @property
+    def rim(self) -> float:
+        return self.radius
+
+    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
+        return bool(np.linalg.norm(x - self._center()) <= self.radius - margin)
+
+
+@dataclass(frozen=True)
+class Annulus(_RoundDomain):
     dim_: int
     inner: float
     outer: float
     center: tuple[float, ...] | None = None
 
     @property
-    def dim(self) -> int:
-        return self.dim_
-
-    def _center(self) -> np.ndarray:
-        return np.zeros(self.dim_) if self.center is None else np.asarray(self.center)
+    def rim(self) -> float:
+        return self.outer
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
         r = float(np.linalg.norm(x - self._center()))
         return self.inner + margin <= r <= self.outer - margin
-
-    def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0) -> float:
-        c = center - self._center()
-        r = self.outer - margin
-        b = float(c @ direction)
-        disc = b * b - (c @ c - r * r)
-        if disc < 0:
-            return 0.0
-        return max(-b + np.sqrt(disc), 0.0)
 
 
 def whole_space(dim: int) -> Ball:

@@ -19,7 +19,7 @@ least n-1; the report carries both deviations and an equality flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 import numpy as np
@@ -152,7 +152,7 @@ def check_euclid(field: ScalarField, eps: float, x, delta_reg: float = DELTA_REG
     from .metrics import FlatMetric
 
     rep = check_prod(field, FlatMetric(field.dim), eps, x, delta_reg=delta_reg)
-    return InequalityReport(**{**rep.__dict__, "which": "euclid"})
+    return replace(rep, which="euclid")
 
 
 def check_phi(
@@ -199,7 +199,7 @@ def check_phi(
 def check_sphere(field: ScalarField, eps: float, x, delta_reg: float = DELTA_REG) -> InequalityReport:
     """Round-sphere-factor specialization of the conformal inequality."""
     rep = check_phi(field, spherical_ambient(field.dim), eps, x, delta_reg=delta_reg)
-    return InequalityReport(**{**rep.__dict__, "which": "sphere"})
+    return replace(rep, which="sphere")
 
 
 def check(which: str, field: ScalarField, eps: float, x, ambient: AmbientSpec | None = None):
@@ -270,12 +270,7 @@ def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) ->
     """Level values at interior quantiles of u over seeded domain samples."""
     rng = np.random.default_rng(seed)
     dom = field.domain
-    if hasattr(dom, "radius"):
-        extent = min(float(dom.radius), 1.5)
-    elif hasattr(dom, "outer"):
-        extent = min(float(dom.outer), 1.5)
-    else:
-        extent = max(abs(v) for v in (*dom.lo, *dom.hi))
+    extent = dom.probe_extent()
     vals: list[float] = []
     attempts = 0
     while len(vals) < probes and attempts < 50 * probes:

@@ -244,6 +244,12 @@ class AmbientSpec:
     def is_conformal(self) -> bool:
         return self.phi_jet is not None
 
+    @property
+    def is_round_sphere(self) -> bool:
+        """True for the unit round sphere that `spherical_ambient` builds: its
+        own factor over a flat base, whatever the spec is named."""
+        return self.phi_jet is round_ambient_factor and isinstance(self.base, FlatMetric)
+
     def phi(self, x, t: float) -> PhiJet:
         if self.phi_jet is None:
             return PhiJet(1.0, np.zeros(self.base.dim), 0.0)
@@ -257,14 +263,16 @@ def product_ambient(dim: int, base=None) -> AmbientSpec:
     return AmbientSpec(base if base is not None else FlatMetric(dim), None, "product")
 
 
+def round_ambient_factor(x, t) -> PhiJet:
+    """phi = (1 + |x|^2 + t^2)/2, whose rescaled flat product is the round
+    unit (n+1)-sphere."""
+    x = np.asarray(x, dtype=float)
+    return PhiJet((1.0 + float(x @ x) + t * t) / 2.0, x.copy(), t)
+
+
 def spherical_ambient(dim: int) -> AmbientSpec:
     """Flat base with phi = (1 + |x|^2 + t^2)/2: the round (n+1)-sphere."""
-
-    def jet(x, t):
-        x = np.asarray(x, dtype=float)
-        return PhiJet((1.0 + float(x @ x) + t * t) / 2.0, x.copy(), t)
-
-    return AmbientSpec(FlatMetric(dim), jet, "spherical")
+    return AmbientSpec(FlatMetric(dim), round_ambient_factor, "spherical")
 
 
 def constant_ambient(dim: int, value: float = 1.0) -> AmbientSpec:

@@ -49,7 +49,7 @@ def meta_block(command: str, config: dict, seed: int | None, tolerances: dict) -
 
 def render_json(meta: dict, results: Iterable) -> str:
     payload = {"meta": jsonable(meta), "results": jsonable(list(results))}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:

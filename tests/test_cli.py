@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from curv import __version__
 from curv.cli import main
 from curv.fields import Paraboloid, sample_to_grid
 
@@ -13,6 +14,64 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+class TestReportContract:
+    """The meta block of each subcommand: command, echoed config, seed and
+    tolerances."""
+
+    @pytest.mark.parametrize("argv, meta", [
+        (
+            ["point", "--field", "paraboloid", "--at", "1,0"],
+            {"command": "point", "seed": None, "tolerances": {},
+             "config": {"ambient": "flat", "at": "1,0", "dim": 2, "field": "paraboloid"}},
+        ),
+        (
+            ["slice", "--field", "paraboloid", "--eps", "0.5", "--rays", "6"],
+            {"command": "slice", "seed": 0, "tolerances": {"gap": 1e-8, "minor": 1e-8},
+             "config": {"dim": 2, "eps": "0.5", "field": "paraboloid", "rays": 6, "seed": 0}},
+        ),
+        (
+            ["verify", "identity", "--n", "3-5", "--trials", "2000"],
+            {"command": "verify identity", "seed": 0, "tolerances": {"residual": 1e-10},
+             "config": {"n": "3-5", "seed": 0, "trials": 2000}},
+        ),
+        (
+            ["verify", "minor", "--fields", "3", "--points", "4"],
+            {"command": "verify minor", "seed": 0,
+             "tolerances": {"analytic": 1e-8, "fd": 1e-4},
+             "config": {"dim": 2, "fd": False, "fd_step": 0.01, "fields": 3, "points": 4,
+                        "seed": 0}},
+        ),
+        (
+            ["verify", "inequality", "--which", "prod", "--fields", "3", "--rays", "5"],
+            {"command": "verify inequality", "seed": 0, "tolerances": {"gap": 1e-8},
+             "config": {"dim": 2, "fields": 3, "levels": 2, "rays": 5, "seed": 0,
+                        "which": "prod"}},
+        ),
+        (
+            ["barrier", "--field", "radial:S-u:0.5", "--radial", "64", "--angular", "16"],
+            {"command": "barrier", "seed": 0,
+             "tolerances": {"gradient_bound": 1e-6, "ring": 1e-8, "touch": 1e-8},
+             "config": {"a": 0.5, "angular": 16, "aprime": None, "dim": 2,
+                        "field": "radial:S-u:0.5", "lambda_max": 1e4, "negate": False,
+                        "radial": 64, "seed": 0}},
+        ),
+        (
+            ["example", "--name", "euclid-cone", "--count", "50"],
+            {"command": "example", "seed": None,
+             "tolerances": {"junction": 1e-3, "locus": 1e-6, "scalar_floor": 1e-10},
+             "config": {"a": 0.5, "count": 50, "name": "euclid-cone"}},
+        ),
+    ])
+    def test_meta_block(self, capsys, argv, meta):
+        rc, doc = run_json(capsys, argv)
+        assert rc == 0
+        assert doc["meta"] == {"tool": "curv", "version": __version__, **meta}
 
 
 class TestPoint:
@@ -78,6 +137,14 @@ class TestSlice:
         assert "," in lines[0]
         assert len(lines) >= 2
 
+    def test_no_points_fails(self, capsys):
+        rc, doc = run_json(capsys, ["slice", "--field", "paraboloid", "--eps", "-1"])
+        assert rc == 1
+        summary = doc["results"][-1]
+        assert summary["points"] == 0
+        assert summary["min_gap"] is None
+        assert not summary["passed"]
+
 
 class TestVerify:
     def test_identity(self, capsys):
@@ -91,6 +158,19 @@ class TestVerify:
         rc = main(["verify", "identity", "--trials", "100", "--tol", "1e-15"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["slice", "--field", "paraboloid", "--eps", "0.5", "--tol"],
+        ["slice", "--field", "paraboloid", "--eps", "0.5", "--gap-tol"],
+        ["verify", "minor", "--fields", "1", "--tol"],
+        ["verify", "minor", "--fields", "1", "--fd-tol"],
+        ["verify", "inequality", "--which", "prod", "--fields", "1", "--gap-tol"],
+        ["barrier", "--field", "radial:S-u:0.5", "--touch-tol"],
+    ])
+    def test_tolerance_floor(self, capsys, argv):
+        rc = main(argv + ["1e-15"])
+        assert rc == 2
+        assert "below the floor" in capsys.readouterr().err
 
     def test_minor(self, capsys):
         rc, doc = run_json(
@@ -115,6 +195,16 @@ class TestVerify:
         )
         assert rc == 0
         assert doc["results"][0]["violations"] == 0
+
+    def test_inequality_without_points_fails(self, capsys):
+        rc = main(["verify", "inequality", "--which", "prod", "--fields", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        doc = json.loads(out, parse_constant=reject_constant)
+        row = doc["results"][0]
+        assert row["points"] == 0
+        assert row["min_gap"] is None
+        assert not row["passed"]
 
 
 class TestBarrier:

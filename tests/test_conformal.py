@@ -16,7 +16,7 @@ from curv.conformal import (
 from curv.errors import ConformalFactorError
 from curv.fields import Constant, Paraboloid, SphereCap, random_trig_field
 from curv.graphgeom import extrinsic_point, flat_base, slice_frame_of_point
-from curv.metrics import constant_ambient, spherical_ambient
+from curv.metrics import AmbientSpec, FlatMetric, PhiJet, constant_ambient, spherical_ambient
 
 
 class TestSphericalFactor:
@@ -120,6 +120,14 @@ class TestSphericalMeanCurvature:
         cp = conformal_point(field, amb, np.array([0.3, 0.2]))
         # minimal umbilic-free hemisphere in the round 3-sphere: R = n(n-1) = 2
         assert cp.scalar_curvature == pytest.approx(2.0, abs=1e-10)
+
+    def test_round_relation_needs_the_round_factor_not_its_name(self):
+        # a constant factor labelled "spherical" is no round sphere
+        amb = AmbientSpec(FlatMetric(2), lambda x, t: PhiJet(2.0, np.zeros(2), 0.0), "spherical")
+        cp = conformal_point(random_trig_field(2, seed=1), amb, np.array([0.3, 0.2]))
+        assert cp.scalar_curvature is None
+        assert not amb.is_round_sphere
+        assert spherical_ambient(2).is_round_sphere
 
 
 class TestSliceTrace:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from curv.fields import Paraboloid, Plane, QuadraticCup, SphereCap, random_trig_field
+from curv.fields import (
+    Paraboloid,
+    Plane,
+    QuadraticCup,
+    SphereCap,
+    random_trig_field,
+    sample_to_grid,
+)
+from curv.fieldspec import parse_field
 from curv.graphgeom import flat_base
 from curv.inequality import (
     WHICH,
@@ -167,6 +175,23 @@ class TestSampling:
         levels = pick_levels(field, 3, 2)
         assert len(levels) == 3
         assert pick_levels(field, 3, 2) == levels
+
+    @pytest.mark.parametrize("kind, levels", [
+        ("ball", [0.6303521865163703, 0.6970734888421921, 0.8091442595307018]),
+        ("annulus", [0.031745977724531194, 0.055536520770319064, 0.09474447678602324]),
+        ("box", [-0.22879165644781108, -0.17353239932926023, -0.09514064360017344]),
+        ("trig", [-0.08503371160432822, -2.1816013129622575e-05, 0.10535568514315685]),
+    ])
+    def test_pick_levels_pinned_per_domain(self, kind, levels):
+        fields = {
+            "ball": lambda: parse_field("sphere-cap:1.0,0.0", 2),
+            "annulus": lambda: parse_field("radial:S-u:0.5", 2),
+            "box": lambda: sample_to_grid(
+                random_trig_field(2, 4), origin=np.array([-1.0, -1.0]), h=0.1, counts=(21, 21)
+            ),
+            "trig": lambda: random_trig_field(2, 3),
+        }
+        assert pick_levels(fields[kind](), 3, seed=11) == levels
 
     def test_paraboloid_levels_are_circles(self):
         pts = slice_points(Paraboloid(2), 0.5, rays=6, seed=0)
