@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import NoTouchError, NonRegularPointError
+from .errors import NoTouchError, NonFiniteJetError, NonRegularPointError
 from .fields import Annulus, RadialField, ScalarField
 from .graphgeom import extrinsic_point, slice_frame_of_point
 from .metrics import spherical_ambient
@@ -183,7 +183,10 @@ def slide(
     touching point is then polished (Newton on the touching ratio for
     interior candidates, 1-D radial refinement otherwise). Outcomes: a normal
     run when max u > touch_tol; the degenerate lambda_star = 0 when
-    |max u| <= touch_tol; NoTouchError when u < -touch_tol everywhere.
+    |max u| <= touch_tol; NoTouchError when u < -touch_tol everywhere. The
+    annulus is sampled with one `field.values` call; a sample outside the
+    field's domain raises its pointwise OutOfDomainError, any other
+    non-finite sample NonFiniteJetError.
     """
     a, outer = float(annulus[0]), float(annulus[1])
     if not (a < a_prime < outer):
@@ -195,23 +198,34 @@ def slide(
         raise ValueError("outer margin leaves an empty radial range")
 
     pts = sample_annulus(field.dim, a_prime, r_out, radial=radial, angular=angular, seed=seed)
-    vals = np.array([field.value(p) for p in pts])
+    vals = field.values(pts)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        # a NaN would silence every comparison below; raise the pointwise error instead
+        x_bad = pts[bad[0]]
+        field.value(x_bad)
+        raise NonFiniteJetError(f"non-finite value of {field.name} at {x_bad.tolist()}")
     norms = np.linalg.norm(pts, axis=1)
     umax = float(vals.max())
 
     if umax < -touch_tol:
         raise NoTouchError(f"field is below {-touch_tol} everywhere on the sampled annulus")
 
+    # `values` may differ from `value` in the last bits (the trig kernel does).
+    # The chosen samples and lam_grid come from the batch; u0 and touch_gap
+    # are re-read with `value`, but lam_star is lam_grid, batched bits and all,
+    # when the polish falls short of the grid certificate
     if umax <= touch_tol:
         i = int(vals.argmax())
         x0 = pts[i]
+        u0 = float(field.value(x0))
         du = field.gradient(x0)
         return BarrierRun(
             dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
             lam_max=lam_max, lam_star=0.0, x0=tuple(float(v) for v in x0),
-            u0=float(vals[i]), grad_norm=float(np.linalg.norm(du)),
+            u0=u0, grad_norm=float(np.linalg.norm(du)),
             radial_derivative=float(du @ (x0 / norms[i])),
-            touch_gap=umax, interior_touch=False, boundary_touch=False,
+            touch_gap=u0, interior_touch=False, boundary_touch=False,
             degenerate=True, radial=radial, angular=angular, seed=seed,
         )
 
@@ -249,15 +263,16 @@ def slide(
     u0 = float(field.value(x0))
     lam_star = u0 / (1.0 - r0)
     if lam_star < lam_grid:  # polish must not lose the grid certificate
-        x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(vals[i0]), lam_grid
+        x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(field.value(x_grid)), lam_grid
     du = field.gradient(x0)
+    j = int((vals - lam_star * slack).argmax())
     boundary = r0 >= r_out - 1.5 * spacing
     return BarrierRun(
         dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
         lam_max=lam_max, lam_star=float(lam_star), x0=tuple(float(v) for v in x0),
         u0=u0, grad_norm=float(np.linalg.norm(du)),
         radial_derivative=float(du @ (x0 / r0)),
-        touch_gap=float((vals - lam_star * slack).max()),
+        touch_gap=float(field.value(pts[j]) - lam_star * slack[j]),
         interior_touch=not boundary, boundary_touch=boundary,
         degenerate=False, radial=radial, angular=angular, seed=seed,
     )

@@ -130,7 +130,12 @@ class Jet:
 
 
 class ScalarField:
-    """Base class. Subclasses implement value/gradient/hessian."""
+    """Base class. Subclasses implement value/gradient/hessian.
+
+    `values(X)` is the batched value: X has shape (m, n), the result shape
+    (m,), and a row is NaN exactly where `value` raises OutOfDomainError.
+    Subclasses may override it with an array kernel.
+    """
 
     dim: int
     domain: Box | Ball | Annulus
@@ -138,6 +143,15 @@ class ScalarField:
 
     def value(self, x: np.ndarray) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        out = np.empty(len(X))
+        for i, x in enumerate(X):
+            try:
+                out[i] = self.value(x)
+            except OutOfDomainError:
+                out[i] = np.nan
+        return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -353,6 +367,10 @@ class TrigField(ScalarField):
     def value(self, x):
         return float(self.amps @ np.sin(self._args(x)))
 
+    def values(self, X):
+        # the batched kernel differs from `value` in the last bits (matmul order)
+        return np.sin(X @ self.freqs.T + self.phases) @ self.amps
+
     def gradient(self, x):
         return (self.amps * np.cos(self._args(x))) @ self.freqs
 
@@ -406,7 +424,8 @@ class RadialField(ScalarField):
         return Jet(p, grad, hess)
 
     def value(self, x):
-        return self.jet(x).value
+        # the radius and origin limit of `jet`, so value matches it bit for bit
+        return self.profile_jet(max(float(np.linalg.norm(x)), 1e-12))[0]
 
     def gradient(self, x):
         return self.jet(x).gradient
@@ -558,21 +577,21 @@ class GridField(ScalarField):
     Queries within a 2h band of the grid boundary are out of domain.
     """
 
-    def __init__(self, origin, h: float, values: np.ndarray, name="grid"):
+    def __init__(self, origin, h: float, samples: np.ndarray, name="grid"):
         self.origin = np.asarray(origin, dtype=float)
         self.h = float(h)
-        self.values = np.asarray(values, dtype=float)
-        self.dim = self.values.ndim
+        self.samples = np.asarray(samples, dtype=float)
+        self.dim = self.samples.ndim
         if self.origin.size != self.dim:
             raise ValueError("origin dimension does not match sample array rank")
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
-        if min(self.values.shape) < GRID_MIN_SAMPLES:
+        if min(self.samples.shape) < GRID_MIN_SAMPLES:
             raise ValueError(f"need at least {GRID_MIN_SAMPLES} samples per axis")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(self.samples)):
             raise ValueError("grid samples must be finite")
         lo = self.origin
-        hi = self.origin + self.h * (np.asarray(self.values.shape) - 1)
+        hi = self.origin + self.h * (np.asarray(self.samples.shape) - 1)
         self.domain = Box(tuple(lo), tuple(hi))
         self.name = name
 
@@ -589,7 +608,7 @@ class GridField(ScalarField):
 
     def _local(self, x):
         idx = np.rint((x - self.origin) / self.h).astype(int)
-        idx = np.clip(idx, 1, np.asarray(self.values.shape) - 2)
+        idx = np.clip(idx, 1, np.asarray(self.samples.shape) - 2)
         t = (x - (self.origin + idx * self.h)) / self.h
         return idx, t
 
@@ -601,7 +620,7 @@ class GridField(ScalarField):
         grad = np.zeros(self.dim)
         hess = np.zeros((self.dim, self.dim))
         for offsets in itertools.product((-1, 0, 1), repeat=self.dim):
-            v = float(self.values[tuple(idx + np.asarray(offsets))])
+            v = float(self.samples[tuple(idx + np.asarray(offsets))])
             w = 1.0
             for k, o in enumerate(offsets):
                 w *= basis[k][0][o + 1]
@@ -645,9 +664,9 @@ class GridField(ScalarField):
     def write(self, path) -> None:
         header = [repr(self.dim), repr(self.h)]
         header += [repr(float(v)) for v in self.origin]
-        header += [repr(int(c)) for c in self.values.shape]
+        header += [repr(int(c)) for c in self.samples.shape]
         lines = [",".join(header)]
-        lines += [repr(float(v)) for v in self.values.ravel(order="C")]
+        lines += [repr(float(v)) for v in self.samples.ravel(order="C")]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .conformal import conformal_point, normal_derivative
-from .errors import NonRegularPointError, OutOfDomainError
+from .errors import NonRegularPointError
 from .fields import ScalarField
 from .graphgeom import DELTA_REG, extrinsic_point, slice_frame_of_point
 from .metrics import AmbientSpec, product_ambient, spherical_ambient
@@ -232,7 +232,15 @@ def slice_points(
 ) -> list[np.ndarray]:
     """Deterministic points of {u = eps}: 1-D root finding along rays from the
     center (golden-angle directions in 2-D, seeded unit vectors otherwise),
-    keeping regular interior points only."""
+    keeping regular interior points only.
+
+    Each ray is sampled with one `field.values` call. A sample where the
+    field is undefined is NaN and brackets no root. The ends of each candidate
+    bracket are re-read with the pointwise `value`, which decides the bracket
+    and is what `brentq` solves, so the roots are those of a per-sample scan
+    of `value`; a root is kept if it lies inside the
+    domain less the field's evaluation margin and |Du| >= delta_reg there,
+    and at most max_per_ray roots are kept per ray."""
     center = np.zeros(field.dim) if center is None else as_point(center, field.dim)
     dirs = unit_directions(field.dim, rays, seed)
     margin = 1e-6
@@ -244,21 +252,29 @@ def slice_points(
         if extent <= 0:
             continue
         ts = np.linspace(0.0, extent, samples_per_ray)
-        vals = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            try:
-                vals[i] = field.value(center + t * d) - eps
-            except OutOfDomainError:
-                vals[i] = np.nan
+        X = center + ts[:, None] * d
+        u = field.values(X)
+        vals = u - eps
+        # `values` may differ from `value` in the last bits, so a sign change
+        # or a near-zero sample only marks a candidate; its ends are re-read
+        # with `value` and the bracket test is made on those
+        near = np.abs(vals) <= 1e-13 * (1.0 + np.abs(u))
+        a, b = vals[:-1], vals[1:]
+        candidates = np.flatnonzero(
+            np.isfinite(a) & np.isfinite(b) & (~(a * b > 0) | near[:-1] | near[1:])
+        )
+        ends = np.union1d(candidates, candidates + 1)
+        vals[ends] = [field.value(x) - eps for x in X[ends]]
         hits = 0
-        for i in range(len(ts) - 1):
+        for i in candidates:
             if hits >= max_per_ray:
                 break
-            a, b = vals[i], vals[i + 1]
-            if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0 or (a == 0 and b == 0):
+            if vals[i] * vals[i + 1] > 0 or (vals[i] == 0 and vals[i + 1] == 0):
                 continue
             root = brentq(lambda t: field.value(center + t * d) - eps, ts[i], ts[i + 1], xtol=1e-13)
             p = center + root * d
+            if not field.domain.contains(p, margin=field.margin(p)):
+                continue
             if float(np.linalg.norm(field.gradient(p))) < delta_reg:
                 continue
             found.append(p)

@@ -13,7 +13,7 @@ from curv.barrier import (
     sample_annulus,
     slide,
 )
-from curv.errors import NoTouchError
+from curv.errors import NoTouchError, NonFiniteJetError, OutOfDomainError
 from curv.fields import (
     Ball,
     Constant,
@@ -160,6 +160,18 @@ class TestSlideEdgeCases:
         with pytest.raises(ValueError):
             slide(field, (0.3, 1.0), 0.35, 5.0, radial=64, angular=16)
 
+    def test_samples_outside_the_domain_raise(self):
+        field = radial_field(RevolutionProfile("S-u", 0.5))
+        # the first sample in scan order is the one reported
+        with pytest.raises(OutOfDomainError, match=r"got s = 0\.335$"):
+            slide(field, (0.3, 1.0), 0.335, 1e4, radial=64, angular=16)
+
+    def test_non_finite_samples_raise(self):
+        # value returns NaN beyond r = 0.8 without raising: the scan must not go silent
+        field = FiniteDifferenceField(lambda x: 1.0 - x @ x if x @ x < 0.64 else np.nan, 2)
+        with pytest.raises(NonFiniteJetError):
+            slide(field, (0.3, 1.0), 0.35, 10.0, radial=64, angular=16)
+
     def test_profile_graph_touches_at_boundary(self):
         field = radial_field(RevolutionProfile("S-u", 0.5))
         run = slide(field, (0.5, 1.0), 0.55, 1e4, radial=512, angular=32)
@@ -199,6 +211,15 @@ class TestSlideBattery:
                 successful += 1
                 assert gradient_bound_margin(run) >= -1e-6
         assert successful >= 6
+
+    def test_reported_numbers_are_pointwise(self):
+        # the batched trig kernel moves the last bits; u0 and touch_gap must not move
+        field = random_trig_field(2, seed=1)
+        run = slide(field, (0.5, 1.0), 0.525, 1e4, radial=128, angular=128)
+        pts = sample_annulus(2, 0.525, run.r_out, radial=128, angular=128)
+        slack = 1.0 - np.linalg.norm(pts, axis=1)
+        assert run.u0 == field.value(np.asarray(run.x0))
+        assert run.touch_gap == max(field.value(p) - run.lam_star * s for p, s in zip(pts, slack))
 
     def test_run_deterministic(self):
         field = random_trig_field(2, seed=3)

@@ -7,7 +7,7 @@ import pytest
 
 from curv import __version__
 from curv.cli import main
-from curv.fields import Paraboloid, sample_to_grid
+from curv.fields import Paraboloid, random_trig_field, sample_to_grid
 
 
 def run_json(capsys, argv):
@@ -136,6 +136,14 @@ class TestSlice:
         lines = out.strip().splitlines()
         assert "," in lines[0]
         assert len(lines) >= 2
+
+    def test_grid_roots_inside_the_evaluation_margin(self, capsys, tmp_path):
+        # a root between the ray's end and the grid's 2h band used to abort the sweep
+        path = tmp_path / "g5.csv"
+        sample_to_grid(random_trig_field(2, 5), origin=(-1, -1), h=0.05, counts=(41, 41)).write(path)
+        rc, doc = run_json(capsys, ["slice", "--field", f"grid:{path}", "--eps=-0.09999999999999998"])
+        assert rc == 0
+        assert doc["results"][-1]["points"] > 0
 
     def test_no_points_fails(self, capsys):
         rc, doc = run_json(capsys, ["slice", "--field", "paraboloid", "--eps", "-1"])
@@ -318,6 +326,13 @@ class TestErrors:
     def test_out_of_domain_point(self, capsys):
         rc = main(["point", "--field", "hemisphere:1", "--at", "2,0"])
         assert rc == 2
+
+    def test_barrier_samples_outside_the_profile(self, capsys):
+        rc = main(["barrier", "--field", "radial:S-u:0.5", "--a", "0.3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "curv: error: S-u profile is defined on [0.5, 1.0], got s = 0.33499999999999996\n"
+        )
 
     def test_missing_grid_file(self, capsys):
         rc = main(["point", "--field", "grid:/nonexistent/g.csv", "--at", "0,0"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curv.errors import NonFiniteJetError, OutOfDomainError
 from curv.fields import (
@@ -26,6 +27,7 @@ from curv.fields import (
     sample_to_grid,
 )
 from curv.fieldspec import graded_lex_monomials, parse_field
+from curv.revolution import RevolutionProfile, radial_field
 from curv.util import convergence_slopes
 
 
@@ -319,3 +321,99 @@ class TestParser:
         x = np.array([0.1, 0.2, 0.3])
         assert a.value(x) == b.value(x)
         assert isinstance(a, TrigField)
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+#: one field of every built-in kind; the sphere caps and S-u/E-f profiles are
+#: undefined on part of the [-1.5, 1.5] sampling cube
+BATCHED_CASES = {
+    "paraboloid": Paraboloid(2, scale=0.7),
+    "cup": QuadraticCup([1.0, 4.0, 9.0]),
+    "plane": Plane([0.5, -0.25]),
+    "constant": Constant(2, 2.5),
+    "sphere-cap": SphereCap(2, 1.0, height=0.2),
+    "poly": parse_field("poly:0.3,0,1,-2,0.5,1,0,0.25"),
+    "trig-2": random_trig_field(2, seed=4),
+    "trig-3": random_trig_field(3, seed=9),
+    "trig-4": random_trig_field(4, seed=11, modes=6),
+    "radial-S-u": radial_field(RevolutionProfile("S-u", 0.5)),
+    "radial-S-v": radial_field(RevolutionProfile("S-v", 0.3)),
+    "radial-E-f": radial_field(RevolutionProfile("E-f")),
+    "rotated": RotatedField(random_trig_field(2, seed=2), _rotation(0.7)),
+    "negated": NegatedField(SphereCap(2, 1.2)),
+    "scaled": ScaledField(radial_field(RevolutionProfile("S-u", 0.4)), -1.5),
+    "fd": FiniteDifferenceField(random_trig_field(2, seed=6), 2, step=1e-4),
+    "grid": sample_to_grid(random_trig_field(2, seed=5), origin=(-1.0, -1.0), h=0.1, counts=(21, 21)),
+}
+
+
+def _pointwise_values(field, X):
+    out = []
+    for x in X:
+        try:
+            out.append(field.value(x))
+        except OutOfDomainError:
+            out.append(np.nan)
+    return np.array(out)
+
+
+@st.composite
+def sample_rows(draw, dim):
+    rows = draw(st.integers(1, 12))
+    coords = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    flat = draw(st.lists(coords, min_size=rows * dim, max_size=rows * dim))
+    return np.array(flat).reshape(rows, dim)
+
+
+class TestBatchedValues:
+    """values(X) against a loop of value(x), NaN exactly where value raises."""
+
+    @pytest.mark.parametrize("kind", sorted(BATCHED_CASES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_values_match_value(self, kind, data):
+        field = BATCHED_CASES[kind]
+        X = data.draw(sample_rows(field.dim))
+        try:
+            pointwise = _pointwise_values(field, X)
+        except ValueError as exc:  # E-f near the origin: brentq fails, and values must fail alike
+            with pytest.raises(type(exc)):
+                field.values(X)
+            return
+        batched = field.values(X)
+        assert batched.shape == (len(X),)
+        assert np.array_equal(np.isnan(batched), np.isnan(pointwise))
+        if isinstance(field, TrigField):
+            # matmul order moves the last bits
+            ok = ~np.isnan(pointwise)
+            assert np.all(np.abs(batched[ok] - pointwise[ok]) <= 1e-13 * (1.0 + np.abs(pointwise[ok])))
+        else:
+            assert np.array_equal(batched, pointwise, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["radial-S-u", "radial-S-v", "radial-E-f"])
+    def test_radial_value_is_the_jet_value(self, kind):
+        field = BATCHED_CASES[kind]
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1.0, 1.0, size=(200, 2))
+        inside = [x for x in X if field.domain.contains(x)]
+        assert len(inside) > 20
+        for x in inside:
+            assert field.value(x) == field.jet(x).value
+
+    def test_out_of_domain_rows_are_nan(self):
+        cap = BATCHED_CASES["sphere-cap"]
+        got = cap.values(np.array([[0.5, 0.0], [1.2, 0.0], [0.0, -0.9], [0.8, 0.8]]))
+        assert np.array_equal(np.isnan(got), [False, True, False, True])
+        su = BATCHED_CASES["radial-S-u"]
+        got = su.values(np.array([[0.3, 0.0], [0.7, 0.0], [0.0, 0.0], [0.5, 0.5]]))
+        assert np.array_equal(np.isnan(got), [True, False, True, False])
+        assert got[1] == su.value(np.array([0.7, 0.0]))
+        with pytest.raises(OutOfDomainError):
+            su.value(np.array([0.3, 0.0]))
+
+    def test_empty_batch(self):
+        for kind in ("trig-2", "radial-S-u", "paraboloid"):
+            assert BATCHED_CASES[kind].values(np.empty((0, 2))).shape == (0,)

@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from curv import inequality
+from curv.errors import OutOfDomainError
 from curv.fields import (
+    FiniteDifferenceField,
     Paraboloid,
     Plane,
+    PolynomialField,
     QuadraticCup,
     SphereCap,
     random_trig_field,
     sample_to_grid,
 )
 from curv.fieldspec import parse_field
-from curv.graphgeom import flat_base
+from curv.graphgeom import DELTA_REG, flat_base
 from curv.inequality import (
     WHICH,
     adapted_conformal_matrix,
@@ -29,6 +34,7 @@ from curv.inequality import (
 )
 from curv.metrics import constant_ambient, round_sphere_base, spherical_ambient
 from curv.syminv import newton_gap
+from curv.util import unit_directions
 
 
 class TestEqualityCases:
@@ -197,6 +203,116 @@ class TestSampling:
         pts = slice_points(Paraboloid(2), 0.5, rays=6, seed=0)
         for x in pts:
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
+
+
+def reference_ray(field, eps, center, d, samples_per_ray=160, max_per_ray=2, delta_reg=DELTA_REG):
+    """slice_points on one ray as a per-sample loop of `value`: the reference
+    for the batched scan."""
+    extent = field.domain.ray_extent(center, d, margin=1e-6)
+    if not np.isfinite(extent):
+        extent = 2.0
+    if extent <= 0:
+        return []
+    ts = np.linspace(0.0, extent, samples_per_ray)
+    vals = np.empty_like(ts)
+    for i, t in enumerate(ts):
+        try:
+            vals[i] = field.value(center + t * d) - eps
+        except OutOfDomainError:
+            vals[i] = np.nan
+    found = []
+    for i in range(len(ts) - 1):
+        if len(found) >= max_per_ray:
+            break
+        a, b = vals[i], vals[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0 or (a == 0 and b == 0):
+            continue
+        root = brentq(lambda t: field.value(center + t * d) - eps, ts[i], ts[i + 1], xtol=1e-13)
+        p = center + root * d
+        if float(np.linalg.norm(field.gradient(p))) < delta_reg:
+            continue
+        found.append(p)
+    return found
+
+
+def cap_without_domain():
+    """A sphere cap whose value raises beyond the rim, on the whole plane, so
+    the ray samples cross the rim."""
+    return FiniteDifferenceField(SphereCap(2, 1.0).value, 2)
+
+
+def quartic_bowl():
+    """u = r^2 - r^4: a non-regular zero at the origin and a regular one on r = 1."""
+    return PolynomialField(2, [(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (4, 0)), (-2.0, (2, 2)), (-1.0, (0, 4))])
+
+
+class TestSliceScanReference:
+    """The batched ray scan keeps the roots of the per-sample loop."""
+
+    CASES = {
+        "trig-2": (lambda: random_trig_field(2, 3), None, {}),
+        "trig-3": (lambda: random_trig_field(3, 4), None, {}),
+        "trig-2-one-per-ray": (lambda: random_trig_field(2, 6), None, {"max_per_ray": 1}),
+        # u(center) is an exact zero of the pointwise scan but not of the batched one
+        "trig-2-center-level": (lambda: random_trig_field(2, 2), "center", {}),
+        "trig-3-center-level": (lambda: random_trig_field(3, 0), "center", {}),
+        "cap-rim-nan": (cap_without_domain, 0.3, {}),
+        "cap-rim-level": (cap_without_domain, 0.0, {}),
+        "plane-zero-sample": (lambda: Plane([1.0, 0.5]), 0.0, {}),
+        "plane-zero-ray": (lambda: Plane([0.0, 1.0]), 0.0, {}),  # u = 0 along the first ray
+        "paraboloid-center": (lambda: Paraboloid(2), 0.0, {}),
+        "quartic-center-skip": (quartic_bowl, 0.0, {"max_per_ray": 1}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_points_per_ray(self, case, monkeypatch):
+        make, eps, kw = self.CASES[case]
+        field = make()
+        if eps is None:
+            eps = pick_levels(field, 1, seed=2)[0]
+        elif eps == "center":
+            eps = field.value(np.zeros(field.dim))
+        rays, seed = 12, 5
+        center = np.zeros(field.dim)
+        for d in unit_directions(field.dim, rays, seed):
+            want = reference_ray(field, eps, center, d, **kw)
+            monkeypatch.setattr(inequality, "unit_directions", lambda dim, count, seed, d=d: d[None])
+            got = slice_points(field, eps, rays=1, seed=seed, **kw)
+            assert len(got) == len(want)
+            for p, q in zip(got, want):
+                assert np.max(np.abs(p - q)) <= 1e-12
+
+    def test_cases_reach_their_paths(self):
+        cap = cap_without_domain()
+        assert np.isnan(cap.values(np.linspace(0.0, 2.0, 160)[:, None] * np.array([1.0, 0.0]))).any()
+        assert Plane([1.0, 0.5]).values(np.zeros((1, 2)))[0] == 0.0
+        for dim, seed in ((2, 2), (3, 0)):
+            trig = random_trig_field(dim, seed)
+            ray = np.linspace(0.0, 2.0, 160)[:, None] * unit_directions(dim, 1, 5)[0]
+            assert trig.values(ray)[0] != trig.value(ray[0])
+        # the center root of the quartic is skipped and the rim root kept on every ray
+        pts = slice_points(quartic_bowl(), 0.0, rays=12, seed=5, max_per_ray=1)
+        assert len(pts) == 12
+        assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-12 for p in pts)
+        assert slice_points(Paraboloid(2), 0.0, rays=12, seed=5) == []
+
+    def test_flat_list_is_the_rays_in_order(self):
+        field = random_trig_field(2, 3)
+        eps = pick_levels(field, 1, seed=2)[0]
+        want = [p for d in unit_directions(2, 10, 0) for p in reference_ray(field, eps, np.zeros(2), d)]
+        got = slice_points(field, eps, rays=10, seed=0)
+        assert len(got) == len(want) > 0
+        assert max(np.max(np.abs(p - q)) for p, q in zip(got, want)) <= 1e-12
+
+    def test_grid_roots_respect_the_evaluation_margin(self):
+        # rays stop 1e-6 short of the box, but a grid is only evaluated 2h inside it
+        grid = sample_to_grid(random_trig_field(2, 5), origin=(-1, -1), h=0.05, counts=(41, 41))
+        eps = -0.09999999999999998
+        pts = slice_points(grid, eps)
+        assert pts
+        for p in pts:
+            assert grid.domain.contains(p, margin=grid.margin(p))
+            check("prod", grid, eps, p)
 
 
 class TestSuites:
