@@ -36,10 +36,13 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray, margin: float = 0.0):
+        """Whether x lies in the box less the margin: a bool for a point, a
+        mask for a stack of rows."""
         lo = np.asarray(self.lo) + margin
         hi = np.asarray(self.hi) - margin
-        return bool(np.all(x >= lo) and np.all(x <= hi))
+        inside = np.all((x >= lo) & (x <= hi), axis=-1)
+        return inside if np.ndim(x) > 1 else bool(inside)
 
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0) -> float:
         lo = np.asarray(self.lo) + margin
@@ -59,7 +62,8 @@ class Box:
 
 
 class _RoundDomain:
-    """Geometry shared by the round domains: a center and an outer rim."""
+    """Geometry shared by the round domains: a center, an inner rim (-inf for
+    a ball) and an outer rim."""
 
     @property
     def dim(self) -> int:
@@ -67,6 +71,14 @@ class _RoundDomain:
 
     def _center(self) -> np.ndarray:
         return np.zeros(self.dim_) if self.center is None else np.asarray(self.center)
+
+    def contains(self, x: np.ndarray, margin: float = 0.0):
+        """Whether x lies in the domain less the margin: a bool for a point,
+        a mask for a stack of rows."""
+        d = x - self._center()
+        r = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
+        inside = (self.inner + margin <= r) & (r <= self.rim - margin)
+        return inside if np.ndim(x) > 1 else bool(inside)
 
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0) -> float:
         # largest t with |center + t d - c| <= rim - margin
@@ -89,13 +101,11 @@ class Ball(_RoundDomain):
     dim_: int
     radius: float
     center: tuple[float, ...] | None = None
+    inner = -np.inf  # no hole
 
     @property
     def rim(self) -> float:
         return self.radius
-
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        return bool(np.linalg.norm(x - self._center()) <= self.radius - margin)
 
 
 @dataclass(frozen=True)
@@ -108,10 +118,6 @@ class Annulus(_RoundDomain):
     @property
     def rim(self) -> float:
         return self.outer
-
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        r = float(np.linalg.norm(x - self._center()))
-        return self.inner + margin <= r <= self.outer - margin
 
 
 def whole_space(dim: int) -> Ball:
@@ -397,7 +403,9 @@ def random_trig_field(
 
 
 class RadialField(ScalarField):
-    """u(x) = p(|x|) for a radial profile jet p, p', p''."""
+    """u(x) = p(|x|) for a radial profile jet p, p', p''. An optional
+    `profile_values` is p over an array of radii, bit for bit, NaN where the
+    jet raises OutOfDomainError; `values` is then one array evaluation."""
 
     def __init__(
         self,
@@ -405,11 +413,13 @@ class RadialField(ScalarField):
         profile_jet: Callable[[float], tuple[float, float, float]],
         domain,
         name: str = "radial",
+        profile_values: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.dim = dim
         self.profile_jet = profile_jet
         self.domain = domain
         self.name = name
+        self.profile_values = profile_values
 
     def jet(self, x) -> Jet:
         r = float(np.linalg.norm(x))
@@ -426,6 +436,12 @@ class RadialField(ScalarField):
     def value(self, x):
         # the radius and origin limit of `jet`, so value matches it bit for bit
         return self.profile_jet(max(float(np.linalg.norm(x)), 1e-12))[0]
+
+    def values(self, X):
+        if self.profile_values is None:
+            return super().values(X)
+        # the radius of `value` bit for bit (see `_RoundDomain.contains`) and its origin limit
+        return self.profile_values(np.maximum(np.sqrt(np.vecdot(X, X)), 1e-12))
 
     def gradient(self, x):
         return self.jet(x).gradient

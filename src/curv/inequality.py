@@ -234,7 +234,7 @@ def slice_points(
     center (golden-angle directions in 2-D, seeded unit vectors otherwise),
     keeping regular interior points only.
 
-    Each ray is sampled with one `field.values` call. A sample where the
+    All rays are sampled with one `field.values` call. A sample where the
     field is undefined is NaN and brackets no root. The ends of each candidate
     bracket are re-read with the pointwise `value`, which decides the bracket
     and is what `brentq` solves, so the roots are those of a per-sample scan
@@ -243,35 +243,31 @@ def slice_points(
     and at most max_per_ray roots are kept per ray."""
     center = np.zeros(field.dim) if center is None else as_point(center, field.dim)
     dirs = unit_directions(field.dim, rays, seed)
-    margin = 1e-6
+    extents = np.array([field.domain.ray_extent(center, d, margin=1e-6) for d in dirs])
+    extents[~np.isfinite(extents)] = 2.0
+    dirs, extents = dirs[extents > 0], extents[extents > 0]
+    ts = np.linspace(0.0, extents, samples_per_ray, axis=1)  # each row is the ray's own linspace
+    X = center + ts[:, :, None] * dirs[:, None, :]
+    u = field.values(X.reshape(-1, field.dim)).reshape(ts.shape)
+    vals = u - eps
+    # `values` may differ from `value` in the last bits, so a sign change
+    # or a near-zero sample only marks a candidate; its ends are re-read
+    # with `value` and the bracket test is made on those
+    near = np.abs(vals) <= 1e-13 * (1.0 + np.abs(u))
+    a, b = vals[:, :-1], vals[:, 1:]
+    marked = np.isfinite(a) & np.isfinite(b) & (~(a * b > 0) | near[:, :-1] | near[:, 1:])
     found: list[np.ndarray] = []
-    for d in dirs:
-        extent = field.domain.ray_extent(center, d, margin=margin)
-        if not np.isfinite(extent):
-            extent = 2.0
-        if extent <= 0:
-            continue
-        ts = np.linspace(0.0, extent, samples_per_ray)
-        X = center + ts[:, None] * d
-        u = field.values(X)
-        vals = u - eps
-        # `values` may differ from `value` in the last bits, so a sign change
-        # or a near-zero sample only marks a candidate; its ends are re-read
-        # with `value` and the bracket test is made on those
-        near = np.abs(vals) <= 1e-13 * (1.0 + np.abs(u))
-        a, b = vals[:-1], vals[1:]
-        candidates = np.flatnonzero(
-            np.isfinite(a) & np.isfinite(b) & (~(a * b > 0) | near[:-1] | near[1:])
-        )
+    for k in np.flatnonzero(marked.any(axis=1)):
+        d, candidates = dirs[k], np.flatnonzero(marked[k])
         ends = np.union1d(candidates, candidates + 1)
-        vals[ends] = [field.value(x) - eps for x in X[ends]]
+        vals[k, ends] = [field.value(x) - eps for x in X[k, ends]]
         hits = 0
         for i in candidates:
             if hits >= max_per_ray:
                 break
-            if vals[i] * vals[i + 1] > 0 or (vals[i] == 0 and vals[i + 1] == 0):
+            if vals[k, i] * vals[k, i + 1] > 0 or (vals[k, i] == 0 and vals[k, i + 1] == 0):
                 continue
-            root = brentq(lambda t: field.value(center + t * d) - eps, ts[i], ts[i + 1], xtol=1e-13)
+            root = brentq(lambda t: field.value(center + t * d) - eps, ts[k, i], ts[k, i + 1], xtol=1e-13)
             p = center + root * d
             if not field.domain.contains(p, margin=field.margin(p)):
                 continue
@@ -283,21 +279,31 @@ def slice_points(
 
 
 def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) -> list[float]:
-    """Level values at interior quantiles of u over seeded domain samples."""
+    """Level values at interior quantiles of u over seeded domain samples:
+    the first `probes` of at most 50 * probes draws inside the domain."""
     rng = np.random.default_rng(seed)
     dom = field.domain
     extent = dom.probe_extent()
-    vals: list[float] = []
-    attempts = 0
-    while len(vals) < probes and attempts < 50 * probes:
-        attempts += 1
-        x = rng.uniform(-extent, extent, size=field.dim)
-        if dom.contains(x, margin=1e-6):
-            vals.append(field.value(x))
-    if not vals:
+    # a (k, dim) draw is k successive one-point draws, so the chunks keep the stream
+    P, drawn, chunk = np.empty((0, field.dim)), 0, probes
+    while len(P) < probes and drawn < 50 * probes:
+        X = rng.uniform(-extent, extent, size=(min(chunk, 50 * probes - drawn), field.dim))
+        P = np.concatenate([P, X[dom.contains(X, margin=1e-6)]])
+        drawn, chunk = drawn + len(X), 2 * chunk
+    P = P[:probes]
+    if not len(P):
         raise ValueError("could not probe the field's domain for level values")
+    vals = field.values(P)
     qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
-    return [float(v) for v in np.quantile(np.asarray(vals), qs)]
+    # np.quantile interpolates the order statistics at ranks floor((n - 1) q)
+    # and one above. Sorting moves no value by more than `values` differs from
+    # `value`, so once the samples near those are re-read the quantiles are exact;
+    # a NaN sample is re-read too, and raises the pointwise error.
+    ranks = np.floor((len(vals) - 1) * qs).astype(int)
+    stats = np.sort(vals)[np.clip(np.concatenate([ranks, ranks + 1]), 0, len(vals) - 1)]
+    near = np.isnan(vals) | np.any(np.abs(vals[:, None] - stats) <= 1e-13 * (1.0 + np.abs(stats)), axis=1)
+    vals[near] = [field.value(x) for x in P[near]]
+    return [float(v) for v in np.quantile(vals, qs)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -120,6 +121,23 @@ def profile_jet(profile: RevolutionProfile, s: float) -> tuple[float, float, flo
         - s * s * (1.0 + rz) * w**-1.5
     )
     return value, first, second
+
+
+def profile_values(profile: RevolutionProfile, s: np.ndarray) -> np.ndarray:
+    """`profile_jet(profile, s)[0]` over an array of s, bit for bit, and NaN
+    where it raises OutOfDomainError; S-u and S-v only."""
+    lo, hi = profile.domain
+    a = profile.a
+    with np.errstate(all="ignore"):  # NaN outside [lo, hi] is masked below
+        if profile.kind == "S-u":
+            sa = math.sqrt(1.0 - a)
+            value = math.sqrt(2.0) * (sa - np.sqrt(1.0 - s)) + (a - s) / (math.sqrt(2.0) * sa)
+        elif profile.kind == "S-v":
+            value = spherical_cap_height(a) + np.sqrt(1.0 - s * s)
+        else:
+            raise ValueError(f"no array profile for {profile.kind}")
+    value = np.where(s == 1.0, spherical_cap_height(a), value)
+    return np.where((lo <= s) & (s <= hi), value, np.nan)
 
 
 def vertical_tangent(profile: RevolutionProfile, s: float) -> bool:
@@ -299,15 +317,11 @@ def radial_field(profile: RevolutionProfile, rim_margin: float = 1e-6) -> Scalar
     vertical tangent), S-v on the ball, E-f as the inverse graph of the
     decreasing branch (see inverse_profile_jet).
     """
-    if profile.kind == "S-u":
-        dom = Annulus(2, profile.a, 1.0 - rim_margin)
-        return RadialField(2, lambda r: profile_jet(profile, r), dom, name="revolution-S-u")
-    if profile.kind == "S-v":
-        dom = Ball(2, 1.0 - rim_margin)
-        return RadialField(2, lambda r: profile_jet(profile, r), dom, name="revolution-S-v")
-    lo, hi = _F_INVERSE_RANGE
-    dom = Annulus(2, lo, hi)
-    return RadialField(2, lambda r: inverse_profile_jet(r), dom, name="revolution-E-f")
+    if profile.kind == "E-f":
+        return RadialField(2, inverse_profile_jet, Annulus(2, *_F_INVERSE_RANGE), name="revolution-E-f")
+    dom = Annulus(2, profile.a, 1.0 - rim_margin) if profile.kind == "S-u" else Ball(2, 1.0 - rim_margin)
+    return RadialField(2, partial(profile_jet, profile), dom, name=f"revolution-{profile.kind}",
+                       profile_values=partial(profile_values, profile))
 
 
 def _f_first(z: float) -> float:
@@ -321,15 +335,18 @@ def _f_peak() -> tuple[float, float]:
 
 _F_PEAK_Z, _F_PEAK = _f_peak()
 _F_INVERSE_RANGE = (0.05, _F_PEAK - 0.05)
+# the inverse is solved for z in [_F_PEAK_Z, _F_Z_END], so radii below f(_F_Z_END) have no root there
+_F_Z_END = 1.0 - 1e-13
+_F_EDGE = profile_jet(RevolutionProfile("E-f"), _F_Z_END)[0]
 
 
 def inverse_profile_jet(r: float) -> tuple[float, float, float]:
     """Jet of zeta(r) = inverse of the decreasing branch of f, so the E-f
     surface is locally the graph z = zeta(|x|)."""
-    if not (0.0 < r < _F_PEAK):
-        raise OutOfDomainError(f"inverse profile needs 0 < r < {_F_PEAK:.6f}, got {r}")
+    if not (_F_EDGE <= r < _F_PEAK):
+        raise OutOfDomainError(f"inverse profile needs {_F_EDGE:.6g} <= r < {_F_PEAK:.6f}, got {r}")
     prof = RevolutionProfile("E-f")
-    z = brentq(lambda t: profile_jet(prof, t)[0] - r, _F_PEAK_Z, 1.0 - 1e-13, xtol=1e-14)
+    z = brentq(lambda t: profile_jet(prof, t)[0] - r, _F_PEAK_Z, _F_Z_END, xtol=1e-14)
     _, df, ddf = profile_jet(prof, z)
     return z, 1.0 / df, -ddf / df**3
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -145,6 +146,12 @@ class TestSlice:
         assert rc == 0
         assert doc["results"][-1]["points"] > 0
 
+    @pytest.mark.parametrize("eps, rc, points", [("0.5", 1, 0), ("0.8", 0, 16)])
+    def test_e_f_rays_start_inside_the_hole(self, capsys, eps, rc, points):
+        # every ray starts at the center, where the E-f inverse has no value; this exited 2
+        got, doc = run_json(capsys, ["slice", "--field", "radial:E-f", "--eps", eps])
+        assert (got, doc["results"][-1]["points"]) == (rc, points)
+
     def test_no_points_fails(self, capsys):
         rc, doc = run_json(capsys, ["slice", "--field", "paraboloid", "--eps", "-1"])
         assert rc == 1
@@ -288,6 +295,45 @@ class TestDeterminism:
         assert main(base + ["--seed", "2", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestGoldenReports:
+    """The seeded verify_all stages at small sizes keep their results bit for
+    bit. The hashes were recorded with Python 3.11, numpy 2.4 and scipy 1.17
+    on x86-64; a change that moves them says which fields moved and why."""
+
+    STAGES = {
+        "identity": ["verify", "identity", "--trials", "2000"],
+        "minor": ["verify", "minor", "--fd", "--fields", "2", "--points", "4"],
+        "inequality-prod": ["verify", "inequality", "--which", "prod", "--fields", "2"],
+        "inequality-phi": ["verify", "inequality", "--which", "phi", "--fields", "2"],
+        "inequality-euclid": ["verify", "inequality", "--which", "euclid", "--fields", "2"],
+        "inequality-sphere": ["verify", "inequality", "--which", "sphere", "--fields", "2"],
+        "barrier-outer-graph": ["barrier", "--field", "radial:S-u:0.5", "--radial", "64", "--angular", "16"],
+    }
+    SHA256 = {
+        ("identity", 0): "bbd296088c3150f80d1a349102d31223406b552a34b0d3194df8dbf591abd4ee",
+        ("minor", 0): "1d93196d94af34869b13ce43524854702d22655ba6201e8fbc4ffe64bac7cf9b",
+        ("inequality-prod", 0): "b37448fbdbd55c8d9ea98fcdf12052615a377f967e6bbdbcc71e4372f897809e",
+        ("inequality-phi", 0): "2c3990e5caa14372d2b0a74d509b26ad7b46b291999dd6c24cd4ff9c86a34475",
+        ("inequality-euclid", 0): "c582a98d54962158f09bbc208faf4cc73047870ac864b7cde349fa1fbeaf6336",
+        ("inequality-sphere", 0): "0cc1bd5a2e2ca4443c623b3f1ae5ff9313c7f63f6a28e4fb48981d23df5037b1",
+        ("barrier-outer-graph", 0): "c6ef7271c0b78a30ca672930cee8c942509aada7ab45ff13ee49313c1d42e491",
+        ("identity", 1): "1b37ab5c46922abe5b854f4ce67e43bc98c77b24b73df8e42579d6cb17ddd9ed",
+        ("minor", 1): "7ec2f0ab6133e04331bd24672b456569ec07bc8412f051763851764bba9e4716",
+        ("inequality-prod", 1): "4f79ac8c39aac01ae881fa08067ce75f8978d06eacc86170cab232dd11e9f876",
+        ("inequality-phi", 1): "fd562b118c5a025d8974bd5f76810073ec0a5299cd2352e98ed2200117014ca7",
+        ("inequality-euclid", 1): "d9da94ee354b82f74e829a6f2f331cb20dcee9b962d6d2c1858ad8c5849f3445",
+        ("inequality-sphere", 1): "070817bb2464764c806919de32902f19ca77f44a9b495f7e3b31f3eca283bbd4",
+        ("barrier-outer-graph", 1): "c6ef7271c0b78a30ca672930cee8c942509aada7ab45ff13ee49313c1d42e491",
+    }
+
+    @pytest.mark.parametrize("stage, seed", sorted(SHA256))
+    def test_results_are_unchanged(self, capsys, stage, seed):
+        rc, doc = run_json(capsys, self.STAGES[stage] + ["--seed", str(seed)])
+        assert rc == 0
+        digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
+        assert digest == self.SHA256[stage, seed]
 
 
 class TestConfig:

@@ -27,7 +27,7 @@ from curv.fields import (
     sample_to_grid,
 )
 from curv.fieldspec import graded_lex_monomials, parse_field
-from curv.revolution import RevolutionProfile, radial_field
+from curv.revolution import RevolutionProfile, profile_values, radial_field
 from curv.util import convergence_slopes
 
 
@@ -377,12 +377,7 @@ class TestBatchedValues:
     def test_values_match_value(self, kind, data):
         field = BATCHED_CASES[kind]
         X = data.draw(sample_rows(field.dim))
-        try:
-            pointwise = _pointwise_values(field, X)
-        except ValueError as exc:  # E-f near the origin: brentq fails, and values must fail alike
-            with pytest.raises(type(exc)):
-                field.values(X)
-            return
+        pointwise = _pointwise_values(field, X)
         batched = field.values(X)
         assert batched.shape == (len(X),)
         assert np.array_equal(np.isnan(batched), np.isnan(pointwise))
@@ -414,6 +409,77 @@ class TestBatchedValues:
         with pytest.raises(OutOfDomainError):
             su.value(np.array([0.3, 0.0]))
 
+    @pytest.mark.parametrize("kind", ["radial-S-u", "radial-S-v"])
+    def test_radial_kernel_is_the_row_loop(self, kind):
+        field = BATCHED_CASES[kind]
+        rng = np.random.default_rng(4)
+        edges = [[0.0, 0.0], [1e-13, 0.0], [1.0, 0.0], [0.0, -1.0], [0.5, 0.0], [0.4, 0.0], [0.6, 0.8]]
+        X = np.concatenate([edges, rng.uniform(-1.2, 1.2, size=(5000, 2))])
+        assert np.array_equal(field.values(X), _pointwise_values(field, X), equal_nan=True)
+
+    def test_array_profile_is_for_s_u_and_s_v_only(self):
+        with pytest.raises(ValueError):
+            profile_values(RevolutionProfile("E-f"), np.array([0.5]))
+
+    def test_e_f_origin_rows_are_nan(self):
+        # radii below f(1 - 1e-13), the origin limit 1e-12 among them, have no inverse
+        ef = BATCHED_CASES["radial-E-f"]
+        got = ef.values(np.array([[0.0, 0.0], [5e-7, 0.0], [0.5, 0.0]]))
+        assert np.array_equal(np.isnan(got), [True, True, False])
+        with pytest.raises(OutOfDomainError):
+            ef.value(np.zeros(2))
+
     def test_empty_batch(self):
         for kind in ("trig-2", "radial-S-u", "paraboloid"):
             assert BATCHED_CASES[kind].values(np.empty((0, 2))).shape == (0,)
+
+
+def reference_contains(dom, x, margin):
+    """The per-point membership test the domains had before they took stacks."""
+    if isinstance(dom, Box):
+        return bool(np.all(x >= np.asarray(dom.lo) + margin) and np.all(x <= np.asarray(dom.hi) - margin))
+    r = float(np.linalg.norm(x - dom._center()))
+    inner = dom.inner if isinstance(dom, Annulus) else -np.inf
+    return inner + margin <= r <= dom.rim - margin
+
+
+def _round_rims(x, center):
+    """Radii one ulp either side of |x - center|, and that radius itself."""
+    r = float(np.linalg.norm(x - center))
+    return (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf))
+
+
+class TestStackedContains:
+    """contains(X) on a stack is the pointwise contains of each row."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_mask_is_the_pointwise_contains(self, n, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        X = np.concatenate([data.draw(sample_rows(n)), rng.uniform(-1.5, 1.5, size=(16, n))])
+        center = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)))
+        margin = data.draw(st.sampled_from([0.0, 1e-6, 0.05]))
+        domains = [
+            Ball(n, 1.0),
+            Ball(n, 1.2, center=tuple(center)),
+            Annulus(n, 0.4, 1.1),
+            Annulus(n, 0.3, 1.0, center=tuple(center)),
+            Box(tuple(-0.8 * np.ones(n)), tuple(np.linspace(0.5, 1.2, n))),
+        ]
+        # rims through rows, where the last bit of the radius decides
+        for x in X[:4]:
+            for rim in _round_rims(x, center):
+                domains += [Ball(n, rim, center=tuple(center)),
+                            Annulus(n, rim, rim + 1.0, center=tuple(center))]
+            domains += [Box(tuple(np.nextafter(x, np.inf)), tuple(x + 1.0)), Box(tuple(x - 1.0), tuple(x))]
+        for dom in domains:
+            for m in (0.0, margin):
+                mask = dom.contains(X, margin=m)
+                assert mask.shape == (len(X),) and mask.dtype == bool
+                want = [reference_contains(dom, x, m) for x in X]
+                assert mask.tolist() == want
+                points = [dom.contains(x, margin=m) for x in X]
+                assert all(type(p) is bool for p in points)
+                assert points == want

@@ -7,6 +7,8 @@ from scipy.optimize import brentq
 from curv import inequality
 from curv.errors import OutOfDomainError
 from curv.fields import (
+    Annulus,
+    Constant,
     FiniteDifferenceField,
     Paraboloid,
     Plane,
@@ -313,6 +315,99 @@ class TestSliceScanReference:
         for p in pts:
             assert grid.domain.contains(p, margin=grid.margin(p))
             check("prod", grid, eps, p)
+
+
+def reference_probes(field, seed, probes=256):
+    """The samples of pick_levels as a per-draw loop: the reference for the
+    batched draws."""
+    rng = np.random.default_rng(seed)
+    dom = field.domain
+    extent = dom.probe_extent()
+    points = []
+    attempts = 0
+    while len(points) < probes and attempts < 50 * probes:
+        attempts += 1
+        x = rng.uniform(-extent, extent, size=field.dim)
+        if dom.contains(x, margin=1e-6):
+            points.append(x)
+    return points
+
+
+def reference_pick_levels(field, count, seed, probes=256):
+    """pick_levels as a per-draw loop of `value`: the reference for the
+    batched probes."""
+    vals = [field.value(x) for x in reference_probes(field, seed, probes)]
+    if not vals:
+        raise ValueError("could not probe the field's domain for level values")
+    qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
+    return [float(v) for v in np.quantile(np.asarray(vals), qs)]
+
+
+def raises_beyond(limit):
+    """A field that raises a plain error, naming the point, where x_0 > limit."""
+    def func(x):
+        if x[0] > limit:
+            raise ArithmeticError(f"no value at {x.tolist()}")
+        return float(x @ x)
+    return FiniteDifferenceField(func, 2)
+
+
+class TestPickLevelsReference:
+    """The batched probes give the levels of the per-draw loop bit for bit."""
+
+    FIELDS = {
+        "trig-2": (lambda: random_trig_field(2, 3), 256),
+        "trig-3": (lambda: random_trig_field(3, 4), 256),
+        "trig-4": (lambda: random_trig_field(4, 11, modes=6), 256),
+        # fewer probes: a grid value costs a whole interpolation jet
+        "grid-box": (lambda: sample_to_grid(
+            random_trig_field(2, 4), origin=np.array([-1.0, -1.0]), h=0.1, counts=(21, 21)
+        ), 32),
+        "radial-S-u": (lambda: parse_field("radial:S-u:0.5", 2), 256),
+        "constant": (lambda: Constant(3, 0.25), 256),  # every sample ties
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    def test_same_levels_as_the_loop(self, kind):
+        make, probes = self.FIELDS[kind]
+        field = make()
+        for seed in range(64):
+            count = 1 + seed % 3
+            want = reference_pick_levels(field, count, seed, probes=probes)
+            assert pick_levels(field, count, seed, probes=probes) == want
+
+    def test_thin_annulus(self):
+        # so thin that fewer than 256 of the 12,800 draws land inside
+        field = random_trig_field(2, 5, domain=Annulus(2, 0.995, 1.0, center=(0.0, 0.0)))
+        assert 0 < len(reference_probes(field, 0)) < 256
+        for seed in range(3):
+            assert pick_levels(field, 2, seed) == reference_pick_levels(field, 2, seed)
+
+    def test_needed_order_statistics_are_re_read(self):
+        # the batched quantiles of this case differ from the pointwise ones,
+        # because a sample at a needed rank differs in the last bit
+        field, count, seed = random_trig_field(2, 3), 3, 1
+        P = np.array(reference_probes(field, seed))
+        batched = field.values(P)
+        pointwise = np.array([field.value(x) for x in P])
+        qs = np.linspace(0.35, 0.65, count)
+        ranks = np.floor((len(P) - 1) * qs).astype(int)
+        needed = np.argsort(pointwise, kind="stable")[np.concatenate([ranks, ranks + 1])]
+        assert np.any(batched[needed] != pointwise[needed])
+        assert [float(v) for v in np.quantile(batched, qs)] != reference_pick_levels(field, count, seed)
+        assert pick_levels(field, count, seed) == reference_pick_levels(field, count, seed)
+
+    @pytest.mark.parametrize("make, error", [
+        (cap_without_domain, OutOfDomainError),  # NaN in the batch, raised by `value`
+        (lambda: raises_beyond(1.2), ArithmeticError),  # raised by the batch itself
+    ])
+    def test_a_failing_probe_raises_the_same_error(self, make, error):
+        field = make()
+        with pytest.raises(error) as want:
+            reference_pick_levels(field, 2, seed=3)
+        with pytest.raises(error) as got:
+            pick_levels(field, 2, seed=3)
+        assert str(got.value) == str(want.value)
 
 
 class TestSuites:
