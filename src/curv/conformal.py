@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import ConformalFactorError
 from .fields import ScalarField, eval_jet
-from .graphgeom import ExtrinsicPoint, SliceFrame, extrinsic_point
+from .graphgeom import ExtrinsicPoint, SliceFrame, extrinsic_points
 from .metrics import AmbientSpec, PhiJet
-from .util import as_point, maxabs
+from .util import Stacked, as_point, maxabs
 
 
 def spherical_phi(point) -> tuple[float, np.ndarray]:
@@ -33,23 +33,27 @@ def spherical_phi(point) -> tuple[float, np.ndarray]:
     return (1.0 + float(x @ x)) / 2.0, x.copy()
 
 
-def conformal_shape(point: ExtrinsicPoint, phi: float, dphi_nu: float) -> np.ndarray:
-    """Abar = phi A + nu(phi) I for the factor value and normal derivative."""
-    if phi <= 0:
+def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
+    """Abar = phi A + nu(phi) I for the factor value and normal derivative,
+    at a point or row by row over a stack."""
+    phi, dphi_nu = np.asarray(phi), np.asarray(dphi_nu)
+    if (phi <= 0).any():
         raise ConformalFactorError(f"conformal factor {phi} must be positive")
     n = point.dim
-    return phi * point.shape_operator + dphi_nu * np.eye(n)
+    return phi[..., None, None] * point.shape_operator + dphi_nu[..., None, None] * np.eye(n)
 
 
-def normal_derivative(point: ExtrinsicPoint, phi_jet: PhiJet) -> float:
+def normal_derivative(point: ExtrinsicPoint, phi_jet: PhiJet) -> float | np.ndarray:
     """nu(phi) = dphi(nu), pairing the factor differential with the upward
-    normal's contravariant components (metric independent)."""
-    return float(phi_jet.grad_x @ point.nu[:-1] + phi_jet.dt * point.nu[-1])
+    normal's contravariant components (metric independent); at a point or
+    row by row over a stack."""
+    return np.vecdot(phi_jet.grad_x, point.nu[..., :-1]) + phi_jet.dt * point.nu[..., -1]
 
 
 @dataclass(frozen=True)
-class ConformalPoint:
-    """Extrinsic data of the same graph point after the conformal change."""
+class ConformalPoint(Stacked):
+    """Extrinsic data of the same graph point after the conformal change, or
+    a stack of it (see `conformal_points`)."""
 
     point: ExtrinsicPoint
     phi: float
@@ -65,31 +69,38 @@ class ConformalPoint:
         return self.point.dim
 
 
-def conformal_point(field: ScalarField, ambient: AmbientSpec, x) -> ConformalPoint:
-    """Evaluate graph geometry at x in the conformally rescaled ambient."""
-    pt = extrinsic_point(field, ambient.base, x)
-    pj = ambient.phi(pt.x, pt.u)
+def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPoint:
+    """Graph geometry at every row of X, shape (m, n), in the conformally
+    rescaled ambient, as a ConformalPoint stack; row i equals
+    conformal_point(field, ambient, X[i]) bit for bit."""
+    pt = extrinsic_points(field, ambient.base, X)
+    pj = ambient.phis(pt.x, pt.u)
     mu = normal_derivative(pt, pj)
     abar = conformal_shape(pt, pj.value, mu)
     n = pt.dim
-    principal = np.sort(pj.value * pt.principal + mu)
+    principal = np.sort(pj.value[:, None] * pt.principal + mu[:, None], axis=-1)
     hbar = pj.value * pt.mean_curvature + n * mu
-    norm2 = float(np.sum(principal**2))
+    norm2 = np.sum(principal**2, axis=-1)
     # the Gauss relation R = n(n-1) + Hbar^2 - |Abar|^2 needs the rescaled
     # ambient to be the unit round sphere; leave R unset otherwise
     scalar = None
     if ambient.is_round_sphere:
-        scalar = float(n * (n - 1) + hbar * hbar - norm2)
+        scalar = n * (n - 1) + hbar * hbar - norm2
     return ConformalPoint(
         point=pt,
         phi=pj.value,
         dphi_nu=mu,
         shape_operator=abar,
-        mean_curvature=float(hbar),
+        mean_curvature=hbar,
         norm_a2=norm2,
         principal=principal,
         scalar_curvature=scalar,
     )
+
+
+def conformal_point(field: ScalarField, ambient: AmbientSpec, x) -> ConformalPoint:
+    """Evaluate graph geometry at x in the conformally rescaled ambient."""
+    return conformal_points(field, ambient, as_point(x, field.dim)[None]).row(0)
 
 
 def mean_curvature_euclid(field: ScalarField, x) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteJetError, OutOfDomainError
-from .util import as_point
+from .util import as_point, as_points
 
 _EPS = float(np.finfo(float).eps)
 
@@ -168,24 +168,44 @@ class ScalarField:
     def jet(self, x: np.ndarray) -> Jet:
         return Jet(self.value(x), self.gradient(x), self.hessian(x))
 
+    def jets(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The jets on the rows of X, shape (m, n): (u (m,), Du (m, n),
+        D^2u (m, n, n)). The base class stacks `jet` row by row."""
+        rows = [self.jet(x) for x in X]
+        m, n = len(X), self.dim
+        return (
+            np.array([j.value for j in rows], dtype=float),
+            np.array([j.gradient for j in rows], dtype=float).reshape(m, n),
+            np.array([j.hessian for j in rows], dtype=float).reshape(m, n, n),
+        )
+
     def margin(self, x: np.ndarray) -> float:
         """Boundary band the evaluation needs around x (0 for analytic)."""
         return 0.0
 
 
+def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate (u, Du, D^2u) on the rows of X, shape (m, n), with domain and
+    finiteness checks: a row must lie in the domain less the field's margin
+    there, and its jet must be finite. The first failing row raises
+    OutOfDomainError or NonFiniteJetError, as eval_jet does for it."""
+    X = as_points(X, field.dim)
+    inside = [field.domain.contains(x, margin=field.margin(x)) for x in X]
+    k = inside.index(False) if False in inside else len(X)
+    u, du, ddu = field.jets(X[:k])
+    if not (np.isfinite(u).all() and np.isfinite(du).all() and np.isfinite(ddu).all()):
+        finite = np.isfinite(u) & np.isfinite(du).all(axis=1) & np.isfinite(ddu).all(axis=(1, 2))
+        raise NonFiniteJetError(f"non-finite jet of {field.name} at {X[np.argmin(finite)].tolist()}")
+    if k < len(X):
+        raise OutOfDomainError(f"point {X[k].tolist()} outside domain of {field.name}")
+    return u, du, ddu
+
+
 def eval_jet(field: ScalarField, x) -> Jet:
-    """Evaluate (u, Du, D^2u) at x with domain and finiteness checks."""
-    x = as_point(x, field.dim)
-    if not field.domain.contains(x, margin=field.margin(x)):
-        raise OutOfDomainError(f"point {x.tolist()} outside domain of {field.name}")
-    jet = field.jet(x)
-    if not (
-        np.isfinite(jet.value)
-        and np.all(np.isfinite(jet.gradient))
-        and np.all(np.isfinite(jet.hessian))
-    ):
-        raise NonFiniteJetError(f"non-finite jet of {field.name} at {x.tolist()}")
-    return jet
+    """Evaluate (u, Du, D^2u) at x with domain and finiteness checks: the
+    one-row case of eval_jets."""
+    u, du, ddu = eval_jets(field, as_point(x, field.dim)[None])
+    return Jet(float(u[0]), du[0], ddu[0])
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +403,20 @@ class TrigField(ScalarField):
     def hessian(self, x):
         w = -self.amps * np.sin(self._args(x))
         return np.einsum("k,ki,kj->ij", w, self.freqs, self.freqs)
+
+    def jet(self, x) -> Jet:
+        u, du, ddu = self.jets(np.asarray(x, dtype=float))
+        return Jet(float(u), du, ddu)
+
+    def jets(self, X):
+        # one kernel for a point and a stack; each row equals value, gradient
+        # and hessian bit for bit (np.matvec, vecdot and vecmat sum like `@`)
+        args = np.matvec(self.freqs, X) + self.phases
+        return (
+            np.vecdot(np.sin(args), self.amps),
+            np.vecmat(self.amps * np.cos(args), self.freqs),
+            np.einsum("...k,ki,kj->...ij", -self.amps * np.sin(args), self.freqs, self.freqs),
+        )
 
 
 def random_trig_field(
@@ -610,6 +644,8 @@ class GridField(ScalarField):
         hi = self.origin + self.h * (np.asarray(self.samples.shape) - 1)
         self.domain = Box(tuple(lo), tuple(hi))
         self.name = name
+        # the 3^n node offsets of the stencil, in the order `jet` visits them
+        self._offsets = np.array(list(itertools.product((-1, 0, 1), repeat=self.dim)))
 
     def margin(self, x) -> float:
         return 2.0 * self.h
@@ -666,7 +702,18 @@ class GridField(ScalarField):
         return Jet(value, grad, hess)
 
     def value(self, x):
-        return self.jet(x).value
+        # the value part of `jet`: the same node order and the same running
+        # products, so it equals jet(x).value bit for bit
+        idx, t = self._local(np.asarray(x, dtype=float))
+        basis = self._basis(t)[0]  # basis[o + 1, k] is axis k's weight at offset o
+        weights = np.ones(len(self._offsets))
+        for k in range(self.dim):
+            weights *= basis[self._offsets[:, k] + 1, k]
+        nodes = self.samples[tuple((idx + self._offsets).T)]
+        value = 0.0
+        for term in (nodes * weights).tolist():
+            value += term
+        return value
 
     def gradient(self, x):
         return self.jet(x).gradient

@@ -27,20 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 from .errors import NonRegularPointError, NotOnLevelError
-from .fields import FiniteDifferenceField, ScalarField, eval_jet
+from .fields import FiniteDifferenceField, ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import as_point, maxabs
+from .util import Stacked, as_point, as_points
 
 #: default regularity threshold for slice frames
 DELTA_REG = 1e-6
 
 
 @dataclass(frozen=True)
-class ExtrinsicPoint:
-    """Second-order extrinsic data of graph(u) above the base point x."""
+class ExtrinsicPoint(Stacked):
+    """Second-order extrinsic data of graph(u) above the base point x, or a
+    stack of it, one row per base point (see `extrinsic_points`)."""
 
     x: np.ndarray
     u: float
@@ -59,7 +61,7 @@ class ExtrinsicPoint:
 
     @property
     def dim(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
 
     def flipped(self) -> "ExtrinsicPoint":
         """Same surface with the downward normal: A and H flip sign, R_M does not."""
@@ -81,45 +83,81 @@ class ExtrinsicPoint:
         )
 
 
-def extrinsic_point(field: ScalarField, base, x) -> ExtrinsicPoint:
-    """Evaluate the full extrinsic package of graph(field) at base point x."""
-    x = as_point(x, field.dim)
-    jet = eval_jet(field, x)
-    mj = metric_jet(base, x)
-    n = field.dim
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer of each row pair."""
+    return a[:, :, None] * b[:, None, :]
 
-    grad = np.asarray(jet.gradient, dtype=float)
-    grad_up = mj.ginv @ grad
-    w2 = 1.0 + float(grad @ grad_up)
-    w = float(np.sqrt(w2))
 
-    hess_cov = jet.hessian - np.einsum("mkj,m->kj", mj.gamma, grad)
-    proj = mj.ginv - np.outer(grad_up, grad_up) / w2
-    a = proj @ hess_cov / w
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
 
-    gm = mj.g + np.outer(grad, grad)
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """The trace of each matrix of a stack."""
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each pencil (a[i], b[i]), b[i] positive
+    definite: the LAPACK driver dsygvd that scipy.linalg.eigh(a, b,
+    eigvals_only=True) calls, row by row, with eigh's input and exit checks."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    out = np.empty(a.shape[:2])
+    n = a.shape[-1]
+    for i in range(len(a)):
+        out[i], _, info = lapack.dsygvd(a[i], b[i], jobz="N")
+        if info > n:
+            raise LinAlgError(
+                f"The leading minor of order {info - n} of B is not positive definite. The "
+                "factorization of B could not be completed and no eigenvalues or "
+                "eigenvectors were computed."
+            )
+        if info != 0:
+            raise LinAlgError(f"dsygvd failed with info = {info}")
+    return out
+
+
+def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
+    """The extrinsic package of graph(field) at every row of X, shape (m, n),
+    as an ExtrinsicPoint stack; row i equals extrinsic_point(field, base,
+    X[i]) bit for bit."""
+    X = as_points(X, field.dim)
+    u, grad, hess = eval_jets(field, X)
+    mj = base.jets(X)
+
+    grad_up = np.matvec(mj.ginv, grad)
+    w2 = 1.0 + np.vecdot(grad, grad_up)
+    w = np.sqrt(w2)
+
+    hess_cov = hess - np.einsum("imkj,im->ikj", mj.gamma, grad)
+    proj = mj.ginv - _outer(grad_up, grad_up) / w2[:, None, None]
+    a = proj @ hess_cov / w[:, None, None]
+
+    gm = mj.g + _outer(grad, grad)
     h_form = gm @ a
-    h_form = 0.5 * (h_form + h_form.T)
-    principal = scipy.linalg.eigh(h_form, gm, eigvals_only=True)
+    h_form = 0.5 * (h_form + _t(h_form))
+    principal = _generalized_eigvalsh(h_form, gm)
 
-    mean = float(np.trace(a))
-    norm_a2 = float(np.trace(a @ a))
+    mean = _trace(a)
+    norm_a2 = _trace(a @ a)
 
-    nu_h = -grad_up / w  # horizontal contravariant components of nu
-    ric_nn = float(nu_h @ mj.ricci @ nu_h)
+    nu_h = -grad_up / w[:, None]  # horizontal contravariant components of nu
+    ric_nn = np.vecdot(np.vecmat(nu_h, mj.ricci), nu_h)
     r_m = mean * mean - norm_a2 + mj.scalar - 2.0 * ric_nn
 
-    nu = np.concatenate([nu_h, [1.0 / w]])
+    nu = np.concatenate([nu_h, (1.0 / w)[:, None]], axis=1)
     return ExtrinsicPoint(
-        x=x,
-        u=float(jet.value),
+        x=X,
+        u=u,
         nu=nu,
         shape_operator=a,
         induced_metric=gm,
         mean_curvature=mean,
         norm_a2=norm_a2,
-        principal=np.asarray(principal, dtype=float),
-        scalar_curvature=float(r_m),
+        principal=principal,
+        scalar_curvature=r_m,
         w=w,
         grad=grad,
         grad_up=grad_up,
@@ -128,8 +166,50 @@ def extrinsic_point(field: ScalarField, base, x) -> ExtrinsicPoint:
     )
 
 
+def extrinsic_point(field: ScalarField, base, x) -> ExtrinsicPoint:
+    """Evaluate the full extrinsic package of graph(field) at base point x."""
+    return extrinsic_points(field, base, as_point(x, field.dim)[None]).row(0)
+
+
 # ---------------------------------------------------------------------------
 # adapted frames and level slices
+
+
+def adapted_frames(grad_up: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adapted frame of each row of grad_up (m, n) for g (m, n, n); row
+    i equals adapted_frame(grad_up[i], g[i]) bit for bit."""
+    m, n = grad_up.shape
+    norm = np.sqrt(np.vecdot(np.vecmat(grad_up, g), grad_up))
+    if not norm.all():
+        raise ValueError("adapted frame needs a nonzero gradient")
+    frame = np.zeros((m, n, n))
+    frame[:, :, 0] = grad_up / norm[:, None]
+    filled = np.ones(m, dtype=int)  # columns found so far, per row
+    fewest = most = 1 if m else n
+    for k in range(n):
+        if fewest == n:
+            break
+        v = np.zeros((m, n))
+        v[:, k] = 1.0
+        # a column a row has not found yet is zero and leaves its v as it is
+        # (v never holds -0.0, so v - (+-0.0) = v)
+        for j in range(most):
+            e = frame[:, :, j]
+            v = v - np.vecdot(np.vecmat(e, g), v)[:, None] * e
+        vn = np.sqrt(np.vecdot(np.vecmat(v, g), v))
+        take = vn > 1e-10
+        if fewest == most and take.all():  # every row gains column `most`
+            frame[:, :, most] = v / vn[:, None]
+            filled += 1
+            fewest = most = most + 1
+        else:
+            rows = np.flatnonzero(take & (filled < n))
+            frame[rows, :, filled[rows]] = v[rows] / vn[rows, None]
+            filled[rows] += 1
+            fewest, most = filled.min(), filled.max()
+    if fewest != n:
+        raise ValueError("failed to complete the adapted frame")
+    return frame
 
 
 def adapted_frame(grad_up: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -139,29 +219,13 @@ def adapted_frame(grad_up: np.ndarray, g: np.ndarray) -> np.ndarray:
     in index order (the smallest-index axis wins ties), which makes the frame
     deterministic.
     """
-    n = grad_up.size
-    norm = float(np.sqrt(grad_up @ g @ grad_up))
-    if norm == 0.0:
-        raise ValueError("adapted frame needs a nonzero gradient")
-    cols = [grad_up / norm]
-    for k in range(n):
-        if len(cols) == n:
-            break
-        v = np.zeros(n)
-        v[k] = 1.0
-        for e in cols:
-            v = v - (e @ g @ v) * e
-        vn = float(np.sqrt(v @ g @ v))
-        if vn > 1e-10:
-            cols.append(v / vn)
-    if len(cols) != n:
-        raise ValueError("failed to complete the adapted frame")
-    return np.stack(cols, axis=1)
+    return adapted_frames(np.asarray(grad_up, dtype=float)[None], np.asarray(g, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
-class SliceFrame:
-    """Level-slice data of Sigma = {u = eps} inside N x {eps}."""
+class SliceFrame(Stacked):
+    """Level-slice data of Sigma = {u = eps} inside N x {eps}, or a stack of
+    it (see `slice_frames`)."""
 
     eps: float
     x: np.ndarray
@@ -175,7 +239,7 @@ class SliceFrame:
 
     @property
     def dim(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
 
 
 def level_slice(
@@ -199,48 +263,83 @@ def level_slice(
     return slice_frame_of_point(point, eps, delta_reg=delta_reg)
 
 
-def slice_frame_of_point(point: ExtrinsicPoint, eps: float, delta_reg: float = DELTA_REG) -> SliceFrame:
-    """Build the slice frame from already-computed extrinsic data."""
-    g = point.base_jet.g
-    grad_norm = float(np.sqrt(point.grad @ point.grad_up))
-    if grad_norm < delta_reg:
-        raise NonRegularPointError(
-            f"|grad u| = {grad_norm:.3e} below the regularity threshold {delta_reg:.3e}",
-            grad_norm=grad_norm,
-            exact_zero=(grad_norm == 0.0),
-        )
-    frame = adapted_frame(point.grad_up, g)
-    # P^-1 = P^T g for a g-orthonormal frame
-    a_adapted = frame.T @ g @ point.shape_operator @ frame
-    minor = a_adapted[1:, 1:]
-    tangent = frame[:, 1:]
-    a_sigma = tangent.T @ point.cov_hessian @ tangent / grad_norm
-    a_sigma = 0.5 * (a_sigma + a_sigma.T)
-    eta = -point.grad_up / grad_norm
-    return SliceFrame(
-        eps=float(eps),
-        x=point.x,
-        eta=eta,
+def adapted_matrix(frame: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The operator a in the g-orthonormal frame: P^-1 a P = P^T g a P, for
+    one matrix or a stack."""
+    return _t(frame) @ g @ a @ frame
+
+
+def _grad_norms(points: ExtrinsicPoint) -> np.ndarray:
+    return np.sqrt(np.vecdot(points.grad, points.grad_up))
+
+
+def slice_frames(points: ExtrinsicPoint, eps, delta_reg: float = DELTA_REG) -> tuple[np.ndarray, SliceFrame]:
+    """Slice frames of a stack of extrinsic points, at the level eps (one
+    value, or one per row).
+
+    Returns the mask of the regular rows, those with |grad u|_g >= delta_reg,
+    and the SliceFrame stack of those rows; row i of the stack equals
+    slice_frame_of_point on its point bit for bit. A row off the mask is one
+    where slice_frame_of_point raises `nonregular_error`.
+    """
+    grad_norm = _grad_norms(points)
+    regular = ~(grad_norm < delta_reg)
+    eps = np.full(regular.shape, eps, dtype=float)
+    if not regular.all():
+        points, grad_norm, eps = points.select(regular), grad_norm[regular], eps[regular]
+    g = points.base_jet.g
+    frame = adapted_frames(points.grad_up, g)
+    minor = adapted_matrix(frame, g, points.shape_operator)[:, 1:, 1:]
+    tangent = frame[:, :, 1:]
+    a_sigma = _t(tangent) @ points.cov_hessian @ tangent / grad_norm[:, None, None]
+    a_sigma = 0.5 * (a_sigma + _t(a_sigma))
+    return regular, SliceFrame(
+        eps=eps,
+        x=points.x,
+        eta=-points.grad_up / grad_norm[:, None],
         a_sigma=a_sigma,
-        h_sigma=float(np.trace(a_sigma)),
-        cos_angle=grad_norm / point.w,
+        h_sigma=_trace(a_sigma),
+        cos_angle=grad_norm / points.w,
         minor=minor,
         frame=frame,
         grad_norm=grad_norm,
     )
 
 
+def nonregular_error(points: ExtrinsicPoint, row: int, delta_reg: float = DELTA_REG) -> NonRegularPointError:
+    """The error slice_frame_of_point raises at a row off the regular mask."""
+    grad_norm = float(_grad_norms(points)[row])
+    return NonRegularPointError(
+        f"|grad u| = {grad_norm:.3e} below the regularity threshold {delta_reg:.3e}",
+        grad_norm=grad_norm,
+        exact_zero=(grad_norm == 0.0),
+    )
+
+
+def slice_frame_of_point(point: ExtrinsicPoint, eps: float, delta_reg: float = DELTA_REG) -> SliceFrame:
+    """Build the slice frame from already-computed extrinsic data."""
+    points = point.stacked()
+    regular, frames = slice_frames(points, eps, delta_reg=delta_reg)
+    if not regular[0]:
+        raise nonregular_error(points, 0, delta_reg)
+    return frames.row(0)
+
+
+def minor_relation_residuals(frames: SliceFrame, points: ExtrinsicPoint) -> np.ndarray:
+    """Row by row minor_relation_residual of two stacks of equal length."""
+    if frames.dim != points.dim:
+        raise ValueError("frame and point dimensions differ")
+    if not np.allclose(frames.x, points.x, atol=1e-12):
+        raise ValueError("frame and point sit at different base points")
+    minor = adapted_matrix(frames.frame, points.base_jet.g, points.shape_operator)[:, 1:, 1:]
+    gap = minor - frames.cos_angle[:, None, None] * frames.a_sigma
+    return np.abs(gap).max(axis=(1, 2), initial=0.0)
+
+
 def minor_relation_residual(frame: SliceFrame, point: ExtrinsicPoint) -> float:
     """Max-norm of (A|1) - <nu, eta> A_Sigma, recomputing the minor from the
     supplied extrinsic point in the frame's adapted basis."""
-    if frame.dim != point.dim:
-        raise ValueError("frame and point dimensions differ")
-    if not np.allclose(frame.x, point.x, atol=1e-12):
-        raise ValueError("frame and point sit at different base points")
-    g = point.base_jet.g
-    a_adapted = frame.frame.T @ g @ point.shape_operator @ frame.frame
-    minor = a_adapted[1:, 1:]
-    return maxabs(minor - frame.cos_angle * frame.a_sigma)
+    return float(minor_relation_residuals(frame.stacked(), point.stacked())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,26 @@ least n-1; the report carries both deviations and an equality flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .conformal import conformal_point, normal_derivative
-from .errors import NonRegularPointError
+from .conformal import ConformalPoint, conformal_point, conformal_points
 from .fields import ScalarField
-from .graphgeom import DELTA_REG, extrinsic_point, slice_frame_of_point
-from .metrics import AmbientSpec, product_ambient, spherical_ambient
-from .util import as_point, unit_directions
+from .graphgeom import (
+    DELTA_REG,
+    ExtrinsicPoint,
+    adapted_matrix,
+    extrinsic_point,
+    extrinsic_points,
+    nonregular_error,
+    slice_frame_of_point,
+    slice_frames,
+)
+from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
+from .util import as_point, as_points, unit_directions
 
 WHICH = ("prod", "phi", "euclid", "sphere")
 
@@ -94,126 +102,153 @@ CSV_COLUMNS = (
 
 
 def _equality_diagnostics(
-    slice_eigs: np.ndarray, ambient_eigs: np.ndarray, predicted: float
-) -> tuple[float, float, float, bool]:
-    """(kappa, umbilicity deviation, multiplicity diagnostic, equality flag)."""
-    kappa = float(np.mean(slice_eigs))
-    spread = float(slice_eigs.max() - slice_eigs.min()) if slice_eigs.size else 0.0
-    dist = np.sort(np.abs(ambient_eigs - predicted))
+    slice_eigs: list[float], ambient_eigs: list[float], predicted: float
+) -> tuple[float, float, bool]:
+    """(umbilicity deviation, multiplicity diagnostic, equality flag) of one
+    point's slice and ambient eigenvalues."""
+    spread = max(slice_eigs) - min(slice_eigs) if slice_eigs else 0.0
+    dist = sorted(abs(a - predicted) for a in ambient_eigs)
     # n-1 of the n ambient eigenvalues must sit at the predicted value
-    mult = float(dist[:-1].max()) if dist.size > 1 else float(dist.max())
-    norm_slice = float(np.max(np.abs(slice_eigs))) if slice_eigs.size else 0.0
-    norm_amb = float(np.max(np.abs(ambient_eigs)))
-    equal = spread <= UMBILIC_TOL * (1.0 + norm_slice) and mult <= MULTIPLICITY_TOL * (
-        1.0 + norm_amb
-    )
-    return kappa, spread, mult, equal
+    mult = max(dist[:-1]) if len(dist) > 1 else dist[0]
+    norm_slice = max(map(abs, slice_eigs)) if slice_eigs else 0.0
+    norm_amb = max(map(abs, ambient_eigs))
+    equal = spread <= UMBILIC_TOL * (1.0 + norm_slice) and mult <= MULTIPLICITY_TOL * (1.0 + norm_amb)
+    return spread, mult, equal
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """np.mean over the last axis, bit for bit (the sum, then one division)."""
+    return a.sum(axis=-1) / a.shape[-1]
+
+
+def _prod_reports(pt: ExtrinsicPoint, eps, delta_reg: float, which: str):
+    """(regular mask, reports) of the product-metric inequality over a stack.
+    The matrix work is stacked; each row's scalar formulas run on floats."""
+    regular, fr = slice_frames(pt, eps, delta_reg=delta_reg)
+    if not regular.all():
+        pt = pt.select(regular)
+    n = pt.dim
+    mj = pt.base_jet
+    ric_eta = np.vecdot(np.vecmat(fr.eta, mj.ricci), fr.eta)
+    slice_eigs = np.linalg.eigvalsh(fr.a_sigma)
+    c = n / (2.0 * (n - 1.0))
+    reports = []
+    for x, e, cos, h, hs, r_m, r_g, ric, k, eigs, amb in zip(
+        pt.x.tolist(), fr.eps.tolist(), fr.cos_angle.tolist(), pt.mean_curvature.tolist(),
+        fr.h_sigma.tolist(), pt.scalar_curvature.tolist(), mj.scalar.tolist(), ric_eta.tolist(),
+        _mean(slice_eigs).tolist(), slice_eigs.tolist(), pt.principal.tolist(),
+    ):
+        lhs = cos * h * hs
+        rhs = 0.5 * r_m - 0.5 * r_g + cos * cos * ric + c * cos * cos * hs**2
+        spread, mult, equal = _equality_diagnostics(eigs, amb, cos * k)
+        reports.append(InequalityReport(
+            which=which, x=tuple(x), eps=e, lhs=lhs, rhs=rhs, gap=lhs - rhs, cos_angle=cos,
+            h_mean=h, h_sigma=hs, kappa=k, umbilicity_deviation=spread, multiplicity_diagnostic=mult,
+            equality_detected=equal, extras={"scalar_m": r_m, "scalar_base": r_g},
+        ))
+    return regular, reports
+
+
+def _phi_reports(cp: ConformalPoint, ambient: AmbientSpec, eps, delta_reg: float, which: str):
+    """(regular mask, reports) of the conformally-product inequality over a
+    stack. The matrix work is stacked; each row's scalar formulas run on floats."""
+    regular, fr = slice_frames(cp.point, eps, delta_reg=delta_reg)
+    if not regular.any():
+        return regular, []
+    if not regular.all():
+        cp = cp.select(regular)
+    pt = cp.point
+    n = pt.dim
+    pj = ambient.phis(pt.x, pt.u)
+    dphi_eta = np.vecdot(pj.grad_x, fr.eta)
+    abar_sigma = pj.value[:, None, None] * fr.a_sigma + dphi_eta[:, None, None] * np.eye(n - 1)
+    hbar_sigma = np.trace(abar_sigma, axis1=1, axis2=2)
+    slice_eigs = np.linalg.eigvalsh(abar_sigma)
+    c = n / (2.0 * (n - 1.0))
+    scalar = cp.scalar_curvature.tolist() if cp.scalar_curvature is not None else [None] * len(slice_eigs)
+    reports = []
+    for x, e, cos, hbar, norm2, hs, nu_t, phi_t, phi, mu, r, k, eigs, amb in zip(
+        pt.x.tolist(), fr.eps.tolist(), fr.cos_angle.tolist(), cp.mean_curvature.tolist(),
+        cp.norm_a2.tolist(), hbar_sigma.tolist(), pt.nu[:, -1].tolist(), pj.dt.tolist(), cp.phi.tolist(),
+        cp.dphi_nu.tolist(), scalar, _mean(slice_eigs).tolist(), slice_eigs.tolist(), cp.principal.tolist(),
+    ):
+        bracket = cos * hs + (n - 1.0) * nu_t * phi_t
+        lhs = hbar * bracket
+        rhs = 0.5 * (hbar**2 - norm2) + c * bracket**2
+        spread, mult, equal = _equality_diagnostics(eigs, amb, cos * k + nu_t * phi_t)
+        extras = {"phi": phi, "dphi_nu": mu, "bracket": bracket}
+        if r is not None:
+            extras["scalar_round"] = r
+        reports.append(InequalityReport(
+            which=which, x=tuple(x), eps=e, lhs=lhs, rhs=rhs, gap=lhs - rhs, cos_angle=cos,
+            h_mean=hbar, h_sigma=hs, kappa=k, umbilicity_deviation=spread, multiplicity_diagnostic=mult,
+            equality_detected=equal, extras=extras,
+        ))
+    return regular, reports
+
+
+def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None, delta_reg: float = DELTA_REG):
+    """(extrinsic stack, regular mask, reports of the regular rows)."""
+    if which in ("prod", "euclid"):
+        if which == "euclid":
+            base = FlatMetric(field.dim)
+        else:
+            base = (ambient if ambient is not None else product_ambient(field.dim)).base
+        pt = extrinsic_points(field, base, X)
+        return (pt, *_prod_reports(pt, eps, delta_reg, which))
+    if which in ("phi", "sphere"):
+        if which == "sphere" or ambient is None:
+            ambient = spherical_ambient(field.dim)
+        cp = conformal_points(field, ambient, X)
+        return (cp.point, *_phi_reports(cp, ambient, eps, delta_reg, which))
+    raise ValueError(f"unknown inequality selector {which!r}; expected one of {WHICH}")
+
+
+def _check_one(which, field, eps, x, ambient, delta_reg: float = DELTA_REG) -> InequalityReport:
+    """The one-row case of _checks, raising NonRegularPointError at a
+    non-regular point."""
+    pt, regular, reports = _checks(which, field, eps, as_point(x, field.dim)[None], ambient, delta_reg)
+    if not regular[0]:
+        raise nonregular_error(pt, 0, delta_reg)
+    return reports[0]
+
+
+def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None = None):
+    """The inequality `which` at every row of X, shape (m, n), on the level
+    eps (one value, or one per row).
+
+    Returns the mask of the regular rows and their reports, in row order;
+    each report equals check(which, field, eps_i, X[i], ambient) bit for
+    bit, and check raises NonRegularPointError at a row off the mask.
+    """
+    _, regular, reports = _checks(which, field, eps, as_points(X, field.dim), ambient)
+    return regular, reports
 
 
 def check_prod(field: ScalarField, base, eps: float, x, delta_reg: float = DELTA_REG) -> InequalityReport:
     """Product-metric inequality at a regular point of {u = eps}."""
-    pt = extrinsic_point(field, base, x)
-    fr = slice_frame_of_point(pt, eps, delta_reg=delta_reg)
-    cos = fr.cos_angle
-    n = pt.dim
-    mj = pt.base_jet
-    ric_eta = float(fr.eta @ mj.ricci @ fr.eta)
-    lhs = cos * pt.mean_curvature * fr.h_sigma
-    rhs = (
-        0.5 * pt.scalar_curvature
-        - 0.5 * mj.scalar
-        + cos * cos * ric_eta
-        + n / (2.0 * (n - 1.0)) * cos * cos * fr.h_sigma**2
-    )
-    slice_eigs = np.linalg.eigvalsh(fr.a_sigma)
-    kappa, spread, mult, equal = _equality_diagnostics(
-        slice_eigs, pt.principal, cos * float(np.mean(slice_eigs))
-    )
-    return InequalityReport(
-        which="prod",
-        x=tuple(float(v) for v in pt.x),
-        eps=float(eps),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        gap=float(lhs - rhs),
-        cos_angle=cos,
-        h_mean=pt.mean_curvature,
-        h_sigma=fr.h_sigma,
-        kappa=kappa,
-        umbilicity_deviation=spread,
-        multiplicity_diagnostic=mult,
-        equality_detected=equal,
-        extras={"scalar_m": pt.scalar_curvature, "scalar_base": mj.scalar},
-    )
+    return _check_one("prod", field, eps, x, product_ambient(field.dim, base), delta_reg)
 
 
 def check_euclid(field: ScalarField, eps: float, x, delta_reg: float = DELTA_REG) -> InequalityReport:
     """Flat-base specialization: rhs = R_M/2 + n/(2(n-1)) cos^2 H_Sigma^2."""
-    from .metrics import FlatMetric
-
-    rep = check_prod(field, FlatMetric(field.dim), eps, x, delta_reg=delta_reg)
-    return replace(rep, which="euclid")
+    return _check_one("euclid", field, eps, x, None, delta_reg)
 
 
 def check_phi(
     field: ScalarField, ambient: AmbientSpec, eps: float, x, delta_reg: float = DELTA_REG
 ) -> InequalityReport:
     """Conformally-product inequality at a regular point of {u = eps}."""
-    cp = conformal_point(field, ambient, x)
-    pt = cp.point
-    fr = slice_frame_of_point(pt, eps, delta_reg=delta_reg)
-    n = pt.dim
-    pj = ambient.phi(pt.x, pt.u)
-    dphi_eta = float(pj.grad_x @ fr.eta)
-    abar_sigma = pj.value * fr.a_sigma + dphi_eta * np.eye(n - 1)
-    hbar_sigma = float(np.trace(abar_sigma))
-    nu_t = pt.nu[-1]
-    bracket = fr.cos_angle * hbar_sigma + (n - 1.0) * nu_t * pj.dt
-    lhs = cp.mean_curvature * bracket
-    rhs = 0.5 * (cp.mean_curvature**2 - cp.norm_a2) + n / (2.0 * (n - 1.0)) * bracket**2
-    slice_eigs = np.linalg.eigvalsh(abar_sigma)
-    kappa = float(np.mean(slice_eigs))
-    predicted = fr.cos_angle * kappa + nu_t * pj.dt
-    kappa, spread, mult, equal = _equality_diagnostics(slice_eigs, cp.principal, predicted)
-    extras = {"phi": cp.phi, "dphi_nu": cp.dphi_nu, "bracket": bracket}
-    if cp.scalar_curvature is not None:
-        extras["scalar_round"] = cp.scalar_curvature
-    return InequalityReport(
-        which="phi",
-        x=tuple(float(v) for v in pt.x),
-        eps=float(eps),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        gap=float(lhs - rhs),
-        cos_angle=fr.cos_angle,
-        h_mean=cp.mean_curvature,
-        h_sigma=hbar_sigma,
-        kappa=kappa,
-        umbilicity_deviation=spread,
-        multiplicity_diagnostic=mult,
-        equality_detected=equal,
-        extras=extras,
-    )
+    return _check_one("phi", field, eps, x, ambient, delta_reg)
 
 
 def check_sphere(field: ScalarField, eps: float, x, delta_reg: float = DELTA_REG) -> InequalityReport:
     """Round-sphere-factor specialization of the conformal inequality."""
-    rep = check_phi(field, spherical_ambient(field.dim), eps, x, delta_reg=delta_reg)
-    return replace(rep, which="sphere")
+    return _check_one("sphere", field, eps, x, None, delta_reg)
 
 
 def check(which: str, field: ScalarField, eps: float, x, ambient: AmbientSpec | None = None):
-    if which == "prod":
-        amb = ambient if ambient is not None else product_ambient(field.dim)
-        return check_prod(field, amb.base, eps, x)
-    if which == "euclid":
-        return check_euclid(field, eps, x)
-    if which == "phi":
-        amb = ambient if ambient is not None else spherical_ambient(field.dim)
-        return check_phi(field, amb, eps, x)
-    if which == "sphere":
-        return check_sphere(field, eps, x)
-    raise ValueError(f"unknown inequality selector {which!r}; expected one of {WHICH}")
+    return _check_one(which, field, eps, x, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +354,7 @@ class SuiteSummary:
     min_gap: float
     violations: int
     reports: tuple[InequalityReport, ...]
+    nonregular_skips: int = 0  # sampled points where the check found |grad u|_g < delta_reg
 
 
 def run_suite(
@@ -332,7 +368,8 @@ def run_suite(
 ) -> SuiteSummary:
     """Randomized verification suite over seeded analytic fields.
 
-    Every sampled regular slice point is checked; a violation is a gap below
+    Every sampled regular slice point is checked, a field's points for all
+    its levels in one stacked `checks` call; a violation is a gap below
     -gap_tol.
     """
     if which not in WHICH:
@@ -342,18 +379,23 @@ def run_suite(
     reports: list[InequalityReport] = []
     min_gap = np.inf
     violations = 0
+    skips = 0
     for k in range(n_fields):
         fld = random_trig_field(dim, seed + 1000 * k)
-        for eps in pick_levels(fld, levels, seed + 1000 * k + 7):
-            for p in slice_points(fld, eps, rays=rays, seed=seed + 1000 * k + 13):
-                try:
-                    rep = check(which, fld, eps, p)
-                except NonRegularPointError:
-                    continue
-                reports.append(rep)
-                min_gap = min(min_gap, rep.gap)
-                if rep.gap < -gap_tol:
-                    violations += 1
+        found = [
+            (eps, p)
+            for eps in pick_levels(fld, levels, seed + 1000 * k + 7)
+            for p in slice_points(fld, eps, rays=rays, seed=seed + 1000 * k + 13)
+        ]
+        if not found:
+            continue
+        regular, checked = checks(which, fld, np.array([e for e, _ in found]), np.array([p for _, p in found]))
+        skips += int(np.count_nonzero(~regular))
+        for rep in checked:
+            reports.append(rep)
+            min_gap = min(min_gap, rep.gap)
+            if rep.gap < -gap_tol:
+                violations += 1
     return SuiteSummary(
         which=which,
         seed=seed,
@@ -362,6 +404,7 @@ def run_suite(
         min_gap=float(min_gap) if reports else np.nan,
         violations=violations,
         reports=tuple(reports),
+        nonregular_skips=skips,
     )
 
 
@@ -383,8 +426,7 @@ def adapted_graph_matrix(field: ScalarField, base, x) -> np.ndarray:
     a_1b a_b1 = W^2 (A^1_b)^2 are nonnegative by construction."""
     pt = extrinsic_point(field, base, x)
     fr = slice_frame_of_point(pt, eps=pt.u)
-    g = pt.base_jet.g
-    return fr.frame.T @ g @ pt.shape_operator @ fr.frame
+    return adapted_matrix(fr.frame, pt.base_jet.g, pt.shape_operator)
 
 
 def adapted_conformal_matrix(field: ScalarField, ambient: AmbientSpec, x) -> np.ndarray:
@@ -392,6 +434,5 @@ def adapted_conformal_matrix(field: ScalarField, ambient: AmbientSpec, x) -> np.
     cp = conformal_point(field, ambient, x)
     pt = cp.point
     fr = slice_frame_of_point(pt, eps=pt.u)
-    g = pt.base_jet.g
-    a_ad = fr.frame.T @ g @ pt.shape_operator @ fr.frame
+    a_ad = adapted_matrix(fr.frame, pt.base_jet.g, pt.shape_operator)
     return cp.phi * a_ad + cp.dphi_nu * np.eye(pt.dim)

@@ -20,13 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConformalFactorError, MetricNotPositiveError
-from .util import as_point
+from .util import Stacked, as_point
 
 
 @dataclass(frozen=True)
-class MetricJet:
+class MetricJet(Stacked):
     """Metric data at a point: components, inverse, Christoffel symbols
-    gamma[k, i, j] = Gamma^k_ij, Ricci tensor, and scalar curvature."""
+    gamma[k, i, j] = Gamma^k_ij, Ricci tensor, and scalar curvature; or a
+    stack of them, one row per point."""
 
     g: np.ndarray
     ginv: np.ndarray
@@ -35,7 +36,16 @@ class MetricJet:
     scalar: float
 
 
-class FlatMetric:
+class Metric:
+    """Base of the metric kinds: `jet(x)` at a point, and `jets(X)`, the
+    MetricJet stack on the rows of X, shape (m, n), whose row i equals
+    jet(X[i]) bit for bit. The base class stacks `jet` row by row."""
+
+    def jets(self, X) -> MetricJet:
+        return MetricJet.from_rows([self.jet(x) for x in X])
+
+
+class FlatMetric(Metric):
     kind = "flat"
 
     def __init__(self, dim: int):
@@ -50,8 +60,13 @@ class FlatMetric:
         eye = np.eye(n)
         return MetricJet(eye, eye, np.zeros((n, n, n)), np.zeros((n, n)), 0.0)
 
+    def jets(self, X) -> MetricJet:
+        m, n = len(X), self.dim
+        eye = np.repeat(np.eye(n)[None], m, axis=0)
+        return MetricJet(eye, eye, np.zeros((m, n, n, n)), np.zeros((m, n, n)), np.zeros(m))
 
-class ConformalMetric:
+
+class ConformalMetric(Metric):
     """g = phi(x)^-2 delta with closed-form curvature.
 
     factor_jet(x) must return (phi, grad phi, hess phi); phi must be positive.
@@ -97,7 +112,7 @@ class ConformalMetric:
         return MetricJet(g, ginv, gamma, ricci, float(scalar))
 
 
-class GeneralMetric:
+class GeneralMetric(Metric):
     """Metric from a component callable; curvature via fourth-order stencils."""
 
     kind = "general"
@@ -221,7 +236,10 @@ def round_sphere_base(dim: int) -> ConformalMetric:
 
 
 @dataclass(frozen=True)
-class PhiJet:
+class PhiJet(Stacked):
+    """The ambient factor phi, its x-gradient and its t-derivative at a
+    point (x, t), or a stack of them."""
+
     value: float
     grad_x: np.ndarray
     dt: float
@@ -251,11 +269,25 @@ class AmbientSpec:
         return self.phi_jet is round_ambient_factor and isinstance(self.base, FlatMetric)
 
     def phi(self, x, t: float) -> PhiJet:
+        """The factor jet at (x, t): the one-row case of `phis`."""
+        return self.phis(np.asarray(x, dtype=float)[None], np.array([t], dtype=float)).row(0)
+
+    def phis(self, X: np.ndarray, t: np.ndarray) -> PhiJet:
+        """The PhiJet stack at the rows (X[i], t[i]); row i equals phi(X[i],
+        t[i]) bit for bit. The round factor is one array kernel, any other
+        factor is evaluated row by row. The first row with a factor that is
+        not positive raises ConformalFactorError."""
+        m = len(X)
         if self.phi_jet is None:
-            return PhiJet(1.0, np.zeros(self.base.dim), 0.0)
-        out = self.phi_jet(np.asarray(x, dtype=float), float(t))
-        if out.value <= 0:
-            raise ConformalFactorError(f"ambient factor {out.value} not positive at ({x}, {t})")
+            return PhiJet(np.ones(m), np.zeros((m, self.base.dim)), np.zeros(m))
+        if self.phi_jet is round_ambient_factor:
+            out = round_ambient_factor(X, t)
+        else:
+            out = PhiJet.from_rows([self.phi_jet(x, float(ti)) for x, ti in zip(X, t)])
+        bad = out.value <= 0
+        if bad.any():
+            i = np.argmax(bad)
+            raise ConformalFactorError(f"ambient factor {out.value[i]} not positive at ({X[i]}, {t[i]})")
         return out
 
 
@@ -265,9 +297,9 @@ def product_ambient(dim: int, base=None) -> AmbientSpec:
 
 def round_ambient_factor(x, t) -> PhiJet:
     """phi = (1 + |x|^2 + t^2)/2, whose rescaled flat product is the round
-    unit (n+1)-sphere."""
+    unit (n+1)-sphere; at a point, or at the rows of a stack x with heights t."""
     x = np.asarray(x, dtype=float)
-    return PhiJet((1.0 + float(x @ x) + t * t) / 2.0, x.copy(), t)
+    return PhiJet((1.0 + np.vecdot(x, x) + t * t) / 2.0, x.copy(), t)
 
 
 def spherical_ambient(dim: int) -> AmbientSpec:

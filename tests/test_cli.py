@@ -335,6 +335,44 @@ class TestGoldenReports:
         digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
         assert digest == self.SHA256[stage, seed]
 
+    #: the unseeded example stages and one `point` run per field kind; the
+    #: point reports carry principal curvatures, from the generalized eigensolver
+    UNSEEDED = {
+        "example-euclid-cone": ["example", "--name", "euclid-cone"],
+        "example-spherical-glued": ["example", "--name", "spherical-glued"],
+        "point-paraboloid": ["point", "--field", "paraboloid:0.7", "--at", "0.6,-0.3"],
+        "point-sphere-cap": ["point", "--field", "sphere-cap:1.5,0.2", "--ambient", "spherical", "--at", "0.4,0.5"],
+        "point-cup": ["point", "--field", "cup:1,-0.5,2", "--at", "0.2,0.3,-0.4"],
+        "point-plane": ["point", "--field", "plane:0.3,-0.2", "--ambient", "constant:1.7", "--at", "0.5,0.5"],
+        "point-constant": ["point", "--field", "constant:0.4", "--ambient", "spherical", "--at", "0.1,0.2"],
+        "point-poly": ["point", "--field", "poly:0.1,0.3,-0.2,0.5,0.4,-0.3", "--at", "0.7,-0.2"],
+        "point-trig": ["point", "--field", "trig:3", "--ambient", "spherical", "--at", "0.3,-0.4,0.2"],
+        "point-radial": ["point", "--field", "radial:S-u:0.5", "--at", "0.5,0.6"],
+        "point-grid": ["point", "--field", "grid:{grid}", "--ambient", "constant:2", "--at", "0.3,-0.2"],
+    }
+    UNSEEDED_SHA256 = {
+        "example-euclid-cone": "88f7cb29275b093e745b62ed291d943f597ffd4a4fc6c7c5c2621b174cbf9c80",
+        "example-spherical-glued": "b3332c356366c2b0b2898dfe3fc95707f5aa1358d61019da60dcfde52154bbb3",
+        "point-paraboloid": "fcaed60c9cdedfefe110e3c49848a1e33fd96006dabd67a22472db83427fe550",
+        "point-sphere-cap": "2d7d57e96e6be81f153fd7e8ef8cd1c77434d05ab78356d27c94a4ea55f3ca8a",
+        "point-cup": "bba471635310cfc57a749f8d7f861777720bba95dd5faefd68142612277d99a5",
+        "point-plane": "de9621026f41f1c9bbb02b884953c697e412e0b11ec18afae42afc0f3307580a",
+        "point-constant": "beb17c9ad2ba14b879befaf230fe96266967ee469beb3e399f8297c212d72cc7",
+        "point-poly": "623d3167fa2fa9aa363df019b87083e4623483e5f1d9bc20619b24543e44e895",
+        "point-trig": "94f82a95348498c62a51e2127b04d897b59c496af98bda646503734a575ab6bd",
+        "point-radial": "5383655febc96572cb21b19072468bced6f75caa2ee9868ebd98f16bd79b3a4f",
+        "point-grid": "dd87abe193f5ff00b98f631152135f8c543cc55093dfb1e003a9711f5e7de677",
+    }
+
+    @pytest.mark.parametrize("stage", sorted(UNSEEDED))
+    def test_unseeded_results_are_unchanged(self, capsys, tmp_path, stage):
+        grid = tmp_path / "trig.grid"
+        sample_to_grid(random_trig_field(2, 3), (-1.0, -1.0), 0.1, (21, 21)).write(grid)
+        rc, doc = run_json(capsys, [a.format(grid=grid) for a in self.UNSEEDED[stage]])
+        assert rc == 0
+        digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
+        assert digest == self.UNSEEDED_SHA256[stage]
+
 
 class TestConfig:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):

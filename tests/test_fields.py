@@ -258,6 +258,22 @@ class TestGrid:
         with pytest.raises(ValueError):
             GridField(np.zeros(2), 0.1, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("dim, counts", [(2, 21), (3, 9)])
+    def test_value_is_the_value_of_the_jet(self, dim, counts):
+        grid = sample_to_grid(random_trig_field(dim, 4), -np.ones(dim), 2.0 / (counts - 1), (counts,) * dim)
+        rng = np.random.default_rng(dim)
+        lo, hi = np.array(grid.domain.lo), np.array(grid.domain.hi)
+        band = [lo + 2 * grid.h, hi - 2 * grid.h]  # the edges of the 2h band
+        rows = list(rng.uniform(band[0], band[1], size=(200, dim)))
+        for edge in band:
+            for k in range(dim):
+                for shift in (-1e-12, 0.0, 1e-12, 0.3 * grid.h):
+                    x = rng.uniform(band[0], band[1])
+                    x[k] = edge[k] + shift
+                    rows.append(x)
+        for x in rows:
+            assert grid.value(x) == grid.jet(x).value
+
 
 class TestParser:
     def test_graded_lex_monomials(self):
