@@ -29,12 +29,11 @@ from .graphgeom import (
     extrinsic_point,
     extrinsic_points,
     flat_base,
-    minor_relation_residual,
     minor_relation_residuals,
-    slice_frame_of_point,
+    nonregular_error,
     slice_frames,
 )
-from .inequality import WHICH, check_prod, pick_levels, run_suite, slice_points
+from .inequality import WHICH, pick_levels, prod_reports, run_suite, slice_points
 from .metrics import constant_ambient, spherical_ambient
 from .reporting import emit, jsonable, meta_block, render_csv, render_json
 from .revolution import (
@@ -179,19 +178,27 @@ def _handle_slice(args, tol):
     worst_residual = 0.0
     min_gap = np.inf
     for eps in _parse_eps(args.eps):
-        for x in slice_points(f, eps, rays=args.rays, seed=args.seed):
-            pt = extrinsic_point(f, base, x)
-            fr = slice_frame_of_point(pt, eps)
-            residual = minor_relation_residual(fr, pt)
-            rep = check_prod(f, base, eps, x)
+        pts = slice_points(f, eps, rays=args.rays, seed=args.seed)
+        if not pts:
+            continue
+        points = extrinsic_points(f, base, np.array(pts))
+        regular, frames = slice_frames(points, eps)
+        if not regular.all():
+            raise nonregular_error(points, int(np.argmin(regular)))
+        _, reports = prod_reports(points, eps)
+        residuals = minor_relation_residuals(frames, points).tolist()
+        for x, cos, grad_norm, h_sigma, residual, rep in zip(
+            points.x.tolist(), frames.cos_angle.tolist(), frames.grad_norm.tolist(),
+            frames.h_sigma.tolist(), residuals, reports,
+        ):
             worst_residual = max(worst_residual, residual)
             min_gap = min(min_gap, rep.gap)
             results.append({
-                "x": list(map(float, x)),
+                "x": x,
                 "eps": eps,
-                "cos_angle": fr.cos_angle,
-                "grad_norm": fr.grad_norm,
-                "h_sigma": fr.h_sigma,
+                "cos_angle": cos,
+                "grad_norm": grad_norm,
+                "h_sigma": h_sigma,
                 "minor_residual": residual,
                 "gap": rep.gap,
             })

@@ -121,9 +121,11 @@ def _mean(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=-1) / a.shape[-1]
 
 
-def _prod_reports(pt: ExtrinsicPoint, eps, delta_reg: float, which: str):
-    """(regular mask, reports) of the product-metric inequality over a stack.
-    The matrix work is stacked; each row's scalar formulas run on floats."""
+def prod_reports(pt: ExtrinsicPoint, eps, delta_reg: float = DELTA_REG, which: str = "prod"):
+    """The product-metric inequality on a stack of extrinsic points, at the
+    level eps (one value, or one per row): the regular-row mask and one
+    report per regular row, as `checks` returns them. The matrix work is
+    stacked; each row's scalar formulas run on floats."""
     regular, fr = slice_frames(pt, eps, delta_reg=delta_reg)
     if not regular.all():
         pt = pt.select(regular)
@@ -195,7 +197,7 @@ def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None,
         else:
             base = (ambient if ambient is not None else product_ambient(field.dim)).base
         pt = extrinsic_points(field, base, X)
-        return (pt, *_prod_reports(pt, eps, delta_reg, which))
+        return (pt, *prod_reports(pt, eps, delta_reg, which))
     if which in ("phi", "sphere"):
         if which == "sphere" or ambient is None:
             ambient = spherical_ambient(field.dim)

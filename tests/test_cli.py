@@ -335,8 +335,9 @@ class TestGoldenReports:
         digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
         assert digest == self.SHA256[stage, seed]
 
-    #: the unseeded example stages and one `point` run per field kind; the
-    #: point reports carry principal curvatures, from the generalized eigensolver
+    #: the unseeded example stages, one `point` run per field kind and two
+    #: `slice` sweeps; the point reports carry principal curvatures, from the
+    #: generalized eigensolver
     UNSEEDED = {
         "example-euclid-cone": ["example", "--name", "euclid-cone"],
         "example-spherical-glued": ["example", "--name", "spherical-glued"],
@@ -349,6 +350,8 @@ class TestGoldenReports:
         "point-trig": ["point", "--field", "trig:3", "--ambient", "spherical", "--at", "0.3,-0.4,0.2"],
         "point-radial": ["point", "--field", "radial:S-u:0.5", "--at", "0.5,0.6"],
         "point-grid": ["point", "--field", "grid:{grid}", "--ambient", "constant:2", "--at", "0.3,-0.2"],
+        "slice-trig": ["slice", "--field", "trig:3", "--eps", "0.1,0.2"],
+        "slice-trig-3d": ["slice", "--field", "trig:5", "--dim", "3", "--eps", "0.0,0.3", "--rays", "24", "--seed", "4"],
     }
     UNSEEDED_SHA256 = {
         "example-euclid-cone": "88f7cb29275b093e745b62ed291d943f597ffd4a4fc6c7c5c2621b174cbf9c80",
@@ -362,6 +365,8 @@ class TestGoldenReports:
         "point-trig": "94f82a95348498c62a51e2127b04d897b59c496af98bda646503734a575ab6bd",
         "point-radial": "5383655febc96572cb21b19072468bced6f75caa2ee9868ebd98f16bd79b3a4f",
         "point-grid": "dd87abe193f5ff00b98f631152135f8c543cc55093dfb1e003a9711f5e7de677",
+        "slice-trig": "2bb03d183c7c1938e623219a7f6548d766d1642e6f59b12d18f0abb5b7784a11",
+        "slice-trig-3d": "531d61c357d5676908e246557b9732738319970c0c7527aa2dc411bfca695037",
     }
 
     @pytest.mark.parametrize("stage", sorted(UNSEEDED))
