@@ -126,9 +126,8 @@ def _newton_refine_ratio(field: ScalarField, x: np.ndarray, inner: float, outer:
             return None
         s = 1.0 - r
         xhat = x / r
-        u = field.value(x)
-        du = field.gradient(x)
-        hu = field.hessian(x)
+        jet = field.jet(x)
+        u, du, hu = jet.value, jet.gradient, jet.hessian
         grad_q = du / s + u * xhat / s**2
         proj = (np.eye(x.size) - np.outer(xhat, xhat)) / r
         hess_q = (
@@ -211,14 +210,10 @@ def slide(
     if umax < -touch_tol:
         raise NoTouchError(f"field is below {-touch_tol} everywhere on the sampled annulus")
 
-    # `values` may differ from `value` in the last bits (the trig kernel does).
-    # The chosen samples and lam_grid come from the batch; u0 and touch_gap
-    # are re-read with `value`, but lam_star is lam_grid, batched bits and all,
-    # when the polish falls short of the grid certificate
     if umax <= touch_tol:
         i = int(vals.argmax())
         x0 = pts[i]
-        u0 = float(field.value(x0))
+        u0 = float(vals[i])
         du = field.gradient(x0)
         return BarrierRun(
             dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
@@ -260,11 +255,12 @@ def slide(
         x0 = _radial_polish(field, x_grid, lo_r, hi_r)
 
     r0 = float(np.linalg.norm(x0))
-    u0 = float(field.value(x0))
+    jet = field.jet(x0)
+    u0, du = float(jet.value), jet.gradient
     lam_star = u0 / (1.0 - r0)
     if lam_star < lam_grid:  # polish must not lose the grid certificate
-        x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(field.value(x_grid)), lam_grid
-    du = field.gradient(x0)
+        x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(vals[i0]), lam_grid
+        du = field.gradient(x0)
     j = int((vals - lam_star * slack).argmax())
     boundary = r0 >= r_out - 1.5 * spacing
     return BarrierRun(
@@ -272,7 +268,7 @@ def slide(
         lam_max=lam_max, lam_star=float(lam_star), x0=tuple(float(v) for v in x0),
         u0=u0, grad_norm=float(np.linalg.norm(du)),
         radial_derivative=float(du @ (x0 / r0)),
-        touch_gap=float(field.value(pts[j]) - lam_star * slack[j]),
+        touch_gap=float(vals[j] - lam_star * slack[j]),
         interior_touch=not boundary, boundary_touch=boundary,
         degenerate=False, radial=radial, angular=angular, seed=seed,
     )

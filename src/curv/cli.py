@@ -151,7 +151,7 @@ def _handle_point(args, tol):
     else:
         geo = conformal_point(f, ambient, x)
         pt = geo.point
-        result = {"phi": geo.phi, "dphi_nu": geo.dphi_nu}
+        result = {"phi": geo.factor.value, "dphi_nu": geo.dphi_nu}
     result.update({
         "x": list(pt.x),
         "value": pt.u,

@@ -56,7 +56,7 @@ class ConformalPoint(Stacked):
     a stack of it (see `conformal_points`)."""
 
     point: ExtrinsicPoint
-    phi: float
+    factor: PhiJet  # the ambient factor jet at (x, u)
     dphi_nu: float
     shape_operator: np.ndarray
     mean_curvature: float
@@ -88,7 +88,7 @@ def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPo
         scalar = n * (n - 1) + hbar * hbar - norm2
     return ConformalPoint(
         point=pt,
-        phi=pj.value,
+        factor=pj,
         dphi_nu=mu,
         shape_operator=abar,
         mean_curvature=hbar,

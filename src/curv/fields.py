@@ -1,10 +1,18 @@
 """Scalar fields u: R^n -> R with second-order jets.
 
-Three evaluation modes are supported:
+Each field kind has one evaluation route, on one of two bases:
 
-* analytic built-ins with closed-form gradient and Hessian,
-* finite differences on any value callable (central stencils, order 2),
-* gridded samples with local quadratic tensor interpolation.
+* `ScalarField` kinds are array kernels: a kind defines `values(X)` and
+  `jets(X)` on a point or a stack of points, and `value`, `gradient`,
+  `hessian` and `jet` are their point case. These are the trig, paraboloid,
+  cup, plane and constant built-ins, gridded samples with local quadratic
+  tensor interpolation (an index gather), and the rotated, negated and
+  scaled wrappers of any field.
+* `PointwiseField` kinds define the one-point methods, and `values` and
+  `jets` loop over rows. These are the polynomial and sphere-cap built-ins,
+  whose integer powers round differently in array form, radial profiles,
+  and finite differences on any value callable (central stencils, order 2),
+  which serve as an independent oracle.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -136,21 +144,59 @@ class Jet:
 
 
 class ScalarField:
-    """Base class. Subclasses implement value/gradient/hessian.
-
-    `values(X)` is the batched value: X has shape (m, n), the result shape
-    (m,), and a row is NaN exactly where `value` raises OutOfDomainError.
-    Subclasses may override it with an array kernel.
+    """Base class of the kernel kinds. A kind defines `values(X)` and
+    `jets(X)`, each on a point, shape (n,), or a stack of rows, shape
+    (m, n): `values` gives u, a scalar or shape (m,), and `jets` gives (u,
+    Du, D^2u), shapes (), (n,), (n, n) or (m,), (m, n), (m, n, n). The
+    one-point methods are their point case, so a row of a stack equals the
+    point bit for bit.
     """
 
     dim: int
     domain: Box | Ball | Annulus
     name: str = "field"
 
-    def value(self, x: np.ndarray) -> float:  # pragma: no cover - abstract
+    def values(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def values(self, X: np.ndarray) -> np.ndarray:
+    def jets(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def value(self, x) -> float:
+        return float(self.values(np.asarray(x, dtype=float)))
+
+    def gradient(self, x) -> np.ndarray:
+        return self.jets(np.asarray(x, dtype=float))[1]
+
+    def hessian(self, x) -> np.ndarray:
+        return self.jets(np.asarray(x, dtype=float))[2]
+
+    def jet(self, x) -> Jet:
+        u, du, ddu = self.jets(np.asarray(x, dtype=float))
+        return Jet(float(u), du, ddu)
+
+    def margin(self, x: np.ndarray) -> float:
+        """Boundary band the evaluation needs around x (0 for analytic)."""
+        return 0.0
+
+
+class PointwiseField(ScalarField):
+    """Base class of the pointwise kinds. A kind defines `value`, and
+    `gradient` and `hessian` or else `jet`, at one point; `values` and
+    `jets` are their loops over the rows of a stack, and a point is the
+    one-point method's case. A row of `values` is NaN exactly where `value`
+    raises OutOfDomainError.
+    """
+
+    def value(self, x) -> float:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def jet(self, x) -> Jet:
+        return Jet(self.value(x), self.gradient(x), self.hessian(x))
+
+    def values(self, X):
+        if np.ndim(X) == 1:
+            return self.value(X)
         out = np.empty(len(X))
         for i, x in enumerate(X):
             try:
@@ -159,18 +205,10 @@ class ScalarField:
                 out[i] = np.nan
         return out
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def jet(self, x: np.ndarray) -> Jet:
-        return Jet(self.value(x), self.gradient(x), self.hessian(x))
-
-    def jets(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The jets on the rows of X, shape (m, n): (u (m,), Du (m, n),
-        D^2u (m, n, n)). The base class stacks `jet` row by row."""
+    def jets(self, X):
+        if np.ndim(X) == 1:
+            j = self.jet(X)
+            return j.value, j.gradient, j.hessian
         rows = [self.jet(x) for x in X]
         m, n = len(X), self.dim
         return (
@@ -178,10 +216,6 @@ class ScalarField:
             np.array([j.gradient for j in rows], dtype=float).reshape(m, n),
             np.array([j.hessian for j in rows], dtype=float).reshape(m, n, n),
         )
-
-    def margin(self, x: np.ndarray) -> float:
-        """Boundary band the evaluation needs around x (0 for analytic)."""
-        return 0.0
 
 
 def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,6 +246,11 @@ def eval_jet(field: ScalarField, x) -> Jet:
 # analytic built-ins
 
 
+def _broadcast(X: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A fresh copy of the constant a at the point X, or at each row of a stack X."""
+    return np.broadcast_to(a, X.shape[:-1] + a.shape).copy()
+
+
 class Paraboloid(ScalarField):
     """u = scale * |x|^2 / 2."""
 
@@ -221,14 +260,11 @@ class Paraboloid(ScalarField):
         self.domain = whole_space(dim)
         self.name = f"paraboloid(scale={scale})" if scale != 1.0 else "paraboloid"
 
-    def value(self, x):
-        return 0.5 * self.scale * float(x @ x)
+    def values(self, X):
+        return 0.5 * self.scale * np.vecdot(X, X)
 
-    def gradient(self, x):
-        return self.scale * np.asarray(x, dtype=float)
-
-    def hessian(self, x):
-        return self.scale * np.eye(self.dim)
+    def jets(self, X):
+        return self.values(X), self.scale * X, _broadcast(X, self.scale * np.eye(self.dim))
 
 
 class QuadraticCup(ScalarField):
@@ -240,14 +276,11 @@ class QuadraticCup(ScalarField):
         self.domain = whole_space(self.dim)
         self.name = f"cup({','.join(repr(float(c)) for c in coeffs)})"
 
-    def value(self, x):
-        return 0.5 * float(self.coeffs @ (x * x))
+    def values(self, X):
+        return 0.5 * np.vecdot(self.coeffs, X * X)
 
-    def gradient(self, x):
-        return self.coeffs * x
-
-    def hessian(self, x):
-        return np.diag(self.coeffs)
+    def jets(self, X):
+        return self.values(X), self.coeffs * X, _broadcast(X, np.diag(self.coeffs))
 
 
 class Plane(ScalarField):
@@ -259,14 +292,11 @@ class Plane(ScalarField):
         self.domain = whole_space(self.dim)
         self.name = "plane"
 
-    def value(self, x):
-        return float(self.coeffs @ x)
+    def values(self, X):
+        return np.vecdot(self.coeffs, X)
 
-    def gradient(self, x):
-        return self.coeffs.copy()
-
-    def hessian(self, x):
-        return np.zeros((self.dim, self.dim))
+    def jets(self, X):
+        return self.values(X), _broadcast(X, self.coeffs), np.zeros(X.shape + (self.dim,))
 
 
 class Constant(ScalarField):
@@ -276,17 +306,14 @@ class Constant(ScalarField):
         self.domain = whole_space(dim)
         self.name = f"constant({c})"
 
-    def value(self, x):
-        return self.c
+    def values(self, X):
+        return np.full(X.shape[:-1], self.c)
 
-    def gradient(self, x):
-        return np.zeros(self.dim)
-
-    def hessian(self, x):
-        return np.zeros((self.dim, self.dim))
+    def jets(self, X):
+        return self.values(X), np.zeros(X.shape), np.zeros(X.shape + (self.dim,))
 
 
-class SphereCap(ScalarField):
+class SphereCap(PointwiseField):
     """u = height + sqrt(radius^2 - |x|^2): the upper cap of a round sphere.
 
     The domain stops a small relative margin short of the equator, where the
@@ -320,7 +347,7 @@ class SphereCap(ScalarField):
         return -np.eye(self.dim) / s - np.outer(x, x) / s**3
 
 
-class PolynomialField(ScalarField):
+class PolynomialField(PointwiseField):
     """u = sum of coeff * x^alpha over multi-indices alpha."""
 
     def __init__(self, dim: int, terms: Sequence[tuple[float, tuple[int, ...]]]):
@@ -387,30 +414,10 @@ class TrigField(ScalarField):
         self.domain = domain if domain is not None else Ball(self.dim, 2.0)
         self.name = name
 
-    def _args(self, x):
-        return self.freqs @ x + self.phases
-
-    def value(self, x):
-        return float(self.amps @ np.sin(self._args(x)))
-
     def values(self, X):
-        # the batched kernel differs from `value` in the last bits (matmul order)
-        return np.sin(X @ self.freqs.T + self.phases) @ self.amps
-
-    def gradient(self, x):
-        return (self.amps * np.cos(self._args(x))) @ self.freqs
-
-    def hessian(self, x):
-        w = -self.amps * np.sin(self._args(x))
-        return np.einsum("k,ki,kj->ij", w, self.freqs, self.freqs)
-
-    def jet(self, x) -> Jet:
-        u, du, ddu = self.jets(np.asarray(x, dtype=float))
-        return Jet(float(u), du, ddu)
+        return np.vecdot(np.sin(np.matvec(self.freqs, X) + self.phases), self.amps)
 
     def jets(self, X):
-        # one kernel for a point and a stack; each row equals value, gradient
-        # and hessian bit for bit (np.matvec, vecdot and vecmat sum like `@`)
         args = np.matvec(self.freqs, X) + self.phases
         return (
             np.vecdot(np.sin(args), self.amps),
@@ -436,7 +443,7 @@ def random_trig_field(
     return TrigField(amps, freqs, phases, domain=domain, name=f"trig(seed={seed})")
 
 
-class RadialField(ScalarField):
+class RadialField(PointwiseField):
     """u(x) = p(|x|) for a radial profile jet p, p', p''. An optional
     `profile_values` is p over an array of radii, bit for bit, NaN where the
     jet raises OutOfDomainError; `values` is then one array evaluation."""
@@ -472,16 +479,10 @@ class RadialField(ScalarField):
         return self.profile_jet(max(float(np.linalg.norm(x)), 1e-12))[0]
 
     def values(self, X):
-        if self.profile_values is None:
+        if self.profile_values is None or np.ndim(X) == 1:
             return super().values(X)
         # the radius of `value` bit for bit (see `_RoundDomain.contains`) and its origin limit
         return self.profile_values(np.maximum(np.sqrt(np.vecdot(X, X)), 1e-12))
-
-    def gradient(self, x):
-        return self.jet(x).gradient
-
-    def hessian(self, x):
-        return self.jet(x).hessian
 
 
 class RotatedField(ScalarField):
@@ -494,14 +495,12 @@ class RotatedField(ScalarField):
         self.domain = base.domain if isinstance(base.domain, (Ball, Annulus)) else whole_space(base.dim)
         self.name = f"rotated({base.name})"
 
-    def value(self, x):
-        return self.base.value(self.q @ x)
+    def values(self, X):
+        return self.base.values(np.matvec(self.q, X))
 
-    def gradient(self, x):
-        return self.q.T @ self.base.gradient(self.q @ x)
-
-    def hessian(self, x):
-        return self.q.T @ self.base.hessian(self.q @ x) @ self.q
+    def jets(self, X):
+        u, du, ddu = self.base.jets(np.matvec(self.q, X))
+        return u, np.vecmat(du, self.q), self.q.T @ ddu @ self.q
 
 
 class NegatedField(ScalarField):
@@ -511,14 +510,12 @@ class NegatedField(ScalarField):
         self.domain = base.domain
         self.name = f"neg({base.name})"
 
-    def value(self, x):
-        return -self.base.value(x)
+    def values(self, X):
+        return -self.base.values(X)
 
-    def gradient(self, x):
-        return -self.base.gradient(x)
-
-    def hessian(self, x):
-        return -self.base.hessian(x)
+    def jets(self, X):
+        u, du, ddu = self.base.jets(X)
+        return -u, -du, -ddu
 
     def margin(self, x):
         return self.base.margin(x)
@@ -532,14 +529,12 @@ class ScaledField(ScalarField):
         self.domain = base.domain
         self.name = f"scaled({base.name},{factor})"
 
-    def value(self, x):
-        return self.factor * self.base.value(x)
+    def values(self, X):
+        return self.factor * self.base.values(X)
 
-    def gradient(self, x):
-        return self.factor * self.base.gradient(x)
-
-    def hessian(self, x):
-        return self.factor * self.base.hessian(x)
+    def jets(self, X):
+        u, du, ddu = self.base.jets(X)
+        return self.factor * u, self.factor * du, self.factor * ddu
 
     def margin(self, x):
         return self.base.margin(x)
@@ -549,7 +544,7 @@ class ScaledField(ScalarField):
 # finite-difference mode
 
 
-class FiniteDifferenceField(ScalarField):
+class FiniteDifferenceField(PointwiseField):
     """Jets by central differences on a value callable.
 
     With no explicit step, first derivatives use eps^(1/3) * max(1, |x|) and
@@ -644,82 +639,46 @@ class GridField(ScalarField):
         hi = self.origin + self.h * (np.asarray(self.samples.shape) - 1)
         self.domain = Box(tuple(lo), tuple(hi))
         self.name = name
-        # the 3^n node offsets of the stencil, in the order `jet` visits them
+        # the 3^n node offsets of the stencil in lexicographic order, and for
+        # each jet component (u, the n first and the n(n+1)/2 upper second
+        # derivatives) the basis each axis contributes: 0 the quadratic
+        # weights, 1 their first and 2 their second derivatives
         self._offsets = np.array(list(itertools.product((-1, 0, 1), repeat=self.dim)))
+        eye = np.eye(self.dim, dtype=int)
+        self._upper = k, l = np.triu_indices(self.dim)
+        self._orders = np.concatenate([np.zeros((1, self.dim), dtype=int), eye, eye[k] + eye[l]])
 
     def margin(self, x) -> float:
         return 2.0 * self.h
 
-    # quadratic basis on the node offsets {-1, 0, +1}
-    @staticmethod
-    def _basis(t: float):
-        n = np.array([0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)])
-        dn = np.array([t - 0.5, -2.0 * t, t + 0.5])
-        ddn = np.array([1.0, -2.0, 1.0])
-        return n, dn, ddn
+    def _gather(self, X, orders) -> np.ndarray:
+        """The jet components selected by `orders` at a point or the rows of
+        a stack, last axis: each is the sum over the stencil nodes, in
+        order, of the sample times the running product of the axes' basis
+        values, so every row is the per-point loop bit for bit."""
+        idx = np.clip(np.rint((X - self.origin) / self.h).astype(int), 1, np.asarray(self.samples.shape) - 2)
+        t = ((X - (self.origin + idx * self.h)) / self.h)[..., None]
+        weights = np.concatenate([0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)], axis=-1)
+        basis = np.stack([  # (..., order, axis, node offset + 1)
+            weights,
+            np.concatenate([t - 0.5, -2.0 * t, t + 0.5], axis=-1),
+            np.broadcast_to([1.0, -2.0, 1.0], weights.shape),
+        ], axis=-3)
+        factors = basis[..., orders, np.arange(self.dim), self._offsets[:, None, :] + 1]
+        products = np.multiply.accumulate(factors, axis=-1)[..., -1]
+        nodes = self.samples[tuple(np.moveaxis(idx[..., None, :] + self._offsets, -1, 0))]
+        # cumsum adds in node order; + 0.0 is the 0.0 the loop starts from
+        return np.cumsum(nodes[..., None] * products, axis=-2)[..., -1, :] + 0.0
 
-    def _local(self, x):
-        idx = np.rint((x - self.origin) / self.h).astype(int)
-        idx = np.clip(idx, 1, np.asarray(self.samples.shape) - 2)
-        t = (x - (self.origin + idx * self.h)) / self.h
-        return idx, t
+    def values(self, X):
+        return self._gather(X, self._orders[:1])[..., 0]
 
-    def jet(self, x) -> Jet:
-        x = np.asarray(x, dtype=float)
-        idx, t = self._local(x)
-        basis = [self._basis(tk) for tk in t]
-        value = 0.0
-        grad = np.zeros(self.dim)
-        hess = np.zeros((self.dim, self.dim))
-        for offsets in itertools.product((-1, 0, 1), repeat=self.dim):
-            v = float(self.samples[tuple(idx + np.asarray(offsets))])
-            w = 1.0
-            for k, o in enumerate(offsets):
-                w *= basis[k][0][o + 1]
-            value += v * w
-            for k in range(self.dim):
-                wk = 1.0
-                for m, o in enumerate(offsets):
-                    wk *= basis[m][1][o + 1] if m == k else basis[m][0][o + 1]
-                grad[k] += v * wk
-                for l in range(k, self.dim):
-                    wkl = 1.0
-                    for m, o in enumerate(offsets):
-                        if m == k and m == l:
-                            wkl *= basis[m][2][o + 1]
-                        elif m == k:
-                            wkl *= basis[m][1][o + 1]
-                        elif m == l:
-                            wkl *= basis[m][1][o + 1]
-                        else:
-                            wkl *= basis[m][0][o + 1]
-                    hess[k, l] += v * wkl
-        for k in range(self.dim):
-            for l in range(k):
-                hess[k, l] = hess[l, k]
-        grad /= self.h
-        hess /= self.h * self.h
-        return Jet(value, grad, hess)
-
-    def value(self, x):
-        # the value part of `jet`: the same node order and the same running
-        # products, so it equals jet(x).value bit for bit
-        idx, t = self._local(np.asarray(x, dtype=float))
-        basis = self._basis(t)[0]  # basis[o + 1, k] is axis k's weight at offset o
-        weights = np.ones(len(self._offsets))
-        for k in range(self.dim):
-            weights *= basis[self._offsets[:, k] + 1, k]
-        nodes = self.samples[tuple((idx + self._offsets).T)]
-        value = 0.0
-        for term in (nodes * weights).tolist():
-            value += term
-        return value
-
-    def gradient(self, x):
-        return self.jet(x).gradient
-
-    def hessian(self, x):
-        return self.jet(x).hessian
+    def jets(self, X):
+        n, s = self.dim, self._gather(X, self._orders)
+        k, l = self._upper
+        hess = np.empty(s.shape[:-1] + (n, n))
+        hess[..., k, l] = hess[..., l, k] = s[..., n + 1:]
+        return s[..., 0], s[..., 1 : n + 1] / self.h, hess / (self.h * self.h)
 
     # ---- file round trip: header "n,h,origin...,counts...", then one sample
     # per line in row-major (C) order.

@@ -151,7 +151,7 @@ def prod_reports(pt: ExtrinsicPoint, eps, delta_reg: float = DELTA_REG, which: s
     return regular, reports
 
 
-def _phi_reports(cp: ConformalPoint, ambient: AmbientSpec, eps, delta_reg: float, which: str):
+def _phi_reports(cp: ConformalPoint, eps, delta_reg: float, which: str):
     """(regular mask, reports) of the conformally-product inequality over a
     stack. The matrix work is stacked; each row's scalar formulas run on floats."""
     regular, fr = slice_frames(cp.point, eps, delta_reg=delta_reg)
@@ -161,7 +161,7 @@ def _phi_reports(cp: ConformalPoint, ambient: AmbientSpec, eps, delta_reg: float
         cp = cp.select(regular)
     pt = cp.point
     n = pt.dim
-    pj = ambient.phis(pt.x, pt.u)
+    pj = cp.factor
     dphi_eta = np.vecdot(pj.grad_x, fr.eta)
     abar_sigma = pj.value[:, None, None] * fr.a_sigma + dphi_eta[:, None, None] * np.eye(n - 1)
     hbar_sigma = np.trace(abar_sigma, axis1=1, axis2=2)
@@ -171,7 +171,7 @@ def _phi_reports(cp: ConformalPoint, ambient: AmbientSpec, eps, delta_reg: float
     reports = []
     for x, e, cos, hbar, norm2, hs, nu_t, phi_t, phi, mu, r, k, eigs, amb in zip(
         pt.x.tolist(), fr.eps.tolist(), fr.cos_angle.tolist(), cp.mean_curvature.tolist(),
-        cp.norm_a2.tolist(), hbar_sigma.tolist(), pt.nu[:, -1].tolist(), pj.dt.tolist(), cp.phi.tolist(),
+        cp.norm_a2.tolist(), hbar_sigma.tolist(), pt.nu[:, -1].tolist(), pj.dt.tolist(), pj.value.tolist(),
         cp.dphi_nu.tolist(), scalar, _mean(slice_eigs).tolist(), slice_eigs.tolist(), cp.principal.tolist(),
     ):
         bracket = cos * hs + (n - 1.0) * nu_t * phi_t
@@ -202,7 +202,7 @@ def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None,
         if which == "sphere" or ambient is None:
             ambient = spherical_ambient(field.dim)
         cp = conformal_points(field, ambient, X)
-        return (cp.point, *_phi_reports(cp, ambient, eps, delta_reg, which))
+        return (cp.point, *_phi_reports(cp, eps, delta_reg, which))
     raise ValueError(f"unknown inequality selector {which!r}; expected one of {WHICH}")
 
 
@@ -271,13 +271,11 @@ def slice_points(
     center (golden-angle directions in 2-D, seeded unit vectors otherwise),
     keeping regular interior points only.
 
-    All rays are sampled with one `field.values` call. A sample where the
-    field is undefined is NaN and brackets no root. The ends of each candidate
-    bracket are re-read with the pointwise `value`, which decides the bracket
-    and is what `brentq` solves, so the roots are those of a per-sample scan
-    of `value`; a root is kept if it lies inside the
-    domain less the field's evaluation margin and |Du| >= delta_reg there,
-    and at most max_per_ray roots are kept per ray."""
+    All rays are sampled with one `field.values` call, which equals `value`
+    at each sample bit for bit. A sample where the field is undefined is NaN
+    and brackets no root. A root is kept if it lies inside the domain less
+    the field's evaluation margin and |Du| >= delta_reg there, and at most
+    max_per_ray roots are kept per ray."""
     center = np.zeros(field.dim) if center is None else as_point(center, field.dim)
     dirs = unit_directions(field.dim, rays, seed)
     extents = np.array([field.domain.ray_extent(center, d, margin=1e-6) for d in dirs])
@@ -285,25 +283,15 @@ def slice_points(
     dirs, extents = dirs[extents > 0], extents[extents > 0]
     ts = np.linspace(0.0, extents, samples_per_ray, axis=1)  # each row is the ray's own linspace
     X = center + ts[:, :, None] * dirs[:, None, :]
-    u = field.values(X.reshape(-1, field.dim)).reshape(ts.shape)
-    vals = u - eps
-    # `values` may differ from `value` in the last bits, so a sign change
-    # or a near-zero sample only marks a candidate; its ends are re-read
-    # with `value` and the bracket test is made on those
-    near = np.abs(vals) <= 1e-13 * (1.0 + np.abs(u))
+    vals = field.values(X.reshape(-1, field.dim)).reshape(ts.shape) - eps
     a, b = vals[:, :-1], vals[:, 1:]
-    marked = np.isfinite(a) & np.isfinite(b) & (~(a * b > 0) | near[:, :-1] | near[:, 1:])
+    bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
     found: list[np.ndarray] = []
-    for k in np.flatnonzero(marked.any(axis=1)):
-        d, candidates = dirs[k], np.flatnonzero(marked[k])
-        ends = np.union1d(candidates, candidates + 1)
-        vals[k, ends] = [field.value(x) - eps for x in X[k, ends]]
-        hits = 0
-        for i in candidates:
+    for k in np.flatnonzero(bracket.any(axis=1)):
+        d, hits = dirs[k], 0
+        for i in np.flatnonzero(bracket[k]):
             if hits >= max_per_ray:
                 break
-            if vals[k, i] * vals[k, i + 1] > 0 or (vals[k, i] == 0 and vals[k, i + 1] == 0):
-                continue
             root = brentq(lambda t: field.value(center + t * d) - eps, ts[k, i], ts[k, i + 1], xtol=1e-13)
             p = center + root * d
             if not field.domain.contains(p, margin=field.margin(p)):
@@ -331,15 +319,10 @@ def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) ->
     if not len(P):
         raise ValueError("could not probe the field's domain for level values")
     vals = field.values(P)
+    # a NaN sample is re-read, and raises the pointwise error
+    nan = np.isnan(vals)
+    vals[nan] = [field.value(x) for x in P[nan]]
     qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
-    # np.quantile interpolates the order statistics at ranks floor((n - 1) q)
-    # and one above. Sorting moves no value by more than `values` differs from
-    # `value`, so once the samples near those are re-read the quantiles are exact;
-    # a NaN sample is re-read too, and raises the pointwise error.
-    ranks = np.floor((len(vals) - 1) * qs).astype(int)
-    stats = np.sort(vals)[np.clip(np.concatenate([ranks, ranks + 1]), 0, len(vals) - 1)]
-    near = np.isnan(vals) | np.any(np.abs(vals[:, None] - stats) <= 1e-13 * (1.0 + np.abs(stats)), axis=1)
-    vals[near] = [field.value(x) for x in P[near]]
     return [float(v) for v in np.quantile(vals, qs)]
 
 
@@ -437,4 +420,4 @@ def adapted_conformal_matrix(field: ScalarField, ambient: AmbientSpec, x) -> np.
     pt = cp.point
     fr = slice_frame_of_point(pt, eps=pt.u)
     a_ad = adapted_matrix(fr.frame, pt.base_jet.g, pt.shape_operator)
-    return cp.phi * a_ad + cp.dphi_nu * np.eye(pt.dim)
+    return cp.factor.value * a_ad + cp.dphi_nu * np.eye(pt.dim)

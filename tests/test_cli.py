@@ -335,9 +335,9 @@ class TestGoldenReports:
         digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
         assert digest == self.SHA256[stage, seed]
 
-    #: the unseeded example stages, one `point` run per field kind and two
-    #: `slice` sweeps; the point reports carry principal curvatures, from the
-    #: generalized eigensolver
+    #: the unseeded example stages, one `point` run per field kind, three
+    #: `slice` sweeps and two barrier slides; the point reports carry
+    #: principal curvatures, from the generalized eigensolver
     UNSEEDED = {
         "example-euclid-cone": ["example", "--name", "euclid-cone"],
         "example-spherical-glued": ["example", "--name", "spherical-glued"],
@@ -352,6 +352,9 @@ class TestGoldenReports:
         "point-grid": ["point", "--field", "grid:{grid}", "--ambient", "constant:2", "--at", "0.3,-0.2"],
         "slice-trig": ["slice", "--field", "trig:3", "--eps", "0.1,0.2"],
         "slice-trig-3d": ["slice", "--field", "trig:5", "--dim", "3", "--eps", "0.0,0.3", "--rays", "24", "--seed", "4"],
+        "slice-grid": ["slice", "--field", "grid:{grid}", "--eps", "0.1,0.2"],
+        "barrier-trig": ["barrier", "--field", "trig:1"],
+        "barrier-trig-negated": ["barrier", "--field", "trig:3", "--negate"],
     }
     UNSEEDED_SHA256 = {
         "example-euclid-cone": "88f7cb29275b093e745b62ed291d943f597ffd4a4fc6c7c5c2621b174cbf9c80",
@@ -367,6 +370,9 @@ class TestGoldenReports:
         "point-grid": "dd87abe193f5ff00b98f631152135f8c543cc55093dfb1e003a9711f5e7de677",
         "slice-trig": "2bb03d183c7c1938e623219a7f6548d766d1642e6f59b12d18f0abb5b7784a11",
         "slice-trig-3d": "531d61c357d5676908e246557b9732738319970c0c7527aa2dc411bfca695037",
+        "slice-grid": "b0af65935fec785db70feb933ebe6f1aa7e4096f052d85f9a48e33229fe23bde",
+        "barrier-trig": "9d0a5f0651e4c14f937f80628d214f092321d7575af0cf36443e4ecaa9158c8d",
+        "barrier-trig-negated": "76415b3a734861e6a71e57578abca767252d4e7625e542ca6e47bf3ca974aecb",
     }
 
     @pytest.mark.parametrize("stage", sorted(UNSEEDED))
