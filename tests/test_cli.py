@@ -310,6 +310,10 @@ class TestGoldenReports:
         "inequality-euclid": ["verify", "inequality", "--which", "euclid", "--fields", "2"],
         "inequality-sphere": ["verify", "inequality", "--which", "sphere", "--fields", "2"],
         "barrier-outer-graph": ["barrier", "--field", "radial:S-u:0.5", "--radial", "64", "--angular", "16"],
+        # n = 3 draws seeded rays, where n = 2 uses the golden-angle ring
+        "minor-3d": ["verify", "minor", "--fd", "--dim", "3", "--fields", "2", "--points", "4"],
+        "inequality-prod-3d": ["verify", "inequality", "--which", "prod", "--dim", "3", "--fields", "4"],
+        "inequality-phi-3d": ["verify", "inequality", "--which", "phi", "--dim", "3", "--fields", "4"],
     }
     SHA256 = {
         ("identity", 0): "bbd296088c3150f80d1a349102d31223406b552a34b0d3194df8dbf591abd4ee",
@@ -326,6 +330,12 @@ class TestGoldenReports:
         ("inequality-euclid", 1): "d9da94ee354b82f74e829a6f2f331cb20dcee9b962d6d2c1858ad8c5849f3445",
         ("inequality-sphere", 1): "070817bb2464764c806919de32902f19ca77f44a9b495f7e3b31f3eca283bbd4",
         ("barrier-outer-graph", 1): "c6ef7271c0b78a30ca672930cee8c942509aada7ab45ff13ee49313c1d42e491",
+        ("minor-3d", 0): "a8d49f2f1ce39f504e01fcd1df3aec4be4cd50fce5b8ae61e53a14e0ffd06fc2",
+        ("minor-3d", 1): "78f648e20ab4934fd2136848cf57cf790607ca15b5cc8ef1a3c0f3c8a3787e89",
+        ("inequality-prod-3d", 0): "deda8a520d9f7f74e37f152467a7ba855857ece8262b0666d8844f4dc1e512fd",
+        ("inequality-prod-3d", 1): "25b5c6b8a8686b153511dcb3a0870cfbcdd0a9e609f62671c2d71f1cb66cb10d",
+        ("inequality-phi-3d", 0): "ebe57aafa3a655f09b35e5a6c294285056284f5e8b16e2ae49e306f690bce742",
+        ("inequality-phi-3d", 1): "71a1a8d3599f6d9706bf8f8b7381936655dfea80ad8fbb8d29c739e6a8fb580b",
     }
 
     @pytest.mark.parametrize("stage, seed", sorted(SHA256))
