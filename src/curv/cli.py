@@ -23,7 +23,7 @@ from .barrier import (
 )
 from .conformal import conformal_point, mean_curvature_spherical
 from .errors import CurvError, NoTouchError
-from .fields import FiniteDifferenceField, NegatedField, random_trig_field
+from .fields import FiniteDifferenceField, NegatedField, random_trig_field, trig_family
 from .fieldspec import parse_field
 from .graphgeom import (
     extrinsic_point,
@@ -33,7 +33,7 @@ from .graphgeom import (
     nonregular_error,
     slice_frames,
 )
-from .inequality import WHICH, pick_levels, prod_reports, run_suite, slice_points
+from .inequality import WHICH, family_slices, prod_reports, run_suite, slice_points
 from .metrics import constant_ambient, spherical_ambient
 from .reporting import emit, jsonable, meta_block, render_csv, render_json
 from .revolution import (
@@ -236,38 +236,36 @@ def _handle_verify_minor(args, tol):
     slopes_all: list[float] = []
     checked = 0
     steps = [args.fd_step, args.fd_step / 2.0, args.fd_step / 4.0]
-    for i in range(args.fields):
-        f = random_trig_field(args.dim, seed=args.seed + i)
-        try:
-            eps = pick_levels(f, 1, seed=args.seed + i)[0]
-        except ValueError:
-            continue
-        pts = slice_points(f, eps, rays=max(2, args.points // 2), seed=args.seed + i)[: args.points]
-        if not pts:
-            continue
-        points = extrinsic_points(f, base, np.array(pts))
+    seeds = [args.seed + i for i in range(args.fields)]
+    fields = [random_trig_field(args.dim, seed=s) for s in seeds]
+    # the analytic half is one array program, on the first args.points points
+    # of each field (a field whose domain gave no level probes samples none)
+    owner = np.empty(0, dtype=int)
+    if fields:
+        family = trig_family(fields)
+        eps, owner, _, X = family_slices(family, 1, seeds, seeds, max(2, args.points // 2))
+        first = np.arange(len(owner)) - np.searchsorted(owner, owner) < args.points
+        owner, X = owner[first], X[first]
+    if len(owner):
+        points = extrinsic_points(family.rows(owner), base, X)
         # a non-regular point is not checked
-        regular, frames = slice_frames(points, eps)
-        if not regular.any():
-            continue
-        for res in minor_relation_residuals(frames, points.select(regular)).tolist():
-            worst = max(worst, res)
-        checked += int(np.count_nonzero(regular))
-        if args.fd:
-            fds = [FiniteDifferenceField(f.value, f.dim, f.domain, step=h) for h in steps]
-            # the stencil margin shrinks the usable domain; points in that
-            # band at any step stay in the analytic tally only
-            keep = np.array([
-                all(f.domain.contains(x, margin=fd.margin(x)) for fd in fds) for x in frames.x
-            ])
-            if not keep.any():
-                continue
-            kept = frames.select(keep)
+        regular, frames = slice_frames(points, eps[owner, 0])
+        worst = max([worst] + minor_relation_residuals(frames, points.select(regular)).tolist())
+        checked = int(np.count_nonzero(regular))
+        owner = owner[regular]
+    # the finite-difference half is the pointwise oracle, one field at a time
+    for i in np.unique(owner) if args.fd else ():
+        f, fr = fields[i], frames.select(owner == i)
+        fds = [FiniteDifferenceField(f.value, f.dim, f.domain, step=h) for h in steps]
+        # the stencil margin shrinks the usable domain; points in that
+        # band at any step stay in the analytic tally only
+        keep = np.all([f.domain.contains(fr.x, margin=fd.margin(fr.x)) for fd in fds], axis=0)
+        if keep.any():
+            kept = fr.select(keep)
             errs = np.stack(
                 [minor_relation_residuals(kept, extrinsic_points(fd, base, kept.x)) for fd in fds], axis=1
             )
-            for e in errs[:, -1].tolist():
-                worst_fd = max(worst_fd, e)
+            worst_fd = max([worst_fd] + errs[:, -1].tolist())
             with np.errstate(divide="ignore"):
                 slopes = np.log2(errs[:, :-1] / errs[:, 1:])
             slopes_all.extend(slopes.ravel().tolist())

@@ -44,25 +44,23 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, x: np.ndarray, margin: float = 0.0):
-        """Whether x lies in the box less the margin: a bool for a point, a
-        mask for a stack of rows."""
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
+    def contains(self, x: np.ndarray, margin=0.0):
+        """Whether x lies in the box less the margin (one value, or one per
+        row): a bool for a point, a mask for a stack of rows."""
+        lo = np.asarray(self.lo) + np.asarray(margin)[..., None]
+        hi = np.asarray(self.hi) - np.asarray(margin)[..., None]
         inside = np.all((x >= lo) & (x <= hi), axis=-1)
         return inside if np.ndim(x) > 1 else bool(inside)
 
-    def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0) -> float:
+    def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
+        """Largest t >= 0 with center + t d in the box less the margin, for d
+        or each row of a stack; the minimum over the axes skips NaN (fmin)."""
         lo = np.asarray(self.lo) + margin
         hi = np.asarray(self.hi) - margin
-        t = np.inf
-        for k in range(len(direction)):
-            d = direction[k]
-            if d > 0:
-                t = min(t, (hi[k] - center[k]) / d)
-            elif d < 0:
-                t = min(t, (lo[k] - center[k]) / d)
-        return max(t, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(direction > 0, (hi - center) / direction, (lo - center) / direction)
+        t = np.maximum(np.fmin.reduce(np.where(direction != 0, t, np.inf), axis=-1, initial=np.inf), 0.0)
+        return t if np.ndim(direction) > 1 else float(t)
 
     def probe_extent(self) -> float:
         """Half-width of the origin-centred cube that covers the box."""
@@ -80,23 +78,23 @@ class _RoundDomain:
     def _center(self) -> np.ndarray:
         return np.zeros(self.dim_) if self.center is None else np.asarray(self.center)
 
-    def contains(self, x: np.ndarray, margin: float = 0.0):
-        """Whether x lies in the domain less the margin: a bool for a point,
-        a mask for a stack of rows."""
+    def contains(self, x: np.ndarray, margin=0.0):
+        """Whether x lies in the domain less the margin (one value, or one
+        per row): a bool for a point, a mask for a stack of rows."""
         d = x - self._center()
         r = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
         inside = (self.inner + margin <= r) & (r <= self.rim - margin)
         return inside if np.ndim(x) > 1 else bool(inside)
 
-    def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0) -> float:
-        # largest t with |center + t d - c| <= rim - margin
+    def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
+        """Largest t >= 0 with |center + t d - c| <= rim - margin, for d or
+        each row of a stack."""
         c = center - self._center()
         r = self.rim - margin
-        b = float(c @ direction)
+        b = np.vecdot(direction, c)
         disc = b * b - (c @ c - r * r)
-        if disc < 0:
-            return 0.0
-        return max(-b + np.sqrt(disc), 0.0)
+        t = np.where(disc < 0, 0.0, np.maximum(-b + np.sqrt(np.maximum(disc, 0.0)), 0.0))
+        return t if np.ndim(direction) > 1 else float(t)
 
     def probe_extent(self) -> float:
         """Half-width of the origin-centred cube that probes the domain,
@@ -175,8 +173,8 @@ class ScalarField:
         u, du, ddu = self.jets(np.asarray(x, dtype=float))
         return Jet(float(u), du, ddu)
 
-    def margin(self, x: np.ndarray) -> float:
-        """Boundary band the evaluation needs around x (0 for analytic)."""
+    def margin(self, x: np.ndarray):
+        """Boundary band the evaluation needs around x or each row (0 for analytic)."""
         return 0.0
 
 
@@ -185,7 +183,7 @@ class PointwiseField(ScalarField):
     `gradient` and `hessian` or else `jet`, at one point; `values` and
     `jets` are their loops over the rows of a stack, and a point is the
     one-point method's case. A row of `values` is NaN exactly where `value`
-    raises OutOfDomainError.
+    raises OutOfDomainError; `values` takes any leading axes.
     """
 
     def value(self, x) -> float:  # pragma: no cover - abstract
@@ -197,12 +195,12 @@ class PointwiseField(ScalarField):
     def values(self, X):
         if np.ndim(X) == 1:
             return self.value(X)
-        out = np.empty(len(X))
-        for i, x in enumerate(X):
+        out = np.empty(np.shape(X)[:-1])
+        for i, x in enumerate(np.reshape(X, (-1, self.dim))):
             try:
-                out[i] = self.value(x)
+                out.flat[i] = self.value(x)
             except OutOfDomainError:
-                out[i] = np.nan
+                out.flat[i] = np.nan
         return out
 
     def jets(self, X):
@@ -224,8 +222,8 @@ def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray
     there, and its jet must be finite. The first failing row raises
     OutOfDomainError or NonFiniteJetError, as eval_jet does for it."""
     X = as_points(X, field.dim)
-    inside = [field.domain.contains(x, margin=field.margin(x)) for x in X]
-    k = inside.index(False) if False in inside else len(X)
+    inside = field.domain.contains(X, margin=field.margin(X))
+    k = len(X) if inside.all() else int(np.argmin(inside))
     u, du, ddu = field.jets(X[:k])
     if not (np.isfinite(u).all() and np.isfinite(du).all() and np.isfinite(ddu).all()):
         finite = np.isfinite(u) & np.isfinite(du).all(axis=1) & np.isfinite(ddu).all(axis=(1, 2))
@@ -404,15 +402,21 @@ class PolynomialField(PointwiseField):
 
 
 class TrigField(ScalarField):
-    """u = sum_k amp_k sin(freq_k . x + phase_k): smooth with bounded jets."""
+    """u = sum_k amp_k sin(freq_k . x + phase_k): smooth with bounded jets.
+    Parameters with leading axes, which broadcast against the points', make
+    a family: each point's jet is its own field's, bit for bit."""
 
     def __init__(self, amps, freqs, phases, domain=None, name="trig"):
         self.amps = np.asarray(amps, dtype=float)
         self.freqs = np.asarray(freqs, dtype=float)
         self.phases = np.asarray(phases, dtype=float)
-        self.dim = self.freqs.shape[1]
+        self.dim = self.freqs.shape[-1]
         self.domain = domain if domain is not None else Ball(self.dim, 2.0)
         self.name = name
+
+    def rows(self, idx):
+        """Member idx of a family, or a family for an index array."""
+        return TrigField(self.amps[idx], self.freqs[idx], self.phases[idx], self.domain, self.name)
 
     def values(self, X):
         return np.vecdot(np.sin(np.matvec(self.freqs, X) + self.phases), self.amps)
@@ -422,7 +426,7 @@ class TrigField(ScalarField):
         return (
             np.vecdot(np.sin(args), self.amps),
             np.vecmat(self.amps * np.cos(args), self.freqs),
-            np.einsum("...k,ki,kj->...ij", -self.amps * np.sin(args), self.freqs, self.freqs),
+            np.einsum("...k,...ki,...kj->...ij", -self.amps * np.sin(args), self.freqs, self.freqs),
         )
 
 
@@ -441,6 +445,12 @@ def random_trig_field(
     amps = rng.uniform(0.3, 1.0, size=modes)
     amps *= amplitude / amps.sum()
     return TrigField(amps, freqs, phases, domain=domain, name=f"trig(seed={seed})")
+
+
+def trig_family(fields: Sequence[TrigField]) -> TrigField:
+    """Trig fields of one shape and domain as one family (see TrigField)."""
+    stack = (np.stack([getattr(f, a) for f in fields]) for a in ("amps", "freqs", "phases"))
+    return TrigField(*stack, domain=fields[0].domain, name="trig family")
 
 
 class RadialField(PointwiseField):
@@ -561,15 +571,14 @@ class FiniteDifferenceField(PointwiseField):
         self.step = None if step is None else float(step)
         self.name = name if not isinstance(func, ScalarField) else f"fd({func.name})"
 
-    def _steps(self, x) -> tuple[float, float]:
+    def _steps(self, x):
         if self.step is not None:
             return self.step, self.step
-        s = max(1.0, float(np.linalg.norm(x)))
+        s = np.maximum(1.0, np.sqrt(np.vecdot(x, x)))  # np.linalg.norm of each row, bit for bit
         return _EPS ** (1.0 / 3.0) * s, _EPS**0.25 * s
 
-    def margin(self, x) -> float:
-        h1, h2 = self._steps(x)
-        return 2.0 * max(h1, h2)
+    def margin(self, x):
+        return 2.0 * np.maximum(*self._steps(x))
 
     def value(self, x):
         return float(self._func(np.asarray(x, dtype=float)))
@@ -711,10 +720,11 @@ class GridField(ScalarField):
 
 
 def sample_to_grid(field: ScalarField, origin, h: float, counts) -> GridField:
-    """Sample an analytic field onto a uniform grid."""
+    """Sample a field onto a uniform grid: one `values` call on the nodes."""
     origin = np.asarray(origin, dtype=float)
     counts = tuple(int(c) for c in counts)
-    values = np.empty(counts)
-    for idx in itertools.product(*(range(c) for c in counts)):
-        values[idx] = field.value(origin + h * np.asarray(idx, dtype=float))
-    return GridField(origin, h, values, name=f"gridded({field.name})")
+    nodes = origin + h * np.indices(counts).reshape(len(counts), -1).T
+    values = field.values(nodes)
+    # a NaN node is re-read, and a pointwise kind raises its OutOfDomainError
+    values[np.isnan(values)] = [field.value(x) for x in nodes[np.isnan(values)]]
+    return GridField(origin, h, values.reshape(counts), name=f"gridded({field.name})")

@@ -38,7 +38,7 @@ from .graphgeom import (
     slice_frames,
 )
 from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
-from .util import as_point, as_points, unit_directions
+from .util import as_point, as_points, brentq_lanes, unit_directions
 
 WHICH = ("prod", "phi", "euclid", "sphere")
 
@@ -82,23 +82,6 @@ class InequalityReport:
         }
         out.update({k: v for k, v in sorted(self.extras.items())})
         return out
-
-
-CSV_COLUMNS = (
-    "which",
-    "eps",
-    "x",
-    "lhs",
-    "rhs",
-    "gap",
-    "cos_angle",
-    "h_mean",
-    "h_sigma",
-    "kappa",
-    "umbilicity_deviation",
-    "multiplicity_diagnostic",
-    "equality_detected",
-)
 
 
 def _equality_diagnostics(
@@ -257,6 +240,38 @@ def check(which: str, field: ScalarField, eps: float, x, ambient: AmbientSpec | 
 # slice-point sampling
 
 
+def _slice_rows(at, eps, dirs, center, delta_reg: float = DELTA_REG, samples_per_ray: int = 160, max_per_ray: int = 2):
+    """slice_points of each member f of a family at its levels eps[f], along
+    its rays dirs[f]: the arrays (f, j, points) of the rows, in the order
+    field, level, ray, root. `at(idx)` is member idx, or a family for an
+    index array. One `values` call reads the samples every level shares, and
+    `brentq_lanes` solves all brackets at once."""
+    (F, L), (R, n), dom = eps.shape, dirs.shape[1:], at(0).domain
+    extents = dom.ray_extent(center, dirs.reshape(-1, n), margin=1e-6).reshape(F, R)
+    extents[~np.isfinite(extents)] = 2.0
+    ts = np.linspace(0.0, extents, samples_per_ray, axis=-1)  # each row is the ray's own linspace
+    X = center + ts[..., None] * dirs[:, :, None, :]
+    vals = at(np.arange(F)[:, None]).values(X.reshape(F, -1, n)).reshape(F, 1, R, -1) - eps[:, :, None, None]
+    a, b = vals[..., :-1], vals[..., 1:]
+    bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
+    bracket &= (extents > 0)[:, None, :, None]  # a ray of extent 0 is not sampled
+    f, j, r, i = np.nonzero(bracket)
+    d, e, lo, hi = dirs[f, r], eps[f, j], ts[f, r, i], ts[f, r, i + 1]
+    roots = brentq_lanes(lambda t, k: at(f[k]).values(center + t[:, None] * d[k]) - e[k], lo, hi, xtol=1e-13)
+    P = center + roots[:, None] * d
+    ok = ~np.isnan(roots)
+    ok[ok] = dom.contains(P[ok], margin=at(f[ok]).margin(P[ok]))
+    grad = at(f[ok]).jets(P[ok])[1]
+    ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < delta_reg)  # np.linalg.norm of each row, bit for bit
+    ray, before = (f * L + j) * R + r, np.cumsum(ok) - ok
+    reached = before - before[np.searchsorted(ray, ray)] < max_per_ray  # fewer roots kept before it on its ray
+    for k in np.flatnonzero(np.isnan(roots) & reached):
+        # a lane that met NaN, solved pointwise, raises the field's error there
+        brentq(lambda t, fk=at(f[k]): fk.value(center + t * d[k]) - e[k], lo[k], hi[k], xtol=1e-13)
+    keep = ok & reached
+    return f[keep], j[keep], P[keep]
+
+
 def slice_points(
     field: ScalarField,
     eps: float,
@@ -269,61 +284,61 @@ def slice_points(
 ) -> list[np.ndarray]:
     """Deterministic points of {u = eps}: 1-D root finding along rays from the
     center (golden-angle directions in 2-D, seeded unit vectors otherwise),
-    keeping regular interior points only.
-
-    All rays are sampled with one `field.values` call, which equals `value`
-    at each sample bit for bit. A sample where the field is undefined is NaN
-    and brackets no root. A root is kept if it lies inside the domain less
-    the field's evaluation margin and |Du| >= delta_reg there, and at most
-    max_per_ray roots are kept per ray."""
+    keeping regular interior points only; the one-field, one-level case of
+    `_slice_rows`. A sample where the field is undefined is NaN and brackets
+    no root. A root is kept if it lies inside the domain less the field's
+    evaluation margin and |Du| >= delta_reg there, and at most max_per_ray
+    roots are kept per ray."""
     center = np.zeros(field.dim) if center is None else as_point(center, field.dim)
     dirs = unit_directions(field.dim, rays, seed)
-    extents = np.array([field.domain.ray_extent(center, d, margin=1e-6) for d in dirs])
-    extents[~np.isfinite(extents)] = 2.0
-    dirs, extents = dirs[extents > 0], extents[extents > 0]
-    ts = np.linspace(0.0, extents, samples_per_ray, axis=1)  # each row is the ray's own linspace
-    X = center + ts[:, :, None] * dirs[:, None, :]
-    vals = field.values(X.reshape(-1, field.dim)).reshape(ts.shape) - eps
-    a, b = vals[:, :-1], vals[:, 1:]
-    bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
-    found: list[np.ndarray] = []
-    for k in np.flatnonzero(bracket.any(axis=1)):
-        d, hits = dirs[k], 0
-        for i in np.flatnonzero(bracket[k]):
-            if hits >= max_per_ray:
-                break
-            root = brentq(lambda t: field.value(center + t * d) - eps, ts[k, i], ts[k, i + 1], xtol=1e-13)
-            p = center + root * d
-            if not field.domain.contains(p, margin=field.margin(p)):
-                continue
-            if float(np.linalg.norm(field.gradient(p))) < delta_reg:
-                continue
-            found.append(p)
-            hits += 1
-    return found
+    eps = np.array([[eps]], dtype=float)
+    return list(_slice_rows(lambda idx: field, eps, dirs[None], center, delta_reg, samples_per_ray, max_per_ray)[2])
+
+
+def _probe_points(domain, dim: int, seed: int, probes: int) -> np.ndarray:
+    """The first `probes` of at most 50 * probes seeded draws inside the domain."""
+    rng, extent = np.random.default_rng(seed), domain.probe_extent()
+    # a (k, dim) draw is k successive one-point draws, so the chunks keep the stream
+    P, drawn, chunk = np.empty((0, dim)), 0, probes
+    while len(P) < probes and drawn < 50 * probes:
+        X = rng.uniform(-extent, extent, size=(min(chunk, 50 * probes - drawn), dim))
+        P = np.concatenate([P, X[domain.contains(X, margin=1e-6)]])
+        drawn, chunk = drawn + len(X), 2 * chunk
+    return P[:probes]
+
+
+def _levels(at, probes: list[np.ndarray], count: int) -> np.ndarray:
+    """pick_levels of each member f of a family on its probes[f], shape (F,
+    count); NaN for a member with no probes."""
+    if len({len(P) for P in probes}) > 1:  # ragged draws go one member at a time
+        return np.concatenate([_levels(lambda idx, k=k: at(k), [P], count) for k, P in enumerate(probes)])
+    if not len(probes[0]):
+        return np.full((len(probes), count), np.nan)
+    P = np.stack(probes)
+    vals = at(np.arange(len(P))[:, None]).values(P)
+    # a NaN sample is re-read, and raises the pointwise error
+    for f, i in zip(*np.nonzero(np.isnan(vals))):
+        vals[f, i] = at(f).value(P[f, i])
+    qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
+    return np.quantile(vals, qs, axis=1).T
 
 
 def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) -> list[float]:
     """Level values at interior quantiles of u over seeded domain samples:
     the first `probes` of at most 50 * probes draws inside the domain."""
-    rng = np.random.default_rng(seed)
-    dom = field.domain
-    extent = dom.probe_extent()
-    # a (k, dim) draw is k successive one-point draws, so the chunks keep the stream
-    P, drawn, chunk = np.empty((0, field.dim)), 0, probes
-    while len(P) < probes and drawn < 50 * probes:
-        X = rng.uniform(-extent, extent, size=(min(chunk, 50 * probes - drawn), field.dim))
-        P = np.concatenate([P, X[dom.contains(X, margin=1e-6)]])
-        drawn, chunk = drawn + len(X), 2 * chunk
-    P = P[:probes]
+    P = _probe_points(field.domain, field.dim, seed, probes)
     if not len(P):
         raise ValueError("could not probe the field's domain for level values")
-    vals = field.values(P)
-    # a NaN sample is re-read, and raises the pointwise error
-    nan = np.isnan(vals)
-    vals[nan] = [field.value(x) for x in P[nan]]
-    qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
-    return [float(v) for v in np.quantile(vals, qs)]
+    return _levels(lambda idx: field, [P], count)[0].tolist()
+
+
+def family_slices(family, count: int, level_seeds: Sequence[int], ray_seeds: Sequence[int], rays: int):
+    """pick_levels(member f, count, level_seeds[f]), NaN where that raises,
+    and slice_points(member f, eps, rays, ray_seeds[f]) at those levels, for
+    a nonempty trig family: the levels (F, count) and _slice_rows' rows."""
+    eps = _levels(family.rows, [_probe_points(family.domain, family.dim, s, 256) for s in level_seeds], count)
+    dirs = np.stack([unit_directions(family.dim, rays, s) for s in ray_seeds])
+    return (eps, *_slice_rows(family.rows, eps, dirs, np.zeros(family.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,43 +366,32 @@ def run_suite(
     seed: int = 0,
     gap_tol: float = 1e-8,
 ) -> SuiteSummary:
-    """Randomized verification suite over seeded analytic fields.
-
-    Every sampled regular slice point is checked, a field's points for all
-    its levels in one stacked `checks` call; a violation is a gap below
-    -gap_tol.
-    """
+    """Randomized verification suite over seeded analytic fields, as one
+    array program: one trig family sampled by family_slices, and one stacked
+    `checks` call on every sampled point, in the order field, level, ray,
+    root; a violation is a gap below -gap_tol."""
     if which not in WHICH:
         raise ValueError(f"unknown inequality selector {which!r}")
-    from .fields import random_trig_field
+    from .fields import random_trig_field, trig_family
 
-    reports: list[InequalityReport] = []
-    min_gap = np.inf
-    violations = 0
-    skips = 0
-    for k in range(n_fields):
-        fld = random_trig_field(dim, seed + 1000 * k)
-        found = [
-            (eps, p)
-            for eps in pick_levels(fld, levels, seed + 1000 * k + 7)
-            for p in slice_points(fld, eps, rays=rays, seed=seed + 1000 * k + 13)
-        ]
-        if not found:
-            continue
-        regular, checked = checks(which, fld, np.array([e for e, _ in found]), np.array([p for _, p in found]))
-        skips += int(np.count_nonzero(~regular))
-        for rep in checked:
-            reports.append(rep)
-            min_gap = min(min_gap, rep.gap)
-            if rep.gap < -gap_tol:
-                violations += 1
+    reports, skips = [], 0
+    seeds = [seed + 1000 * k for k in range(n_fields)]
+    if seeds:
+        family = trig_family([random_trig_field(dim, s) for s in seeds])
+        eps, f, j, X = family_slices(family, levels, [s + 7 for s in seeds], [s + 13 for s in seeds], rays)
+        if np.isnan(eps).any():
+            raise ValueError("could not probe the field's domain for level values")
+        if len(X):
+            regular, reports = checks(which, family.rows(f), eps[f, j], X)
+            skips = int(np.count_nonzero(~regular))
+    gaps = [rep.gap for rep in reports]
     return SuiteSummary(
         which=which,
         seed=seed,
         fields=n_fields,
         points=len(reports),
-        min_gap=float(min_gap) if reports else np.nan,
-        violations=violations,
+        min_gap=float(min([np.inf] + gaps)) if reports else np.nan,  # the fold skips a NaN gap
+        violations=sum(g < -gap_tol for g in gaps),
         reports=tuple(reports),
         nonregular_skips=skips,
     )

@@ -103,6 +103,54 @@ def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def brentq_lanes(f, a, b, xtol: float, rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100) -> np.ndarray:
+    """Brent's method on lanes, lane i on [a[i], b[i]]: a step-for-step array
+    port of scipy's `brentq.c` (Brent 1973, ch. 4), so each root equals
+    `scipy.optimize.brentq`'s bit for bit. `f(x, lanes)` is f at x[j] on lane
+    lanes[j], called on both ends at once, then once per iteration on the
+    open lanes. A lane where f is NaN (brentq raises) gets root NaN; ends of
+    one sign raise ValueError, and no convergence RuntimeError."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lanes = np.arange(a.size)
+    fpre, fcur = np.split(f(np.concatenate([a, b]), np.concatenate([lanes, lanes])), 2)
+    nan = np.isnan(fpre) | np.isnan(fcur)
+    root = np.where(nan, np.nan, np.where(fpre == 0, a, np.where(fcur == 0, b, np.nan)))
+    live = ~nan & (fpre != 0) & (fcur != 0)
+    if (np.signbit(fpre[live]) == np.signbit(fcur[live])).any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = np.zeros(a.size)
+    with np.errstate(all="ignore"):  # closed lanes, and the trial steps of bisecting ones, are ignored
+        for _ in range(maxiter):
+            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = live & ((fcur == 0) | (np.abs(sbis) < delta))
+            root[done] = xcur[done]
+            live &= ~done
+            if not live.any():
+                return root
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interpolate, extrapolate)
+            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            short &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            xpre, fpre, xcur, fcur = xcur, fcur, xcur + step, np.zeros(a.size)
+            fcur[live] = f(xcur[live], lanes[live])
+            live &= ~np.isnan(fcur)
+    if live.any():
+        raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur[live][0]}")
+    return root
+
+
 def richardson_limit(s: np.ndarray, y: np.ndarray) -> float:
     """Limit of y(s) as s -> 0 assuming y = y0 + c*s + O(s^2).
 

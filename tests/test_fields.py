@@ -28,8 +28,10 @@ from curv.fields import (
     SphereCap,
     TrigField,
     eval_jet,
+    eval_jets,
     random_trig_field,
     sample_to_grid,
+    whole_space,
 )
 import curv.fields
 from curv.fieldspec import graded_lex_monomials, parse_field
@@ -675,3 +677,154 @@ class TestStackedContains:
                 points = [dom.contains(x, margin=m) for x in X]
                 assert all(type(p) is bool for p in points)
                 assert points == want
+            # one margin per row
+            margins = rng.choice([0.0, margin, 0.2], size=len(X))
+            assert dom.contains(X, margin=margins).tolist() == [
+                reference_contains(dom, x, m) for x, m in zip(X, margins)
+            ]
+
+
+def reference_eval_jets(field, X):
+    """eval_jets as it tested domain membership before, one row at a time."""
+    inside = [field.domain.contains(x, margin=field.margin(x)) for x in X]
+    k = inside.index(False) if False in inside else len(X)
+    u, du, ddu = field.jets(X[:k])
+    if not (np.isfinite(u).all() and np.isfinite(du).all() and np.isfinite(ddu).all()):
+        finite = np.isfinite(u) & np.isfinite(du).all(axis=1) & np.isfinite(ddu).all(axis=(1, 2))
+        raise NonFiniteJetError(f"non-finite jet of {field.name} at {X[np.argmin(finite)].tolist()}")
+    if k < len(X):
+        raise OutOfDomainError(f"point {X[k].tolist()} outside domain of {field.name}")
+    return u, du, ddu
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OutOfDomainError, NonFiniteJetError) as err:
+        return type(err), str(err)
+
+
+class TestEvalJetsDomainCheck:
+    """eval_jets tests membership with one stacked contains call, with the
+    field's margin at each row, and raises for the first failing row."""
+
+    def _cases(self):
+        trig = random_trig_field(2, 3)
+        fd = FiniteDifferenceField(trig.value, 2, trig.domain)
+        grid = sample_to_grid(trig, (-1.0, -1.0), 0.1, (21, 21))
+        return {
+            # trig has no margin: the band row lies just outside the ball
+            "trig": (trig, np.array([np.nextafter(2.0, 3.0), 0.0])),
+            # FD's margin grows with |x|: inside the ball, not its stencil band
+            "fd": (fd, np.array([0.0, 2.0 - 1e-4])),
+            # a grid is evaluated 2h inside its box
+            "grid": (grid, np.array([0.3, 1.0 - 0.15])),
+        }
+
+    @pytest.mark.parametrize("case", ["trig", "fd", "grid"])
+    def test_first_failing_row_raises(self, case):
+        field, band = self._cases()[case]
+        X = np.array([[0.1, 0.2], [-0.4, 0.3], band, [0.2, -0.1], [5.0, 5.0]])
+        if case != "trig":
+            assert field.domain.contains(band)
+        assert not field.domain.contains(band, margin=field.margin(band))
+        got = _outcome(eval_jets, field, X)
+        assert got == (OutOfDomainError, f"point {band.tolist()} outside domain of {field.name}")
+        assert got == _outcome(reference_eval_jets, field, X)
+        for rows in (X[:2], X[1:2], X[:0]):
+            for a, b in zip(eval_jets(field, rows), reference_eval_jets(field, rows)):
+                assert np.array_equal(a, b)
+
+    def test_fd_margin_per_row(self):
+        fd = FiniteDifferenceField(random_trig_field(3, 1).value, 3)
+        X = np.random.default_rng(2).uniform(-3.0, 3.0, size=(50, 3))
+        eps = float(np.finfo(float).eps)
+        # the scalar margin as it was computed before it took stacks
+        scales = [max(1.0, float(np.linalg.norm(x))) for x in X]
+        want = [2.0 * max(eps ** (1.0 / 3.0) * s, eps**0.25 * s) for s in scales]
+        assert fd.margin(X).tolist() == want
+        assert [float(fd.margin(x)) for x in X] == want
+
+    def test_non_finite_row_before_an_outside_row(self):
+        field = Constant(2, np.inf)
+        X = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        assert _outcome(eval_jets, field, X) == _outcome(reference_eval_jets, field, X)
+        assert _outcome(eval_jets, field, X)[0] is NonFiniteJetError
+
+
+def reference_sample_to_grid(field, origin, h, counts):
+    """sample_to_grid as the per-node loop of value it was."""
+    values = np.empty(counts)
+    for idx in itertools.product(*(range(c) for c in counts)):
+        values[idx] = field.value(np.asarray(origin, dtype=float) + h * np.asarray(idx, dtype=float))
+    return values
+
+
+class TestSampleToGrid:
+    @pytest.mark.parametrize("spec, origin, h, counts", [
+        ("trig:3", (-1.0, -1.0), 0.1, (21, 21)),
+        ("trig:5", (-0.7, -0.5, -0.6), 0.13, (6, 7, 5)),
+        ("poly:0.1,0.3,-0.2,0.5,0.4,-0.3", (-1.2, -0.9), 0.07, (23, 19)),
+        ("radial:S-u:0.5", (0.55, 0.05), 0.02, (11, 12)),
+    ])
+    def test_samples_are_the_node_loop(self, spec, origin, h, counts):
+        field = parse_field(spec, len(origin))
+        grid = sample_to_grid(field, origin, h, counts)
+        want = reference_sample_to_grid(field, origin, h, counts)
+        assert grid.samples.shape == counts
+        assert np.array_equal(grid.samples, want)
+
+    def test_pointwise_error_of_the_first_undefined_node(self):
+        field = parse_field("radial:S-u:0.5", 2)
+        args = ((-0.3, -0.2), 0.05, (13, 11))  # nodes in the hole of the annulus
+        with pytest.raises(OutOfDomainError) as want:
+            reference_sample_to_grid(field, *args)
+        with pytest.raises(OutOfDomainError) as got:
+            sample_to_grid(field, *args)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_kernel_samples_are_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            sample_to_grid(Constant(2, np.nan), (0.0, 0.0), 0.1, (6, 6))
+
+
+def reference_ray_extent(dom, center, d, margin):
+    """ray_extent as the per-direction code it was before it took stacks."""
+    if isinstance(dom, Box):
+        lo, hi = np.asarray(dom.lo) + margin, np.asarray(dom.hi) - margin
+        t = np.inf
+        for k in range(len(d)):
+            if d[k] > 0:
+                t = min(t, (hi[k] - center[k]) / d[k])
+            elif d[k] < 0:
+                t = min(t, (lo[k] - center[k]) / d[k])
+        return max(t, 0.0)
+    c = center - dom._center()
+    r = dom.rim - margin
+    b = float(c @ d)
+    disc = b * b - (c @ c - r * r)
+    return 0.0 if disc < 0 else max(-b + np.sqrt(disc), 0.0)
+
+
+class TestStackedRayExtent:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_are_the_per_direction_extent(self, n, seed):
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-0.5, 0.5, n) * rng.integers(0, 2)
+        off = tuple(rng.uniform(-0.3, 0.3, n))
+        D = rng.standard_normal((10, n))
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        D[0, 0], D[1], D[2] = 0.0, 0.0, np.eye(n)[0]  # axis-parallel and zero directions
+        domains = [
+            Box(tuple(-rng.uniform(0.5, 1.5, n)), tuple(rng.uniform(0.5, 1.5, n))),
+            Box(tuple(np.full(n, -np.inf)), tuple(np.ones(n))),
+            Ball(n, 1.3), Ball(n, 0.9, center=off), Ball(n, 0.1, center=tuple(np.full(n, 2.0))),
+            Annulus(n, 0.3, 1.0, center=off), whole_space(n),
+        ]
+        for dom in domains:
+            for m in (0.0, 1e-6):
+                want = [reference_ray_extent(dom, center, d, m) for d in D]
+                assert dom.ray_extent(center, D, margin=m).tolist() == want
+                assert [dom.ray_extent(center, d, margin=m) for d in D] == want

@@ -12,11 +12,13 @@ from curv.fields import (
     FiniteDifferenceField,
     Paraboloid,
     Plane,
+    PointwiseField,
     PolynomialField,
     QuadraticCup,
     SphereCap,
     random_trig_field,
     sample_to_grid,
+    whole_space,
 )
 from curv.fieldspec import parse_field
 from curv.graphgeom import DELTA_REG, flat_base
@@ -311,6 +313,48 @@ class TestSliceScanReference:
         for p in pts:
             assert grid.domain.contains(p, margin=grid.margin(p))
             check("prod", grid, eps, p)
+
+
+class HoleyQuadratic(PointwiseField):
+    """u = (x_1 - 0.1)(x_1 - 0.3), undefined on a band |x_1 - 0.3| < 1e-3
+    that holds its second zero on the first ray but no scan sample."""
+
+    dim = 2
+    domain = whole_space(2)
+    name = "holey"
+
+    def value(self, x):
+        if abs(x[0] - 0.3) < 1e-3:
+            raise OutOfDomainError(f"point {np.asarray(x).tolist()} in the hole")
+        return float((x[0] - 0.1) * (x[0] - 0.3))
+
+    def gradient(self, x):
+        return np.array([2.0 * x[0] - 0.4, 0.0])
+
+    def hessian(self, x):
+        return np.diag([2.0, 0.0])
+
+
+class TestNanLanes:
+    """A root solve that meets an undefined point raises the field's own
+    error, as the scalar brentq loop did, where that loop reached it."""
+
+    def test_reached_lane_raises_the_pointwise_error(self, monkeypatch):
+        field, d = HoleyQuadratic(), np.array([1.0, 0.0])
+        with pytest.raises(OutOfDomainError) as want:
+            reference_ray(field, 0.0, np.zeros(2), d)
+        monkeypatch.setattr(inequality, "unit_directions", lambda dim, count, seed: d[None])
+        with pytest.raises(OutOfDomainError) as got:
+            slice_points(field, 0.0, rays=1)
+        assert str(got.value) == str(want.value)
+
+    def test_lane_past_the_cap_is_not_solved(self, monkeypatch):
+        field, d = HoleyQuadratic(), np.array([1.0, 0.0])
+        want = reference_ray(field, 0.0, np.zeros(2), d, max_per_ray=1)
+        monkeypatch.setattr(inequality, "unit_directions", lambda dim, count, seed: d[None])
+        got = slice_points(field, 0.0, rays=1, max_per_ray=1)
+        assert len(got) == len(want) == 1
+        assert np.array_equal(got[0], want[0])
 
 
 def reference_probes(field, seed, probes=256):
