@@ -166,6 +166,10 @@ class ScalarField:
     def gradient(self, x) -> np.ndarray:
         return self.jets(np.asarray(x, dtype=float))[1]
 
+    def gradients(self, X) -> np.ndarray:
+        """Du on the rows of a stack X, shape (m, n), as jets(X)[1]."""
+        return self.jets(X)[1]
+
     def hessian(self, x) -> np.ndarray:
         return self.jets(np.asarray(x, dtype=float))[2]
 
@@ -180,10 +184,10 @@ class ScalarField:
 
 class PointwiseField(ScalarField):
     """Base class of the pointwise kinds. A kind defines `value`, and
-    `gradient` and `hessian` or else `jet`, at one point; `values` and
-    `jets` are their loops over the rows of a stack, and a point is the
-    one-point method's case. A row of `values` is NaN exactly where `value`
-    raises OutOfDomainError; `values` takes any leading axes.
+    `gradient` and `hessian` or else `jet`, at one point; `values`, `jets`
+    and `gradients` are their loops over the rows of a stack, and a point is
+    the one-point method's case. A row of `values` is NaN exactly where
+    `value` raises OutOfDomainError; `values` takes any leading axes.
     """
 
     def value(self, x) -> float:  # pragma: no cover - abstract
@@ -195,13 +199,14 @@ class PointwiseField(ScalarField):
     def values(self, X):
         if np.ndim(X) == 1:
             return self.value(X)
-        out = np.empty(np.shape(X)[:-1])
-        for i, x in enumerate(np.reshape(X, (-1, self.dim))):
+        rows = np.reshape(X, (-1, self.dim))
+        out = np.empty(len(rows))
+        for i, x in enumerate(rows):
             try:
-                out.flat[i] = self.value(x)
+                out[i] = self.value(x)
             except OutOfDomainError:
-                out.flat[i] = np.nan
-        return out
+                out[i] = np.nan
+        return out.reshape(np.shape(X)[:-1])
 
     def jets(self, X):
         if np.ndim(X) == 1:
@@ -214,6 +219,9 @@ class PointwiseField(ScalarField):
             np.array([j.gradient for j in rows], dtype=float).reshape(m, n),
             np.array([j.hessian for j in rows], dtype=float).reshape(m, n, n),
         )
+
+    def gradients(self, X):
+        return np.array([self.gradient(x) for x in X], dtype=float).reshape(len(X), self.dim)
 
 
 def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

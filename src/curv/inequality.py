@@ -19,7 +19,7 @@ least n-1; the report carries both deviations and an equality flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +46,9 @@ WHICH = ("prod", "phi", "euclid", "sphere")
 UMBILIC_TOL = 1e-6
 MULTIPLICITY_TOL = 1e-6
 
+#: slice_points' scan samples per ray and roots kept per ray
+SAMPLES_PER_RAY, MAX_PER_RAY = 160, 2
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -65,21 +68,8 @@ class InequalityReport:
     extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "which": self.which,
-            "x": list(self.x),
-            "eps": self.eps,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "cos_angle": self.cos_angle,
-            "h_mean": self.h_mean,
-            "h_sigma": self.h_sigma,
-            "kappa": self.kappa,
-            "umbilicity_deviation": self.umbilicity_deviation,
-            "multiplicity_diagnostic": self.multiplicity_diagnostic,
-            "equality_detected": self.equality_detected,
-        }
+        out = {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "extras"}
+        out["x"] = list(self.x)
         out.update({k: v for k, v in sorted(self.extras.items())})
         return out
 
@@ -240,7 +230,7 @@ def check(which: str, field: ScalarField, eps: float, x, ambient: AmbientSpec | 
 # slice-point sampling
 
 
-def _slice_rows(at, eps, dirs, center, delta_reg: float = DELTA_REG, samples_per_ray: int = 160, max_per_ray: int = 2):
+def _slice_rows(at, eps, dirs, center, delta_reg: float, samples_per_ray: int, max_per_ray: int):
     """slice_points of each member f of a family at its levels eps[f], along
     its rays dirs[f]: the arrays (f, j, points) of the rows, in the order
     field, level, ray, root. `at(idx)` is member idx, or a family for an
@@ -261,7 +251,7 @@ def _slice_rows(at, eps, dirs, center, delta_reg: float = DELTA_REG, samples_per
     P = center + roots[:, None] * d
     ok = ~np.isnan(roots)
     ok[ok] = dom.contains(P[ok], margin=at(f[ok]).margin(P[ok]))
-    grad = at(f[ok]).jets(P[ok])[1]
+    grad = at(f[ok]).gradients(P[ok])
     ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < delta_reg)  # np.linalg.norm of each row, bit for bit
     ray, before = (f * L + j) * R + r, np.cumsum(ok) - ok
     reached = before - before[np.searchsorted(ray, ray)] < max_per_ray  # fewer roots kept before it on its ray
@@ -279,8 +269,8 @@ def slice_points(
     seed: int = 0,
     center=None,
     delta_reg: float = DELTA_REG,
-    samples_per_ray: int = 160,
-    max_per_ray: int = 2,
+    samples_per_ray: int = SAMPLES_PER_RAY,
+    max_per_ray: int = MAX_PER_RAY,
 ) -> list[np.ndarray]:
     """Deterministic points of {u = eps}: 1-D root finding along rays from the
     center (golden-angle directions in 2-D, seeded unit vectors otherwise),
@@ -338,7 +328,7 @@ def family_slices(family, count: int, level_seeds: Sequence[int], ray_seeds: Seq
     a nonempty trig family: the levels (F, count) and _slice_rows' rows."""
     eps = _levels(family.rows, [_probe_points(family.domain, family.dim, s, 256) for s in level_seeds], count)
     dirs = np.stack([unit_directions(family.dim, rays, s) for s in ray_seeds])
-    return (eps, *_slice_rows(family.rows, eps, dirs, np.zeros(family.dim)))
+    return (eps, *_slice_rows(family.rows, eps, dirs, np.zeros(family.dim), DELTA_REG, SAMPLES_PER_RAY, MAX_PER_RAY))
 
 
 # ---------------------------------------------------------------------------

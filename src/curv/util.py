@@ -103,13 +103,13 @@ def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def brentq_lanes(f, a, b, xtol: float, rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100) -> np.ndarray:
+def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     """Brent's method on lanes, lane i on [a[i], b[i]]: a step-for-step array
     port of scipy's `brentq.c` (Brent 1973, ch. 4), so each root equals
-    `scipy.optimize.brentq`'s bit for bit. `f(x, lanes)` is f at x[j] on lane
-    lanes[j], called on both ends at once, then once per iteration on the
-    open lanes. A lane where f is NaN (brentq raises) gets root NaN; ends of
-    one sign raise ValueError, and no convergence RuntimeError."""
+    `scipy.optimize.brentq`'s at its default rtol, bit for bit. `f(x, lanes)`
+    is f at x[j] on lane lanes[j], called on both ends at once, then once per
+    iteration on the open lanes. A lane where f is NaN (brentq raises) gets
+    root NaN; one-sign ends raise ValueError, and no convergence RuntimeError."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     lanes = np.arange(a.size)
     fpre, fcur = np.split(f(np.concatenate([a, b]), np.concatenate([lanes, lanes])), 2)
@@ -128,7 +128,7 @@ def brentq_lanes(f, a, b, xtol: float, rtol: float = 4.0 * np.finfo(float).eps, 
             swap = np.abs(fblk) < np.abs(fcur)
             xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
             fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (xtol + rtol * np.abs(xcur)) / 2
+            delta = (xtol + 4.0 * np.finfo(float).eps * np.abs(xcur)) / 2  # brentq's default rtol
             sbis = (xblk - xcur) / 2
             done = live & ((fcur == 0) | (np.abs(sbis) < delta))
             root[done] = xcur[done]

@@ -406,6 +406,25 @@ class TestBatchedValues:
         assert batched.shape == (len(X),)
         assert np.array_equal(batched, pointwise, equal_nan=True)
 
+    @pytest.mark.parametrize("kind", sorted(BATCHED_CASES))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_gradients_are_the_gradient_loop(self, kind, data):
+        field = BATCHED_CASES[kind]
+        X = data.draw(sample_rows(field.dim))
+        X = X[~np.isnan(_pointwise_values(field, X))]
+        with np.errstate(invalid="ignore"):  # a radial jet at its rim has a non-finite Hessian
+            got, loop, jets = field.gradients(X), [field.gradient(x) for x in X], field.jets(X)
+        assert got.shape == X.shape
+        assert np.array_equal(got, np.reshape(loop, X.shape), equal_nan=True)
+        assert np.array_equal(got, jets[1], equal_nan=True)
+
+    def test_pointwise_gradients_read_no_hessian(self, monkeypatch):
+        cap = SphereCap(2, 1.0, height=0.2)
+        monkeypatch.setattr(SphereCap, "hessian", lambda self, x: pytest.fail("Hessian read"))
+        monkeypatch.setattr(SphereCap, "value", lambda self, x: pytest.fail("value read"))
+        assert cap.gradients(np.array([[0.1, 0.2], [-0.3, 0.4]])).shape == (2, 2)
+
     @pytest.mark.parametrize("kind", ["radial-S-u", "radial-S-v", "radial-E-f"])
     def test_radial_value_is_the_jet_value(self, kind):
         field = BATCHED_CASES[kind]

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from curv.cli import main
 from curv.fields import random_trig_field, trig_family
 from curv.graphgeom import extrinsic_points, flat_base, minor_relation_residuals, slice_frames
-from curv.inequality import WHICH, checks, pick_levels, run_suite, slice_points
+from curv.inequality import WHICH, _probe_points, checks, family_slices, pick_levels, run_suite, slice_points
 from curv.util import brentq_lanes, unit_directions
 
 
@@ -162,12 +162,59 @@ class TestWholeSuiteRoute:
         assert suite.points == 0 and np.isnan(suite.min_gap)
 
 
+def probe_counts(dim, seeds, level_seeds):
+    return [len(_probe_points(random_trig_field(dim, s).domain, dim, t, 256)) for s, t in zip(seeds, level_seeds)]
+
+
+class TestRaggedProbes:
+    """At large n few of the probe draws from the cube [-1.5, 1.5]^n land in
+    Ball(n, 2), so members keep different numbers of probes, or none."""
+
+    @pytest.mark.parametrize("which", WHICH)
+    def test_ragged_counts_equal_the_per_field_route(self, which):
+        # n = 12: each member keeps 100 to 140 of its 12,800 draws
+        counts = probe_counts(12, [0, 1000, 2000], [7, 1007, 2007])
+        assert len(set(counts)) == 3 and 0 < min(counts) and max(counts) < 256
+        suite = run_suite(which, dim=12, n_fields=3, rays=4, levels=2, seed=0)
+        want = per_field_route(which, 12, 3, 4, 2, 0)
+        assert suite.points == len(want) > 0
+        assert [r.to_dict() for r in suite.reports] == [r.to_dict() for r in want]
+
+    def test_a_member_with_no_probes_has_nan_levels(self):
+        # n = 16, seed 0: the fifth member keeps none of its draws
+        seeds = [1000 * k for k in range(5)]
+        counts = probe_counts(16, seeds, [s + 7 for s in seeds])
+        assert counts[4] == 0 < min(counts[:4]) and len(set(counts)) > 2
+        family = trig_family([random_trig_field(16, s) for s in seeds])
+        eps, f, _, X = family_slices(family, 2, [s + 7 for s in seeds], [s + 13 for s in seeds], 4)
+        assert np.isnan(eps[4]).all() and 4 not in f
+        for k, s in enumerate(seeds[:4]):
+            assert eps[k].tolist() == pick_levels(random_trig_field(16, s), 2, s + 7)
+        with pytest.raises(ValueError) as want:
+            per_field_route("prod", 16, 5, 4, 2, 0)
+        with pytest.raises(ValueError) as got:
+            run_suite("prod", dim=16, n_fields=5, rays=4, levels=2, seed=0)
+        assert str(got.value) == str(want.value)
+
+    def test_verify_minor_skips_a_member_with_no_probes(self, capsys):
+        # n = 17, seed 6: the third field keeps none of its draws, the others 2 to 6
+        counts = probe_counts(17, [6, 7, 8, 9], [6, 7, 8, 9])
+        assert counts[2] == 0 and len({c for c in counts if c}) == 3
+        rc = main(["verify", "minor", "--dim", "17", "--fields", "4", "--points", "3", "--seed", "6"])
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        assert rc == 0 and result["points_checked"] > 0
+        assert (result["points_checked"], result["worst_analytic_residual"]) == per_field_minor(17, 4, 3, 6)
+
+
 def per_field_minor(dim, n_fields, points, seed):
     """The analytic half of `verify minor` by the per-field route."""
     checked, worst = 0, 0.0
     for i in range(n_fields):
         f = random_trig_field(dim, seed + i)
-        eps = pick_levels(f, 1, seed + i)[0]
+        try:
+            eps = pick_levels(f, 1, seed + i)[0]
+        except ValueError:  # no level probes: the field is skipped
+            continue
         pts = slice_points(f, eps, rays=max(2, points // 2), seed=seed + i)[:points]
         if pts:
             p = extrinsic_points(f, flat_base(dim), np.array(pts))
