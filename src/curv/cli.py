@@ -10,6 +10,7 @@ or nothing checked, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 
 import numpy as np
 
@@ -409,7 +410,9 @@ def _handle_example(args, tol):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="curv",
         description="Extrinsic geometry of graph hypersurfaces in product and "

@@ -27,12 +27,6 @@ from .metrics import AmbientSpec, PhiJet
 from .util import Stacked, as_point, maxabs
 
 
-def spherical_phi(point) -> tuple[float, np.ndarray]:
-    """phi = (1 + |X|^2)/2 and its ambient gradient X, for X in R^{n+1}."""
-    x = np.asarray(point, dtype=float)
-    return (1.0 + float(x @ x)) / 2.0, x.copy()
-
-
 def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
     """Abar = phi A + nu(phi) I for the factor value and normal derivative,
     at a point or row by row over a stack."""

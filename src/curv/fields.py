@@ -5,14 +5,17 @@ Each field kind has one evaluation route, on one of two bases:
 * `ScalarField` kinds are array kernels: a kind defines `values(X)` and
   `jets(X)` on a point or a stack of points, and `value`, `gradient`,
   `hessian` and `jet` are their point case. These are the trig, paraboloid,
-  cup, plane and constant built-ins, gridded samples with local quadratic
-  tensor interpolation (an index gather), and the rotated, negated and
-  scaled wrappers of any field.
+  cup, plane, constant and polynomial built-ins, gridded samples with local
+  quadratic tensor interpolation (an index gather), and the rotated,
+  negated and scaled wrappers of any field. A kernel raises to a power with
+  `np.float_power`, which calls C `pow` per element as scalar `**` does;
+  array `**` rounds differently, and a kernel must equal the per-point
+  formula bit for bit.
 * `PointwiseField` kinds define the one-point methods, and `values` and
-  `jets` loop over rows. These are the polynomial and sphere-cap built-ins,
-  whose integer powers round differently in array form, radial profiles,
-  and finite differences on any value callable (central stencils, order 2),
-  which serve as an independent oracle.
+  `jets` loop over rows. These are the sphere-cap built-in, whose `value`
+  raises OutOfDomainError past the rim, radial profiles, and finite
+  differences on any value callable (central stencils, order 2), which
+  serve as an independent oracle.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -353,8 +356,16 @@ class SphereCap(PointwiseField):
         return -np.eye(self.dim) / s - np.outer(x, x) / s**3
 
 
-class PolynomialField(PointwiseField):
-    """u = sum of coeff * x^alpha over multi-indices alpha."""
+class PolynomialField(ScalarField):
+    """u = sum of coeff * x^alpha over multi-indices alpha.
+
+    u, each D_k u and each D_k D_l u is a polynomial, kept as a row of a
+    (coefficient, exponents) table in the order of `terms`, padded with zero
+    terms. A row of the kernel raises each coordinate to its exponent with
+    np.float_power, multiplies the powers from the first axis on, and adds
+    the terms in order (cumsum), so a point's jet is the term-by-term
+    formula with scalar `**` bit for bit.
+    """
 
     def __init__(self, dim: int, terms: Sequence[tuple[float, tuple[int, ...]]]):
         self.dim = dim
@@ -365,48 +376,33 @@ class PolynomialField(PointwiseField):
         self.domain = whole_space(dim)
         self.name = "poly"
 
-    @staticmethod
-    def _mono(x, a):
-        v = 1.0
-        for xk, ek in zip(x, a):
-            v *= xk**ek
-        return v
+        eye = np.eye(dim, dtype=int)
+        table = [self.terms]
+        table += [[(c * a[k], a - eye[k]) for c, a in self.terms if a[k]] for k in range(dim)]
+        table += [
+            [(c * (a[k] * (a[l] - (k == l))), a - eye[k] - eye[l]) for c, a in self.terms if a[k] and a[l] - (k == l)]
+            for k in range(dim)
+            for l in range(dim)
+        ]
+        width = max(1, *map(len, table))
+        pad = [(0.0, [0] * dim)]
+        table = [row + pad * (width - len(row)) for row in table]
+        self._coeffs = np.array([[c for c, _ in row] for row in table])
+        self._exps = np.array([[a for _, a in row] for row in table], dtype=float)
 
-    def value(self, x):
-        return float(sum(c * self._mono(x, a) for c, a in self.terms))
+    def _sums(self, X, rows):
+        """The table rows `rows` (a slice) at a point or at the rows of a stack, last axis."""
+        powers = np.float_power(X[..., None, None, :], self._exps[rows])
+        terms = self._coeffs[rows] * np.multiply.accumulate(powers, axis=-1)[..., -1]
+        # cumsum adds in term order; + 0.0 is the 0.0 the sum starts from
+        return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
-    def gradient(self, x):
-        g = np.zeros(self.dim)
-        for c, a in self.terms:
-            for k, ek in enumerate(a):
-                if ek == 0:
-                    continue
-                aa = list(a)
-                aa[k] -= 1
-                g[k] += c * ek * self._mono(x, aa)
-        return g
+    def values(self, X):
+        return self._sums(X, slice(1))[..., 0]
 
-    def hessian(self, x):
-        h = np.zeros((self.dim, self.dim))
-        for c, a in self.terms:
-            for k, ek in enumerate(a):
-                if ek == 0:
-                    continue
-                for l, el_ in enumerate(a):
-                    aa = list(a)
-                    aa[k] -= 1
-                    mult = ek
-                    if l == k:
-                        if aa[k] == 0:
-                            continue
-                        mult *= aa[k]
-                    else:
-                        if el_ == 0:
-                            continue
-                        mult *= el_
-                    aa[l] -= 1
-                    h[k, l] += c * mult * self._mono(x, aa)
-        return h
+    def jets(self, X):
+        n, s = self.dim, self._sums(X, slice(None))
+        return s[..., 0], s[..., 1 : n + 1], s[..., n + 1 :].reshape(s.shape[:-1] + (n, n))
 
 
 class TrigField(ScalarField):

@@ -33,7 +33,7 @@ from scipy.linalg import lapack
 from .errors import NonRegularPointError, NotOnLevelError
 from .fields import FiniteDifferenceField, ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import Stacked, as_point, as_points
+from .util import Stacked, as_point, as_points, outer
 
 #: default regularity threshold for slice frames
 DELTA_REG = 1e-6
@@ -83,11 +83,6 @@ class ExtrinsicPoint(Stacked):
         )
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.outer of each row pair."""
-    return a[:, :, None] * b[:, None, :]
-
-
 def _t(a: np.ndarray) -> np.ndarray:
     """The transpose of each matrix of a stack."""
     return np.swapaxes(a, -1, -2)
@@ -132,10 +127,10 @@ def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
     w = np.sqrt(w2)
 
     hess_cov = hess - np.einsum("imkj,im->ikj", mj.gamma, grad)
-    proj = mj.ginv - _outer(grad_up, grad_up) / w2[:, None, None]
+    proj = mj.ginv - outer(grad_up, grad_up) / w2[:, None, None]
     a = proj @ hess_cov / w[:, None, None]
 
-    gm = mj.g + _outer(grad, grad)
+    gm = mj.g + outer(grad, grad)
     h_form = gm @ a
     h_form = 0.5 * (h_form + _t(h_form))
     principal = _generalized_eigvalsh(h_form, gm)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConformalFactorError, MetricNotPositiveError
-from .util import Stacked, as_point
+from .util import Stacked, as_point, outer
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,14 @@ class MetricJet(Stacked):
 
 
 class Metric:
-    """Base of the metric kinds: `jet(x)` at a point, and `jets(X)`, the
-    MetricJet stack on the rows of X, shape (m, n), whose row i equals
-    jet(X[i]) bit for bit. The base class stacks `jet` row by row."""
+    """Base of the metric kinds. A kind defines one of `jets(X)`, the
+    MetricJet stack on the rows of X, shape (m, n), and `jet(x)`, the jet at
+    one point. The other is derived: `jet(x)` is row 0 of the stack of x, and
+    `jets` stacks `jet` row by row, so row i of a stack equals jet(X[i]) bit
+    for bit either way."""
+
+    def jet(self, x) -> MetricJet:
+        return self.jets(as_point(x, self.dim)[None]).row(0)
 
     def jets(self, X) -> MetricJet:
         return MetricJet.from_rows([self.jet(x) for x in X])
@@ -55,11 +60,6 @@ class FlatMetric(Metric):
     def components(self, x) -> np.ndarray:
         return np.eye(self.dim)
 
-    def jet(self, x) -> MetricJet:
-        n = self.dim
-        eye = np.eye(n)
-        return MetricJet(eye, eye, np.zeros((n, n, n)), np.zeros((n, n)), 0.0)
-
     def jets(self, X) -> MetricJet:
         m, n = len(X), self.dim
         eye = np.repeat(np.eye(n)[None], m, axis=0)
@@ -69,7 +69,12 @@ class FlatMetric(Metric):
 class ConformalMetric(Metric):
     """g = phi(x)^-2 delta with closed-form curvature.
 
-    factor_jet(x) must return (phi, grad phi, hess phi); phi must be positive.
+    factor_jet(X) takes a point, shape (n,), or a stack of rows, shape
+    (m, n), and returns (phi, grad phi, hess phi): shapes (), (n,), (n, n)
+    at a point and (m,), (m, n), (m, n, n) on a stack, where hess phi may
+    be any array that broadcasts to its shape; phi must be positive. The
+    jets are one array program over the rows, with every power a
+    `np.float_power`, which rounds as scalar `**` does.
     """
 
     kind = "conformal"
@@ -80,40 +85,36 @@ class ConformalMetric(Metric):
         self.name = name
 
     def components(self, x) -> np.ndarray:
-        phi, _, _ = self.factor_jet(as_point(x, self.dim))
-        if phi <= 0:
-            raise ConformalFactorError(f"conformal factor {phi} is not positive at {x}")
-        return np.eye(self.dim) / phi**2
+        return self.jet(x).g
 
-    def jet(self, x) -> MetricJet:
-        x = as_point(x, self.dim)
+    def jets(self, X) -> MetricJet:
         n = self.dim
-        phi, dphi, ddphi = self.factor_jet(x)
-        if phi <= 0:
-            raise ConformalFactorError(f"conformal factor {phi} is not positive at {x}")
-        dphi = np.asarray(dphi, dtype=float)
-        ddphi = np.asarray(ddphi, dtype=float)
+        phi, dphi, ddphi = self.factor_jet(X)
+        bad = phi <= 0
+        if bad.any():
+            i = np.argmax(bad)
+            raise ConformalFactorError(f"conformal factor {phi[i]} is not positive at {X[i]}")
         # g = e^{2w} delta with w = -log(phi)
-        w1 = -dphi / phi
-        w2 = -ddphi / phi + np.outer(dphi, dphi) / phi**2
-        lap_w = float(np.trace(w2))
-        grad2 = float(w1 @ w1)
+        phi2 = np.float_power(phi, 2)[:, None, None]
+        w1 = -dphi / phi[:, None]
+        w2 = -ddphi / phi[:, None, None] + outer(dphi, dphi) / phi2
+        lap_w = w2.diagonal(0, 1, 2).sum(1)
+        grad2 = np.vecdot(w1, w1)
         eye = np.eye(n)
         # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k
         gamma = (
-            np.einsum("ki,j->kij", eye, w1)
-            + np.einsum("kj,i->kij", eye, w1)
-            - np.einsum("ij,k->kij", eye, w1)
+            eye[:, :, None] * w1[:, None, None, :]
+            + eye[:, None, :] * w1[:, None, :, None]
+            - eye * w1[:, :, None, None]
         )
-        ricci = -(n - 2) * (w2 - np.outer(w1, w1)) - (lap_w + (n - 2) * grad2) * eye
-        scalar = phi**2 * (-2.0 * (n - 1) * lap_w - (n - 1) * (n - 2) * grad2)
-        g = eye / phi**2
-        ginv = eye * phi**2
-        return MetricJet(g, ginv, gamma, ricci, float(scalar))
+        ricci = -(n - 2) * (w2 - outer(w1, w1)) - (lap_w + (n - 2) * grad2)[:, None, None] * eye
+        scalar = phi2[:, 0, 0] * (-2.0 * (n - 1) * lap_w - (n - 1) * (n - 2) * grad2)
+        return MetricJet(eye / phi2, eye * phi2, gamma, ricci, scalar)
 
 
 class GeneralMetric(Metric):
-    """Metric from a component callable; curvature via fourth-order stencils."""
+    """Metric from a component callable; curvature via fourth-order stencils
+    at one point (the finite-difference oracle), stacked row by row."""
 
     kind = "general"
 
@@ -142,10 +143,7 @@ class GeneralMetric(Metric):
         n, h = self.dim, self.step
         g0 = self.components(x)
         self._check_spd(g0, x)
-
-        def comp(y):
-            return self.components(y)
-
+        comp = self.components
         # fourth-order first derivatives dg[k] = d_k g
         dg = np.zeros((n, n, n))
         for k in range(n):
@@ -212,7 +210,7 @@ def _assemble_curvature(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Metri
 
 def metric_jet(metric, x) -> MetricJet:
     """Metric data at x for any of the metric kinds."""
-    return metric.jet(as_point(x, metric.dim))
+    return metric.jet(x)
 
 
 def as_general(metric, step: float = 1e-3) -> GeneralMetric:
@@ -222,9 +220,10 @@ def as_general(metric, step: float = 1e-3) -> GeneralMetric:
 
 def round_sphere_factor(x):
     """phi = (1 + |x|^2)/2, the factor whose metric phi^-2 delta is the round
-    unit sphere (less a point)."""
+    unit sphere (less a point); at a point or at the rows of a stack, whose
+    Hessians are all the one identity matrix."""
     x = np.asarray(x, dtype=float)
-    return (1.0 + float(x @ x)) / 2.0, x.copy(), np.eye(x.size)
+    return (1.0 + np.vecdot(x, x)) / 2.0, x.copy(), np.eye(x.shape[-1])
 
 
 def round_sphere_base(dim: int) -> ConformalMetric:
@@ -248,10 +247,14 @@ class PhiJet(Stacked):
 @dataclass(frozen=True)
 class AmbientSpec:
     """Base metric g on N plus the conformal factor phi(x, t) of the ambient
-    metric phi^-2 (g + dt^2); phi_jet is None for the plain product metric."""
+    metric phi^-2 (g + dt^2); phi_jet is None for the plain product metric.
+
+    phi_jet(x, t) takes a point x, shape (n,), with its height t, or a stack
+    of rows x, shape (m, n), with heights t, shape (m,), and returns the
+    PhiJet at the point or the PhiJet stack at the rows."""
 
     base: object
-    phi_jet: Callable[[np.ndarray, float], PhiJet] | None = None
+    phi_jet: Callable[[np.ndarray, np.ndarray], PhiJet] | None = None
     name: str = "product"
 
     @property
@@ -273,17 +276,13 @@ class AmbientSpec:
         return self.phis(np.asarray(x, dtype=float)[None], np.array([t], dtype=float)).row(0)
 
     def phis(self, X: np.ndarray, t: np.ndarray) -> PhiJet:
-        """The PhiJet stack at the rows (X[i], t[i]); row i equals phi(X[i],
-        t[i]) bit for bit. The round factor is one array kernel, any other
-        factor is evaluated row by row. The first row with a factor that is
-        not positive raises ConformalFactorError."""
+        """The PhiJet stack at the rows (X[i], t[i]), one call of phi_jet;
+        row i equals phi(X[i], t[i]) bit for bit. The first row with a
+        factor that is not positive raises ConformalFactorError."""
         m = len(X)
         if self.phi_jet is None:
             return PhiJet(np.ones(m), np.zeros((m, self.base.dim)), np.zeros(m))
-        if self.phi_jet is round_ambient_factor:
-            out = round_ambient_factor(X, t)
-        else:
-            out = PhiJet.from_rows([self.phi_jet(x, float(ti)) for x, ti in zip(X, t)])
+        out = self.phi_jet(X, t)
         bad = out.value <= 0
         if bad.any():
             i = np.argmax(bad)
@@ -313,6 +312,6 @@ def constant_ambient(dim: int, value: float = 1.0) -> AmbientSpec:
         raise ConformalFactorError("constant factor must be positive")
 
     def jet(x, t):
-        return PhiJet(float(value), np.zeros(dim), 0.0)
+        return PhiJet(np.full(np.shape(t), float(value)), np.zeros(np.shape(x)), np.zeros(np.shape(t)))
 
     return AmbientSpec(FlatMetric(dim), jet, f"constant({value})")

@@ -82,6 +82,11 @@ def _new(cls, values: dict):
     return obj
 
 
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer of two vectors, or of each pair of rows of two stacks."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def maxabs(a) -> float:
     a = np.asarray(a, dtype=float)
     return float(np.max(np.abs(a))) if a.size else 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curv import __version__
-from curv.cli import main
+from curv.cli import build_parser, main
 from curv.fields import Paraboloid, random_trig_field, sample_to_grid
 
 
@@ -297,6 +297,10 @@ class TestDeterminism:
         assert a.read_bytes() != b.read_bytes()
 
 
+#: a full cubic in two variables (graded lex), for the pinned poly reports
+POLY3 = "poly:0.3,-0.2,0.5,0.1,-0.4,0.25,0.15,-0.35,0.2,0.05"
+
+
 class TestGoldenReports:
     """The seeded verify_all stages at small sizes keep their results bit for
     bit. The hashes were recorded with Python 3.11, numpy 2.4 and scipy 1.17
@@ -345,9 +349,10 @@ class TestGoldenReports:
         digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
         assert digest == self.SHA256[stage, seed]
 
-    #: the unseeded example stages, one `point` run per field kind, three
-    #: `slice` sweeps and two barrier slides; the point reports carry
-    #: principal curvatures, from the generalized eigensolver
+    #: the unseeded example stages, one `point` run per field kind, a cubic
+    #: polynomial in each ambient, four `slice` sweeps and two barrier
+    #: slides; the point reports carry principal curvatures, from the
+    #: generalized eigensolver
     UNSEEDED = {
         "example-euclid-cone": ["example", "--name", "euclid-cone"],
         "example-spherical-glued": ["example", "--name", "spherical-glued"],
@@ -357,12 +362,16 @@ class TestGoldenReports:
         "point-plane": ["point", "--field", "plane:0.3,-0.2", "--ambient", "constant:1.7", "--at", "0.5,0.5"],
         "point-constant": ["point", "--field", "constant:0.4", "--ambient", "spherical", "--at", "0.1,0.2"],
         "point-poly": ["point", "--field", "poly:0.1,0.3,-0.2,0.5,0.4,-0.3", "--at", "0.7,-0.2"],
+        "point-poly-flat": ["point", "--field", POLY3, "--ambient", "flat", "--at", "0.6,-0.45"],
+        "point-poly-spherical": ["point", "--field", POLY3, "--ambient", "spherical", "--at", "0.6,-0.45"],
+        "point-poly-constant": ["point", "--field", POLY3, "--ambient", "constant:2.5", "--at", "0.6,-0.45"],
         "point-trig": ["point", "--field", "trig:3", "--ambient", "spherical", "--at", "0.3,-0.4,0.2"],
         "point-radial": ["point", "--field", "radial:S-u:0.5", "--at", "0.5,0.6"],
         "point-grid": ["point", "--field", "grid:{grid}", "--ambient", "constant:2", "--at", "0.3,-0.2"],
         "slice-trig": ["slice", "--field", "trig:3", "--eps", "0.1,0.2"],
         "slice-trig-3d": ["slice", "--field", "trig:5", "--dim", "3", "--eps", "0.0,0.3", "--rays", "24", "--seed", "4"],
         "slice-grid": ["slice", "--field", "grid:{grid}", "--eps", "0.1,0.2"],
+        "slice-poly": ["slice", "--field", POLY3, "--eps", "0.05,0.2"],
         "barrier-trig": ["barrier", "--field", "trig:1"],
         "barrier-trig-negated": ["barrier", "--field", "trig:3", "--negate"],
     }
@@ -375,12 +384,16 @@ class TestGoldenReports:
         "point-plane": "de9621026f41f1c9bbb02b884953c697e412e0b11ec18afae42afc0f3307580a",
         "point-constant": "beb17c9ad2ba14b879befaf230fe96266967ee469beb3e399f8297c212d72cc7",
         "point-poly": "623d3167fa2fa9aa363df019b87083e4623483e5f1d9bc20619b24543e44e895",
+        "point-poly-flat": "edf4e40bdb148c17c432004ccddaa3cf4051a5227737de513e560a1c05dab081",
+        "point-poly-spherical": "f69ad0db07524cc49bd780e0e27b7822e1cfae0a9f326969ef760d55d7ad0df9",
+        "point-poly-constant": "bea3f6ced873013e464b6e48384796822f37484140e2b99f3249d1625412bae0",
         "point-trig": "94f82a95348498c62a51e2127b04d897b59c496af98bda646503734a575ab6bd",
         "point-radial": "5383655febc96572cb21b19072468bced6f75caa2ee9868ebd98f16bd79b3a4f",
         "point-grid": "dd87abe193f5ff00b98f631152135f8c543cc55093dfb1e003a9711f5e7de677",
         "slice-trig": "2bb03d183c7c1938e623219a7f6548d766d1642e6f59b12d18f0abb5b7784a11",
         "slice-trig-3d": "531d61c357d5676908e246557b9732738319970c0c7527aa2dc411bfca695037",
         "slice-grid": "b0af65935fec785db70feb933ebe6f1aa7e4096f052d85f9a48e33229fe23bde",
+        "slice-poly": "48a6c266f983e5d8ca2dd55e61675f40a721d957f4a345b70e1ed2d7c81a7b92",
         "barrier-trig": "9d0a5f0651e4c14f937f80628d214f092321d7575af0cf36443e4ecaa9158c8d",
         "barrier-trig-negated": "76415b3a734861e6a71e57578abca767252d4e7625e542ca6e47bf3ca974aecb",
     }
@@ -415,6 +428,27 @@ class TestConfig:
         )
         assert rc == 0
         assert doc["results"][0]["trials"] == 800
+
+
+class TestParserReuse:
+    def test_interleaved_calls_equal_calls_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 500\nseed = 9\n")
+        point = ["point", "--field", "trig:3", "--ambient", "spherical", "--at", "0.3,-0.4"]
+        runs = [point, ["verify", "identity", "--n", "3", "--config", str(cfg)], ["verify", "identity", "--n", "3"], point]
+
+        def report(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        alone = []
+        for argv in runs:
+            build_parser.cache_clear()
+            alone.append(report(argv))
+        build_parser.cache_clear()
+        assert [report(argv) for argv in runs] == alone
+        assert build_parser.cache_info().misses == 1
+        assert json.loads(alone[2])["results"][0]["trials"] == 100_000
 
 
 class TestErrors:

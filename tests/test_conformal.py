@@ -11,7 +11,6 @@ from curv.conformal import (
     mean_curvature_spherical,
     normal_derivative,
     slice_trace_from_ambient,
-    spherical_phi,
 )
 from curv.errors import ConformalFactorError
 from curv.fields import Constant, Paraboloid, SphereCap, random_trig_field
@@ -20,14 +19,6 @@ from curv.metrics import AmbientSpec, FlatMetric, PhiJet, constant_ambient, sphe
 
 
 class TestSphericalFactor:
-    def test_value_and_gradient(self):
-        phi, grad = spherical_phi(np.array([0.0, 0.0, 0.0]))
-        assert phi == pytest.approx(0.5)
-        assert np.array_equal(grad, np.zeros(3))
-        phi2, grad2 = spherical_phi(np.array([1.0, 0.0, 1.0]))
-        assert phi2 == pytest.approx(1.5)
-        assert np.array_equal(grad2, np.array([1.0, 0.0, 1.0]))
-
     def test_normal_derivative_pairs_coordinates(self):
         pt = extrinsic_point(Paraboloid(2), flat_base(2), np.array([1.0, 0.0]))
         amb = spherical_ambient(2)
@@ -123,7 +114,10 @@ class TestSphericalMeanCurvature:
 
     def test_round_relation_needs_the_round_factor_not_its_name(self):
         # a constant factor labelled "spherical" is no round sphere
-        amb = AmbientSpec(FlatMetric(2), lambda x, t: PhiJet(2.0, np.zeros(2), 0.0), "spherical")
+        amb = AmbientSpec(
+            FlatMetric(2), lambda x, t: PhiJet(np.full(np.shape(t), 2.0), np.zeros(np.shape(x)), np.zeros(np.shape(t))),
+            "spherical",
+        )
         cp = conformal_point(random_trig_field(2, seed=1), amb, np.array([0.3, 0.2]))
         assert cp.scalar_curvature is None
         assert not amb.is_round_sphere

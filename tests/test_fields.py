@@ -532,6 +532,8 @@ def reference_jet(field, x):
         )
     if isinstance(field, GridField):
         return reference_grid_jet(field, x)
+    if isinstance(field, PolynomialField):
+        return reference_poly_jet(field, x)
     if isinstance(field, RotatedField):
         j = reference_jet(field.base, field.q @ x)
         return Jet(j.value, field.q.T @ j.gradient, field.q.T @ j.hessian @ field.q)
@@ -543,6 +545,103 @@ def reference_jet(field, x):
         return Jet(field.factor * j.value, field.factor * j.gradient, field.factor * j.hessian)
     assert isinstance(field, PointwiseField)
     return Jet(field.value(x), field.gradient(x), field.hessian(x))
+
+
+def reference_poly_jet(field, x):
+    """PolynomialField's one-point jet from per-point formulas with scalar
+    `**`, term by term: the reference for its kernel."""
+
+    def mono(a):
+        v = 1.0
+        for xk, ek in zip(x, a):
+            v *= xk**ek
+        return v
+
+    value = float(sum(c * mono(a) for c, a in field.terms))
+    g = np.zeros(field.dim)
+    for c, a in field.terms:
+        for k, ek in enumerate(a):
+            if ek == 0:
+                continue
+            aa = list(a)
+            aa[k] -= 1
+            g[k] += c * ek * mono(aa)
+    h = np.zeros((field.dim, field.dim))
+    for c, a in field.terms:
+        for k, ek in enumerate(a):
+            if ek == 0:
+                continue
+            for l, el_ in enumerate(a):
+                aa = list(a)
+                aa[k] -= 1
+                mult = ek
+                if l == k:
+                    if aa[k] == 0:
+                        continue
+                    mult *= aa[k]
+                else:
+                    if el_ == 0:
+                        continue
+                    mult *= el_
+                aa[l] -= 1
+                h[k, l] += c * mult * mono(aa)
+    return Jet(value, g, h)
+
+
+@pytest.mark.parametrize("exponent", range(11))
+def test_float_power_is_scalar_pow(exponent):
+    """The kernels' powers are np.float_power: PolynomialField's integer
+    exponents (0 to 10 here) and ConformalMetric's phi^2. The kernels equal
+    the per-point formulas only while np.float_power equals scalar `**` (C
+    pow) bit for bit. A numpy or libm upgrade that breaks this fails here,
+    with the cause named, beside the kernel and golden-report tests."""
+    rng = np.random.default_rng(exponent)
+    a = np.concatenate([rng.uniform(-3.0, 3.0, 20_000), rng.uniform(0.5, 5.0, 20_000), [0.0, -0.0, 1.0, -1.0]])
+    assert np.array_equal(np.float_power(a, exponent), [x**exponent for x in a])
+    assert np.array_equal(np.float_power(a, exponent), [float(x) ** exponent for x in a])
+
+
+@st.composite
+def polynomials(draw):
+    """(a polynomial of up to 8 terms with exponents up to 5, an (m, n) stack
+    of 1..6 points) with n in 2..4; signed zeros included."""
+    n, m = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 6))
+    exps = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), exps), max_size=8))
+    coords = st.floats(-1.5, 1.5, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    X = np.array(draw(st.lists(coords, min_size=m * n, max_size=m * n))).reshape(m, n)
+    return PolynomialField(n, terms), X
+
+
+class TestPolynomialKernel:
+    """PolynomialField's values and jets, on a stack and at a point, equal
+    the per-point formulas bit for bit."""
+
+    def check(self, field, X, points=True):
+        u, du, ddu = field.jets(X)
+        assert u.shape == (len(X),) and du.shape == X.shape and ddu.shape == X.shape + (field.dim,)
+        values = field.values(X)
+        for i, x in enumerate(X):
+            want = reference_poly_jet(field, x)
+            assert values[i] == want.value
+            assert _same_jet((u[i], du[i], ddu[i]), want)
+            if not points:
+                continue
+            assert _same_jet(field.jets(x), want) and field.values(x) == want.value
+            assert field.value(x) == want.value and type(field.value(x)) is float
+            assert _same_jet(tuple(vars(field.jet(x)).values()), want)
+            assert _same_jet((want.value, field.gradient(x), field.hessian(x)), want)
+
+    @given(case=polynomials())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_is_the_reference(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_thousand_rows(self, n):
+        rng = np.random.default_rng(n)
+        field = parse_field("poly:" + ",".join(repr(float(c)) for c in rng.uniform(-1.0, 1.0, 20)), n)
+        self.check(field, rng.uniform(-1.5, 1.5, (1000, n)), points=False)
 
 
 def _grid(dim, seed):
@@ -565,6 +664,8 @@ KERNEL_CASES = {
     "trig-3": lambda: random_trig_field(3, seed=9, modes=6),
     "grid-2": lambda: _grid(2, 5),
     "grid-3": lambda: _grid(3, 7),
+    "poly-2": lambda: parse_field("poly:0.3,0,1,-2,0.5,1,0,0.25,-0.7,0.1,0.4,-1.5"),
+    "poly-3": lambda: PolynomialField(3, [(0.5, (3, 0, 1)), (-1.25, (0, 2, 2)), (2.0, (1, 1, 1)), (0.1, (0, 0, 5))]),
     "rotated-trig-2": lambda: RotatedField(random_trig_field(2, seed=2), _rotation(0.7)),
     "rotated-grid-3": lambda: RotatedField(_grid(3, 1), np.linalg.qr(np.arange(9.0).reshape(3, 3) ** 1.5)[0]),
     "rotated-cap-2": lambda: RotatedField(SphereCap(2, 1.0), _rotation(-0.3)),
@@ -633,7 +734,7 @@ class TestDeclaredStructure:
         classes = _concrete_field_classes()
         kernels = [c for c in classes if not issubclass(c, PointwiseField)]
         assert {c.__name__ for c in kernels} == {
-            "Paraboloid", "QuadraticCup", "Plane", "Constant", "TrigField", "GridField",
+            "Paraboloid", "QuadraticCup", "Plane", "Constant", "PolynomialField", "TrigField", "GridField",
             "RotatedField", "NegatedField", "ScaledField",
         }
         for cls in kernels:

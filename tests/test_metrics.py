@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curv.errors import ConformalFactorError, MetricNotPositiveError
+import curv.metrics
 from curv.metrics import (
     AmbientSpec,
     ConformalMetric,
     FlatMetric,
     GeneralMetric,
+    Metric,
+    MetricJet,
+    PhiJet,
     as_general,
     constant_ambient,
     metric_jet,
@@ -68,15 +73,20 @@ class TestRoundSphere:
         assert jb.scalar == pytest.approx(ja.scalar, abs=1e-6)
 
 
+def constant_factor(c):
+    """The factor jet of phi = c, at a point or at the rows of a stack."""
+    return lambda X: (np.full(X.shape[:-1], c), np.zeros(X.shape), np.zeros(X.shape + X.shape[-1:]))
+
+
 class TestConformalMetric:
     def test_rejects_nonpositive_factor(self):
-        bad = ConformalMetric(2, lambda x: (-1.0, np.zeros(2), np.zeros((2, 2))))
+        bad = ConformalMetric(2, constant_factor(-1.0))
         with pytest.raises(ConformalFactorError):
             metric_jet(bad, np.zeros(2))
 
     def test_constant_factor_is_flat_rescaled(self):
         c = 2.0
-        metric = ConformalMetric(2, lambda x: (c, np.zeros(2), np.zeros((2, 2))))
+        metric = ConformalMetric(2, constant_factor(c))
         jet = metric_jet(metric, np.array([0.3, 0.1]))
         assert np.allclose(jet.g, np.eye(2) / c**2)
         assert np.allclose(jet.gamma, 0.0, atol=1e-15)
@@ -131,3 +141,123 @@ class TestAmbients:
     def test_dim(self):
         assert product_ambient(4).dim == 4
         assert isinstance(spherical_ambient(2), AmbientSpec)
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the per-point formulas
+
+
+def reference_round_jet(x):
+    """The round-sphere MetricJet at one point from per-point formulas with
+    scalar `**`: the reference for ConformalMetric's array kernel."""
+    n = x.size
+    phi, dphi, ddphi = (1.0 + float(x @ x)) / 2.0, x.copy(), np.eye(n)
+    w1 = -dphi / phi
+    w2 = -ddphi / phi + np.outer(dphi, dphi) / phi**2
+    lap_w = float(np.trace(w2))
+    grad2 = float(w1 @ w1)
+    eye = np.eye(n)
+    gamma = (
+        np.einsum("ki,j->kij", eye, w1)
+        + np.einsum("kj,i->kij", eye, w1)
+        - np.einsum("ij,k->kij", eye, w1)
+    )
+    ricci = -(n - 2) * (w2 - np.outer(w1, w1)) - (lap_w + (n - 2) * grad2) * eye
+    scalar = phi**2 * (-2.0 * (n - 1) * lap_w - (n - 1) * (n - 2) * grad2)
+    return MetricJet(eye / phi**2, eye * phi**2, gamma, ricci, float(scalar))
+
+
+def reference_constant_phi(dim, value):
+    """The constant ambient factor's jet at one point."""
+    return PhiJet(float(value), np.zeros(dim), 0.0)
+
+
+def assert_same(got, want):
+    """Field by field equality of one-point data, compared with ==."""
+    assert type(got) is type(want)
+    for name, w in vars(want).items():
+        g = getattr(got, name)
+        if isinstance(w, np.ndarray):
+            assert g.shape == w.shape and np.array_equal(g, w), name
+        else:
+            assert type(g) is float and g == w, name
+
+
+@st.composite
+def point_stacks(draw, max_rows=6):
+    """An (m, n) stack with n in 2..4 and m in 1..max_rows; signed zeros included."""
+    n, m = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, max_rows))
+    coords = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    return np.array(draw(st.lists(coords, min_size=m * n, max_size=m * n))).reshape(m, n)
+
+
+class TestKernelsAreThePerPointFormulas:
+    """The round metric's and the constant factor's stacks equal the
+    per-point formulas bit for bit, row by row and at one point."""
+
+    def check_round(self, X):
+        base = round_sphere_base(X.shape[1])
+        stack = base.jets(X)
+        for i, x in enumerate(X):
+            want = reference_round_jet(x)
+            assert_same(stack.row(i), want)
+            assert_same(base.jet(x), want)
+            assert_same(metric_jet(base, x), want)
+
+    def check_constant(self, X, t, value):
+        amb = constant_ambient(X.shape[1], value)
+        stack = amb.phis(X, t)
+        want = PhiJet.from_rows([reference_constant_phi(X.shape[1], value) for _ in X])
+        for name in ("value", "grad_x", "dt"):
+            assert np.array_equal(getattr(stack, name), getattr(want, name))
+        for x, ti in zip(X, t):
+            assert_same(amb.phi(x, ti), reference_constant_phi(X.shape[1], value))
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=point_stacks())
+    def test_round_metric(self, X):
+        self.check_round(X)
+
+    @settings(max_examples=30, deadline=None)
+    @given(X=point_stacks(), value=st.floats(0.1, 10.0), seed=st.integers(0, 2**16))
+    def test_constant_factor(self, X, value, seed):
+        self.check_constant(X, np.random.default_rng(seed).uniform(-2.0, 2.0, len(X)), value)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_thousand_rows(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-3.0, 3.0, (1000, n))
+        self.check_round(X)
+        self.check_constant(X, rng.uniform(-2.0, 2.0, 1000), 1.7)
+
+
+class TestDeclaredStructure:
+    """Each metric kind has one evaluation route, and a conformal factor is
+    one array call per stack."""
+
+    def test_each_kind_defines_one_route(self):
+        kinds = [c for c in vars(curv.metrics).values() if isinstance(c, type) and issubclass(c, Metric)]
+        assert {c.__name__ for c in kinds} == {"Metric", "FlatMetric", "ConformalMetric", "GeneralMetric"}
+        for cls in (FlatMetric, ConformalMetric, GeneralMetric):
+            assert cls.__bases__ == (Metric,)
+        for cls in (FlatMetric, ConformalMetric):  # array kernels
+            assert "jets" in vars(cls) and "jet" not in vars(cls), cls
+        # the pointwise finite-difference oracle
+        assert "jet" in vars(GeneralMetric) and "jets" not in vars(GeneralMetric)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_factors_are_called_once_per_stack(self, m):
+        calls = []
+
+        def counted(factor):
+            def jet(*args):
+                calls.append(np.shape(args[0]))
+                return factor(*args)
+
+            return jet
+
+        X = np.random.default_rng(m).uniform(-1.0, 1.0, (m, 3))
+        ConformalMetric(3, counted(curv.metrics.round_sphere_factor)).jets(X)
+        for factor in (curv.metrics.round_ambient_factor, constant_ambient(3, 1.5).phi_jet):
+            AmbientSpec(FlatMetric(3), counted(factor)).phis(X, np.linspace(-1.0, 1.0, m))
+        assert calls == [(m, 3)] * 3
