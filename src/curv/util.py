@@ -62,16 +62,9 @@ class Stacked:
 
     @classmethod
     def from_rows(cls, rows):
-        """The stack of a nonempty list of one-point instances."""
-        if len(rows) == 1:
-            return rows[0].stacked()
-        out = {}
-        for name, first in rows[0].__dict__.items():
-            if isinstance(first, Stacked):
-                out[name] = type(first).from_rows([getattr(r, name) for r in rows])
-            else:
-                out[name] = first if first is None else np.array([getattr(r, name) for r in rows], dtype=float)
-        return _new(cls, out)
+        """The stack of a nonempty list of one-point instances whose fields
+        are all floats or arrays (no nested Stacked field and no None)."""
+        return _new(cls, {name: np.array([getattr(r, name) for r in rows], dtype=float) for name in vars(rows[0])})
 
 
 def _new(cls, values: dict):
