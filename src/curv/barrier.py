@@ -1,9 +1,10 @@
 """Sliding cone barrier on an annulus.
 
 The barrier family is psi_lambda(x) = lambda (1 - |x|), the cone over the
-unit sphere. Starting from a dominating lambda and decreasing it, the first
-value at which psi_lambda touches u from above on the sampled shrunken
-annulus is lambda_star. At an interior touching point x0 the gradient bound
+unit sphere. Slid down from above, psi_lambda first touches u on the sampled
+shrunken annulus at lambda_star = max u(x_i)/(1 - |x_i|) over the samples
+x_i, since psi_lambda >= u at every sample exactly when lambda is at least
+that maximum. At an interior touching point x0 the gradient bound
 
     |Du|(x0) >= |D_r u|(x0) >= lambda_star
 
@@ -30,7 +31,8 @@ from .metrics import spherical_ambient
 from .util import as_point, unit_directions
 
 TOUCH_TOL = 1e-8
-BISECT_TOL = 1e-10
+#: comparison_bounds skips the ordering check where |x0| > 1 - EDGE_MARGIN
+EDGE_MARGIN = 1e-3
 
 
 def barrier_value(lam: float, x) -> float:
@@ -94,7 +96,6 @@ class BarrierRun:
     annulus: tuple[float, float]
     a_prime: float
     r_out: float
-    lam_max: float
     lam_star: float
     x0: tuple[float, ...]
     u0: float
@@ -169,19 +170,19 @@ def slide(
     field: ScalarField,
     annulus: tuple[float, float],
     a_prime: float,
-    lam_max: float,
     radial: int = 512,
     angular: int = 128,
     seed: int = 0,
-    outer_margin: float | None = None,
     touch_tol: float = TOUCH_TOL,
 ) -> BarrierRun:
-    """Slide psi_lambda down onto u over the shrunken annulus (a_prime, outer).
+    """Slide psi_lambda down onto u over the shrunken annulus (a_prime, r_out),
+    where r_out = outer - (outer - a_prime) / radial.
 
-    Bisection on lambda over the sample grid locates the touching value; the
-    touching point is then polished (Newton on the touching ratio for
-    interior candidates, 1-D radial refinement otherwise). Outcomes: a normal
-    run when max u > touch_tol; the degenerate lambda_star = 0 when
+    On the sample grid the touching value is lambda_grid = max u/(1 - |x|);
+    the touching point is then polished (Newton on the touching ratio for
+    interior candidates, 1-D radial refinement otherwise), and the grid
+    point is kept when the polish does not reach lambda_grid. Outcomes: a
+    normal run when max u > touch_tol; the degenerate lambda_star = 0 when
     |max u| <= touch_tol; NoTouchError when u < -touch_tol everywhere. The
     annulus is sampled with one `field.values` call; a sample outside the
     field's domain raises its pointwise OutOfDomainError, any other
@@ -190,11 +191,9 @@ def slide(
     a, outer = float(annulus[0]), float(annulus[1])
     if not (a < a_prime < outer):
         raise ValueError(f"need a < a_prime < outer, got {a}, {a_prime}, {outer}")
-    if outer_margin is None:
-        outer_margin = (outer - a_prime) / radial
-    r_out = outer - outer_margin
-    if r_out <= a_prime:
-        raise ValueError("outer margin leaves an empty radial range")
+    if radial < 2:
+        raise ValueError(f"need radial >= 2, got {radial}")
+    r_out = outer - (outer - a_prime) / radial
 
     pts = sample_annulus(field.dim, a_prime, r_out, radial=radial, angular=angular, seed=seed)
     vals = field.values(pts)
@@ -205,72 +204,48 @@ def slide(
         field.value(x_bad)
         raise NonFiniteJetError(f"non-finite value of {field.name} at {x_bad.tolist()}")
     norms = np.linalg.norm(pts, axis=1)
+    slack = 1.0 - norms  # positive on the sampled range
     umax = float(vals.max())
 
     if umax < -touch_tol:
         raise NoTouchError(f"field is below {-touch_tol} everywhere on the sampled annulus")
 
-    if umax <= touch_tol:
-        i = int(vals.argmax())
-        x0 = pts[i]
-        u0 = float(vals[i])
+    degenerate = umax <= touch_tol
+    boundary = False
+    if degenerate:
+        i0 = int(vals.argmax())
+        x0, r0, u0, lam_star = pts[i0], float(norms[i0]), float(vals[i0]), 0.0
         du = field.gradient(x0)
-        return BarrierRun(
-            dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
-            lam_max=lam_max, lam_star=0.0, x0=tuple(float(v) for v in x0),
-            u0=u0, grad_norm=float(np.linalg.norm(du)),
-            radial_derivative=float(du @ (x0 / norms[i])),
-            touch_gap=u0, interior_touch=False, boundary_touch=False,
-            degenerate=True, radial=radial, angular=angular, seed=seed,
-        )
+    else:
+        ratio = vals / slack
+        i0 = int(ratio.argmax())
+        lam_grid, x_grid = float(ratio[i0]), pts[i0]
 
-    slack = 1.0 - norms  # positive on the sampled range
+        spacing = (r_out - a_prime) / (radial - 1)
+        x0 = None
+        if norms[i0] < r_out - 0.5 * spacing:
+            x0 = _newton_refine_ratio(field, x_grid, a_prime, r_out, cell=4.0 * spacing)
+        if x0 is None:
+            lo_r = max(a_prime, norms[i0] - spacing)
+            hi_r = min(r_out, norms[i0] + spacing)
+            x0 = _radial_polish(field, x_grid, lo_r, hi_r)
 
-    def excess(lam: float) -> float:
-        return float((vals - lam * slack).max())
-
-    if excess(lam_max) > 0.0:
-        raise ValueError(
-            f"lam_max = {lam_max} does not dominate the field on the sampled annulus"
-        )
-    lo, hi = 0.0, float(lam_max)
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam_grid = hi
-    i0 = int((vals - lam_grid * slack).argmax())
-    x_grid = pts[i0]
-
-    spacing = (r_out - a_prime) / max(radial - 1, 1)
-    on_rim = norms[i0] >= r_out - 0.5 * spacing
-    x0 = None
-    if not on_rim:
-        x0 = _newton_refine_ratio(field, x_grid, a_prime, r_out, cell=4.0 * spacing)
-    if x0 is None:
-        lo_r = max(a_prime, norms[i0] - spacing)
-        hi_r = min(r_out, norms[i0] + spacing)
-        x0 = _radial_polish(field, x_grid, lo_r, hi_r)
-
-    r0 = float(np.linalg.norm(x0))
-    jet = field.jet(x0)
-    u0, du = float(jet.value), jet.gradient
-    lam_star = u0 / (1.0 - r0)
-    if lam_star < lam_grid:  # polish must not lose the grid certificate
-        x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(vals[i0]), lam_grid
-        du = field.gradient(x0)
-    j = int((vals - lam_star * slack).argmax())
-    boundary = r0 >= r_out - 1.5 * spacing
+        r0 = float(np.linalg.norm(x0))
+        jet = field.jet(x0)
+        u0, du = float(jet.value), jet.gradient
+        lam_star = u0 / (1.0 - r0)
+        if lam_star < lam_grid:  # polish must not lose the grid certificate
+            x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(vals[i0]), lam_grid
+            du = field.gradient(x0)
+        boundary = r0 >= r_out - 1.5 * spacing
     return BarrierRun(
         dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
-        lam_max=lam_max, lam_star=float(lam_star), x0=tuple(float(v) for v in x0),
+        lam_star=float(lam_star), x0=tuple(float(v) for v in x0),
         u0=u0, grad_norm=float(np.linalg.norm(du)),
         radial_derivative=float(du @ (x0 / r0)),
-        touch_gap=float(vals[j] - lam_star * slack[j]),
-        interior_touch=not boundary, boundary_touch=boundary,
-        degenerate=False, radial=radial, angular=angular, seed=seed,
+        touch_gap=float((vals - lam_star * slack).max()),
+        interior_touch=not (degenerate or boundary), boundary_touch=boundary,
+        degenerate=degenerate, radial=radial, angular=angular, seed=seed,
     )
 
 
@@ -288,17 +263,17 @@ class ComparisonBounds:
     ordering_skipped: bool
 
 
-def comparison_bounds(run: BarrierRun, dim: int | None = None, edge_margin: float = 1e-3) -> ComparisonBounds:
+def comparison_bounds(run: BarrierRun) -> ComparisonBounds:
     """Bound pair at the touching point; the ordering check is skipped within
-    edge_margin of |x0| = 1 where both sides collapse."""
-    n = run.dim if dim is None else dim
+    EDGE_MARGIN of |x0| = 1 where both sides collapse."""
+    n = run.dim
     rho = float(np.linalg.norm(run.x0))
     if run.grad_norm < 1e-12:
         raise NonRegularPointError("comparison bounds need |Du|(x0) > 0", grad_norm=run.grad_norm)
     upper = (n - 1.0) * run.u0 / run.grad_norm
     cap = (n - 1.0) * (1.0 - rho)
     lower = ring_mean_curvature(rho, run.u0, n)
-    skipped = rho > 1.0 - edge_margin
+    skipped = rho > 1.0 - EDGE_MARGIN
     return ComparisonBounds(
         upper=float(upper),
         cap=float(cap),

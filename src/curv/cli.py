@@ -186,7 +186,7 @@ def _handle_slice(args, tol):
         regular, frames = slice_frames(points, eps)
         if not regular.all():
             raise nonregular_error(points, int(np.argmin(regular)))
-        _, reports = prod_reports(points, eps)
+        _, reports = prod_reports(points, regular, frames)
         residuals = minor_relation_residuals(frames, points).tolist()
         for x, cos, grad_norm, h_sigma, residual, rep in zip(
             points.x.tolist(), frames.cos_angle.tolist(), frames.grad_norm.tolist(),
@@ -313,8 +313,7 @@ def _handle_barrier(args, tol):
     aprime = args.aprime if args.aprime is not None else args.a + 0.05 * (1.0 - args.a)
     try:
         run = slide(
-            f, (args.a, 1.0), aprime, args.lambda_max,
-            radial=args.radial, angular=args.angular, seed=args.seed,
+            f, (args.a, 1.0), aprime, radial=args.radial, angular=args.angular, seed=args.seed,
             touch_tol=tol["touch"],
         )
     except NoTouchError as exc:
@@ -482,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--negate", action="store_true", help="slide onto -u instead")
     sp.add_argument("--a", type=float, default=0.5, help="inner annulus radius")
     sp.add_argument("--aprime", type=float, default=None, help="shrunken inner radius")
-    sp.add_argument("--lambda-max", type=float, default=1e4)
     sp.add_argument("--radial", type=int, default=512)
     sp.add_argument("--angular", type=int, default=128)
     sp.add_argument("--dim", type=int, default=2)

@@ -30,6 +30,7 @@ from .fields import ScalarField
 from .graphgeom import (
     DELTA_REG,
     ExtrinsicPoint,
+    SliceFrame,
     adapted_matrix,
     extrinsic_point,
     extrinsic_points,
@@ -94,12 +95,11 @@ def _mean(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=-1) / a.shape[-1]
 
 
-def prod_reports(pt: ExtrinsicPoint, eps, delta_reg: float = DELTA_REG, which: str = "prod"):
-    """The product-metric inequality on a stack of extrinsic points, at the
-    level eps (one value, or one per row): the regular-row mask and one
-    report per regular row, as `checks` returns them. The matrix work is
-    stacked; each row's scalar formulas run on floats."""
-    regular, fr = slice_frames(pt, eps, delta_reg=delta_reg)
+def prod_reports(pt: ExtrinsicPoint, regular: np.ndarray, fr: SliceFrame, which: str = "prod"):
+    """The product-metric inequality on a stack of extrinsic points, given
+    `slice_frames(pt, eps)`: the regular-row mask and one report per regular
+    row, as `checks` returns them. The matrix work is stacked; each row's
+    scalar formulas run on floats."""
     if not regular.all():
         pt = pt.select(regular)
     n = pt.dim
@@ -124,12 +124,10 @@ def prod_reports(pt: ExtrinsicPoint, eps, delta_reg: float = DELTA_REG, which: s
     return regular, reports
 
 
-def _phi_reports(cp: ConformalPoint, eps, delta_reg: float, which: str):
+def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which: str):
     """(regular mask, reports) of the conformally-product inequality over a
-    stack. The matrix work is stacked; each row's scalar formulas run on floats."""
-    regular, fr = slice_frames(cp.point, eps, delta_reg=delta_reg)
-    if not regular.any():
-        return regular, []
+    stack, given `slice_frames(cp.point, eps)`. The matrix work is stacked;
+    each row's scalar formulas run on floats."""
     if not regular.all():
         cp = cp.select(regular)
     pt = cp.point
@@ -170,12 +168,12 @@ def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None,
         else:
             base = (ambient if ambient is not None else product_ambient(field.dim)).base
         pt = extrinsic_points(field, base, X)
-        return (pt, *prod_reports(pt, eps, delta_reg, which))
+        return (pt, *prod_reports(pt, *slice_frames(pt, eps, delta_reg=delta_reg), which))
     if which in ("phi", "sphere"):
         if which == "sphere" or ambient is None:
             ambient = spherical_ambient(field.dim)
         cp = conformal_points(field, ambient, X)
-        return (cp.point, *_phi_reports(cp, eps, delta_reg, which))
+        return (cp.point, *_phi_reports(cp, *slice_frames(cp.point, eps, delta_reg=delta_reg), which))
     raise ValueError(f"unknown inequality selector {which!r}; expected one of {WHICH}")
 
 

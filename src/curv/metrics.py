@@ -47,6 +47,10 @@ class Metric:
         return self.jets(as_point(x, self.dim)[None]).row(0)
 
     def jets(self, X) -> MetricJet:
+        if len(X) == 0:  # from_rows takes the field names from a row
+            n = self.dim
+            mats = np.empty((0, n, n))
+            return MetricJet(mats, mats, np.empty((0, n, n, n)), mats, np.empty(0))
         return MetricJet.from_rows([self.jet(x) for x in X])
 
 

@@ -70,9 +70,6 @@ class RevolutionProfile:
     def domain(self) -> tuple[float, float]:
         return (self.a, 1.0) if self.kind == "S-u" else (0.0, 1.0)
 
-    def jet(self, s: float):
-        return profile_jet(self, s)
-
 
 def profile_jet(profile: RevolutionProfile, s: float) -> tuple[float, float, float]:
     """(value, first, second derivative) of the profile at s.

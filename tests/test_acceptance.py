@@ -356,10 +356,10 @@ def test_criterion_8_barrier_slides_and_bounds():
     for seed in range(8):
         field = enveloped_field(seed)
         try:
-            run = slide(field, (0.3, 1.0), 0.35, 1e4, radial=128, angular=24, seed=seed)
+            run = slide(field, (0.3, 1.0), 0.35, radial=128, angular=24, seed=seed)
         except NoTouchError:
             run = slide(
-                NegatedField(field), (0.3, 1.0), 0.35, 1e4, radial=128, angular=24, seed=seed
+                NegatedField(field), (0.3, 1.0), 0.35, radial=128, angular=24, seed=seed
             )
         if run.successful:
             successful += 1
@@ -372,7 +372,7 @@ def test_criterion_8_barrier_slides_and_bounds():
     )
 
     designated = BarrierRun(
-        dim=2, annulus=(0.3, 1.0), a_prime=0.35, r_out=0.99, lam_max=10.0,
+        dim=2, annulus=(0.3, 1.0), a_prime=0.35, r_out=0.99,
         lam_star=0.0, x0=np.array([0.5, 0.0]), u0=0.0, grad_norm=1.0,
         radial_derivative=-0.5, touch_gap=0.0, interior_touch=True,
         boundary_touch=False, degenerate=False, radial=64, angular=16, seed=0,

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from curv.barrier import (
+    TOUCH_TOL,
     BarrierRun,
+    _newton_refine_ratio,
+    _radial_polish,
     barrier_value,
     comparison_bounds,
     gradient_bound_margin,
@@ -14,6 +17,7 @@ from curv.barrier import (
     slide,
 )
 from curv.errors import NoTouchError, NonFiniteJetError, OutOfDomainError
+from curv.fieldspec import parse_field
 from curv.fields import (
     Ball,
     Constant,
@@ -24,6 +28,8 @@ from curv.fields import (
     random_trig_field,
 )
 from curv.revolution import RevolutionProfile, radial_field
+
+BISECT_TOL = 1e-10
 
 
 def bump_field(a=0.3):
@@ -91,7 +97,7 @@ class TestSlideInterior:
         field = bump_field()
         if scale != 1.0:
             field = ScaledField(field, scale)
-        return slide(field, (0.3, 1.0), a_prime=0.35, lam_max=10.0, radial=256, angular=32)
+        return slide(field, (0.3, 1.0), a_prime=0.35, radial=256, angular=32)
 
     def test_touches_at_interior_ridge(self):
         run = self.run()
@@ -139,42 +145,37 @@ class TestSlideInterior:
 
 class TestSlideEdgeCases:
     def test_zero_field_is_degenerate(self):
-        run = slide(Constant(2, 0.0), (0.3, 1.0), 0.35, 10.0, radial=64, angular=16)
+        run = slide(Constant(2, 0.0), (0.3, 1.0), 0.35, radial=64, angular=16)
         assert run.degenerate
         assert run.lam_star == 0.0
         assert not run.successful
 
     def test_negative_field_never_touches(self):
         with pytest.raises(NoTouchError):
-            slide(Constant(2, -1.0), (0.3, 1.0), 0.35, 10.0, radial=64, angular=16)
+            slide(Constant(2, -1.0), (0.3, 1.0), 0.35, radial=64, angular=16)
 
     def test_negated_branch_touches_at_rim(self):
         field = NegatedField(Constant(2, -1.0))
-        run = slide(field, (0.3, 1.0), 0.35, 1e4, radial=64, angular=16)
+        run = slide(field, (0.3, 1.0), 0.35, radial=64, angular=16)
         assert run.boundary_touch
         assert not run.successful
         assert run.lam_star > 1.0
-
-    def test_insufficient_lam_max_raises(self):
-        field = NegatedField(Constant(2, -1.0))
-        with pytest.raises(ValueError):
-            slide(field, (0.3, 1.0), 0.35, 5.0, radial=64, angular=16)
 
     def test_samples_outside_the_domain_raise(self):
         field = radial_field(RevolutionProfile("S-u", 0.5))
         # the first sample in scan order is the one reported
         with pytest.raises(OutOfDomainError, match=r"got s = 0\.335$"):
-            slide(field, (0.3, 1.0), 0.335, 1e4, radial=64, angular=16)
+            slide(field, (0.3, 1.0), 0.335, radial=64, angular=16)
 
     def test_non_finite_samples_raise(self):
         # value returns NaN beyond r = 0.8 without raising: the scan must not go silent
         field = FiniteDifferenceField(lambda x: 1.0 - x @ x if x @ x < 0.64 else np.nan, 2)
         with pytest.raises(NonFiniteJetError):
-            slide(field, (0.3, 1.0), 0.35, 10.0, radial=64, angular=16)
+            slide(field, (0.3, 1.0), 0.35, radial=64, angular=16)
 
     def test_profile_graph_touches_at_boundary(self):
         field = radial_field(RevolutionProfile("S-u", 0.5))
-        run = slide(field, (0.5, 1.0), 0.55, 1e4, radial=512, angular=32)
+        run = slide(field, (0.5, 1.0), 0.55, radial=512, angular=32)
         assert run.lam_star > 0.0
         assert run.boundary_touch
         assert not run.successful
@@ -200,10 +201,10 @@ class TestSlideBattery:
         for seed in range(10):
             field = self.enveloped(seed)
             try:
-                run = slide(field, (0.3, 1.0), 0.35, 1e4, radial=128, angular=24, seed=seed)
+                run = slide(field, (0.3, 1.0), 0.35, radial=128, angular=24, seed=seed)
             except NoTouchError:
                 run = slide(
-                    NegatedField(field), (0.3, 1.0), 0.35, 1e4, radial=128, angular=24, seed=seed
+                    NegatedField(field), (0.3, 1.0), 0.35, radial=128, angular=24, seed=seed
                 )
             assert run.touch_gap <= 1e-8
             assert barrier_value(run.lam_star, run.x0) == pytest.approx(run.u0, abs=1e-10)
@@ -215,7 +216,7 @@ class TestSlideBattery:
     def test_reported_numbers_are_pointwise(self):
         # the batched trig kernel moves the last bits; u0 and touch_gap must not move
         field = random_trig_field(2, seed=1)
-        run = slide(field, (0.5, 1.0), 0.525, 1e4, radial=128, angular=128)
+        run = slide(field, (0.5, 1.0), 0.525, radial=128, angular=128)
         pts = sample_annulus(2, 0.525, run.r_out, radial=128, angular=128)
         slack = 1.0 - np.linalg.norm(pts, axis=1)
         assert run.u0 == field.value(np.asarray(run.x0))
@@ -223,8 +224,8 @@ class TestSlideBattery:
 
     def test_run_deterministic(self):
         field = random_trig_field(2, seed=3)
-        a = slide(field, (0.3, 1.0), 0.35, 1e4, radial=96, angular=16, seed=3)
-        b = slide(field, (0.3, 1.0), 0.35, 1e4, radial=96, angular=16, seed=3)
+        a = slide(field, (0.3, 1.0), 0.35, radial=96, angular=16, seed=3)
+        b = slide(field, (0.3, 1.0), 0.35, radial=96, angular=16, seed=3)
         assert a.lam_star == b.lam_star
         assert np.array_equal(a.x0, b.x0)
 
@@ -237,7 +238,6 @@ class TestComparisonBounds:
             annulus=(0.3, 1.0),
             a_prime=0.35,
             r_out=0.99,
-            lam_max=10.0,
             lam_star=0.0,
             x0=np.array([0.5, 0.0]),
             u0=0.0,
@@ -258,3 +258,113 @@ class TestComparisonBounds:
         assert bounds.cap_lt_lower
         assert bounds.upper_le_cap
         assert not bounds.ordering_skipped
+
+
+def bisection_slide(field, annulus, a_prime, lam_max, radial=512, angular=128, seed=0,
+                    touch_tol=TOUCH_TOL):
+    """The slide as it was before the closed form: lambda_star bracketed by
+    bisection from lam_max down to BISECT_TOL, over every sample."""
+    a, outer = float(annulus[0]), float(annulus[1])
+    r_out = outer - (outer - a_prime) / radial
+    pts = sample_annulus(field.dim, a_prime, r_out, radial=radial, angular=angular, seed=seed)
+    vals = field.values(pts)
+    norms = np.linalg.norm(pts, axis=1)
+    umax = float(vals.max())
+
+    if umax < -touch_tol:
+        raise NoTouchError(f"field is below {-touch_tol} everywhere on the sampled annulus")
+
+    if umax <= touch_tol:
+        i = int(vals.argmax())
+        x0 = pts[i]
+        u0 = float(vals[i])
+        du = field.gradient(x0)
+        return BarrierRun(
+            dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
+            lam_star=0.0, x0=tuple(float(v) for v in x0),
+            u0=u0, grad_norm=float(np.linalg.norm(du)),
+            radial_derivative=float(du @ (x0 / norms[i])),
+            touch_gap=u0, interior_touch=False, boundary_touch=False,
+            degenerate=True, radial=radial, angular=angular, seed=seed,
+        )
+
+    slack = 1.0 - norms  # positive on the sampled range
+
+    def excess(lam: float) -> float:
+        return float((vals - lam * slack).max())
+
+    if excess(lam_max) > 0.0:
+        raise ValueError(
+            f"lam_max = {lam_max} does not dominate the field on the sampled annulus"
+        )
+    lo, hi = 0.0, float(lam_max)
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lam_grid = hi
+    i0 = int((vals - lam_grid * slack).argmax())
+    x_grid = pts[i0]
+
+    spacing = (r_out - a_prime) / max(radial - 1, 1)
+    on_rim = norms[i0] >= r_out - 0.5 * spacing
+    x0 = None
+    if not on_rim:
+        x0 = _newton_refine_ratio(field, x_grid, a_prime, r_out, cell=4.0 * spacing)
+    if x0 is None:
+        lo_r = max(a_prime, norms[i0] - spacing)
+        hi_r = min(r_out, norms[i0] + spacing)
+        x0 = _radial_polish(field, x_grid, lo_r, hi_r)
+
+    r0 = float(np.linalg.norm(x0))
+    jet = field.jet(x0)
+    u0, du = float(jet.value), jet.gradient
+    lam_star = u0 / (1.0 - r0)
+    if lam_star < lam_grid:  # polish must not lose the grid certificate
+        x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(vals[i0]), lam_grid
+        du = field.gradient(x0)
+    j = int((vals - lam_star * slack).argmax())
+    boundary = r0 >= r_out - 1.5 * spacing
+    return BarrierRun(
+        dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
+        lam_star=float(lam_star), x0=tuple(float(v) for v in x0),
+        u0=u0, grad_norm=float(np.linalg.norm(du)),
+        radial_derivative=float(du @ (x0 / r0)),
+        touch_gap=float(vals[j] - lam_star * slack[j]),
+        interior_touch=not boundary, boundary_touch=boundary,
+        degenerate=False, radial=radial, angular=angular, seed=seed,
+    )
+
+
+class TestClosedFormAgainstBisection:
+    """lambda_star = max u/(1 - |x|) over the samples against the bisection
+    it replaced: lambda_star within the bisection's bracket, every other
+    field but touch_gap equal."""
+
+    SPECS = (
+        [(f"trig:{s}", n, neg) for s in range(4) for n in (2, 3) for neg in (False, True)]
+        + [("radial:S-u:0.5", 2, False), ("radial:S-v:0.5", 2, False), ("sphere-cap:1.5,0.2", 2, False)]
+    )
+
+    @pytest.mark.parametrize("spec, dim, negate", SPECS)
+    def test_matches_the_bisection(self, spec, dim, negate):
+        field = parse_field(spec, dim)
+        if negate:
+            field = NegatedField(field)
+        try:
+            ref = bisection_slide(field, (0.5, 1.0), 0.525, 1e4)
+        except NoTouchError:
+            with pytest.raises(NoTouchError):
+                slide(field, (0.5, 1.0), 0.525)
+            return
+        run = slide(field, (0.5, 1.0), 0.525)
+        assert abs(run.lam_star - ref.lam_star) <= BISECT_TOL
+        assert ref.touch_gap <= TOUCH_TOL and run.touch_gap <= TOUCH_TOL
+        others = set(vars(run)) - {"lam_star", "touch_gap"}
+        assert {k: getattr(run, k) for k in others} == {k: getattr(ref, k) for k in others}
+
+    def test_degenerate_run_matches(self):
+        field = Constant(2, 1e-9)
+        assert slide(field, (0.5, 1.0), 0.525) == bisection_slide(field, (0.5, 1.0), 0.525, 1e4)

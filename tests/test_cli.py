@@ -59,7 +59,7 @@ class TestReportContract:
             {"command": "barrier", "seed": 0,
              "tolerances": {"gradient_bound": 1e-6, "ring": 1e-8, "touch": 1e-8},
              "config": {"a": 0.5, "angular": 16, "aprime": None, "dim": 2,
-                        "field": "radial:S-u:0.5", "lambda_max": 1e4, "negate": False,
+                        "field": "radial:S-u:0.5", "negate": False,
                         "radial": 64, "seed": 0}},
         ),
         (
@@ -241,6 +241,18 @@ class TestBarrier:
         assert doc["results"][0]["outcome"] == "touch"
         assert doc["results"][0]["boundary_touch"]
 
+    def test_lambda_max_is_not_an_option(self):
+        # the touching value is max u/(1 - |x|) over the samples, with no upper bracket to set
+        with pytest.raises(SystemExit) as err:
+            main(["barrier", "--field", "radial:S-u:0.5", "--lambda-max", "1e4"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("radial", ["0", "1"])
+    def test_radial_below_two_exits_two(self, capsys, radial):
+        rc = main(["barrier", "--field", "trig:1", "--radial", radial])
+        assert rc == 2
+        assert capsys.readouterr().err == f"curv: error: need radial >= 2, got {radial}\n"
+
 
 class TestExamples:
     def test_euclid_cone(self, capsys):
@@ -326,14 +338,14 @@ class TestGoldenReports:
         ("inequality-phi", 0): "2c3990e5caa14372d2b0a74d509b26ad7b46b291999dd6c24cd4ff9c86a34475",
         ("inequality-euclid", 0): "c582a98d54962158f09bbc208faf4cc73047870ac864b7cde349fa1fbeaf6336",
         ("inequality-sphere", 0): "0cc1bd5a2e2ca4443c623b3f1ae5ff9313c7f63f6a28e4fb48981d23df5037b1",
-        ("barrier-outer-graph", 0): "c6ef7271c0b78a30ca672930cee8c942509aada7ab45ff13ee49313c1d42e491",
+        ("barrier-outer-graph", 0): "14a1e5db215210392b36630628408c3ed1a7b5ee1fafcea40af343009b974617",
         ("identity", 1): "1b37ab5c46922abe5b854f4ce67e43bc98c77b24b73df8e42579d6cb17ddd9ed",
         ("minor", 1): "7ec2f0ab6133e04331bd24672b456569ec07bc8412f051763851764bba9e4716",
         ("inequality-prod", 1): "4f79ac8c39aac01ae881fa08067ce75f8978d06eacc86170cab232dd11e9f876",
         ("inequality-phi", 1): "fd562b118c5a025d8974bd5f76810073ec0a5299cd2352e98ed2200117014ca7",
         ("inequality-euclid", 1): "d9da94ee354b82f74e829a6f2f331cb20dcee9b962d6d2c1858ad8c5849f3445",
         ("inequality-sphere", 1): "070817bb2464764c806919de32902f19ca77f44a9b495f7e3b31f3eca283bbd4",
-        ("barrier-outer-graph", 1): "c6ef7271c0b78a30ca672930cee8c942509aada7ab45ff13ee49313c1d42e491",
+        ("barrier-outer-graph", 1): "14a1e5db215210392b36630628408c3ed1a7b5ee1fafcea40af343009b974617",
         ("minor-3d", 0): "a8d49f2f1ce39f504e01fcd1df3aec4be4cd50fce5b8ae61e53a14e0ffd06fc2",
         ("minor-3d", 1): "78f648e20ab4934fd2136848cf57cf790607ca15b5cc8ef1a3c0f3c8a3787e89",
         ("inequality-prod-3d", 0): "deda8a520d9f7f74e37f152467a7ba855857ece8262b0666d8844f4dc1e512fd",
@@ -394,8 +406,8 @@ class TestGoldenReports:
         "slice-trig-3d": "531d61c357d5676908e246557b9732738319970c0c7527aa2dc411bfca695037",
         "slice-grid": "b0af65935fec785db70feb933ebe6f1aa7e4096f052d85f9a48e33229fe23bde",
         "slice-poly": "48a6c266f983e5d8ca2dd55e61675f40a721d957f4a345b70e1ed2d7c81a7b92",
-        "barrier-trig": "9d0a5f0651e4c14f937f80628d214f092321d7575af0cf36443e4ecaa9158c8d",
-        "barrier-trig-negated": "76415b3a734861e6a71e57578abca767252d4e7625e542ca6e47bf3ca974aecb",
+        "barrier-trig": "9fb851eac5f97d940d417b419f1a36234953283f1c634838d5772528c41f932c",
+        "barrier-trig-negated": "fc868888dfebc9cb5e7c846a0a8525b4312ad822bfb71efb4766f5e5a8717f23",
     }
 
     @pytest.mark.parametrize("stage", sorted(UNSEEDED))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curv.errors import ConformalFactorError, MetricNotPositiveError
+from curv.fields import Paraboloid
+from curv.graphgeom import extrinsic_points
 import curv.metrics
 from curv.metrics import (
     AmbientSpec,
@@ -111,6 +113,19 @@ class TestGeneralMetric:
         jet = metric_jet(gm, np.array([1.3, 0.2]))
         assert jet.scalar == pytest.approx(0.0, abs=1e-8)
         assert jet.gamma[0, 1, 1] == pytest.approx(-1.3, abs=1e-8)
+
+    def test_empty_stack(self):
+        jets = GeneralMetric(2, lambda x: np.eye(2)).jets(np.empty((0, 2)))
+        shapes = [jets.g.shape, jets.ginv.shape, jets.gamma.shape, jets.ricci.shape, jets.scalar.shape]
+        assert shapes == [(0, 2, 2), (0, 2, 2), (0, 2, 2, 2), (0, 2, 2), (0,)]
+
+    def test_empty_stack_through_the_geometry(self):
+        def shapes(stack):
+            return {k: shapes(v) if isinstance(v, MetricJet) else np.shape(v) for k, v in vars(stack).items()}
+
+        X = np.empty((0, 2))
+        general = extrinsic_points(Paraboloid(2), GeneralMetric(2, lambda x: np.eye(2)), X)
+        assert shapes(general) == shapes(extrinsic_points(Paraboloid(2), FlatMetric(2), X))
 
 
 class TestAmbients:

@@ -331,6 +331,11 @@ class TestSuiteSkips:
     def test_checks_report_the_non_regular_rows(self):
         field = Paraboloid(2)
         X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.5]])
-        regular, reports = checks("prod", field, np.array([0.5, 0.0, 0.125]), X)
-        assert regular.tolist() == [True, False, True]
-        assert [r.x for r in reports] == [(1.0, 0.0), (0.0, 0.5)]
+        for which in WHICH:
+            regular, reports = checks(which, field, np.array([0.5, 0.0, 0.125]), X)
+            assert regular.tolist() == [True, False, True]
+            assert [r.x for r in reports] == [(1.0, 0.0), (0.0, 0.5)]
+            # with no regular row, an all-False mask and no report
+            regular, reports = checks(which, field, 0.0, np.zeros((2, 2)))
+            assert regular.tolist() == [False, False]
+            assert reports == []
