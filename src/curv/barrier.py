@@ -116,12 +116,12 @@ class BarrierRun:
 
 
 def _newton_refine_ratio(field: ScalarField, x: np.ndarray, inner: float, outer: float,
-                         cell: float, iters: int = 30) -> np.ndarray | None:
+                         cell: float) -> np.ndarray | None:
     """Newton ascent on q(x) = u(x)/(1 - |x|) from x; None when it leaves the
-    trust region or fails to converge."""
+    trust region or fails to converge in 30 steps."""
     x = x.copy()
     start = x.copy()
-    for _ in range(iters):
+    for _ in range(30):
         r = float(np.linalg.norm(x))
         if not (inner < r < outer):
             return None
@@ -178,10 +178,11 @@ def slide(
     """Slide psi_lambda down onto u over the shrunken annulus (a_prime, r_out),
     where r_out = outer - (outer - a_prime) / radial.
 
-    On the sample grid the touching value is lambda_grid = max u/(1 - |x|);
-    the touching point is then polished (Newton on the touching ratio for
-    interior candidates, 1-D radial refinement otherwise), and the grid
-    point is kept when the polish does not reach lambda_grid. Outcomes: a
+    On the sample grid the touching value is lambda_grid = max u/(1 - |x|).
+    A grid touching point inside the outer sampled ring is then polished
+    (Newton on the touching ratio, 1-D radial refinement where Newton
+    fails), and the grid point is kept when the polish does not reach
+    lambda_grid; a touch on the outer ring keeps the grid point. Outcomes: a
     normal run when max u > touch_tol; the degenerate lambda_star = 0 when
     |max u| <= touch_tol; NoTouchError when u < -touch_tol everywhere. The
     annulus is sampled with one `field.values` call; a sample outside the
@@ -211,33 +212,22 @@ def slide(
         raise NoTouchError(f"field is below {-touch_tol} everywhere on the sampled annulus")
 
     degenerate = umax <= touch_tol
-    boundary = False
-    if degenerate:
-        i0 = int(vals.argmax())
-        x0, r0, u0, lam_star = pts[i0], float(norms[i0]), float(vals[i0]), 0.0
+    i0 = int(vals.argmax()) if degenerate else int((vals / slack).argmax())
+    x0, r0, u0, du = pts[i0], float(norms[i0]), float(vals[i0]), None
+    lam_star = 0.0 if degenerate else u0 / (1.0 - r0)
+    spacing = (r_out - a_prime) / (radial - 1)
+    # a touch on the outer sampled ring keeps the grid point
+    if not degenerate and r0 < r_out - 0.5 * spacing:
+        x = _newton_refine_ratio(field, x0, a_prime, r_out, cell=4.0 * spacing)
+        if x is None:
+            x = _radial_polish(field, x0, max(a_prime, r0 - spacing), min(r_out, r0 + spacing))
+        r, jet = float(np.linalg.norm(x)), field.jet(x)
+        lam = float(jet.value) / (1.0 - r)
+        if not lam < lam_star:  # the polish must not lose the grid certificate
+            x0, r0, u0, lam_star, du = x, r, float(jet.value), lam, jet.gradient
+    boundary = not degenerate and r0 >= r_out - 1.5 * spacing
+    if du is None:
         du = field.gradient(x0)
-    else:
-        ratio = vals / slack
-        i0 = int(ratio.argmax())
-        lam_grid, x_grid = float(ratio[i0]), pts[i0]
-
-        spacing = (r_out - a_prime) / (radial - 1)
-        x0 = None
-        if norms[i0] < r_out - 0.5 * spacing:
-            x0 = _newton_refine_ratio(field, x_grid, a_prime, r_out, cell=4.0 * spacing)
-        if x0 is None:
-            lo_r = max(a_prime, norms[i0] - spacing)
-            hi_r = min(r_out, norms[i0] + spacing)
-            x0 = _radial_polish(field, x_grid, lo_r, hi_r)
-
-        r0 = float(np.linalg.norm(x0))
-        jet = field.jet(x0)
-        u0, du = float(jet.value), jet.gradient
-        lam_star = u0 / (1.0 - r0)
-        if lam_star < lam_grid:  # polish must not lose the grid certificate
-            x0, r0, u0, lam_star = x_grid, float(norms[i0]), float(vals[i0]), lam_grid
-            du = field.gradient(x0)
-        boundary = r0 >= r_out - 1.5 * spacing
     return BarrierRun(
         dim=field.dim, annulus=(a, outer), a_prime=a_prime, r_out=r_out,
         lam_star=float(lam_star), x0=tuple(float(v) for v in x0),

@@ -434,20 +434,14 @@ class TrigField(ScalarField):
         )
 
 
-def random_trig_field(
-    dim: int,
-    seed: int,
-    modes: int = 4,
-    amplitude: float = 0.6,
-    freq_scale: float = 1.7,
-    domain=None,
-) -> TrigField:
-    """Seeded random superposition of sinusoids; the suites' generic field."""
+def random_trig_field(dim: int, seed: int, modes: int = 4, domain=None) -> TrigField:
+    """Seeded random superposition of sinusoids, of total amplitude 0.6 and
+    frequencies in [-1.7, 1.7); the suites' generic field."""
     rng = np.random.default_rng(seed)
-    freqs = rng.uniform(-freq_scale, freq_scale, size=(modes, dim))
+    freqs = rng.uniform(-1.7, 1.7, size=(modes, dim))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
     amps = rng.uniform(0.3, 1.0, size=modes)
-    amps *= amplitude / amps.sum()
+    amps *= 0.6 / amps.sum()
     return TrigField(amps, freqs, phases, domain=domain, name=f"trig(seed={seed})")
 
 

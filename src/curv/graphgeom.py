@@ -35,8 +35,10 @@ from .fields import FiniteDifferenceField, ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
 from .util import Stacked, as_point, as_points, outer
 
-#: default regularity threshold for slice frames
+#: regularity threshold for slice frames: a point is regular where |grad u|_g >= DELTA_REG
 DELTA_REG = 1e-6
+#: level_slice's relative tolerance on |u(x) - eps|
+LEVEL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -237,25 +239,18 @@ class SliceFrame(Stacked):
         return self.x.shape[-1]
 
 
-def level_slice(
-    field: ScalarField,
-    base,
-    eps: float,
-    x,
-    delta_reg: float = DELTA_REG,
-    level_tol: float = 1e-8,
-) -> SliceFrame:
+def level_slice(field: ScalarField, base, eps: float, x) -> SliceFrame:
     """Slice frame at a point of {u = eps}.
 
-    Raises NotOnLevelError if u(x) != eps (up to level_tol) and
-    NonRegularPointError when |grad u|_g < delta_reg; an exactly vanishing
+    Raises NotOnLevelError if u(x) != eps (up to LEVEL_TOL) and
+    NonRegularPointError when |grad u|_g < DELTA_REG; an exactly vanishing
     gradient is reported on the error as the distinct exact_zero outcome.
     """
     x = as_point(x, field.dim)
     point = extrinsic_point(field, base, x)
-    if abs(point.u - eps) > level_tol * max(1.0, abs(eps)):
+    if abs(point.u - eps) > LEVEL_TOL * max(1.0, abs(eps)):
         raise NotOnLevelError(f"u(x) = {point.u} is not on the level {eps}")
-    return slice_frame_of_point(point, eps, delta_reg=delta_reg)
+    return slice_frame_of_point(point, eps)
 
 
 def adapted_matrix(frame: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -268,17 +263,21 @@ def _grad_norms(points: ExtrinsicPoint) -> np.ndarray:
     return np.sqrt(np.vecdot(points.grad, points.grad_up))
 
 
-def slice_frames(points: ExtrinsicPoint, eps, delta_reg: float = DELTA_REG) -> tuple[np.ndarray, SliceFrame]:
+def slice_frames(points: ExtrinsicPoint, eps) -> tuple[np.ndarray, SliceFrame]:
     """Slice frames of a stack of extrinsic points, at the level eps (one
     value, or one per row).
 
-    Returns the mask of the regular rows, those with |grad u|_g >= delta_reg,
+    Returns the mask of the regular rows, those with |grad u|_g >= DELTA_REG,
     and the SliceFrame stack of those rows; row i of the stack equals
     slice_frame_of_point on its point bit for bit. A row off the mask is one
-    where slice_frame_of_point raises `nonregular_error`.
+    where slice_frame_of_point raises `nonregular_error`. A slice of a
+    surface over a base of dimension below 2 is a point, and raises
+    ValueError.
     """
+    if points.dim < 2:
+        raise ValueError(f"level slices need dimension >= 2, got {points.dim}")
     grad_norm = _grad_norms(points)
-    regular = ~(grad_norm < delta_reg)
+    regular = ~(grad_norm < DELTA_REG)
     eps = np.full(regular.shape, eps, dtype=float)
     if not regular.all():
         points, grad_norm, eps = points.select(regular), grad_norm[regular], eps[regular]
@@ -301,22 +300,22 @@ def slice_frames(points: ExtrinsicPoint, eps, delta_reg: float = DELTA_REG) -> t
     )
 
 
-def nonregular_error(points: ExtrinsicPoint, row: int, delta_reg: float = DELTA_REG) -> NonRegularPointError:
+def nonregular_error(points: ExtrinsicPoint, row: int) -> NonRegularPointError:
     """The error slice_frame_of_point raises at a row off the regular mask."""
     grad_norm = float(_grad_norms(points)[row])
     return NonRegularPointError(
-        f"|grad u| = {grad_norm:.3e} below the regularity threshold {delta_reg:.3e}",
+        f"|grad u| = {grad_norm:.3e} below the regularity threshold {DELTA_REG:.3e}",
         grad_norm=grad_norm,
         exact_zero=(grad_norm == 0.0),
     )
 
 
-def slice_frame_of_point(point: ExtrinsicPoint, eps: float, delta_reg: float = DELTA_REG) -> SliceFrame:
+def slice_frame_of_point(point: ExtrinsicPoint, eps: float) -> SliceFrame:
     """Build the slice frame from already-computed extrinsic data."""
     points = point.stacked()
-    regular, frames = slice_frames(points, eps, delta_reg=delta_reg)
+    regular, frames = slice_frames(points, eps)
     if not regular[0]:
-        raise nonregular_error(points, 0, delta_reg)
+        raise nonregular_error(points, 0)
     return frames.row(0)
 
 
@@ -341,7 +340,7 @@ def minor_relation_residual(frame: SliceFrame, point: ExtrinsicPoint) -> float:
 # independent oracles
 
 
-def intrinsic_scalar_curvature(field: ScalarField, base, x, step: float = 1e-3) -> float:
+def intrinsic_scalar_curvature(field: ScalarField, base, x) -> float:
     """Scalar curvature of the induced metric gM = g + du (x) du, computed by
     finite differences on the metric components. Independent of the
     Gauss-relation route inside extrinsic_point."""
@@ -352,17 +351,11 @@ def intrinsic_scalar_curvature(field: ScalarField, base, x, step: float = 1e-3) 
         dy = field.gradient(y)
         return gy + np.outer(dy, dy)
 
-    induced = GeneralMetric(field.dim, components, step=step, name="induced")
+    induced = GeneralMetric(field.dim, components, name="induced")
     return metric_jet(induced, x).scalar
 
 
-def slice_shape_sampled(
-    field: ScalarField,
-    eps: float,
-    x,
-    step: float = 1e-3,
-    root_tol: float = 1e-12,
-) -> np.ndarray:
+def slice_shape_sampled(field: ScalarField, eps: float, x, step: float = 1e-3) -> np.ndarray:
     """Shape operator of the slice {u = eps} over a flat base, estimated from
     the level set itself.
 
@@ -394,7 +387,7 @@ def slice_shape_sampled(
         flo, fhi = f(lo), f(hi)
         if flo * fhi > 0:
             raise ValueError("level set left the sampling corridor")
-        return brentq(f, lo, hi, xtol=root_tol)
+        return brentq(f, lo, hi, xtol=1e-12)
 
     t0 = tau(np.zeros(n))
     out = np.zeros((n - 1, n - 1))
@@ -417,10 +410,10 @@ def fd_mode(field: ScalarField, step: float | None = None) -> FiniteDifferenceFi
     return FiniteDifferenceField(field, field.dim, step=step)
 
 
-def gauss_oracle_residual(field: ScalarField, base, x, step: float = 1e-3) -> float:
+def gauss_oracle_residual(field: ScalarField, base, x) -> float:
     """|R_M(extrinsic route) - R(induced metric, FD route)| at x."""
     pt = extrinsic_point(field, base, x)
-    return abs(pt.scalar_curvature - intrinsic_scalar_curvature(field, base, x, step=step))
+    return abs(pt.scalar_curvature - intrinsic_scalar_curvature(field, base, x))
 
 
 def flat_base(dim: int) -> FlatMetric:

@@ -160,7 +160,7 @@ def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which:
     return regular, reports
 
 
-def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None, delta_reg: float = DELTA_REG):
+def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None):
     """(extrinsic stack, regular mask, reports of the regular rows)."""
     if which in ("prod", "euclid"):
         if which == "euclid":
@@ -168,22 +168,13 @@ def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None,
         else:
             base = (ambient if ambient is not None else product_ambient(field.dim)).base
         pt = extrinsic_points(field, base, X)
-        return (pt, *prod_reports(pt, *slice_frames(pt, eps, delta_reg=delta_reg), which))
+        return (pt, *prod_reports(pt, *slice_frames(pt, eps), which))
     if which in ("phi", "sphere"):
         if which == "sphere" or ambient is None:
             ambient = spherical_ambient(field.dim)
         cp = conformal_points(field, ambient, X)
-        return (cp.point, *_phi_reports(cp, *slice_frames(cp.point, eps, delta_reg=delta_reg), which))
+        return (cp.point, *_phi_reports(cp, *slice_frames(cp.point, eps), which))
     raise ValueError(f"unknown inequality selector {which!r}; expected one of {WHICH}")
-
-
-def _check_one(which, field, eps, x, ambient, delta_reg: float = DELTA_REG) -> InequalityReport:
-    """The one-row case of _checks, raising NonRegularPointError at a
-    non-regular point."""
-    pt, regular, reports = _checks(which, field, eps, as_point(x, field.dim)[None], ambient, delta_reg)
-    if not regular[0]:
-        raise nonregular_error(pt, 0, delta_reg)
-    return reports[0]
 
 
 def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None = None):
@@ -198,89 +189,85 @@ def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None =
     return regular, reports
 
 
-def check_prod(field: ScalarField, base, eps: float, x, delta_reg: float = DELTA_REG) -> InequalityReport:
-    """Product-metric inequality at a regular point of {u = eps}."""
-    return _check_one("prod", field, eps, x, product_ambient(field.dim, base), delta_reg)
-
-
-def check_euclid(field: ScalarField, eps: float, x, delta_reg: float = DELTA_REG) -> InequalityReport:
-    """Flat-base specialization: rhs = R_M/2 + n/(2(n-1)) cos^2 H_Sigma^2."""
-    return _check_one("euclid", field, eps, x, None, delta_reg)
-
-
-def check_phi(
-    field: ScalarField, ambient: AmbientSpec, eps: float, x, delta_reg: float = DELTA_REG
-) -> InequalityReport:
-    """Conformally-product inequality at a regular point of {u = eps}."""
-    return _check_one("phi", field, eps, x, ambient, delta_reg)
-
-
-def check_sphere(field: ScalarField, eps: float, x, delta_reg: float = DELTA_REG) -> InequalityReport:
-    """Round-sphere-factor specialization of the conformal inequality."""
-    return _check_one("sphere", field, eps, x, None, delta_reg)
-
-
 def check(which: str, field: ScalarField, eps: float, x, ambient: AmbientSpec | None = None):
-    return _check_one(which, field, eps, x, ambient)
+    """The inequality `which` at the point x of {u = eps}: the one-row case
+    of `checks`, raising NonRegularPointError at a non-regular point."""
+    pt, regular, reports = _checks(which, field, eps, as_point(x, field.dim)[None], ambient)
+    if not regular[0]:
+        raise nonregular_error(pt, 0)
+    return reports[0]
+
+
+def check_prod(field: ScalarField, base, eps: float, x) -> InequalityReport:
+    """Product-metric inequality at a regular point of {u = eps}."""
+    return check("prod", field, eps, x, product_ambient(field.dim, base))
+
+
+def check_euclid(field: ScalarField, eps: float, x) -> InequalityReport:
+    """Flat-base specialization: rhs = R_M/2 + n/(2(n-1)) cos^2 H_Sigma^2."""
+    return check("euclid", field, eps, x)
+
+
+def check_phi(field: ScalarField, ambient: AmbientSpec, eps: float, x) -> InequalityReport:
+    """Conformally-product inequality at a regular point of {u = eps}."""
+    return check("phi", field, eps, x, ambient)
+
+
+def check_sphere(field: ScalarField, eps: float, x) -> InequalityReport:
+    """Round-sphere-factor specialization of the conformal inequality."""
+    return check("sphere", field, eps, x)
 
 
 # ---------------------------------------------------------------------------
 # slice-point sampling
 
 
-def _slice_rows(at, eps, dirs, center, delta_reg: float, samples_per_ray: int, max_per_ray: int):
+def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     """slice_points of each member f of a family at its levels eps[f], along
-    its rays dirs[f]: the arrays (f, j, points) of the rows, in the order
-    field, level, ray, root. `at(idx)` is member idx, or a family for an
-    index array. One `values` call reads the samples every level shares, and
-    `brentq_lanes` solves all brackets at once."""
+    its rays dirs[f] from the origin: the arrays (f, j, points) of the rows,
+    in the order field, level, ray, root. `at(idx)` is member idx, or a
+    family for an index array. One `values` call reads the samples every
+    level shares, and `brentq_lanes` solves all brackets at once."""
     (F, L), (R, n), dom = eps.shape, dirs.shape[1:], at(0).domain
-    extents = dom.ray_extent(center, dirs.reshape(-1, n), margin=1e-6).reshape(F, R)
+    # origin + t d, not t d: adding +0.0 turns a -0.0 coordinate into +0.0
+    origin = np.zeros(n)
+    extents = dom.ray_extent(origin, dirs.reshape(-1, n), margin=1e-6).reshape(F, R)
     extents[~np.isfinite(extents)] = 2.0
-    ts = np.linspace(0.0, extents, samples_per_ray, axis=-1)  # each row is the ray's own linspace
-    X = center + ts[..., None] * dirs[:, :, None, :]
+    ts = np.linspace(0.0, extents, SAMPLES_PER_RAY, axis=-1)  # each row is the ray's own linspace
+    X = origin + ts[..., None] * dirs[:, :, None, :]
     vals = at(np.arange(F)[:, None]).values(X.reshape(F, -1, n)).reshape(F, 1, R, -1) - eps[:, :, None, None]
     a, b = vals[..., :-1], vals[..., 1:]
     bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
     bracket &= (extents > 0)[:, None, :, None]  # a ray of extent 0 is not sampled
     f, j, r, i = np.nonzero(bracket)
     d, e, lo, hi = dirs[f, r], eps[f, j], ts[f, r, i], ts[f, r, i + 1]
-    roots = brentq_lanes(lambda t, k: at(f[k]).values(center + t[:, None] * d[k]) - e[k], lo, hi, xtol=1e-13)
-    P = center + roots[:, None] * d
+    roots = brentq_lanes(lambda t, k: at(f[k]).values(origin + t[:, None] * d[k]) - e[k], lo, hi, xtol=1e-13)
+    P = origin + roots[:, None] * d
     ok = ~np.isnan(roots)
     ok[ok] = dom.contains(P[ok], margin=at(f[ok]).margin(P[ok]))
     grad = at(f[ok]).gradients(P[ok])
-    ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < delta_reg)  # np.linalg.norm of each row, bit for bit
+    ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < DELTA_REG)  # np.linalg.norm of each row, bit for bit
     ray, before = (f * L + j) * R + r, np.cumsum(ok) - ok
     reached = before - before[np.searchsorted(ray, ray)] < max_per_ray  # fewer roots kept before it on its ray
     for k in np.flatnonzero(np.isnan(roots) & reached):
         # a lane that met NaN, solved pointwise, raises the field's error there
-        brentq(lambda t, fk=at(f[k]): fk.value(center + t * d[k]) - e[k], lo[k], hi[k], xtol=1e-13)
+        brentq(lambda t, fk=at(f[k]): fk.value(origin + t * d[k]) - e[k], lo[k], hi[k], xtol=1e-13)
     keep = ok & reached
     return f[keep], j[keep], P[keep]
 
 
 def slice_points(
-    field: ScalarField,
-    eps: float,
-    rays: int = 16,
-    seed: int = 0,
-    center=None,
-    delta_reg: float = DELTA_REG,
-    samples_per_ray: int = SAMPLES_PER_RAY,
-    max_per_ray: int = MAX_PER_RAY,
+    field: ScalarField, eps: float, rays: int = 16, seed: int = 0, max_per_ray: int = MAX_PER_RAY
 ) -> list[np.ndarray]:
     """Deterministic points of {u = eps}: 1-D root finding along rays from the
-    center (golden-angle directions in 2-D, seeded unit vectors otherwise),
+    origin (golden-angle directions in 2-D, seeded unit vectors otherwise),
     keeping regular interior points only; the one-field, one-level case of
     `_slice_rows`. A sample where the field is undefined is NaN and brackets
     no root. A root is kept if it lies inside the domain less the field's
-    evaluation margin and |Du| >= delta_reg there, and at most max_per_ray
+    evaluation margin and |Du| >= DELTA_REG there, and at most max_per_ray
     roots are kept per ray."""
-    center = np.zeros(field.dim) if center is None else as_point(center, field.dim)
     dirs = unit_directions(field.dim, rays, seed)
-    eps = np.array([[eps]], dtype=float)
-    return list(_slice_rows(lambda idx: field, eps, dirs[None], center, delta_reg, samples_per_ray, max_per_ray)[2])
+    return list(_slice_rows(lambda idx: field, np.array([[eps]], dtype=float), dirs[None], max_per_ray)[2])
 
 
 def _probe_points(domain, dim: int, seed: int, probes: int) -> np.ndarray:
@@ -298,6 +285,8 @@ def _probe_points(domain, dim: int, seed: int, probes: int) -> np.ndarray:
 def _levels(at, probes: list[np.ndarray], count: int) -> np.ndarray:
     """pick_levels of each member f of a family on its probes[f], shape (F,
     count); NaN for a member with no probes."""
+    if count < 1:
+        raise ValueError(f"need at least one level, got {count}")
     if len({len(P) for P in probes}) > 1:  # ragged draws go one member at a time
         return np.concatenate([_levels(lambda idx, k=k: at(k), [P], count) for k, P in enumerate(probes)])
     if not len(probes[0]):
@@ -326,7 +315,7 @@ def family_slices(family, count: int, level_seeds: Sequence[int], ray_seeds: Seq
     a nonempty trig family: the levels (F, count) and _slice_rows' rows."""
     eps = _levels(family.rows, [_probe_points(family.domain, family.dim, s, 256) for s in level_seeds], count)
     dirs = np.stack([unit_directions(family.dim, rays, s) for s in ray_seeds])
-    return (eps, *_slice_rows(family.rows, eps, dirs, np.zeros(family.dim), DELTA_REG, SAMPLES_PER_RAY, MAX_PER_RAY))
+    return (eps, *_slice_rows(family.rows, eps, dirs))
 
 
 # ---------------------------------------------------------------------------

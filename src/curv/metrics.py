@@ -116,17 +116,20 @@ class ConformalMetric(Metric):
         return MetricJet(eye / phi2, eye * phi2, gamma, ricci, scalar)
 
 
+#: GeneralMetric's finite-difference step
+GENERAL_STEP = 1e-3
+
+
 class GeneralMetric(Metric):
     """Metric from a component callable; curvature via fourth-order stencils
-    at one point (the finite-difference oracle), stacked row by row."""
+    of step GENERAL_STEP at one point (the finite-difference oracle), stacked
+    row by row."""
 
     kind = "general"
 
-    def __init__(self, dim: int, components: Callable[[np.ndarray], np.ndarray],
-                 step: float = 1e-3, name="general"):
+    def __init__(self, dim: int, components: Callable[[np.ndarray], np.ndarray], name="general"):
         self.dim = dim
         self._components = components
-        self.step = float(step)
         self.name = name
 
     def components(self, x) -> np.ndarray:
@@ -144,7 +147,7 @@ class GeneralMetric(Metric):
 
     def jet(self, x) -> MetricJet:
         x = as_point(x, self.dim)
-        n, h = self.dim, self.step
+        n, h = self.dim, GENERAL_STEP
         g0 = self.components(x)
         self._check_spd(g0, x)
         comp = self.components
@@ -217,9 +220,9 @@ def metric_jet(metric, x) -> MetricJet:
     return metric.jet(x)
 
 
-def as_general(metric, step: float = 1e-3) -> GeneralMetric:
+def as_general(metric) -> GeneralMetric:
     """Wrap any metric as a component callable with FD curvature (cross-checks)."""
-    return GeneralMetric(metric.dim, metric.components, step=step, name=f"fd({metric.name})")
+    return GeneralMetric(metric.dim, metric.components, name=f"fd({metric.name})")
 
 
 def round_sphere_factor(x):

@@ -36,6 +36,10 @@ _ALIASES = {
     "s-v": "S-v", "example-s-v": "S-v", "v": "S-v",
 }
 JUNCTION_TOL = 1e-3
+#: junction_c2_check samples the u-graph at r_k = 1 - 10^-k for these k
+JUNCTION_KS = (2, 3, 4, 5, 6)
+#: radial_field keeps this far inside the vertical tangent at r = 1
+RIM_MARGIN = 1e-6
 
 
 def normalize_kind(kind: str) -> str:
@@ -225,16 +229,13 @@ class MonotonicityReport:
         )
 
 
-def monotonicity_checks(a: float, grid=None, samples: int = 10_000) -> MonotonicityReport:
+def monotonicity_checks(a: float, samples: int = 10_000) -> MonotonicityReport:
     """First-order vanishing at r = a, strict monotonicity, and the profile
-    convexity bound u'' > u'(1+u'^2), with worst margins over the grid."""
+    convexity bound u'' > u'(1+u'^2), with worst margins over `samples`
+    equally spaced radii of [a, 1)."""
     _check_a(a)
     prof = RevolutionProfile("S-u", a)
-    if grid is None:
-        grid = a + (1.0 - a) * np.arange(samples) / samples  # [a, 1)
-    grid = np.asarray(grid, dtype=float)
-    if grid.min() < a or grid.max() >= 1.0:
-        raise OutOfDomainError("monotonicity grid must lie in [a, 1)")
+    grid = a + (1.0 - a) * np.arange(samples) / samples
     u_a, du_a, ddu_a = profile_jet(prof, a)
     jets = np.array([profile_jet(prof, r) for r in grid])
     du = jets[:, 1]
@@ -257,7 +258,6 @@ def monotonicity_checks(a: float, grid=None, samples: int = 10_000) -> Monotonic
 @dataclass(frozen=True)
 class JunctionReport:
     a: float
-    ks: tuple[int, ...]
     value_limit: float
     value_target: float  # u(1) = v(1)
     lam1_limit: float
@@ -276,14 +276,14 @@ class JunctionReport:
         )
 
 
-def junction_c2_check(a: float, ks=(2, 3, 4, 5, 6), tol: float = JUNCTION_TOL) -> JunctionReport:
-    """One-sided limits of the u-graph along r_k = 1 - 10^-k, Richardson
-    extrapolated in s = sqrt(1-r) where the jets are regular, compared with
-    the v-cap value and curvature at the gluing circle."""
+def junction_c2_check(a: float, tol: float = JUNCTION_TOL) -> JunctionReport:
+    """One-sided limits of the u-graph along r_k = 1 - 10^-k (k in
+    JUNCTION_KS), Richardson extrapolated in s = sqrt(1-r) where the jets are
+    regular, compared with the v-cap value and curvature at the gluing
+    circle."""
     _check_a(a)
     prof = RevolutionProfile("S-u", a)
-    ks = tuple(sorted(int(k) for k in ks))
-    rs = [1.0 - 10.0 ** (-k) for k in ks]
+    rs = [1.0 - 10.0 ** (-k) for k in JUNCTION_KS]
     ss = np.array([math.sqrt(1.0 - r) for r in rs])
     vals = np.array([profile_jet(prof, r)[0] for r in rs])
     lams = np.array([principal_curvatures_u(a, r) for r in rs])
@@ -292,7 +292,6 @@ def junction_c2_check(a: float, ks=(2, 3, 4, 5, 6), tol: float = JUNCTION_TOL) -
     lam2_lim = richardson_limit(ss, lams[:, 1])
     return JunctionReport(
         a=a,
-        ks=ks,
         value_limit=float(richardson_limit(ss, vals)),
         value_target=spherical_cap_height(a),
         lam1_limit=float(lam1_lim),
@@ -307,16 +306,16 @@ def junction_c2_check(a: float, ks=(2, 3, 4, 5, 6), tol: float = JUNCTION_TOL) -
 # graph-field views
 
 
-def radial_field(profile: RevolutionProfile, rim_margin: float = 1e-6) -> ScalarField:
+def radial_field(profile: RevolutionProfile) -> ScalarField:
     """The profile as a radial graph field, for the generic pipeline.
 
-    S-u lives on the annulus a < |x| < 1 (shrunk by rim_margin at the
+    S-u lives on the annulus a < |x| < 1 (shrunk by RIM_MARGIN at the
     vertical tangent), S-v on the ball, E-f as the inverse graph of the
     decreasing branch (see inverse_profile_jet).
     """
     if profile.kind == "E-f":
         return RadialField(2, inverse_profile_jet, Annulus(2, *_F_INVERSE_RANGE), name="revolution-E-f")
-    dom = Annulus(2, profile.a, 1.0 - rim_margin) if profile.kind == "S-u" else Ball(2, 1.0 - rim_margin)
+    dom = Annulus(2, profile.a, 1.0 - RIM_MARGIN) if profile.kind == "S-u" else Ball(2, 1.0 - RIM_MARGIN)
     return RadialField(2, partial(profile_jet, profile), dom, name=f"revolution-{profile.kind}",
                        profile_values=partial(profile_values, profile))
 
@@ -381,12 +380,10 @@ def closed_vs_pipeline(a: float, radii) -> float:
     return worst
 
 
-def sweep_u(a: float, count: int = 400, r_max: float | None = None) -> np.ndarray:
-    """Columns (r, u, lam1, lam2, R) over [a, r_max]."""
+def sweep_u(a: float, count: int = 400) -> np.ndarray:
+    """Columns (r, u, lam1, lam2, R) over [a, 1)."""
     _check_a(a)
-    if r_max is None:
-        r_max = 1.0 - 1e-6
-    radii = np.linspace(a, r_max, count)
+    radii = np.linspace(a, 1.0 - 1e-6, count)
     rows = []
     for r in radii:
         u = profile_jet(RevolutionProfile("S-u", a), r)[0]
@@ -405,9 +402,9 @@ def sweep_v(a: float, count: int = 200) -> np.ndarray:
     return np.array(rows)
 
 
-def sweep_f(count: int = 400, z_lo: float = 1e-4, z_hi: float = 1.0 - 1e-4) -> np.ndarray:
-    """Columns (z, f, kappa_meridian, kappa_parallel, R = 2K)."""
-    zs = np.linspace(z_lo, z_hi, count)
+def sweep_f(count: int = 400) -> np.ndarray:
+    """Columns (z, f, kappa_meridian, kappa_parallel, R = 2K) over (0, 1)."""
+    zs = np.linspace(1e-4, 1.0 - 1e-4, count)
     rows = []
     for z in zs:
         f = profile_jet(RevolutionProfile("E-f"), z)[0]

@@ -27,6 +27,8 @@ from .util import maxabs
 
 #: relative tolerance for the equality diagnostics and the sign precondition
 DEFAULT_EQUALITY_TOL = 1e-8
+#: randomized_identity_suite's matrices per draw
+IDENTITY_BATCH = 20_000
 
 
 def _checked(a) -> np.ndarray:
@@ -101,20 +103,20 @@ class NewtonGap:
         return self.minor_diag_equal and self.offdiag_products_zero
 
 
-def newton_gap(a, tol: float = DEFAULT_EQUALITY_TOL) -> NewtonGap:
+def newton_gap(a) -> NewtonGap:
     """Evaluate sigma1*sigma1_minor - sigma2 - n/(2(n-1))*sigma1_minor^2.
 
-    Requires a_ij a_ji >= 0 for all i != j (up to tol, relative to the squared
-    max-norm); raises SignConditionError otherwise. Under that condition the
-    gap is nonnegative up to roundoff. Equality flags use tol relative to the
-    matrix max-norm.
+    Requires a_ij a_ji >= 0 for all i != j (up to DEFAULT_EQUALITY_TOL,
+    relative to the squared max-norm); raises SignConditionError otherwise.
+    Under that condition the gap is nonnegative up to roundoff. Equality
+    flags use DEFAULT_EQUALITY_TOL relative to the matrix max-norm.
     """
     a = _checked(a)
     n = a.shape[0]
     scale = max(1.0, maxabs(a))
     i, j = np.triu_indices(n, k=1)
     products = a[i, j] * a[j, i]
-    if products.size and float(products.min()) < -tol * scale * scale:
+    if products.size and float(products.min()) < -DEFAULT_EQUALITY_TOL * scale * scale:
         raise SignConditionError(
             f"off-diagonal product a_ij*a_ji = {products.min():.3e} violates the sign condition"
         )
@@ -130,8 +132,8 @@ def newton_gap(a, tol: float = DEFAULT_EQUALITY_TOL) -> NewtonGap:
         gap=float(gap),
         minor_diag_spread=spread,
         max_offdiag_product=max_prod,
-        minor_diag_equal=spread <= tol * scale,
-        offdiag_products_zero=max_prod <= tol * scale * scale,
+        minor_diag_equal=spread <= DEFAULT_EQUALITY_TOL * scale,
+        offdiag_products_zero=max_prod <= DEFAULT_EQUALITY_TOL * scale * scale,
     )
 
 
@@ -172,9 +174,10 @@ class IdentitySuiteResult:
 
 
 def randomized_identity_suite(
-    orders=(2, 3, 4, 5, 6, 7, 8), trials: int = 100_000, seed: int = 0, batch: int = 20_000
+    orders=(2, 3, 4, 5, 6, 7, 8), trials: int = 100_000, seed: int = 0
 ) -> IdentitySuiteResult:
-    """Check the splitting on `trials` matrices with i.i.d. U(-1,1) entries.
+    """Check the splitting on `trials` matrices with i.i.d. U(-1,1) entries,
+    drawn IDENTITY_BATCH at a time.
 
     Trials are distributed round-robin over the requested orders; the residual
     is measured relative to max(1, |lhs|).
@@ -191,7 +194,7 @@ def randomized_identity_suite(
     for n in orders:
         left = counts[n]
         while left > 0:
-            m = min(batch, left)
+            m = min(IDENTITY_BATCH, left)
             left -= m
             a = rng.uniform(-1.0, 1.0, size=(m, n, n))
             res = identity_residual_batch(a)

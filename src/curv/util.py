@@ -94,6 +94,8 @@ def ring_directions(count: int) -> np.ndarray:
 
 def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     """Deterministic unit vectors: golden-angle ring in 2-D, seeded Gaussian higher."""
+    if count < 1:
+        raise ValueError(f"need at least one ray direction, got {count}")
     if dim == 2:
         return ring_directions(count)
     rng = np.random.default_rng(seed)

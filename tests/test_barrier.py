@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from curv import barrier
 from curv.barrier import (
     TOUCH_TOL,
     BarrierRun,
@@ -172,6 +173,20 @@ class TestSlideEdgeCases:
         field = FiniteDifferenceField(lambda x: 1.0 - x @ x if x @ x < 0.64 else np.nan, 2)
         with pytest.raises(NonFiniteJetError):
             slide(field, (0.3, 1.0), 0.35, radial=64, angular=16)
+
+    def test_outer_ring_touch_is_not_polished(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an outer-ring touch was polished")
+
+        monkeypatch.setattr(barrier, "_newton_refine_ratio", unreachable)
+        monkeypatch.setattr(barrier, "_radial_polish", unreachable)
+        field = random_trig_field(2, seed=1)
+        run = slide(field, (0.5, 1.0), 0.525, radial=128, angular=32)
+        # the grid point on the outer ring, as the samples give it
+        assert run.boundary_touch
+        assert np.linalg.norm(run.x0) == pytest.approx(run.r_out, abs=1e-15)
+        assert run.lam_star == pytest.approx(run.u0 / (1.0 - np.linalg.norm(run.x0)), rel=1e-14)
+        assert run.u0 == field.value(np.array(run.x0))
 
     def test_profile_graph_touches_at_boundary(self):
         field = radial_field(RevolutionProfile("S-u", 0.5))

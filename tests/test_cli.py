@@ -384,6 +384,8 @@ class TestGoldenReports:
         "slice-trig-3d": ["slice", "--field", "trig:5", "--dim", "3", "--eps", "0.0,0.3", "--rays", "24", "--seed", "4"],
         "slice-grid": ["slice", "--field", "grid:{grid}", "--eps", "0.1,0.2"],
         "slice-poly": ["slice", "--field", POLY3, "--eps", "0.05,0.2"],
+        # the level 0 passes through the origin, where a root at t = 0 must print 0.0, not -0.0
+        "slice-plane-origin": ["slice", "--field", "plane:0.3,-0.2", "--eps", "0.0,0.1,0.2"],
         "barrier-trig": ["barrier", "--field", "trig:1"],
         "barrier-trig-negated": ["barrier", "--field", "trig:3", "--negate"],
     }
@@ -406,6 +408,7 @@ class TestGoldenReports:
         "slice-trig-3d": "531d61c357d5676908e246557b9732738319970c0c7527aa2dc411bfca695037",
         "slice-grid": "b0af65935fec785db70feb933ebe6f1aa7e4096f052d85f9a48e33229fe23bde",
         "slice-poly": "48a6c266f983e5d8ca2dd55e61675f40a721d957f4a345b70e1ed2d7c81a7b92",
+        "slice-plane-origin": "fbc2c4ff076ec40108bd4ff6ef14ff826723946f0e39cdc3f27d701cfadc7742",
         "barrier-trig": "9fb851eac5f97d940d417b419f1a36234953283f1c634838d5772528c41f932c",
         "barrier-trig-negated": "fc868888dfebc9cb5e7c846a0a8525b4312ad822bfb71efb4766f5e5a8717f23",
     }
@@ -461,6 +464,26 @@ class TestParserReuse:
         assert [report(argv) for argv in runs] == alone
         assert build_parser.cache_info().misses == 1
         assert json.loads(alone[2])["results"][0]["trials"] == 100_000
+
+
+class TestDegenerateSizes:
+    def test_identity_with_no_trials_fails(self, capsys):
+        rc, doc = run_json(capsys, ["verify", "identity", "--trials", "0"])
+        assert rc == 1
+        assert (doc["results"][0]["trials"], doc["results"][0]["passed"]) == (0, False)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "inequality", "--which", "prod", "--levels", "0"], "need at least one level, got 0"),
+        (["verify", "inequality", "--which", "prod", "--dim", "1"], "level slices need dimension >= 2, got 1"),
+        (["slice", "--field", "trig:0", "--dim", "1", "--eps", "0.1"], "level slices need dimension >= 2, got 1"),
+        (["verify", "minor", "--dim", "1"], "level slices need dimension >= 2, got 1"),
+        (["slice", "--field", "trig:0", "--eps", "0.1", "--rays", "0"], "need at least one ray direction, got 0"),
+        (["verify", "inequality", "--which", "prod", "--rays", "0"], "need at least one ray direction, got 0"),
+        (["barrier", "--field", "trig:0", "--angular", "0"], "need at least one ray direction, got 0"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"curv: error: {message}\n"
 
 
 class TestErrors:

@@ -1,0 +1,45 @@
+"""Keywords that had one value in every caller are module constants; they stay
+out of the signatures."""
+
+import inspect
+
+import pytest
+
+from curv import barrier, fields, graphgeom, inequality, metrics, revolution, syminv
+
+REMOVED = [
+    (graphgeom.level_slice, {"delta_reg", "level_tol"}),
+    (graphgeom.slice_frames, {"delta_reg"}),
+    (graphgeom.nonregular_error, {"delta_reg"}),
+    (graphgeom.slice_frame_of_point, {"delta_reg"}),
+    (graphgeom.intrinsic_scalar_curvature, {"step"}),
+    (graphgeom.gauss_oracle_residual, {"step"}),
+    (graphgeom.slice_shape_sampled, {"root_tol"}),
+    (inequality.check_prod, {"delta_reg"}),
+    (inequality.check_euclid, {"delta_reg"}),
+    (inequality.check_phi, {"delta_reg"}),
+    (inequality.check_sphere, {"delta_reg"}),
+    (inequality.slice_points, {"center", "delta_reg", "samples_per_ray"}),
+    (inequality._checks, {"delta_reg"}),
+    (inequality._slice_rows, {"center", "delta_reg", "samples_per_ray"}),
+    (fields.random_trig_field, {"amplitude", "freq_scale"}),
+    (metrics.GeneralMetric, {"step"}),
+    (metrics.as_general, {"step"}),
+    (revolution.monotonicity_checks, {"grid"}),
+    (revolution.junction_c2_check, {"ks"}),
+    (revolution.radial_field, {"rim_margin"}),
+    (revolution.sweep_u, {"r_max"}),
+    (revolution.sweep_f, {"z_lo", "z_hi"}),
+    (syminv.newton_gap, {"tol"}),
+    (syminv.randomized_identity_suite, {"batch"}),
+    (barrier._newton_refine_ratio, {"iters"}),
+]
+
+
+@pytest.mark.parametrize("func, names", REMOVED, ids=[f.__qualname__ for f, _ in REMOVED])
+def test_removed_keywords_stay_removed(func, names):
+    assert not names & set(inspect.signature(func).parameters)
+
+
+def test_check_is_the_one_row_route():
+    assert not hasattr(inequality, "_check_one")
