@@ -226,6 +226,8 @@ def _handle_verify_minor(args, tol):
     worst_fd = 0.0
     slopes_all: list[float] = []
     checked = 0
+    if args.fd_step <= 0:
+        raise ValueError(f"need --fd-step > 0, got {args.fd_step}")
     steps = [args.fd_step, args.fd_step / 2.0, args.fd_step / 4.0]
     seeds = [args.seed + i for i in range(args.fields)]
     fields = [random_trig_field(args.dim, seed=s) for s in seeds]
@@ -343,6 +345,8 @@ def _handle_barrier(args, tol):
 
 
 def _handle_example(args, tol):
+    if args.count < 2:
+        raise ValueError(f"need --count >= 2, got {args.count}")
     if args.name == "euclid-cone":
         table = sweep_f(count=args.count)
         gauss = table[:, 2] * table[:, 3]

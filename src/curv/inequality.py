@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conformal import ConformalPoint, conformal_point, conformal_points
 from .fields import ScalarField
@@ -220,6 +219,12 @@ def check_sphere(field: ScalarField, eps: float, x) -> InequalityReport:
 
 # ---------------------------------------------------------------------------
 # slice-point sampling
+
+
+def brentq(f, a, b, **kwargs) -> float:
+    """`scipy.optimize.brentq`, imported on first call: only `_slice_rows`'s NaN-lane fallback needs it."""
+    from scipy.optimize import brentq
+    return brentq(f, a, b, **kwargs)
 
 
 def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import OutOfDomainError
 from .fields import Annulus, Ball, RadialField, ScalarField
-from .util import richardson_limit
+from .util import brentq_lanes, richardson_limit
 
 KINDS = ("E-f", "S-u", "S-v")
 _ALIASES = {
@@ -325,7 +324,8 @@ def _f_first(z: float) -> float:
 
 
 def _f_peak() -> tuple[float, float]:
-    z = brentq(_f_first, 0.05, 0.95, xtol=1e-14)
+    # one lane of the brentq.c port, so that importing curv needs no scipy.optimize
+    z = float(brentq_lanes(lambda t, k: np.array([_f_first(v) for v in t]), [0.05], [0.95], xtol=1e-14)[0])
     return z, profile_jet(RevolutionProfile("E-f"), z)[0]
 
 
@@ -341,6 +341,7 @@ def inverse_profile_jet(r: float) -> tuple[float, float, float]:
     surface is locally the graph z = zeta(|x|)."""
     if not (_F_EDGE <= r < _F_PEAK):
         raise OutOfDomainError(f"inverse profile needs {_F_EDGE:.6g} <= r < {_F_PEAK:.6f}, got {r}")
+    from scipy.optimize import brentq  # scipy's C solver: per point, it costs less than a one-lane solve
     prof = RevolutionProfile("E-f")
     z = brentq(lambda t: profile_jet(prof, t)[0] - r, _F_PEAK_Z, _F_Z_END, xtol=1e-14)
     _, df, ddf = profile_jet(prof, z)

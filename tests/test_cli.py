@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,6 +484,11 @@ class TestDegenerateSizes:
         (["slice", "--field", "trig:0", "--eps", "0.1", "--rays", "0"], "need at least one ray direction, got 0"),
         (["verify", "inequality", "--which", "prod", "--rays", "0"], "need at least one ray direction, got 0"),
         (["barrier", "--field", "trig:0", "--angular", "0"], "need at least one ray direction, got 0"),
+        (["example", "--name", "euclid-cone", "--count", "0"], "need --count >= 2, got 0"),
+        (["example", "--name", "spherical-glued", "--count", "0"], "need --count >= 2, got 0"),
+        (["example", "--name", "euclid-cone", "--count", "1"], "need --count >= 2, got 1"),
+        (["verify", "minor", "--fields", "2", "--fd", "--fd-step", "0"], "need --fd-step > 0, got 0.0"),
+        (["verify", "minor", "--fields", "2", "--fd", "--fd-step", "-0.01"], "need --fd-step > 0, got -0.01"),
     ])
     def test_usage_error(self, capsys, argv, message):
         assert main(argv) == 2
@@ -518,3 +527,32 @@ class TestErrors:
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
         assert json.loads(out.read_text())["meta"]["tool"] == "curv"
+
+
+COLD_RUN = """
+import contextlib, io, json, sys
+from curv.cli import main
+steps = [("import curv.cli", None, "scipy.optimize" in sys.modules)]
+from verify_all import STAGES
+for name, argv in [("prod --fields 2", ["verify", "inequality", "--which", "prod", "--fields", "2"])] + STAGES:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    steps.append((name, rc, "scipy.optimize" in sys.modules))
+print(json.dumps(steps))
+"""
+
+
+class TestColdImport:
+    def test_no_stage_loads_scipy_optimize(self):
+        """A fresh interpreter runs `curv.cli.main` on one inequality suite and
+        on each verify_all stage without importing scipy.optimize: only the
+        NaN-lane fallback, the barrier's interior-touch polish and the E-f
+        inverse profile need it, and none of these runs there."""
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), str(root / "scripts"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", COLD_RUN], env=env, capture_output=True, text=True, check=True)
+        steps = json.loads(out.stdout)
+        assert len(steps) == 11
+        assert [[name, rc, False] for name, rc, _ in steps] == steps
+        assert all(rc in (None, 0) for _, rc, _ in steps)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from curv import revolution
 from curv.errors import OutOfDomainError
 from curv.revolution import (
     RevolutionProfile,
@@ -135,6 +136,17 @@ class TestConeProfile:
         fd1, fd2 = fd_derivatives(prof, 0.5)
         assert dv == pytest.approx(fd1, abs=1e-8)
         assert ddv == pytest.approx(fd2, abs=1e-4)
+
+    def test_peak_constants_pinned(self):
+        """The E-f peak, solved by one lane of the brentq.c port, is scipy's
+        brentq root bit for bit, and the derived constants keep their values."""
+        from scipy.optimize import brentq
+
+        assert (revolution._F_PEAK_Z, revolution._F_PEAK, revolution._F_EDGE) == (
+            0.40325576628102094, 1.4961899216206112, 8.945662391068493e-07
+        )
+        assert revolution._F_PEAK_Z == brentq(revolution._f_first, 0.05, 0.95, xtol=1e-14)
+        assert type(revolution._F_PEAK_Z) is float
 
     def test_inverse_roundtrip(self):
         prof = RevolutionProfile("E-f")
