@@ -156,6 +156,7 @@ def _newton_refine_ratio(field: ScalarField, x: np.ndarray, inner: float, outer:
 def _radial_polish(field: ScalarField, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Maximize q along the ray through x over |x| in [lo, hi]."""
     from scipy.optimize import minimize_scalar  # only this rare polish needs scipy.optimize
+
     d = x / np.linalg.norm(x)
 
     def neg_q(r):

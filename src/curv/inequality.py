@@ -224,6 +224,7 @@ def check_sphere(field: ScalarField, eps: float, x) -> InequalityReport:
 def brentq(f, a, b, **kwargs) -> float:
     """`scipy.optimize.brentq`, imported on first call: only `_slice_rows`'s NaN-lane fallback needs it."""
     from scipy.optimize import brentq
+
     return brentq(f, a, b, **kwargs)
 
 

@@ -323,17 +323,14 @@ def _f_first(z: float) -> float:
     return profile_jet(RevolutionProfile("E-f"), z)[1]
 
 
-def _f_peak() -> tuple[float, float]:
-    # one lane of the brentq.c port, so that importing curv needs no scipy.optimize
-    z = float(brentq_lanes(lambda t, k: np.array([_f_first(v) for v in t]), [0.05], [0.95], xtol=1e-14)[0])
-    return z, profile_jet(RevolutionProfile("E-f"), z)[0]
-
-
-_F_PEAK_Z, _F_PEAK = _f_peak()
+_F_PROFILE = RevolutionProfile("E-f")
+# one lane of the brentq.c port, so that importing curv needs no scipy.optimize
+_F_PEAK_Z = float(brentq_lanes(lambda t, k: np.array([_f_first(v) for v in t]), [0.05], [0.95], xtol=1e-14)[0])
+_F_PEAK = profile_jet(_F_PROFILE, _F_PEAK_Z)[0]
 _F_INVERSE_RANGE = (0.05, _F_PEAK - 0.05)
 # the inverse is solved for z in [_F_PEAK_Z, _F_Z_END], so radii below f(_F_Z_END) have no root there
 _F_Z_END = 1.0 - 1e-13
-_F_EDGE = profile_jet(RevolutionProfile("E-f"), _F_Z_END)[0]
+_F_EDGE = profile_jet(_F_PROFILE, _F_Z_END)[0]
 
 
 def inverse_profile_jet(r: float) -> tuple[float, float, float]:
@@ -342,9 +339,9 @@ def inverse_profile_jet(r: float) -> tuple[float, float, float]:
     if not (_F_EDGE <= r < _F_PEAK):
         raise OutOfDomainError(f"inverse profile needs {_F_EDGE:.6g} <= r < {_F_PEAK:.6f}, got {r}")
     from scipy.optimize import brentq  # scipy's C solver: per point, it costs less than a one-lane solve
-    prof = RevolutionProfile("E-f")
-    z = brentq(lambda t: profile_jet(prof, t)[0] - r, _F_PEAK_Z, _F_Z_END, xtol=1e-14)
-    _, df, ddf = profile_jet(prof, z)
+
+    z = brentq(lambda t: profile_jet(_F_PROFILE, t)[0] - r, _F_PEAK_Z, _F_Z_END, xtol=1e-14)
+    _, df, ddf = profile_jet(_F_PROFILE, z)
     return z, 1.0 / df, -ddf / df**3
 
 

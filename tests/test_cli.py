@@ -553,6 +553,5 @@ class TestColdImport:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         out = subprocess.run([sys.executable, "-c", COLD_RUN], env=env, capture_output=True, text=True, check=True)
         steps = json.loads(out.stdout)
-        assert len(steps) == 11
         assert [[name, rc, False] for name, rc, _ in steps] == steps
         assert all(rc in (None, 0) for _, rc, _ in steps)
