@@ -365,10 +365,10 @@ class TestGoldenReports:
         digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
         assert digest == self.SHA256[stage, seed]
 
-    #: the unseeded example stages, one `point` run per field kind, a cubic
-    #: polynomial in each ambient, four `slice` sweeps and two barrier
-    #: slides; the point reports carry principal curvatures, from the
-    #: generalized eigensolver
+    #: the unseeded example stages, one `point` run per field kind and per
+    #: revolution profile, a cubic polynomial in each ambient, six `slice`
+    #: sweeps (two on revolution profiles) and two barrier slides; the point
+    #: reports carry principal curvatures, from the generalized eigensolver
     UNSEEDED = {
         "example-euclid-cone": ["example", "--name", "euclid-cone"],
         "example-spherical-glued": ["example", "--name", "spherical-glued"],
@@ -383,6 +383,8 @@ class TestGoldenReports:
         "point-poly-constant": ["point", "--field", POLY3, "--ambient", "constant:2.5", "--at", "0.6,-0.45"],
         "point-trig": ["point", "--field", "trig:3", "--ambient", "spherical", "--at", "0.3,-0.4,0.2"],
         "point-radial": ["point", "--field", "radial:S-u:0.5", "--at", "0.5,0.6"],
+        "point-radial-E-f": ["point", "--field", "radial:E-f", "--at", "0.5,0"],
+        "point-radial-S-v": ["point", "--field", "radial:S-v:0.3", "--ambient", "spherical", "--at", "0.3,0.4"],
         "point-grid": ["point", "--field", "grid:{grid}", "--ambient", "constant:2", "--at", "0.3,-0.2"],
         "slice-trig": ["slice", "--field", "trig:3", "--eps", "0.1,0.2"],
         "slice-trig-3d": ["slice", "--field", "trig:5", "--dim", "3", "--eps", "0.0,0.3", "--rays", "24", "--seed", "4"],
@@ -390,6 +392,8 @@ class TestGoldenReports:
         "slice-poly": ["slice", "--field", POLY3, "--eps", "0.05,0.2"],
         # the level 0 passes through the origin, where a root at t = 0 must print 0.0, not -0.0
         "slice-plane-origin": ["slice", "--field", "plane:0.3,-0.2", "--eps", "0.0,0.1,0.2"],
+        "slice-radial-S-u": ["slice", "--field", "radial:S-u:0.5", "--eps", "0.1,0.2"],
+        "slice-radial-E-f": ["slice", "--field", "radial:E-f", "--eps", "0.6,0.8"],
         "barrier-trig": ["barrier", "--field", "trig:1"],
         "barrier-trig-negated": ["barrier", "--field", "trig:3", "--negate"],
     }
@@ -407,12 +411,16 @@ class TestGoldenReports:
         "point-poly-constant": "bea3f6ced873013e464b6e48384796822f37484140e2b99f3249d1625412bae0",
         "point-trig": "94f82a95348498c62a51e2127b04d897b59c496af98bda646503734a575ab6bd",
         "point-radial": "5383655febc96572cb21b19072468bced6f75caa2ee9868ebd98f16bd79b3a4f",
+        "point-radial-E-f": "4c12f2375ecec0197d3a8e93982a2a704519db4444c00571e9af9f493c4dafaf",
+        "point-radial-S-v": "88daa6569c72148a54c3ba39a7aa64a4d2c2489bb9f63c713cde69327abf6472",
         "point-grid": "dd87abe193f5ff00b98f631152135f8c543cc55093dfb1e003a9711f5e7de677",
         "slice-trig": "2bb03d183c7c1938e623219a7f6548d766d1642e6f59b12d18f0abb5b7784a11",
         "slice-trig-3d": "531d61c357d5676908e246557b9732738319970c0c7527aa2dc411bfca695037",
         "slice-grid": "b0af65935fec785db70feb933ebe6f1aa7e4096f052d85f9a48e33229fe23bde",
         "slice-poly": "48a6c266f983e5d8ca2dd55e61675f40a721d957f4a345b70e1ed2d7c81a7b92",
         "slice-plane-origin": "fbc2c4ff076ec40108bd4ff6ef14ff826723946f0e39cdc3f27d701cfadc7742",
+        "slice-radial-S-u": "7ef5e765245ee4662c57c486e4b92515b963948b5615417c8d69e43bb0f750d2",
+        "slice-radial-E-f": "b582411598791e31e51eb5f0f5544cb4225eb7fa72ab35b79631175e155059a9",
         "barrier-trig": "9fb851eac5f97d940d417b419f1a36234953283f1c634838d5772528c41f932c",
         "barrier-trig-negated": "fc868888dfebc9cb5e7c846a0a8525b4312ad822bfb71efb4766f5e5a8717f23",
     }

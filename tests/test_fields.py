@@ -588,15 +588,21 @@ def reference_poly_jet(field, x):
     return Jet(value, g, h)
 
 
-@pytest.mark.parametrize("exponent", range(11))
+@pytest.mark.parametrize("exponent", [*range(11), -1.5])
 def test_float_power_is_scalar_pow(exponent):
     """The kernels' powers are np.float_power: PolynomialField's integer
-    exponents (0 to 10 here) and ConformalMetric's phi^2. The kernels equal
-    the per-point formulas only while np.float_power equals scalar `**` (C
-    pow) bit for bit. A numpy or libm upgrade that breaks this fails here,
-    with the cause named, beside the kernel and golden-report tests."""
-    rng = np.random.default_rng(exponent)
-    a = np.concatenate([rng.uniform(-3.0, 3.0, 20_000), rng.uniform(0.5, 5.0, 20_000), [0.0, -0.0, 1.0, -1.0]])
+    exponents (0 to 10 here), ConformalMetric's phi^2 and the revolution
+    profiles' powers -1.5 of positive bases. The kernels equal the per-point
+    formulas only while np.float_power equals scalar `**` (C pow) bit for
+    bit; array `**` differs at -1.5. A numpy or libm upgrade that breaks this
+    fails here, with the cause named, beside the kernel and golden-report
+    tests."""
+    if exponent == -1.5:
+        rng = np.random.default_rng(15)
+        a = np.concatenate([rng.uniform(1e-9, 1.0, 20_000), rng.uniform(0.5, 5.0, 20_000), np.logspace(-15, 0, 16)])
+    else:
+        rng = np.random.default_rng(exponent)
+        a = np.concatenate([rng.uniform(-3.0, 3.0, 20_000), rng.uniform(0.5, 5.0, 20_000), [0.0, -0.0, 1.0, -1.0]])
     assert np.array_equal(np.float_power(a, exponent), [x**exponent for x in a])
     assert np.array_equal(np.float_power(a, exponent), [float(x) ** exponent for x in a])
 
