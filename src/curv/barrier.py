@@ -34,12 +34,6 @@ TOUCH_TOL = 1e-8
 EDGE_MARGIN = 1e-3
 
 
-def barrier_value(lam: float, x) -> float:
-    """psi_lambda(x) = lambda (1 - |x|)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(lam * (1.0 - np.linalg.norm(x)))
-
-
 def ring_mean_curvature(radius: float, eps: float, dim: int) -> float:
     """Mean curvature (inward normal, round-sphere factor) of the radius
     sphere in the slice at height eps."""

@@ -97,18 +97,6 @@ def conformal_point(field: ScalarField, ambient: AmbientSpec, x) -> ConformalPoi
     return conformal_points(field, ambient, as_point(x, field.dim)[None]).row(0)
 
 
-def mean_curvature_euclid(field: ScalarField, x) -> float:
-    """Flat-base graph mean curvature: trace of the graph shape operator,
-    equal to minus the divergence of the upward unit normal."""
-    x = as_point(x, field.dim)
-    jet = eval_jet(field, x)
-    g = np.asarray(jet.gradient, dtype=float)
-    w2 = 1.0 + float(g @ g)
-    w = float(np.sqrt(w2))
-    proj = np.eye(field.dim) - np.outer(g, g) / w2
-    return float(np.trace(proj @ jet.hessian)) / w
-
-
 def mean_curvature_spherical(field: ScalarField, x) -> float:
     """Direct evaluation of the spherical graph mean curvature operator
 
@@ -142,10 +130,6 @@ class SliceTrace:
     @property
     def residual(self) -> float:
         return maxabs(self.minor_bar - self.rhs)
-
-    @property
-    def trace_residual(self) -> float:
-        return abs(self.trace_lhs - self.trace_rhs)
 
 
 def conformal_slice_trace(

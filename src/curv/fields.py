@@ -5,17 +5,18 @@ Each field kind has one evaluation route, on one of two bases:
 * `ScalarField` kinds are array kernels: a kind defines `values(X)` and
   `jets(X)` on a point or a stack of points, and `value`, `gradient`,
   `hessian` and `jet` are their point case. These are the trig, paraboloid,
-  cup, plane, constant and polynomial built-ins, gridded samples with local
-  quadratic tensor interpolation (an index gather), and the rotated,
-  negated and scaled wrappers of any field. A kernel raises to a power with
-  `np.float_power`, which calls C `pow` per element as scalar `**` does;
-  array `**` rounds differently, and a kernel must equal the per-point
-  formula bit for bit.
+  cup, plane, constant and polynomial built-ins, radial profiles (the
+  profile maps an array of radii to its jet, NaN where it is undefined),
+  gridded samples with local quadratic tensor interpolation (an index
+  gather), and the rotated, negated and scaled wrappers of any field. A
+  kernel raises to a power with `np.float_power`, which calls C `pow` per
+  element as scalar `**` does; array `**` rounds differently, and a kernel
+  must equal the per-point formula bit for bit.
 * `PointwiseField` kinds define the one-point methods, and `values` and
   `jets` loop over rows. These are the sphere-cap built-in, whose `value`
-  raises OutOfDomainError past the rim, radial profiles, and finite
-  differences on any value callable (central stencils, order 2), which
-  serve as an independent oracle.
+  raises OutOfDomainError past the rim, and finite differences on any value
+  callable (central stencils, order 2), which serve as an independent
+  oracle.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -23,13 +24,14 @@ any finite-difference or interpolation margin) and refuses non-finite output.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteJetError, OutOfDomainError
-from .util import as_point, as_points
+from .util import as_point, as_points, outer
 
 _EPS = float(np.finfo(float).eps)
 
@@ -451,46 +453,47 @@ def trig_family(fields: Sequence[TrigField]) -> TrigField:
     return TrigField(*stack, domain=fields[0].domain, name="trig family")
 
 
-class RadialField(PointwiseField):
-    """u(x) = p(|x|) for a radial profile jet p, p', p''. An optional
-    `profile_values` is p over an array of radii, bit for bit, NaN where the
-    jet raises OutOfDomainError; `values` is then one array evaluation."""
+class RadialField(ScalarField):
+    """u(x) = p(|x|) for a radial profile: `profile` maps an array of radii to
+    (p, p', p''), three arrays or scalars that broadcast, NaN where p is
+    undefined. At a point, `values` and `jets` raise OutOfDomainError where p
+    is NaN, as a pointwise kind does; a profile may raise its own at one
+    radius first. Below |x| = 1e-12 the jet is the symmetric limit (p, 0,
+    p'' I) of the profile at 1e-12, smooth only when p'(0) = 0."""
 
-    def __init__(
-        self,
-        dim: int,
-        profile_jet: Callable[[float], tuple[float, float, float]],
-        domain,
-        name: str = "radial",
-        profile_values: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, dim: int, profile: Callable, domain, name: str = "radial"):
         self.dim = dim
-        self.profile_jet = profile_jet
+        self.profile = profile
         self.domain = domain
         self.name = name
-        self.profile_values = profile_values
 
-    def jet(self, x) -> Jet:
-        r = float(np.linalg.norm(x))
-        if r < 1e-12:
-            # smooth at the origin only when p'(0) = 0; use the symmetric limit
-            p, dp, ddp = self.profile_jet(max(r, 1e-12))
-            return Jet(p, np.zeros(self.dim), ddp * np.eye(self.dim))
-        p, dp, ddp = self.profile_jet(r)
-        xu = np.asarray(x, dtype=float) / r
-        grad = dp * xu
-        hess = ddp * np.outer(xu, xu) + dp / r * (np.eye(self.dim) - np.outer(xu, xu))
-        return Jet(p, grad, hess)
-
-    def value(self, x):
-        # the radius and origin limit of `jet`, so value matches it bit for bit
-        return self.profile_jet(max(float(np.linalg.norm(x)), 1e-12))[0]
+    def _profile(self, X):
+        """|x| of the point or of each row, max(|x|, 1e-12), and the profile
+        there, its value broadcast to one per point."""
+        r = np.sqrt(np.vecdot(X, X))  # np.linalg.norm of each row, bit for bit
+        rr = np.maximum(r, 1e-12)
+        p, dp, ddp = self.profile(rr)
+        if X.ndim == 1 and math.isnan(p):
+            raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
+        if np.shape(p) != r.shape:
+            p = np.broadcast_to(p, r.shape).copy()
+        return r, rr, p, np.asarray(dp), np.asarray(ddp)
 
     def values(self, X):
-        if self.profile_values is None or np.ndim(X) == 1:
-            return super().values(X)
-        # the radius of `value` bit for bit (see `_RoundDomain.contains`) and its origin limit
-        return self.profile_values(np.maximum(np.sqrt(np.vecdot(X, X)), 1e-12))
+        return self._profile(X)[2]
+
+    def jets(self, X):
+        r, rr, p, dp, ddp = self._profile(X)
+        xu = X / rr[..., None]
+        uu = outer(xu, xu)
+        eye = np.eye(self.dim)
+        grad = dp[..., None] * xu
+        hess = ddp[..., None, None] * uu + (dp / rr)[..., None, None] * (eye - uu)
+        origin = r < 1e-12
+        if np.count_nonzero(origin):  # the symmetric limit
+            grad = np.where(origin[..., None], 0.0, grad)
+            hess = np.where(origin[..., None, None], ddp[..., None, None] * eye, hess)
+        return p, grad, hess
 
 
 class RotatedField(ScalarField):

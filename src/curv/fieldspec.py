@@ -95,6 +95,8 @@ def parse_field(spec: str, dim: int = 2) -> ScalarField:
         modes = int(params[1]) if len(params) > 1 else 4
         return random_trig_field(dim, seed, modes=modes)
     if name == "radial":
+        if dim != 2:
+            raise ValueError(f"radial profiles are two-dimensional, got dim {dim}")
         kind, _, a_text = rest.partition(":")
         if not kind:
             raise ValueError("radial needs a profile kind, e.g. radial:S-u:0.5")

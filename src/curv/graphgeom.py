@@ -31,7 +31,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
 
 from .errors import NonRegularPointError, NotOnLevelError
-from .fields import FiniteDifferenceField, ScalarField, eval_jets
+from .fields import ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
 from .util import Stacked, as_point, as_points, outer
 
@@ -64,25 +64,6 @@ class ExtrinsicPoint(Stacked):
     @property
     def dim(self) -> int:
         return self.x.shape[-1]
-
-    def flipped(self) -> "ExtrinsicPoint":
-        """Same surface with the downward normal: A and H flip sign, R_M does not."""
-        return ExtrinsicPoint(
-            x=self.x,
-            u=self.u,
-            nu=-self.nu,
-            shape_operator=-self.shape_operator,
-            induced_metric=self.induced_metric,
-            mean_curvature=-self.mean_curvature,
-            norm_a2=self.norm_a2,
-            principal=np.sort(-self.principal),
-            scalar_curvature=self.scalar_curvature,
-            w=self.w,
-            grad=self.grad,
-            grad_up=self.grad_up,
-            cov_hessian=self.cov_hessian,
-            base_jet=self.base_jet,
-        )
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -403,11 +384,6 @@ def slice_shape_sampled(field: ScalarField, eps: float, x, step: float = 1e-3) -
             tmm = tau(step * (-tangent[:, a] - tangent[:, b]))
             out[a, b] = out[b, a] = (tpp - tpm - tmp + tmm) / (4.0 * step**2)
     return -out  # second form for eta = -m
-
-
-def fd_mode(field: ScalarField, step: float | None = None) -> FiniteDifferenceField:
-    """The same field with jets recomputed by central differences."""
-    return FiniteDifferenceField(field, field.dim, step=step)
 
 
 def gauss_oracle_residual(field: ScalarField, base, x) -> float:

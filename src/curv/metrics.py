@@ -220,11 +220,6 @@ def metric_jet(metric, x) -> MetricJet:
     return metric.jet(x)
 
 
-def as_general(metric) -> GeneralMetric:
-    """Wrap any metric as a component callable with FD curvature (cross-checks)."""
-    return GeneralMetric(metric.dim, metric.components, name=f"fd({metric.name})")
-
-
 def round_sphere_factor(x):
     """phi = (1 + |x|^2)/2, the factor whose metric phi^-2 delta is the round
     unit sphere (less a point); at a point or at the rows of a stack, whose
@@ -267,10 +262,6 @@ class AmbientSpec:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    @property
-    def is_conformal(self) -> bool:
-        return self.phi_jet is not None
 
     @property
     def is_round_sphere(self) -> bool:

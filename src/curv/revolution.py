@@ -74,75 +74,64 @@ class RevolutionProfile:
         return (self.a, 1.0) if self.kind == "S-u" else (0.0, 1.0)
 
 
-def profile_jet(profile: RevolutionProfile, s: float) -> tuple[float, float, float]:
-    """(value, first, second derivative) of the profile at s.
+def profile_jets(profile: RevolutionProfile, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, first, second derivative) of the profile over an array of s,
+    NaN outside profile.domain.
 
     At a vertical-tangent endpoint (s = 1 for S-u and S-v, s in {0, 1} for
-    E-f) the value is finite and the derivatives are returned as signed
-    infinities, which is how callers detect the singularity.
+    E-f) the value is finite and the derivatives are signed infinities,
+    which is how callers detect the singularity. Powers go through
+    np.float_power, which is scalar `**` (C pow) bit for bit; array `**` is
+    not at the exponent -1.5.
     """
+    s = np.asarray(s, dtype=float)[()]  # one s as a numpy scalar, whose arithmetic costs less than a 0-d array's
+    lo, hi = profile.domain
+    a = profile.a
+    with np.errstate(all="ignore"):  # the endpoints divide by zero; the outside is masked below
+        if profile.kind == "S-u":
+            sa = math.sqrt(1.0 - a)
+            sr = np.sqrt(1.0 - s)
+            jet = (
+                math.sqrt(2.0) * (sa - sr) + (a - s) / (math.sqrt(2.0) * sa),
+                (1.0 / sr - 1.0 / sa) / math.sqrt(2.0),
+                (1.0 / (2.0 * math.sqrt(2.0))) * np.float_power(1.0 - s, -1.5),
+            )
+            ends = {1.0: (spherical_cap_height(a), math.inf, math.inf)}
+        elif profile.kind == "S-v":
+            w = 1.0 - s * s
+            jet = (spherical_cap_height(a) + np.sqrt(w), -s / np.sqrt(w), -np.float_power(w, -1.5))
+            ends = {}  # at s = 1 the formulas give v(1), -inf and -inf
+        else:  # E-f
+            rz = np.sqrt(s)
+            w = 1.0 - s * s
+            sw = np.sqrt(w)
+            jet = (
+                (rz + 1.0) * sw,
+                sw / (2.0 * rz) - s * (1.0 + rz) / sw,
+                -0.25 * np.float_power(s, -1.5) * sw
+                - 0.5 * rz / sw
+                - (1.0 + rz) / sw
+                - 0.5 * rz / sw
+                - s * s * (1.0 + rz) * np.float_power(w, -1.5),
+            )
+            ends = {0.0: (1.0, math.inf, -math.inf), 1.0: (0.0, -math.inf, -math.inf)}
+    for end, at_end in ends.items():
+        at = s == end
+        if np.count_nonzero(at):
+            jet = tuple(np.where(at, e, v) for e, v in zip(at_end, jet))
+    outside = ~((lo <= s) & (s <= hi))
+    if np.count_nonzero(outside):
+        jet = tuple(np.where(outside, np.nan, v) for v in jet)
+    return jet
+
+
+def profile_jet(profile: RevolutionProfile, s: float) -> tuple[float, float, float]:
+    """profile_jets at one s, as floats; raises OutOfDomainError outside
+    profile.domain."""
     lo, hi = profile.domain
     if not (lo <= s <= hi):
         raise OutOfDomainError(f"{profile.kind} profile is defined on [{lo}, {hi}], got s = {s}")
-    a = profile.a
-    if profile.kind == "S-u":
-        if s == 1.0:
-            return spherical_cap_height(a), math.inf, math.inf
-        sa = math.sqrt(1.0 - a)
-        sr = math.sqrt(1.0 - s)
-        value = math.sqrt(2.0) * (sa - sr) + (a - s) / (math.sqrt(2.0) * sa)
-        first = (1.0 / sr - 1.0 / sa) / math.sqrt(2.0)
-        second = (1.0 / (2.0 * math.sqrt(2.0))) * (1.0 - s) ** -1.5
-        return value, first, second
-    if profile.kind == "S-v":
-        if s == 1.0:
-            return spherical_cap_height(a), -math.inf, -math.inf
-        w = 1.0 - s * s
-        return (
-            spherical_cap_height(a) + math.sqrt(w),
-            -s / math.sqrt(w),
-            -w ** -1.5,
-        )
-    # E-f
-    if s == 0.0:
-        return 1.0, math.inf, -math.inf
-    if s == 1.0:
-        return 0.0, -math.inf, -math.inf
-    rz = math.sqrt(s)
-    w = 1.0 - s * s
-    sw = math.sqrt(w)
-    value = (rz + 1.0) * sw
-    first = sw / (2.0 * rz) - s * (1.0 + rz) / sw
-    second = (
-        -0.25 * s**-1.5 * sw
-        - 0.5 * rz / sw
-        - (1.0 + rz) / sw
-        - 0.5 * rz / sw
-        - s * s * (1.0 + rz) * w**-1.5
-    )
-    return value, first, second
-
-
-def profile_values(profile: RevolutionProfile, s: np.ndarray) -> np.ndarray:
-    """`profile_jet(profile, s)[0]` over an array of s, bit for bit, and NaN
-    where it raises OutOfDomainError; S-u and S-v only."""
-    lo, hi = profile.domain
-    a = profile.a
-    with np.errstate(all="ignore"):  # NaN outside [lo, hi] is masked below
-        if profile.kind == "S-u":
-            sa = math.sqrt(1.0 - a)
-            value = math.sqrt(2.0) * (sa - np.sqrt(1.0 - s)) + (a - s) / (math.sqrt(2.0) * sa)
-        elif profile.kind == "S-v":
-            value = spherical_cap_height(a) + np.sqrt(1.0 - s * s)
-        else:
-            raise ValueError(f"no array profile for {profile.kind}")
-    value = np.where(s == 1.0, spherical_cap_height(a), value)
-    return np.where((lo <= s) & (s <= hi), value, np.nan)
-
-
-def vertical_tangent(profile: RevolutionProfile, s: float) -> bool:
-    _, first, _ = profile_jet(profile, s)
-    return math.isinf(first)
+    return tuple(float(v) for v in profile_jets(profile, s))
 
 
 # ---------------------------------------------------------------------------
@@ -160,46 +149,56 @@ def cap_scalar_curvature(a: float) -> float:
     return 2.0 + 2.0 * k * k
 
 
-def principal_curvatures_u(a: float, r: float) -> tuple[float, float]:
-    """Closed-form principal curvatures of the u-graph in the round ambient.
+def _u_graph(a: float, r) -> tuple[tuple, tuple]:
+    """((u, u', u''), (lam1, lam2)) of the u-graph over radii r in [a, 1),
+    from one profile_jets call."""
+    _check_a(a)
+    r = np.asarray(r, dtype=float)
+    if not ((a <= r) & (r < 1.0)).all():
+        raise OutOfDomainError(f"principal curvatures of u need a <= r < 1, got r = {r}")
+    u, du, ddu = profile_jets(RevolutionProfile("S-u", a), r)
+    w2 = 1.0 + du * du
+    w = np.sqrt(w2)
+    phi = (1.0 + u * u + r * r) / 2.0
+    return (u, du, ddu), ((u - r * du + phi * ddu / w2) / w, (u - r * du + phi * du / r) / w)
+
+
+def principal_curvatures_u(a: float, r) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form principal curvatures of the u-graph in the round ambient,
+    over an array of radii.
 
     The first is the meridian direction, the second the rotational one; the
     rotational expression carries u'/r (not u' times a polynomial), which is
     what the generic pipeline reproduces.
     """
-    _check_a(a)
-    if not (a <= r < 1.0):
-        raise OutOfDomainError(f"principal curvatures of u need a <= r < 1, got r = {r}")
-    u, du, ddu = profile_jet(RevolutionProfile("S-u", a), r)
-    w2 = 1.0 + du * du
-    w = math.sqrt(w2)
-    phi = (1.0 + u * u + r * r) / 2.0
-    lam1 = (u - r * du + phi * ddu / w2) / w
-    lam2 = (u - r * du + phi * du / r) / w
-    return lam1, lam2
+    return _u_graph(a, r)[1]
 
 
-def scalar_curvature_u(a: float, r: float) -> float:
-    lam1, lam2 = principal_curvatures_u(a, r)
-    return 2.0 + 2.0 * lam1 * lam2
-
-
-def gauss_curvature_f(z: float) -> float:
-    """Gauss curvature of the rotation of f about the z-axis: -f''/(f (1+f'^2)^2)."""
-    if not (0.0 < z < 1.0):
+def gauss_curvature_f(z) -> np.ndarray:
+    """Gauss curvature of the rotation of f about the z-axis over an array of
+    z: -f''/(f (1+f'^2)^2)."""
+    z = np.asarray(z, dtype=float)
+    if not ((0.0 < z) & (z < 1.0)).all():
         raise OutOfDomainError(f"gauss_curvature_f needs 0 < z < 1, got {z}")
-    f, df, ddf = profile_jet(RevolutionProfile("E-f"), z)
-    return -ddf / (f * (1.0 + df * df) ** 2)
+    f, df, ddf = profile_jets(_F_PROFILE, z)
+    return -ddf / (f * np.float_power(1.0 + df * df, 2))
 
 
-def principal_curvatures_f(z: float) -> tuple[float, float]:
-    """Meridian and parallel curvatures of the E-f rotation surface (outward
-    normal); their product is gauss_curvature_f."""
-    if not (0.0 < z < 1.0):
+def _f_graph(z) -> tuple[np.ndarray, tuple]:
+    """(f, (kappa_meridian, kappa_parallel)) over z in (0, 1), from one
+    profile_jets call."""
+    z = np.asarray(z, dtype=float)
+    if not ((0.0 < z) & (z < 1.0)).all():
         raise OutOfDomainError(f"principal curvatures of f need 0 < z < 1, got {z}")
-    f, df, ddf = profile_jet(RevolutionProfile("E-f"), z)
-    w = math.sqrt(1.0 + df * df)
-    return -ddf / w**3, 1.0 / (f * w)
+    f, df, ddf = profile_jets(_F_PROFILE, z)
+    w = np.sqrt(1.0 + df * df)
+    return f, (-ddf / np.float_power(w, 3), 1.0 / (f * w))
+
+
+def principal_curvatures_f(z) -> tuple[np.ndarray, np.ndarray]:
+    """Meridian and parallel curvatures of the E-f rotation surface (outward
+    normal) over an array of z; their product is gauss_curvature_f."""
+    return _f_graph(z)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +230,20 @@ class MonotonicityReport:
 def monotonicity_checks(a: float, samples: int = 10_000) -> MonotonicityReport:
     """First-order vanishing at r = a, strict monotonicity, and the profile
     convexity bound u'' > u'(1+u'^2), with worst margins over `samples`
-    equally spaced radii of [a, 1)."""
+    equally spaced radii of [a, 1), the first of which is a."""
     _check_a(a)
-    prof = RevolutionProfile("S-u", a)
     grid = a + (1.0 - a) * np.arange(samples) / samples
-    u_a, du_a, ddu_a = profile_jet(prof, a)
-    jets = np.array([profile_jet(prof, r) for r in grid])
-    du = jets[:, 1]
-    ddu = jets[:, 2]
+    (u, du, ddu), (lam1, _) = _u_graph(a, grid)
     margin = ddu - du * (1.0 + du * du)
     interior = grid > a
-    lam1 = np.array([principal_curvatures_u(a, r)[0] for r in grid])
     return MonotonicityReport(
         a=a,
         samples=grid.size,
-        u_at_a=float(u_a),
-        du_at_a=float(du_a),
+        u_at_a=float(u[0]),
+        du_at_a=float(du[0]),
         min_du_interior=float(du[interior].min()) if interior.any() else math.inf,
         min_convexity_margin=float(margin.min()),
-        convexity_margin_at_a=float(ddu_a - du_a * (1.0 + du_a * du_a)),
+        convexity_margin_at_a=float(margin[0]),
         min_lam1_where_convex=float(lam1[margin > 0.0].min()),
     )
 
@@ -280,15 +274,12 @@ def junction_c2_check(a: float, tol: float = JUNCTION_TOL) -> JunctionReport:
     JUNCTION_KS), Richardson extrapolated in s = sqrt(1-r) where the jets are
     regular, compared with the v-cap value and curvature at the gluing
     circle."""
-    _check_a(a)
-    prof = RevolutionProfile("S-u", a)
-    rs = [1.0 - 10.0 ** (-k) for k in JUNCTION_KS]
-    ss = np.array([math.sqrt(1.0 - r) for r in rs])
-    vals = np.array([profile_jet(prof, r)[0] for r in rs])
-    lams = np.array([principal_curvatures_u(a, r) for r in rs])
+    rs = 1.0 - np.float_power(10.0, -np.array(JUNCTION_KS))
+    ss = np.sqrt(1.0 - rs)
+    (vals, _, _), (lam1, lam2) = _u_graph(a, rs)
     cap = cap_curvature(a)
-    lam1_lim = richardson_limit(ss, lams[:, 0])
-    lam2_lim = richardson_limit(ss, lams[:, 1])
+    lam1_lim = richardson_limit(ss, lam1)
+    lam2_lim = richardson_limit(ss, lam2)
     return JunctionReport(
         a=a,
         value_limit=float(richardson_limit(ss, vals)),
@@ -315,17 +306,18 @@ def radial_field(profile: RevolutionProfile) -> ScalarField:
     if profile.kind == "E-f":
         return RadialField(2, inverse_profile_jet, Annulus(2, *_F_INVERSE_RANGE), name="revolution-E-f")
     dom = Annulus(2, profile.a, 1.0 - RIM_MARGIN) if profile.kind == "S-u" else Ball(2, 1.0 - RIM_MARGIN)
-    return RadialField(2, partial(profile_jet, profile), dom, name=f"revolution-{profile.kind}",
-                       profile_values=partial(profile_values, profile))
+    return RadialField(2, partial(_radial_jets, profile), dom, name=f"revolution-{profile.kind}")
 
 
-def _f_first(z: float) -> float:
-    return profile_jet(RevolutionProfile("E-f"), z)[1]
+def _radial_jets(profile: RevolutionProfile, r):
+    """profile_jets over an array of radii; at one radius profile_jet, whose
+    OutOfDomainError names the profile."""
+    return profile_jets(profile, r) if np.ndim(r) else profile_jet(profile, r)
 
 
 _F_PROFILE = RevolutionProfile("E-f")
 # one lane of the brentq.c port, so that importing curv needs no scipy.optimize
-_F_PEAK_Z = float(brentq_lanes(lambda t, k: np.array([_f_first(v) for v in t]), [0.05], [0.95], xtol=1e-14)[0])
+_F_PEAK_Z = float(brentq_lanes(lambda t, k: profile_jets(_F_PROFILE, t)[1], [0.05], [0.95], xtol=1e-14)[0])
 _F_PEAK = profile_jet(_F_PROFILE, _F_PEAK_Z)[0]
 _F_INVERSE_RANGE = (0.05, _F_PEAK - 0.05)
 # the inverse is solved for z in [_F_PEAK_Z, _F_Z_END], so radii below f(_F_Z_END) have no root there
@@ -333,16 +325,21 @@ _F_Z_END = 1.0 - 1e-13
 _F_EDGE = profile_jet(_F_PROFILE, _F_Z_END)[0]
 
 
-def inverse_profile_jet(r: float) -> tuple[float, float, float]:
-    """Jet of zeta(r) = inverse of the decreasing branch of f, so the E-f
-    surface is locally the graph z = zeta(|x|)."""
-    if not (_F_EDGE <= r < _F_PEAK):
+def inverse_profile_jet(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jet of zeta(r) = inverse of the decreasing branch of f over an array of
+    radii, so the E-f surface is locally the graph z = zeta(|x|). It is NaN
+    outside [f(_F_Z_END), _F_PEAK), and at one radius there it raises
+    OutOfDomainError. One brentq_lanes call solves every radius, each root
+    scipy's brentq root bit for bit."""
+    r = np.asarray(r, dtype=float)
+    inside = (_F_EDGE <= r) & (r < _F_PEAK)
+    if r.ndim == 0 and not inside:
         raise OutOfDomainError(f"inverse profile needs {_F_EDGE:.6g} <= r < {_F_PEAK:.6f}, got {r}")
-    from scipy.optimize import brentq  # scipy's C solver: per point, it costs less than a one-lane solve
-
-    z = brentq(lambda t: profile_jet(_F_PROFILE, t)[0] - r, _F_PEAK_Z, _F_Z_END, xtol=1e-14)
-    _, df, ddf = profile_jet(_F_PROFILE, z)
-    return z, 1.0 / df, -ddf / df**3
+    z, rk = np.full(r.shape, np.nan), r[inside]
+    ends = np.full(rk.shape, _F_PEAK_Z), np.full(rk.shape, _F_Z_END)
+    z[inside] = brentq_lanes(lambda t, k: profile_jets(_F_PROFILE, t)[0] - rk[k], *ends, xtol=1e-14)
+    _, df, ddf = profile_jets(_F_PROFILE, z)
+    return z, 1.0 / df, -ddf / np.float_power(df, 3)
 
 
 def gauss_check_f(radii) -> float:
@@ -350,14 +347,14 @@ def gauss_check_f(radii) -> float:
     the flat graph pipeline is the independent route."""
     from .graphgeom import extrinsic_point, flat_base
 
-    field = radial_field(RevolutionProfile("E-f"))
+    field = radial_field(_F_PROFILE)
     base = flat_base(2)
     worst = 0.0
     for r in np.atleast_1d(np.asarray(radii, dtype=float)):
         x = np.array([r, 0.0])
         pt = extrinsic_point(field, base, x)
         z = inverse_profile_jet(r)[0]
-        worst = max(worst, abs(gauss_curvature_f(z) - pt.scalar_curvature / 2.0))
+        worst = max(worst, abs(float(gauss_curvature_f(z)) - pt.scalar_curvature / 2.0))
     return worst
 
 
@@ -382,30 +379,21 @@ def sweep_u(a: float, count: int = 400) -> np.ndarray:
     """Columns (r, u, lam1, lam2, R) over [a, 1)."""
     _check_a(a)
     radii = np.linspace(a, 1.0 - 1e-6, count)
-    rows = []
-    for r in radii:
-        u = profile_jet(RevolutionProfile("S-u", a), r)[0]
-        lam1, lam2 = principal_curvatures_u(a, r)
-        rows.append((r, u, lam1, lam2, 2.0 + 2.0 * lam1 * lam2))
-    return np.array(rows)
+    (u, _, _), (lam1, lam2) = _u_graph(a, radii)
+    return np.column_stack([radii, u, lam1, lam2, 2.0 + 2.0 * lam1 * lam2])
 
 
 def sweep_v(a: float, count: int = 200) -> np.ndarray:
     """Columns (r, v, lam, lam, R) over [0, 1); the cap is umbilic."""
     _check_a(a)
     radii = np.linspace(0.0, 1.0 - 1e-6, count)
-    k = cap_curvature(a)
-    rr = cap_scalar_curvature(a)
-    rows = [(r, profile_jet(RevolutionProfile("S-v", a), r)[0], k, k, rr) for r in radii]
-    return np.array(rows)
+    k = np.full(count, cap_curvature(a))
+    v = profile_jets(RevolutionProfile("S-v", a), radii)[0]
+    return np.column_stack([radii, v, k, k, np.full(count, cap_scalar_curvature(a))])
 
 
 def sweep_f(count: int = 400) -> np.ndarray:
     """Columns (z, f, kappa_meridian, kappa_parallel, R = 2K) over (0, 1)."""
     zs = np.linspace(1e-4, 1.0 - 1e-4, count)
-    rows = []
-    for z in zs:
-        f = profile_jet(RevolutionProfile("E-f"), z)[0]
-        k1, k2 = principal_curvatures_f(z)
-        rows.append((z, f, k1, k2, 2.0 * k1 * k2))
-    return np.array(rows)
+    f, (k1, k2) = _f_graph(zs)
+    return np.column_stack([zs, f, k1, k2, 2.0 * k1 * k2])

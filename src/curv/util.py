@@ -161,12 +161,3 @@ def richardson_limit(s: np.ndarray, y: np.ndarray) -> float:
     y0, y1 = y[order[0]], y[order[1]]
     return float((y0 * s1 - y1 * s0) / (s1 - s0))
 
-
-def convergence_slopes(h: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """log2 error-reduction rates for a step sequence h, h/2, h/4, ..."""
-    h = np.asarray(h, dtype=float)
-    err = np.asarray(err, dtype=float)
-    order = np.argsort(-h)
-    e = np.maximum(err[order], 1e-300)
-    hh = h[order]
-    return np.log(e[:-1] / e[1:]) / np.log(hh[:-1] / hh[1:])

@@ -9,7 +9,6 @@ from curv.barrier import (
     BarrierRun,
     _newton_refine_ratio,
     _radial_polish,
-    barrier_value,
     comparison_bounds,
     gradient_bound_margin,
     ring_mean_curvature,
@@ -48,13 +47,6 @@ def scan_oracle(field, inner, outer, samples=200001):
     radii = np.linspace(inner, outer, samples)
     vals = np.array([field.value(np.array([r, 0.0])) for r in radii])
     return float(np.max(vals / (1.0 - radii)))
-
-
-class TestBarrierValue:
-    def test_cone_values(self):
-        assert barrier_value(2.0, np.array([1.0, 0.0])) == 0.0
-        assert barrier_value(2.0, np.array([0.5, 0.0])) == pytest.approx(1.0)
-        assert barrier_value(0.0, np.array([0.3, 0.3])) == 0.0
 
 
 class TestRing:
@@ -117,7 +109,7 @@ class TestSlideInterior:
 
     def test_touch_certificate(self):
         run = self.run()
-        assert barrier_value(run.lam_star, run.x0) == pytest.approx(run.u0, abs=1e-12)
+        assert run.lam_star * (1.0 - np.linalg.norm(run.x0)) == pytest.approx(run.u0, abs=1e-12)
         assert run.touch_gap <= 1e-8
 
     def test_gradient_bound_at_touch(self):
@@ -222,7 +214,7 @@ class TestSlideBattery:
                     NegatedField(field), (0.3, 1.0), 0.35, radial=128, angular=24, seed=seed
                 )
             assert run.touch_gap <= 1e-8
-            assert barrier_value(run.lam_star, run.x0) == pytest.approx(run.u0, abs=1e-10)
+            assert run.lam_star * (1.0 - np.linalg.norm(run.x0)) == pytest.approx(run.u0, abs=1e-10)
             if run.successful:
                 successful += 1
                 assert gradient_bound_margin(run) >= -1e-6

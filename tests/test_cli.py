@@ -518,6 +518,14 @@ class TestErrors:
         rc = main(["point", "--field", "hemisphere:1", "--at", "2,0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["barrier", "--field", "radial:S-u:0.5", "--dim", "3"],
+        ["slice", "--field", "radial:S-u:0.5", "--dim", "3", "--eps", "0.1"],
+    ])
+    def test_radial_fields_are_two_dimensional(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "curv: error: radial profiles are two-dimensional, got dim 3\n"
+
     def test_barrier_samples_outside_the_profile(self, capsys):
         rc = main(["barrier", "--field", "radial:S-u:0.5", "--a", "0.3"])
         assert rc == 2
@@ -542,7 +550,12 @@ import contextlib, io, json, sys
 from curv.cli import main
 steps = [("import curv.cli", None, "scipy.optimize" in sys.modules)]
 from verify_all import STAGES
-for name, argv in [("prod --fields 2", ["verify", "inequality", "--which", "prod", "--fields", "2"])] + STAGES:
+RUNS = [
+    ("prod --fields 2", ["verify", "inequality", "--which", "prod", "--fields", "2"]),
+    ("point radial:E-f", ["point", "--field", "radial:E-f", "--at", "0.5,0"]),
+    ("slice radial:E-f", ["slice", "--field", "radial:E-f", "--eps", "0.6,0.8"]),
+]
+for name, argv in RUNS + STAGES:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
     steps.append((name, rc, "scipy.optimize" in sys.modules))
@@ -552,10 +565,10 @@ print(json.dumps(steps))
 
 class TestColdImport:
     def test_no_stage_loads_scipy_optimize(self):
-        """A fresh interpreter runs `curv.cli.main` on one inequality suite and
-        on each verify_all stage without importing scipy.optimize: only the
-        NaN-lane fallback, the barrier's interior-touch polish and the E-f
-        inverse profile need it, and none of these runs there."""
+        """A fresh interpreter runs `curv.cli.main` on one inequality suite, on
+        a point and a slice of the E-f profile, and on each verify_all stage
+        without importing scipy.optimize: only the NaN-lane fallback and the
+        barrier's interior-touch polish need it, and neither runs there."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), str(root / "scripts"), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

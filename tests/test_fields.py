@@ -1,6 +1,8 @@
 """Tests for scalar fields: analytic jets, FD jets, grids, and the parser."""
 
 import itertools
+import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,8 +37,8 @@ from curv.fields import (
 )
 import curv.fields
 from curv.fieldspec import graded_lex_monomials, parse_field
-from curv.revolution import RevolutionProfile, profile_values, radial_field
-from curv.util import convergence_slopes
+from curv import revolution
+from curv.revolution import RevolutionProfile, radial_field
 
 
 def fd_gradient(field, x, h=1e-5):
@@ -217,7 +219,7 @@ class TestFiniteDifference:
                     float(np.max(np.abs(fd.hessian(x) - base.hessian(x)))),
                 )
             )
-        slopes = convergence_slopes(steps, np.array(errs))
+        slopes = np.log(np.divide(errs[:-1], errs[1:])) / np.log(steps[:-1] / steps[1:])
         assert np.min(slopes) > 1.7
 
     def test_wraps_plain_callable(self):
@@ -454,10 +456,6 @@ class TestBatchedValues:
         X = np.concatenate([edges, rng.uniform(-1.2, 1.2, size=(5000, 2))])
         assert np.array_equal(field.values(X), _pointwise_values(field, X), equal_nan=True)
 
-    def test_array_profile_is_for_s_u_and_s_v_only(self):
-        with pytest.raises(ValueError):
-            profile_values(RevolutionProfile("E-f"), np.array([0.5]))
-
     def test_e_f_origin_rows_are_nan(self):
         # radii below f(1 - 1e-13), the origin limit 1e-12 among them, have no inverse
         ef = BATCHED_CASES["radial-E-f"]
@@ -532,6 +530,8 @@ def reference_jet(field, x):
         )
     if isinstance(field, GridField):
         return reference_grid_jet(field, x)
+    if isinstance(field, RadialField):
+        return reference_radial_jet(field.reference_profile, x)
     if isinstance(field, PolynomialField):
         return reference_poly_jet(field, x)
     if isinstance(field, RotatedField):
@@ -545,6 +545,69 @@ def reference_jet(field, x):
         return Jet(field.factor * j.value, field.factor * j.gradient, field.factor * j.hessian)
     assert isinstance(field, PointwiseField)
     return Jet(field.value(x), field.gradient(x), field.hessian(x))
+
+
+def reference_profile_jet(kind, a, s):
+    """A revolution profile's (p, p', p'') at one s in scalar `math`, with
+    signed infinities at the vertical tangents; raises OutOfDomainError off
+    the profile. The per-point reference for `profile_jets`."""
+    lo, hi = (a, 1.0) if kind == "S-u" else (0.0, 1.0)
+    if not (lo <= s <= hi):
+        raise OutOfDomainError(f"{kind} profile is defined on [{lo}, {hi}], got s = {s}")
+    if kind == "S-u":
+        if s == 1.0:
+            return math.sqrt((1.0 - a) / 2.0), math.inf, math.inf
+        sa, sr = math.sqrt(1.0 - a), math.sqrt(1.0 - s)
+        return (
+            math.sqrt(2.0) * (sa - sr) + (a - s) / (math.sqrt(2.0) * sa),
+            (1.0 / sr - 1.0 / sa) / math.sqrt(2.0),
+            (1.0 / (2.0 * math.sqrt(2.0))) * (1.0 - s) ** -1.5,
+        )
+    if kind == "S-v":
+        if s == 1.0:
+            return math.sqrt((1.0 - a) / 2.0), -math.inf, -math.inf
+        w = 1.0 - s * s
+        return math.sqrt((1.0 - a) / 2.0) + math.sqrt(w), -s / math.sqrt(w), -w ** -1.5
+    if s == 0.0:
+        return 1.0, math.inf, -math.inf
+    if s == 1.0:
+        return 0.0, -math.inf, -math.inf
+    rz, w = math.sqrt(s), 1.0 - s * s
+    sw = math.sqrt(w)
+    second = -0.25 * s**-1.5 * sw - 0.5 * rz / sw - (1.0 + rz) / sw - 0.5 * rz / sw - s * s * (1.0 + rz) * w**-1.5
+    return (rz + 1.0) * sw, sw / (2.0 * rz) - s * (1.0 + rz) / sw, second
+
+
+def reference_inverse_jet(r):
+    """The E-f inverse profile's jet at one radius, its root by scipy's
+    brentq: the per-point reference for `inverse_profile_jet`."""
+    from scipy.optimize import brentq
+
+    if not (revolution._F_EDGE <= r < revolution._F_PEAK):
+        raise OutOfDomainError(f"no inverse at r = {r}")
+    z = brentq(lambda t: reference_profile_jet("E-f", 0.5, t)[0] - r, revolution._F_PEAK_Z, revolution._F_Z_END,
+               xtol=1e-14)
+    _, df, ddf = reference_profile_jet("E-f", 0.5, z)
+    return z, 1.0 / df, -ddf / df**3
+
+
+def reference_radial_jet(profile, x):
+    """A radial field's jet at one point from its per-point profile."""
+    r, eye = float(np.linalg.norm(x)), np.eye(len(x))
+    if r < 1e-12:
+        p, _, ddp = profile(1e-12)
+        return Jet(p, np.zeros(len(x)), ddp * eye)
+    p, dp, ddp = profile(r)
+    xu = x / r
+    return Jet(p, dp * xu, ddp * np.outer(xu, xu) + dp / r * (eye - np.outer(xu, xu)))
+
+
+def revolution_case(kind, a=0.5):
+    """radial_field of a revolution profile, carrying the per-point profile
+    that `reference_jet` checks it against."""
+    field = radial_field(RevolutionProfile(kind, a))
+    field.reference_profile = reference_inverse_jet if kind == "E-f" else partial(reference_profile_jet, kind, a)
+    return field
 
 
 def reference_poly_jet(field, x):
@@ -677,7 +740,10 @@ KERNEL_CASES = {
     "rotated-cap-2": lambda: RotatedField(SphereCap(2, 1.0), _rotation(-0.3)),
     "negated-cap-2": lambda: NegatedField(SphereCap(2, 1.2)),
     "negated-trig-3": lambda: NegatedField(random_trig_field(3, seed=1)),
-    "scaled-radial-2": lambda: ScaledField(radial_field(RevolutionProfile("S-u", 0.4)), -1.5),
+    "radial-S-u": lambda: revolution_case("S-u", 0.5),
+    "radial-S-v": lambda: revolution_case("S-v", 0.3),
+    "radial-E-f": lambda: revolution_case("E-f"),
+    "scaled-radial-2": lambda: ScaledField(revolution_case("S-u", 0.4), -1.5),
     "scaled-poly-3": lambda: ScaledField(parse_field("poly:0.3,0,1,-2,0.5,1,0,0.25", 3), 0.5),
 }
 
@@ -708,7 +774,20 @@ class TestKernelKinds:
     def test_kernel_is_the_reference(self, kind, data):
         field = KERNEL_CASES[kind]()
         assert type(field).__mro__[1] is ScalarField
-        X = data.draw(sample_rows(field.dim))
+        self.check(field, data.draw(sample_rows(field.dim)))
+
+    @pytest.mark.parametrize("kind", ["radial-S-u", "radial-S-v", "radial-E-f", "scaled-radial-2"])
+    def test_radial_edges(self, kind):
+        """The origin and its 1e-12 limit, the r = 1 rim where the S-u and
+        S-v derivatives are infinite, and the ends of the E-f inverse."""
+        peak, edge = revolution._F_PEAK, revolution._F_EDGE
+        radii = [0.0, 1e-13, 1e-12, 0.3, 0.4, 0.5, 1.0 - 1e-6, np.nextafter(1.0, 0.0), 1.0, 1.0 + 1e-15,
+                 edge, np.nextafter(edge, 0.0), np.nextafter(peak, 0.0), peak, 1.2]
+        X = np.concatenate([[[r, 0.0] for r in radii], [[0.0, -1.0], [0.6, 0.8], [-1e-13, 0.0]]])
+        self.check(KERNEL_CASES[kind](), X)
+
+    @np.errstate(invalid="ignore")  # a radial Hessian at a vertical tangent is inf * 0
+    def check(self, field, X):
         want, jets = _reference_rows(field, X)
         assert np.array_equal(field.values(X), want, equal_nan=True)
         defined = X[~np.isnan(want)]
@@ -718,12 +797,62 @@ class TestKernelKinds:
         for i, (x, j) in enumerate(zip(defined, jets)):
             assert _same_jet((u[i], du[i], ddu[i]), j)
             assert _same_jet(field.jets(x), j) and field.values(x) == j.value
-            assert field.value(x) == j.value and type(field.value(x)) is float
+            value = field.value(x)
+            assert value == j.value and type(value) is float
             assert _same_jet(tuple(vars(field.jet(x)).values()), j)
             assert _same_jet((j.value, field.gradient(x), field.hessian(x)), j)
         for x in X[np.isnan(want)]:
             with pytest.raises(OutOfDomainError):
                 field.value(x)
+            with pytest.raises(OutOfDomainError):
+                field.jets(x)
+
+
+class TestRevolutionProfiles:
+    """The array closed forms behind the radial kernel kinds equal their
+    per-point references bit for bit, NaN where a reference raises."""
+
+    @pytest.mark.parametrize("kind, a", [("S-u", 0.5), ("S-u", 0.3), ("S-v", 0.3), ("E-f", 0.5)])
+    @np.errstate(over="ignore")  # the reference's s**-1.5 at the subnormal s
+    def test_profile_jets_are_the_reference(self, kind, a):
+        rng = np.random.default_rng(7)
+        edges = [-0.0, 0.0, 5e-324, 1e-12, a, np.nextafter(a, 0.0), 0.5, np.nextafter(1.0, 0.0), 1.0,
+                 np.nextafter(1.0, 2.0), 1.5, -0.25, np.nan]
+        s = np.concatenate([edges, rng.uniform(-0.1, 1.1, 2000)])
+        got = revolution.profile_jets(RevolutionProfile(kind, a), s.reshape(-1, 3))
+        for i, si in enumerate(s):
+            try:
+                want = reference_profile_jet(kind, a, si)
+            except OutOfDomainError:
+                want = (np.nan,) * 3
+            row = [v.reshape(-1)[i] for v in got]
+            assert np.array_equal(row, want, equal_nan=True), si
+            assert all(np.signbit(g) == np.signbit(w) for g, w in zip(row, want)), si
+
+    def test_inverse_is_scipys_root(self):
+        peak, edge = revolution._F_PEAK, revolution._F_EDGE
+        radii = np.concatenate([[0.0, edge, np.nextafter(edge, 0.0), np.nextafter(peak, 0.0), peak, 2.0],
+                                np.random.default_rng(8).uniform(0.0, 1.6, 300)])
+        got = revolution.inverse_profile_jet(radii)
+        for i, r in enumerate(radii):
+            try:
+                want = reference_inverse_jet(r)
+            except OutOfDomainError:
+                want = (np.nan,) * 3
+                with pytest.raises(OutOfDomainError, match="inverse profile needs"):
+                    revolution.inverse_profile_jet(r)
+            assert np.array_equal([v[i] for v in got], want, equal_nan=True), r
+
+    def test_nan_profile_raises_at_a_point(self):
+        field = RadialField(2, lambda r: (np.sqrt(1.0 - r * r), -r / np.sqrt(1.0 - r * r), 0.0), Ball(2, 2.0))
+        X = np.array([[0.6, 0.0], [1.5, 0.0]])
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(np.isnan(field.values(X)), [False, True])
+            assert np.isnan(field.jets(X)[1][1]).all()
+            with pytest.raises(OutOfDomainError, match="outside the profile of radial"):
+                field.value(X[1])
+            with pytest.raises(OutOfDomainError):
+                field.jet(X[1])
 
 
 def _concrete_field_classes():
@@ -740,8 +869,8 @@ class TestDeclaredStructure:
         classes = _concrete_field_classes()
         kernels = [c for c in classes if not issubclass(c, PointwiseField)]
         assert {c.__name__ for c in kernels} == {
-            "Paraboloid", "QuadraticCup", "Plane", "Constant", "PolynomialField", "TrigField", "GridField",
-            "RotatedField", "NegatedField", "ScaledField",
+            "Paraboloid", "QuadraticCup", "Plane", "Constant", "PolynomialField", "TrigField", "RadialField",
+            "GridField", "RotatedField", "NegatedField", "ScaledField",
         }
         for cls in kernels:
             assert cls.__bases__ == (ScalarField,)

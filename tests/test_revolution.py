@@ -20,12 +20,10 @@ from curv.revolution import (
     principal_curvatures_u,
     profile_jet,
     radial_field,
-    scalar_curvature_u,
     spherical_cap_height,
     sweep_f,
     sweep_u,
     sweep_v,
-    vertical_tangent,
 )
 
 
@@ -125,7 +123,6 @@ class TestConeProfile:
         prof = RevolutionProfile("E-f")
         _, d0, _ = profile_jet(prof, 0.0)
         assert np.isinf(d0) and d0 > 0
-        assert vertical_tangent(prof, 0.0)
         _, d1, _ = profile_jet(prof, 1.0)
         assert np.isinf(d1) and d1 < 0
 
@@ -145,7 +142,7 @@ class TestConeProfile:
         assert (revolution._F_PEAK_Z, revolution._F_PEAK, revolution._F_EDGE) == (
             0.40325576628102094, 1.4961899216206112, 8.945662391068493e-07
         )
-        assert revolution._F_PEAK_Z == brentq(revolution._f_first, 0.05, 0.95, xtol=1e-14)
+        assert revolution._F_PEAK_Z == brentq(lambda z: profile_jet(RevolutionProfile("E-f"), z)[1], 0.05, 0.95, xtol=1e-14)
         assert type(revolution._F_PEAK_Z) is float
 
     def test_inverse_roundtrip(self):
@@ -175,11 +172,11 @@ class TestPrincipalCurvatures:
         lam1, lam2 = principal_curvatures_u(0.5, 0.5)
         assert lam1 == pytest.approx(0.625, abs=1e-14)
         assert lam2 == pytest.approx(0.0, abs=1e-14)
-        assert scalar_curvature_u(0.5, 0.5) == pytest.approx(2.0, abs=1e-14)
+        assert 2.0 + 2.0 * lam1 * lam2 == pytest.approx(2.0, abs=1e-14)
 
     def test_scalar_above_two_off_waist(self):
-        for r in (0.55, 0.7, 0.9):
-            assert scalar_curvature_u(0.5, r) > 2.0
+        lam1, lam2 = principal_curvatures_u(0.5, np.array([0.55, 0.7, 0.9]))
+        assert (2.0 + 2.0 * lam1 * lam2 > 2.0).all()
 
     def test_domain(self):
         with pytest.raises(OutOfDomainError):
@@ -259,6 +256,38 @@ class TestGaussOnCone:
     def test_pipeline_cross_check(self):
         radii = np.linspace(0.4, 1.3, 30)
         assert gauss_check_f(radii) <= 1e-8
+
+
+class TestArrayForms:
+    """The curvatures, sweeps and checks are array expressions; each row is
+    the per-point case of the same closed forms."""
+
+    def test_curvatures_over_arrays(self):
+        radii = np.linspace(0.5, 0.99, 7)
+        lam1, lam2 = principal_curvatures_u(0.5, radii)
+        zs = np.linspace(0.05, 0.95, 7)
+        km, kp = principal_curvatures_f(zs)
+        gauss = gauss_curvature_f(zs)
+        for i in range(7):
+            assert (lam1[i], lam2[i]) == tuple(principal_curvatures_u(0.5, radii[i]))
+            assert (km[i], kp[i], gauss[i]) == (*principal_curvatures_f(zs[i]), gauss_curvature_f(zs[i]))
+        with pytest.raises(OutOfDomainError):
+            principal_curvatures_u(0.5, np.array([0.6, 1.0]))
+        with pytest.raises(OutOfDomainError):
+            gauss_curvature_f(np.array([0.5, 0.0]))
+
+    def test_sweeps_are_the_row_loop(self):
+        u_rows, v_rows, f_rows = sweep_u(0.4, count=50), sweep_v(0.4, count=20), sweep_f(count=50)
+        for r, u, lam1, lam2, scal in u_rows:
+            want1, want2 = principal_curvatures_u(0.4, r)
+            assert (u, lam1, lam2, scal) == (profile_jet(RevolutionProfile("S-u", 0.4), r)[0], want1, want2,
+                                             2.0 + 2.0 * want1 * want2)
+        for r, v, k1, k2, scal in v_rows:
+            assert (v, k1, k2, scal) == (profile_jet(RevolutionProfile("S-v", 0.4), r)[0], cap_curvature(0.4),
+                                         cap_curvature(0.4), cap_scalar_curvature(0.4))
+        for z, f, k1, k2, scal in f_rows:
+            want1, want2 = principal_curvatures_f(z)
+            assert (f, k1, k2, scal) == (profile_jet(RevolutionProfile("E-f"), z)[0], want1, want2, 2.0 * want1 * want2)
 
 
 class TestSweeps:

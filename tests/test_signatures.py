@@ -24,7 +24,6 @@ REMOVED = [
     (inequality._slice_rows, {"center", "delta_reg", "samples_per_ray"}),
     (fields.random_trig_field, {"amplitude", "freq_scale"}),
     (metrics.GeneralMetric, {"step"}),
-    (metrics.as_general, {"step"}),
     (revolution.monotonicity_checks, {"grid"}),
     (revolution.junction_c2_check, {"ks"}),
     (revolution.radial_field, {"rim_margin"}),
