@@ -13,6 +13,14 @@ Three profiles:
 * ``E-f``: the concave bump f(z) = (sqrt(z) + 1) sqrt(1-z^2) on [0, 1],
   rotated about the z-axis in flat space.
 
+Each profile has one closed form, `profile_jets`, over an array of s;
+`profile_jet` is its checked one-point case. The closed-form curvatures,
+the sweeps and the monotonicity and junction checks are array expressions
+over one `profile_jets` call each, and `radial_field` hands the profiles to
+the generic pipeline as `RadialField` kernels. The E-f field is the
+inverse of the decreasing branch of f, solved for all radii in one
+`brentq_lanes` call.
+
 The u/v pair is measured in the round-sphere-factor ambient; their closed
 forms are cross-checked against the generic graph pipeline in the tests.
 """
@@ -102,25 +110,19 @@ def profile_jets(profile: RevolutionProfile, s) -> tuple[np.ndarray, np.ndarray,
             jet = (spherical_cap_height(a) + np.sqrt(w), -s / np.sqrt(w), -np.float_power(w, -1.5))
             ends = {}  # at s = 1 the formulas give v(1), -inf and -inf
         else:  # E-f
-            rz = np.sqrt(s)
-            w = 1.0 - s * s
-            sw = np.sqrt(w)
+            rz, s2 = np.sqrt(s), s * s
+            rz1, sw = 1.0 + rz, np.sqrt(1.0 - s2)
+            half = 0.5 * rz / sw
             jet = (
-                (rz + 1.0) * sw,
-                sw / (2.0 * rz) - s * (1.0 + rz) / sw,
-                -0.25 * np.float_power(s, -1.5) * sw
-                - 0.5 * rz / sw
-                - (1.0 + rz) / sw
-                - 0.5 * rz / sw
-                - s * s * (1.0 + rz) * np.float_power(w, -1.5),
+                rz1 * sw,
+                sw / (2.0 * rz) - s * rz1 / sw,
+                -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
             )
             ends = {0.0: (1.0, math.inf, -math.inf), 1.0: (0.0, -math.inf, -math.inf)}
-    for end, at_end in ends.items():
-        at = s == end
-        if np.count_nonzero(at):
-            jet = tuple(np.where(at, e, v) for e, v in zip(at_end, jet))
     outside = ~((lo <= s) & (s <= hi))
-    if np.count_nonzero(outside):
+    if np.count_nonzero(outside | (s == 0.0) | (s == 1.0)):  # the count skips the selects on interior points
+        for end, at_end in ends.items():
+            jet = tuple(np.where(s == end, e, v) for e, v in zip(at_end, jet))
         jet = tuple(np.where(outside, np.nan, v) for v in jet)
     return jet
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+#: scipy brentq's default rtol, 4 eps
+_RTOL = 4.0 * np.finfo(float).eps
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -123,17 +125,19 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     with np.errstate(all="ignore"):  # closed lanes, and the trial steps of bisecting ones, are ignored
         for _ in range(maxiter):
             flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            if np.count_nonzero(flip):  # the count skips the selects where no lane takes them
+                xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+                spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
             swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (xtol + 4.0 * np.finfo(float).eps * np.abs(xcur)) / 2  # brentq's default rtol
+            if np.count_nonzero(swap):
+                xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+                fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (xtol + _RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
             done = live & ((fcur == 0) | (np.abs(sbis) < delta))
             root[done] = xcur[done]
             live &= ~done
-            if not live.any():
+            if not np.count_nonzero(live):
                 return root
             dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
             interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -160,4 +164,3 @@ def richardson_limit(s: np.ndarray, y: np.ndarray) -> float:
     s0, s1 = s[order[0]], s[order[1]]
     y0, y1 = y[order[0]], y[order[1]]
     return float((y0 * s1 - y1 * s0) / (s1 - s0))
-

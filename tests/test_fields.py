@@ -774,7 +774,9 @@ class TestKernelKinds:
     def test_kernel_is_the_reference(self, kind, data):
         field = KERNEL_CASES[kind]()
         assert type(field).__mro__[1] is ScalarField
-        self.check(field, data.draw(sample_rows(field.dim)))
+        X = data.draw(sample_rows(field.dim))
+        # each E-f point is a root solve, one per point method; 4 rows a draw keep its cost near the others'
+        self.check(field, X[:4] if kind == "radial-E-f" else X)
 
     @pytest.mark.parametrize("kind", ["radial-S-u", "radial-S-v", "radial-E-f", "scaled-radial-2"])
     def test_radial_edges(self, kind):
