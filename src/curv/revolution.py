@@ -176,25 +176,22 @@ def principal_curvatures_u(a: float, r) -> tuple[np.ndarray, np.ndarray]:
     return _u_graph(a, r)[1]
 
 
+def _f_graph(z) -> tuple[tuple, tuple]:
+    """((f, f', f''), (kappa_meridian, kappa_parallel)) of the E-f rotation
+    surface (outward normal) over z in (0, 1), from one profile_jets call."""
+    z = np.asarray(z, dtype=float)
+    if not ((0.0 < z) & (z < 1.0)).all():
+        raise OutOfDomainError(f"curvatures of f need 0 < z < 1, got z = {z}")
+    f, df, ddf = profile_jets(_F_PROFILE, z)
+    w = np.sqrt(1.0 + df * df)
+    return (f, df, ddf), (-ddf / np.float_power(w, 3), 1.0 / (f * w))
+
+
 def gauss_curvature_f(z) -> np.ndarray:
     """Gauss curvature of the rotation of f about the z-axis over an array of
     z: -f''/(f (1+f'^2)^2)."""
-    z = np.asarray(z, dtype=float)
-    if not ((0.0 < z) & (z < 1.0)).all():
-        raise OutOfDomainError(f"gauss_curvature_f needs 0 < z < 1, got {z}")
-    f, df, ddf = profile_jets(_F_PROFILE, z)
+    (f, df, ddf), _ = _f_graph(z)
     return -ddf / (f * np.float_power(1.0 + df * df, 2))
-
-
-def _f_graph(z) -> tuple[np.ndarray, tuple]:
-    """(f, (kappa_meridian, kappa_parallel)) over z in (0, 1), from one
-    profile_jets call."""
-    z = np.asarray(z, dtype=float)
-    if not ((0.0 < z) & (z < 1.0)).all():
-        raise OutOfDomainError(f"principal curvatures of f need 0 < z < 1, got {z}")
-    f, df, ddf = profile_jets(_F_PROFILE, z)
-    w = np.sqrt(1.0 + df * df)
-    return f, (-ddf / np.float_power(w, 3), 1.0 / (f * w))
 
 
 def principal_curvatures_f(z) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +335,8 @@ def inverse_profile_jet(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if r.ndim == 0 and not inside:
         raise OutOfDomainError(f"inverse profile needs {_F_EDGE:.6g} <= r < {_F_PEAK:.6f}, got {r}")
     z, rk = np.full(r.shape, np.nan), r[inside]
-    ends = np.full(rk.shape, _F_PEAK_Z), np.full(rk.shape, _F_Z_END)
-    z[inside] = brentq_lanes(lambda t, k: profile_jets(_F_PROFILE, t)[0] - rk[k], *ends, xtol=1e-14)
+    lo, hi = np.full(rk.shape, _F_PEAK_Z), np.full(rk.shape, _F_Z_END)
+    z[inside] = brentq_lanes(lambda t, k: profile_jets(_F_PROFILE, t)[0] - rk[k], lo, hi, xtol=1e-14)
     _, df, ddf = profile_jets(_F_PROFILE, z)
     return z, 1.0 / df, -ddf / np.float_power(df, 3)
 
@@ -379,7 +376,6 @@ def closed_vs_pipeline(a: float, radii) -> float:
 
 def sweep_u(a: float, count: int = 400) -> np.ndarray:
     """Columns (r, u, lam1, lam2, R) over [a, 1)."""
-    _check_a(a)
     radii = np.linspace(a, 1.0 - 1e-6, count)
     (u, _, _), (lam1, lam2) = _u_graph(a, radii)
     return np.column_stack([radii, u, lam1, lam2, 2.0 + 2.0 * lam1 * lam2])
@@ -387,9 +383,8 @@ def sweep_u(a: float, count: int = 400) -> np.ndarray:
 
 def sweep_v(a: float, count: int = 200) -> np.ndarray:
     """Columns (r, v, lam, lam, R) over [0, 1); the cap is umbilic."""
-    _check_a(a)
-    radii = np.linspace(0.0, 1.0 - 1e-6, count)
     k = np.full(count, cap_curvature(a))
+    radii = np.linspace(0.0, 1.0 - 1e-6, count)
     v = profile_jets(RevolutionProfile("S-v", a), radii)[0]
     return np.column_stack([radii, v, k, k, np.full(count, cap_scalar_curvature(a))])
 
@@ -397,5 +392,5 @@ def sweep_v(a: float, count: int = 200) -> np.ndarray:
 def sweep_f(count: int = 400) -> np.ndarray:
     """Columns (z, f, kappa_meridian, kappa_parallel, R = 2K) over (0, 1)."""
     zs = np.linspace(1e-4, 1.0 - 1e-4, count)
-    f, (k1, k2) = _f_graph(zs)
+    (f, _, _), (k1, k2) = _f_graph(zs)
     return np.column_stack([zs, f, k1, k2, 2.0 * k1 * k2])

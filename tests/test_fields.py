@@ -788,6 +788,14 @@ class TestKernelKinds:
         X = np.concatenate([[[r, 0.0] for r in radii], [[0.0, -1.0], [0.6, 0.8], [-1e-13, 0.0]]])
         self.check(KERNEL_CASES[kind](), X)
 
+    def test_leading_axes(self):
+        field = KERNEL_CASES["radial-S-u"]()
+        X = np.random.default_rng(9).uniform(-1.0, 1.0, (3, 5, 2))
+        flat = field.jets(X.reshape(-1, 2))
+        assert np.array_equal(field.values(X), flat[0].reshape(3, 5), equal_nan=True)
+        for got, want in zip(field.jets(X), flat):
+            assert np.array_equal(got, want.reshape(X.shape[:-1] + want.shape[1:]), equal_nan=True)
+
     @np.errstate(invalid="ignore")  # a radial Hessian at a vertical tangent is inf * 0
     def check(self, field, X):
         want, jets = _reference_rows(field, X)
