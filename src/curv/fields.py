@@ -477,13 +477,14 @@ class RadialField(ScalarField):
             raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
         if np.shape(p) != r.shape:
             p = np.broadcast_to(p, r.shape).copy()
-        return r, rr, p, np.asarray(dp), np.asarray(ddp)
+        return r, rr, p, dp, ddp
 
     def values(self, X):
         return self._profile(X)[2]
 
     def jets(self, X):
         r, rr, p, dp, ddp = self._profile(X)
+        dp, ddp = np.asarray(dp), np.asarray(ddp)
         xu = X / rr[..., None]
         uu = outer(xu, xu)
         eye = np.eye(self.dim)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .fields import Annulus, Ball, RadialField, ScalarField
-from .util import brentq_lanes, richardson_limit
+from .util import brentq_lanes, maxabs, richardson_limit
 
 KINDS = ("E-f", "S-u", "S-v")
 _ALIASES = {
@@ -114,7 +114,7 @@ def profile_jets(profile: RevolutionProfile, s) -> tuple[np.ndarray, np.ndarray,
             rz1, sw = 1.0 + rz, np.sqrt(1.0 - s2)
             half = 0.5 * rz / sw
             jet = (
-                rz1 * sw,
+                _f_value(s),
                 sw / (2.0 * rz) - s * rz1 / sw,
                 -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
             )
@@ -125,6 +125,13 @@ def profile_jets(profile: RevolutionProfile, s) -> tuple[np.ndarray, np.ndarray,
             jet = tuple(np.where(s == end, e, v) for e, v in zip(at_end, jet))
         jet = tuple(np.where(outside, np.nan, v) for v in jet)
     return jet
+
+
+def _f_value(s):
+    """The E-f value (1 + sqrt(s)) sqrt(1 - s^2) alone: profile_jets' E-f
+    value, and what the inverse solve reads at each iterate, where the
+    derivatives would cost it about 40%."""
+    return (1.0 + np.sqrt(s)) * np.sqrt(1.0 - s * s)
 
 
 def profile_jet(profile: RevolutionProfile, s: float) -> tuple[float, float, float]:
@@ -336,7 +343,7 @@ def inverse_profile_jet(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise OutOfDomainError(f"inverse profile needs {_F_EDGE:.6g} <= r < {_F_PEAK:.6f}, got {r}")
     z, rk = np.full(r.shape, np.nan), r[inside]
     lo, hi = np.full(rk.shape, _F_PEAK_Z), np.full(rk.shape, _F_Z_END)
-    z[inside] = brentq_lanes(lambda t, k: profile_jets(_F_PROFILE, t)[0] - rk[k], lo, hi, xtol=1e-14)
+    z[inside] = brentq_lanes(lambda t, k: _f_value(t) - rk[k], lo, hi, xtol=1e-14)
     _, df, ddf = profile_jets(_F_PROFILE, z)
     return z, 1.0 / df, -ddf / np.float_power(df, 3)
 
@@ -344,34 +351,23 @@ def inverse_profile_jet(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def gauss_check_f(radii) -> float:
     """Worst |K_formula - R_M/2| over the E-f inverse graph at the given radii;
     the flat graph pipeline is the independent route."""
-    from .graphgeom import extrinsic_point, flat_base
+    from .graphgeom import extrinsic_points, flat_base
 
-    field = radial_field(_F_PROFILE)
-    base = flat_base(2)
-    worst = 0.0
-    for r in np.atleast_1d(np.asarray(radii, dtype=float)):
-        x = np.array([r, 0.0])
-        pt = extrinsic_point(field, base, x)
-        z = inverse_profile_jet(r)[0]
-        worst = max(worst, abs(float(gauss_curvature_f(z)) - pt.scalar_curvature / 2.0))
-    return worst
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    pts = extrinsic_points(radial_field(_F_PROFILE), flat_base(2), np.column_stack([radii, np.zeros_like(radii)]))
+    return maxabs(gauss_curvature_f(inverse_profile_jet(radii)[0]) - pts.scalar_curvature / 2.0)
 
 
 def closed_vs_pipeline(a: float, radii) -> float:
     """Worst principal-curvature disagreement between the closed forms and
     the generic conformal pipeline on the u-graph."""
-    from .conformal import conformal_point
+    from .conformal import conformal_points
     from .metrics import spherical_ambient
 
-    field = radial_field(RevolutionProfile("S-u", a))
-    ambient = spherical_ambient(2)
-    worst = 0.0
-    for r in np.atleast_1d(np.asarray(radii, dtype=float)):
-        x = np.array([r, 0.0])
-        cp = conformal_point(field, ambient, x)
-        lam = np.sort(np.asarray(principal_curvatures_u(a, r)))
-        worst = max(worst, float(np.max(np.abs(cp.principal - lam))))
-    return worst
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    X = np.column_stack([radii, np.zeros_like(radii)])
+    cp = conformal_points(radial_field(RevolutionProfile("S-u", a)), spherical_ambient(2), X)
+    return maxabs(cp.principal - np.sort(np.column_stack(principal_curvatures_u(a, radii)), axis=1))
 
 
 def sweep_u(a: float, count: int = 400) -> np.ndarray:
