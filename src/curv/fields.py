@@ -471,12 +471,16 @@ class RadialField(ScalarField):
         """|x| of the point or of each row, max(|x|, 1e-12), and the profile
         there, its value broadcast to one per point."""
         r = np.sqrt(np.vecdot(X, X))  # np.linalg.norm of each row, bit for bit
-        rr = np.maximum(r, 1e-12)
-        p, dp, ddp = self.profile(rr)
-        if X.ndim == 1 and math.isnan(p):
-            raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
-        if np.shape(p) != r.shape:
-            p = np.broadcast_to(p, r.shape).copy()
+        if X.ndim == 1:  # one radius as a float, whose arithmetic costs less than numpy's
+            rr = max(float(r), 1e-12)
+            p, dp, ddp = self.profile(rr)
+            if math.isnan(p):
+                raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
+        else:
+            rr = np.maximum(r, 1e-12)
+            p, dp, ddp = self.profile(rr)
+            if np.shape(p) != r.shape:
+                p = np.broadcast_to(p, r.shape).copy()
         return r, rr, p, dp, ddp
 
     def values(self, X):
@@ -484,7 +488,7 @@ class RadialField(ScalarField):
 
     def jets(self, X):
         r, rr, p, dp, ddp = self._profile(X)
-        dp, ddp = np.asarray(dp), np.asarray(ddp)
+        rr, dp, ddp = np.asarray(rr), np.asarray(dp), np.asarray(ddp)
         xu = X / rr[..., None]
         uu = outer(xu, xu)
         eye = np.eye(self.dim)
