@@ -471,16 +471,13 @@ class RadialField(ScalarField):
         """|x| of the point or of each row, max(|x|, 1e-12), and the profile
         there, its value broadcast to one per point."""
         r = np.sqrt(np.vecdot(X, X))  # np.linalg.norm of each row, bit for bit
-        if X.ndim == 1:  # one radius as a float, whose arithmetic costs less than numpy's
-            rr = max(float(r), 1e-12)
-            p, dp, ddp = self.profile(rr)
-            if math.isnan(p):
-                raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
-        else:
-            rr = np.maximum(r, 1e-12)
-            p, dp, ddp = self.profile(rr)
-            if np.shape(p) != r.shape:
-                p = np.broadcast_to(p, r.shape).copy()
+        point = X.ndim == 1  # one radius goes to the profile as a float, whose arithmetic costs less
+        rr = max(float(r), 1e-12) if point else np.maximum(r, 1e-12)
+        p, dp, ddp = self.profile(rr)
+        if point and math.isnan(p):
+            raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
+        if not point and np.shape(p) != r.shape:
+            p = np.broadcast_to(p, r.shape).copy()
         return r, rr, p, dp, ddp
 
     def values(self, X):

@@ -161,11 +161,10 @@ def cap_scalar_curvature(a: float) -> float:
 def _u_graph(a: float, r) -> tuple[tuple, tuple]:
     """((u, u', u''), (lam1, lam2)) of the u-graph over radii r in [a, 1),
     from one profile_jets call."""
-    _check_a(a)
-    r = np.asarray(r, dtype=float)
+    profile, r = RevolutionProfile("S-u", a), np.asarray(r, dtype=float)
     if not ((a <= r) & (r < 1.0)).all():
         raise OutOfDomainError(f"principal curvatures of u need a <= r < 1, got r = {r}")
-    u, du, ddu = profile_jets(RevolutionProfile("S-u", a), r)
+    u, du, ddu = profile_jets(profile, r)
     w2 = 1.0 + du * du
     w = np.sqrt(w2)
     phi = (1.0 + u * u + r * r) / 2.0
@@ -237,7 +236,6 @@ def monotonicity_checks(a: float, samples: int = 10_000) -> MonotonicityReport:
     """First-order vanishing at r = a, strict monotonicity, and the profile
     convexity bound u'' > u'(1+u'^2), with worst margins over `samples`
     equally spaced radii of [a, 1), the first of which is a."""
-    _check_a(a)
     grid = a + (1.0 - a) * np.arange(samples) / samples
     (u, du, ddu), (lam1, _) = _u_graph(a, grid)
     margin = ddu - du * (1.0 + du * du)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-#: scipy brentq's default rtol, 4 eps
-_RTOL = 4.0 * np.finfo(float).eps
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -132,7 +130,7 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
             if np.count_nonzero(swap):
                 xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
                 fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (xtol + _RTOL * np.abs(xcur)) / 2
+            delta = (xtol + 4.0 * np.finfo(float).eps * np.abs(xcur)) / 2  # brentq's default rtol
             sbis = (xblk - xcur) / 2
             done = live & ((fcur == 0) | (np.abs(sbis) < delta))
             root[done] = xcur[done]
