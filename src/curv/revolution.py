@@ -116,7 +116,8 @@ def profile_jets(profile: RevolutionProfile, s) -> tuple[np.ndarray, np.ndarray,
             jet = (
                 _f_value(s),
                 sw / (2.0 * rz) - s * rz1 / sw,
-                -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
+                -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half
+                - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
             )
             ends = {0.0: (1.0, math.inf, -math.inf), 1.0: (0.0, -math.inf, -math.inf)}
     outside = ~((lo <= s) & (s <= hi))

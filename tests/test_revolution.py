@@ -142,7 +142,8 @@ class TestConeProfile:
         assert (revolution._F_PEAK_Z, revolution._F_PEAK, revolution._F_EDGE) == (
             0.40325576628102094, 1.4961899216206112, 8.945662391068493e-07
         )
-        assert revolution._F_PEAK_Z == brentq(lambda z: profile_jet(RevolutionProfile("E-f"), z)[1], 0.05, 0.95, xtol=1e-14)
+        first = lambda z: profile_jet(RevolutionProfile("E-f"), z)[1]
+        assert revolution._F_PEAK_Z == brentq(first, 0.05, 0.95, xtol=1e-14)
         assert type(revolution._F_PEAK_Z) is float
 
     def test_inverse_roundtrip(self):
