@@ -1,5 +1,8 @@
 """Tests for the slice-trace inequality checks and equality detection."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -31,12 +34,13 @@ from curv.inequality import (
     check_phi,
     check_prod,
     check_sphere,
+    checks,
     decomposition_gap,
     pick_levels,
     run_suite,
     slice_points,
 )
-from curv.metrics import constant_ambient, round_sphere_base, spherical_ambient
+from curv.metrics import constant_ambient, product_ambient, round_sphere_base, spherical_ambient
 from curv.syminv import newton_gap
 from curv.util import unit_directions
 
@@ -73,6 +77,21 @@ class TestEqualityCases:
         assert rep.lhs == pytest.approx(0.0, abs=1e-14)
         assert rep.rhs == pytest.approx(0.0, abs=1e-14)
         assert rep.equality_detected
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_anchors_in_higher_dimensions(self, n):
+        # the multiplicity diagnostic sorts n distances, of which n - 1 vanish
+        e1 = np.eye(n)[0]
+        cap = SphereCap(n, 0.6, height=0.3)
+        reps = [
+            check_euclid(Paraboloid(n), 0.5, e1),
+            check_prod(SphereCap(n, 1.0), flat_base(n), 1.0 / np.sqrt(2.0), e1 / np.sqrt(2.0)),
+            check_sphere(cap, 0.5, np.sqrt(0.32) * e1),
+            check_phi(cap, spherical_ambient(n), 0.5, np.sqrt(0.32) * e1),
+        ]
+        for rep in reps:
+            assert rep.equality_detected, rep.which
+            assert abs(rep.gap) <= 1e-12, rep.which
 
     def test_anisotropic_cup_is_strict(self):
         cup = QuadraticCup([1.0, 4.0, 9.0])
@@ -462,3 +481,45 @@ class TestSuites:
         for rep in out.reports:
             assert rep.which == "prod"
             assert len(rep.x) == 2
+
+
+def row_digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenRows:
+    """Every field of every report row, equality diagnostics included, bit
+    for bit. Recorded with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64."""
+
+    SUITES = {
+        ("prod", 2): "2e3a19607949e713734a88698b481a5912a8164db619379ecd3d073d55240c7f",
+        ("prod", 3): "07eda72779a759b90f626de36975965fc9b74016c4a30b00ecf953944fa105c6",
+        ("phi", 2): "0a7d88f7b2b4c9a75f44ac127b762808be292664727ac5f55acf5121f92693f6",
+        ("phi", 3): "d0af9c0115d705edcb954030a199886b2885798b98bea10f77f1618785720a1c",
+        ("euclid", 2): "55f09241cc3e66e41ea736ae97a561a15fc6fb899c807775608051417ef1acb7",
+        ("euclid", 3): "dfbb73c2784013316ebc9a0b499c252599e8eff527e74092700b989ac65f058a",
+        ("sphere", 2): "2221606d3d06ef79eca92bbd4ba87a6a8ee1f08380824e03d5b2caeace714b48",
+        ("sphere", 3): "9e820ad5fe1d14be78bc43b5d5a3cc92d3cfac6cd64c1c357e434f3ea73943f9",
+    }
+
+    @pytest.mark.parametrize("which, dim", sorted(SUITES))
+    def test_suite_rows(self, which, dim):
+        rows = [rep.to_dict() for rep in run_suite(which, dim).reports]
+        assert row_digest(rows) == self.SUITES[which, dim]
+
+    # the round base reaches the R_g and Ric_g terms of prod; a constant
+    # factor has no round scalar curvature, so its rows carry no scalar_round
+    CURVED = {
+        ("prod", 3): "1dd57c8360eeb9d6f4ed9cb3464dfa6bd1b8352527e5e862c1cc7417ca6097df",
+        ("phi", 2): "b52092ef3c609cbb1036491ec9ebb0ffbb5869b479b581689add5565530985bb",
+        ("phi", 3): "f14ead2adc9f7b326d4e51117fb0659401a0092beef655623a4d88642594afa1",
+    }
+
+    @pytest.mark.parametrize("which, dim", sorted(CURVED))
+    def test_curved_rows(self, which, dim):
+        field = random_trig_field(dim, 5)
+        eps = pick_levels(field, 1, 5)[0]
+        X = np.array(slice_points(field, eps, rays=16, seed=5))
+        ambient = product_ambient(dim, round_sphere_base(dim)) if which == "prod" else constant_ambient(dim, 2.0)
+        regular, reps = checks(which, field, eps, X, ambient)
+        assert row_digest([regular.tolist(), [rep.to_dict() for rep in reps]]) == self.CURVED[which, dim]
