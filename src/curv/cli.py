@@ -228,6 +228,8 @@ def _handle_verify_minor(args, tol):
     checked = 0
     if args.fd_step <= 0:
         raise ValueError(f"need --fd-step > 0, got {args.fd_step}")
+    if min(args.fields, args.points) < 0:
+        raise ValueError(f"need --fields and --points >= 0, got {args.fields} and {args.points}")
     steps = [args.fd_step, args.fd_step / 2.0, args.fd_step / 4.0]
     seeds = [args.seed + i for i in range(args.fields)]
     fields = [random_trig_field(args.dim, seed=s) for s in seeds]

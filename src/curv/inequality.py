@@ -74,89 +74,83 @@ class InequalityReport:
         return out
 
 
-def _equality_diagnostics(
-    slice_eigs: list[float], ambient_eigs: list[float], predicted: float
-) -> tuple[float, float, bool]:
-    """(umbilicity deviation, multiplicity diagnostic, equality flag) of one
-    point's slice and ambient eigenvalues."""
-    spread = max(slice_eigs) - min(slice_eigs) if slice_eigs else 0.0
-    dist = sorted(abs(a - predicted) for a in ambient_eigs)
-    # n-1 of the n ambient eigenvalues must sit at the predicted value
-    mult = max(dist[:-1]) if len(dist) > 1 else dist[0]
-    norm_slice = max(map(abs, slice_eigs)) if slice_eigs else 0.0
-    norm_amb = max(map(abs, ambient_eigs))
-    equal = spread <= UMBILIC_TOL * (1.0 + norm_slice) and mult <= MULTIPLICITY_TOL * (1.0 + norm_amb)
-    return spread, mult, equal
-
-
 def _mean(a: np.ndarray) -> np.ndarray:
     """np.mean over the last axis, bit for bit (the sum, then one division)."""
     return a.sum(axis=-1) / a.shape[-1]
 
 
+def _reports(which, fr: SliceFrame, *, lhs, rhs, h_mean, h_sigma, kappa, slice_eigs, ambient_eigs, predicted, extras):
+    """One report per row of the slice stack fr, from its columns: the
+    equality diagnostics over the whole stack, then the rows; `extras` maps
+    names to further columns. The eigenvalue stacks are ascending, so the
+    slice spread and both norms read the two ends, and n - 1 of the n ambient
+    eigenvalues sit at `predicted` when the second largest distance to it is
+    small."""
+    spread = slice_eigs[:, -1] - slice_eigs[:, 0]
+    mult = np.sort(np.abs(ambient_eigs - predicted[:, None]), axis=-1)[:, -2]
+    norm_slice = np.maximum(-slice_eigs[:, 0], slice_eigs[:, -1])
+    norm_amb = np.maximum(-ambient_eigs[:, 0], ambient_eigs[:, -1])
+    equal = (spread <= UMBILIC_TOL * (1.0 + norm_slice)) & (mult <= MULTIPLICITY_TOL * (1.0 + norm_amb))
+    names = list(extras)
+    return [
+        InequalityReport(
+            which=which, x=tuple(xi), eps=e, lhs=left, rhs=right, gap=g, cos_angle=cos, h_mean=h, h_sigma=hs,
+            kappa=k, umbilicity_deviation=sp, multiplicity_diagnostic=mu, equality_detected=eq,
+            extras=dict(zip(names, ex)),
+        )
+        for xi, e, left, right, g, cos, h, hs, k, sp, mu, eq, *ex in zip(
+            fr.x.tolist(), fr.eps.tolist(), lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist(), fr.cos_angle.tolist(),
+            h_mean.tolist(), h_sigma.tolist(), kappa.tolist(), spread.tolist(), mult.tolist(), equal.tolist(),
+            *(col.tolist() for col in extras.values()),
+        )
+    ]
+
+
 def prod_reports(pt: ExtrinsicPoint, regular: np.ndarray, fr: SliceFrame, which: str = "prod"):
     """The product-metric inequality on a stack of extrinsic points, given
     `slice_frames(pt, eps)`: the regular-row mask and one report per regular
-    row, as `checks` returns them. The matrix work is stacked; each row's
-    scalar formulas run on floats."""
+    row, as `checks` returns them. The rows come from one array program over
+    the stack, whose row builder `_reports` the conformal inequality shares."""
     if not regular.all():
         pt = pt.select(regular)
-    n = pt.dim
-    mj = pt.base_jet
+    n, mj = pt.dim, pt.base_jet
+    cos, h, hs = fr.cos_angle, pt.mean_curvature, fr.h_sigma
     ric_eta = np.vecdot(np.vecmat(fr.eta, mj.ricci), fr.eta)
     slice_eigs = np.linalg.eigvalsh(fr.a_sigma)
+    kappa = _mean(slice_eigs)
     c = n / (2.0 * (n - 1.0))
-    reports = []
-    for x, e, cos, h, hs, r_m, r_g, ric, k, eigs, amb in zip(
-        pt.x.tolist(), fr.eps.tolist(), fr.cos_angle.tolist(), pt.mean_curvature.tolist(),
-        fr.h_sigma.tolist(), pt.scalar_curvature.tolist(), mj.scalar.tolist(), ric_eta.tolist(),
-        _mean(slice_eigs).tolist(), slice_eigs.tolist(), pt.principal.tolist(),
-    ):
-        lhs = cos * h * hs
-        rhs = 0.5 * r_m - 0.5 * r_g + cos * cos * ric + c * cos * cos * hs**2
-        spread, mult, equal = _equality_diagnostics(eigs, amb, cos * k)
-        reports.append(InequalityReport(
-            which=which, x=tuple(x), eps=e, lhs=lhs, rhs=rhs, gap=lhs - rhs, cos_angle=cos,
-            h_mean=h, h_sigma=hs, kappa=k, umbilicity_deviation=spread, multiplicity_diagnostic=mult,
-            equality_detected=equal, extras={"scalar_m": r_m, "scalar_base": r_g},
-        ))
-    return regular, reports
+    rhs = 0.5 * pt.scalar_curvature - 0.5 * mj.scalar + cos * cos * ric_eta + c * cos * cos * np.float_power(hs, 2)
+    return regular, _reports(
+        which, fr, lhs=cos * h * hs, rhs=rhs, h_mean=h, h_sigma=hs, kappa=kappa, slice_eigs=slice_eigs,
+        ambient_eigs=pt.principal, predicted=cos * kappa,
+        extras={"scalar_m": pt.scalar_curvature, "scalar_base": mj.scalar},
+    )
 
 
 def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which: str):
     """(regular mask, reports) of the conformally-product inequality over a
-    stack, given `slice_frames(cp.point, eps)`. The matrix work is stacked;
-    each row's scalar formulas run on floats."""
+    stack, given `slice_frames(cp.point, eps)`. The rows come from one array
+    program over the stack, through the row builder `_reports`."""
     if not regular.all():
         cp = cp.select(regular)
-    pt = cp.point
-    n = pt.dim
-    pj = cp.factor
+    pt, pj = cp.point, cp.factor
+    n, cos, hbar = pt.dim, fr.cos_angle, cp.mean_curvature
     dphi_eta = np.vecdot(pj.grad_x, fr.eta)
     abar_sigma = pj.value[:, None, None] * fr.a_sigma + dphi_eta[:, None, None] * np.eye(n - 1)
     hbar_sigma = np.trace(abar_sigma, axis1=1, axis2=2)
     slice_eigs = np.linalg.eigvalsh(abar_sigma)
+    kappa = _mean(slice_eigs)
+    nu_t, phi_t = pt.nu[:, -1], pj.dt
     c = n / (2.0 * (n - 1.0))
-    scalar = cp.scalar_curvature.tolist() if cp.scalar_curvature is not None else [None] * len(slice_eigs)
-    reports = []
-    for x, e, cos, hbar, norm2, hs, nu_t, phi_t, phi, mu, r, k, eigs, amb in zip(
-        pt.x.tolist(), fr.eps.tolist(), fr.cos_angle.tolist(), cp.mean_curvature.tolist(),
-        cp.norm_a2.tolist(), hbar_sigma.tolist(), pt.nu[:, -1].tolist(), pj.dt.tolist(), pj.value.tolist(),
-        cp.dphi_nu.tolist(), scalar, _mean(slice_eigs).tolist(), slice_eigs.tolist(), cp.principal.tolist(),
-    ):
-        bracket = cos * hs + (n - 1.0) * nu_t * phi_t
-        lhs = hbar * bracket
-        rhs = 0.5 * (hbar**2 - norm2) + c * bracket**2
-        spread, mult, equal = _equality_diagnostics(eigs, amb, cos * k + nu_t * phi_t)
-        extras = {"phi": phi, "dphi_nu": mu, "bracket": bracket}
-        if r is not None:
-            extras["scalar_round"] = r
-        reports.append(InequalityReport(
-            which=which, x=tuple(x), eps=e, lhs=lhs, rhs=rhs, gap=lhs - rhs, cos_angle=cos,
-            h_mean=hbar, h_sigma=hs, kappa=k, umbilicity_deviation=spread, multiplicity_diagnostic=mult,
-            equality_detected=equal, extras=extras,
-        ))
-    return regular, reports
+    bracket = cos * hbar_sigma + (n - 1.0) * nu_t * phi_t
+    rhs = 0.5 * (np.float_power(hbar, 2) - cp.norm_a2) + c * np.float_power(bracket, 2)
+    extras = {"phi": pj.value, "dphi_nu": cp.dphi_nu, "bracket": bracket}
+    if cp.scalar_curvature is not None:
+        extras["scalar_round"] = cp.scalar_curvature
+    return regular, _reports(
+        which, fr, lhs=hbar * bracket, rhs=rhs, h_mean=hbar, h_sigma=hbar_sigma, kappa=kappa,
+        slice_eigs=slice_eigs, ambient_eigs=cp.principal, predicted=cos * kappa + nu_t * phi_t, extras=extras,
+    )
 
 
 def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None):
@@ -182,7 +176,10 @@ def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None =
 
     Returns the mask of the regular rows and their reports, in row order;
     each report equals check(which, field, eps_i, X[i], ambient) bit for
-    bit, and check raises NonRegularPointError at a row off the mask.
+    bit, and check raises NonRegularPointError at a row off the mask. The
+    reports come from one array program over the stack: squares use
+    np.float_power, which rounds as scalar `**` does, and the equality
+    diagnostics read ascending eigenvalue stacks.
     """
     _, regular, reports = _checks(which, field, eps, as_points(X, field.dim), ambient)
     return regular, reports
@@ -355,6 +352,8 @@ def run_suite(
     root; a violation is a gap below -gap_tol."""
     if which not in WHICH:
         raise ValueError(f"unknown inequality selector {which!r}")
+    if n_fields < 0:
+        raise ValueError(f"need a nonnegative number of fields, got {n_fields}")
     from .fields import random_trig_field, trig_family
 
     reports, skips = [], 0

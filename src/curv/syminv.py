@@ -185,6 +185,8 @@ def randomized_identity_suite(
     orders = tuple(int(n) for n in orders)
     if not orders or min(orders) < 2:
         raise ValueError("orders must be integers >= 2")
+    if trials < 0:
+        raise ValueError(f"need a nonnegative number of trials, got {trials}")
     rng = np.random.default_rng(seed)
     counts = {n: trials // len(orders) for n in orders}
     for k in range(trials - sum(counts.values())):

@@ -484,6 +484,12 @@ class TestDegenerateSizes:
         assert rc == 1
         assert (doc["results"][0]["trials"], doc["results"][0]["passed"]) == (0, False)
 
+    @pytest.mark.parametrize("argv", [["--fields", "0"], ["--fields", "2", "--points", "0"]])
+    def test_minor_with_no_points_fails(self, capsys, argv):
+        rc, doc = run_json(capsys, ["verify", "minor"] + argv)
+        assert rc == 1
+        assert (doc["results"][0]["points_checked"], doc["results"][0]["passed"]) == (0, False)
+
     @pytest.mark.parametrize("argv, message", [
         (["verify", "inequality", "--which", "prod", "--levels", "0"], "need at least one level, got 0"),
         (["verify", "inequality", "--which", "prod", "--dim", "1"], "level slices need dimension >= 2, got 1"),
@@ -497,6 +503,10 @@ class TestDegenerateSizes:
         (["example", "--name", "euclid-cone", "--count", "1"], "need --count >= 2, got 1"),
         (["verify", "minor", "--fields", "2", "--fd", "--fd-step", "0"], "need --fd-step > 0, got 0.0"),
         (["verify", "minor", "--fields", "2", "--fd", "--fd-step", "-0.01"], "need --fd-step > 0, got -0.01"),
+        (["verify", "identity", "--trials", "-5"], "need a nonnegative number of trials, got -5"),
+        (["verify", "inequality", "--which", "prod", "--fields", "-2"], "need a nonnegative number of fields, got -2"),
+        (["verify", "minor", "--fields", "-3"], "need --fields and --points >= 0, got -3 and 20"),
+        (["verify", "minor", "--points", "-3"], "need --fields and --points >= 0, got 50 and -3"),
     ])
     def test_usage_error(self, capsys, argv, message):
         assert main(argv) == 2
