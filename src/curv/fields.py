@@ -8,21 +8,23 @@ Each field kind has one evaluation route, on one of two bases:
   cup, plane, constant and polynomial built-ins, radial profiles (the
   profile maps an array of radii to its jet, NaN where it is undefined),
   gridded samples with local quadratic tensor interpolation (an index
-  gather), and the rotated, negated and scaled wrappers of any field. A
-  kernel raises to a power with `np.float_power`, which calls C `pow` per
-  element as scalar `**` does; array `**` rounds differently, and a kernel
-  must equal the per-point formula bit for bit.
+  gather), the rotated, negated and scaled wrappers of any field, and
+  finite differences on a field or a value callable (central stencils,
+  order 2, one stencil stack per call). Finite differences read only
+  values, never the wrapped field's jets, so they serve as an independent
+  oracle. A kernel raises to a power with `np.float_power`, which calls C
+  `pow` per element as scalar `**` does; array `**` rounds differently, and
+  a kernel must equal the per-point formula bit for bit.
 * `PointwiseField` kinds define the one-point methods, and `values` and
-  `jets` loop over rows. These are the sphere-cap built-in, whose `value`
-  raises OutOfDomainError past the rim, and finite differences on any value
-  callable (central stencils, order 2), which serve as an independent
-  oracle.
+  `jets` loop over rows. This is the sphere-cap built-in, whose `value`
+  raises OutOfDomainError past the rim.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -202,16 +204,7 @@ class PointwiseField(ScalarField):
         return Jet(self.value(x), self.gradient(x), self.hessian(x))
 
     def values(self, X):
-        if np.ndim(X) == 1:
-            return self.value(X)
-        rows = np.reshape(X, (-1, self.dim))
-        out = np.empty(len(rows))
-        for i, x in enumerate(rows):
-            try:
-                out[i] = self.value(x)
-            except OutOfDomainError:
-                out[i] = np.nan
-        return out.reshape(np.shape(X)[:-1])
+        return _row_values(self.value, X, self.dim)
 
     def jets(self, X):
         if np.ndim(X) == 1:
@@ -227,6 +220,20 @@ class PointwiseField(ScalarField):
 
     def gradients(self, X):
         return np.array([self.gradient(x) for x in X], dtype=float).reshape(len(X), self.dim)
+
+
+def _row_values(value: Callable, X, dim: int):
+    """value at the point X, or at each row of a stack X (any leading axes), NaN where it raises OutOfDomainError."""
+    if np.ndim(X) == 1:
+        return value(X)
+    rows = np.reshape(X, (-1, dim))
+    out = np.empty(len(rows))
+    for i, x in enumerate(rows):
+        try:
+            out[i] = value(x)
+        except OutOfDomainError:
+            out[i] = np.nan
+    return out.reshape(np.shape(X)[:-1])
 
 
 def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -557,22 +564,21 @@ class ScaledField(ScalarField):
 # finite-difference mode
 
 
-class FiniteDifferenceField(PointwiseField):
-    """Jets by central differences on a value callable.
-
-    With no explicit step, first derivatives use eps^(1/3) * max(1, |x|) and
-    second derivatives eps^(1/4) * max(1, |x|); an explicit step is used for
-    both (that is what convergence studies vary).
-    """
+class FiniteDifferenceField(ScalarField):
+    """Jets by central differences on the values of a field or a value
+    callable, never on its jets: the independent oracle. With no explicit
+    step, Du uses eps^(1/3) * max(1, |x|) and D^2u eps^(1/4) * max(1, |x|);
+    an explicit step serves both (as convergence studies vary it). `jets`
+    evaluates one stencil stack: a field in one `values` call, a callable
+    row by row, its errors propagating."""
 
     def __init__(self, func, dim: int, domain=None, step: float | None = None, name="fd"):
-        self._func = func.value if isinstance(func, ScalarField) else func
+        field = isinstance(func, ScalarField)
+        self._func = func
         self.dim = dim
-        self.domain = domain if domain is not None else (
-            func.domain if isinstance(func, ScalarField) else whole_space(dim)
-        )
+        self.domain = domain if domain is not None else func.domain if field else whole_space(dim)
         self.step = None if step is None else float(step)
-        self.name = name if not isinstance(func, ScalarField) else f"fd({func.name})"
+        self.name = f"fd({func.name})" if field else name
 
     def _steps(self, x):
         if self.step is not None:
@@ -583,43 +589,41 @@ class FiniteDifferenceField(PointwiseField):
     def margin(self, x):
         return 2.0 * np.maximum(*self._steps(x))
 
-    def value(self, x):
-        return float(self._func(np.asarray(x, dtype=float)))
+    def values(self, X):
+        if isinstance(self._func, ScalarField):
+            return self._func.values(X)
+        return _row_values(self._func, X, self.dim)
 
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        h, _ = self._steps(x)
-        g = np.zeros(self.dim)
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = h
-            g[k] = (self._func(x + e) - self._func(x - e)) / (2.0 * h)
-        return g
+    def jets(self, X):
+        n, (a, b, step, sym) = self.dim, _stencil(self.dim)
+        hs = np.stack(self._steps(X), axis=-1)
+        h1, h2, h = hs[..., :1], hs[..., 1:], hs[..., step, None]
+        P = (X[..., None, :] + h * a) + h * b
+        if isinstance(self._func, ScalarField):
+            f = self._func.values(P)
+        else:
+            f = np.array([self._func(p) for p in P.reshape(-1, n)], dtype=float).reshape(P.shape[:-1])
+        f0, g, d, o = f[..., :1], f[..., 1 : 2 * n + 1], f[..., 2 * n + 1 : 4 * n + 1], f[..., 4 * n + 1 :]
+        diag = (d[..., ::2] - 2.0 * f0 + d[..., 1::2]) / (h2 * h2)
+        mixed = (o[..., ::4] - o[..., 1::4] - o[..., 2::4] + o[..., 3::4]) / (4.0 * h2 * h2)
+        return f0[..., 0], (g[..., ::2] - g[..., 1::2]) / (2.0 * h1), np.concatenate([diag, mixed], axis=-1)[..., sym]
 
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        _, h = self._steps(x)
-        n = self.dim
-        out = np.zeros((n, n))
-        f0 = self._func(x)
-        for k in range(n):
-            ek = np.zeros(n)
-            ek[k] = h
-            out[k, k] = (self._func(x + ek) - 2.0 * f0 + self._func(x - ek)) / (h * h)
-        for k in range(n):
-            for l in range(k + 1, n):
-                ek = np.zeros(n)
-                ek[k] = h
-                el = np.zeros(n)
-                el[l] = h
-                v = (
-                    self._func(x + ek + el)
-                    - self._func(x + ek - el)
-                    - self._func(x - ek + el)
-                    + self._func(x - ek - el)
-                ) / (4.0 * h * h)
-                out[k, l] = out[l, k] = v
-        return out
+
+@functools.cache
+def _stencil(n: int):
+    """The central stencil as points (x + h a) + h b: rows a and b, each
+    row's step (0 for Du, 1 for the Hessian), and the Hessian's gather from
+    its diagonal and pairs k < l. Rows: x, x +- h e_k twice, (x +- h e_k) +-
+    h e_l. x - h e_k is x + h (-e_k), -0.0 off axis k; x + (-0.0) is x."""
+    eye, z = np.eye(n), np.full(n, -0.0)
+    pm = [(e, -e) for e in eye]
+    k, l = np.triu_indices(n, 1)
+    rows = [(z, z)] + [(d, z) for e in pm for d in e] * 2
+    rows += [(c, d) for i, j in zip(k, l) for c in pm[i] for d in pm[j]]
+    sym = np.diag(np.arange(n))
+    sym[k, l] = sym[l, k] = n + np.arange(len(k))
+    a, b = np.array(rows).transpose(1, 0, 2)
+    return a, b, (np.arange(len(rows)) > 2 * n).astype(int), sym
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,10 @@ class TestGoldenReports:
         "minor-3d": ["verify", "minor", "--fd", "--dim", "3", "--fields", "2", "--points", "4"],
         "inequality-prod-3d": ["verify", "inequality", "--which", "prod", "--dim", "3", "--fields", "4"],
         "inequality-phi-3d": ["verify", "inequality", "--which", "phi", "--dim", "3", "--fields", "4"],
+        # the minor stage at production size, where the FD oracle checks every kept row of 50 fields
+        "minor-full": ["verify", "minor", "--fd"],
+        "minor-full-3d": ["verify", "minor", "--fd", "--dim", "3", "--fields", "10"],
+        "minor-full-step": ["verify", "minor", "--fd", "--fd-step", "0.05"],
     }
     SHA256 = {
         ("identity", 0): "bbd296088c3150f80d1a349102d31223406b552a34b0d3194df8dbf591abd4ee",
@@ -356,6 +360,12 @@ class TestGoldenReports:
         ("inequality-prod-3d", 1): "25b5c6b8a8686b153511dcb3a0870cfbcdd0a9e609f62671c2d71f1cb66cb10d",
         ("inequality-phi-3d", 0): "ebe57aafa3a655f09b35e5a6c294285056284f5e8b16e2ae49e306f690bce742",
         ("inequality-phi-3d", 1): "71a1a8d3599f6d9706bf8f8b7381936655dfea80ad8fbb8d29c739e6a8fb580b",
+        ("minor-full", 0): "1a3a70935c79b69ab7ff9285d4673991977729c59d70c9c2ee17c84e2bfe4e3c",
+        ("minor-full", 5): "27a85172658b69efed6d22d9643c5f58f92f1d359c1575699f2a309b841151cb",
+        ("minor-full-3d", 0): "0670d83e7a82c1d2929f8c7fa5e6f4fd4e087ae24b5ca1a63593251acbe0c07b",
+        ("minor-full-3d", 5): "8d7a1a081f18a771a07f29ef974c576af6cbc437206b77d48f7a4ebdd2e4da2a",
+        ("minor-full-step", 0): "a46cad1af5532dda030d07f0854b37e8a604b8822615f25191702bcc1a87d90c",
+        ("minor-full-step", 5): "c1314f6288a4197453387a67b8458e1f3f41ba81bb27ca77fe2d7ea3b64ba6c0",
     }
 
     @pytest.mark.parametrize("stage, seed", sorted(SHA256))
@@ -489,6 +499,14 @@ class TestDegenerateSizes:
         rc, doc = run_json(capsys, ["verify", "minor"] + argv)
         assert rc == 1
         assert (doc["results"][0]["points_checked"], doc["results"][0]["passed"]) == (0, False)
+
+    def test_minor_fd_with_no_point_in_the_stencil_margin_fails(self, capsys):
+        # a step of 10 leaves no point 20 inside the ball of radius 2: the analytic half checks, the FD half none
+        rc, doc = run_json(capsys, ["verify", "minor", "--fd", "--fields", "3", "--points", "4", "--fd-step", "10"])
+        assert rc == 1
+        result = doc["results"][0]
+        assert result["points_checked"] > 0 and result["worst_analytic_residual"] <= 1e-8
+        assert (result["median_fd_slope"], result["passed"]) == (None, False)
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "inequality", "--which", "prod", "--levels", "0"], "need at least one level, got 0"),

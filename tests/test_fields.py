@@ -33,6 +33,7 @@ from curv.fields import (
     eval_jets,
     random_trig_field,
     sample_to_grid,
+    trig_family,
     whole_space,
 )
 import curv.fields
@@ -226,6 +227,111 @@ class TestFiniteDifference:
         fd = FiniteDifferenceField(lambda x: float(x[0] ** 2 + x[1]), 2, step=1e-4)
         x = np.array([1.5, 0.2])
         assert np.allclose(fd.gradient(x), [3.0, 1.0], atol=1e-7)
+
+
+def reference_fd_jet(func, x, step=None):
+    """The per-point central stencil, one `func` call per stencil point, as
+    FiniteDifferenceField computed it before its jets were one array
+    program: the bit-for-bit reference for that kernel."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if step is None:
+        s = np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
+        h1, h2 = float(np.finfo(float).eps) ** (1.0 / 3.0) * s, float(np.finfo(float).eps) ** 0.25 * s
+    else:
+        h1 = h2 = float(step)
+    g = np.zeros(n)
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h1
+        g[k] = (func(x + e) - func(x - e)) / (2.0 * h1)
+    hess = np.zeros((n, n))
+    f0 = func(x)
+    for k in range(n):
+        ek = np.zeros(n)
+        ek[k] = h2
+        hess[k, k] = (func(x + ek) - 2.0 * f0 + func(x - ek)) / (h2 * h2)
+    for k in range(n):
+        for l in range(k + 1, n):
+            ek = np.zeros(n)
+            ek[k] = h2
+            el = np.zeros(n)
+            el[l] = h2
+            v = (func(x + ek + el) - func(x + ek - el) - func(x - ek + el) + func(x - ek - el)) / (4.0 * h2 * h2)
+            hess[k, l] = hess[l, k] = v
+    return Jet(float(func(x)), g, hess)
+
+
+def _bits(*arrays):
+    """The bytes of float arrays, which tell -0.0 from 0.0 and one NaN from
+    another (but not a shape (1,) array from its 0-d element)."""
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _signed_zero_rows(n, seed):
+    """Rows in [-1.2, 1.2]^n, with rows and coordinates at +0.0 and -0.0."""
+    X = np.random.default_rng(seed).uniform(-1.2, 1.2, size=(12, n))
+    X[0], X[1] = 0.0, -0.0
+    X[2, ::2], X[3, 1::2] = -0.0, 0.0
+    return X
+
+
+class TestFiniteDifferenceStencil:
+    """FD jets from one stencil stack equal the per-point stencil bit for
+    bit, for every input kind, on a point and on a stack."""
+
+    INPUTS = {
+        "field": lambda trig: (trig, trig.value),
+        "bound-method": lambda trig: (trig.value, trig.value),
+        # atan2(+-0.0, negative) is +-pi: the stencil must keep each zero's sign as x +- e did
+        "callable": lambda trig: (lambda x: math.atan2(x[-1], x[0] - 2.0) - trig.value(x),) * 2,
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("step", [None, 1e-3, 0.05])
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_jets_are_the_pointwise_stencil(self, n, step, kind):
+        func, ref = self.INPUTS[kind](random_trig_field(n, seed=n))
+        fd = FiniteDifferenceField(func, n, step=step)
+        X = _signed_zero_rows(n, seed=10 * n)
+        want = [reference_fd_jet(ref, x, step) for x in X]
+        stack = fd.jets(X)
+        for i, (x, j) in enumerate(zip(X, want)):
+            ref_bits = _bits(j.value, j.gradient, j.hessian)
+            assert _bits(*(a[i] for a in stack)) == ref_bits
+            assert _bits(*fd.jets(X[i : i + 1])) == ref_bits  # m = 1
+            assert _bits(*fd.jets(x)) == ref_bits
+            got = fd.jet(x)
+            assert _bits(got.value, got.gradient, got.hessian) == ref_bits and type(got.value) is float
+        # leading axes are rows
+        for got, flat in zip(fd.jets(X.reshape(3, 4, n)), stack):
+            assert _bits(got) == _bits(flat.reshape((3, 4) + flat.shape[1:]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("step", [None, 0.01])
+    def test_family_rows_are_the_members(self, n, step):
+        members = [random_trig_field(n, seed=s) for s in range(5)]
+        family = trig_family(members)
+        idx = np.random.default_rng(n).integers(0, len(members), size=9)
+        X = _signed_zero_rows(n, seed=n)[:9]
+        stack = FiniteDifferenceField(family.rows(idx[:, None]), n, step=step).jets(X)
+        for i, (k, x) in enumerate(zip(idx, X)):
+            want = _bits(*FiniteDifferenceField(members[k], n, step=step).jets(x))
+            assert _bits(*(a[i] for a in stack)) == want
+            assert _bits(*FiniteDifferenceField(members[k].value, n, step=step).jets(x)) == want
+
+    def test_stencil_past_the_rim_raises_the_callables_error(self):
+        # the cap is the whole plane's field here, so the domain check passes and the stencil meets the rim
+        fd = FiniteDifferenceField(SphereCap(2, 1.0).value, 2)
+        rim = np.array([1.0 - 1e-7, 0.0])
+        with pytest.raises(OutOfDomainError):
+            eval_jet(fd, rim)
+        with pytest.raises(OutOfDomainError):
+            eval_jets(fd, np.array([[0.1, 0.2], rim, [0.3, -0.1]]))
+        # values stays the pointwise kinds': NaN on a stack, raised at a point
+        assert np.isnan(fd.values(np.array([[0.1, 0.2], [1.5, 0.0]]))).tolist() == [False, True]
+        with pytest.raises(OutOfDomainError):
+            fd.value(np.array([1.5, 0.0]))
 
 
 class TestGrid:
@@ -880,7 +986,7 @@ class TestDeclaredStructure:
         kernels = [c for c in classes if not issubclass(c, PointwiseField)]
         assert {c.__name__ for c in kernels} == {
             "Paraboloid", "QuadraticCup", "Plane", "Constant", "PolynomialField", "TrigField", "RadialField",
-            "GridField", "RotatedField", "NegatedField", "ScaledField",
+            "GridField", "RotatedField", "NegatedField", "ScaledField", "FiniteDifferenceField",
         }
         for cls in kernels:
             assert cls.__bases__ == (ScalarField,)
