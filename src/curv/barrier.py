@@ -47,7 +47,7 @@ def ring_mean_curvature_via_slices(radius: float, eps: float, dim: int) -> float
     radial cone field; serves as an independent cross-check."""
     from .conformal import slice_trace_from_ambient
 
-    def cone(r):
+    def cone(r, order):
         return r - radius + eps, 1.0, 0.0
 
     field = RadialField(
@@ -149,7 +149,7 @@ def _newton_refine_ratio(field: ScalarField, x: np.ndarray, inner: float, outer:
 
 def _radial_polish(field: ScalarField, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Maximize q along the ray through x over |x| in [lo, hi]."""
-    from scipy.optimize import minimize_scalar  # only this rare polish needs scipy.optimize
+    from scipy.optimize import minimize_scalar  # the one scipy import in curv, for this rare polish
 
     d = x / np.linalg.norm(x)
 

@@ -461,12 +461,13 @@ def trig_family(fields: Sequence[TrigField]) -> TrigField:
 
 
 class RadialField(ScalarField):
-    """u(x) = p(|x|) for a radial profile: `profile` maps an array of radii to
-    (p, p', p''), three arrays or scalars that broadcast, NaN where p is
-    undefined. At a point, `values` and `jets` raise OutOfDomainError where p
-    is NaN, as a pointwise kind does; a profile may raise its own at one
-    radius first. Below |x| = 1e-12 the jet is the symmetric limit (p, 0,
-    p'' I) of the profile at 1e-12, smooth only when p'(0) = 0."""
+    """u(x) = p(|x|) for a radial profile: `profile(r, order)` maps an array
+    of radii to (p, p', p''), arrays or scalars that broadcast, NaN where p
+    is undefined; `values` asks for order 0, where (p,) is enough. At a
+    point, `values` and `jets` raise OutOfDomainError where p is NaN, as a
+    pointwise kind does; a profile may raise its own at one radius first.
+    Below |x| = 1e-12 the jet is the symmetric limit (p, 0, p'' I) of the
+    profile at 1e-12, smooth only when p'(0) = 0."""
 
     def __init__(self, dim: int, profile: Callable, domain, name: str = "radial"):
         self.dim = dim
@@ -474,24 +475,24 @@ class RadialField(ScalarField):
         self.domain = domain
         self.name = name
 
-    def _profile(self, X):
+    def _profile(self, X, order: int):
         """|x| of the point or of each row, max(|x|, 1e-12), and the profile
         there, its value broadcast to one per point."""
         r = np.sqrt(np.vecdot(X, X))  # np.linalg.norm of each row, bit for bit
         point = X.ndim == 1  # one radius goes to the profile as a float, whose arithmetic costs less
         rr = max(float(r), 1e-12) if point else np.maximum(r, 1e-12)
-        p, dp, ddp = self.profile(rr)
+        p, *derivatives = self.profile(rr, order)
         if point and math.isnan(p):
             raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
         if not point and np.shape(p) != r.shape:
             p = np.broadcast_to(p, r.shape).copy()
-        return r, rr, p, dp, ddp
+        return r, rr, p, derivatives
 
     def values(self, X):
-        return self._profile(X)[2]
+        return self._profile(X, 0)[2]
 
     def jets(self, X):
-        r, rr, p, dp, ddp = self._profile(X)
+        r, rr, p, (dp, ddp) = self._profile(X, 2)
         rr, dp, ddp = np.asarray(rr), np.asarray(dp), np.asarray(ddp)
         xu = X / rr[..., None]
         uu = outer(xu, xu)

@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import lapack
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NonRegularPointError, NotOnLevelError
 from .fields import ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import Stacked, as_point, as_points, outer
+from .util import Stacked, as_point, as_points, brentq, outer
 
 #: regularity threshold for slice frames: a point is regular where |grad u|_g >= DELTA_REG
 DELTA_REG = 1e-6
@@ -77,24 +76,21 @@ def _trace(a: np.ndarray) -> np.ndarray:
 
 
 def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each pencil (a[i], b[i]), b[i] positive
-    definite: the LAPACK driver dsygvd that scipy.linalg.eigh(a, b,
-    eigvals_only=True) calls, row by row, with eigh's input and exit checks."""
+    """Ascending eigenvalues of each pencil (a[i], b[i]), a[i] symmetric and
+    b[i] positive definite, for the whole stack at once: with b = L L^T
+    (Cholesky), those of L^-1 a L^-T. Non-finite input raises ValueError, and
+    a b that is not positive definite LinAlgError. The gufuncs behind
+    np.linalg.cholesky, inv and eigvalsh are called directly, as their
+    argument checks would add about 10 us to a one-point solve; one that
+    fails flags the invalid state, which the errstate raises."""
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    out = np.empty(a.shape[:2])
-    n = a.shape[-1]
-    for i in range(len(a)):
-        out[i], _, info = lapack.dsygvd(a[i], b[i], jobz="N")
-        if info > n:
-            raise LinAlgError(
-                f"The leading minor of order {info - n} of B is not positive definite. The "
-                "factorization of B could not be completed and no eigenvalues or "
-                "eigenvectors were computed."
-            )
-        if info != 0:
-            raise LinAlgError(f"dsygvd failed with info = {info}")
-    return out
+    with np.errstate(invalid="raise"):
+        try:
+            inv = _umath_linalg.inv(_umath_linalg.cholesky_lo(b))
+            return _umath_linalg.eigvalsh_lo(inv @ a @ inv.mT)
+        except FloatingPointError as err:
+            raise LinAlgError(f"generalized eigensolve failed: {err}") from None
 
 
 def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
@@ -346,8 +342,6 @@ def slice_shape_sampled(field: ScalarField, eps: float, x, step: float = 1e-3) -
     negated second difference of tau. Order-2 accurate in `step`; entirely
     independent of the Hessian of u.
     """
-    from scipy.optimize import brentq
-
     x = as_point(x, field.dim)
     n = field.dim
     grad = field.gradient(x)

@@ -38,7 +38,7 @@ from .graphgeom import (
     slice_frames,
 )
 from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
-from .util import as_point, as_points, brentq_lanes, unit_directions
+from .util import as_point, as_points, brentq, brentq_lanes, unit_directions
 
 WHICH = ("prod", "phi", "euclid", "sphere")
 
@@ -216,13 +216,6 @@ def check_sphere(field: ScalarField, eps: float, x) -> InequalityReport:
 
 # ---------------------------------------------------------------------------
 # slice-point sampling
-
-
-def brentq(f, a, b, **kwargs) -> float:
-    """`scipy.optimize.brentq`, imported on first call: only `_slice_rows`'s NaN-lane fallback needs it."""
-    from scipy.optimize import brentq
-
-    return brentq(f, a, b, **kwargs)
 
 
 def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):

@@ -82,9 +82,10 @@ class RevolutionProfile:
         return (self.a, 1.0) if self.kind == "S-u" else (0.0, 1.0)
 
 
-def profile_jets(profile: RevolutionProfile, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def profile_jets(profile: RevolutionProfile, s, order: int = 2) -> tuple[np.ndarray, ...]:
     """(value, first, second derivative) of the profile over an array of s,
-    NaN outside profile.domain.
+    NaN outside profile.domain. With order 0 it is the one-tuple (value,),
+    and the derivative formulas are not evaluated.
 
     At a vertical-tangent endpoint (s = 1 for S-u and S-v, s in {0, 1} for
     E-f) the value is finite and the derivatives are signed infinities,
@@ -99,27 +100,29 @@ def profile_jets(profile: RevolutionProfile, s) -> tuple[np.ndarray, np.ndarray,
         if profile.kind == "S-u":
             sa = math.sqrt(1.0 - a)
             sr = np.sqrt(1.0 - s)
-            jet = (
-                math.sqrt(2.0) * (sa - sr) + (a - s) / (math.sqrt(2.0) * sa),
-                (1.0 / sr - 1.0 / sa) / math.sqrt(2.0),
-                (1.0 / (2.0 * math.sqrt(2.0))) * np.float_power(1.0 - s, -1.5),
+            terms = (
+                lambda: math.sqrt(2.0) * (sa - sr) + (a - s) / (math.sqrt(2.0) * sa),
+                lambda: (1.0 / sr - 1.0 / sa) / math.sqrt(2.0),
+                lambda: (1.0 / (2.0 * math.sqrt(2.0))) * np.float_power(1.0 - s, -1.5),
             )
             ends = {1.0: (spherical_cap_height(a), math.inf, math.inf)}
         elif profile.kind == "S-v":
             w = 1.0 - s * s
-            jet = (spherical_cap_height(a) + np.sqrt(w), -s / np.sqrt(w), -np.float_power(w, -1.5))
+            terms = (lambda: spherical_cap_height(a) + np.sqrt(w), lambda: -s / np.sqrt(w),
+                     lambda: -np.float_power(w, -1.5))
             ends = {}  # at s = 1 the formulas give v(1), -inf and -inf
         else:  # E-f
             rz, s2 = np.sqrt(s), s * s
             rz1, sw = 1.0 + rz, np.sqrt(1.0 - s2)
             half = 0.5 * rz / sw
-            jet = (
-                _f_value(s),
-                sw / (2.0 * rz) - s * rz1 / sw,
-                -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half
+            terms = (
+                lambda: _f_value(s),
+                lambda: sw / (2.0 * rz) - s * rz1 / sw,
+                lambda: -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half
                 - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
             )
             ends = {0.0: (1.0, math.inf, -math.inf), 1.0: (0.0, -math.inf, -math.inf)}
+        jet = tuple(term() for term in terms[: order + 1])
     outside = ~((lo <= s) & (s <= hi))
     if np.count_nonzero(outside | (s == 0.0) | (s == 1.0)):  # the count skips the selects on interior points
         for end, at_end in ends.items():
@@ -135,13 +138,13 @@ def _f_value(s):
     return (1.0 + np.sqrt(s)) * np.sqrt(1.0 - s * s)
 
 
-def profile_jet(profile: RevolutionProfile, s: float) -> tuple[float, float, float]:
+def profile_jet(profile: RevolutionProfile, s: float, order: int = 2) -> tuple[float, ...]:
     """profile_jets at one s, as floats; raises OutOfDomainError outside
     profile.domain."""
     lo, hi = profile.domain
     if not (lo <= s <= hi):
         raise OutOfDomainError(f"{profile.kind} profile is defined on [{lo}, {hi}], got s = {s}")
-    return tuple(float(v) for v in profile_jets(profile, s))
+    return tuple(float(v) for v in profile_jets(profile, s, order))
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +317,14 @@ def radial_field(profile: RevolutionProfile) -> ScalarField:
     return RadialField(2, partial(_radial_jets, profile), dom, name=f"revolution-{profile.kind}")
 
 
-def _radial_jets(profile: RevolutionProfile, r):
+def _radial_jets(profile: RevolutionProfile, r, order: int):
     """profile_jets over an array of radii; at one radius profile_jet, whose
     OutOfDomainError names the profile."""
-    return profile_jets(profile, r) if np.ndim(r) else profile_jet(profile, r)
+    return profile_jets(profile, r, order) if np.ndim(r) else profile_jet(profile, r, order)
 
 
 _F_PROFILE = RevolutionProfile("E-f")
-# one lane of the brentq.c port, so that importing curv needs no scipy.optimize
+# one lane of the brentq.c port, so that importing curv needs no scipy
 _F_PEAK_Z = float(brentq_lanes(lambda t, k: profile_jets(_F_PROFILE, t)[1], [0.05], [0.95], xtol=1e-14)[0])
 _F_PEAK = profile_jet(_F_PROFILE, _F_PEAK_Z)[0]
 _F_INVERSE_RANGE = (0.05, _F_PEAK - 0.05)
@@ -330,12 +333,12 @@ _F_Z_END = 1.0 - 1e-13
 _F_EDGE = profile_jet(_F_PROFILE, _F_Z_END)[0]
 
 
-def inverse_profile_jet(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def inverse_profile_jet(r, order: int = 2) -> tuple[np.ndarray, ...]:
     """Jet of zeta(r) = inverse of the decreasing branch of f over an array of
-    radii, so the E-f surface is locally the graph z = zeta(|x|). It is NaN
-    outside [f(_F_Z_END), _F_PEAK), and at one radius there it raises
-    OutOfDomainError. One brentq_lanes call solves every radius, each root
-    scipy's brentq root bit for bit."""
+    radii, so the E-f surface is locally the graph z = zeta(|x|); with order
+    0, the one-tuple (zeta,). It is NaN outside [f(_F_Z_END), _F_PEAK), and
+    at one radius there it raises OutOfDomainError. One brentq_lanes call
+    solves every radius, each root scipy's brentq root bit for bit."""
     r = np.asarray(r, dtype=float)
     inside = (_F_EDGE <= r) & (r < _F_PEAK)
     if r.ndim == 0 and not inside:
@@ -343,6 +346,8 @@ def inverse_profile_jet(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z, rk = np.full(r.shape, np.nan), r[inside]
     lo, hi = np.full(rk.shape, _F_PEAK_Z), np.full(rk.shape, _F_Z_END)
     z[inside] = brentq_lanes(lambda t, k: _f_value(t) - rk[k], lo, hi, xtol=1e-14)
+    if not order:
+        return (z,)
     _, df, ddf = profile_jets(_F_PROFILE, z)
     return z, 1.0 / df, -ddf / np.float_power(df, 3)
 

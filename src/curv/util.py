@@ -153,6 +153,13 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     return root
 
 
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """The root of the scalar function f on [a, b], scipy's `brentq` root bit
+    for bit: one lane of `brentq_lanes` that calls f at one point at a time,
+    so an error f raises comes where scipy's would."""
+    return float(brentq_lanes(lambda t, lanes: np.array([f(ti) for ti in t]), [a], [b], xtol)[0])
+
+
 def richardson_limit(s: np.ndarray, y: np.ndarray) -> float:
     """Limit of y(s) as s -> 0 assuming y = y0 + c*s + O(s^2).
 

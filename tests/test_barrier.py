@@ -35,7 +35,7 @@ BISECT_TOL = 1e-10
 def bump_field(a=0.3):
     """u(r) = (r - a)(1 - r)^2: one interior ridge of u/(1-|x|) at (1+2a)/3."""
 
-    def jet(r):
+    def jet(r, order):
         w = 1.0 - r
         return (r - a) * w * w, w * w - 2.0 * (r - a) * w, -4.0 * w + 2.0 * (r - a)
 

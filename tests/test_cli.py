@@ -319,8 +319,19 @@ POLY3 = "poly:0.3,-0.2,0.5,0.1,-0.4,0.25,0.15,-0.35,0.2,0.05"
 
 class TestGoldenReports:
     """The seeded verify_all stages at small sizes keep their results bit for
-    bit. The hashes were recorded with Python 3.11, numpy 2.4 and scipy 1.17
-    on x86-64; a change that moves them says which fields moved and why."""
+    bit. The hashes were recorded with Python 3.11 and numpy 2.4 on x86-64,
+    the DSYGVD ones with scipy 1.17; a change that moves them says which
+    fields moved and why."""
+
+    def digest(self, capsys, argv):
+        rc, doc = run_json(capsys, argv)
+        assert rc == 0
+        return hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
+
+    def unseeded_argv(self, tmp_path, stage):
+        grid = tmp_path / "trig.grid"
+        sample_to_grid(random_trig_field(2, 3), (-1.0, -1.0), 0.1, (21, 21)).write(grid)
+        return [a.format(grid=grid) for a in self.UNSEEDED[stage]]
 
     STAGES = {
         "identity": ["verify", "identity", "--trials", "2000"],
@@ -350,9 +361,9 @@ class TestGoldenReports:
         ("identity", 1): "1b37ab5c46922abe5b854f4ce67e43bc98c77b24b73df8e42579d6cb17ddd9ed",
         ("minor", 1): "7ec2f0ab6133e04331bd24672b456569ec07bc8412f051763851764bba9e4716",
         ("inequality-prod", 1): "4f79ac8c39aac01ae881fa08067ce75f8978d06eacc86170cab232dd11e9f876",
-        ("inequality-phi", 1): "fd562b118c5a025d8974bd5f76810073ec0a5299cd2352e98ed2200117014ca7",
+        ("inequality-phi", 1): "873ea77ad593b2baab59a56069f8c6e9f60977240187ba89543c56741652de04",
         ("inequality-euclid", 1): "d9da94ee354b82f74e829a6f2f331cb20dcee9b962d6d2c1858ad8c5849f3445",
-        ("inequality-sphere", 1): "070817bb2464764c806919de32902f19ca77f44a9b495f7e3b31f3eca283bbd4",
+        ("inequality-sphere", 1): "187d1aac3359d3090e14e730ce23069b9fa11f5087d063c3ef6286b201801a14",
         ("barrier-outer-graph", 1): "14a1e5db215210392b36630628408c3ed1a7b5ee1fafcea40af343009b974617",
         ("minor-3d", 0): "a8d49f2f1ce39f504e01fcd1df3aec4be4cd50fce5b8ae61e53a14e0ffd06fc2",
         ("minor-3d", 1): "78f648e20ab4934fd2136848cf57cf790607ca15b5cc8ef1a3c0f3c8a3787e89",
@@ -370,10 +381,7 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("stage, seed", sorted(SHA256))
     def test_results_are_unchanged(self, capsys, stage, seed):
-        rc, doc = run_json(capsys, self.STAGES[stage] + ["--seed", str(seed)])
-        assert rc == 0
-        digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == self.SHA256[stage, seed]
+        assert self.digest(capsys, self.STAGES[stage] + ["--seed", str(seed)]) == self.SHA256[stage, seed]
 
     #: the unseeded example stages, one `point` run per field kind and per
     #: revolution profile, a cubic polynomial in each ambient, six `slice`
@@ -410,20 +418,20 @@ class TestGoldenReports:
     UNSEEDED_SHA256 = {
         "example-euclid-cone": "88f7cb29275b093e745b62ed291d943f597ffd4a4fc6c7c5c2621b174cbf9c80",
         "example-spherical-glued": "b3332c356366c2b0b2898dfe3fc95707f5aa1358d61019da60dcfde52154bbb3",
-        "point-paraboloid": "fcaed60c9cdedfefe110e3c49848a1e33fd96006dabd67a22472db83427fe550",
+        "point-paraboloid": "f5b8f8ddd2ba9c6173e388ecb560658daa9f219f84ddd6c833679106275d31a6",
         "point-sphere-cap": "2d7d57e96e6be81f153fd7e8ef8cd1c77434d05ab78356d27c94a4ea55f3ca8a",
         "point-cup": "bba471635310cfc57a749f8d7f861777720bba95dd5faefd68142612277d99a5",
         "point-plane": "de9621026f41f1c9bbb02b884953c697e412e0b11ec18afae42afc0f3307580a",
         "point-constant": "beb17c9ad2ba14b879befaf230fe96266967ee469beb3e399f8297c212d72cc7",
         "point-poly": "623d3167fa2fa9aa363df019b87083e4623483e5f1d9bc20619b24543e44e895",
-        "point-poly-flat": "edf4e40bdb148c17c432004ccddaa3cf4051a5227737de513e560a1c05dab081",
-        "point-poly-spherical": "f69ad0db07524cc49bd780e0e27b7822e1cfae0a9f326969ef760d55d7ad0df9",
-        "point-poly-constant": "bea3f6ced873013e464b6e48384796822f37484140e2b99f3249d1625412bae0",
-        "point-trig": "94f82a95348498c62a51e2127b04d897b59c496af98bda646503734a575ab6bd",
-        "point-radial": "5383655febc96572cb21b19072468bced6f75caa2ee9868ebd98f16bd79b3a4f",
+        "point-poly-flat": "af64615f379e7c9d85b7def9d661ca6f56c8c35f0993a2c2adfa3f1d3e1f4f8f",
+        "point-poly-spherical": "b099d4ee72518f23987fff5e33545afc3b3f83ddecc51a333f861f893069e229",
+        "point-poly-constant": "243256781369ccb01b11027dad4cf07bb2619a4a82305786502261c6663e95be",
+        "point-trig": "3dc8f4cdf0df32bcbcd72f2a370365ef0abf21fc0952c473e3585b700805482a",
+        "point-radial": "11d797a67d6df838c1caaf86c54c74ebfb1d2dc0f279445e58ca7d6049cd0494",
         "point-radial-E-f": "4c12f2375ecec0197d3a8e93982a2a704519db4444c00571e9af9f493c4dafaf",
-        "point-radial-S-v": "88daa6569c72148a54c3ba39a7aa64a4d2c2489bb9f63c713cde69327abf6472",
-        "point-grid": "dd87abe193f5ff00b98f631152135f8c543cc55093dfb1e003a9711f5e7de677",
+        "point-radial-S-v": "d6080f1de5e4c7ba798f9444c852b6621d5542322486d7ada1a42b01e55a50ba",
+        "point-grid": "4f05ccb0febabeafcc6324f9bcc86dbe652312dc739001f7c2e55bd0211b7cd7",
         "slice-trig": "2bb03d183c7c1938e623219a7f6548d766d1642e6f59b12d18f0abb5b7784a11",
         "slice-trig-3d": "531d61c357d5676908e246557b9732738319970c0c7527aa2dc411bfca695037",
         "slice-grid": "b0af65935fec785db70feb933ebe6f1aa7e4096f052d85f9a48e33229fe23bde",
@@ -437,12 +445,35 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("stage", sorted(UNSEEDED))
     def test_unseeded_results_are_unchanged(self, capsys, tmp_path, stage):
-        grid = tmp_path / "trig.grid"
-        sample_to_grid(random_trig_field(2, 3), (-1.0, -1.0), 0.1, (21, 21)).write(grid)
-        rc, doc = run_json(capsys, [a.format(grid=grid) for a in self.UNSEEDED[stage]])
-        assert rc == 0
-        digest = hashlib.sha256(json.dumps(doc["results"], sort_keys=True).encode()).hexdigest()
-        assert digest == self.UNSEEDED_SHA256[stage]
+        assert self.digest(capsys, self.unseeded_argv(tmp_path, stage)) == self.UNSEEDED_SHA256[stage]
+
+    #: the digests that the Cholesky eigensolver moved, as they were with
+    #: LAPACK's dsygvd: the last bits of `principal`, and of what reads it
+    #: (a conformal point's norm_a2 and scalar_curvature, a suite's min_gap)
+    DSYGVD_SHA256 = {
+        ("inequality-phi", 1): "fd562b118c5a025d8974bd5f76810073ec0a5299cd2352e98ed2200117014ca7",
+        ("inequality-sphere", 1): "070817bb2464764c806919de32902f19ca77f44a9b495f7e3b31f3eca283bbd4",
+    }
+    DSYGVD_UNSEEDED_SHA256 = {
+        "point-paraboloid": "fcaed60c9cdedfefe110e3c49848a1e33fd96006dabd67a22472db83427fe550",
+        "point-poly-flat": "edf4e40bdb148c17c432004ccddaa3cf4051a5227737de513e560a1c05dab081",
+        "point-poly-spherical": "f69ad0db07524cc49bd780e0e27b7822e1cfae0a9f326969ef760d55d7ad0df9",
+        "point-poly-constant": "bea3f6ced873013e464b6e48384796822f37484140e2b99f3249d1625412bae0",
+        "point-trig": "94f82a95348498c62a51e2127b04d897b59c496af98bda646503734a575ab6bd",
+        "point-radial": "5383655febc96572cb21b19072468bced6f75caa2ee9868ebd98f16bd79b3a4f",
+        "point-radial-S-v": "88daa6569c72148a54c3ba39a7aa64a4d2c2489bb9f63c713cde69327abf6472",
+        "point-grid": "dd87abe193f5ff00b98f631152135f8c543cc55093dfb1e003a9711f5e7de677",
+    }
+
+    @pytest.mark.parametrize("stage, seed", sorted(DSYGVD_SHA256))
+    def test_dsygvd_gives_the_old_results(self, capsys, dsygvd, stage, seed):
+        """With dsygvd patched back in, a moved digest is what it was: the
+        eigensolver is the only source of the change."""
+        assert self.digest(capsys, self.STAGES[stage] + ["--seed", str(seed)]) == self.DSYGVD_SHA256[stage, seed]
+
+    @pytest.mark.parametrize("stage", sorted(DSYGVD_UNSEEDED_SHA256))
+    def test_dsygvd_gives_the_old_unseeded_results(self, capsys, tmp_path, dsygvd, stage):
+        assert self.digest(capsys, self.unseeded_argv(tmp_path, stage)) == self.DSYGVD_UNSEEDED_SHA256[stage]
 
 
 class TestConfig:
@@ -575,8 +606,10 @@ class TestErrors:
 
 COLD_RUN = """
 import contextlib, io, json, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from curv.cli import main
-steps = [("import curv.cli", None, "scipy.optimize" in sys.modules)]
+steps = [("import curv.cli", None, scipy_loaded())]
 from verify_all import STAGES
 RUNS = [
     ("prod --fields 2", ["verify", "inequality", "--which", "prod", "--fields", "2"]),
@@ -586,21 +619,21 @@ RUNS = [
 for name, argv in RUNS + STAGES:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
-    steps.append((name, rc, "scipy.optimize" in sys.modules))
+    steps.append((name, rc, scipy_loaded()))
 print(json.dumps(steps))
 """
 
 
 class TestColdImport:
-    def test_no_stage_loads_scipy_optimize(self):
-        """A fresh interpreter runs `curv.cli.main` on one inequality suite, on
-        a point and a slice of the E-f profile, and on each verify_all stage
-        without importing scipy.optimize: only the NaN-lane fallback and the
-        barrier's interior-touch polish need it, and neither runs there."""
+    def test_no_stage_loads_scipy(self):
+        """A fresh interpreter imports `curv.cli`, then runs `main` on one
+        inequality suite, on a point and a slice of the E-f profile, and on
+        each verify_all stage, and no step loads any scipy module: only the
+        barrier's interior-touch polish needs scipy, and it runs in none."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), str(root / "scripts"), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         out = subprocess.run([sys.executable, "-c", COLD_RUN], env=env, capture_output=True, text=True, check=True)
         steps = json.loads(out.stdout)
-        assert [[name, rc, False] for name, rc, _ in steps] == steps
+        assert [[name, rc, []] for name, rc, _ in steps] == steps
         assert all(rc in (None, 0) for _, rc, _ in steps)

@@ -162,7 +162,7 @@ class TestDomains:
             eval_jet(cap, np.array([0.995, 0.0]))
 
     def test_non_finite_jet_raises(self):
-        bad = RadialField(2, lambda r: (np.inf, 0.0, 0.0), Ball(2, 1.0))
+        bad = RadialField(2, lambda r, order: (np.inf, 0.0, 0.0), Ball(2, 1.0))
         with pytest.raises(NonFiniteJetError):
             eval_jet(bad, np.array([0.5, 0.0]))
 
@@ -185,7 +185,7 @@ class TestWrappers:
         assert np.array_equal(NegatedField(base).hessian(x), -base.hessian(x))
 
     def test_radial_field_profile(self):
-        prof = lambda r: (r**2, 2.0 * r, 2.0)
+        prof = lambda r, order: (r**2, 2.0 * r, 2.0)
         f = RadialField(2, prof, Ball(2, 2.0))
         x = np.array([0.6, 0.8])
         assert f.value(x) == pytest.approx(1.0)
@@ -193,7 +193,7 @@ class TestWrappers:
         assert np.allclose(f.hessian(x), 2.0 * np.eye(2), atol=1e-12)
 
     def test_radial_field_origin_limit(self):
-        prof = lambda r: (r**2, 2.0 * r, 2.0)
+        prof = lambda r, order: (r**2, 2.0 * r, 2.0)
         f = RadialField(2, prof, Ball(2, 2.0))
         assert np.allclose(f.hessian(np.zeros(2)), 2.0 * np.eye(2), atol=1e-9)
 
@@ -936,6 +936,8 @@ class TestRevolutionProfiles:
                  np.nextafter(1.0, 2.0), 1.5, -0.25, np.nan]
         s = np.concatenate([edges, rng.uniform(-0.1, 1.1, 2000)])
         got = revolution.profile_jets(RevolutionProfile(kind, a), s.reshape(-1, 3))
+        (value,) = revolution.profile_jets(RevolutionProfile(kind, a), s.reshape(-1, 3), 0)
+        assert np.array_equal(value, got[0], equal_nan=True)  # values-only calls read the same value
         for i, si in enumerate(s):
             try:
                 want = reference_profile_jet(kind, a, si)
@@ -950,6 +952,8 @@ class TestRevolutionProfiles:
         radii = np.concatenate([[0.0, edge, np.nextafter(edge, 0.0), np.nextafter(peak, 0.0), peak, 2.0],
                                 np.random.default_rng(8).uniform(0.0, 1.6, 300)])
         got = revolution.inverse_profile_jet(radii)
+        (value,) = revolution.inverse_profile_jet(radii, 0)
+        assert np.array_equal(value, got[0], equal_nan=True)
         for i, r in enumerate(radii):
             try:
                 want = reference_inverse_jet(r)
@@ -960,7 +964,7 @@ class TestRevolutionProfiles:
             assert np.array_equal([v[i] for v in got], want, equal_nan=True), r
 
     def test_nan_profile_raises_at_a_point(self):
-        field = RadialField(2, lambda r: (np.sqrt(1.0 - r * r), -r / np.sqrt(1.0 - r * r), 0.0), Ball(2, 2.0))
+        field = RadialField(2, lambda r, order: (np.sqrt(1.0 - r * r), -r / np.sqrt(1.0 - r * r), 0.0), Ball(2, 2.0))
         X = np.array([[0.6, 0.0], [1.5, 0.0]])
         with np.errstate(invalid="ignore"):
             assert np.array_equal(np.isnan(field.values(X)), [False, True])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from curv import graphgeom
 from curv.errors import NonRegularPointError, NotOnLevelError
 from curv.fields import FiniteDifferenceField, Paraboloid, RotatedField, SphereCap, random_trig_field
 from curv.graphgeom import (
@@ -245,6 +246,19 @@ class TestSampledSliceShape:
         frame = slice_frame_of_point(pt, eps=pt.u)
         sampled = slice_shape_sampled(field, pt.u, x, step=1e-3)
         assert maxabs(sampled - frame.a_sigma) <= 1e-4
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_roots_are_scipys(self, monkeypatch, dim):
+        """The one-lane brentq_lanes solve gives the operator that scipy's
+        brentq gave, bit for bit."""
+        from scipy.optimize import brentq
+
+        field = random_trig_field(dim, seed=13)
+        x = np.full(dim, 0.3)
+        eps = field.value(x) + 1e-4  # off the level, so the corridor is not centred on a root
+        got = slice_shape_sampled(field, eps, x)
+        monkeypatch.setattr(graphgeom, "brentq", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol))
+        assert np.array_equal(got, slice_shape_sampled(field, eps, x))
 
 
 class TestFiniteDifferenceMode:

@@ -492,6 +492,20 @@ class TestGoldenRows:
     for bit. Recorded with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64."""
 
     SUITES = {
+        ("prod", 2): "7bb3c5f7b61177fd34867b8fe93e7cb7cddf01a4bd90b6d95d5a94136f59e1c6",
+        ("prod", 3): "584bddf522bcae3d477a7629f5489983c6a941de9bcb143a057e352768a8d516",
+        ("phi", 2): "636c1ac3cdd9d82d6bcf6db7218f2e9c41e38978bddb12fa4f4943ac454cdaad",
+        ("phi", 3): "1628f8aaa7a92e790d38938b37b79631310829e4d2b81323cc5de67124f732f2",
+        ("euclid", 2): "9ceaef1d63f7ca664eb3b4109c74417e0bee14146af8ea04136fe560936f1899",
+        ("euclid", 3): "7b177025960825008d0f811398b5b6a3b71c9eef4a30950bb1b897d618304b49",
+        ("sphere", 2): "f27dae08befeb08739bcd91d4eccc36b4ea9d43e2e29632699924603993ffa04",
+        ("sphere", 3): "a0a27fb391fc8baadaa7c0405824a5b7802c13c78f7e0d6b8fe8ebe02a9d9913",
+    }
+
+    #: the digests of SUITES as they were with LAPACK's dsygvd, before the
+    #: Cholesky eigensolver moved the last bits of the principal curvatures
+    #: and of the gaps and diagnostics that read them
+    DSYGVD_SUITES = {
         ("prod", 2): "2e3a19607949e713734a88698b481a5912a8164db619379ecd3d073d55240c7f",
         ("prod", 3): "07eda72779a759b90f626de36975965fc9b74016c4a30b00ecf953944fa105c6",
         ("phi", 2): "0a7d88f7b2b4c9a75f44ac127b762808be292664727ac5f55acf5121f92693f6",
@@ -504,12 +518,27 @@ class TestGoldenRows:
 
     @pytest.mark.parametrize("which, dim", sorted(SUITES))
     def test_suite_rows(self, which, dim):
-        rows = [rep.to_dict() for rep in run_suite(which, dim).reports]
-        assert row_digest(rows) == self.SUITES[which, dim]
+        assert self.suite_digest(which, dim) == self.SUITES[which, dim]
+
+    @pytest.mark.parametrize("which, dim", sorted(DSYGVD_SUITES))
+    def test_dsygvd_gives_the_old_suite_rows(self, dsygvd, which, dim):
+        """With dsygvd patched back in, every row is what it was: the
+        eigensolver is the only source of the change."""
+        assert self.suite_digest(which, dim) == self.DSYGVD_SUITES[which, dim]
+
+    def suite_digest(self, which, dim):
+        return row_digest([rep.to_dict() for rep in run_suite(which, dim).reports])
 
     # the round base reaches the R_g and Ric_g terms of prod; a constant
     # factor has no round scalar curvature, so its rows carry no scalar_round
     CURVED = {
+        ("prod", 3): "1a8e442e1f6ab993b119e5fff550d73131aa9fe15f119aa48581980cd0b93365",
+        ("phi", 2): "fde1d2192a19b6ea869ab214607c170b77e5daa03dcacffbbd1fe00ffa1f27e5",
+        ("phi", 3): "f89c4d36d45efaac11906d4f01e57024cd125f352fc21e8adeae7dde3a441d64",
+    }
+
+    #: CURVED as it was with dsygvd
+    DSYGVD_CURVED = {
         ("prod", 3): "1dd57c8360eeb9d6f4ed9cb3464dfa6bd1b8352527e5e862c1cc7417ca6097df",
         ("phi", 2): "b52092ef3c609cbb1036491ec9ebb0ffbb5869b479b581689add5565530985bb",
         ("phi", 3): "f14ead2adc9f7b326d4e51117fb0659401a0092beef655623a4d88642594afa1",
@@ -517,9 +546,16 @@ class TestGoldenRows:
 
     @pytest.mark.parametrize("which, dim", sorted(CURVED))
     def test_curved_rows(self, which, dim):
+        assert self.curved_digest(which, dim) == self.CURVED[which, dim]
+
+    @pytest.mark.parametrize("which, dim", sorted(DSYGVD_CURVED))
+    def test_dsygvd_gives_the_old_curved_rows(self, dsygvd, which, dim):
+        assert self.curved_digest(which, dim) == self.DSYGVD_CURVED[which, dim]
+
+    def curved_digest(self, which, dim):
         field = random_trig_field(dim, 5)
         eps = pick_levels(field, 1, 5)[0]
         X = np.array(slice_points(field, eps, rays=16, seed=5))
         ambient = product_ambient(dim, round_sphere_base(dim)) if which == "prod" else constant_ambient(dim, 2.0)
         regular, reps = checks(which, field, eps, X, ambient)
-        assert row_digest([regular.tolist(), [rep.to_dict() for rep in reps]]) == self.CURVED[which, dim]
+        return row_digest([regular.tolist(), [rep.to_dict() for rep in reps]])
