@@ -1,23 +1,19 @@
 """Scalar fields u: R^n -> R with second-order jets.
 
-Each field kind has one evaluation route, on one of two bases:
-
-* `ScalarField` kinds are array kernels: a kind defines `values(X)` and
-  `jets(X)` on a point or a stack of points, and `value`, `gradient`,
-  `hessian` and `jet` are their point case. These are the trig, paraboloid,
-  cup, plane, constant and polynomial built-ins, radial profiles (the
-  profile maps an array of radii to its jet, NaN where it is undefined),
-  gridded samples with local quadratic tensor interpolation (an index
-  gather), the rotated, negated and scaled wrappers of any field, and
-  finite differences on a field or a value callable (central stencils,
-  order 2, one stencil stack per call). Finite differences read only
-  values, never the wrapped field's jets, so they serve as an independent
-  oracle. A kernel raises to a power with `np.float_power`, which calls C
-  `pow` per element as scalar `**` does; array `**` rounds differently, and
-  a kernel must equal the per-point formula bit for bit.
-* `PointwiseField` kinds define the one-point methods, and `values` and
-  `jets` loop over rows. This is the sphere-cap built-in, whose `value`
-  raises OutOfDomainError past the rim.
+Every field kind is an array kernel: it defines `values(X)` and `jets(X)`
+on a point or a stack of points, and `value`, `gradient`, `hessian` and
+`jet` are their point case. Where a field is undefined, a stack's row is
+NaN and a point raises OutOfDomainError. The kinds are the trig,
+paraboloid, cup, plane, constant, sphere-cap and polynomial built-ins,
+radial profiles (the profile maps an array of radii to its jet, NaN where
+it is undefined), gridded samples with local quadratic tensor interpolation
+(an index gather), the rotated, negated and scaled wrappers of any field,
+and finite differences on a field or a value callable (central stencils,
+order 2, one stencil stack per call). Finite differences read only values,
+never the wrapped field's jets, so they serve as an independent oracle. A
+kernel raises to a power with `np.float_power`, which calls C `pow` per
+element as scalar `**` does; array `**` rounds differently, and a kernel
+must equal the per-point formula bit for bit.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -137,6 +133,22 @@ def whole_space(dim: int) -> Ball:
     return Ball(dim, np.inf)
 
 
+class _RotatedDomain:
+    """{x : q x in base} for an orthogonal q: the domain of a rotated field."""
+
+    def __init__(self, base, q: np.ndarray):
+        self.base, self.q, self.dim = base, q, base.dim
+
+    def contains(self, x: np.ndarray, margin=0.0):
+        return self.base.contains(np.matvec(self.q, x), margin)
+
+    def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
+        return self.base.ray_extent(np.matvec(self.q, center), np.matvec(self.q, direction), margin)
+
+    def probe_extent(self) -> float:
+        return math.sqrt(self.dim) * self.base.probe_extent()  # |x| = |q x| covers the rotated cube
+
+
 # ---------------------------------------------------------------------------
 # jets and the field base class
 
@@ -149,12 +161,13 @@ class Jet:
 
 
 class ScalarField:
-    """Base class of the kernel kinds. A kind defines `values(X)` and
+    """Base class of the field kinds. A kind defines `values(X)` and
     `jets(X)`, each on a point, shape (n,), or a stack of rows, shape
     (m, n): `values` gives u, a scalar or shape (m,), and `jets` gives (u,
     Du, D^2u), shapes (), (n,), (n, n) or (m,), (m, n), (m, n, n). The
     one-point methods are their point case, so a row of a stack equals the
-    point bit for bit.
+    point bit for bit. An undefined row is NaN, and an undefined point
+    raises OutOfDomainError.
     """
 
     dim: int
@@ -173,10 +186,6 @@ class ScalarField:
     def gradient(self, x) -> np.ndarray:
         return self.jets(np.asarray(x, dtype=float))[1]
 
-    def gradients(self, X) -> np.ndarray:
-        """Du on the rows of a stack X, shape (m, n), as jets(X)[1]."""
-        return self.jets(X)[1]
-
     def hessian(self, x) -> np.ndarray:
         return self.jets(np.asarray(x, dtype=float))[2]
 
@@ -187,39 +196,6 @@ class ScalarField:
     def margin(self, x: np.ndarray):
         """Boundary band the evaluation needs around x or each row (0 for analytic)."""
         return 0.0
-
-
-class PointwiseField(ScalarField):
-    """Base class of the pointwise kinds. A kind defines `value`, and
-    `gradient` and `hessian` or else `jet`, at one point; `values`, `jets`
-    and `gradients` are their loops over the rows of a stack, and a point is
-    the one-point method's case. A row of `values` is NaN exactly where
-    `value` raises OutOfDomainError; `values` takes any leading axes.
-    """
-
-    def value(self, x) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def jet(self, x) -> Jet:
-        return Jet(self.value(x), self.gradient(x), self.hessian(x))
-
-    def values(self, X):
-        return _row_values(self.value, X, self.dim)
-
-    def jets(self, X):
-        if np.ndim(X) == 1:
-            j = self.jet(X)
-            return j.value, j.gradient, j.hessian
-        rows = [self.jet(x) for x in X]
-        m, n = len(X), self.dim
-        return (
-            np.array([j.value for j in rows], dtype=float),
-            np.array([j.gradient for j in rows], dtype=float).reshape(m, n),
-            np.array([j.hessian for j in rows], dtype=float).reshape(m, n, n),
-        )
-
-    def gradients(self, X):
-        return np.array([self.gradient(x) for x in X], dtype=float).reshape(len(X), self.dim)
 
 
 def _row_values(value: Callable, X, dim: int):
@@ -331,11 +307,11 @@ class Constant(ScalarField):
         return self.values(X), np.zeros(X.shape), np.zeros(X.shape + (self.dim,))
 
 
-class SphereCap(PointwiseField):
+class SphereCap(ScalarField):
     """u = height + sqrt(radius^2 - |x|^2): the upper cap of a round sphere.
 
     The domain stops a small relative margin short of the equator, where the
-    gradient blows up.
+    gradient blows up; at and past the rim a row is NaN and a point raises.
     """
 
     def __init__(self, dim: int, radius: float, height: float = 0.0, rim_margin: float = 1e-8):
@@ -347,22 +323,20 @@ class SphereCap(PointwiseField):
         self.domain = Ball(dim, radius * (1.0 - rim_margin))
         self.name = f"spherecap(radius={radius},height={height})"
 
-    def _s(self, x) -> float:
-        s2 = self.radius**2 - float(x @ x)
-        if s2 <= 0:
+    def _s(self, X):
+        """sqrt(radius^2 - |x|^2) at the point or each row, NaN at or past the rim."""
+        s2 = self.radius**2 - np.vecdot(X, X)
+        if X.ndim == 1 and s2 <= 0:
             raise OutOfDomainError(f"point at or beyond the rim of {self.name}")
-        return float(np.sqrt(s2))
+        return np.sqrt(np.where(s2 > 0, s2, np.nan))
 
-    def value(self, x):
-        return self.height + self._s(x)
+    def values(self, X):
+        return self.height + self._s(X)
 
-    def gradient(self, x):
-        return -np.asarray(x, dtype=float) / self._s(x)
-
-    def hessian(self, x):
-        s = self._s(x)
-        x = np.asarray(x, dtype=float)
-        return -np.eye(self.dim) / s - np.outer(x, x) / s**3
+    def jets(self, X):
+        s = self._s(X)
+        ss = s[..., None, None]
+        return self.height + s, -X / s[..., None], -np.eye(self.dim) / ss - outer(X, X) / np.float_power(ss, 3)
 
 
 class PolynomialField(ScalarField):
@@ -464,8 +438,8 @@ class RadialField(ScalarField):
     """u(x) = p(|x|) for a radial profile: `profile(r, order)` maps an array
     of radii to (p, p', p''), arrays or scalars that broadcast, NaN where p
     is undefined; `values` asks for order 0, where (p,) is enough. At a
-    point, `values` and `jets` raise OutOfDomainError where p is NaN, as a
-    pointwise kind does; a profile may raise its own at one radius first.
+    point, `values` and `jets` raise OutOfDomainError where p is NaN; a
+    profile may raise its own at one radius first.
     Below |x| = 1e-12 the jet is the symmetric limit (p, 0, p'' I) of the
     profile at 1e-12, smooth only when p'(0) = 0."""
 
@@ -513,7 +487,8 @@ class RotatedField(ScalarField):
         self.base = base
         self.q = np.asarray(q, dtype=float)
         self.dim = base.dim
-        self.domain = base.domain if isinstance(base.domain, (Ball, Annulus)) else whole_space(base.dim)
+        dom = base.domain  # a centred round domain is its own rotation
+        self.domain = dom if isinstance(dom, _RoundDomain) and dom.center is None else _RotatedDomain(dom, self.q)
         self.name = f"rotated({base.name})"
 
     def values(self, X):
@@ -522,6 +497,9 @@ class RotatedField(ScalarField):
     def jets(self, X):
         u, du, ddu = self.base.jets(np.matvec(self.q, X))
         return u, np.vecmat(du, self.q), self.q.T @ ddu @ self.q
+
+    def margin(self, x):
+        return self.base.margin(np.matvec(self.q, x))
 
 
 class NegatedField(ScalarField):
@@ -733,6 +711,6 @@ def sample_to_grid(field: ScalarField, origin, h: float, counts) -> GridField:
     counts = tuple(int(c) for c in counts)
     nodes = origin + h * np.indices(counts).reshape(len(counts), -1).T
     values = field.values(nodes)
-    # a NaN node is re-read, and a pointwise kind raises its OutOfDomainError
+    # a NaN node is re-read at its point, where the field raises its OutOfDomainError
     values[np.isnan(values)] = [field.value(x) for x in nodes[np.isnan(values)]]
     return GridField(origin, h, values.reshape(counts), name=f"gridded({field.name})")

@@ -32,7 +32,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import NonRegularPointError, NotOnLevelError
 from .fields import ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import Stacked, as_point, as_points, brentq, outer
+from .util import Stacked, as_point, as_points, brentq, brentq_lanes, outer
 
 #: regularity threshold for slice frames: a point is regular where |grad u|_g >= DELTA_REG
 DELTA_REG = 1e-6
@@ -354,29 +354,27 @@ def slice_shape_sampled(field: ScalarField, eps: float, x, step: float = 1e-3) -
 
     span = 10.0 * step + 10.0 * abs(field.value(x) - eps) / gn
 
-    def tau(offset: np.ndarray) -> float:
-        def f(t):
-            return field.value(x + offset + t * m) - eps
+    # the corridor offsets: 0, then +-step E_a, then step (+-E_a +-E_b) for a < b
+    E, pairs = tangent.T, [(a, b) for a in range(n - 1) for b in range(a + 1, n - 1)]
+    offsets = [np.zeros(n)] + [o for a in range(n - 1) for o in (step * E[a], -step * E[a])]
+    offsets += [step * o for a, b in pairs for o in (E[a] + E[b], E[a] - E[b], -E[a] + E[b], -E[a] - E[b])]
+    starts, lanes = x + np.array(offsets), np.arange(len(offsets))
+    ends = np.full(len(offsets), span)
 
-        lo, hi = -span, span
-        flo, fhi = f(lo), f(hi)
-        if flo * fhi > 0:
-            raise ValueError("level set left the sampling corridor")
-        return brentq(f, lo, hi, xtol=1e-12)
+    def corridor(t, k):
+        return field.values(starts[k] + t[:, None] * m) - eps
 
-    t0 = tau(np.zeros(n))
+    if (corridor(-ends, lanes) * corridor(ends, lanes) > 0).any():
+        raise ValueError("level set left the sampling corridor")
+    taus = brentq_lanes(corridor, -ends, ends, xtol=1e-12)
+    for k in np.flatnonzero(np.isnan(taus)):
+        # a corridor that met an undefined point, solved point by point, raises the field's error there
+        taus[k] = brentq(lambda t: field.value(starts[k] + t * m) - eps, -span, span, xtol=1e-12)
+    t0, sides, corners = taus[0], taus[1 : 2 * n - 1].reshape(-1, 2), taus[2 * n - 1 :].reshape(-1, 4)
     out = np.zeros((n - 1, n - 1))
-    for a in range(n - 1):
-        tp = tau(step * tangent[:, a])
-        tm = tau(-step * tangent[:, a])
-        out[a, a] = (tp - 2.0 * t0 + tm) / step**2
-    for a in range(n - 1):
-        for b in range(a + 1, n - 1):
-            tpp = tau(step * (tangent[:, a] + tangent[:, b]))
-            tpm = tau(step * (tangent[:, a] - tangent[:, b]))
-            tmp = tau(step * (-tangent[:, a] + tangent[:, b]))
-            tmm = tau(step * (-tangent[:, a] - tangent[:, b]))
-            out[a, b] = out[b, a] = (tpp - tpm - tmp + tmm) / (4.0 * step**2)
+    out[np.diag_indices(n - 1)] = (sides[:, 0] - 2.0 * t0 + sides[:, 1]) / step**2
+    for (a, b), (tpp, tpm, tmp, tmm) in zip(pairs, corners):
+        out[a, b] = out[b, a] = (tpp - tpm - tmp + tmm) / (4.0 * step**2)
     return -out  # second form for eta = -m
 
 

@@ -241,12 +241,12 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     P = origin + roots[:, None] * d
     ok = ~np.isnan(roots)
     ok[ok] = dom.contains(P[ok], margin=at(f[ok]).margin(P[ok]))
-    grad = at(f[ok]).gradients(P[ok])
+    grad = at(f[ok]).jets(P[ok])[1]
     ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < DELTA_REG)  # np.linalg.norm of each row, bit for bit
     ray, before = (f * L + j) * R + r, np.cumsum(ok) - ok
     reached = before - before[np.searchsorted(ray, ray)] < max_per_ray  # fewer roots kept before it on its ray
     for k in np.flatnonzero(np.isnan(roots) & reached):
-        # a lane that met NaN, solved pointwise, raises the field's error there
+        # a lane that met NaN, solved point by point, raises the field's error there
         brentq(lambda t, fk=at(f[k]): fk.value(origin + t * d[k]) - e[k], lo[k], hi[k], xtol=1e-13)
     keep = ok & reached
     return f[keep], j[keep], P[keep]
@@ -289,7 +289,7 @@ def _levels(at, probes: list[np.ndarray], count: int) -> np.ndarray:
         return np.full((len(probes), count), np.nan)
     P = np.stack(probes)
     vals = at(np.arange(len(P))[:, None]).values(P)
-    # a NaN sample is re-read, and raises the pointwise error
+    # a NaN sample is re-read at its point, where the field raises its error
     for f, i in zip(*np.nonzero(np.isnan(vals))):
         vals[f, i] = at(f).value(P[f, i])
     qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])

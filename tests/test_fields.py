@@ -20,7 +20,6 @@ from curv.fields import (
     NegatedField,
     Paraboloid,
     Plane,
-    PointwiseField,
     PolynomialField,
     QuadraticCup,
     RadialField,
@@ -328,7 +327,7 @@ class TestFiniteDifferenceStencil:
             eval_jet(fd, rim)
         with pytest.raises(OutOfDomainError):
             eval_jets(fd, np.array([[0.1, 0.2], rim, [0.3, -0.1]]))
-        # values stays the pointwise kinds': NaN on a stack, raised at a point
+        # values follows the field contract: NaN on a stack, raised at a point
         assert np.isnan(fd.values(np.array([[0.1, 0.2], [1.5, 0.0]]))).tolist() == [False, True]
         with pytest.raises(OutOfDomainError):
             fd.value(np.array([1.5, 0.0]))
@@ -522,16 +521,9 @@ class TestBatchedValues:
         X = data.draw(sample_rows(field.dim))
         X = X[~np.isnan(_pointwise_values(field, X))]
         with np.errstate(invalid="ignore"):  # a radial jet at its rim has a non-finite Hessian
-            got, loop, jets = field.gradients(X), [field.gradient(x) for x in X], field.jets(X)
+            got, loop = field.jets(X)[1], [field.gradient(x) for x in X]
         assert got.shape == X.shape
         assert np.array_equal(got, np.reshape(loop, X.shape), equal_nan=True)
-        assert np.array_equal(got, jets[1], equal_nan=True)
-
-    def test_pointwise_gradients_read_no_hessian(self, monkeypatch):
-        cap = SphereCap(2, 1.0, height=0.2)
-        monkeypatch.setattr(SphereCap, "hessian", lambda self, x: pytest.fail("Hessian read"))
-        monkeypatch.setattr(SphereCap, "value", lambda self, x: pytest.fail("value read"))
-        assert cap.gradients(np.array([[0.1, 0.2], [-0.3, 0.4]])).shape == (2, 2)
 
     @pytest.mark.parametrize("kind", ["radial-S-u", "radial-S-v", "radial-E-f"])
     def test_radial_value_is_the_jet_value(self, kind):
@@ -616,9 +608,8 @@ def reference_grid_jet(grid, x):
 
 
 def reference_jet(field, x):
-    """The one-point jet of each kernel kind from per-point formulas: the
-    reference for the kernels. A pointwise kind is its own reference.
-    Raises where the field is undefined."""
+    """The one-point jet of each kind from per-point formulas: the reference
+    for the kernels. Raises where the field is undefined."""
     if isinstance(field, Paraboloid):
         return Jet(0.5 * field.scale * float(x @ x), field.scale * x, field.scale * np.eye(field.dim))
     if isinstance(field, QuadraticCup):
@@ -627,6 +618,12 @@ def reference_jet(field, x):
         return Jet(float(field.coeffs @ x), field.coeffs.copy(), np.zeros((field.dim, field.dim)))
     if isinstance(field, Constant):
         return Jet(field.c, np.zeros(field.dim), np.zeros((field.dim, field.dim)))
+    if isinstance(field, SphereCap):
+        s2 = field.radius**2 - float(x @ x)
+        if s2 <= 0:
+            raise OutOfDomainError(f"point at or beyond the rim of {field.name}")
+        s = float(np.sqrt(s2))
+        return Jet(field.height + s, -x / s, -np.eye(field.dim) / s - np.outer(x, x) / s**3)
     if isinstance(field, TrigField):
         args = field.freqs @ x + field.phases
         return Jet(
@@ -649,8 +646,7 @@ def reference_jet(field, x):
     if isinstance(field, ScaledField):
         j = reference_jet(field.base, x)
         return Jet(field.factor * j.value, field.factor * j.gradient, field.factor * j.hessian)
-    assert isinstance(field, PointwiseField)
-    return Jet(field.value(x), field.gradient(x), field.hessian(x))
+    raise AssertionError(f"no reference for {type(field).__name__}")
 
 
 def reference_profile_jet(kind, a, s):
@@ -824,8 +820,8 @@ def _grid(dim, seed):
     return sample_to_grid(random_trig_field(dim, seed), -1.2 * np.ones(dim), h, (int(2.4 / h) + 1,) * dim)
 
 
-#: the kernel kinds at n = 2 and 3; the wrappers also wrap pointwise kinds
-#: that are undefined on part of the [-1.5, 1.5] sampling cube
+#: the kernel kinds at n = 2 and 3 (the sphere cap also at 4); the caps, and
+#: the wrappers of caps, are undefined on part of the [-1.5, 1.5] sampling cube
 KERNEL_CASES = {
     "paraboloid-2": lambda: Paraboloid(2, scale=0.7),
     "paraboloid-3": lambda: Paraboloid(3),
@@ -835,6 +831,9 @@ KERNEL_CASES = {
     "plane-3": lambda: Plane([0.5, -0.25, 2.0]),
     "constant-2": lambda: Constant(2, 2.5),
     "constant-3": lambda: Constant(3, -0.5),
+    "cap-2": lambda: SphereCap(2, 1.0, height=0.2),
+    "cap-3": lambda: SphereCap(3, 1.7, height=0.3),
+    "cap-4": lambda: SphereCap(4, 2.0, height=-0.5),
     "trig-2": lambda: random_trig_field(2, seed=4),
     "trig-3": lambda: random_trig_field(3, seed=9, modes=6),
     "grid-2": lambda: _grid(2, 5),
@@ -924,6 +923,84 @@ class TestKernelKinds:
                 field.jets(x)
 
 
+class TestSphereCapKernel:
+    """The cap kernel on stacks with leading axes equals its per-point
+    formulas bit for bit; at and past the rim a row is NaN and a point
+    raises."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_leading_axes_are_the_reference(self, n):
+        cap = SphereCap(n, 1.7, height=0.3)
+        X = np.random.default_rng(n).uniform(-1.5, 1.5, (4, 60, n))
+        X[0, 0] = 0.0
+        want, jets = _reference_rows(cap, X.reshape(-1, n))
+        assert 0 < np.isnan(want).sum() < len(want)
+        assert _bits(cap.values(X)) == _bits(want.reshape(4, 60))
+        u, du, ddu = cap.jets(X)
+        assert (u.shape, du.shape, ddu.shape) == ((4, 60), (4, 60, n), (4, 60, n, n))
+        defined = ~np.isnan(want)
+        assert np.isnan(du.reshape(-1, n)[~defined]).all() and np.isnan(ddu.reshape(-1, n, n)[~defined]).all()
+        rows = [a.reshape((-1,) + a.shape[2:])[defined] for a in (u, du, ddu)]
+        for i, j in enumerate(jets):
+            assert _bits(*(a[i] for a in rows)) == _bits(j.value, j.gradient, j.hessian)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_row_on_the_sphere_is_undefined(self, n):
+        cap = SphereCap(n, 1.5, height=0.3)
+        on = np.zeros(n)
+        on[-1] = -1.5
+        assert cap.radius**2 - on @ on == 0.0
+        inside = np.full(n, 0.2)
+        X = np.stack([inside, on, np.nextafter(on, 0.0), 2.0 * on])
+        u, du, ddu = cap.jets(X)
+        for got in (cap.values(X), u, du, ddu):
+            assert np.isnan(got.reshape(4, -1)).all(axis=1).tolist() == [False, True, False, True]
+        for x in (on, 2.0 * on):
+            for method in (cap.values, cap.jets, cap.value, cap.jet):
+                with pytest.raises(OutOfDomainError, match=r"point at or beyond the rim of spherecap\(radius=1.5"):
+                    method(x)
+
+
+class TestRotatedDomain:
+    """eval_jet and eval_jets refuse x on a rotated field exactly where they
+    refuse q x on its base, for the base's domain and its margin."""
+
+    BASES = {
+        "grid": lambda: _grid(2, 5),  # a box domain and a 2h margin
+        "fd": lambda: FiniteDifferenceField(random_trig_field(2, seed=6), 2, step=0.1),  # a 0.2 margin
+        "off-centre-ball": lambda: RadialField(
+            2, lambda r, order: (r * r, 2.0 * r, 2.0), Ball(2, 1.0, center=(0.5, -0.25))),
+        "annulus": lambda: revolution_case("S-u", 0.5),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    def test_refuses_where_the_base_refuses(self, kind):
+        base, q = self.BASES[kind](), _rotation(0.7)
+        field = RotatedField(base, q)
+        X = np.concatenate([[[5.0, 5.0], [0.0, 0.0]], np.random.default_rng(1).uniform(-2.2, 2.2, (300, 2))])
+        refused = np.zeros(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            qx = np.matvec(q, x)
+            assert np.array_equal(field.margin(x), base.margin(qx))
+            try:
+                eval_jet(base, qx)
+            except OutOfDomainError:
+                refused[i] = True
+                with pytest.raises(OutOfDomainError):
+                    eval_jet(field, x)
+            else:
+                eval_jet(field, x)
+        assert refused[0] and 0 < refused.sum() < len(X)
+        assert np.array_equal(field.domain.contains(X, margin=field.margin(X)), ~refused)
+        with pytest.raises(OutOfDomainError, match=r"point \[5.0, 5.0\] outside domain of rotated"):
+            eval_jets(field, X)
+        assert eval_jets(field, X[~refused])[0].shape == (len(X) - refused.sum(),)
+
+    def test_centred_round_domains_are_kept(self):
+        trig = random_trig_field(2, seed=2)
+        assert RotatedField(trig, _rotation(0.7)).domain is trig.domain
+
+
 class TestRevolutionProfiles:
     """The array closed forms behind the radial kernel kinds equal their
     per-point references bit for bit, NaN where a reference raises."""
@@ -977,30 +1054,26 @@ class TestRevolutionProfiles:
 
 def _concrete_field_classes():
     classes = [c for c in vars(curv.fields).values() if isinstance(c, type) and issubclass(c, ScalarField)]
-    return [c for c in classes if c not in (ScalarField, PointwiseField)]
+    return [c for c in classes if c is not ScalarField]
 
 
 class TestDeclaredStructure:
-    """Every field kind has one evaluation route, declared by its base."""
+    """Every field kind is a kernel: it subclasses ScalarField and defines
+    `values` and `jets`, and no point method."""
 
     POINT_METHODS = {"value", "gradient", "hessian", "jet"}
 
     def test_each_kind_defines_one_route(self):
         classes = _concrete_field_classes()
-        kernels = [c for c in classes if not issubclass(c, PointwiseField)]
-        assert {c.__name__ for c in kernels} == {
-            "Paraboloid", "QuadraticCup", "Plane", "Constant", "PolynomialField", "TrigField", "RadialField",
-            "GridField", "RotatedField", "NegatedField", "ScaledField", "FiniteDifferenceField",
+        assert {c.__name__ for c in classes} == {
+            "Paraboloid", "QuadraticCup", "Plane", "Constant", "SphereCap", "PolynomialField", "TrigField",
+            "RadialField", "GridField", "RotatedField", "NegatedField", "ScaledField", "FiniteDifferenceField",
         }
-        for cls in kernels:
+        for cls in classes:
             assert cls.__bases__ == (ScalarField,)
             assert {"values", "jets"} <= set(vars(cls)), cls
             assert not self.POINT_METHODS & set(vars(cls)), cls
-        for cls in (c for c in classes if issubclass(c, PointwiseField)):
-            assert cls.__bases__ == (PointwiseField,)
-            defined = set(vars(cls))
-            assert "value" in defined and ("jet" in defined or {"gradient", "hessian"} <= defined), cls
-            assert "jets" not in defined, cls
+        assert not hasattr(ScalarField, "gradients")
 
 
 def reference_contains(dom, x, margin):

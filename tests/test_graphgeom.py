@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from curv import graphgeom
-from curv.errors import NonRegularPointError, NotOnLevelError
-from curv.fields import FiniteDifferenceField, Paraboloid, RotatedField, SphereCap, random_trig_field
+from curv.errors import NonRegularPointError, NotOnLevelError, OutOfDomainError
+from curv.fields import FiniteDifferenceField, Paraboloid, QuadraticCup, RotatedField, SphereCap, random_trig_field
 from curv.graphgeom import (
     adapted_frame,
     extrinsic_point,
@@ -259,6 +259,32 @@ class TestSampledSliceShape:
         got = slice_shape_sampled(field, eps, x)
         monkeypatch.setattr(graphgeom, "brentq", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol))
         assert np.array_equal(got, slice_shape_sampled(field, eps, x))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_each_corridor_root_is_scipys(self, monkeypatch, dim):
+        """All corridors solved in one brentq_lanes call give the operator
+        of one scipy brentq per corridor on the point values, bit for bit."""
+        from scipy.optimize import brentq
+
+        def scipy_lanes(f, a, b, xtol):
+            def one(t, k):
+                return float(f(np.array([t]), np.array([k]))[0])
+
+            return np.array([brentq(one, a[k], b[k], xtol=xtol, args=(k,)) for k in range(len(a))])
+
+        field = random_trig_field(dim, seed=13)
+        x = np.full(dim, 0.3)
+        eps = field.value(x) + 1e-4
+        got = slice_shape_sampled(field, eps, x)
+        monkeypatch.setattr(graphgeom, "brentq_lanes", scipy_lanes)
+        assert np.array_equal(got, slice_shape_sampled(field, eps, x))
+
+    def test_corridor_errors(self):
+        with pytest.raises(ValueError, match="level set left the sampling corridor"):
+            slice_shape_sampled(QuadraticCup([2.0, 0.0]), -1.0, np.array([0.5, 0.0]))
+        # the corridor runs past the rim, where the cap is undefined
+        with pytest.raises(OutOfDomainError, match="rim of spherecap"):
+            slice_shape_sampled(SphereCap(2, 1.0), 0.3, np.array([0.99, 0.0]))
 
 
 class TestFiniteDifferenceMode:

@@ -15,9 +15,9 @@ from curv.fields import (
     FiniteDifferenceField,
     Paraboloid,
     Plane,
-    PointwiseField,
     PolynomialField,
     QuadraticCup,
+    ScalarField,
     SphereCap,
     random_trig_field,
     sample_to_grid,
@@ -334,24 +334,27 @@ class TestSliceScanReference:
             check("prod", grid, eps, p)
 
 
-class HoleyQuadratic(PointwiseField):
+class HoleyQuadratic(ScalarField):
     """u = (x_1 - 0.1)(x_1 - 0.3), undefined on a band |x_1 - 0.3| < 1e-3
-    that holds its second zero on the first ray but no scan sample."""
+    that holds its second zero on the first ray but no scan sample: NaN
+    there on a stack, and OutOfDomainError at a point."""
 
     dim = 2
     domain = whole_space(2)
     name = "holey"
 
-    def value(self, x):
-        if abs(x[0] - 0.3) < 1e-3:
-            raise OutOfDomainError(f"point {np.asarray(x).tolist()} in the hole")
-        return float((x[0] - 0.1) * (x[0] - 0.3))
+    def values(self, X):
+        hole = np.abs(X[..., 0] - 0.3) < 1e-3
+        if X.ndim == 1 and hole:
+            raise OutOfDomainError(f"point {X.tolist()} in the hole")
+        return np.where(hole, np.nan, (X[..., 0] - 0.1) * (X[..., 0] - 0.3))
 
-    def gradient(self, x):
-        return np.array([2.0 * x[0] - 0.4, 0.0])
-
-    def hessian(self, x):
-        return np.diag([2.0, 0.0])
+    def jets(self, X):
+        u = self.values(X)
+        hole = np.isnan(u)[..., None]
+        grad = np.stack([2.0 * X[..., 0] - 0.4, np.zeros(X.shape[:-1])], axis=-1)
+        hess = np.broadcast_to(np.diag([2.0, 0.0]), X.shape + (2,))
+        return u, np.where(hole, np.nan, grad), np.where(hole[..., None], np.nan, hess)
 
 
 class TestNanLanes:
