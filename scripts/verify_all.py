@@ -4,11 +4,14 @@
 Usage: python scripts/verify_all.py [outdir]
 
 Each stage is a CLI invocation; a JSON report lands in outdir (default
-./reports). Exits nonzero if any stage reports a violation.
+./reports). The console line of each stage gives its wall time, and the last
+line the total; the JSON reports carry no timing. Exits nonzero if any stage
+reports a violation.
 """
 
 import pathlib
 import sys
+import time
 
 from curv.cli import main as curv
 
@@ -27,17 +30,20 @@ STAGES = [
 
 def run(outdir: pathlib.Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    failures = []
+    failures, total = [], 0.0
     for name, argv in STAGES:
+        start = time.perf_counter()
         rc = curv(argv + ["--out", str(outdir / f"{name}.json")])
+        wall = time.perf_counter() - start
+        total += wall
         status = "ok" if rc == 0 else f"FAILED (exit {rc})"
-        print(f"{name:28s} {status}")
+        print(f"{name:28s} {status:18s} {wall:8.3f} s")
         if rc != 0:
             failures.append(name)
     if failures:
-        print(f"{len(failures)} stage(s) failed: {', '.join(failures)}")
+        print(f"{len(failures)} stage(s) failed in {total:.3f} s: {', '.join(failures)}")
         return 1
-    print(f"all {len(STAGES)} stages passed")
+    print(f"all {len(STAGES)} stages passed in {total:.3f} s")
     return 0
 
 

@@ -66,11 +66,14 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    lo, dash, hi = text.partition("-")
+    try:
+        orders = tuple(range(int(lo), int(hi) + 1)) if dash else tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        orders = ()
+    if not orders or min(orders) < 2:
+        raise ValueError(f"bad --n {text!r}: use an order, a range lo-hi with 2 <= lo <= hi, or a list like 2,3,5")
+    return orders
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:

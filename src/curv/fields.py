@@ -65,9 +65,9 @@ class Box:
         t = np.maximum(np.fmin.reduce(np.where(direction != 0, t, np.inf), axis=-1, initial=np.inf), 0.0)
         return t if np.ndim(direction) > 1 else float(t)
 
-    def probe_extent(self) -> float:
-        """Half-width of the origin-centred cube that covers the box."""
-        return max(abs(v) for v in (*self.lo, *self.hi))
+    def probe_cube(self) -> tuple[np.ndarray, float]:
+        """Center and half-width of the origin-centred cube that covers the box."""
+        return np.zeros(self.dim), max(abs(v) for v in (*self.lo, *self.hi))
 
 
 class _RoundDomain:
@@ -99,10 +99,10 @@ class _RoundDomain:
         t = np.where(disc < 0, 0.0, np.maximum(-b + np.sqrt(np.maximum(disc, 0.0)), 0.0))
         return t if np.ndim(direction) > 1 else float(t)
 
-    def probe_extent(self) -> float:
-        """Half-width of the origin-centred cube that probes the domain,
-        capped at 1.5 for large or unbounded domains."""
-        return min(float(self.rim), 1.5)
+    def probe_cube(self) -> tuple[np.ndarray, float]:
+        """Center and half-width of the cube that probes the domain, capped
+        at 1.5 for large or unbounded domains."""
+        return self._center(), min(float(self.rim), 1.5)
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,9 @@ class _RotatedDomain:
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
         return self.base.ray_extent(np.matvec(self.q, center), np.matvec(self.q, direction), margin)
 
-    def probe_extent(self) -> float:
-        return math.sqrt(self.dim) * self.base.probe_extent()  # |x| = |q x| covers the rotated cube
+    def probe_cube(self) -> tuple[np.ndarray, float]:
+        c, extent = self.base.probe_cube()  # |x - q^T c| = |q x - c| covers the rotated cube
+        return np.vecmat(c, self.q), math.sqrt(self.dim) * extent
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .graphgeom import (
     slice_frames,
 )
 from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
-from .util import as_point, as_points, brentq, brentq_lanes, unit_directions
+from .util import _new, as_point, as_points, brentq, brentq_lanes, unit_directions
 
 WHICH = ("prod", "phi", "euclid", "sphere")
 
@@ -93,11 +93,11 @@ def _reports(which, fr: SliceFrame, *, lhs, rhs, h_mean, h_sigma, kappa, slice_e
     equal = (spread <= UMBILIC_TOL * (1.0 + norm_slice)) & (mult <= MULTIPLICITY_TOL * (1.0 + norm_amb))
     names = list(extras)
     return [
-        InequalityReport(
-            which=which, x=tuple(xi), eps=e, lhs=left, rhs=right, gap=g, cos_angle=cos, h_mean=h, h_sigma=hs,
-            kappa=k, umbilicity_deviation=sp, multiplicity_diagnostic=mu, equality_detected=eq,
-            extras=dict(zip(names, ex)),
-        )
+        _new(InequalityReport, {
+            "which": which, "x": tuple(xi), "eps": e, "lhs": left, "rhs": right, "gap": g, "cos_angle": cos,
+            "h_mean": h, "h_sigma": hs, "kappa": k, "umbilicity_deviation": sp, "multiplicity_diagnostic": mu,
+            "equality_detected": eq, "extras": dict(zip(names, ex)),
+        })
         for xi, e, left, right, g, cos, h, hs, k, sp, mu, eq, *ex in zip(
             fr.x.tolist(), fr.eps.tolist(), lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist(), fr.cos_angle.tolist(),
             h_mean.tolist(), h_sigma.tolist(), kappa.tolist(), spread.tolist(), mult.tolist(), equal.tolist(),
@@ -266,16 +266,22 @@ def slice_points(
     return list(_slice_rows(lambda idx: field, np.array([[eps]], dtype=float), dirs[None], max_per_ray)[2])
 
 
-def _probe_points(domain, dim: int, seed: int, probes: int) -> np.ndarray:
-    """The first `probes` of at most 50 * probes seeded draws inside the domain."""
-    rng, extent = np.random.default_rng(seed), domain.probe_extent()
-    # a (k, dim) draw is k successive one-point draws, so the chunks keep the stream
-    P, drawn, chunk = np.empty((0, dim)), 0, probes
-    while len(P) < probes and drawn < 50 * probes:
-        X = rng.uniform(-extent, extent, size=(min(chunk, 50 * probes - drawn), dim))
-        P = np.concatenate([P, X[domain.contains(X, margin=1e-6)]])
-        drawn, chunk = drawn + len(X), 2 * chunk
-    return P[:probes]
+def _probes(domain, dim: int, seeds: Sequence[int], probes: int = 256) -> list[np.ndarray]:
+    """For each seed, the first `probes` of at most 50 * probes draws from its
+    own generator on the domain's probe cube that lie inside the domain. Each
+    round draws a chunk per seed still short; one `contains` call tests all."""
+    (center, extent), rngs = domain.probe_cube(), [np.random.default_rng(s) for s in seeds]
+    kept, live, drawn = [[np.empty((0, dim))] for _ in seeds], list(range(len(seeds))), 0
+    while live and drawn < 50 * probes:
+        k = min(drawn + 2 * probes, 50 * probes - drawn)  # chunks of 2, 4, 8, ... times probes
+        # (k, dim) draws are k one-point draws, so chunks keep each stream; + 0.0 keeps a centred domain's
+        X = np.stack([rngs[f].uniform(-extent, extent, size=(k, dim)) for f in live])
+        X += center
+        inside = domain.contains(X.reshape(-1, dim), margin=1e-6).reshape(len(live), k)
+        for f, Xf, mask in zip(live, X, inside):
+            kept[f].append(Xf[mask])
+        live, drawn = [f for f in live if sum(map(len, kept[f])) < probes], drawn + k
+    return [np.concatenate(P)[:probes] for P in kept]
 
 
 def _levels(at, probes: list[np.ndarray], count: int) -> np.ndarray:
@@ -299,7 +305,7 @@ def _levels(at, probes: list[np.ndarray], count: int) -> np.ndarray:
 def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) -> list[float]:
     """Level values at interior quantiles of u over seeded domain samples:
     the first `probes` of at most 50 * probes draws inside the domain."""
-    P = _probe_points(field.domain, field.dim, seed, probes)
+    P = _probes(field.domain, field.dim, [seed], probes)[0]
     if not len(P):
         raise ValueError("could not probe the field's domain for level values")
     return _levels(lambda idx: field, [P], count)[0].tolist()
@@ -309,8 +315,10 @@ def family_slices(family, count: int, level_seeds: Sequence[int], ray_seeds: Seq
     """pick_levels(member f, count, level_seeds[f]), NaN where that raises,
     and slice_points(member f, eps, rays, ray_seeds[f]) at those levels, for
     a nonempty trig family: the levels (F, count) and _slice_rows' rows."""
-    eps = _levels(family.rows, [_probe_points(family.domain, family.dim, s, 256) for s in level_seeds], count)
-    dirs = np.stack([unit_directions(family.dim, rays, s) for s in ray_seeds])
+    eps = _levels(family.rows, _probes(family.domain, family.dim, level_seeds), count)
+    # the 2-D golden-angle ring does not depend on the seed, so it is computed once
+    dirs = [unit_directions(family.dim, rays, s) for s in (ray_seeds[:1] if family.dim == 2 else ray_seeds)]
+    dirs = np.broadcast_to(dirs, (len(ray_seeds), rays, family.dim))
     return (eps, *_slice_rows(family.rows, eps, dirs))
 
 

@@ -349,6 +349,9 @@ class TestGoldenReports:
         "minor-full": ["verify", "minor", "--fd"],
         "minor-full-3d": ["verify", "minor", "--fd", "--dim", "3", "--fields", "10"],
         "minor-full-step": ["verify", "minor", "--fd", "--fd-step", "0.05"],
+        # the identity stage at production size: 100,000 matrices of orders 2-8
+        # (seeds 0-2 reach the same largest residual, 6 machine epsilons)
+        "identity-full": ["verify", "identity"],
     }
     SHA256 = {
         ("identity", 0): "bbd296088c3150f80d1a349102d31223406b552a34b0d3194df8dbf591abd4ee",
@@ -377,6 +380,10 @@ class TestGoldenReports:
         ("minor-full-3d", 5): "8d7a1a081f18a771a07f29ef974c576af6cbc437206b77d48f7a4ebdd2e4da2a",
         ("minor-full-step", 0): "a46cad1af5532dda030d07f0854b37e8a604b8822615f25191702bcc1a87d90c",
         ("minor-full-step", 5): "c1314f6288a4197453387a67b8458e1f3f41ba81bb27ca77fe2d7ea3b64ba6c0",
+        ("identity-full", 0): "5d2aa7805013e981256ab0b35acd61b4e2ed4e9db68384e4531461287586d7ca",
+        ("identity-full", 1): "5d2aa7805013e981256ab0b35acd61b4e2ed4e9db68384e4531461287586d7ca",
+        ("identity-full", 2): "5d2aa7805013e981256ab0b35acd61b4e2ed4e9db68384e4531461287586d7ca",
+        ("identity-full", 3): "2253b755719e7245d84dad1315a5ec51248aece577b225eca16d69487333a345",
     }
 
     @pytest.mark.parametrize("stage, seed", sorted(SHA256))
@@ -556,6 +563,10 @@ class TestDegenerateSizes:
         (["verify", "inequality", "--which", "prod", "--fields", "-2"], "need a nonnegative number of fields, got -2"),
         (["verify", "minor", "--fields", "-3"], "need --fields and --points >= 0, got -3 and 20"),
         (["verify", "minor", "--points", "-3"], "need --fields and --points >= 0, got 50 and -3"),
+        (["verify", "identity", "--n", "9-8"],
+         "bad --n '9-8': use an order, a range lo-hi with 2 <= lo <= hi, or a list like 2,3,5"),
+        (["verify", "identity", "--n", "2-3,5"],
+         "bad --n '2-3,5': use an order, a range lo-hi with 2 <= lo <= hi, or a list like 2,3,5"),
     ])
     def test_usage_error(self, capsys, argv, message):
         assert main(argv) == 2

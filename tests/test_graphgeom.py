@@ -247,24 +247,18 @@ class TestSampledSliceShape:
         sampled = slice_shape_sampled(field, pt.u, x, step=1e-3)
         assert maxabs(sampled - frame.a_sigma) <= 1e-4
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_roots_are_scipys(self, monkeypatch, dim):
-        """The one-lane brentq_lanes solve gives the operator that scipy's
-        brentq gave, bit for bit."""
-        from scipy.optimize import brentq
-
-        field = random_trig_field(dim, seed=13)
-        x = np.full(dim, 0.3)
-        eps = field.value(x) + 1e-4  # off the level, so the corridor is not centred on a root
-        got = slice_shape_sampled(field, eps, x)
-        monkeypatch.setattr(graphgeom, "brentq", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol))
-        assert np.array_equal(got, slice_shape_sampled(field, eps, x))
-
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_each_corridor_root_is_scipys(self, monkeypatch, dim):
         """All corridors solved in one brentq_lanes call give the operator
-        of one scipy brentq per corridor on the point values, bit for bit."""
+        of one scipy brentq per corridor on the point values, bit for bit.
+        No trig corridor meets NaN, so the point-by-point fallback `brentq`
+        is never reached; patching it to fail says so."""
         from scipy.optimize import brentq
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("a trig corridor fell back to the point-by-point brentq")
+
+        monkeypatch.setattr(graphgeom, "brentq", unreached)
 
         def scipy_lanes(f, a, b, xtol):
             def one(t, k):
@@ -274,7 +268,7 @@ class TestSampledSliceShape:
 
         field = random_trig_field(dim, seed=13)
         x = np.full(dim, 0.3)
-        eps = field.value(x) + 1e-4
+        eps = field.value(x) + 1e-4  # off the level, so the corridor is not centred on a root
         got = slice_shape_sampled(field, eps, x)
         monkeypatch.setattr(graphgeom, "brentq_lanes", scipy_lanes)
         assert np.array_equal(got, slice_shape_sampled(field, eps, x))

@@ -1,5 +1,6 @@
 """Tests for the slice-trace inequality checks and equality detection."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -11,12 +12,15 @@ from curv import inequality
 from curv.errors import OutOfDomainError
 from curv.fields import (
     Annulus,
+    Ball,
     Constant,
     FiniteDifferenceField,
     Paraboloid,
     Plane,
     PolynomialField,
     QuadraticCup,
+    RadialField,
+    RotatedField,
     ScalarField,
     SphereCap,
     random_trig_field,
@@ -27,6 +31,8 @@ from curv.fieldspec import parse_field
 from curv.graphgeom import DELTA_REG, flat_base
 from curv.inequality import (
     WHICH,
+    InequalityReport,
+    _probes,
     adapted_conformal_matrix,
     adapted_graph_matrix,
     check,
@@ -384,12 +390,12 @@ def reference_probes(field, seed, probes=256):
     batched draws."""
     rng = np.random.default_rng(seed)
     dom = field.domain
-    extent = dom.probe_extent()
+    center, extent = dom.probe_cube()
     points = []
     attempts = 0
     while len(points) < probes and attempts < 50 * probes:
         attempts += 1
-        x = rng.uniform(-extent, extent, size=field.dim)
+        x = center + rng.uniform(-extent, extent, size=field.dim)
         if dom.contains(x, margin=1e-6):
             points.append(x)
     return points
@@ -456,6 +462,54 @@ class TestPickLevelsReference:
         with pytest.raises(error) as got:
             pick_levels(field, 2, seed=3)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_off_centre_ball(self, rotated):
+        # the probe cube sits on the ball's center (3, 3), or on q^T (3, 3) for the rotated
+        # field; the slice rays still start at the origin
+        field = RadialField(2, lambda r, order: (r * r, 2 * r, 2.0), Ball(2, 1.0, center=(3.0, 3.0)))
+        if rotated:
+            field = RotatedField(field, np.array([[0.6, -0.8], [0.8, 0.6]]))
+        probes = reference_probes(field, 4)
+        assert len(probes) == 256
+        levels = pick_levels(field, 3, 4)
+        assert levels == reference_pick_levels(field, 3, 4)
+        assert (np.sqrt(18.0) - 1.0) ** 2 < levels[0] < levels[-1] < (np.sqrt(18.0) + 1.0) ** 2
+
+
+class TestProbeRoute:
+    """The probes of each seed, drawn in rounds with one stacked domain test
+    over every member still short, are its per-draw loop's probes; at large
+    n members keep different numbers, or none."""
+
+    @pytest.mark.parametrize("dim, seeds", [
+        (2, [7, 1007, 2007]),  # each keeps 256, the last few from a second round
+        (17, [6, 1]),  # 6 and none of 12,800 draws
+    ])
+    def test_equals_the_per_seed_draws(self, dim, seeds):
+        field = random_trig_field(dim, 0)
+        got = _probes(field.domain, dim, seeds)
+        want = [np.reshape(reference_probes(field, s), (-1, dim)) for s in seeds]
+        assert [len(P) for P in got] == [len(P) for P in want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_no_draws(self):
+        assert [P.shape for P in _probes(whole_space(3), 3, [1, 2], probes=0)] == [(0, 3), (0, 3)]
+
+
+class TestReportRows:
+    def test_rows_equal_reports_built_by_init(self):
+        """The rows fill their __dict__ directly: they equal, field by field
+        and in field order, the frozen reports __init__ builds, and stay frozen."""
+        for which in ("prod", "phi"):
+            reports = run_suite(which, n_fields=2, rays=4, seed=3).reports
+            assert reports
+            for rep in reports:
+                built = InequalityReport(**{f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)})
+                assert type(rep) is InequalityReport and rep == built
+                assert list(vars(rep).items()) == list(vars(built).items())
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    rep.gap = 0.0
 
 
 class TestSuites:

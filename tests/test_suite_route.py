@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from curv.cli import main
 from curv.fields import random_trig_field, trig_family
 from curv.graphgeom import extrinsic_points, flat_base, minor_relation_residuals, slice_frames
-from curv.inequality import WHICH, _probe_points, checks, family_slices, pick_levels, run_suite, slice_points
+from curv.inequality import WHICH, _probes, checks, family_slices, pick_levels, run_suite, slice_points
 from curv.util import brentq_lanes, unit_directions
 
 
@@ -163,7 +163,7 @@ class TestWholeSuiteRoute:
 
 
 def probe_counts(dim, seeds, level_seeds):
-    return [len(_probe_points(random_trig_field(dim, s).domain, dim, t, 256)) for s, t in zip(seeds, level_seeds)]
+    return [len(_probes(random_trig_field(dim, s).domain, dim, [t])[0]) for s, t in zip(seeds, level_seeds)]
 
 
 class TestRaggedProbes:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curv import syminv
 from curv.errors import SignConditionError
 from curv.syminv import (
+    _identity_terms,
     identity_residual,
     identity_residual_batch,
     newton_gap,
@@ -75,11 +77,54 @@ class TestIdentity:
         assert out.passed
         assert out.max_rel_residual <= 1e-12
 
+    def test_batch_size_does_not_change_the_result(self, monkeypatch):
+        # a (m, n, n) draw is m successive matrix draws, so batches keep the stream
+        results = []
+        for batch in (7, 333, 4096):
+            monkeypatch.setattr(syminv, "IDENTITY_BATCH", batch)
+            results.append(randomized_identity_suite(orders=(2, 5, 9), trials=3000, seed=2))
+        assert results[0] == results[1] == results[2]
+
     def test_suite_deterministic(self):
         a = randomized_identity_suite(orders=(3,), trials=500, seed=1)
         b = randomized_identity_suite(orders=(3,), trials=500, seed=1)
         assert a.max_rel_residual == b.max_rel_residual
         assert a.worst_order == b.worst_order
+
+
+def rowwise_terms(a):
+    """The residuals of a stack and the suite's lhs, sigma1 * sigma1_minor,
+    by reductions along each matrix's diagonal (np.sum, np.trace): the
+    reference for the column kernel."""
+    n = a.shape[1]
+    d = np.diagonal(a, axis1=1, axis2=2)
+    s1 = d.sum(axis=1)
+    s1m = s1 - a[:, 0, 0]
+    tr_sq = np.einsum("mij,mji->m", a, a)
+    offdiag = 0.5 * (tr_sq - np.sum(d * d, axis=1))
+    s2 = 0.5 * (s1 * s1 - tr_sq)
+    dm = d[:, 1:]
+    spread = (n - 1) * np.sum(dm * dm, axis=1) - dm.sum(axis=1) ** 2
+    rhs = s2 + n / (2.0 * (n - 1.0)) * s1m**2 + offdiag + spread / (2.0 * (n - 1.0))
+    lhs = np.trace(a, axis1=1, axis2=2) * (np.trace(a, axis1=1, axis2=2) - a[:, 0, 0])
+    return s1 * s1m - rhs, lhs
+
+
+class TestIdentityKernel:
+    """The kernel sums the diagonal as columns in add.reduce's order, so it
+    equals the rowwise reductions bit for bit: sequential below 8 terms,
+    eight accumulators to 128, and the pairwise split above (order 137)."""
+
+    @pytest.mark.parametrize("order", [*range(2, 21), 31, 64, 137])
+    def test_equals_the_rowwise_reductions(self, order):
+        rng = np.random.default_rng(order)
+        # each matrix scaled by 1e-3 to 1e5, both ends included
+        scale = 10.0 ** np.concatenate([[-3.0, 5.0], rng.uniform(-3.0, 5.0, size=38)])
+        a = scale[:, None, None] * rng.uniform(-1.0, 1.0, size=(40, order, order))
+        res, lhs = _identity_terms(a)
+        want_res, want_lhs = rowwise_terms(a)
+        assert np.array_equal(res, want_res) and np.array_equal(lhs, want_lhs)
+        assert np.array_equal(identity_residual_batch(a), want_res)
 
 
 class TestNewtonGap:
