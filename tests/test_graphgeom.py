@@ -247,6 +247,28 @@ class TestSampledSliceShape:
         sampled = slice_shape_sampled(field, pt.u, x, step=1e-3)
         assert maxabs(sampled - frame.a_sigma) <= 1e-4
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_roots_are_scipys(self, dim):
+        """The point-by-point `brentq` that graphgeom falls back to on a NaN
+        corridor gives scipy's brentq root on the central trig corridor, bit
+        for bit, and so does the one-lane brentq_lanes solve."""
+        from scipy.optimize import brentq
+
+        field = random_trig_field(dim, seed=13)
+        x = np.full(dim, 0.3)
+        eps = field.value(x) + 1e-4  # off the level, so the corridor is not centred on a root
+        grad = field.gradient(x)
+        m = grad / np.linalg.norm(grad)
+        span = 10.0 * 1e-3 + 10.0 * 1e-4 / np.linalg.norm(grad)
+
+        def one(t):
+            return field.value(x + t * m) - eps
+
+        want = brentq(one, -span, span, xtol=1e-12)
+        assert graphgeom.brentq(one, -span, span, xtol=1e-12) == want
+        lane = graphgeom.brentq_lanes(lambda t, k: field.values(x + t[:, None] * m) - eps, [-span], [span], xtol=1e-12)
+        assert lane[0] == want
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_each_corridor_root_is_scipys(self, monkeypatch, dim):
         """All corridors solved in one brentq_lanes call give the operator
