@@ -24,17 +24,16 @@ from .errors import ConformalFactorError
 from .fields import ScalarField, eval_jet
 from .graphgeom import ExtrinsicPoint, SliceFrame, extrinsic_points
 from .metrics import AmbientSpec, PhiJet
-from .util import Stacked, as_point, maxabs
+from .util import Stacked, as_point, eye, maxabs
 
 
 def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
     """Abar = phi A + nu(phi) I for the factor value and normal derivative,
     at a point or row by row over a stack."""
     phi, dphi_nu = np.asarray(phi), np.asarray(dphi_nu)
-    if (phi <= 0).any():
+    if np.count_nonzero(phi <= 0):
         raise ConformalFactorError(f"conformal factor {phi} must be positive")
-    n = point.dim
-    return phi[..., None, None] * point.shape_operator + dphi_nu[..., None, None] * np.eye(n)
+    return phi[..., None, None] * point.shape_operator + dphi_nu[..., None, None] * eye(point.dim)
 
 
 def normal_derivative(point: ExtrinsicPoint, phi_jet: PhiJet) -> float | np.ndarray:
@@ -72,15 +71,16 @@ def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPo
     mu = normal_derivative(pt, pj)
     abar = conformal_shape(pt, pj.value, mu)
     n = pt.dim
-    principal = np.sort(pj.value[:, None] * pt.principal + mu[:, None], axis=-1)
+    principal = pj.value[:, None] * pt.principal + mu[:, None]
+    principal.sort(axis=-1)
     hbar = pj.value * pt.mean_curvature + n * mu
-    norm2 = np.sum(principal**2, axis=-1)
+    norm2 = (principal**2).sum(-1)
     # the Gauss relation R = n(n-1) + Hbar^2 - |Abar|^2 needs the rescaled
     # ambient to be the unit round sphere; leave R unset otherwise
     scalar = None
     if ambient.is_round_sphere:
         scalar = n * (n - 1) + hbar * hbar - norm2
-    return ConformalPoint(
+    return ConformalPoint.of(
         point=pt,
         factor=pj,
         dphi_nu=mu,

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteJetError, OutOfDomainError
-from .util import as_point, as_points, outer
+from .util import as_point, as_points, einsum, outer
 
 _EPS = float(np.finfo(float).eps)
 
@@ -84,7 +84,8 @@ class _RoundDomain:
     def contains(self, x: np.ndarray, margin=0.0):
         """Whether x lies in the domain less the margin (one value, or one
         per row): a bool for a point, a mask for a stack of rows."""
-        d = x - self._center()
+        # a zero center is not subtracted: the square takes the sign off a zero
+        d = x if self.center is None else x - self._center()
         r = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
         inside = (self.inner + margin <= r) & (r <= self.rim - margin)
         return inside if np.ndim(x) > 1 else bool(inside)
@@ -220,9 +221,10 @@ def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray
     OutOfDomainError or NonFiniteJetError, as eval_jet does for it."""
     X = as_points(X, field.dim)
     inside = field.domain.contains(X, margin=field.margin(X))
-    k = len(X) if inside.all() else int(np.argmin(inside))
+    k = len(X) if np.count_nonzero(inside) == len(X) else int(np.argmin(inside))
     u, du, ddu = field.jets(X[:k])
-    if not (np.isfinite(u).all() and np.isfinite(du).all() and np.isfinite(ddu).all()):
+    finite = np.count_nonzero(np.isfinite(u)) + np.count_nonzero(np.isfinite(du)) + np.count_nonzero(np.isfinite(ddu))
+    if finite < u.size + du.size + ddu.size:  # counts cost less than .all()
         finite = np.isfinite(u) & np.isfinite(du).all(axis=1) & np.isfinite(ddu).all(axis=(1, 2))
         raise NonFiniteJetError(f"non-finite jet of {field.name} at {X[np.argmin(finite)].tolist()}")
     if k < len(X):
@@ -411,10 +413,11 @@ class TrigField(ScalarField):
 
     def jets(self, X):
         args = np.matvec(self.freqs, X) + self.phases
+        sin = np.sin(args)
         return (
-            np.vecdot(np.sin(args), self.amps),
+            np.vecdot(sin, self.amps),
             np.vecmat(self.amps * np.cos(args), self.freqs),
-            np.einsum("...k,...ki,...kj->...ij", -self.amps * np.sin(args), self.freqs, self.freqs),
+            einsum("...k,...ki,...kj->...ij", -self.amps * sin, self.freqs, self.freqs),
         )
 
 

@@ -32,7 +32,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import NonRegularPointError, NotOnLevelError
 from .fields import ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import Stacked, as_point, as_points, brentq, brentq_lanes, outer
+from .util import Stacked, as_point, as_points, brentq, brentq_lanes, einsum, eye, outer, trace
 
 #: regularity threshold for slice frames: a point is regular where |grad u|_g >= DELTA_REG
 DELTA_REG = 1e-6
@@ -65,16 +65,6 @@ class ExtrinsicPoint(Stacked):
         return self.x.shape[-1]
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """The transpose of each matrix of a stack."""
-    return np.swapaxes(a, -1, -2)
-
-
-def _trace(a: np.ndarray) -> np.ndarray:
-    """The trace of each matrix of a stack."""
-    return np.trace(a, axis1=-2, axis2=-1)
-
-
 def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each pencil (a[i], b[i]), a[i] symmetric and
     b[i] positive definite, for the whole stack at once: with b = L L^T
@@ -83,7 +73,7 @@ def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.linalg.cholesky, inv and eigvalsh are called directly, as their
     argument checks would add about 10 us to a one-point solve; one that
     fails flags the invalid state, which the errstate raises."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if np.count_nonzero(np.isfinite(a)) + np.count_nonzero(np.isfinite(b)) < a.size + b.size:
         raise ValueError("array must not contain infs or NaNs")
     with np.errstate(invalid="raise"):
         try:
@@ -91,6 +81,12 @@ def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return _umath_linalg.eigvalsh_lo(inv @ a @ inv.mT)
         except FloatingPointError as err:
             raise LinAlgError(f"generalized eigensolve failed: {err}") from None
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of a stack of finite symmetric matrices, by the
+    gufunc behind it, without the wrapper's checks."""
+    return _umath_linalg.eigvalsh_lo(a)
 
 
 def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
@@ -105,24 +101,24 @@ def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
     w2 = 1.0 + np.vecdot(grad, grad_up)
     w = np.sqrt(w2)
 
-    hess_cov = hess - np.einsum("imkj,im->ikj", mj.gamma, grad)
+    hess_cov = hess - einsum("imkj,im->ikj", mj.gamma, grad)
     proj = mj.ginv - outer(grad_up, grad_up) / w2[:, None, None]
     a = proj @ hess_cov / w[:, None, None]
 
     gm = mj.g + outer(grad, grad)
     h_form = gm @ a
-    h_form = 0.5 * (h_form + _t(h_form))
+    h_form = 0.5 * (h_form + h_form.mT)
     principal = _generalized_eigvalsh(h_form, gm)
 
-    mean = _trace(a)
-    norm_a2 = _trace(a @ a)
+    mean = trace(a)
+    norm_a2 = trace(a @ a)
 
     nu_h = -grad_up / w[:, None]  # horizontal contravariant components of nu
     ric_nn = np.vecdot(np.vecmat(nu_h, mj.ricci), nu_h)
     r_m = mean * mean - norm_a2 + mj.scalar - 2.0 * ric_nn
 
     nu = np.concatenate([nu_h, (1.0 / w)[:, None]], axis=1)
-    return ExtrinsicPoint(
+    return ExtrinsicPoint.of(
         x=X,
         u=u,
         nu=nu,
@@ -154,32 +150,34 @@ def adapted_frames(grad_up: np.ndarray, g: np.ndarray) -> np.ndarray:
     i equals adapted_frame(grad_up[i], g[i]) bit for bit."""
     m, n = grad_up.shape
     norm = np.sqrt(np.vecdot(np.vecmat(grad_up, g), grad_up))
-    if not norm.all():
+    if np.count_nonzero(norm) < m:
         raise ValueError("adapted frame needs a nonzero gradient")
     frame = np.zeros((m, n, n))
     frame[:, :, 0] = grad_up / norm[:, None]
-    filled = np.ones(m, dtype=int)  # columns found so far, per row
+    eg, filled = [], None  # e^T g of the columns every row has; columns per row, once rows differ
     fewest = most = 1 if m else n
     for k in range(n):
         if fewest == n:
             break
-        v = np.zeros((m, n))
-        v[:, k] = 1.0
+        v = eye(n)[k]
         # a column a row has not found yet is zero and leaves its v as it is
         # (v never holds -0.0, so v - (+-0.0) = v)
         for j in range(most):
             e = frame[:, :, j]
-            v = v - np.vecdot(np.vecmat(e, g), v)[:, None] * e
+            if j == len(eg):
+                eg.append(np.vecmat(e, g))
+            v = v - np.vecdot(eg[j], v)[:, None] * e
         vn = np.sqrt(np.vecdot(np.vecmat(v, g), v))
         take = vn > 1e-10
-        if fewest == most and take.all():  # every row gains column `most`
+        if filled is None and np.count_nonzero(take) == m:  # every row gains column `most`
             frame[:, :, most] = v / vn[:, None]
-            filled += 1
             fewest = most = most + 1
         else:
+            filled = np.full(m, most) if filled is None else filled
             rows = np.flatnonzero(take & (filled < n))
             frame[rows, :, filled[rows]] = v[rows] / vn[rows, None]
             filled[rows] += 1
+            del eg[fewest:]  # rows write only to columns from `fewest` on
             fewest, most = filled.min(), filled.max()
     if fewest != n:
         raise ValueError("failed to complete the adapted frame")
@@ -233,7 +231,7 @@ def level_slice(field: ScalarField, base, eps: float, x) -> SliceFrame:
 def adapted_matrix(frame: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The operator a in the g-orthonormal frame: P^-1 a P = P^T g a P, for
     one matrix or a stack."""
-    return _t(frame) @ g @ a @ frame
+    return frame.mT @ g @ a @ frame
 
 
 def _grad_norms(points: ExtrinsicPoint) -> np.ndarray:
@@ -256,20 +254,20 @@ def slice_frames(points: ExtrinsicPoint, eps) -> tuple[np.ndarray, SliceFrame]:
     grad_norm = _grad_norms(points)
     regular = ~(grad_norm < DELTA_REG)
     eps = np.full(regular.shape, eps, dtype=float)
-    if not regular.all():
+    if np.count_nonzero(regular) < len(regular):
         points, grad_norm, eps = points.select(regular), grad_norm[regular], eps[regular]
     g = points.base_jet.g
     frame = adapted_frames(points.grad_up, g)
     minor = adapted_matrix(frame, g, points.shape_operator)[:, 1:, 1:]
     tangent = frame[:, :, 1:]
-    a_sigma = _t(tangent) @ points.cov_hessian @ tangent / grad_norm[:, None, None]
-    a_sigma = 0.5 * (a_sigma + _t(a_sigma))
-    return regular, SliceFrame(
+    a_sigma = tangent.mT @ points.cov_hessian @ tangent / grad_norm[:, None, None]
+    a_sigma = 0.5 * (a_sigma + a_sigma.mT)
+    return regular, SliceFrame.of(
         eps=eps,
         x=points.x,
         eta=-points.grad_up / grad_norm[:, None],
         a_sigma=a_sigma,
-        h_sigma=_trace(a_sigma),
+        h_sigma=trace(a_sigma),
         cos_angle=grad_norm / points.w,
         minor=minor,
         frame=frame,

@@ -31,6 +31,7 @@ from .graphgeom import (
     ExtrinsicPoint,
     SliceFrame,
     adapted_matrix,
+    eigvalsh,
     extrinsic_point,
     extrinsic_points,
     nonregular_error,
@@ -38,7 +39,7 @@ from .graphgeom import (
     slice_frames,
 )
 from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
-from .util import _new, as_point, as_points, brentq, brentq_lanes, unit_directions
+from .util import _new, as_point, as_points, brentq, brentq_lanes, eye, trace, unit_directions
 
 WHICH = ("prod", "phi", "euclid", "sphere")
 
@@ -87,7 +88,9 @@ def _reports(which, fr: SliceFrame, *, lhs, rhs, h_mean, h_sigma, kappa, slice_e
     eigenvalues sit at `predicted` when the second largest distance to it is
     small."""
     spread = slice_eigs[:, -1] - slice_eigs[:, 0]
-    mult = np.sort(np.abs(ambient_eigs - predicted[:, None]), axis=-1)[:, -2]
+    dist = np.abs(ambient_eigs - predicted[:, None])
+    dist.sort(axis=-1)
+    mult = dist[:, -2]
     norm_slice = np.maximum(-slice_eigs[:, 0], slice_eigs[:, -1])
     norm_amb = np.maximum(-ambient_eigs[:, 0], ambient_eigs[:, -1])
     equal = (spread <= UMBILIC_TOL * (1.0 + norm_slice)) & (mult <= MULTIPLICITY_TOL * (1.0 + norm_amb))
@@ -111,12 +114,12 @@ def prod_reports(pt: ExtrinsicPoint, regular: np.ndarray, fr: SliceFrame, which:
     `slice_frames(pt, eps)`: the regular-row mask and one report per regular
     row, as `checks` returns them. The rows come from one array program over
     the stack, whose row builder `_reports` the conformal inequality shares."""
-    if not regular.all():
+    if np.count_nonzero(regular) < len(regular):
         pt = pt.select(regular)
     n, mj = pt.dim, pt.base_jet
     cos, h, hs = fr.cos_angle, pt.mean_curvature, fr.h_sigma
     ric_eta = np.vecdot(np.vecmat(fr.eta, mj.ricci), fr.eta)
-    slice_eigs = np.linalg.eigvalsh(fr.a_sigma)
+    slice_eigs = eigvalsh(fr.a_sigma)
     kappa = _mean(slice_eigs)
     c = n / (2.0 * (n - 1.0))
     rhs = 0.5 * pt.scalar_curvature - 0.5 * mj.scalar + cos * cos * ric_eta + c * cos * cos * np.float_power(hs, 2)
@@ -131,14 +134,14 @@ def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which:
     """(regular mask, reports) of the conformally-product inequality over a
     stack, given `slice_frames(cp.point, eps)`. The rows come from one array
     program over the stack, through the row builder `_reports`."""
-    if not regular.all():
+    if np.count_nonzero(regular) < len(regular):
         cp = cp.select(regular)
     pt, pj = cp.point, cp.factor
     n, cos, hbar = pt.dim, fr.cos_angle, cp.mean_curvature
     dphi_eta = np.vecdot(pj.grad_x, fr.eta)
-    abar_sigma = pj.value[:, None, None] * fr.a_sigma + dphi_eta[:, None, None] * np.eye(n - 1)
-    hbar_sigma = np.trace(abar_sigma, axis1=1, axis2=2)
-    slice_eigs = np.linalg.eigvalsh(abar_sigma)
+    abar_sigma = pj.value[:, None, None] * fr.a_sigma + dphi_eta[:, None, None] * eye(n - 1)
+    hbar_sigma = trace(abar_sigma)
+    slice_eigs = eigvalsh(abar_sigma)
     kappa = _mean(slice_eigs)
     nu_t, phi_t = pt.nu[:, -1], pj.dt
     c = n / (2.0 * (n - 1.0))
@@ -181,7 +184,10 @@ def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None =
     np.float_power, which rounds as scalar `**` does, and the equality
     diagnostics read ascending eigenvalue stacks.
     """
-    _, regular, reports = _checks(which, field, eps, as_points(X, field.dim), ambient)
+    X = as_points(X, field.dim)
+    if np.ndim(eps) and np.shape(eps) != X.shape[:1]:
+        raise ValueError(f"eps of shape {np.shape(eps)} is neither one level nor one per row of X, shape {X.shape}")
+    _, regular, reports = _checks(which, field, eps, X, ambient)
     return regular, reports
 
 
@@ -220,13 +226,14 @@ def check_sphere(field: ScalarField, eps: float, x) -> InequalityReport:
 
 def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     """slice_points of each member f of a family at its levels eps[f], along
-    its rays dirs[f] from the origin: the arrays (f, j, points) of the rows,
-    in the order field, level, ray, root. `at(idx)` is member idx, or a
-    family for an index array. One `values` call reads the samples every
-    level shares, and `brentq_lanes` solves all brackets at once."""
+    its rays dirs[f] from the center of the domain's probe cube: the arrays
+    (f, j, points) of the rows, in the order field, level, ray, root.
+    `at(idx)` is member idx, or a family for an index array. One `values`
+    call reads the samples every level shares, and `brentq_lanes` solves
+    all brackets at once."""
     (F, L), (R, n), dom = eps.shape, dirs.shape[1:], at(0).domain
     # origin + t d, not t d: adding +0.0 turns a -0.0 coordinate into +0.0
-    origin = np.zeros(n)
+    origin = dom.probe_cube()[0] + 0.0
     extents = dom.ray_extent(origin, dirs.reshape(-1, n), margin=1e-6).reshape(F, R)
     extents[~np.isfinite(extents)] = 2.0
     ts = np.linspace(0.0, extents, SAMPLES_PER_RAY, axis=-1)  # each row is the ray's own linspace
@@ -256,7 +263,8 @@ def slice_points(
     field: ScalarField, eps: float, rays: int = 16, seed: int = 0, max_per_ray: int = MAX_PER_RAY
 ) -> list[np.ndarray]:
     """Deterministic points of {u = eps}: 1-D root finding along rays from the
-    origin (golden-angle directions in 2-D, seeded unit vectors otherwise),
+    center of the domain's probe cube, the origin for a centred domain
+    (golden-angle directions in 2-D, seeded unit vectors otherwise),
     keeping regular interior points only; the one-field, one-level case of
     `_slice_rows`. A sample where the field is undefined is NaN and brackets
     no root. A root is kept if it lies inside the domain less the field's

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConformalFactorError, MetricNotPositiveError
-from .util import Stacked, as_point, outer
+from .util import Stacked, as_point, eye, outer
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,12 @@ class FlatMetric(Metric):
         self.name = "flat"
 
     def components(self, x) -> np.ndarray:
-        return np.eye(self.dim)
+        return eye(self.dim)
 
     def jets(self, X) -> MetricJet:
         m, n = len(X), self.dim
-        eye = np.repeat(np.eye(n)[None], m, axis=0)
-        return MetricJet(eye, eye, np.zeros((m, n, n, n)), np.zeros((m, n, n)), np.zeros(m))
+        g = eye(n)[None].repeat(m, axis=0)
+        return MetricJet.of(g=g, ginv=g, gamma=np.zeros((m, n, n, n)), ricci=np.zeros((m, n, n)), scalar=np.zeros(m))
 
 
 class ConformalMetric(Metric):
@@ -95,7 +95,7 @@ class ConformalMetric(Metric):
         n = self.dim
         phi, dphi, ddphi = self.factor_jet(X)
         bad = phi <= 0
-        if bad.any():
+        if np.count_nonzero(bad):
             i = np.argmax(bad)
             raise ConformalFactorError(f"conformal factor {phi[i]} is not positive at {X[i]}")
         # g = e^{2w} delta with w = -log(phi)
@@ -104,16 +104,16 @@ class ConformalMetric(Metric):
         w2 = -ddphi / phi[:, None, None] + outer(dphi, dphi) / phi2
         lap_w = w2.diagonal(0, 1, 2).sum(1)
         grad2 = np.vecdot(w1, w1)
-        eye = np.eye(n)
+        e = eye(n)
         # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k
         gamma = (
-            eye[:, :, None] * w1[:, None, None, :]
-            + eye[:, None, :] * w1[:, None, :, None]
-            - eye * w1[:, :, None, None]
+            e[:, :, None] * w1[:, None, None, :]
+            + e[:, None, :] * w1[:, None, :, None]
+            - e * w1[:, :, None, None]
         )
-        ricci = -(n - 2) * (w2 - outer(w1, w1)) - (lap_w + (n - 2) * grad2)[:, None, None] * eye
+        ricci = -(n - 2) * (w2 - outer(w1, w1)) - (lap_w + (n - 2) * grad2)[:, None, None] * e
         scalar = phi2[:, 0, 0] * (-2.0 * (n - 1) * lap_w - (n - 1) * (n - 2) * grad2)
-        return MetricJet(eye / phi2, eye * phi2, gamma, ricci, scalar)
+        return MetricJet.of(g=e / phi2, ginv=e * phi2, gamma=gamma, ricci=ricci, scalar=scalar)
 
 
 #: GeneralMetric's finite-difference step
@@ -225,7 +225,7 @@ def round_sphere_factor(x):
     unit sphere (less a point); at a point or at the rows of a stack, whose
     Hessians are all the one identity matrix."""
     x = np.asarray(x, dtype=float)
-    return (1.0 + np.vecdot(x, x)) / 2.0, x.copy(), np.eye(x.shape[-1])
+    return (1.0 + np.vecdot(x, x)) / 2.0, x.copy(), eye(x.shape[-1])
 
 
 def round_sphere_base(dim: int) -> ConformalMetric:
@@ -279,10 +279,10 @@ class AmbientSpec:
         factor that is not positive raises ConformalFactorError."""
         m = len(X)
         if self.phi_jet is None:
-            return PhiJet(np.ones(m), np.zeros((m, self.base.dim)), np.zeros(m))
+            return PhiJet.of(value=np.ones(m), grad_x=np.zeros((m, self.base.dim)), dt=np.zeros(m))
         out = self.phi_jet(X, t)
         bad = out.value <= 0
-        if bad.any():
+        if np.count_nonzero(bad):
             i = np.argmax(bad)
             raise ConformalFactorError(f"ambient factor {out.value[i]} not positive at ({X[i]}, {t[i]})")
         return out
@@ -296,7 +296,7 @@ def round_ambient_factor(x, t) -> PhiJet:
     """phi = (1 + |x|^2 + t^2)/2, whose rescaled flat product is the round
     unit (n+1)-sphere; at a point, or at the rows of a stack x with heights t."""
     x = np.asarray(x, dtype=float)
-    return PhiJet((1.0 + np.vecdot(x, x) + t * t) / 2.0, x.copy(), t)
+    return PhiJet.of(value=(1.0 + np.vecdot(x, x) + t * t) / 2.0, grad_x=x.copy(), dt=t)
 
 
 def spherical_ambient(dim: int) -> AmbientSpec:

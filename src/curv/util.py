@@ -1,8 +1,13 @@
 """Small numeric helpers used across modules."""
 from __future__ import annotations
 
+import functools
 
 import numpy as np
+
+# np.einsum with no `optimize` calls this function; calling it directly skips
+# the Python wrapper and its dispatch (about 2 us of a one-row call)
+from numpy._core.multiarray import c_einsum as einsum
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -61,6 +66,11 @@ class Stacked:
         return _new(type(self), out)
 
     @classmethod
+    def of(cls, **fields):
+        """An instance from all of its fields, by name and in field order."""
+        return _new(cls, fields)
+
+    @classmethod
     def from_rows(cls, rows):
         """The stack of a nonempty list of one-point instances whose fields
         are all floats or arrays (no nested Stacked field and no None)."""
@@ -75,9 +85,22 @@ def _new(cls, values: dict):
     return obj
 
 
+@functools.cache
+def eye(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.outer of two vectors, or of each pair of rows of two stacks."""
     return a[..., :, None] * b[..., None, :]
+
+
+def trace(a: np.ndarray) -> np.ndarray:
+    """The trace of each matrix of a stack, as np.trace sums the diagonal."""
+    return a.diagonal(0, -2, -1).sum(-1)
 
 
 def maxabs(a) -> float:
@@ -103,6 +126,10 @@ def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+#: 4 eps, brentq's default rtol
+_EPS4 = 4.0 * float(np.finfo(float).eps)
+
+
 def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     """Brent's method on lanes, lane i on [a[i], b[i]]: a step-for-step array
     port of scipy's `brentq.c` (Brent 1973, ch. 4), so each root equals
@@ -112,39 +139,46 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     root NaN; one-sign ends raise ValueError, and no convergence RuntimeError."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     lanes = np.arange(a.size)
-    fpre, fcur = np.split(f(np.concatenate([a, b]), np.concatenate([lanes, lanes])), 2)
+    ends = f(np.concatenate([a, b]), np.concatenate([lanes, lanes]))
+    fpre, fcur = ends[: a.size], ends[a.size :]
     nan = np.isnan(fpre) | np.isnan(fcur)
     root = np.where(nan, np.nan, np.where(fpre == 0, a, np.where(fcur == 0, b, np.nan)))
     live = ~nan & (fpre != 0) & (fcur != 0)
     if (np.signbit(fpre[live]) == np.signbit(fcur[live])).any():
         raise ValueError("f(a) and f(b) must have different signs")
     xpre, xcur = a, b
-    xblk = fblk = spre = scur = np.zeros(a.size)
+    xblk, fblk, spre, scur = np.zeros((4, a.size))
     with np.errstate(all="ignore"):  # closed lanes, and the trial steps of bisecting ones, are ignored
         for _ in range(maxiter):
-            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            # a product's sign bit is its factors' differing, also where it rounds to 0 or inf
+            flip = (fpre != 0) & (fcur != 0) & np.signbit(fpre * fcur)
             if np.count_nonzero(flip):  # the count skips the selects where no lane takes them
-                xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-                spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+                np.copyto(xblk, xpre, where=flip)
+                np.copyto(fblk, fpre, where=flip)
+                np.copyto(spre, xcur - xpre, where=flip)
+                np.copyto(scur, spre, where=flip)
             swap = np.abs(fblk) < np.abs(fcur)
             if np.count_nonzero(swap):
                 xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
                 fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (xtol + 4.0 * np.finfo(float).eps * np.abs(xcur)) / 2  # brentq's default rtol
+            delta = (xtol + _EPS4 * np.abs(xcur)) / 2  # brentq's default rtol
             sbis = (xblk - xcur) / 2
-            done = live & ((fcur == 0) | (np.abs(sbis) < delta))
-            root[done] = xcur[done]
+            abis, apre = np.abs(sbis), np.abs(spre)
+            done = live & ((fcur == 0) | (abis < delta))
+            np.copyto(root, xcur, where=done)
             live &= ~done
             if not np.count_nonzero(live):
                 return root
             dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            nfcur = -fcur
+            interpolate = nfcur * (xcur - xpre) / (fcur - fpre)
+            extrapolate = nfcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             stry = np.where(xpre == xblk, interpolate, extrapolate)
-            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-            short &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            short = (apre > delta) & (np.abs(fcur) < np.abs(fpre))
+            short &= 2 * np.abs(stry) < np.minimum(apre, 3 * abis - delta)
             spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-            step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            # an open lane has sbis != 0, so the bisection step takes its sign
+            step = np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
             xpre, fpre, xcur, fcur = xcur, fcur, xcur + step, np.zeros(a.size)
             fcur[live] = f(xcur[live], lanes[live])
             live &= ~np.isnan(fcur)
