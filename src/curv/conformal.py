@@ -24,7 +24,7 @@ from .errors import ConformalFactorError
 from .fields import ScalarField, eval_jet
 from .graphgeom import ExtrinsicPoint, SliceFrame, extrinsic_points
 from .metrics import AmbientSpec, PhiJet
-from .util import Stacked, as_point, eye, maxabs
+from .util import Stacked, _new, as_point, eye, maxabs
 
 
 def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
@@ -80,16 +80,10 @@ def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPo
     scalar = None
     if ambient.is_round_sphere:
         scalar = n * (n - 1) + hbar * hbar - norm2
-    return ConformalPoint.of(
-        point=pt,
-        factor=pj,
-        dphi_nu=mu,
-        shape_operator=abar,
-        mean_curvature=hbar,
-        norm_a2=norm2,
-        principal=principal,
-        scalar_curvature=scalar,
-    )
+    return _new(ConformalPoint, dict(
+        point=pt, factor=pj, dphi_nu=mu, shape_operator=abar, mean_curvature=hbar, norm_a2=norm2,
+        principal=principal, scalar_curvature=scalar,
+    ))
 
 
 def conformal_point(field: ScalarField, ambient: AmbientSpec, x) -> ConformalPoint:

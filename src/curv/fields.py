@@ -93,7 +93,7 @@ class _RoundDomain:
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
         """Largest t >= 0 with |center + t d - c| <= rim - margin, for d or
         each row of a stack."""
-        c = center - self._center()
+        c = center if self.center is None else center - self._center()
         r = self.rim - margin
         b = np.vecdot(direction, c)
         disc = b * b - (c @ c - r * r)

@@ -32,7 +32,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import NonRegularPointError, NotOnLevelError
 from .fields import ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import Stacked, as_point, as_points, brentq, brentq_lanes, einsum, eye, outer, trace
+from .util import Stacked, _new, as_point, as_points, brentq, brentq_lanes, einsum, eye, outer, trace
 
 #: regularity threshold for slice frames: a point is regular where |grad u|_g >= DELTA_REG
 DELTA_REG = 1e-6
@@ -83,10 +83,8 @@ def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise LinAlgError(f"generalized eigensolve failed: {err}") from None
 
 
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of a stack of finite symmetric matrices, by the
-    gufunc behind it, without the wrapper's checks."""
-    return _umath_linalg.eigvalsh_lo(a)
+#: np.linalg.eigvalsh of a stack of finite symmetric matrices, less the wrapper's checks
+eigvalsh = _umath_linalg.eigvalsh_lo
 
 
 def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
@@ -118,22 +116,11 @@ def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
     r_m = mean * mean - norm_a2 + mj.scalar - 2.0 * ric_nn
 
     nu = np.concatenate([nu_h, (1.0 / w)[:, None]], axis=1)
-    return ExtrinsicPoint.of(
-        x=X,
-        u=u,
-        nu=nu,
-        shape_operator=a,
-        induced_metric=gm,
-        mean_curvature=mean,
-        norm_a2=norm_a2,
-        principal=principal,
-        scalar_curvature=r_m,
-        w=w,
-        grad=grad,
-        grad_up=grad_up,
-        cov_hessian=hess_cov,
+    return _new(ExtrinsicPoint, dict(
+        x=X, u=u, nu=nu, shape_operator=a, induced_metric=gm, mean_curvature=mean, norm_a2=norm_a2,
+        principal=principal, scalar_curvature=r_m, w=w, grad=grad, grad_up=grad_up, cov_hessian=hess_cov,
         base_jet=mj,
-    )
+    ))
 
 
 def extrinsic_point(field: ScalarField, base, x) -> ExtrinsicPoint:
@@ -262,17 +249,10 @@ def slice_frames(points: ExtrinsicPoint, eps) -> tuple[np.ndarray, SliceFrame]:
     tangent = frame[:, :, 1:]
     a_sigma = tangent.mT @ points.cov_hessian @ tangent / grad_norm[:, None, None]
     a_sigma = 0.5 * (a_sigma + a_sigma.mT)
-    return regular, SliceFrame.of(
-        eps=eps,
-        x=points.x,
-        eta=-points.grad_up / grad_norm[:, None],
-        a_sigma=a_sigma,
-        h_sigma=trace(a_sigma),
-        cos_angle=grad_norm / points.w,
-        minor=minor,
-        frame=frame,
-        grad_norm=grad_norm,
-    )
+    return regular, _new(SliceFrame, dict(
+        eps=eps, x=points.x, eta=-points.grad_up / grad_norm[:, None], a_sigma=a_sigma, h_sigma=trace(a_sigma),
+        cos_angle=grad_norm / points.w, minor=minor, frame=frame, grad_norm=grad_norm,
+    ))
 
 
 def nonregular_error(points: ExtrinsicPoint, row: int) -> NonRegularPointError:

@@ -88,9 +88,7 @@ def _reports(which, fr: SliceFrame, *, lhs, rhs, h_mean, h_sigma, kappa, slice_e
     eigenvalues sit at `predicted` when the second largest distance to it is
     small."""
     spread = slice_eigs[:, -1] - slice_eigs[:, 0]
-    dist = np.abs(ambient_eigs - predicted[:, None])
-    dist.sort(axis=-1)
-    mult = dist[:, -2]
+    mult = np.sort(np.abs(ambient_eigs - predicted[:, None]), axis=-1)[:, -2]
     norm_slice = np.maximum(-slice_eigs[:, 0], slice_eigs[:, -1])
     norm_amb = np.maximum(-ambient_eigs[:, 0], ambient_eigs[:, -1])
     equal = (spread <= UMBILIC_TOL * (1.0 + norm_slice)) & (mult <= MULTIPLICITY_TOL * (1.0 + norm_amb))
@@ -226,11 +224,10 @@ def check_sphere(field: ScalarField, eps: float, x) -> InequalityReport:
 
 def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     """slice_points of each member f of a family at its levels eps[f], along
-    its rays dirs[f] from the center of the domain's probe cube: the arrays
-    (f, j, points) of the rows, in the order field, level, ray, root.
-    `at(idx)` is member idx, or a family for an index array. One `values`
-    call reads the samples every level shares, and `brentq_lanes` solves
-    all brackets at once."""
+    its rays dirs[f] from the domain's probe center: the arrays (f, j,
+    points) of the rows, in the order field, level, ray, root. `at(idx)` is
+    member idx, or a family for an index array. One `values` call reads the
+    samples every level shares, and `brentq_lanes` solves all brackets."""
     (F, L), (R, n), dom = eps.shape, dirs.shape[1:], at(0).domain
     # origin + t d, not t d: adding +0.0 turns a -0.0 coordinate into +0.0
     origin = dom.probe_cube()[0] + 0.0
@@ -263,8 +260,7 @@ def slice_points(
     field: ScalarField, eps: float, rays: int = 16, seed: int = 0, max_per_ray: int = MAX_PER_RAY
 ) -> list[np.ndarray]:
     """Deterministic points of {u = eps}: 1-D root finding along rays from the
-    center of the domain's probe cube, the origin for a centred domain
-    (golden-angle directions in 2-D, seeded unit vectors otherwise),
+    domain's probe center (golden-angle directions in 2-D, seeded otherwise),
     keeping regular interior points only; the one-field, one-level case of
     `_slice_rows`. A sample where the field is undefined is NaN and brackets
     no root. A root is kept if it lies inside the domain less the field's

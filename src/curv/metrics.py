@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConformalFactorError, MetricNotPositiveError
-from .util import Stacked, as_point, eye, outer
+from .util import Stacked, _new, as_point, eye, outer
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ class FlatMetric(Metric):
     def jets(self, X) -> MetricJet:
         m, n = len(X), self.dim
         g = eye(n)[None].repeat(m, axis=0)
-        return MetricJet.of(g=g, ginv=g, gamma=np.zeros((m, n, n, n)), ricci=np.zeros((m, n, n)), scalar=np.zeros(m))
+        gamma, ricci = np.zeros((m, n, n, n)), np.zeros((m, n, n))
+        return _new(MetricJet, dict(g=g, ginv=g, gamma=gamma, ricci=ricci, scalar=np.zeros(m)))
 
 
 class ConformalMetric(Metric):
@@ -113,7 +114,7 @@ class ConformalMetric(Metric):
         )
         ricci = -(n - 2) * (w2 - outer(w1, w1)) - (lap_w + (n - 2) * grad2)[:, None, None] * e
         scalar = phi2[:, 0, 0] * (-2.0 * (n - 1) * lap_w - (n - 1) * (n - 2) * grad2)
-        return MetricJet.of(g=e / phi2, ginv=e * phi2, gamma=gamma, ricci=ricci, scalar=scalar)
+        return _new(MetricJet, dict(g=e / phi2, ginv=e * phi2, gamma=gamma, ricci=ricci, scalar=scalar))
 
 
 #: GeneralMetric's finite-difference step
@@ -279,7 +280,7 @@ class AmbientSpec:
         factor that is not positive raises ConformalFactorError."""
         m = len(X)
         if self.phi_jet is None:
-            return PhiJet.of(value=np.ones(m), grad_x=np.zeros((m, self.base.dim)), dt=np.zeros(m))
+            return _new(PhiJet, dict(value=np.ones(m), grad_x=np.zeros((m, self.base.dim)), dt=np.zeros(m)))
         out = self.phi_jet(X, t)
         bad = out.value <= 0
         if np.count_nonzero(bad):
@@ -296,7 +297,7 @@ def round_ambient_factor(x, t) -> PhiJet:
     """phi = (1 + |x|^2 + t^2)/2, whose rescaled flat product is the round
     unit (n+1)-sphere; at a point, or at the rows of a stack x with heights t."""
     x = np.asarray(x, dtype=float)
-    return PhiJet.of(value=(1.0 + np.vecdot(x, x) + t * t) / 2.0, grad_x=x.copy(), dt=t)
+    return _new(PhiJet, dict(value=(1.0 + np.vecdot(x, x) + t * t) / 2.0, grad_x=x.copy(), dt=t))
 
 
 def spherical_ambient(dim: int) -> AmbientSpec:

@@ -5,9 +5,7 @@ import functools
 
 import numpy as np
 
-# np.einsum with no `optimize` calls this function; calling it directly skips
-# the Python wrapper and its dispatch (about 2 us of a one-row call)
-from numpy._core.multiarray import c_einsum as einsum
+from numpy._core.multiarray import c_einsum as einsum  # np.einsum less its wrapper, about 2 us a call
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -66,11 +64,6 @@ class Stacked:
         return _new(type(self), out)
 
     @classmethod
-    def of(cls, **fields):
-        """An instance from all of its fields, by name and in field order."""
-        return _new(cls, fields)
-
-    @classmethod
     def from_rows(cls, rows):
         """The stack of a nonempty list of one-point instances whose fields
         are all floats or arrays (no nested Stacked field and no None)."""
@@ -87,10 +80,8 @@ def _new(cls, values: dict):
 
 @functools.cache
 def eye(n: int) -> np.ndarray:
-    """The n x n identity, built once per n and read-only."""
-    out = np.eye(n)
-    out.flags.writeable = False
-    return out
+    """The n x n identity, built once per n: a read-only view."""
+    return np.broadcast_to(np.eye(n), (n, n))
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,10 +117,6 @@ def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-#: 4 eps, brentq's default rtol
-_EPS4 = 4.0 * float(np.finfo(float).eps)
-
-
 def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     """Brent's method on lanes, lane i on [a[i], b[i]]: a step-for-step array
     port of scipy's `brentq.c` (Brent 1973, ch. 4), so each root equals
@@ -144,10 +131,11 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     nan = np.isnan(fpre) | np.isnan(fcur)
     root = np.where(nan, np.nan, np.where(fpre == 0, a, np.where(fcur == 0, b, np.nan)))
     live = ~nan & (fpre != 0) & (fcur != 0)
-    if (np.signbit(fpre[live]) == np.signbit(fcur[live])).any():
+    if np.count_nonzero(live & (np.signbit(fpre) == np.signbit(fcur))):
         raise ValueError("f(a) and f(b) must have different signs")
     xpre, xcur = a, b
     xblk, fblk, spre, scur = np.zeros((4, a.size))
+    eps4 = 4.0 * np.finfo(float).eps
     with np.errstate(all="ignore"):  # closed lanes, and the trial steps of bisecting ones, are ignored
         for _ in range(maxiter):
             # a product's sign bit is its factors' differing, also where it rounds to 0 or inf
@@ -157,30 +145,34 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
                 np.copyto(fblk, fpre, where=flip)
                 np.copyto(spre, xcur - xpre, where=flip)
                 np.copyto(scur, spre, where=flip)
-            swap = np.abs(fblk) < np.abs(fcur)
+            afcur = np.abs(fcur)
+            swap = np.abs(fblk) < afcur
             if np.count_nonzero(swap):
                 xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
                 fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (xtol + _EPS4 * np.abs(xcur)) / 2  # brentq's default rtol
+                afcur = np.abs(fcur)
+            delta = (xtol + eps4 * np.abs(xcur)) / 2  # brentq's default rtol
             sbis = (xblk - xcur) / 2
             abis, apre = np.abs(sbis), np.abs(spre)
             done = live & ((fcur == 0) | (abis < delta))
             np.copyto(root, xcur, where=done)
-            live &= ~done
+            live ^= done
             if not np.count_nonzero(live):
                 return root
-            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            dx, df = xpre - xcur, fpre - fcur
+            dpre, dblk = df / dx, (fblk - fcur) / (xblk - xcur)
             nfcur = -fcur
-            interpolate = nfcur * (xcur - xpre) / (fcur - fpre)
+            interpolate = nfcur * dx / df  # brentq's (xcur - xpre) / (fcur - fpre): both negations are exact
             extrapolate = nfcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             stry = np.where(xpre == xblk, interpolate, extrapolate)
-            short = (apre > delta) & (np.abs(fcur) < np.abs(fpre))
+            short = (apre > delta) & (afcur < np.abs(fpre))
             short &= 2 * np.abs(stry) < np.minimum(apre, 3 * abis - delta)
             spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
             # an open lane has sbis != 0, so the bisection step takes its sign
             step = np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
             xpre, fpre, xcur, fcur = xcur, fcur, xcur + step, np.zeros(a.size)
-            fcur[live] = f(xcur[live], lanes[live])
+            open_ = live.nonzero()[0]  # lanes[live]
+            fcur[open_] = f(xcur[open_], open_)
             live &= ~np.isnan(fcur)
     if live.any():
         raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur[live][0]}")
