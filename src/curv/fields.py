@@ -605,8 +605,10 @@ def _stencil(n: int):
     rows += [(c, d) for i, j in zip(k, l) for c in pm[i] for d in pm[j]]
     sym = np.diag(np.arange(n))
     sym[k, l] = sym[l, k] = n + np.arange(len(k))
-    a, b = np.array(rows).transpose(1, 0, 2)
-    return a, b, (np.arange(len(rows)) > 2 * n).astype(int), sym
+    out = (*np.array(rows).transpose(1, 0, 2), (np.arange(len(rows)) > 2 * n).astype(int), sym)
+    for arr in out:  # shared by every call: read-only
+        arr.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

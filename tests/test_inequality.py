@@ -126,6 +126,13 @@ class TestDispatcherAndRoutes:
     def test_which_tuple(self):
         assert WHICH == ("prod", "phi", "euclid", "sphere")
 
+    def test_checks_refuses_levels_that_do_not_match_the_rows(self):
+        field, X = random_trig_field(2, 1), np.full((3, 2), 0.1)
+        with pytest.raises(ValueError, match=r"eps of shape \(2,\).*X, shape \(3, 2\)"):
+            checks("prod", field, [0.1, 0.2], X)
+        regular, reports = checks("prod", field, field.values(X), X)  # one level per row
+        assert len(reports) == 3
+
     def test_unit_conformal_factor_matches_product(self):
         field = random_trig_field(2, seed=11)
         eps = pick_levels(field, 1, 3)[0]
@@ -329,6 +336,26 @@ class TestSliceScanReference:
         assert len(got) == len(want) > 0
         assert max(np.max(np.abs(p - q)) for p, q in zip(got, want)) <= 1e-12
 
+    @pytest.mark.parametrize("ball, rotated", [
+        (Ball(2, 1.0, center=(3.0, 3.0)), False),
+        (Ball(2, 0.3, center=(3.0, 0.5)), False),
+        (Ball(2, 1.0, center=(3.0, 3.0)), True),
+    ])
+    def test_off_centre_domains_are_sliced_from_their_center(self, ball, rotated, monkeypatch):
+        """Rays from the origin miss these balls (or cross them only a few
+        times); from the probe cube's center every level gets points, the
+        per-sample loop's from there."""
+        field = RadialField(2, lambda r, order: (r * r, 2 * r, 2.0), ball)
+        if rotated:
+            field = RotatedField(field, np.array([[0.6, -0.8], [0.8, 0.6]]))
+        center = field.domain.probe_cube()[0]
+        for eps in pick_levels(field, 3, seed=4):
+            pts = slice_points(field, eps, rays=16)
+            assert len(pts) > 0
+            want = [p for d in unit_directions(2, 16, 0) for p in reference_ray(field, eps, center, d)]
+            assert len(pts) == len(want)
+            assert max(np.max(np.abs(p - q)) for p, q in zip(pts, want)) <= 1e-12
+
     def test_grid_roots_respect_the_evaluation_margin(self):
         # rays stop 1e-6 short of the box, but a grid is only evaluated 2h inside it
         grid = sample_to_grid(random_trig_field(2, 5), origin=(-1, -1), h=0.05, counts=(41, 41))
@@ -466,7 +493,7 @@ class TestPickLevelsReference:
     @pytest.mark.parametrize("rotated", [False, True])
     def test_off_centre_ball(self, rotated):
         # the probe cube sits on the ball's center (3, 3), or on q^T (3, 3) for the rotated
-        # field; the slice rays still start at the origin
+        # field, and so do the slice rays (TestSliceScanReference)
         field = RadialField(2, lambda r, order: (r * r, 2 * r, 2.0), Ball(2, 1.0, center=(3.0, 3.0)))
         if rotated:
             field = RotatedField(field, np.array([[0.6, -0.8], [0.8, 0.6]]))
