@@ -51,7 +51,6 @@ class ConformalPoint(Stacked):
     point: ExtrinsicPoint
     factor: PhiJet  # the ambient factor jet at (x, u)
     dphi_nu: float
-    shape_operator: np.ndarray
     mean_curvature: float
     norm_a2: float
     principal: np.ndarray
@@ -61,6 +60,11 @@ class ConformalPoint(Stacked):
     def dim(self) -> int:
         return self.point.dim
 
+    @property
+    def shape_operator(self) -> np.ndarray:
+        """Abar = phi A + nu(phi) I, computed when it is read."""
+        return conformal_shape(self.point, self.factor.value, self.dphi_nu)
+
 
 def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPoint:
     """Graph geometry at every row of X, shape (m, n), in the conformally
@@ -69,7 +73,6 @@ def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPo
     pt = extrinsic_points(field, ambient.base, X)
     pj = ambient.phis(pt.x, pt.u)
     mu = normal_derivative(pt, pj)
-    abar = conformal_shape(pt, pj.value, mu)
     n = pt.dim
     principal = pj.value[:, None] * pt.principal + mu[:, None]
     principal.sort(axis=-1)
@@ -81,8 +84,8 @@ def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPo
     if ambient.is_round_sphere:
         scalar = n * (n - 1) + hbar * hbar - norm2
     return _new(ConformalPoint, dict(
-        point=pt, factor=pj, dphi_nu=mu, shape_operator=abar, mean_curvature=hbar, norm_a2=norm2,
-        principal=principal, scalar_curvature=scalar,
+        point=pt, factor=pj, dphi_nu=mu, mean_curvature=hbar, norm_a2=norm2, principal=principal,
+        scalar_curvature=scalar,
     ))
 
 
