@@ -114,7 +114,7 @@ def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
         return ring_directions(count)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))  # np.linalg.norm's own reduction
 
 
 def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:

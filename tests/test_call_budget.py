@@ -54,9 +54,9 @@ def route(name):
 #: before the route's numpy calls were cut
 BUDGETS = {
     "check-prod": 160,  # 225
-    "check-phi": 192,  # 269
+    "check-phi": 185,  # 269
     "extrinsic-point": 86,  # 112
-    "slice-points": 266,  # 306
+    "slice-points": 219,  # 306
 }
 
 
