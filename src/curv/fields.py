@@ -84,8 +84,7 @@ class _RoundDomain:
     def contains(self, x: np.ndarray, margin=0.0):
         """Whether x lies in the domain less the margin (one value, or one
         per row): a bool for a point, a mask for a stack of rows."""
-        # a zero center is not subtracted: the square takes the sign off a zero
-        d = x if self.center is None else x - self._center()
+        d = x if self.center is None else x - self._center()  # x - 0.0 is x, -0.0 included
         r = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
         inside = (self.inner + margin <= r) & (r <= self.rim - margin)
         return inside if np.ndim(x) > 1 else bool(inside)
