@@ -234,10 +234,11 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     extents = dom.ray_extent(origin, dirs.reshape(-1, n), margin=1e-6).reshape(F, R)
     extents[~np.isfinite(extents)] = 2.0
     # each row is the ray's np.linspace(0.0, extent, SAMPLES_PER_RAY), as linspace computes it: k times
-    # the step, or (k / div) times the extent where any step of the call is 0; + 0.0 is its start
+    # the step, or (k / div) times the extent where any step of the call is 0, plus the start 0.0
     k, div = np.arange(SAMPLES_PER_RAY, dtype=float), SAMPLES_PER_RAY - 1
     step = extents[..., None] / div
-    ts = (k / div * extents[..., None] if np.count_nonzero(step == 0) else k * step) + 0.0
+    ts = k / div * extents[..., None] if np.count_nonzero(step == 0) else k * step
+    ts += 0.0
     ts[..., -1] = extents
     X = origin + ts[..., None] * dirs[:, :, None, :]
     vals = at(np.arange(F)[:, None]).values(X.reshape(F, -1, n)).reshape(F, 1, R, -1) - eps[:, :, None, None]
