@@ -341,7 +341,7 @@ class TestSliceScanReference:
         (Ball(2, 0.3, center=(3.0, 0.5)), False),
         (Ball(2, 1.0, center=(3.0, 3.0)), True),
     ])
-    def test_off_centre_domains_are_sliced_from_their_center(self, ball, rotated, monkeypatch):
+    def test_off_centre_domains_are_sliced_from_their_center(self, ball, rotated):
         """Rays from the origin miss these balls (or cross them only a few
         times); from the probe cube's center every level gets points, the
         per-sample loop's from there."""
