@@ -192,13 +192,17 @@ class SliceFrame(Stacked):
     a_sigma: np.ndarray  # shape operator of Sigma in the orthonormal frame E_2..E_n
     h_sigma: float
     cos_angle: float  # <nu, eta> = |grad u|/W in [0, 1]
-    minor: np.ndarray  # (A|1) of the graph shape operator in the adapted frame
     frame: np.ndarray  # columns E_1 = grad u/|grad u|, E_2, ..., E_n
     grad_norm: float
+    point: ExtrinsicPoint  # the graph point the frame was built on
 
     @property
     def dim(self) -> int:
         return self.x.shape[-1]
+
+    @property
+    def minor(self) -> np.ndarray:  # (A|1) of the graph shape operator in the adapted frame, computed when read
+        return adapted_matrix(self.frame, self.point.base_jet.g, self.point.shape_operator)[..., 1:, 1:]
 
 
 def level_slice(field: ScalarField, base, eps: float, x) -> SliceFrame:
@@ -243,15 +247,13 @@ def slice_frames(points: ExtrinsicPoint, eps) -> tuple[np.ndarray, SliceFrame]:
     eps = np.full(regular.shape, eps, dtype=float)
     if np.count_nonzero(regular) < len(regular):
         points, grad_norm, eps = points.select(regular), grad_norm[regular], eps[regular]
-    g = points.base_jet.g
-    frame = adapted_frames(points.grad_up, g)
-    minor = adapted_matrix(frame, g, points.shape_operator)[:, 1:, 1:]
+    frame = adapted_frames(points.grad_up, points.base_jet.g)
     tangent = frame[:, :, 1:]
     a_sigma = tangent.mT @ points.cov_hessian @ tangent / grad_norm[:, None, None]
     a_sigma = 0.5 * (a_sigma + a_sigma.mT)
     return regular, _new(SliceFrame, dict(
         eps=eps, x=points.x, eta=-points.grad_up / grad_norm[:, None], a_sigma=a_sigma, h_sigma=trace(a_sigma),
-        cos_angle=grad_norm / points.w, minor=minor, frame=frame, grad_norm=grad_norm,
+        cos_angle=grad_norm / points.w, frame=frame, grad_norm=grad_norm, point=points,
     ))
 
 
