@@ -66,8 +66,9 @@ class Box:
         return t if np.ndim(direction) > 1 else float(t)
 
     def probe_cube(self) -> tuple[np.ndarray, float]:
-        """Center and half-width of the origin-centred cube that covers the box."""
-        return np.zeros(self.dim), max(abs(v) for v in (*self.lo, *self.hi))
+        """Midpoint and half-width of the cube about it that covers the box."""
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        return 0.5 * (lo + hi), float(np.max(0.5 * (hi - lo)))
 
 
 class _RoundDomain:
@@ -197,6 +198,12 @@ class ScalarField:
     def margin(self, x: np.ndarray):
         """Boundary band the evaluation needs around x or each row (0 for analytic)."""
         return 0.0
+
+    def ray_slopes(self, dirs: np.ndarray, reach):
+        """(L, delta) on each ray o + t d, d a row of dirs, its points within
+        `reach` of 0 in each coordinate: |d/dt u| <= L, and delta bounds the
+        rounding of the slicer's block test; inf declares no bound."""
+        return (np.full(dirs.shape[:-1], np.inf),) * 2
 
 
 def _row_values(value: Callable, X, dim: int):
@@ -409,6 +416,21 @@ class TrigField(ScalarField):
 
     def values(self, X):
         return np.vecdot(np.sin(np.matvec(self.freqs, X) + self.phases), self.amps)
+
+    def ray_slopes(self, dirs, reach):
+        """L = sum_k |a_k| |f_k . d| bounds d/dt u(o + t d). With unit roundoff
+        r, C = n + K + 9 for K modes, S = sum_k |a_k| |f_k|_1 and rho = reach,
+        a value computed at fl(o + fl(t d)) is within N = C r (S rho + sum_k
+        |a_k| (1 + |phi_k|)) of u(o + t d): the point, the matvec and the phase
+        move the angle of mode k by (n + 5) r |f_k|_1 rho + r |phi_k|, sin
+        (taken as accurate to 4 ulps) adds 8 r and the sum K r sum_k |a_k|.
+        The computed L is at most C r (S + L) short, so delta = 8 C r (S rho +
+        sum_k |a_k| (1 + |phi_k|) + L rho) + 2^-500 exceeds 6 N, that shortfall
+        over t <= rho and the rounding of the block test (see `_slice_rows`)."""
+        a, c = np.abs(self.amps), self.dim + self.amps.shape[-1] + 9
+        slopes = np.vecdot(np.abs(np.matvec(self.freqs, dirs)), a)
+        size = (np.vecdot(a, np.add.reduce(np.abs(self.freqs), axis=-1)) + slopes) * reach
+        return slopes, 4.0 * _EPS * c * (size + np.vecdot(a, 1.0 + np.abs(self.phases))) + 2.0**-500
 
     def jets(self, X):
         args = np.matvec(self.freqs, X) + self.phases

@@ -49,6 +49,10 @@ MULTIPLICITY_TOL = 1e-6
 
 #: slice_points' scan samples per ray and roots kept per ray
 SAMPLES_PER_RAY, MAX_PER_RAY = 160, 2
+#: the scan's blocks of BLOCK intervals: their ends, and the samples of each (the last repeats the last)
+BLOCK = 8
+_ENDS = np.append(np.arange(0, SAMPLES_PER_RAY - 1, BLOCK), SAMPLES_PER_RAY - 1)
+_BLOCKS = np.minimum(_ENDS[:-1, None] + np.arange(BLOCK + 1), SAMPLES_PER_RAY - 1)
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,18 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     """slice_points of each member f of a family at its levels eps[f], along
     its rays dirs[f] from the domain's probe center: the arrays (f, j,
     points) of the rows, in the order field, level, ray, root. `at(idx)` is
-    member idx, or a family for an index array. One `values` call reads the
-    samples every level shares, and `brentq_lanes` solves all brackets."""
+    member idx, or a family for an index array.
+
+    The scan reads the ends of its blocks of BLOCK intervals, then the inner
+    samples of the blocks a level may cross: with (L, delta) = `ray_slopes`,
+    a block [A, B] is skipped where |z_A| + |z_B| > L (t_B - t_A) + delta, z
+    = v - e, at every level e (never at a NaN). A bracket [t_i, t_i+1] in it
+    would give z_i, z_i+1 opposite signs (or |z| < 2^-537, if their product
+    underflows), so |z_A| + |z_B| <= |z_i - z_A| + |z_i+1 - z_i| + |z_B -
+    z_i+1| (+ 2^-536) <= L (t_B - t_A) + 6 N, N the error of a value, which
+    delta exceeds. Each sample read is the full scan's, and so are the
+    brackets, put back in its order, and all that follows; `brentq_lanes`
+    solves all brackets."""
     (F, L), (R, n), dom = eps.shape, dirs.shape[1:], at(0).domain
     # origin + t d, not t d: adding +0.0 turns a -0.0 coordinate into +0.0
     origin = dom.probe_cube()[0] + 0.0
@@ -237,15 +251,27 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     # the step, or (k / div) times the extent where any step of the call is 0, plus the start 0.0
     k, div = np.arange(SAMPLES_PER_RAY, dtype=float), SAMPLES_PER_RAY - 1
     step = extents[..., None] / div
-    ts = k / div * extents[..., None] if np.count_nonzero(step == 0) else k * step
+    ts = k / div * extents[..., None] if 0.0 in step else k * step
     ts += 0.0
     ts[..., -1] = extents
-    X = origin + ts[..., None] * dirs[:, :, None, :]
-    vals = at(np.arange(F)[:, None]).values(X.reshape(F, -1, n)).reshape(F, 1, R, -1) - eps[:, :, None, None]
+    members = at(np.arange(F)[:, None])
+    slopes, delta = members.ray_slopes(dirs, np.maximum.reduce(np.abs(origin)) + extents)
+    ends, u = ts[..., _ENDS], np.empty_like(ts)  # u is read only where it is written
+    u[..., _ENDS] = members.values((origin + ends[..., None] * dirs[:, :, None, :]).reshape(F, -1, n)).reshape(F, R, -1)
+    z = np.abs(u[:, None, :, _ENDS] - eps[:, :, None, None])
+    far = z[..., :-1] + z[..., 1:] > (slopes[..., None] * (ends[..., 1:] - ends[..., :-1]) + delta[..., None])[:, None]
+    f, r, blk = (~np.logical_and.reduce(far, axis=1) & (extents > 0)[..., None]).nonzero()  # extent 0: no samples
+    cols = _BLOCKS[blk]
+    inner = f[:, None], r[:, None], cols[:, 1:-1]
+    u[inner] = at(f[:, None]).values(origin + ts[inner][..., None] * dirs[f, r, None, :])
+    vals = u[f[:, None], r[:, None], cols][:, None] - eps[f, :, None]
     a, b = vals[..., :-1], vals[..., 1:]
     bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
-    bracket &= (extents > 0)[:, None, :, None]  # a ray of extent 0 is not sampled
-    f, j, r, i = np.nonzero(bracket)
+    bracket &= (cols[:, 1:] > cols[:, :-1])[:, None]  # the repeated last sample brackets nothing
+    row, j, c = bracket.nonzero()
+    f, r, i = f[row], r[row], cols[row, c]
+    order = (((f * L + j) * R + r) * SAMPLES_PER_RAY + i).argsort()
+    f, j, r, i = f[order], j[order], r[order], i[order]
     d, e, lo, hi = dirs[f, r], eps[f, j], ts[f, r, i], ts[f, r, i + 1]
     roots = brentq_lanes(lambda t, k: at(f[k]).values(origin + t[:, None] * d[k]) - e[k], lo, hi, xtol=1e-13)
     P = origin + roots[:, None] * d
@@ -253,9 +279,9 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     ok[ok] = dom.contains(P[ok], margin=at(f[ok]).margin(P[ok]))
     grad = at(f[ok]).jets(P[ok])[1]
     ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < DELTA_REG)  # np.linalg.norm of each row, bit for bit
-    ray, before = (f * L + j) * R + r, np.cumsum(ok) - ok
-    reached = before - before[np.searchsorted(ray, ray)] < max_per_ray  # fewer roots kept before it on its ray
-    for k in np.flatnonzero(np.isnan(roots) & reached):
+    ray, before = (f * L + j) * R + r, ok.cumsum() - ok
+    reached = before - before[ray.searchsorted(ray)] < max_per_ray  # fewer roots kept before it on its ray
+    for k in (np.isnan(roots) & reached).nonzero()[0]:
         # a lane that met NaN, solved point by point, raises the field's error there
         brentq(lambda t, fk=at(f[k]): fk.value(origin + t * d[k]) - e[k], lo[k], hi[k], xtol=1e-13)
     keep = ok & reached

@@ -1,5 +1,5 @@
-"""Fixed cost of the one-row route, as a deterministic count, and the
-constants that route shares between calls.
+"""Fixed cost of the one-row route, as a deterministic count, the rows
+the slicer's scan reads, and the constants that route shares between calls.
 
 A one-row `check`, `extrinsic_point` or `slice_points` costs far more in
 Python and numpy call overhead than in arithmetic, so the number of calls it
@@ -11,12 +11,14 @@ calls to the route fails here, and one that removes calls should lower the
 budget.
 """
 
+import contextlib
+import io
 import sys
 
 import numpy as np
 import pytest
 
-from curv import fields, graphgeom, inequality, metrics, util
+from curv import cli, fields, graphgeom, inequality, metrics, util
 
 
 def profile_events(fn) -> int:
@@ -53,16 +55,35 @@ def route(name):
 #: call and c_call events per route call, and in each comment the count
 #: before the route's numpy calls were cut
 BUDGETS = {
-    "check-prod": 160,  # 225
-    "check-phi": 185,  # 269
+    "check-prod": 159,  # 225
+    "check-phi": 184,  # 269
     "extrinsic-point": 86,  # 112
-    "slice-points": 219,  # 306
+    "slice-points": 202,  # 306
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_one_row_call_budget(name):
     assert profile_events(route(name)) <= BUDGETS[name]
+
+
+#: trig rows that `TrigField.values` reads in a CLI run, and in each comment
+#: the count of the scan that read every sample
+TRIG_ROWS = {
+    ("verify", "inequality", "--which", "prod", "--seed", "0"): 22_521,  # 48,598
+    ("verify", "minor", "--fd", "--seed", "0"): 50_967,  # 111,241
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TRIG_ROWS), ids=" ".join)
+def test_trig_rows_read(argv, monkeypatch, tmp_path):
+    """The slicer's screen keeps the rows the trig kernel reads down; a
+    change that reads every sample again fails here."""
+    rows, values = [], fields.TrigField.values
+    monkeypatch.setattr(fields.TrigField, "values", lambda self, X: rows.append(np.size(out := values(self, X))) or out)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert sum(rows) <= TRIG_ROWS[argv]
 
 
 X3 = np.array([0.3, -0.2, 0.1])

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from curv import inequality
@@ -13,6 +14,7 @@ from curv.errors import OutOfDomainError
 from curv.fields import (
     Annulus,
     Ball,
+    Box,
     Constant,
     FiniteDifferenceField,
     Paraboloid,
@@ -23,6 +25,7 @@ from curv.fields import (
     RotatedField,
     ScalarField,
     SphereCap,
+    TrigField,
     random_trig_field,
     sample_to_grid,
     whole_space,
@@ -48,7 +51,7 @@ from curv.inequality import (
 )
 from curv.metrics import constant_ambient, product_ambient, round_sphere_base, spherical_ambient
 from curv.syminv import newton_gap
-from curv.util import unit_directions
+from curv.util import brentq_lanes, unit_directions
 
 
 class TestEqualityCases:
@@ -356,6 +359,27 @@ class TestSliceScanReference:
             assert len(pts) == len(want)
             assert max(np.max(np.abs(p - q)) for p, q in zip(pts, want)) <= 1e-12
 
+    def test_off_centre_box_is_sliced_from_its_midpoint(self):
+        """A grid away from the origin is probed and sliced from the box's
+        midpoint: every level gets the full scan's points from there, more
+        than the 2, 3 and 2 that rays from the origin found."""
+        grid = sample_to_grid(random_trig_field(2, 5), origin=(0.5, 0.5), h=0.05, counts=(41, 41))
+        center, extent = grid.domain.probe_cube()
+        assert center.tolist() == [1.5, 1.5] and extent == 1.0
+        for eps in pick_levels(grid, 3, seed=1):
+            pts = slice_points(grid, eps)
+            want = full_scan_rows(lambda idx: grid, np.array([[eps]]), unit_directions(2, 16, 0)[None])[2]
+            assert len(pts) == len(want) > 3
+            assert np.array(pts).tobytes() == want.tobytes()
+
+    def test_symmetric_box_probes_from_the_origin(self):
+        """A box symmetric about 0 keeps the origin-centred cube, +0.0 in
+        every coordinate, so its draws stay bit for bit."""
+        grid = sample_to_grid(random_trig_field(2, 4), origin=np.array([-1.0, -1.0]), h=0.1, counts=(21, 21))
+        center, extent = grid.domain.probe_cube()
+        assert center.tobytes() == np.zeros(2).tobytes()
+        assert extent == max(abs(v) for v in (*grid.domain.lo, *grid.domain.hi)) == 1.0
+
     def test_grid_roots_respect_the_evaluation_margin(self):
         # rays stop 1e-6 short of the box, but a grid is only evaluated 2h inside it
         grid = sample_to_grid(random_trig_field(2, 5), origin=(-1, -1), h=0.05, counts=(41, 41))
@@ -410,6 +434,141 @@ class TestNanLanes:
         got = slice_points(field, 0.0, rays=1, max_per_ray=1)
         assert len(got) == len(want) == 1
         assert np.array_equal(got[0], want[0])
+
+
+def full_scan_grid(at, F, dirs):
+    """The scan's origin, extents, sample positions ts (F, R, S) and the
+    values at every sample, as the full scan reads them: one `values` call."""
+    (R, n), dom = dirs.shape[1:], at(0).domain
+    origin = dom.probe_cube()[0] + 0.0
+    extents = dom.ray_extent(origin, dirs.reshape(-1, n), margin=1e-6).reshape(F, R)
+    extents[~np.isfinite(extents)] = 2.0
+    k, div = np.arange(inequality.SAMPLES_PER_RAY, dtype=float), inequality.SAMPLES_PER_RAY - 1
+    step = extents[..., None] / div
+    ts = k / div * extents[..., None] if np.count_nonzero(step == 0) else k * step
+    ts += 0.0
+    ts[..., -1] = extents
+    X = origin + ts[..., None] * dirs[:, :, None, :]
+    return origin, extents, ts, X, at(np.arange(F)[:, None]).values(X.reshape(F, -1, n)).reshape(F, R, -1)
+
+
+def full_scan_rows(at, eps, dirs, max_per_ray=inequality.MAX_PER_RAY):
+    """_slice_rows with every sample read: the reference for the screened scan."""
+    (F, L), R, dom = eps.shape, dirs.shape[1], at(0).domain
+    origin, extents, ts, _, u = full_scan_grid(at, F, dirs)
+    vals = u[:, None] - eps[:, :, None, None]
+    a, b = vals[..., :-1], vals[..., 1:]
+    bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
+    bracket &= (extents > 0)[:, None, :, None]
+    f, j, r, i = np.nonzero(bracket)
+    d, e, lo, hi = dirs[f, r], eps[f, j], ts[f, r, i], ts[f, r, i + 1]
+    roots = brentq_lanes(lambda t, k: at(f[k]).values(origin + t[:, None] * d[k]) - e[k], lo, hi, xtol=1e-13)
+    P = origin + roots[:, None] * d
+    ok = ~np.isnan(roots)
+    ok[ok] = dom.contains(P[ok], margin=at(f[ok]).margin(P[ok]))
+    grad = at(f[ok]).jets(P[ok])[1]
+    ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < DELTA_REG)
+    ray, before = (f * L + j) * R + r, np.cumsum(ok) - ok
+    keep = ok & (before - before[np.searchsorted(ray, ray)] < max_per_ray)
+    return f[keep], j[keep], P[keep]
+
+
+def assert_same_rows(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def screened_cases(draw):
+    """A trig family, its rays and its levels: amplitudes and frequencies
+    scaled by 1e-6 to 1e6, levels at a sample value, at a ray's sample
+    extremum, at the field's bound or in its range, and domains whose rays
+    include ones of extent 0. A "linear" family has one mode of frequency
+    1e-9 to 1e-5 with a zero of the sine at the origin, and rays along the
+    frequency: a block then changes by nearly L (t_B - t_A), and only the
+    rounding term of the test keeps the blocks that a sample level sits in."""
+    n, F, linear = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 30)), draw(st.booleans())
+    R, L = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    K = 1 if linear else draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.uniform(0.1, 1.0, (F, K)) * 10.0 ** draw(st.integers(-6, 6))
+    freqs = rng.uniform(-1.7, 1.7, (F, K, n)) * 10.0 ** draw(st.integers(-9, -5) if linear else st.integers(-6, 6))
+    phases = rng.choice([0.0, np.pi], (F, K)) if linear else rng.uniform(0.0, 2.0 * np.pi, (F, K))
+    domain = draw(st.sampled_from(["ball", "box", "thin"]))
+    domain = {
+        "ball": Ball(n, 2.0),
+        "box": Box((0.2,) * n, (1.7,) + (1.1,) * (n - 1)),
+        # 2e-7 wide across axis 0: a ray with d_0 != 0 has extent 0
+        "thin": Box((-1e-7,) + (-1.0,) * (n - 1), (1e-7,) + (1.0,) * (n - 1)),
+    }[domain]
+    dirs = freqs[:, :1] * rng.choice([-1.0, 1.0], (F, R, 1)) if linear else rng.normal(size=(F, R, n))
+    dirs[:, ::2, 0] = 0.0
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    family = TrigField(amps, freqs, phases, domain)
+    *_, u = full_scan_grid(family.rows, F, dirs)
+    f, r = np.arange(F), rng.integers(0, R, F)
+    kinds = [draw(st.sampled_from(["sample", "max", "min", "bound", "range"])) for _ in range(L)]
+    eps = np.stack([{
+        "sample": lambda: u[f, r, rng.integers(0, u.shape[-1], F)],
+        "max": lambda: u[f, r].max(axis=-1),
+        "min": lambda: u[f, r].min(axis=-1),
+        "bound": lambda: np.abs(amps).sum(axis=-1),
+        "range": lambda: rng.uniform(u[f, r].min(axis=-1), u[f, r].max(axis=-1)),
+    }[kind]() for kind in kinds], axis=1)
+    return family, eps, dirs
+
+
+class TestScreenedScan:
+    """The block scan that skips the blocks no level can cross keeps the
+    full scan's rows bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(screened_cases())
+    def test_trig_families_keep_the_full_scan_rows(self, case):
+        family, eps, dirs = case
+        assert_same_rows(inequality._slice_rows(family.rows, eps, dirs), full_scan_rows(family.rows, eps, dirs))
+
+    def test_the_screen_skips_blocks(self):
+        """On a generic field at a mid-range level most blocks are skipped."""
+        field = random_trig_field(3, 4)
+        read = []
+        field.values = lambda X, values=field.values: read.append(np.size(values(X))) or values(X)
+        eps = np.array([[pick_levels(field, 1, seed=2)[0]]])
+        dirs = unit_directions(3, 12, 5)[None]
+        inequality._slice_rows(lambda idx: field, eps, dirs)
+        assert sum(read[:2]) < 0.6 * 12 * inequality.SAMPLES_PER_RAY
+
+    FIELDS = {
+        "poly": (quartic_bowl, 0.0),
+        "grid": (lambda: sample_to_grid(random_trig_field(2, 5), origin=(0.5, 0.5), h=0.05, counts=(41, 41)), None),
+        "fd-nan": (cap_without_domain, 0.3),
+        "radial-E-f-nan": (lambda: parse_field("radial:E-f", 2), 0.8),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    def test_kinds_without_a_bound_read_every_sample(self, kind):
+        make, eps = self.FIELDS[kind]
+        field = make()
+        eps = np.array([[pick_levels(field, 1, seed=2)[0] if eps is None else eps]])
+        dirs = unit_directions(2, 12, 5)[None]
+        read = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(field, name)
+
+            def values(self, X):
+                read.append(np.reshape(X, (-1, 2)))
+                return field.values(X)
+
+        got = inequality._slice_rows(lambda idx: Recording(), eps, dirs)
+        _, _, _, X, u = full_scan_grid(lambda idx: field, 1, dirs)
+        assert np.isnan(u).any() == kind.endswith("-nan")
+        assert {x.tobytes() for x in X.reshape(-1, 2)} <= {x.tobytes() for x in np.concatenate(read[:2])}
+        want = full_scan_rows(lambda idx: field, eps, dirs)
+        assert len(want[0])
+        assert_same_rows(got, want)
 
 
 def reference_probes(field, seed, probes=256):
