@@ -80,7 +80,13 @@ def test_trig_rows_read(argv, monkeypatch, tmp_path):
     """The slicer's screen keeps the rows the trig kernel reads down; a
     change that reads every sample again fails here."""
     rows, values = [], fields.TrigField.values
-    monkeypatch.setattr(fields.TrigField, "values", lambda self, X: rows.append(np.size(out := values(self, X))) or out)
+
+    def counting(self, X):
+        out = values(self, X)
+        rows.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(fields.TrigField, "values", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
     assert sum(rows) <= TRIG_ROWS[argv]
