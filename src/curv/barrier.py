@@ -15,7 +15,9 @@ comparison at the touch uses the ring mean curvature
     ((n-1)/rho) (1 + eps^2 - rho^2)/2
 
 of the sphere of radius rho at height eps, taken with the inward normal, in
-the round-sphere-factor ambient.
+the round-sphere-factor ambient. The closed form is checked against the
+Hbar_Sigma that the production `phi` inequality check reports on a cone
+field.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import NoTouchError, NonFiniteJetError, NonRegularPointError
 from .fields import Annulus, RadialField, ScalarField
-from .graphgeom import extrinsic_point, slice_frame_of_point
+from .inequality import check
 from .metrics import spherical_ambient
 from .util import as_point, unit_directions
 
@@ -43,25 +45,15 @@ def ring_mean_curvature(radius: float, eps: float, dim: int) -> float:
 
 
 def ring_mean_curvature_via_slices(radius: float, eps: float, dim: int) -> float:
-    """Same ring value, but through the generic slice/conformal pipeline on a
-    radial cone field; serves as an independent cross-check."""
-    from .conformal import slice_trace_from_ambient
+    """Same ring value, but as the Hbar_Sigma of the production `phi`
+    inequality check on a radial cone field; serves as an independent
+    cross-check."""
 
     def cone(r, order):
         return r - radius + eps, 1.0, 0.0
 
-    field = RadialField(
-        dim,
-        cone,
-        Annulus(dim, radius / 2.0, min(2.0 * radius, radius + 0.5)),
-        name="cone",
-    )
-    x0 = np.zeros(dim)
-    x0[0] = radius
-    pt = extrinsic_point(field, spherical_ambient(dim).base, x0)
-    fr = slice_frame_of_point(pt, eps)
-    trace = slice_trace_from_ambient(fr, pt, spherical_ambient(dim))
-    return trace.hbar_sigma
+    field = RadialField(dim, cone, Annulus(dim, radius / 2.0, min(2.0 * radius, radius + 0.5)), name="cone")
+    return check("phi", field, eps, radius * np.eye(dim)[0], spherical_ambient(dim)).h_sigma
 
 
 # ---------------------------------------------------------------------------

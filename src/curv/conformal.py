@@ -7,7 +7,10 @@ normal. For a level slice Sigma inside N x {eps} the same shift with the
 slice normal eta gives Abar_Sigma = phi A_Sigma + eta(phi) I, and splitting
 nu into its eta and d_t parts turns the exact minor relation into
 
-    phi (A|1) + nu(phi) I = <nu, eta> Abar_Sigma + <nu, d_t> phi_t I.
+    phi (A|1) + nu(phi) I = <nu, eta> Abar_Sigma + <nu, d_t> phi_t I,
+
+whose trace is the bracket B of the `phi` inequality in `curv.inequality`;
+that check computes Abar_Sigma and Hbar_Sigma.
 
 The distinguished factor phi = (1 + |X|^2)/2 on R^{n+1} produces the round
 unit sphere; for graphs over R^n its mean curvature operator evaluates as
@@ -22,9 +25,9 @@ import numpy as np
 
 from .errors import ConformalFactorError
 from .fields import ScalarField, eval_jet
-from .graphgeom import ExtrinsicPoint, SliceFrame, extrinsic_points
+from .graphgeom import ExtrinsicPoint, extrinsic_points
 from .metrics import AmbientSpec, PhiJet
-from .util import Stacked, _new, as_point, eye, maxabs
+from .util import Stacked, _new, as_point, eye
 
 
 def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
@@ -111,68 +114,3 @@ def mean_curvature_spherical(field: ScalarField, x) -> float:
     phi = (1.0 + float(x @ x) + jet.value**2) / 2.0
     flat = float(np.trace((np.eye(n) - np.outer(g, g) / w2) @ jet.hessian)) / w
     return phi * flat + n * (jet.value - float(x @ g)) / w
-
-
-@dataclass(frozen=True)
-class SliceTrace:
-    """Both sides of the conformal minor relation at a slice point."""
-
-    minor_bar: np.ndarray  # phi (A|1) + nu(phi) I
-    rhs: np.ndarray  # cos * Abar_Sigma + <nu, d_t> phi_t I
-    abar_sigma: np.ndarray
-    hbar_sigma: float
-    trace_lhs: float
-    trace_rhs: float
-
-    @property
-    def residual(self) -> float:
-        return maxabs(self.minor_bar - self.rhs)
-
-
-def conformal_slice_trace(
-    frame: SliceFrame,
-    point: ExtrinsicPoint,
-    phi: float,
-    dphi_eta: float,
-    phi_t: float,
-    dphi_nu: float | None = None,
-) -> SliceTrace:
-    """Evaluate the conformal minor relation.
-
-    The left side uses nu(phi) computed from the ambient factor data; the
-    right side decomposes nu into <nu,eta> eta + <nu,d_t> d_t, so the two
-    sides exercise independent code paths. When dphi_nu is not given it is
-    assembled from the decomposition (the identity is then exact by
-    construction and only tests the matrix plumbing).
-    """
-    if phi <= 0:
-        raise ConformalFactorError(f"conformal factor {phi} must be positive")
-    if frame.dim != point.dim:
-        raise ValueError("frame and point dimensions differ")
-    n = point.dim
-    eye = np.eye(n - 1)
-    nu_t = point.nu[-1]
-    if dphi_nu is None:
-        dphi_nu = frame.cos_angle * dphi_eta + nu_t * phi_t
-    minor_bar = phi * frame.minor + dphi_nu * eye
-    abar_sigma = phi * frame.a_sigma + dphi_eta * eye
-    rhs = frame.cos_angle * abar_sigma + nu_t * phi_t * eye
-    hbar_sigma = float(np.trace(abar_sigma))
-    return SliceTrace(
-        minor_bar=minor_bar,
-        rhs=rhs,
-        abar_sigma=abar_sigma,
-        hbar_sigma=hbar_sigma,
-        trace_lhs=float(np.trace(minor_bar)),
-        trace_rhs=frame.cos_angle * hbar_sigma + (n - 1) * nu_t * phi_t,
-    )
-
-
-def slice_trace_from_ambient(frame: SliceFrame, point: ExtrinsicPoint, ambient: AmbientSpec) -> SliceTrace:
-    """conformal_slice_trace with all factor data drawn from the ambient spec;
-    nu(phi) comes from the ambient gradient directly, so both sides are
-    genuinely independent evaluations."""
-    pj = ambient.phi(point.x, point.u)
-    dphi_eta = float(pj.grad_x @ frame.eta)
-    dphi_nu = normal_derivative(point, pj)
-    return conformal_slice_trace(frame, point, pj.value, dphi_eta, pj.dt, dphi_nu=dphi_nu)

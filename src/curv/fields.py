@@ -92,12 +92,12 @@ class _RoundDomain:
 
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
         """Largest t >= 0 with |center + t d - c| <= rim - margin, for d or
-        each row of a stack."""
+        each row of a stack; 0 where the rim less the margin is negative."""
         c = center if self.center is None else center - self._center()
         r = self.rim - margin
         b = np.vecdot(direction, c)
         disc = b * b - (c @ c - r * r)
-        t = np.where(disc < 0, 0.0, np.maximum(-b + np.sqrt(np.maximum(disc, 0.0)), 0.0))
+        t = np.where((disc < 0) | (r < 0), 0.0, np.maximum(-b + np.sqrt(np.maximum(disc, 0.0)), 0.0))
         return t if np.ndim(direction) > 1 else float(t)
 
     def probe_cube(self) -> tuple[np.ndarray, float]:

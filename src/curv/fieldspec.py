@@ -90,10 +90,11 @@ def parse_field(spec: str, dim: int = 2) -> ScalarField:
         monos = graded_lex_monomials(dim, len(coeffs))
         return PolynomialField(dim, list(zip(coeffs, monos)))
     if name in ("trig", "random"):
-        params = _floats(rest) if rest else [0.0]
-        seed = int(params[0])
-        modes = int(params[1]) if len(params) > 1 else 4
-        return random_trig_field(dim, seed, modes=modes)
+        try:
+            params = [int(tok) for tok in rest.split(",") if tok.strip()] or [0]
+        except ValueError:
+            raise ValueError(f"{name} needs an integer seed and mode count, got {rest!r}") from None
+        return random_trig_field(dim, params[0], modes=params[1] if len(params) > 1 else 4)
     if name == "radial":
         if dim != 2:
             raise ValueError(f"radial profiles are two-dimensional, got dim {dim}")

@@ -303,10 +303,11 @@ def intrinsic_scalar_curvature(field: ScalarField, base, x) -> float:
     Gauss-relation route inside extrinsic_point."""
     x = as_point(x, field.dim)
 
-    def components(y):
-        gy = base.components(y)
-        dy = field.gradient(y)
-        return gy + np.outer(dy, dy)
+    def components(Y):
+        du = field.jets(Y)[1]
+        for y in Y[np.isnan(du).any(axis=1)]:
+            field.gradient(y)  # an undefined stencil point raises the field's own error
+        return base.jets(Y).g + outer(du, du)
 
     induced = GeneralMetric(field.dim, components, name="induced")
     return metric_jet(induced, x).scalar

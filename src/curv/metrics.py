@@ -5,8 +5,11 @@ Supported kinds:
 * flat (identity components, zero curvature),
 * conformally flat g = phi^-2 delta with closed-form Christoffel symbols and
   Ricci/scalar curvature assembled from the jets of w = -log(phi),
-* general component callables with curvature from fourth-order central
-  finite differences on the components.
+* general component callables on stacks of points, with curvature from one
+  fourth-order central-difference program over the stencils of all rows.
+
+Each kind defines one route, `jets(X)` on a stack of rows; `jet(x)` is its
+one-row case.
 
 The ambient product space is N x R with metric g + dt^2, optionally rescaled
 by a conformal factor phi(x, t)^-2; `AmbientSpec` bundles the base with the
@@ -14,13 +17,14 @@ factor's first-order jet.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConformalFactorError, MetricNotPositiveError
-from .util import Stacked, _new, as_point, eye, outer
+from .util import Stacked, _new, as_point, einsum, eye, outer
 
 
 @dataclass(frozen=True)
@@ -37,21 +41,13 @@ class MetricJet(Stacked):
 
 
 class Metric:
-    """Base of the metric kinds. A kind defines one of `jets(X)`, the
-    MetricJet stack on the rows of X, shape (m, n), and `jet(x)`, the jet at
-    one point. The other is derived: `jet(x)` is row 0 of the stack of x, and
-    `jets` stacks `jet` row by row, so row i of a stack equals jet(X[i]) bit
-    for bit either way."""
+    """Base of the metric kinds. A kind defines `jets(X)`, the MetricJet
+    stack on the rows of X, shape (m, n), as one array program whose rows do
+    not mix; `jet(x)` is row 0 of the stack of x, so row i of a stack equals
+    jet(X[i]) bit for bit."""
 
     def jet(self, x) -> MetricJet:
         return self.jets(as_point(x, self.dim)[None]).row(0)
-
-    def jets(self, X) -> MetricJet:
-        if len(X) == 0:  # from_rows takes the field names from a row
-            n = self.dim
-            mats = np.empty((0, n, n))
-            return MetricJet(mats, mats, np.empty((0, n, n, n)), mats, np.empty(0))
-        return MetricJet.from_rows([self.jet(x) for x in X])
 
 
 class FlatMetric(Metric):
@@ -60,9 +56,6 @@ class FlatMetric(Metric):
     def __init__(self, dim: int):
         self.dim = dim
         self.name = "flat"
-
-    def components(self, x) -> np.ndarray:
-        return eye(self.dim)
 
     def jets(self, X) -> MetricJet:
         m, n = len(X), self.dim
@@ -88,9 +81,6 @@ class ConformalMetric(Metric):
         self.dim = dim
         self.factor_jet = factor_jet
         self.name = name
-
-    def components(self, x) -> np.ndarray:
-        return self.jet(x).g
 
     def jets(self, X) -> MetricJet:
         n = self.dim
@@ -121,99 +111,89 @@ class ConformalMetric(Metric):
 GENERAL_STEP = 1e-3
 
 
+@functools.cache
+def _general_stencil(n: int):
+    """GeneralMetric's fourth-order stencil (Fornberg 1988): the offsets, in
+    steps of GENERAL_STEP, of the point, of its neighbours 2, 1, -1, -2
+    steps along each axis, and of the 16 points s e_k + t e_l for k < l with
+    s and t among those steps; and the weights on those four steps of 12 h
+    d/dx (row 0) and of 12 h^2 d^2/dx^2, less its -30 f(x) (row 1). Shared
+    by every call: read-only."""
+    steps = np.array([2.0, 1.0, -1.0, -2.0])
+    axis = steps[:, None, None] * np.eye(n)  # (step, k, n)
+    k, l = np.triu_indices(n, 1)
+    pairs = axis[:, None, k] + axis[None, :, l]  # (step on k, step on l, pair, n)
+    offsets = np.concatenate([np.zeros((1, n)), axis.reshape(-1, n), pairs.reshape(-1, n)])
+    weights = np.array([[-1.0, 8.0, -8.0, 1.0], [-1.0, 16.0, 16.0, -1.0]])
+    for arr in (offsets, weights):
+        arr.flags.writeable = False
+    return offsets, weights
+
+
+def _weigh(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_s w[s] a[:, s], term by term: elementwise, so rows do not mix."""
+    return functools.reduce(np.add, [ws * a[:, s] for s, ws in enumerate(w)])
+
+
 class GeneralMetric(Metric):
-    """Metric from a component callable; curvature via fourth-order stencils
-    of step GENERAL_STEP at one point (the finite-difference oracle), stacked
-    row by row."""
+    """Metric from a component callable, the finite-difference oracle.
+
+    components(Y) takes a stack of rows, shape (k, n), and returns the
+    metric at each, shape (k, n, n). The jets make one components call on
+    the stencil of every row and differentiate it with fourth-order central
+    differences of step GENERAL_STEP; the first row whose metric is not
+    positive definite raises MetricNotPositiveError."""
 
     kind = "general"
 
     def __init__(self, dim: int, components: Callable[[np.ndarray], np.ndarray], name="general"):
         self.dim = dim
-        self._components = components
+        self.components = components
         self.name = name
 
-    def components(self, x) -> np.ndarray:
-        g = np.asarray(self._components(np.asarray(x, dtype=float)), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(f"metric components must be {self.dim}x{self.dim}")
-        return g
-
-    def _check_spd(self, g: np.ndarray, x) -> None:
-        ev = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if ev.min() <= 0:
-            raise MetricNotPositiveError(
-                f"metric {self.name} not positive definite at {np.asarray(x).tolist()}"
-            )
-
-    def jet(self, x) -> MetricJet:
-        x = as_point(x, self.dim)
-        n, h = self.dim, GENERAL_STEP
-        g0 = self.components(x)
-        self._check_spd(g0, x)
-        comp = self.components
-        # fourth-order first derivatives dg[k] = d_k g
-        dg = np.zeros((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            dg[k] = (
-                -comp(x + 2 * e) + 8 * comp(x + e) - 8 * comp(x - e) + comp(x - 2 * e)
-            ) / (12 * h)
-        # fourth-order second derivatives ddg[k, l] = d_k d_l g
-        ddg = np.zeros((n, n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            ddg[k, k] = (
-                -comp(x + 2 * e) + 16 * comp(x + e) - 30 * g0 + 16 * comp(x - e) - comp(x - 2 * e)
-            ) / (12 * h * h)
-        coef = {1: 8.0 / 12.0, 2: -1.0 / 12.0, -1: -8.0 / 12.0, -2: 1.0 / 12.0}
-        for k in range(n):
-            for l in range(k + 1, n):
-                acc = np.zeros((n, n))
-                for sk, ck in coef.items():
-                    for sl, cl in coef.items():
-                        y = x.copy()
-                        y[k] += sk * h
-                        y[l] += sl * h
-                        acc += ck * cl * comp(y)
-                ddg[k, l] = ddg[l, k] = acc / (h * h)
-
-        return _assemble_curvature(g0, dg, ddg)
+    def jets(self, X) -> MetricJet:
+        m, n, h = len(X), self.dim, GENERAL_STEP
+        offsets, (w1, w2) = _general_stencil(n)
+        Y = (X[:, None] + h * offsets).reshape(-1, n)
+        c = np.asarray(self.components(Y), dtype=float)
+        if c.shape != (len(Y), n, n):
+            raise ValueError(f"metric components must be a stack of {n}x{n} matrices, got shape {c.shape}")
+        c = c.reshape(m, len(offsets), n, n)
+        g = c[:, 0]
+        bad = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(1, 2)))[:, 0] <= 0
+        if np.count_nonzero(bad):
+            raise MetricNotPositiveError(f"metric {self.name} not positive definite at {X[np.argmax(bad)].tolist()}")
+        k, l = np.triu_indices(n, 1)
+        axis = c[:, 1 : 4 * n + 1].reshape(m, 4, n, n, n)  # (row, step, k, i, j)
+        pairs = c[:, 4 * n + 1 :].reshape(m, 4, 4, len(k), n, n)  # (row, step on k, step on l, pair, i, j)
+        dg = _weigh(w1, axis) / (12 * h)  # dg[:, k] = d_k g
+        ddg = np.empty((m, n, n, n, n))  # ddg[:, k, l] = d_k d_l g
+        ddg[:, range(n), range(n)] = (_weigh(w2, axis) - 30 * g[:, None]) / (12 * h * h)
+        ddg[:, k, l] = ddg[:, l, k] = _weigh(w1, _weigh(w1, pairs)) / (144 * h * h)
+        return _assemble_curvature(g, dg, ddg)
 
 
 def _assemble_curvature(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> MetricJet:
-    """Christoffel, Ricci, scalar from g, d_k g_ij, d_k d_l g_ij."""
+    """Christoffel, Ricci, scalar from the stacks of g, d_k g_ij and
+    d_k d_l g_ij, row by row."""
     ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    bracket = (
-        np.einsum("ijl->lij", dg)  # d_i g_jl  (dg[i][j,l])
-        + np.einsum("jil->lij", dg)  # d_j g_il
-        - np.einsum("lij->lij", dg)  # d_l g_ij
-    )
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
-    # d_m Gamma^k_ij needs d(g^{-1}) = -ginv dg ginv
-    dginv = -np.einsum("ab,mbc,cd->mad", ginv, dg, ginv)
-    dbracket = (
-        np.einsum("mijl->mlij", ddg)
-        + np.einsum("mjil->mlij", ddg)
-        - np.einsum("mlij->mlij", ddg)
-    )
-    dgamma = 0.5 * (
-        np.einsum("mkl,lij->mkij", dginv, bracket)
-        + np.einsum("kl,mlij->mkij", ginv, dbracket)
-    )
+    # Gamma^k_ij = 1/2 g^{kl} bracket[l, i, j], bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    bracket = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
+    gamma = 0.5 * einsum("mkl,mlij->mkij", ginv, bracket)
+    # d_p Gamma^k_ij needs d(g^{-1}) = -ginv dg ginv
+    dginv = -einsum("mab,mpbc,mcd->mpad", ginv, dg, ginv)
+    dbracket = ddg.transpose(0, 1, 4, 2, 3) + ddg.transpose(0, 1, 4, 3, 2) - ddg
+    dgamma = 0.5 * (einsum("mpkl,mlij->mpkij", dginv, bracket) + einsum("mkl,mplij->mpkij", ginv, dbracket))
     # Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kp Gamma^p_ij - Gamma^k_ip Gamma^p_kj
     ricci = (
-        np.einsum("kkij->ij", dgamma)
-        - np.einsum("ikkj->ij", dgamma)
-        + np.einsum("kkp,pij->ij", gamma, gamma)
-        - np.einsum("kip,pkj->ij", gamma, gamma)
+        einsum("mkkij->mij", dgamma)
+        - einsum("mikkj->mij", dgamma)
+        + einsum("mkkp,mpij->mij", gamma, gamma)
+        - einsum("mkip,mpkj->mij", gamma, gamma)
     )
-    ricci = 0.5 * (ricci + ricci.T)
-    scalar = float(np.einsum("ij,ij->", ginv, ricci))
-    return MetricJet(g, ginv, gamma, ricci, scalar)
+    ricci = 0.5 * (ricci + ricci.swapaxes(1, 2))
+    scalar = einsum("mij,mij->m", ginv, ricci)
+    return _new(MetricJet, dict(g=g, ginv=ginv, gamma=gamma, ricci=ricci, scalar=scalar))
 
 
 def metric_jet(metric, x) -> MetricJet:

@@ -63,12 +63,6 @@ class Stacked:
                 out[name] = v if v is None else np.asarray(v, dtype=float)[None]
         return _new(type(self), out)
 
-    @classmethod
-    def from_rows(cls, rows):
-        """The stack of a nonempty list of one-point instances whose fields
-        are all floats or arrays (no nested Stacked field and no None)."""
-        return _new(cls, {name: np.array([getattr(r, name) for r in rows], dtype=float) for name in vars(rows[0])})
-
 
 def _new(cls, values: dict):
     # the fields of a frozen dataclass are its instance __dict__; filling it

@@ -173,7 +173,7 @@ def test_criterion_3_scalar_curvature_oracle():
             x = rng.uniform(-0.7, 0.7, size=2)
             worst_flat = max(worst_flat, gauss_oracle_residual(field, flat, x))
 
-    round_fd = GeneralMetric(2, round_sphere_base(2).components)
+    round_fd = GeneralMetric(2, lambda Y: round_sphere_base(2).jets(Y).g)
     worst_round = 0.0
     for seed in range(10):
         field = random_trig_field(2, seed=seed)

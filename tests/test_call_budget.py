@@ -97,7 +97,7 @@ X3 = np.array([0.3, -0.2, 0.1])
 #: arrays built once and shared by every call that returns them
 CONSTANTS = {
     "eye": lambda: util.eye(3),
-    "flat components": lambda: metrics.FlatMetric(3).components(X3),
+    **{f"general stencil part {k}": (lambda k=k: metrics._general_stencil(3)[k]) for k in range(2)},
     "round factor hessian": lambda: metrics.round_sphere_factor(X3)[2],
     **{f"stencil part {k}": (lambda k=k: fields._stencil(3)[k]) for k in range(4)},
 }

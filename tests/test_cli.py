@@ -579,6 +579,12 @@ class TestErrors:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["trig:1.5", "trig:1,2.9", "random:x"])
+    def test_non_integer_trig_spec(self, capsys, spec):
+        name, _, rest = spec.partition(":")
+        assert main(["point", "--field", spec, "--at", "0,0"]) == 2
+        assert capsys.readouterr().err == f"curv: error: {name} needs an integer seed and mode count, got {rest!r}\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

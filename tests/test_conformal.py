@@ -1,20 +1,22 @@
-"""Tests for conformally rescaled extrinsic geometry and slice traces."""
+"""Tests for conformally rescaled extrinsic geometry and the conformal
+minor relation on the production `phi` route."""
 
 import numpy as np
 import pytest
 
 from curv.conformal import (
     conformal_point,
+    conformal_points,
     conformal_shape,
-    conformal_slice_trace,
     mean_curvature_spherical,
     normal_derivative,
-    slice_trace_from_ambient,
 )
 from curv.errors import ConformalFactorError
 from curv.fields import Constant, Paraboloid, SphereCap, random_trig_field
-from curv.graphgeom import extrinsic_point, flat_base, slice_frame_of_point
+from curv.graphgeom import extrinsic_point, flat_base, slice_frames
+from curv.inequality import checks
 from curv.metrics import AmbientSpec, FlatMetric, PhiJet, constant_ambient, spherical_ambient
+from curv.util import trace
 
 
 class TestSphericalFactor:
@@ -125,43 +127,52 @@ class TestSphericalMeanCurvature:
         assert spherical_ambient(2).is_round_sphere
 
 
-class TestSliceTrace:
-    def frame_point(self, seed=11):
-        field = random_trig_field(2, seed=seed)
-        x = np.array([0.4, 0.2])
-        pt = extrinsic_point(field, flat_base(2), x)
-        frame = slice_frame_of_point(pt, eps=pt.u)
-        return field, x, pt, frame
+AMBIENTS = {"spherical": spherical_ambient, "constant": lambda n: constant_ambient(n, 1.7)}
 
-    def test_residual_small_with_independent_sides(self):
-        amb = spherical_ambient(2)
-        for seed in (11, 12, 13):
-            field, x, pt, frame = self.frame_point(seed)
-            trace = slice_trace_from_ambient(frame, pt, amb)
-            assert trace.residual <= 1e-10
-            assert abs(trace.trace_lhs - trace.trace_rhs) <= 1e-10
 
-    def test_three_dimensions(self):
-        field = random_trig_field(3, seed=14)
-        x = np.array([0.3, -0.1, 0.2])
-        pt = extrinsic_point(field, flat_base(3), x)
-        frame = slice_frame_of_point(pt, eps=pt.u)
-        trace = slice_trace_from_ambient(frame, pt, spherical_ambient(3))
-        assert trace.minor_bar.shape == (2, 2)
-        assert trace.residual <= 1e-9
+class TestMinorRelationOnThePhiRoute:
+    """The conformal minor relation
 
-    def test_exact_when_normal_derivative_implied(self):
-        field, x, pt, frame = self.frame_point()
-        amb = spherical_ambient(2)
-        pj = amb.phi(x, pt.u)
-        dphi_eta = float(pj.grad_x @ frame.eta)
-        trace = conformal_slice_trace(frame, pt, pj.value, dphi_eta, pj.dt)
-        assert trace.residual <= 1e-12
+        phi (A|1) + nu(phi) I = <nu, eta> Abar_Sigma + <nu, d_t> phi_t I,
 
-    def test_unit_factor_reduces_to_plain_minor(self):
-        field, x, pt, frame = self.frame_point()
-        amb = constant_ambient(2, 1.0)
-        trace = slice_trace_from_ambient(frame, pt, amb)
-        assert np.allclose(trace.abar_sigma, frame.a_sigma, atol=1e-14)
-        assert trace.hbar_sigma == pytest.approx(frame.h_sigma, abs=1e-13)
-        assert trace.residual <= 1e-12
+    read from the reports of the production `phi` check and from the
+    conformal points and slice frames it is built on."""
+
+    def stacks(self, n, ambient):
+        """The reports at 12 points of a trig field, each on its own level,
+        and the conformal points and slice frames of the regular rows."""
+        field = random_trig_field(n, seed=10 + n)
+        X = np.random.default_rng(n).uniform(-0.5, 0.5, (12, n))
+        eps = field.values(X)
+        regular, reports = checks("phi", field, eps, X, ambient)
+        assert np.count_nonzero(regular) == 12
+        cp = conformal_points(field, ambient, X)
+        return reports, cp, slice_frames(cp.point, eps)[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_bracket_is_the_trace_of_the_rescaled_minor(self, n, ambient):
+        reports, cp, frames = self.stacks(n, AMBIENTS[ambient](n))
+        assert [r.extras["phi"] for r in reports] == cp.factor.value.tolist()
+        assert [r.extras["dphi_nu"] for r in reports] == cp.dphi_nu.tolist()
+        want = cp.factor.value * trace(frames.minor) + (n - 1) * cp.dphi_nu
+        bracket = np.array([r.extras["bracket"] for r in reports])
+        assert np.abs(bracket - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_matrix_relation(self, n, ambient):
+        reports, cp, frames = self.stacks(n, AMBIENTS[ambient](n))
+        phi, eye = cp.factor.value[:, None, None], np.eye(n - 1)
+        lhs = phi * frames.minor + cp.dphi_nu[:, None, None] * eye
+        dphi_eta = np.vecdot(cp.factor.grad_x, frames.eta)
+        abar_sigma = phi * frames.a_sigma + dphi_eta[:, None, None] * eye
+        rhs = frames.cos_angle[:, None, None] * abar_sigma + (cp.point.nu[:, -1] * cp.factor.dt)[:, None, None] * eye
+        assert np.abs(lhs - rhs).max() <= 1e-9
+        assert np.allclose([r.h_sigma for r in reports], trace(abar_sigma), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unit_factor_reduces_to_plain_minor(self, n):
+        reports, cp, frames = self.stacks(n, constant_ambient(n, 1.0))
+        assert [r.h_sigma for r in reports] == frames.h_sigma.tolist()
+        assert np.abs(frames.minor - frames.cos_angle[:, None, None] * frames.a_sigma).max() <= 1e-12

@@ -1251,10 +1251,24 @@ def reference_ray_extent(dom, center, d, margin):
     r = dom.rim - margin
     b = float(c @ d)
     disc = b * b - (c @ c - r * r)
-    return 0.0 if disc < 0 else max(-b + np.sqrt(disc), 0.0)
+    return 0.0 if disc < 0 or r < 0 else max(-b + np.sqrt(disc), 0.0)
 
 
 class TestStackedRayExtent:
+    @pytest.mark.parametrize("dom", [
+        Ball(2, 1e-7), Ball(2, 1e-7, center=(0.5, -0.25)),
+        Annulus(2, 0.0, 1e-7), Annulus(2, 0.0, 1e-7, center=(0.5, -0.25)),
+    ], ids=["ball", "off-centre ball", "annulus", "off-centre annulus"])
+    def test_thinner_than_the_margin_is_empty(self, dom):
+        """A round domain whose rim is below the margin has no room left, as a box has none."""
+        center, D = dom._center(), np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
+        box = Box(tuple(center - 1e-7), tuple(center + 1e-7))
+        assert box.ray_extent(center, D[0], margin=1e-6) == 0.0
+        assert dom.ray_extent(center, D[0], margin=1e-6) == 0.0
+        assert dom.ray_extent(center, D, margin=1e-6).tolist() == [0.0, 0.0, 0.0]
+        assert [reference_ray_extent(dom, center, d, 1e-6) for d in D] == [0.0, 0.0, 0.0]
+        assert dom.ray_extent(center, D[0], margin=0.0) == pytest.approx(1e-7)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

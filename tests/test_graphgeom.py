@@ -18,6 +18,7 @@ from curv.graphgeom import (
     slice_shape_sampled,
 )
 from curv.metrics import metric_jet, round_sphere_base
+from curv.revolution import RevolutionProfile, radial_field
 from curv.util import maxabs
 
 SQRT2 = np.sqrt(2.0)
@@ -223,6 +224,16 @@ class TestScalarCurvatureOracle:
         pt = extrinsic_point(Paraboloid(2), base, x)
         intr = intrinsic_scalar_curvature(Paraboloid(2), base, x)
         assert intr == pytest.approx(pt.scalar_curvature, abs=1e-6)
+
+    def test_undefined_stencil_point_raises_the_fields_error(self):
+        # the stencil of step 1e-3 at |x| = 0.5015 reaches |x| = 0.4995, below the S-u profile's 0.5
+        field = radial_field(RevolutionProfile("S-u", 0.5))
+        x = np.array([0.5015, 0.0])
+        with pytest.raises(OutOfDomainError) as pointwise:
+            field.gradient(x - np.array([2e-3, 0.0]))
+        with pytest.raises(OutOfDomainError) as err:
+            intrinsic_scalar_curvature(field, flat_base(2), x)
+        assert str(err.value) == str(pointwise.value)
 
 
 class TestSampledSliceShape:

@@ -64,14 +64,15 @@ class TestRoundSphere:
         assert np.array_equal(hess, np.eye(2))
 
     def test_fd_agrees_with_closed_form(self):
-        base = round_sphere_base(2)
-        fd = GeneralMetric(2, base.components)
-        x = np.array([0.25, -0.4])
-        ja = metric_jet(base, x)
-        jb = metric_jet(fd, x)
-        assert np.allclose(ja.gamma, jb.gamma, atol=1e-8)
-        assert np.allclose(ja.ricci, jb.ricci, atol=1e-6)
-        assert jb.scalar == pytest.approx(ja.scalar, abs=1e-6)
+        for dim in (2, 3, 4):
+            base = round_sphere_base(dim)
+            fd = GeneralMetric(dim, lambda Y: base.jets(Y).g)
+            X = np.random.default_rng(dim).uniform(-0.5, 0.5, (6, dim))
+            X[0, :2] = 0.25, -0.4
+            ja, jb = base.jets(X), fd.jets(X)
+            assert np.allclose(ja.gamma, jb.gamma, atol=1e-8)
+            assert np.allclose(ja.ricci, jb.ricci, atol=1e-6)
+            assert np.allclose(jb.scalar, ja.scalar, rtol=0, atol=1e-6)
 
 
 def constant_factor(c):
@@ -94,27 +95,45 @@ class TestConformalMetric:
         assert jet.scalar == pytest.approx(0.0, abs=1e-12)
 
 
+def identity_components(Y):
+    """The Euclidean metric at each row of Y."""
+    n = Y.shape[1]
+    return np.broadcast_to(np.eye(n), (len(Y), n, n))
+
+
 class TestGeneralMetric:
     def test_rejects_non_spd(self):
-        bad = GeneralMetric(2, lambda x: -np.eye(2))
+        bad = GeneralMetric(2, lambda Y: -identity_components(Y))
         with pytest.raises(MetricNotPositiveError):
             metric_jet(bad, np.zeros(2))
 
+    def test_non_spd_row_is_named(self):
+        # g = diag(1, x0) stops being positive definite at x0 = 0: rows 2 and 3 fail, and row 2 is named
+        gm = GeneralMetric(2, lambda Y: np.eye(2) * np.stack([np.ones(len(Y)), Y[:, 0]], axis=1)[:, None])
+        X = np.array([[0.5, 0.1], [0.2, -0.3], [-0.1, 0.7], [0.0, 0.2], [0.4, 0.4]])
+        gm.jets(X[:2])
+        with pytest.raises(MetricNotPositiveError, match=r"at \[-0\.1, 0\.7\]"):
+            gm.jets(X)
+
+    def test_components_must_be_a_stack(self):
+        with pytest.raises(ValueError, match="must be a stack of 2x2 matrices"):
+            GeneralMetric(2, lambda Y: np.eye(2)).jets(np.zeros((3, 2)))
+
     def test_flat_components_give_zero_curvature(self):
-        gm = GeneralMetric(2, lambda x: np.eye(2))
+        gm = GeneralMetric(2, identity_components)
         jet = metric_jet(gm, np.array([0.5, -0.5]))
         assert np.allclose(jet.gamma, 0.0, atol=1e-12)
         assert jet.scalar == pytest.approx(0.0, abs=1e-10)
 
     def test_polar_like_metric(self):
         # g = diag(1, x0^2) on x0 > 0 is flat in disguise
-        gm = GeneralMetric(2, lambda x: np.diag([1.0, x[0] ** 2]))
+        gm = GeneralMetric(2, lambda Y: np.eye(2) * np.stack([np.ones(len(Y)), Y[:, 0] ** 2], axis=1)[:, None])
         jet = metric_jet(gm, np.array([1.3, 0.2]))
         assert jet.scalar == pytest.approx(0.0, abs=1e-8)
         assert jet.gamma[0, 1, 1] == pytest.approx(-1.3, abs=1e-8)
 
     def test_empty_stack(self):
-        jets = GeneralMetric(2, lambda x: np.eye(2)).jets(np.empty((0, 2)))
+        jets = GeneralMetric(2, identity_components).jets(np.empty((0, 2)))
         shapes = [jets.g.shape, jets.ginv.shape, jets.gamma.shape, jets.ricci.shape, jets.scalar.shape]
         assert shapes == [(0, 2, 2), (0, 2, 2), (0, 2, 2, 2), (0, 2, 2), (0,)]
 
@@ -123,7 +142,7 @@ class TestGeneralMetric:
             return {k: shapes(v) if isinstance(v, MetricJet) else np.shape(v) for k, v in vars(stack).items()}
 
         X = np.empty((0, 2))
-        general = extrinsic_points(Paraboloid(2), GeneralMetric(2, lambda x: np.eye(2)), X)
+        general = extrinsic_points(Paraboloid(2), GeneralMetric(2, identity_components), X)
         assert shapes(general) == shapes(extrinsic_points(Paraboloid(2), FlatMetric(2), X))
 
 
@@ -221,9 +240,9 @@ class TestKernelsAreThePerPointFormulas:
     def check_constant(self, X, t, value):
         amb = constant_ambient(X.shape[1], value)
         stack = amb.phis(X, t)
-        want = PhiJet.from_rows([reference_constant_phi(X.shape[1], value) for _ in X])
+        want = reference_constant_phi(X.shape[1], value)
         for name in ("value", "grad_x", "dt"):
-            assert np.array_equal(getattr(stack, name), getattr(want, name))
+            assert np.array_equal(getattr(stack, name), np.array([getattr(want, name)] * len(X)))
         for x, ti in zip(X, t):
             assert_same(amb.phi(x, ti), reference_constant_phi(X.shape[1], value))
 
@@ -254,10 +273,19 @@ class TestDeclaredStructure:
         assert {c.__name__ for c in kinds} == {"Metric", "FlatMetric", "ConformalMetric", "GeneralMetric"}
         for cls in (FlatMetric, ConformalMetric, GeneralMetric):
             assert cls.__bases__ == (Metric,)
-        for cls in (FlatMetric, ConformalMetric):  # array kernels
             assert "jets" in vars(cls) and "jet" not in vars(cls), cls
-        # the pointwise finite-difference oracle
-        assert "jet" in vars(GeneralMetric) and "jets" not in vars(GeneralMetric)
+        assert "jet" in vars(Metric) and "jets" not in vars(Metric)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_general_components_are_called_once_per_stack(self, m):
+        calls = []
+
+        def counted(Y):
+            calls.append(Y.shape)
+            return identity_components(Y)
+
+        GeneralMetric(3, counted).jets(np.zeros((m, 3)))
+        assert calls == [(m * 61, 3)]  # the point, 4 per axis and 16 per pair of axes
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_factors_are_called_once_per_stack(self, m):

@@ -1,11 +1,11 @@
 """Keywords that had one value in every caller are module constants; they stay
-out of the signatures."""
+out of the signatures. Routes that were folded into another stay deleted."""
 
 import inspect
 
 import pytest
 
-from curv import barrier, fields, graphgeom, inequality, metrics, revolution, syminv
+from curv import barrier, conformal, fields, graphgeom, inequality, metrics, revolution, syminv, util
 
 REMOVED = [
     (graphgeom.level_slice, {"delta_reg", "level_tol"}),
@@ -42,3 +42,21 @@ def test_removed_keywords_stay_removed(func, names):
 
 def test_check_is_the_one_row_route():
     assert not hasattr(inequality, "_check_one")
+
+
+#: (owner, name) of deleted routes: the metric kinds' one-point copies of
+#: `jets(Y).g` and the stack builder only the row loop used, and the one-point
+#: slice trace that the `phi` check replaces
+DELETED = [
+    (util.Stacked, "from_rows"),
+    (metrics.FlatMetric, "components"),
+    (metrics.ConformalMetric, "components"),
+    (conformal, "SliceTrace"),
+    (conformal, "conformal_slice_trace"),
+    (conformal, "slice_trace_from_ambient"),
+]
+
+
+@pytest.mark.parametrize("owner, name", DELETED, ids=[f"{getattr(o, '__name__', o)}.{n}" for o, n in DELETED])
+def test_deleted_routes_stay_deleted(owner, name):
+    assert not hasattr(owner, name)

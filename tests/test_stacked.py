@@ -62,9 +62,9 @@ def assert_same(a, b):
 
 
 def general_metric(dim):
-    def components(y):
-        s = np.sin(y)
-        return np.eye(dim) * (1.0 + 0.1 * float(y @ y)) + 0.05 * np.outer(s, s)
+    def components(Y):
+        s = np.sin(Y)
+        return np.eye(dim) * (1.0 + 0.1 * np.vecdot(Y, Y))[:, None, None] + 0.05 * s[:, :, None] * s[:, None, :]
 
     return GeneralMetric(dim, components)
 
@@ -125,6 +125,15 @@ class TestStackedEqualsPointwise:
             jet = eval_jet(field, x)
             assert u[i] == jet.value
             assert np.array_equal(du[i], jet.gradient) and np.array_equal(ddu[i], jet.hessian)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4]), seed=CASE["seed"], m=CASE["m"])
+    def test_metric_jets(self, n, seed, m):
+        X = np.random.default_rng(seed).uniform(-1.5, 1.5, (m, n))
+        for base in bases(n).values():
+            stack = base.jets(X)
+            for i, x in enumerate(X):
+                assert_same(stack.row(i), base.jet(x))
 
     @settings(max_examples=25, deadline=None)
     @given(**CASE)
