@@ -1,19 +1,21 @@
 """Scalar fields u: R^n -> R with second-order jets.
 
-Every field kind is an array kernel: it defines `values(X)` and `jets(X)`
-on a point or a stack of points, and `value`, `gradient`, `hessian` and
-`jet` are their point case. Where a field is undefined, a stack's row is
-NaN and a point raises OutOfDomainError. The kinds are the trig,
-paraboloid, cup, plane, constant, sphere-cap and polynomial built-ins,
-radial profiles (the profile maps an array of radii to its jet, NaN where
-it is undefined), gridded samples with local quadratic tensor interpolation
-(an index gather), the rotated, negated and scaled wrappers of any field,
-and finite differences on a field or a value callable (central stencils,
-order 2, one stencil stack per call). Finite differences read only values,
-never the wrapped field's jets, so they serve as an independent oracle. A
-kernel raises to a power with `np.float_power`, which calls C `pow` per
-element as scalar `**` does; array `**` rounds differently, and a kernel
-must equal the per-point formula bit for bit.
+A kernel kind defines `values(X)` and `jets(X)` on a point or a stack of
+points, and `value`, `gradient`, `hessian` and `jet` are their point case.
+Where a field is undefined, a stack's row is NaN and a point raises
+OutOfDomainError. The kernel kinds are the trig, sphere-cap and polynomial
+built-ins, radial profiles (the profile maps an array of radii to its jet,
+NaN where it is undefined), gridded samples with local quadratic tensor
+interpolation (an index gather), the rotated and scaled wrappers of any
+field, and finite differences on a field or a value callable (central
+stencils, order 2, one stencil stack per call). Finite differences read only
+values, never the wrapped field's jets, so they serve as an independent
+oracle. A configured kind only sets up a kernel kind and defines no kernel:
+the paraboloid, cup, plane and constant are polynomials, and the negated
+wrapper is the scaled one at factor -1. A kernel raises to a power with
+`np.float_power`, which calls C `pow` per element as scalar `**` does; array
+`**` rounds differently, and a kernel must equal the per-point formula bit
+for bit.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -163,13 +165,13 @@ class Jet:
 
 
 class ScalarField:
-    """Base class of the field kinds. A kind defines `values(X)` and
-    `jets(X)`, each on a point, shape (n,), or a stack of rows, shape
-    (m, n): `values` gives u, a scalar or shape (m,), and `jets` gives (u,
-    Du, D^2u), shapes (), (n,), (n, n) or (m,), (m, n), (m, n, n). The
-    one-point methods are their point case, so a row of a stack equals the
-    point bit for bit. An undefined row is NaN, and an undefined point
-    raises OutOfDomainError.
+    """Base class of the field kinds. A kernel kind defines `values(X)` and
+    `jets(X)` (a configured kind inherits them), each on a point, shape
+    (n,), or a stack of rows, shape (m, n): `values` gives u, a scalar or
+    shape (m,), and `jets` gives (u, Du, D^2u), shapes (), (n,), (n, n) or
+    (m,), (m, n), (m, n, n). The one-point methods are their point case, so
+    a row of a stack equals the point bit for bit. An undefined row is NaN,
+    and an undefined point raises OutOfDomainError.
     """
 
     dim: int
@@ -247,73 +249,6 @@ def eval_jet(field: ScalarField, x) -> Jet:
 
 # ---------------------------------------------------------------------------
 # analytic built-ins
-
-
-def _broadcast(X: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """A fresh copy of the constant a at the point X, or at each row of a stack X."""
-    return np.broadcast_to(a, X.shape[:-1] + a.shape).copy()
-
-
-class Paraboloid(ScalarField):
-    """u = scale * |x|^2 / 2."""
-
-    def __init__(self, dim: int, scale: float = 1.0):
-        self.dim = dim
-        self.scale = float(scale)
-        self.domain = whole_space(dim)
-        self.name = f"paraboloid(scale={scale})" if scale != 1.0 else "paraboloid"
-
-    def values(self, X):
-        return 0.5 * self.scale * np.vecdot(X, X)
-
-    def jets(self, X):
-        return self.values(X), self.scale * X, _broadcast(X, self.scale * np.eye(self.dim))
-
-
-class QuadraticCup(ScalarField):
-    """u = sum_k c_k x_k^2 / 2 (anisotropic paraboloid)."""
-
-    def __init__(self, coeffs: Sequence[float]):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.dim = self.coeffs.size
-        self.domain = whole_space(self.dim)
-        self.name = f"cup({','.join(repr(float(c)) for c in coeffs)})"
-
-    def values(self, X):
-        return 0.5 * np.vecdot(self.coeffs, X * X)
-
-    def jets(self, X):
-        return self.values(X), self.coeffs * X, _broadcast(X, np.diag(self.coeffs))
-
-
-class Plane(ScalarField):
-    """u = c . x"""
-
-    def __init__(self, coeffs: Sequence[float]):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.dim = self.coeffs.size
-        self.domain = whole_space(self.dim)
-        self.name = "plane"
-
-    def values(self, X):
-        return np.vecdot(self.coeffs, X)
-
-    def jets(self, X):
-        return self.values(X), _broadcast(X, self.coeffs), np.zeros(X.shape + (self.dim,))
-
-
-class Constant(ScalarField):
-    def __init__(self, dim: int, c: float = 0.0):
-        self.dim = dim
-        self.c = float(c)
-        self.domain = whole_space(dim)
-        self.name = f"constant({c})"
-
-    def values(self, X):
-        return np.full(X.shape[:-1], self.c)
-
-    def jets(self, X):
-        return self.values(X), np.zeros(X.shape), np.zeros(X.shape + (self.dim,))
 
 
 class SphereCap(ScalarField):
@@ -395,6 +330,42 @@ class PolynomialField(ScalarField):
     def jets(self, X):
         n, s = self.dim, self._sums(X, slice(None))
         return s[..., 0], s[..., 1 : n + 1], s[..., n + 1 :].reshape(s.shape[:-1] + (n, n))
+
+
+class Paraboloid(PolynomialField):
+    """u = scale * |x|^2 / 2, the polynomial sum_k (scale / 2) x_k^2."""
+
+    def __init__(self, dim: int, scale: float = 1.0):
+        self.scale = float(scale)
+        super().__init__(dim, [(0.5 * self.scale, 2 * e) for e in np.eye(dim, dtype=int)])
+        self.name = f"paraboloid(scale={scale})" if scale != 1.0 else "paraboloid"
+
+
+class QuadraticCup(PolynomialField):
+    """u = sum_k c_k x_k^2 / 2 (anisotropic paraboloid)."""
+
+    def __init__(self, coeffs: Sequence[float]):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        super().__init__(self.coeffs.size, list(zip(0.5 * self.coeffs, 2 * np.eye(self.coeffs.size, dtype=int))))
+        self.name = f"cup({','.join(repr(float(c)) for c in coeffs)})"
+
+
+class Plane(PolynomialField):
+    """u = c . x"""
+
+    def __init__(self, coeffs: Sequence[float]):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        super().__init__(self.coeffs.size, list(zip(self.coeffs, np.eye(self.coeffs.size, dtype=int))))
+        self.name = "plane"
+
+
+class Constant(PolynomialField):
+    """u = c, the polynomial c x^0."""
+
+    def __init__(self, dim: int, c: float = 0.0):
+        self.c = float(c)
+        super().__init__(dim, [(self.c, (0,) * dim)])
+        self.name = f"constant({c})"
 
 
 class TrigField(ScalarField):
@@ -527,24 +498,6 @@ class RotatedField(ScalarField):
         return self.base.margin(np.matvec(self.q, x))
 
 
-class NegatedField(ScalarField):
-    def __init__(self, base: ScalarField):
-        self.base = base
-        self.dim = base.dim
-        self.domain = base.domain
-        self.name = f"neg({base.name})"
-
-    def values(self, X):
-        return -self.base.values(X)
-
-    def jets(self, X):
-        u, du, ddu = self.base.jets(X)
-        return -u, -du, -ddu
-
-    def margin(self, x):
-        return self.base.margin(x)
-
-
 class ScaledField(ScalarField):
     def __init__(self, base: ScalarField, factor: float):
         self.base = base
@@ -562,6 +515,18 @@ class ScaledField(ScalarField):
 
     def margin(self, x):
         return self.base.margin(x)
+
+
+class NegatedField(ScaledField):
+    """-u: the scaled field at factor -1. Negation is exact, so the base's
+    slope bound holds unchanged; a general factor rounds and declares none."""
+
+    def __init__(self, base: ScalarField):
+        super().__init__(base, -1.0)
+        self.name = f"neg({base.name})"
+
+    def ray_slopes(self, dirs, reach):
+        return self.base.ray_slopes(dirs, reach)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,10 @@ def parse_field(spec: str, dim: int = 2) -> ScalarField:
             params = [int(tok) for tok in rest.split(",") if tok.strip()] or [0]
         except ValueError:
             raise ValueError(f"{name} needs an integer seed and mode count, got {rest!r}") from None
-        return random_trig_field(dim, params[0], modes=params[1] if len(params) > 1 else 4)
+        modes = params[1] if len(params) > 1 else 4
+        if modes < 1:
+            raise ValueError(f"{name} needs at least one mode, got {spec!r}")
+        return random_trig_field(dim, params[0], modes=modes)
     if name == "radial":
         if dim != 2:
             raise ValueError(f"radial profiles are two-dimensional, got dim {dim}")

@@ -607,17 +607,28 @@ def reference_grid_jet(grid, x):
     return Jet(value, grad / grid.h, hess / (grid.h * grid.h))
 
 
-def reference_jet(field, x):
-    """The one-point jet of each kind from per-point formulas: the reference
-    for the kernels. Raises where the field is undefined."""
+#: the configured kinds and the kernel kind each one sets up
+CONFIGURED = {Paraboloid: PolynomialField, QuadraticCup: PolynomialField, Plane: PolynomialField,
+              Constant: PolynomialField, NegatedField: ScaledField}
+
+
+def closed_form_jet(field, x):
+    """The one-point jet of a polynomial built-in in closed form: the second
+    check beside the polynomial reference, whose kernel it runs."""
     if isinstance(field, Paraboloid):
         return Jet(0.5 * field.scale * float(x @ x), field.scale * x, field.scale * np.eye(field.dim))
     if isinstance(field, QuadraticCup):
         return Jet(0.5 * float(field.coeffs @ (x * x)), field.coeffs * x, np.diag(field.coeffs))
     if isinstance(field, Plane):
         return Jet(float(field.coeffs @ x), field.coeffs.copy(), np.zeros((field.dim, field.dim)))
-    if isinstance(field, Constant):
-        return Jet(field.c, np.zeros(field.dim), np.zeros((field.dim, field.dim)))
+    assert isinstance(field, Constant)
+    return Jet(field.c, np.zeros(field.dim), np.zeros((field.dim, field.dim)))
+
+
+def reference_jet(field, x):
+    """The one-point jet of each kernel kind from per-point formulas: the
+    reference for the kernels, and for a configured kind the reference of
+    the kernel it runs. Raises where the field is undefined."""
     if isinstance(field, SphereCap):
         s2 = field.radius**2 - float(x @ x)
         if s2 <= 0:
@@ -640,9 +651,6 @@ def reference_jet(field, x):
     if isinstance(field, RotatedField):
         j = reference_jet(field.base, field.q @ x)
         return Jet(j.value, field.q.T @ j.gradient, field.q.T @ j.hessian @ field.q)
-    if isinstance(field, NegatedField):
-        j = reference_jet(field.base, x)
-        return Jet(-j.value, -j.gradient, -j.hessian)
     if isinstance(field, ScaledField):
         j = reference_jet(field.base, x)
         return Jet(field.factor * j.value, field.factor * j.gradient, field.factor * j.hessian)
@@ -870,18 +878,36 @@ def _same_jet(got, want):
 
 
 class TestKernelKinds:
-    """Each kernel kind's `values` and `jets`, on a point and on a stack,
-    equal its per-point reference bit for bit."""
+    """Each kind's `values` and `jets`, on a point and on a stack, equal the
+    per-point reference of its kernel bit for bit; a polynomial built-in
+    also meets its closed form."""
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_kernel_is_the_reference(self, kind, data):
         field = KERNEL_CASES[kind]()
-        assert type(field).__mro__[1] is ScalarField
+        assert type(field).__bases__ == (CONFIGURED.get(type(field), ScalarField),)
         X = data.draw(sample_rows(field.dim))
         # each E-f point is a root solve, one per point method; 4 rows a draw keep its cost near the others'
         self.check(field, X[:4] if kind == "radial-E-f" else X)
+        if CONFIGURED.get(type(field)) is PolynomialField:
+            self.check_closed_form(field, X)
+
+    @staticmethod
+    def check_closed_form(field, X):
+        """Du and D^2u equal the closed form up to the sign of zero (the
+        derivative coefficients are exact), and u is within 4 eps sum_alpha
+        |c_alpha x^alpha|: the kernel adds the terms in order, the closed form
+        is a dot product. Below the normal range rounding is absolute, one
+        subnormal ulp an operation."""
+        u, du, ddu = field.jets(X)
+        tiny = np.finfo(float).smallest_subnormal
+        for i, x in enumerate(X):
+            want = closed_form_jet(field, x)
+            size = sum(abs(c) * math.prod(abs(float(xk)) ** e for xk, e in zip(x, a)) for c, a in field.terms)
+            assert abs(u[i] - want.value) <= 4.0 * np.finfo(float).eps * size + 8 * field.dim * tiny
+            assert np.array_equal(du[i], want.gradient) and np.array_equal(ddu[i], want.hessian)
 
     @pytest.mark.parametrize("kind", ["radial-S-u", "radial-S-v", "radial-E-f", "scaled-radial-2"])
     def test_radial_edges(self, kind):
@@ -1058,21 +1084,25 @@ def _concrete_field_classes():
 
 
 class TestDeclaredStructure:
-    """Every field kind is a kernel: it subclasses ScalarField and defines
-    `values` and `jets`, and no point method."""
+    """Every field kind is a kernel kind or a configured kind. A kernel kind
+    subclasses ScalarField and defines `values` and `jets`; a configured kind
+    subclasses a kernel kind, which it only sets up, and defines neither. No
+    kind defines a point method."""
 
     POINT_METHODS = {"value", "gradient", "hessian", "jet"}
 
     def test_each_kind_defines_one_route(self):
         classes = _concrete_field_classes()
-        assert {c.__name__ for c in classes} == {
-            "Paraboloid", "QuadraticCup", "Plane", "Constant", "SphereCap", "PolynomialField", "TrigField",
-            "RadialField", "GridField", "RotatedField", "NegatedField", "ScaledField", "FiniteDifferenceField",
+        assert {c.__name__ for c in classes} - {c.__name__ for c in CONFIGURED} == {
+            "SphereCap", "PolynomialField", "TrigField", "RadialField", "GridField", "RotatedField", "ScaledField",
+            "FiniteDifferenceField",
         }
         for cls in classes:
-            assert cls.__bases__ == (ScalarField,)
-            assert {"values", "jets"} <= set(vars(cls)), cls
+            assert cls.__bases__ == (CONFIGURED.get(cls, ScalarField),), cls
+            kernel = {"values", "jets"} & set(vars(cls))
+            assert kernel == (set() if cls in CONFIGURED else {"values", "jets"}), cls
             assert not self.POINT_METHODS & set(vars(cls)), cls
+        assert set(CONFIGURED) <= set(classes)
         assert not hasattr(ScalarField, "gradients")
 
 

@@ -17,6 +17,7 @@ from curv.fields import (
     Box,
     Constant,
     FiniteDifferenceField,
+    NegatedField,
     Paraboloid,
     Plane,
     PolynomialField,
@@ -562,6 +563,22 @@ class TestScreenedScan:
         want = full_scan_rows(lambda idx: field, eps, dirs)
         assert len(want[0])
         assert_same_rows(got, want)
+
+
+    def test_negation_keeps_the_base_bound(self, monkeypatch):
+        """Negation is exact, so a negated field screens with its base's
+        slope bound: it reads the base's rows and slices the base's points."""
+        field = random_trig_field(2, 3)
+        eps = pick_levels(field, 2, seed=2)[0]
+        read, values = [], TrigField.values
+        monkeypatch.setattr(TrigField, "values", lambda self, X: read.append(np.size(X) // 2) or values(self, X))
+        base = slice_points(field, eps, rays=16)
+        base_rows = sum(read)
+        read.clear()
+        negated = slice_points(NegatedField(field), -eps, rays=16)
+        assert len(base) == 8
+        assert np.array(negated).tobytes() == np.array(base).tobytes()
+        assert base_rows == sum(read) == 516
 
 
 def reference_probes(field, seed, probes=256):

@@ -45,10 +45,16 @@ def test_check_is_the_one_row_route():
 
 
 #: (owner, name) of deleted routes: the metric kinds' one-point copies of
-#: `jets(Y).g` and the stack builder only the row loop used, and the one-point
-#: slice trace that the `phi` check replaces
+#: `jets(Y).g` and the stack builder only the row loop used, the one-point
+#: slice trace that the `phi` check replaces, the built-ins' constant
+#: broadcast (they run on the polynomial kernel), the scalar identity
+#: splitting (the suite's kernel at one matrix serves) and the suite's fixed
+#: verdict beside `verify identity --tol`
 DELETED = [
     (util.Stacked, "from_rows"),
+    (fields, "_broadcast"),
+    (syminv, "_decomposition"),
+    (syminv.IdentitySuiteResult, "passed"),
     (metrics.FlatMetric, "components"),
     (metrics.ConformalMetric, "components"),
     (conformal, "SliceTrace"),
