@@ -9,8 +9,9 @@ that maximum. At an interior touching point x0 the gradient bound
     |Du|(x0) >= |D_r u|(x0) >= lambda_star
 
 holds (the touch is a stationary point of u - psi); a touch on the outermost
-sampled ring carries no such bound and is flagged instead. The slice
-comparison at the touch uses the ring mean curvature
+sampled ring carries no such bound and is flagged instead. An interior grid
+touch is polished: Newton on q = u/(1 - |x|), else one Brent lane on its
+ray. The slice comparison at the touch uses the ring mean curvature
 
     ((n-1)/rho) (1 + eps^2 - rho^2)/2
 
@@ -29,7 +30,7 @@ from .errors import NoTouchError, NonFiniteJetError, NonRegularPointError
 from .fields import Annulus, RadialField, ScalarField
 from .inequality import check
 from .metrics import spherical_ambient
-from .util import as_point, unit_directions
+from .util import brentq_lanes, unit_directions
 
 TOUCH_TOL = 1e-8
 #: comparison_bounds skips the ordering check where |x0| > 1 - EDGE_MARGIN
@@ -140,17 +141,18 @@ def _newton_refine_ratio(field: ScalarField, x: np.ndarray, inner: float, outer:
 
 
 def _radial_polish(field: ScalarField, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Maximize q along the ray through x over |x| in [lo, hi]."""
-    from scipy.optimize import minimize_scalar  # the one scipy import in curv, for this rare polish
-
+    """The maximum of q = u/(1 - |x|) on the ray through x over |x| in [lo, hi]:
+    the root of h(r) = (1 - r) Du(r d).d + u(r d), which has the sign of
+    dq/dr, as one lane of brentq_lanes; x itself where h does not fall from
+    + to - on [lo, hi]."""
     d = x / np.linalg.norm(x)
 
-    def neg_q(r):
-        return -field.value(r * d) / (1.0 - r)
+    def h(r, lanes):
+        u, du, _ = field.jets(r[:, None] * d)
+        return (1.0 - r) * (du @ d) + u
 
-    res = minimize_scalar(neg_q, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    return float(res.x) * d
+    ends = h(np.array([lo, hi]), None)
+    return float(brentq_lanes(h, [lo], [hi], xtol=1e-13)[0]) * d if ends[0] > 0.0 > ends[1] else x
 
 
 def slide(
@@ -167,14 +169,14 @@ def slide(
 
     On the sample grid the touching value is lambda_grid = max u/(1 - |x|).
     A grid touching point inside the outer sampled ring is then polished
-    (Newton on the touching ratio, 1-D radial refinement where Newton
+    (Newton on the touching ratio, one Brent lane on the ray where Newton
     fails), and the grid point is kept when the polish does not reach
     lambda_grid; a touch on the outer ring keeps the grid point. Outcomes: a
     normal run when max u > touch_tol; the degenerate lambda_star = 0 when
     |max u| <= touch_tol; NoTouchError when u < -touch_tol everywhere. The
-    annulus is sampled with one `field.values` call; a sample outside the
-    field's domain raises its pointwise OutOfDomainError, any other
-    non-finite sample NonFiniteJetError.
+    annulus is sampled with one `field.values` call; a NaN sample raises the
+    OutOfDomainError of `value` at its point, an infinite one
+    NonFiniteJetError.
     """
     a, outer = float(annulus[0]), float(annulus[1])
     if not (a < a_prime < outer):

@@ -1,21 +1,21 @@
 """Scalar fields u: R^n -> R with second-order jets.
 
-A kernel kind defines `values(X)` and `jets(X)` on a point or a stack of
-points, and `value`, `gradient`, `hessian` and `jet` are their point case.
-Where a field is undefined, a stack's row is NaN and a point raises
-OutOfDomainError. The kernel kinds are the trig, sphere-cap and polynomial
-built-ins, radial profiles (the profile maps an array of radii to its jet,
-NaN where it is undefined), gridded samples with local quadratic tensor
-interpolation (an index gather), the rotated and scaled wrappers of any
-field, and finite differences on a field or a value callable (central
-stencils, order 2, one stencil stack per call). Finite differences read only
-values, never the wrapped field's jets, so they serve as an independent
-oracle. A configured kind only sets up a kernel kind and defines no kernel:
-the paraboloid, cup, plane and constant are polynomials, and the negated
-wrapper is the scaled one at factor -1. A kernel raises to a power with
-`np.float_power`, which calls C `pow` per element as scalar `**` does; array
-`**` rounds differently, and a kernel must equal the per-point formula bit
-for bit.
+A kernel kind defines `values(X)` and `jets(X)` on a stack of points, NaN in
+a row where the field is undefined. `value` and `jet` (and `gradient` and
+`hessian`, which read `jet`) are row 0 of the stack of one, and raise
+OutOfDomainError where that row is NaN. The kernel kinds are the trig,
+sphere-cap and polynomial built-ins, radial profiles (the profile maps an
+array of radii to its jet, NaN where it is undefined), gridded samples with
+local quadratic tensor interpolation (an index gather), the rotated and
+scaled wrappers of any field, and finite differences on a field or a value
+callable (central stencils, order 2, one stencil stack per call). Finite
+differences read only values, never the wrapped field's jets, so they serve
+as an independent oracle. A configured kind only sets up a kernel kind and
+defines no kernel: the paraboloid, cup, plane and constant are polynomials,
+and the negated wrapper is the scaled one at factor -1. A kernel raises to a
+power with `np.float_power`, which calls C `pow` per element as scalar `**`
+does; array `**` rounds differently, and a kernel must equal the per-point
+formula bit for bit.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -166,12 +166,11 @@ class Jet:
 
 class ScalarField:
     """Base class of the field kinds. A kernel kind defines `values(X)` and
-    `jets(X)` (a configured kind inherits them), each on a point, shape
-    (n,), or a stack of rows, shape (m, n): `values` gives u, a scalar or
-    shape (m,), and `jets` gives (u, Du, D^2u), shapes (), (n,), (n, n) or
-    (m,), (m, n), (m, n, n). The one-point methods are their point case, so
-    a row of a stack equals the point bit for bit. An undefined row is NaN,
-    and an undefined point raises OutOfDomainError.
+    `jets(X)` (a configured kind inherits them) on a stack of rows, shape
+    (m, n) or with more leading axes: `values` gives u, shape (m,), and
+    `jets` gives (u, Du, D^2u), shapes (m,), (m, n), (m, n, n). An undefined
+    row is NaN. The one-point methods take row 0 of the stack of one, x[None],
+    and raise OutOfDomainError where its value is NaN.
     """
 
     dim: int
@@ -185,17 +184,24 @@ class ScalarField:
         raise NotImplementedError
 
     def value(self, x) -> float:
-        return float(self.values(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        u = float(self.values(x[None])[0])
+        return u if u == u else self._outside(x)  # u != u only where u is NaN
 
     def gradient(self, x) -> np.ndarray:
-        return self.jets(np.asarray(x, dtype=float))[1]
+        return self.jet(x).gradient
 
     def hessian(self, x) -> np.ndarray:
-        return self.jets(np.asarray(x, dtype=float))[2]
+        return self.jet(x).hessian
 
     def jet(self, x) -> Jet:
-        u, du, ddu = self.jets(np.asarray(x, dtype=float))
-        return Jet(float(u), du, ddu)
+        x = np.asarray(x, dtype=float)
+        u, du, ddu = self.jets(x[None])
+        u = float(u[0])
+        return Jet(u if u == u else self._outside(x), du[0], ddu[0])
+
+    def _outside(self, x: np.ndarray):
+        raise OutOfDomainError(f"point {x.tolist()} outside domain of {self.name}")
 
     def margin(self, x: np.ndarray):
         """Boundary band the evaluation needs around x or each row (0 for analytic)."""
@@ -209,9 +215,7 @@ class ScalarField:
 
 
 def _row_values(value: Callable, X, dim: int):
-    """value at the point X, or at each row of a stack X (any leading axes), NaN where it raises OutOfDomainError."""
-    if np.ndim(X) == 1:
-        return value(X)
+    """value at each row of a stack X (any leading axes), NaN where it raises OutOfDomainError."""
     rows = np.reshape(X, (-1, dim))
     out = np.empty(len(rows))
     for i, x in enumerate(rows):
@@ -255,7 +259,7 @@ class SphereCap(ScalarField):
     """u = height + sqrt(radius^2 - |x|^2): the upper cap of a round sphere.
 
     The domain stops a small relative margin short of the equator, where the
-    gradient blows up; at and past the rim a row is NaN and a point raises.
+    gradient blows up; at and past the rim a row is NaN.
     """
 
     def __init__(self, dim: int, radius: float, height: float = 0.0, rim_margin: float = 1e-8):
@@ -268,10 +272,8 @@ class SphereCap(ScalarField):
         self.name = f"spherecap(radius={radius},height={height})"
 
     def _s(self, X):
-        """sqrt(radius^2 - |x|^2) at the point or each row, NaN at or past the rim."""
+        """sqrt(radius^2 - |x|^2) at each row, NaN at or past the rim."""
         s2 = self.radius**2 - np.vecdot(X, X)
-        if X.ndim == 1 and s2 <= 0:
-            raise OutOfDomainError(f"point at or beyond the rim of {self.name}")
         return np.sqrt(np.where(s2 > 0, s2, np.nan))
 
     def values(self, X):
@@ -318,7 +320,7 @@ class PolynomialField(ScalarField):
         self._exps = np.array([[a for _, a in row] for row in table], dtype=float)
 
     def _sums(self, X, rows):
-        """The table rows `rows` (a slice) at a point or at the rows of a stack, last axis."""
+        """The table rows `rows` (a slice) at the rows of a stack, last axis."""
         powers = np.float_power(X[..., None, None, :], self._exps[rows])
         terms = self._coeffs[rows] * np.multiply.accumulate(powers, axis=-1)[..., -1]
         # cumsum adds in term order; + 0.0 is the 0.0 the sum starts from
@@ -432,12 +434,11 @@ def trig_family(fields: Sequence[TrigField]) -> TrigField:
 
 class RadialField(ScalarField):
     """u(x) = p(|x|) for a radial profile: `profile(r, order)` maps an array
-    of radii to (p, p', p''), arrays or scalars that broadcast, NaN where p
-    is undefined; `values` asks for order 0, where (p,) is enough. At a
-    point, `values` and `jets` raise OutOfDomainError where p is NaN; a
-    profile may raise its own at one radius first.
-    Below |x| = 1e-12 the jet is the symmetric limit (p, 0, p'' I) of the
-    profile at 1e-12, smooth only when p'(0) = 0."""
+    of radii to (p, p', p''), p of the radii's shape and NaN where it is
+    undefined, p' and p'' arrays or scalars that broadcast; `values` asks
+    for order 0, where (p,) is enough. Below |x| = 1e-12 the jet is the
+    symmetric limit (p, 0, p'' I) of the profile at 1e-12, smooth only when
+    p'(0) = 0."""
 
     def __init__(self, dim: int, profile: Callable, domain, name: str = "radial"):
         self.dim = dim
@@ -446,24 +447,17 @@ class RadialField(ScalarField):
         self.name = name
 
     def _profile(self, X, order: int):
-        """|x| of the point or of each row, max(|x|, 1e-12), and the profile
-        there, its value broadcast to one per point."""
+        """|x| of each row, max(|x|, 1e-12), and the profile there."""
         r = np.sqrt(np.vecdot(X, X))  # np.linalg.norm of each row, bit for bit
-        point = X.ndim == 1  # one radius goes to the profile as a float, whose arithmetic costs less
-        rr = max(float(r), 1e-12) if point else np.maximum(r, 1e-12)
-        p, *derivatives = self.profile(rr, order)
-        if point and math.isnan(p):
-            raise OutOfDomainError(f"point {X.tolist()} outside the profile of {self.name}")
-        if not point and np.shape(p) != r.shape:
-            p = np.broadcast_to(p, r.shape).copy()
-        return r, rr, p, derivatives
+        rr = np.maximum(r, 1e-12)
+        return r, rr, *self.profile(rr, order)
 
     def values(self, X):
         return self._profile(X, 0)[2]
 
     def jets(self, X):
-        r, rr, p, (dp, ddp) = self._profile(X, 2)
-        rr, dp, ddp = np.asarray(rr), np.asarray(dp), np.asarray(ddp)
+        r, rr, p, dp, ddp = self._profile(X, 2)
+        dp, ddp = np.asarray(dp), np.asarray(ddp)
         xu = X / rr[..., None]
         uu = outer(xu, xu)
         eye = np.eye(self.dim)
@@ -639,10 +633,10 @@ class GridField(ScalarField):
         return 2.0 * self.h
 
     def _gather(self, X, orders) -> np.ndarray:
-        """The jet components selected by `orders` at a point or the rows of
-        a stack, last axis: each is the sum over the stencil nodes, in
-        order, of the sample times the running product of the axes' basis
-        values, so every row is the per-point loop bit for bit."""
+        """The jet components selected by `orders` at the rows of a stack,
+        last axis: each is the sum over the stencil nodes, in order, of the
+        sample times the running product of the axes' basis values, so every
+        row is the per-point loop bit for bit."""
         idx = np.clip(np.rint((X - self.origin) / self.h).astype(int), 1, np.asarray(self.samples.shape) - 2)
         t = ((X - (self.origin + idx * self.h)) / self.h)[..., None]
         weights = np.concatenate([0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)], axis=-1)
@@ -703,6 +697,6 @@ def sample_to_grid(field: ScalarField, origin, h: float, counts) -> GridField:
     counts = tuple(int(c) for c in counts)
     nodes = origin + h * np.indices(counts).reshape(len(counts), -1).T
     values = field.values(nodes)
-    # a NaN node is re-read at its point, where the field raises its OutOfDomainError
+    # a NaN node is re-read at its point, where `value` raises OutOfDomainError
     values[np.isnan(values)] = [field.value(x) for x in nodes[np.isnan(values)]]
     return GridField(origin, h, values.reshape(counts), name=f"gridded({field.name})")

@@ -13,13 +13,14 @@ Three profiles:
 * ``E-f``: the concave bump f(z) = (sqrt(z) + 1) sqrt(1-z^2) on [0, 1],
   rotated about the z-axis in flat space.
 
-Each profile has one closed form, `profile_jets`, over an array of s;
-`profile_jet` is its checked one-point case. The closed-form curvatures,
-the sweeps and the monotonicity and junction checks are array expressions
-over one `profile_jets` call each, and `radial_field` hands the profiles to
-the generic pipeline as `RadialField` kernels. The E-f field is the
-inverse of the decreasing branch of f, solved for all radii in one
-`brentq_lanes` call.
+Each profile has one closed form, `profile_jets`, over an array of s and
+NaN off the profile; `profile_jet` is its checked one-point case. The
+closed-form curvatures, the sweeps and the monotonicity and junction checks
+are array expressions over one `profile_jets` call each, and `radial_field`
+hands `profile_jets` itself to the generic pipeline as a `RadialField`
+profile, whose point methods raise the fields' one OutOfDomainError where
+it is NaN. The E-f field is the inverse of the decreasing branch of f,
+solved for all radii in one `brentq_lanes` call.
 
 The u/v pair is measured in the round-sphere-factor ambient; their closed
 forms are cross-checked against the generic graph pipeline in the tests.
@@ -105,14 +106,12 @@ def profile_jets(profile: RevolutionProfile, s, order: int = 2) -> tuple[np.ndar
                 lambda: (1.0 / sr - 1.0 / sa) / math.sqrt(2.0),
                 lambda: (1.0 / (2.0 * math.sqrt(2.0))) * np.float_power(1.0 - s, -1.5),
             )
-            ends = {1.0: (spherical_cap_height(a), math.inf, math.inf)}
         elif profile.kind == "S-v":
             w = 1.0 - s * s
             terms = (lambda: spherical_cap_height(a) + np.sqrt(w), lambda: -s / np.sqrt(w),
                      lambda: -np.float_power(w, -1.5))
-            ends = {}  # at s = 1 the formulas give v(1), -inf and -inf
-        else:  # E-f
-            rz, s2 = np.sqrt(s), s * s
+        else:  # E-f; s + 0.0 is 0.0 at s = -0.0, where f' is +inf as at 0.0
+            rz, s2 = np.sqrt(s + 0.0), s * s
             rz1, sw = 1.0 + rz, np.sqrt(1.0 - s2)
             half = 0.5 * rz / sw
             terms = (
@@ -121,12 +120,12 @@ def profile_jets(profile: RevolutionProfile, s, order: int = 2) -> tuple[np.ndar
                 lambda: -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half
                 - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
             )
-            ends = {0.0: (1.0, math.inf, -math.inf), 1.0: (0.0, -math.inf, -math.inf)}
         jet = tuple(term() for term in terms[: order + 1])
+    if profile.kind == "S-u" and np.count_nonzero(s == 1.0):  # the counts skip the selects on interior points
+        # the formula reads u(1) = 0.5000000000000003 at a = 0.5; the gluing needs u(1) = v(1) exactly
+        jet = (np.where(s == 1.0, spherical_cap_height(a), jet[0]), *jet[1:])
     outside = ~((lo <= s) & (s <= hi))
-    if np.count_nonzero(outside | (s == 0.0) | (s == 1.0)):  # the count skips the selects on interior points
-        for end, at_end in ends.items():
-            jet = tuple(np.where(s == end, e, v) for e, v in zip(at_end, jet))
+    if np.count_nonzero(outside):
         jet = tuple(np.where(outside, np.nan, v) for v in jet)
     return jet
 
@@ -314,13 +313,7 @@ def radial_field(profile: RevolutionProfile) -> ScalarField:
     if profile.kind == "E-f":
         return RadialField(2, inverse_profile_jet, Annulus(2, *_F_INVERSE_RANGE), name="revolution-E-f")
     dom = Annulus(2, profile.a, 1.0 - RIM_MARGIN) if profile.kind == "S-u" else Ball(2, 1.0 - RIM_MARGIN)
-    return RadialField(2, partial(_radial_jets, profile), dom, name=f"revolution-{profile.kind}")
-
-
-def _radial_jets(profile: RevolutionProfile, r, order: int):
-    """profile_jets over an array of radii; at one radius profile_jet, whose
-    OutOfDomainError names the profile."""
-    return profile_jets(profile, r, order) if np.ndim(r) else profile_jet(profile, r, order)
+    return RadialField(2, partial(profile_jets, profile), dom, name=f"revolution-{profile.kind}")
 
 
 _F_PROFILE = RevolutionProfile("E-f")
@@ -336,13 +329,11 @@ _F_EDGE = profile_jet(_F_PROFILE, _F_Z_END)[0]
 def inverse_profile_jet(r, order: int = 2) -> tuple[np.ndarray, ...]:
     """Jet of zeta(r) = inverse of the decreasing branch of f over an array of
     radii, so the E-f surface is locally the graph z = zeta(|x|); with order
-    0, the one-tuple (zeta,). It is NaN outside [f(_F_Z_END), _F_PEAK), and
-    at one radius there it raises OutOfDomainError. One brentq_lanes call
-    solves every radius, each root scipy's brentq root bit for bit."""
+    0, the one-tuple (zeta,). It is NaN outside [f(_F_Z_END), _F_PEAK). One
+    brentq_lanes call solves every radius, each root scipy's brentq root bit
+    for bit."""
     r = np.asarray(r, dtype=float)
     inside = (_F_EDGE <= r) & (r < _F_PEAK)
-    if r.ndim == 0 and not inside:
-        raise OutOfDomainError(f"inverse profile needs {_F_EDGE:.6g} <= r < {_F_PEAK:.6f}, got {r}")
     z, rk = np.full(r.shape, np.nan), r[inside]
     lo, hi = np.full(rk.shape, _F_PEAK_Z), np.full(rk.shape, _F_Z_END)
     z[inside] = brentq_lanes(lambda t, k: _f_value(t) - rk[k], lo, hi, xtol=1e-14)

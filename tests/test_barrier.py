@@ -157,14 +157,16 @@ class TestSlideEdgeCases:
     def test_samples_outside_the_domain_raise(self):
         field = radial_field(RevolutionProfile("S-u", 0.5))
         # the first sample in scan order is the one reported
-        with pytest.raises(OutOfDomainError, match=r"got s = 0\.335$"):
+        with pytest.raises(OutOfDomainError, match=r"^point \[0\.335, 0\.0\] outside domain of revolution-S-u$"):
             slide(field, (0.3, 1.0), 0.335, radial=64, angular=16)
 
     def test_non_finite_samples_raise(self):
-        # value returns NaN beyond r = 0.8 without raising: the scan must not go silent
-        field = FiniteDifferenceField(lambda x: 1.0 - x @ x if x @ x < 0.64 else np.nan, 2)
-        with pytest.raises(NonFiniteJetError):
-            slide(field, (0.3, 1.0), 0.35, radial=64, angular=16)
+        # the callable returns NaN or inf beyond r = 0.8 without raising: the scan must not go silent;
+        # a NaN value is undefined, and its point raises
+        for beyond, error in [(np.nan, OutOfDomainError), (np.inf, NonFiniteJetError)]:
+            field = FiniteDifferenceField(lambda x: 1.0 - x @ x if x @ x < 0.64 else beyond, 2)
+            with pytest.raises(error):
+                slide(field, (0.3, 1.0), 0.35, radial=64, angular=16)
 
     def test_outer_ring_touch_is_not_polished(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -188,6 +190,66 @@ class TestSlideEdgeCases:
         assert not run.successful
         bounds = comparison_bounds(run)
         assert bounds.ordering_skipped
+
+
+#: the bump (1 - |x|^2)^2 (0.3 + 0.5 x - 0.2 y), which vanishes to second order on the rim, so the slide
+#: touches inside; a_prime is the CLI default at --a 0.3
+POLY_BUMP = "poly:0.3,0.5,-0.2,-0.6,0,-0.6,-1,0.4,-1,0.4,0.3,0,0.6,0,0.3,0.5,-0.2,1,-0.4,0.5,-0.2"
+POLY_A_PRIME = 0.3 + 0.05 * (1.0 - 0.3)
+
+
+def spy(monkeypatch, name):
+    """Record what barrier.<name> returns on each call, and keep it working."""
+    results, func = [], getattr(barrier, name)
+
+    def recorded(*args, **kwargs):
+        results.append(func(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(barrier, name, recorded)
+    return results
+
+
+class TestPolish:
+    """The two polishes of an interior touch: Newton on the touching ratio
+    where its steps stay in their cell, else one Brent lane on the ray.
+    Either touch certifies |D_r u| >= lambda_star to rounding."""
+
+    def poly_run(self, radial, angular):
+        return slide(parse_field(POLY_BUMP, 2), (0.3, 1.0), POLY_A_PRIME, radial=radial, angular=angular)
+
+    @pytest.mark.parametrize("radial, lam_star, margin", [
+        (128, 0.6445897676493282, 0.0),
+        (512, 0.6445897676493281, -1.1102230246251565e-16),
+    ])
+    def test_newton_converges(self, monkeypatch, radial, lam_star, margin):
+        newton = spy(monkeypatch, "_newton_refine_ratio")
+        polish = spy(monkeypatch, "_radial_polish")
+        run = self.poly_run(radial, 128)
+        assert len(newton) == 1 and newton[0] is not None and not polish
+        assert run.successful and not run.boundary_touch
+        assert run.x0 == tuple(newton[0])
+        assert run.lam_star == lam_star and gradient_bound_margin(run) == margin
+
+    def test_radial_polish_certifies(self, monkeypatch):
+        # Newton's first step leaves its cell here, so the Brent lane polishes the touch
+        newton = spy(monkeypatch, "_newton_refine_ratio")
+        polish = spy(monkeypatch, "_radial_polish")
+        run = self.poly_run(128, 64)
+        assert newton == [None] and len(polish) == 1
+        assert run.successful and run.x0 == tuple(polish[0])
+        assert gradient_bound_margin(run) >= -1e-15
+        assert abs(run.lam_star - 0.6441536371218181) <= 2 * np.spacing(0.6441536371218181)
+
+    def test_radial_polish_is_the_ratio_maximum(self):
+        """On the bump, q = (r - 0.3)(1 - r) peaks at r = 0.65; a bracket on
+        one side of the peak returns the point it was given."""
+        field, x = bump_field(), np.array([0.36, 0.48])  # |x| = 0.6 on the ray (0.6, 0.8)
+        got = _radial_polish(field, x, 0.6, 0.7)
+        assert np.linalg.norm(got) == pytest.approx(0.65, abs=1e-12)
+        assert got / np.linalg.norm(got) == pytest.approx([0.6, 0.8], abs=1e-15)
+        for lo, hi in [(0.4, 0.6), (0.7, 0.8)]:
+            assert _radial_polish(field, x, lo, hi) is x
 
 
 class TestSlideBattery:

@@ -625,7 +625,7 @@ class TestErrors:
         rc = main(["barrier", "--field", "radial:S-u:0.5", "--a", "0.3"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "curv: error: S-u profile is defined on [0.5, 1.0], got s = 0.33499999999999996\n"
+            "curv: error: point [0.33499999999999996, 0.0] outside domain of revolution-S-u\n"
         )
 
     def test_missing_grid_file(self, capsys):
@@ -651,6 +651,8 @@ RUNS = [
     ("prod --fields 2", ["verify", "inequality", "--which", "prod", "--fields", "2"]),
     ("point radial:E-f", ["point", "--field", "radial:E-f", "--at", "0.5,0"]),
     ("slice radial:E-f", ["slice", "--field", "radial:E-f", "--eps", "0.6,0.8"]),
+    ("barrier poly --angular 64", ["barrier", "--field", "poly:0.3,0.5,-0.2,-0.6,0,-0.6,-1,0.4,-1,0.4,0.3,0,0.6,0,0.3,"
+                                   "0.5,-0.2,1,-0.4,0.5,-0.2", "--a", "0.3", "--radial", "128", "--angular", "64"]),
 ]
 for name, argv in RUNS + STAGES:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -663,9 +665,9 @@ print(json.dumps(steps))
 class TestColdImport:
     def test_no_stage_loads_scipy(self):
         """A fresh interpreter imports `curv.cli`, then runs `main` on one
-        inequality suite, on a point and a slice of the E-f profile, and on
-        each verify_all stage, and no step loads any scipy module: only the
-        barrier's interior-touch polish needs scipy, and it runs in none."""
+        inequality suite, on a point and a slice of the E-f profile, on a
+        barrier slide whose touch takes the radial polish, and on each
+        verify_all stage, and no step loads any scipy module."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), str(root / "scripts"), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

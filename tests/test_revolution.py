@@ -19,6 +19,7 @@ from curv.revolution import (
     principal_curvatures_f,
     principal_curvatures_u,
     profile_jet,
+    profile_jets,
     radial_field,
     spherical_cap_height,
     sweep_f,
@@ -152,6 +153,27 @@ class TestConeProfile:
             z, dz, ddz = inverse_profile_jet(r)
             assert profile_jet(prof, z)[0] == pytest.approx(r, abs=1e-12)
             _, fz, _ = profile_jet(prof, z)
+
+
+class TestEndpoints:
+    """At the vertical tangents the formulas themselves give the endpoint
+    jets bit for bit, at an array of s and at one s; S-u's value at s = 1
+    is the gluing height sqrt((1-a)/2), set where the formula rounds off it."""
+
+    CASES = [
+        ("S-u", 0.5, 1.0, (spherical_cap_height(0.5), np.inf, np.inf)),
+        ("S-u", 0.3, 1.0, (spherical_cap_height(0.3), np.inf, np.inf)),
+        ("E-f", 0.5, 0.0, (1.0, np.inf, -np.inf)),
+        ("E-f", 0.5, -0.0, (1.0, np.inf, -np.inf)),
+        ("E-f", 0.5, 1.0, (0.0, -np.inf, -np.inf)),
+    ]
+
+    @pytest.mark.parametrize("kind, a, s, want", CASES)
+    def test_endpoint_jets(self, kind, a, s, want):
+        prof = RevolutionProfile(kind, a)
+        rows = np.array(profile_jets(prof, np.array([s, 0.75])))[:, 0]
+        point = np.array(profile_jet(prof, s))
+        assert rows.tobytes() == point.tobytes() == np.array(want).tobytes()
 
 
 class TestCapCurvature:

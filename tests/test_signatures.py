@@ -1,7 +1,10 @@
 """Keywords that had one value in every caller are module constants; they stay
-out of the signatures. Routes that were folded into another stay deleted."""
+out of the signatures. Routes that were folded into another stay deleted, and
+no module of curv imports scipy."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +52,8 @@ def test_check_is_the_one_row_route():
 #: slice trace that the `phi` check replaces, the built-ins' constant
 #: broadcast (they run on the polynomial kernel), the scalar identity
 #: splitting (the suite's kernel at one matrix serves) and the suite's fixed
-#: verdict beside `verify identity --tol`
+#: verdict beside `verify identity --tol`, and the revolution profiles'
+#: one-radius fork (a radial field takes `profile_jets` as it is)
 DELETED = [
     (util.Stacked, "from_rows"),
     (fields, "_broadcast"),
@@ -60,9 +64,25 @@ DELETED = [
     (conformal, "SliceTrace"),
     (conformal, "conformal_slice_trace"),
     (conformal, "slice_trace_from_ambient"),
+    (revolution, "_radial_jets"),
 ]
 
 
 @pytest.mark.parametrize("owner, name", DELETED, ids=[f"{getattr(o, '__name__', o)}.{n}" for o, n in DELETED])
 def test_deleted_routes_stay_deleted(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_no_module_imports_scipy():
+    """curv runs on numpy alone: no import of scipy in any scope of any module."""
+    imported = []
+    for path in sorted(Path(util.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else []
+            else:
+                continue
+            imported += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert imported == []
