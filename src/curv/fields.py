@@ -6,9 +6,9 @@ a row where the field is undefined. `value` and `jet` (and `gradient` and
 OutOfDomainError where that row is NaN. The kernel kinds are the trig,
 sphere-cap and polynomial built-ins, radial profiles (the profile maps an
 array of radii to its jet, NaN where it is undefined), gridded samples with
-local quadratic tensor interpolation (an index gather), the rotated and
-scaled wrappers of any field, and finite differences on a field or a value
-callable (central stencils, order 2, one stencil stack per call). Finite
+local quadratic tensor interpolation (an index gather), the scaled wrapper
+of any field, and finite differences on a field or a value callable
+(central stencils, order 2, one stencil stack per call). Finite
 differences read only values, never the wrapped field's jets, so they serve
 as an independent oracle. A configured kind only sets up a kernel kind and
 defines no kernel: the paraboloid, cup, plane and constant are polynomials,
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -134,23 +133,6 @@ class Annulus(_RoundDomain):
 
 def whole_space(dim: int) -> Ball:
     return Ball(dim, np.inf)
-
-
-class _RotatedDomain:
-    """{x : q x in base} for an orthogonal q: the domain of a rotated field."""
-
-    def __init__(self, base, q: np.ndarray):
-        self.base, self.q, self.dim = base, q, base.dim
-
-    def contains(self, x: np.ndarray, margin=0.0):
-        return self.base.contains(np.matvec(self.q, x), margin)
-
-    def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
-        return self.base.ray_extent(np.matvec(self.q, center), np.matvec(self.q, direction), margin)
-
-    def probe_cube(self) -> tuple[np.ndarray, float]:
-        c, extent = self.base.probe_cube()  # |x - q^T c| = |q x - c| covers the rotated cube
-        return np.vecmat(c, self.q), math.sqrt(self.dim) * extent
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +429,14 @@ class RadialField(ScalarField):
         self.name = name
 
     def _profile(self, X, order: int):
-        """|x| of each row, max(|x|, 1e-12), and the profile there."""
+        """|x| of each row, max(|x|, 1e-12), and the profile there; a p not
+        of the radii's shape raises ValueError."""
         r = np.sqrt(np.vecdot(X, X))  # np.linalg.norm of each row, bit for bit
         rr = np.maximum(r, 1e-12)
-        return r, rr, *self.profile(rr, order)
+        p, *rest = self.profile(rr, order)
+        if np.shape(p) != rr.shape:
+            raise ValueError(f"profile of {self.name} gave p of shape {np.shape(p)} for radii of shape {rr.shape}")
+        return r, rr, p, *rest
 
     def values(self, X):
         return self._profile(X, 0)[2]
@@ -468,28 +454,6 @@ class RadialField(ScalarField):
             grad = np.where(origin[..., None], 0.0, grad)
             hess = np.where(origin[..., None, None], ddp[..., None, None] * eye, hess)
         return p, grad, hess
-
-
-class RotatedField(ScalarField):
-    """u_Q(x) = u(Q x) for orthogonal Q; used by isometry-invariance tests."""
-
-    def __init__(self, base: ScalarField, q: np.ndarray):
-        self.base = base
-        self.q = np.asarray(q, dtype=float)
-        self.dim = base.dim
-        dom = base.domain  # a centred round domain is its own rotation
-        self.domain = dom if isinstance(dom, _RoundDomain) and dom.center is None else _RotatedDomain(dom, self.q)
-        self.name = f"rotated({base.name})"
-
-    def values(self, X):
-        return self.base.values(np.matvec(self.q, X))
-
-    def jets(self, X):
-        u, du, ddu = self.base.jets(np.matvec(self.q, X))
-        return u, np.vecmat(du, self.q), self.q.T @ ddu @ self.q
-
-    def margin(self, x):
-        return self.base.margin(np.matvec(self.q, x))
 
 
 class ScaledField(ScalarField):

@@ -194,15 +194,10 @@ class SliceFrame(Stacked):
     cos_angle: float  # <nu, eta> = |grad u|/W in [0, 1]
     frame: np.ndarray  # columns E_1 = grad u/|grad u|, E_2, ..., E_n
     grad_norm: float
-    point: ExtrinsicPoint  # the graph point the frame was built on
 
     @property
     def dim(self) -> int:
         return self.x.shape[-1]
-
-    @property
-    def minor(self) -> np.ndarray:  # (A|1) of the graph shape operator in the adapted frame, computed when read
-        return adapted_matrix(self.frame, self.point.base_jet.g, self.point.shape_operator)[..., 1:, 1:]
 
 
 def level_slice(field: ScalarField, base, eps: float, x) -> SliceFrame:
@@ -253,7 +248,7 @@ def slice_frames(points: ExtrinsicPoint, eps) -> tuple[np.ndarray, SliceFrame]:
     a_sigma = 0.5 * (a_sigma + a_sigma.mT)
     return regular, _new(SliceFrame, dict(
         eps=eps, x=points.x, eta=-points.grad_up / grad_norm[:, None], a_sigma=a_sigma, h_sigma=trace(a_sigma),
-        cos_angle=grad_norm / points.w, frame=frame, grad_norm=grad_norm, point=points,
+        cos_angle=grad_norm / points.w, frame=frame, grad_norm=grad_norm,
     ))
 
 
@@ -357,12 +352,6 @@ def slice_shape_sampled(field: ScalarField, eps: float, x, step: float = 1e-3) -
     for (a, b), (tpp, tpm, tmp, tmm) in zip(pairs, corners):
         out[a, b] = out[b, a] = (tpp - tpm - tmp + tmm) / (4.0 * step**2)
     return -out  # second form for eta = -m
-
-
-def gauss_oracle_residual(field: ScalarField, base, x) -> float:
-    """|R_M(extrinsic route) - R(induced metric, FD route)| at x."""
-    pt = extrinsic_point(field, base, x)
-    return abs(pt.scalar_curvature - intrinsic_scalar_curvature(field, base, x))
 
 
 def flat_base(dim: int) -> FlatMetric:

@@ -24,18 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import ConformalPoint, conformal_point, conformal_points
+from .conformal import ConformalPoint, conformal_points
 from .fields import ScalarField
 from .graphgeom import (
     DELTA_REG,
     ExtrinsicPoint,
     SliceFrame,
-    adapted_matrix,
     eigvalsh,
-    extrinsic_point,
     extrinsic_points,
     nonregular_error,
-    slice_frame_of_point,
     slice_frames,
 )
 from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
@@ -415,32 +412,3 @@ def run_suite(
         nonregular_skips=skips,
     )
 
-
-def decomposition_gap(report_gap: float, a_adapted: np.ndarray) -> float:
-    """|inequality gap - algebraic gap of the adapted-chart matrix|.
-
-    In the adapted graph chart the inequality's gap equals the Newton-type
-    gap of the shape operator matrix (whose off-diagonal products are squares
-    there), so the two must agree.
-    """
-    from .syminv import newton_gap
-
-    return abs(report_gap - newton_gap(a_adapted).gap)
-
-
-def adapted_graph_matrix(field: ScalarField, base, x) -> np.ndarray:
-    """Shape operator in the graph-adapted orthonormal frame: the first frame
-    vector is the normalized horizontal gradient lifted to the graph; entries
-    a_1b a_b1 = W^2 (A^1_b)^2 are nonnegative by construction."""
-    pt = extrinsic_point(field, base, x)
-    fr = slice_frame_of_point(pt, eps=pt.u)
-    return adapted_matrix(fr.frame, pt.base_jet.g, pt.shape_operator)
-
-
-def adapted_conformal_matrix(field: ScalarField, ambient: AmbientSpec, x) -> np.ndarray:
-    """Abar in the same adapted frame (conformal shift keeps the sign pattern)."""
-    cp = conformal_point(field, ambient, x)
-    pt = cp.point
-    fr = slice_frame_of_point(pt, eps=pt.u)
-    a_ad = adapted_matrix(fr.frame, pt.base_jet.g, pt.shape_operator)
-    return cp.factor.value * a_ad + cp.dphi_nu * np.eye(pt.dim)

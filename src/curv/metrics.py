@@ -51,8 +51,6 @@ class Metric:
 
 
 class FlatMetric(Metric):
-    kind = "flat"
-
     def __init__(self, dim: int):
         self.dim = dim
         self.name = "flat"
@@ -74,8 +72,6 @@ class ConformalMetric(Metric):
     jets are one array program over the rows, with every power a
     `np.float_power`, which rounds as scalar `**` does.
     """
-
-    kind = "conformal"
 
     def __init__(self, dim: int, factor_jet: Callable[[np.ndarray], tuple], name="conformal"):
         self.dim = dim
@@ -143,8 +139,6 @@ class GeneralMetric(Metric):
     the stencil of every row and differentiate it with fourth-order central
     differences of step GENERAL_STEP; the first row whose metric is not
     positive definite raises MetricNotPositiveError."""
-
-    kind = "general"
 
     def __init__(self, dim: int, components: Callable[[np.ndarray], np.ndarray], name="general"):
         self.dim = dim

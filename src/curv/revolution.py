@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .fields import Annulus, Ball, RadialField, ScalarField
-from .util import brentq_lanes, maxabs, richardson_limit
+from .util import brentq_lanes, richardson_limit
 
 KINDS = ("E-f", "S-u", "S-v")
 _ALIASES = {
@@ -341,28 +341,6 @@ def inverse_profile_jet(r, order: int = 2) -> tuple[np.ndarray, ...]:
         return (z,)
     _, df, ddf = profile_jets(_F_PROFILE, z)
     return z, 1.0 / df, -ddf / np.float_power(df, 3)
-
-
-def gauss_check_f(radii) -> float:
-    """Worst |K_formula - R_M/2| over the E-f inverse graph at the given radii;
-    the flat graph pipeline is the independent route."""
-    from .graphgeom import extrinsic_points, flat_base
-
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    pts = extrinsic_points(radial_field(_F_PROFILE), flat_base(2), np.column_stack([radii, np.zeros_like(radii)]))
-    return maxabs(gauss_curvature_f(inverse_profile_jet(radii)[0]) - pts.scalar_curvature / 2.0)
-
-
-def closed_vs_pipeline(a: float, radii) -> float:
-    """Worst principal-curvature disagreement between the closed forms and
-    the generic conformal pipeline on the u-graph."""
-    from .conformal import conformal_points
-    from .metrics import spherical_ambient
-
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    X = np.column_stack([radii, np.zeros_like(radii)])
-    cp = conformal_points(radial_field(RevolutionProfile("S-u", a)), spherical_ambient(2), X)
-    return maxabs(cp.principal - np.sort(np.column_stack(principal_curvatures_u(a, radii)), axis=1))
 
 
 def sweep_u(a: float, count: int = 400) -> np.ndarray:

@@ -165,15 +165,6 @@ def identity_residual(a) -> float:
     return float(_identity_terms(_checked(a)[None])[0][0])
 
 
-def identity_residual_batch(a: np.ndarray) -> np.ndarray:
-    """Residuals for a stack of matrices, shape (m, n, n) -> (m,): the
-    vectorized identity_residual of the randomized suite."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 2:
-        raise ValueError(f"expected shape (m, n, n) with n >= 2, got {a.shape}")
-    return _identity_terms(a)[0]
-
-
 @dataclass(frozen=True)
 class IdentitySuiteResult:
     seed: int

@@ -43,9 +43,10 @@ def bump_field(a=0.3):
 
 
 def scan_oracle(field, inner, outer, samples=200001):
-    """Fine 1-D scan of u/(1-r): an independent certificate for lambda_star."""
+    """Fine 1-D scan of u/(1-r): an independent certificate for lambda_star.
+    It reads only the field's values, in one call on the stack of its radii."""
     radii = np.linspace(inner, outer, samples)
-    vals = np.array([field.value(np.array([r, 0.0])) for r in radii])
+    vals = field.values(np.column_stack([radii, np.zeros_like(radii)]))
     return float(np.max(vals / (1.0 - radii)))
 
 

@@ -18,7 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from curv import cli, fields, graphgeom, inequality, metrics, util
+from curv import cli, fields, graphgeom, inequality, metrics, revolution, util
+from curv.fieldspec import parse_field
 
 
 def profile_events(fn) -> int:
@@ -65,6 +66,31 @@ BUDGETS = {
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_one_row_call_budget(name):
     assert profile_events(route(name)) <= BUDGETS[name]
+
+
+#: (spec, value budget, jet budget) of a field's one-point methods, row 0 of
+#: the stack of one; the radial route's 2 events above 27/44 are the check
+#: that its profile's p has the radii's shape
+FIELD_BUDGETS = {
+    "trig": ("trig:5", 5, 7),
+    "poly": ("poly:0.3,0,1,-2,0.5,1,0,0.25", 12, 14),
+    "sphere-cap": ("sphere-cap:1.5,0.2", 7, 13),
+    "radial-S-u": ("radial:S-u:0.5", 29, 46),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_BUDGETS))
+def test_one_point_field_call_budget(name):
+    spec, value, jet = FIELD_BUDGETS[name]
+    field, x = parse_field(spec, 2), np.array([0.6, 0.3])
+    assert profile_events(lambda: field.value(x)) <= value
+    assert profile_events(lambda: field.jet(x)) <= jet
+
+
+def test_one_brent_lane_call_budget():
+    """The E-f inverse profile at one radius: one `brentq_lanes` lane, then the profile's jet there."""
+    r = np.array([0.7])
+    assert profile_events(lambda: revolution.inverse_profile_jet(r)) <= 284
 
 
 #: trig rows that `TrigField.values` reads in a CLI run, and in each comment

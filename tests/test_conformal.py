@@ -13,7 +13,7 @@ from curv.conformal import (
 )
 from curv.errors import ConformalFactorError
 from curv.fields import Constant, Paraboloid, SphereCap, random_trig_field
-from curv.graphgeom import extrinsic_point, flat_base, slice_frames
+from curv.graphgeom import adapted_matrix, extrinsic_point, flat_base, slice_frames
 from curv.inequality import checks
 from curv.metrics import AmbientSpec, FlatMetric, PhiJet, constant_ambient, spherical_ambient
 from curv.util import trace
@@ -140,31 +140,34 @@ class TestMinorRelationOnThePhiRoute:
 
     def stacks(self, n, ambient):
         """The reports at 12 points of a trig field, each on its own level,
-        and the conformal points and slice frames of the regular rows."""
+        the conformal points and slice frames of the regular rows, and (A|1),
+        the graph shape operator in each frame less its first row and column."""
         field = random_trig_field(n, seed=10 + n)
         X = np.random.default_rng(n).uniform(-0.5, 0.5, (12, n))
         eps = field.values(X)
         regular, reports = checks("phi", field, eps, X, ambient)
         assert np.count_nonzero(regular) == 12
         cp = conformal_points(field, ambient, X)
-        return reports, cp, slice_frames(cp.point, eps)[1]
+        frames = slice_frames(cp.point, eps)[1]
+        minor = adapted_matrix(frames.frame, cp.point.base_jet.g, cp.point.shape_operator)[:, 1:, 1:]
+        return reports, cp, frames, minor
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
     def test_bracket_is_the_trace_of_the_rescaled_minor(self, n, ambient):
-        reports, cp, frames = self.stacks(n, AMBIENTS[ambient](n))
+        reports, cp, frames, minor = self.stacks(n, AMBIENTS[ambient](n))
         assert [r.extras["phi"] for r in reports] == cp.factor.value.tolist()
         assert [r.extras["dphi_nu"] for r in reports] == cp.dphi_nu.tolist()
-        want = cp.factor.value * trace(frames.minor) + (n - 1) * cp.dphi_nu
+        want = cp.factor.value * trace(minor) + (n - 1) * cp.dphi_nu
         bracket = np.array([r.extras["bracket"] for r in reports])
         assert np.abs(bracket - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
     def test_matrix_relation(self, n, ambient):
-        reports, cp, frames = self.stacks(n, AMBIENTS[ambient](n))
+        reports, cp, frames, minor = self.stacks(n, AMBIENTS[ambient](n))
         phi, eye = cp.factor.value[:, None, None], np.eye(n - 1)
-        lhs = phi * frames.minor + cp.dphi_nu[:, None, None] * eye
+        lhs = phi * minor + cp.dphi_nu[:, None, None] * eye
         dphi_eta = np.vecdot(cp.factor.grad_x, frames.eta)
         abar_sigma = phi * frames.a_sigma + dphi_eta[:, None, None] * eye
         rhs = frames.cos_angle[:, None, None] * abar_sigma + (cp.point.nu[:, -1] * cp.factor.dt)[:, None, None] * eye
@@ -173,6 +176,6 @@ class TestMinorRelationOnThePhiRoute:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unit_factor_reduces_to_plain_minor(self, n):
-        reports, cp, frames = self.stacks(n, constant_ambient(n, 1.0))
+        reports, cp, frames, minor = self.stacks(n, constant_ambient(n, 1.0))
         assert [r.h_sigma for r in reports] == frames.h_sigma.tolist()
-        assert np.abs(frames.minor - frames.cos_angle[:, None, None] * frames.a_sigma).max() <= 1e-12
+        assert np.abs(minor - frames.cos_angle[:, None, None] * frames.a_sigma).max() <= 1e-12

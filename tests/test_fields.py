@@ -24,7 +24,6 @@ from curv.fields import (
     PolynomialField,
     QuadraticCup,
     RadialField,
-    RotatedField,
     ScalarField,
     ScaledField,
     SphereCap,
@@ -166,17 +165,19 @@ class TestDomains:
         with pytest.raises(NonFiniteJetError):
             eval_jet(bad, np.array([0.5, 0.0]))
 
+    def test_profile_of_the_wrong_shape_raises(self):
+        """A profile whose p is not of the radii's shape fails by name, on
+        the stack and at a point, never returning its scalar."""
+        bad = RadialField(2, lambda r, order: (0.5, 0.0, 0.0), Ball(2, 1.0), name="flat")
+        x = np.array([0.5, 0.0])
+        with pytest.raises(ValueError, match=r"^profile of flat gave p of shape \(\) for radii of shape \(3,\)$"):
+            bad.values(np.stack([x, x, x]))
+        for method in (bad.value, bad.jet, lambda x: eval_jet(bad, x)):
+            with pytest.raises(ValueError, match=r"^profile of flat gave p of shape \(\) for radii of shape \(1,\)$"):
+                method(x)
+
 
 class TestWrappers:
-    def test_rotated_field_composes(self):
-        base = random_trig_field(2, seed=2)
-        theta = 0.7
-        q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        rot = RotatedField(base, q)
-        x = np.array([0.3, -0.4])
-        assert rot.value(x) == pytest.approx(base.value(q @ x), abs=1e-14)
-        assert np.allclose(rot.gradient(x), q.T @ base.gradient(q @ x), atol=1e-13)
-
     def test_negated_and_scaled(self):
         base = Paraboloid(2)
         x = np.array([0.5, 0.5])
@@ -455,10 +456,6 @@ class TestParser:
         assert isinstance(a, TrigField)
 
 
-def _rotation(theta):
-    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-
-
 #: one field of every built-in kind; the sphere caps and S-u/E-f profiles are
 #: undefined on part of the [-1.5, 1.5] sampling cube
 BATCHED_CASES = {
@@ -474,7 +471,6 @@ BATCHED_CASES = {
     "radial-S-u": radial_field(RevolutionProfile("S-u", 0.5)),
     "radial-S-v": radial_field(RevolutionProfile("S-v", 0.3)),
     "radial-E-f": radial_field(RevolutionProfile("E-f")),
-    "rotated": RotatedField(random_trig_field(2, seed=2), _rotation(0.7)),
     "negated": NegatedField(SphereCap(2, 1.2)),
     "scaled": ScaledField(radial_field(RevolutionProfile("S-u", 0.4)), -1.5),
     "fd": FiniteDifferenceField(random_trig_field(2, seed=6), 2, step=1e-4),
@@ -649,9 +645,6 @@ def reference_jet(field, x):
         return reference_radial_jet(field.reference_profile, x)
     if isinstance(field, PolynomialField):
         return reference_poly_jet(field, x)
-    if isinstance(field, RotatedField):
-        j = reference_jet(field.base, field.q @ x)
-        return Jet(j.value, field.q.T @ j.gradient, field.q.T @ j.hessian @ field.q)
     if isinstance(field, ScaledField):
         j = reference_jet(field.base, x)
         return Jet(field.factor * j.value, field.factor * j.gradient, field.factor * j.hessian)
@@ -849,9 +842,6 @@ KERNEL_CASES = {
     "grid-3": lambda: _grid(3, 7),
     "poly-2": lambda: parse_field("poly:0.3,0,1,-2,0.5,1,0,0.25,-0.7,0.1,0.4,-1.5"),
     "poly-3": lambda: PolynomialField(3, [(0.5, (3, 0, 1)), (-1.25, (0, 2, 2)), (2.0, (1, 1, 1)), (0.1, (0, 0, 5))]),
-    "rotated-trig-2": lambda: RotatedField(random_trig_field(2, seed=2), _rotation(0.7)),
-    "rotated-grid-3": lambda: RotatedField(_grid(3, 1), np.linalg.qr(np.arange(9.0).reshape(3, 3) ** 1.5)[0]),
-    "rotated-cap-2": lambda: RotatedField(SphereCap(2, 1.0), _rotation(-0.3)),
     "negated-cap-2": lambda: NegatedField(SphereCap(2, 1.2)),
     "negated-trig-3": lambda: NegatedField(random_trig_field(3, seed=1)),
     "radial-S-u": lambda: revolution_case("S-u", 0.5),
@@ -992,46 +982,6 @@ class TestSphereCapKernel:
                     method(x)
 
 
-class TestRotatedDomain:
-    """eval_jet and eval_jets refuse x on a rotated field exactly where they
-    refuse q x on its base, for the base's domain and its margin."""
-
-    BASES = {
-        "grid": lambda: _grid(2, 5),  # a box domain and a 2h margin
-        "fd": lambda: FiniteDifferenceField(random_trig_field(2, seed=6), 2, step=0.1),  # a 0.2 margin
-        "off-centre-ball": lambda: RadialField(
-            2, lambda r, order: (r * r, 2.0 * r, 2.0), Ball(2, 1.0, center=(0.5, -0.25))),
-        "annulus": lambda: revolution_case("S-u", 0.5),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(BASES))
-    def test_refuses_where_the_base_refuses(self, kind):
-        base, q = self.BASES[kind](), _rotation(0.7)
-        field = RotatedField(base, q)
-        X = np.concatenate([[[5.0, 5.0], [0.0, 0.0]], np.random.default_rng(1).uniform(-2.2, 2.2, (300, 2))])
-        refused = np.zeros(len(X), dtype=bool)
-        for i, x in enumerate(X):
-            qx = np.matvec(q, x)
-            assert np.array_equal(field.margin(x), base.margin(qx))
-            try:
-                eval_jet(base, qx)
-            except OutOfDomainError:
-                refused[i] = True
-                with pytest.raises(OutOfDomainError):
-                    eval_jet(field, x)
-            else:
-                eval_jet(field, x)
-        assert refused[0] and 0 < refused.sum() < len(X)
-        assert np.array_equal(field.domain.contains(X, margin=field.margin(X)), ~refused)
-        with pytest.raises(OutOfDomainError, match=r"point \[5.0, 5.0\] outside domain of rotated"):
-            eval_jets(field, X)
-        assert eval_jets(field, X[~refused])[0].shape == (len(X) - refused.sum(),)
-
-    def test_centred_round_domains_are_kept(self):
-        trig = random_trig_field(2, seed=2)
-        assert RotatedField(trig, _rotation(0.7)).domain is trig.domain
-
-
 class TestRevolutionProfiles:
     """The array closed forms behind the radial kernel kinds equal their
     per-point references bit for bit, NaN where a reference raises."""
@@ -1099,7 +1049,7 @@ class TestDeclaredStructure:
     def test_each_kind_defines_one_route(self):
         classes = _concrete_field_classes()
         assert {c.__name__ for c in classes} - {c.__name__ for c in CONFIGURED} == {
-            "SphereCap", "PolynomialField", "TrigField", "RadialField", "GridField", "RotatedField", "ScaledField",
+            "SphereCap", "PolynomialField", "TrigField", "RadialField", "GridField", "ScaledField",
             "FiniteDifferenceField",
         }
         for cls in classes:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from curv import revolution
+from curv.conformal import conformal_points
 from curv.errors import OutOfDomainError
+from curv.graphgeom import extrinsic_points, flat_base
+from curv.metrics import spherical_ambient
 from curv.revolution import (
     RevolutionProfile,
     cap_curvature,
     cap_scalar_curvature,
-    closed_vs_pipeline,
-    gauss_check_f,
     gauss_curvature_f,
     inverse_profile_jet,
     junction_c2_check,
@@ -207,13 +208,18 @@ class TestPrincipalCurvatures:
         with pytest.raises(OutOfDomainError):
             principal_curvatures_u(0.5, 1.0)
 
+    @staticmethod
+    def pipeline_gap(a, radii):
+        """Worst gap between the closed forms and the conformal pipeline's principal curvatures."""
+        X = np.column_stack([radii, np.zeros_like(radii)])
+        cp = conformal_points(radial_field(RevolutionProfile("S-u", a)), spherical_ambient(2), X)
+        return np.abs(cp.principal - np.sort(np.column_stack(principal_curvatures_u(a, radii)), axis=1)).max()
+
     def test_pipeline_cross_check(self):
-        radii = np.linspace(0.52, 0.97, 40)
-        assert closed_vs_pipeline(0.5, radii) <= 1e-6
+        assert self.pipeline_gap(0.5, np.linspace(0.52, 0.97, 40)) <= 1e-6
 
     def test_pipeline_cross_check_other_parameter(self):
-        radii = np.linspace(0.3, 0.9, 25)
-        assert closed_vs_pipeline(0.25, radii) <= 1e-6
+        assert self.pipeline_gap(0.25, np.linspace(0.3, 0.9, 25)) <= 1e-6
 
 
 class TestMonotonicity:
@@ -277,8 +283,11 @@ class TestGaussOnCone:
             assert km * kp == pytest.approx(gauss_curvature_f(z), abs=1e-12)
 
     def test_pipeline_cross_check(self):
+        # K = R_M / 2 of the E-f inverse graph on the flat graph pipeline, the independent route
         radii = np.linspace(0.4, 1.3, 30)
-        assert gauss_check_f(radii) <= 1e-8
+        X = np.column_stack([radii, np.zeros_like(radii)])
+        pts = extrinsic_points(radial_field(RevolutionProfile("E-f")), flat_base(2), X)
+        assert np.abs(gauss_curvature_f(inverse_profile_jet(radii)[0]) - pts.scalar_curvature / 2.0).max() <= 1e-8
 
 
 class TestArrayForms:

@@ -1,8 +1,10 @@
 """Keywords that had one value in every caller are module constants; they stay
-out of the signatures. Routes that were folded into another stay deleted, and
-no module of curv imports scipy."""
+out of the signatures. Routes that were folded into another stay deleted, no
+module of curv imports scipy, and every public name of curv has a caller in
+the program or is an oracle or closed-form reference the tests check it by."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -16,7 +18,6 @@ REMOVED = [
     (graphgeom.nonregular_error, {"delta_reg"}),
     (graphgeom.slice_frame_of_point, {"delta_reg"}),
     (graphgeom.intrinsic_scalar_curvature, {"step"}),
-    (graphgeom.gauss_oracle_residual, {"step"}),
     (graphgeom.slice_shape_sampled, {"root_tol"}),
     (inequality.check_prod, {"delta_reg"}),
     (inequality.check_euclid, {"delta_reg"}),
@@ -52,8 +53,12 @@ def test_check_is_the_one_row_route():
 #: slice trace that the `phi` check replaces, the built-ins' constant
 #: broadcast (they run on the polynomial kernel), the scalar identity
 #: splitting (the suite's kernel at one matrix serves) and the suite's fixed
-#: verdict beside `verify identity --tol`, and the revolution profiles'
-#: one-radius fork (a radial field takes `profile_jets` as it is)
+#: verdict beside `verify identity --tol`, the revolution profiles'
+#: one-radius fork (a radial field takes `profile_jets` as it is), and the
+#: library only the tests reached: the rotated field kind (the invariance
+#: tests rotate a trig field through its frequencies), the wrappers around
+#: the production pipeline that the tests now compute inline, the slice
+#: frame's minor (`adapted_matrix` serves) and the metric kinds' unread names
 DELETED = [
     (util.Stacked, "from_rows"),
     (fields, "_broadcast"),
@@ -65,12 +70,89 @@ DELETED = [
     (conformal, "conformal_slice_trace"),
     (conformal, "slice_trace_from_ambient"),
     (revolution, "_radial_jets"),
+    (fields, "RotatedField"),
+    (fields, "_RotatedDomain"),
+    (inequality, "adapted_graph_matrix"),
+    (inequality, "adapted_conformal_matrix"),
+    (inequality, "decomposition_gap"),
+    (revolution, "gauss_check_f"),
+    (revolution, "closed_vs_pipeline"),
+    (graphgeom, "gauss_oracle_residual"),
+    (syminv, "identity_residual_batch"),
+    (graphgeom.SliceFrame, "minor"),
+    (metrics.FlatMetric, "kind"),
+    (metrics.ConformalMetric, "kind"),
+    (metrics.GeneralMetric, "kind"),
 ]
 
 
 @pytest.mark.parametrize("owner, name", DELETED, ids=[f"{getattr(o, '__name__', o)}.{n}" for o, n in DELETED])
 def test_deleted_routes_stay_deleted(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_slice_frames_do_not_carry_their_points():
+    assert "point" not in {f.name for f in dataclasses.fields(graphgeom.SliceFrame)}
+
+
+REPO = Path(util.__file__).parents[2]
+
+#: public names of curv that only the tests call, each with the reason it stays
+UNCALLED = {
+    "slice_shape_sampled": "oracle: the slice operator traced from the level set by root finding",
+    "principal_curvatures_u": "closed-form reference: the u-graph's curvatures in the round ambient",
+    "principal_curvatures_f": "closed-form reference: the E-f surface's meridian and parallel curvatures",
+    "gauss_curvature_f": "closed-form reference: the E-f surface's Gauss curvature",
+    "sigma1": "closed-form reference: the trace, definitionally",
+    "sigma1_minor": "closed-form reference: the minor's trace, definitionally",
+    "sigma2": "closed-form reference: the second symmetric invariant, definitionally",
+    "newton_gap": "closed-form reference: the Newton-type gap of one matrix",
+    "identity_residual": "closed-form reference: the identity kernel at one matrix",
+}
+
+
+def _public_names() -> set[str]:
+    """The public names each module of curv defines at its top level."""
+    names = set()
+    for path in Path(util.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def _referenced_names() -> set[str]:
+    """Every name, attribute and import in src/, scripts/ and perfbench/, and
+    every string of perfbench/tracing.py (its tables patch by name). A
+    function or class that names itself does not count as its own caller."""
+    refs = set()
+    for path in [p for d in ("src", "scripts", "perfbench") for p in sorted((REPO / d).rglob("*.py"))]:
+        for top in ast.parse(path.read_text()).body:
+            found = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    found.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path.name == "tracing.py":
+                    found.add(node.value)
+            refs |= found - ({top.name} if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else set())
+    return refs
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    """src/ grows no library that only the tests reach: a public name is
+    called from the program, or it is on UNCALLED, and nothing on UNCALLED
+    has gained a caller."""
+    public, refs = _public_names(), _referenced_names()
+    assert sorted(public - refs - set(UNCALLED)) == []
+    assert sorted(set(UNCALLED) - public) == []
+    assert sorted(set(UNCALLED) & refs) == []
 
 
 def test_no_module_imports_scipy():

@@ -9,7 +9,6 @@ from curv.errors import SignConditionError
 from curv.syminv import (
     _identity_terms,
     identity_residual,
-    identity_residual_batch,
     newton_gap,
     randomized_identity_suite,
     sigma1,
@@ -66,7 +65,7 @@ class TestIdentity:
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(3)
         batch = rng.uniform(-1.0, 1.0, size=(64, 5, 5))
-        res = identity_residual_batch(batch)
+        res = _identity_terms(batch)[0]
         assert res.shape == (64,)
         assert np.array_equal(res, rowwise_terms(batch)[0])
         assert [identity_residual(a) for a in batch] == res.tolist()
@@ -124,7 +123,6 @@ class TestIdentityKernel:
         res, lhs = _identity_terms(a)
         want_res, want_lhs = rowwise_terms(a)
         assert np.array_equal(res, want_res) and np.array_equal(lhs, want_lhs)
-        assert np.array_equal(identity_residual_batch(a), want_res)
 
 
 class TestNewtonGap:
