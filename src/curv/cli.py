@@ -58,11 +58,14 @@ MIN_TOL = 1e-14
 _NOT_CONFIG = frozenset({"config", "command", "suite", "handler", "tolerances", "out", "format"})
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",") if t.strip()], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"bad point {text!r}") from exc
+        values = np.array([float(t) for t in text.split(",") if t.strip()], dtype=float)
+    except ValueError:
+        values = np.empty(0)
+    if not values.size:
+        raise ValueError(f"bad {flag} {text!r}: use one number or a comma-separated list like 0.1,-0.2")
+    return values
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -74,10 +77,6 @@ def _parse_orders(text: str) -> tuple[int, ...]:
     if not orders or min(orders) < 2:
         raise ValueError(f"bad --n {text!r}: use an order, a range lo-hi with 2 <= lo <= hi, or a list like 2,3,5")
     return orders
-
-
-def _parse_eps(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
 
 
 def _ambient(selector: str, dim: int):
@@ -143,7 +142,7 @@ def _run(args) -> int:
 
 
 def _handle_point(args, tol):
-    x = _parse_point(args.at)
+    x = _parse_floats(args.at, "--at")
     f = parse_field(args.field, args.dim or x.size)
     if x.size != f.dim:
         raise ValueError(f"point has dimension {x.size} but field {f.name} has {f.dim}")
@@ -178,7 +177,7 @@ def _handle_slice(args, tol):
     f = parse_field(args.field, args.dim)
     args.dim = f.dim  # the report echoes the resolved dimension
     # one geometry pass over the slice points of every level, in level order
-    levels = _parse_eps(args.eps)
+    levels = _parse_floats(args.eps, "--eps")
     per_level = [slice_points(f, eps, rays=args.rays, seed=args.seed) for eps in levels]
     eps = np.repeat(levels, [len(pts) for pts in per_level])
     X = np.reshape([x for pts in per_level for x in pts], (-1, f.dim))
@@ -187,7 +186,7 @@ def _handle_slice(args, tol):
     if not regular.all():
         raise nonregular_error(points, int(np.argmin(regular)))
     residuals = minor_relation_residuals(frames, points).tolist()
-    gaps = [rep.gap for rep in prod_reports(points, regular, frames)[1]]
+    gaps = prod_reports(points, regular, frames)[1].gap.tolist()
     keys = ("x", "eps", "cos_angle", "grad_norm", "h_sigma", "minor_residual", "gap")
     results = [dict(zip(keys, row)) for row in zip(
         points.x.tolist(), eps.tolist(), frames.cos_angle.tolist(), frames.grad_norm.tolist(),
@@ -290,11 +289,11 @@ def _handle_verify_inequality(args, tol):
         "violations": suite.violations,
         "passed": ok,
     }]
-    if not ok:
+    if not ok and suite.points:
+        bad = suite.reports.select(suite.reports.gap < -tol["gap"])
         results += [
-            {"violation": True, "x": list(r.x), "eps": r.eps, "gap": r.gap}
-            for r in suite.reports
-            if r.gap < -tol["gap"]
+            {"violation": True, "x": x, "eps": e, "gap": g}
+            for x, e, g in zip(bad.x.tolist(), bad.eps.tolist(), bad.gap.tolist())
         ]
     return results, ok, None
 

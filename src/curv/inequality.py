@@ -19,7 +19,7 @@ least n-1; the report carries both deviations and an equality flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .graphgeom import (
     slice_frames,
 )
 from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
-from .util import _new, as_point, as_points, brentq, brentq_lanes, eye, trace, unit_directions
+from .util import Stacked, _new, as_point, as_points, brentq, brentq_lanes, eye, trace, unit_directions
 
 WHICH = ("prod", "phi", "euclid", "sphere")
 
@@ -53,9 +53,15 @@ _BLOCKS = np.minimum(_ENDS[:-1, None] + np.arange(BLOCK + 1), SAMPLES_PER_RAY - 
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Stacked):
+    """The inequality at a regular point of a level slice, or a stack of it
+    (see `checks`). Each selector sets its own optional columns, in sorted
+    order: `bracket`, `dphi_nu` and `phi` on the phi route, `scalar_round` in
+    the round-sphere ambient only, `scalar_base` and `scalar_m` on the prod
+    route; the rest are None."""
+
     which: str
-    x: tuple[float, ...]
+    x: np.ndarray
     eps: float
     lhs: float
     rhs: float
@@ -67,12 +73,17 @@ class InequalityReport:
     umbilicity_deviation: float
     multiplicity_diagnostic: float
     equality_detected: bool
-    extras: dict = dc_field(default_factory=dict)
+    bracket: float | None = None  # B = <nu,eta> Hbar_Sigma + (n-1) <nu,d_t> phi_t
+    dphi_nu: float | None = None
+    phi: float | None = None
+    scalar_base: float | None = None  # R_g
+    scalar_m: float | None = None  # R_M
+    scalar_round: float | None = None  # R_M via the round Gauss relation
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "extras"}
-        out["x"] = list(self.x)
-        out.update({k: v for k, v in sorted(self.extras.items())})
+        """A row's fields in order, less those that are None."""
+        out = {f.name: getattr(self, f.name) for f in dc_fields(self) if getattr(self, f.name) is not None}
+        out["x"] = self.x.tolist()
         return out
 
 
@@ -81,38 +92,34 @@ def _mean(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=-1) / a.shape[-1]
 
 
-def _reports(which, fr: SliceFrame, *, lhs, rhs, h_mean, h_sigma, kappa, slice_eigs, ambient_eigs, predicted, extras):
-    """One report per row of the slice stack fr, from its columns: the
-    equality diagnostics over the whole stack, then the rows; `extras` maps
-    names to further columns. The eigenvalue stacks are ascending, so the
-    slice spread and both norms read the two ends, and n - 1 of the n ambient
-    eigenvalues sit at `predicted` when the second largest distance to it is
-    small."""
+def _reports(
+    which, fr: SliceFrame, *, lhs, rhs, h_mean, h_sigma, kappa, slice_eigs, ambient_eigs, predicted,
+    bracket=None, dphi_nu=None, phi=None, scalar_base=None, scalar_m=None, scalar_round=None,
+):
+    """The report stack over the rows of the slice stack fr, from its
+    columns and the equality diagnostics. The eigenvalue stacks are
+    ascending, so the slice spread and both norms read the two ends, and n -
+    1 of the n ambient eigenvalues sit at `predicted` when the second largest
+    distance to it is small."""
     spread = slice_eigs[:, -1] - slice_eigs[:, 0]
     mult = np.sort(np.abs(ambient_eigs - predicted[:, None]), axis=-1)[:, -2]
     norm_slice = np.maximum(-slice_eigs[:, 0], slice_eigs[:, -1])
     norm_amb = np.maximum(-ambient_eigs[:, 0], ambient_eigs[:, -1])
     equal = (spread <= UMBILIC_TOL * (1.0 + norm_slice)) & (mult <= MULTIPLICITY_TOL * (1.0 + norm_amb))
-    names = list(extras)
-    return [
-        _new(InequalityReport, {
-            "which": which, "x": tuple(xi), "eps": e, "lhs": left, "rhs": right, "gap": g, "cos_angle": cos,
-            "h_mean": h, "h_sigma": hs, "kappa": k, "umbilicity_deviation": sp, "multiplicity_diagnostic": mu,
-            "equality_detected": eq, "extras": dict(zip(names, ex)),
-        })
-        for xi, e, left, right, g, cos, h, hs, k, sp, mu, eq, *ex in zip(
-            fr.x.tolist(), fr.eps.tolist(), lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist(), fr.cos_angle.tolist(),
-            h_mean.tolist(), h_sigma.tolist(), kappa.tolist(), spread.tolist(), mult.tolist(), equal.tolist(),
-            *(col.tolist() for col in extras.values()),
-        )
-    ]
+    return _new(InequalityReport, {
+        "which": which, "x": fr.x, "eps": fr.eps, "lhs": lhs, "rhs": rhs, "gap": lhs - rhs, "cos_angle": fr.cos_angle,
+        "h_mean": h_mean, "h_sigma": h_sigma, "kappa": kappa, "umbilicity_deviation": spread,
+        "multiplicity_diagnostic": mult, "equality_detected": equal, "bracket": bracket, "dphi_nu": dphi_nu,
+        "phi": phi, "scalar_base": scalar_base, "scalar_m": scalar_m, "scalar_round": scalar_round,
+    })
 
 
 def prod_reports(pt: ExtrinsicPoint, regular: np.ndarray, fr: SliceFrame, which: str = "prod"):
     """The product-metric inequality on a stack of extrinsic points, given
-    `slice_frames(pt, eps)`: the regular-row mask and one report per regular
-    row, as `checks` returns them. The rows come from one array program over
-    the stack, whose row builder `_reports` the conformal inequality shares."""
+    `slice_frames(pt, eps)`: the regular-row mask and the report stack of the
+    regular rows, as `checks` returns them. The stack comes from one array
+    program over the rows, whose builder `_reports` the conformal inequality
+    shares."""
     if np.count_nonzero(regular) < len(regular):
         pt = pt.select(regular)
     n, mj = pt.dim, pt.base_jet
@@ -124,15 +131,14 @@ def prod_reports(pt: ExtrinsicPoint, regular: np.ndarray, fr: SliceFrame, which:
     rhs = 0.5 * pt.scalar_curvature - 0.5 * mj.scalar + cos * cos * ric_eta + c * cos * cos * np.float_power(hs, 2)
     return regular, _reports(
         which, fr, lhs=cos * h * hs, rhs=rhs, h_mean=h, h_sigma=hs, kappa=kappa, slice_eigs=slice_eigs,
-        ambient_eigs=pt.principal, predicted=cos * kappa,
-        extras={"scalar_m": pt.scalar_curvature, "scalar_base": mj.scalar},
+        ambient_eigs=pt.principal, predicted=cos * kappa, scalar_base=mj.scalar, scalar_m=pt.scalar_curvature,
     )
 
 
 def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which: str):
-    """(regular mask, reports) of the conformally-product inequality over a
-    stack, given `slice_frames(cp.point, eps)`. The rows come from one array
-    program over the stack, through the row builder `_reports`."""
+    """(regular mask, report stack) of the conformally-product inequality
+    over a stack, given `slice_frames(cp.point, eps)`: one array program over
+    the rows, through the builder `_reports`."""
     if np.count_nonzero(regular) < len(regular):
         cp = cp.select(regular)
     pt, pj = cp.point, cp.factor
@@ -146,17 +152,15 @@ def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which:
     c = n / (2.0 * (n - 1.0))
     bracket = cos * hbar_sigma + (n - 1.0) * nu_t * phi_t
     rhs = 0.5 * (np.float_power(hbar, 2) - cp.norm_a2) + c * np.float_power(bracket, 2)
-    extras = {"phi": pj.value, "dphi_nu": cp.dphi_nu, "bracket": bracket}
-    if cp.scalar_curvature is not None:
-        extras["scalar_round"] = cp.scalar_curvature
     return regular, _reports(
         which, fr, lhs=hbar * bracket, rhs=rhs, h_mean=hbar, h_sigma=hbar_sigma, kappa=kappa,
-        slice_eigs=slice_eigs, ambient_eigs=cp.principal, predicted=cos * kappa + nu_t * phi_t, extras=extras,
+        slice_eigs=slice_eigs, ambient_eigs=cp.principal, predicted=cos * kappa + nu_t * phi_t,
+        bracket=bracket, dphi_nu=cp.dphi_nu, phi=pj.value, scalar_round=cp.scalar_curvature,
     )
 
 
 def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None):
-    """(extrinsic stack, regular mask, reports of the regular rows)."""
+    """(extrinsic stack, regular mask, report stack of the regular rows)."""
     if which in ("prod", "euclid"):
         if which == "euclid":
             base = FlatMetric(field.dim)
@@ -176,10 +180,10 @@ def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None =
     """The inequality `which` at every row of X, shape (m, n), on the level
     eps (one value, or one per row).
 
-    Returns the mask of the regular rows and their reports, in row order;
-    each report equals check(which, field, eps_i, X[i], ambient) bit for
-    bit, and check raises NonRegularPointError at a row off the mask. The
-    reports come from one array program over the stack: squares use
+    Returns the mask of the regular rows and the InequalityReport stack of
+    those rows, in row order; each row equals check(which, field, eps_i,
+    X[i], ambient) bit for bit, and check raises NonRegularPointError at a
+    row off the mask. The stack comes from one array program: squares use
     np.float_power, which rounds as scalar `**` does, and the equality
     diagnostics read ascending eigenvalue stacks.
     """
@@ -192,11 +196,12 @@ def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None =
 
 def check(which: str, field: ScalarField, eps: float, x, ambient: AmbientSpec | None = None):
     """The inequality `which` at the point x of {u = eps}: the one-row case
-    of `checks`, raising NonRegularPointError at a non-regular point."""
+    of `checks`, row 0 of its stack, raising NonRegularPointError at a
+    non-regular point."""
     pt, regular, reports = _checks(which, field, eps, as_point(x, field.dim)[None], ambient)
     if not regular[0]:
         raise nonregular_error(pt, 0)
-    return reports[0]
+    return reports.row(0)
 
 
 def check_prod(field: ScalarField, base, eps: float, x) -> InequalityReport:
@@ -367,30 +372,25 @@ class SuiteSummary:
     points: int
     min_gap: float
     violations: int
-    reports: tuple[InequalityReport, ...]
+    reports: InequalityReport | None  # the stack of the checked points; None if there are none
     nonregular_skips: int = 0  # sampled points where the check found |grad u|_g < delta_reg
 
 
 def run_suite(
-    which: str,
-    dim: int = 2,
-    n_fields: int = 20,
-    rays: int = 10,
-    levels: int = 2,
-    seed: int = 0,
-    gap_tol: float = 1e-8,
+    which: str, dim: int = 2, n_fields: int = 20, rays: int = 10, levels: int = 2, seed: int = 0, gap_tol: float = 1e-8
 ) -> SuiteSummary:
     """Randomized verification suite over seeded analytic fields, as one
     array program: one trig family sampled by family_slices, and one stacked
     `checks` call on every sampled point, in the order field, level, ray,
-    root; a violation is a gap below -gap_tol."""
+    root; a violation is a gap below -gap_tol, and the minimum gap skips a
+    NaN gap."""
     if which not in WHICH:
         raise ValueError(f"unknown inequality selector {which!r}")
     if n_fields < 0:
         raise ValueError(f"need a nonnegative number of fields, got {n_fields}")
     from .fields import random_trig_field, trig_family
 
-    reports, skips = [], 0
+    reports, skips = None, 0
     seeds = [seed + 1000 * k for k in range(n_fields)]
     if seeds:
         family = trig_family([random_trig_field(dim, s) for s in seeds])
@@ -400,15 +400,10 @@ def run_suite(
         if len(X):
             regular, reports = checks(which, family.rows(f), eps[f, j], X)
             skips = int(np.count_nonzero(~regular))
-    gaps = [rep.gap for rep in reports]
+    gaps = reports.gap if reports is not None else np.empty(0)
     return SuiteSummary(
-        which=which,
-        seed=seed,
-        fields=n_fields,
-        points=len(reports),
-        min_gap=float(min([np.inf] + gaps)) if reports else np.nan,  # the fold skips a NaN gap
-        violations=sum(g < -gap_tol for g in gaps),
-        reports=tuple(reports),
-        nonregular_skips=skips,
+        which=which, seed=seed, fields=n_fields, points=len(gaps),
+        min_gap=float(np.fmin.reduce(gaps, initial=np.inf)) if len(gaps) else np.nan,
+        violations=np.count_nonzero(gaps < -gap_tol), reports=reports if len(gaps) else None, nonregular_skips=skips,
     )
 

@@ -31,7 +31,8 @@ class Stacked:
     """Mixin for a frozen dataclass that holds one point's data or a stack of
     it. In a stack every field carries a leading row axis: a float field is
     an (m,) array, an array field gains a first axis of length m, and a
-    nested Stacked field is itself a stack. None stays None.
+    nested Stacked field is itself a stack. None, and a str field, are shared
+    by every row; a bool column's row is a bool.
 
     These conversions sit on the one-point path, so they fill the instance's
     __dict__ directly rather than through the frozen dataclass __init__."""
@@ -41,16 +42,16 @@ class Stacked:
         out = {}
         for name, v in self.__dict__.items():
             if type(v) is np.ndarray:
-                out[name] = float(v[i]) if v.ndim == 1 else v[i]
+                out[name] = (bool(v[i]) if v.dtype == bool else float(v[i])) if v.ndim == 1 else v[i]
             else:
-                out[name] = v if v is None else v.row(i)
+                out[name] = v if v is None or type(v) is str else v.row(i)
         return _new(type(self), out)
 
     def select(self, rows):
         """The stack of the rows picked by an index array or a mask."""
         out = {}
         for name, v in self.__dict__.items():
-            out[name] = v[rows] if type(v) is np.ndarray else (v if v is None else v.select(rows))
+            out[name] = v[rows] if type(v) is np.ndarray else (v if v is None or type(v) is str else v.select(rows))
         return _new(type(self), out)
 
     def stacked(self):
@@ -59,8 +60,10 @@ class Stacked:
         for name, v in self.__dict__.items():
             if isinstance(v, Stacked):
                 out[name] = v.stacked()
+            elif v is None or type(v) is str:
+                out[name] = v
             else:
-                out[name] = v if v is None else np.asarray(v, dtype=float)[None]
+                out[name] = np.asarray(v, dtype=bool if type(v) is bool else float)[None]
         return _new(type(self), out)
 
 

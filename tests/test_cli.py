@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curv import __version__
+from curv import __version__, inequality
 from curv.cli import build_parser, main
 from curv.fields import Paraboloid, random_trig_field, sample_to_grid
 
@@ -224,6 +225,28 @@ class TestVerify:
         assert row["points"] == 0
         assert row["min_gap"] is None
         assert not row["passed"]
+        assert len(doc["results"]) == 1  # and no violation rows
+
+    def test_inequality_violations_list_their_rows(self, capsys, monkeypatch):
+        """Each violating row of the report stack is listed with its point,
+        level and gap, in row order."""
+        real, seen = inequality.checks, []
+
+        def lowered(*args):
+            regular, reports = real(*args)
+            reports = dataclasses.replace(reports, gap=reports.gap - np.arange(len(reports.gap)) % 2)
+            seen.append(reports)
+            return regular, reports
+
+        monkeypatch.setattr(inequality, "checks", lowered)
+        rc, doc = run_json(capsys, ["verify", "inequality", "--which", "prod", "--fields", "3", "--rays", "5"])
+        assert rc == 1
+        (reports,) = seen
+        bad = np.flatnonzero(reports.gap < -1e-8)
+        assert doc["results"][0]["violations"] == len(bad) > 0
+        assert doc["results"][1:] == [
+            {"violation": True, "x": reports.x[i].tolist(), "eps": reports.eps[i], "gap": reports.gap[i]} for i in bad
+        ]
 
 
 class TestBarrier:
@@ -603,6 +626,18 @@ class TestErrors:
     def test_trig_needs_a_mode(self, capsys, spec):
         assert main(["point", "--field", spec, "--at", "0.1,0.2"]) == 2
         assert capsys.readouterr().err == f"curv: error: trig needs at least one mode, got {spec!r}\n"
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["point", "--field", "trig:1", "--at", ""], "--at", ""),
+        (["point", "--field", "trig:1", "--at", "0.1,y"], "--at", "0.1,y"),
+        (["slice", "--field", "paraboloid", "--eps", "a"], "--eps", "a"),
+        (["slice", "--field", "paraboloid", "--eps", " , "], "--eps", " , "),
+    ])
+    def test_number_lists_name_their_flag(self, capsys, argv, flag, text):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"curv: error: bad {flag} {text!r}: use one number or a comma-separated list like 0.1,-0.2\n"
+        )
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:

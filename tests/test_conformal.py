@@ -156,10 +156,10 @@ class TestMinorRelationOnThePhiRoute:
     @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
     def test_bracket_is_the_trace_of_the_rescaled_minor(self, n, ambient):
         reports, cp, frames, minor = self.stacks(n, AMBIENTS[ambient](n))
-        assert [r.extras["phi"] for r in reports] == cp.factor.value.tolist()
-        assert [r.extras["dphi_nu"] for r in reports] == cp.dphi_nu.tolist()
+        assert [reports.row(i).phi for i in range(12)] == cp.factor.value.tolist()
+        assert [reports.row(i).dphi_nu for i in range(12)] == cp.dphi_nu.tolist()
         want = cp.factor.value * trace(minor) + (n - 1) * cp.dphi_nu
-        bracket = np.array([r.extras["bracket"] for r in reports])
+        bracket = np.array([reports.row(i).bracket for i in range(12)])
         assert np.abs(bracket - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -172,10 +172,10 @@ class TestMinorRelationOnThePhiRoute:
         abar_sigma = phi * frames.a_sigma + dphi_eta[:, None, None] * eye
         rhs = frames.cos_angle[:, None, None] * abar_sigma + (cp.point.nu[:, -1] * cp.factor.dt)[:, None, None] * eye
         assert np.abs(lhs - rhs).max() <= 1e-9
-        assert np.allclose([r.h_sigma for r in reports], trace(abar_sigma), rtol=1e-12, atol=1e-12)
+        assert np.allclose([reports.row(i).h_sigma for i in range(12)], trace(abar_sigma), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unit_factor_reduces_to_plain_minor(self, n):
         reports, cp, frames, minor = self.stacks(n, constant_ambient(n, 1.0))
-        assert [r.h_sigma for r in reports] == frames.h_sigma.tolist()
+        assert [reports.row(i).h_sigma for i in range(12)] == frames.h_sigma.tolist()
         assert np.abs(minor - frames.cos_angle[:, None, None] * frames.a_sigma).max() <= 1e-12

@@ -132,7 +132,7 @@ class TestDispatcherAndRoutes:
         with pytest.raises(ValueError, match=r"eps of shape \(2,\).*X, shape \(3, 2\)"):
             checks("prod", field, [0.1, 0.2], X)
         regular, reports = checks("prod", field, field.values(X), X)  # one level per row
-        assert len(reports) == 3
+        assert reports.gap.shape == (3,)
 
     def test_unit_conformal_factor_matches_product(self):
         field = random_trig_field(2, seed=11)
@@ -160,7 +160,8 @@ class TestDispatcherAndRoutes:
         d = rep.to_dict()
         assert d["which"] == "euclid"
         assert isinstance(d["gap"], float)
-        assert "extras" not in d or isinstance(d.get("extras", {}), dict)
+        assert d["equality_detected"] is True and d["x"] == [1.0, 0.0]
+        assert "extras" not in d
 
 
 def _adapted(pt):
@@ -692,14 +693,53 @@ class TestReportRows:
         """The rows fill their __dict__ directly: they equal, field by field
         and in field order, the frozen reports __init__ builds, and stay frozen."""
         for which in ("prod", "phi"):
-            reports = run_suite(which, n_fields=2, rays=4, seed=3).reports
-            assert reports
-            for rep in reports:
+            suite = run_suite(which, n_fields=2, rays=4, seed=3)
+            assert suite.points
+            for rep in (suite.reports.row(i) for i in range(suite.points)):
                 built = InequalityReport(**{f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)})
                 assert type(rep) is InequalityReport and rep == built
                 assert list(vars(rep).items()) == list(vars(built).items())
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     rep.gap = 0.0
+
+
+#: the optional columns of InequalityReport, and the ones each route sets
+COLUMNS = ("bracket", "dphi_nu", "phi", "scalar_base", "scalar_m", "scalar_round")
+PROD_COLUMNS, PHI_COLUMNS = {"scalar_base", "scalar_m"}, {"bracket", "dphi_nu", "phi"}
+SELECTOR_AMBIENTS = {
+    None: lambda n: None,
+    "round-base": lambda n: product_ambient(n, round_sphere_base(n)),
+    "spherical": spherical_ambient,
+    "constant:2": lambda n: constant_ambient(n, 2.0),
+}
+
+
+class TestSelectorColumns:
+    """Each selector sets its own optional columns and leaves the rest None,
+    and each row of the stack is the one-point check's report."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("which, ambient, want", [
+        ("prod", None, PROD_COLUMNS),
+        ("prod", "round-base", PROD_COLUMNS),
+        ("euclid", None, PROD_COLUMNS),
+        ("phi", "spherical", PHI_COLUMNS | {"scalar_round"}),
+        ("phi", "constant:2", PHI_COLUMNS),
+        ("sphere", None, PHI_COLUMNS | {"scalar_round"}),
+    ])
+    def test_columns_and_rows(self, which, ambient, want, n):
+        field = random_trig_field(n, seed=10 + n)
+        X = np.random.default_rng(n).uniform(-0.5, 0.5, (6, n))
+        eps, amb = field.values(X), SELECTOR_AMBIENTS[ambient](n)
+        regular, reports = checks(which, field, eps, X, amb)
+        assert regular.all() and reports.which == which
+        assert {c for c in COLUMNS if getattr(reports, c) is not None} == want
+        assert all(getattr(reports, c).shape == (6,) for c in want)
+        for i in range(6):
+            row = reports.row(i).to_dict()
+            assert set(COLUMNS) & set(row) == want
+            assert type(row["equality_detected"]) is bool
+            assert row == check(which, field, eps[i], X[i], amb).to_dict()
 
 
 class TestSuites:
@@ -724,10 +764,11 @@ class TestSuites:
 
     def test_reports_carry_positions(self):
         out = run_suite("prod", dim=2, n_fields=2, rays=4, levels=1, seed=3)
-        assert len(out.reports) == out.points
-        for rep in out.reports:
+        assert out.reports.which == "prod"
+        assert out.reports.x.shape == (out.points, 2)
+        for rep in (out.reports.row(i) for i in range(out.points)):
             assert rep.which == "prod"
-            assert len(rep.x) == 2
+            assert rep.x.shape == (2,)
 
 
 def row_digest(doc) -> str:
@@ -774,7 +815,8 @@ class TestGoldenRows:
         assert self.suite_digest(which, dim) == self.DSYGVD_SUITES[which, dim]
 
     def suite_digest(self, which, dim):
-        return row_digest([rep.to_dict() for rep in run_suite(which, dim).reports])
+        suite = run_suite(which, dim)
+        return row_digest([suite.reports.row(i).to_dict() for i in range(suite.points)])
 
     # the round base reaches the R_g and Ric_g terms of prod; a constant
     # factor has no round scalar curvature, so its rows carry no scalar_round
@@ -805,4 +847,4 @@ class TestGoldenRows:
         X = np.array(slice_points(field, eps, rays=16, seed=5))
         ambient = product_ambient(dim, round_sphere_base(dim)) if which == "prod" else constant_ambient(dim, 2.0)
         regular, reps = checks(which, field, eps, X, ambient)
-        return row_digest([regular.tolist(), [rep.to_dict() for rep in reps]])
+        return row_digest([regular.tolist(), [reps.row(i).to_dict() for i in range(np.count_nonzero(regular))]])

@@ -83,6 +83,7 @@ DELETED = [
     (metrics.FlatMetric, "kind"),
     (metrics.ConformalMetric, "kind"),
     (metrics.GeneralMetric, "kind"),
+    (inequality.InequalityReport, "extras"),
 ]
 
 
@@ -93,6 +94,10 @@ def test_deleted_routes_stay_deleted(owner, name):
 
 def test_slice_frames_do_not_carry_their_points():
     assert "point" not in {f.name for f in dataclasses.fields(graphgeom.SliceFrame)}
+
+
+def test_inequality_reports_carry_no_extras_dict():
+    assert "extras" not in {f.name for f in dataclasses.fields(inequality.InequalityReport)}
 
 
 REPO = Path(util.__file__).parents[2]

@@ -176,8 +176,8 @@ class TestStackedEqualsPointwise:
         eps = np.linspace(-0.3, 0.3, m)  # one level per row
         for ambient in (None, *ambients(field.dim).values()):
             regular, reports = checks(which, field, eps, X, ambient=ambient)
-            assert len(reports) == np.count_nonzero(regular)
-            rows = iter(reports)
+            assert reports.gap.shape == (np.count_nonzero(regular),)
+            rows = (reports.row(i) for i in range(np.count_nonzero(regular)))
             for i, x in enumerate(X):
                 if regular[i]:
                     assert next(rows).to_dict() == check(which, field, eps[i], x, ambient=ambient).to_dict()
@@ -340,6 +340,19 @@ class TestEigensolverChecks:
             minor_relation_residuals(frames, shifted)
 
 
+class TestSharedAndBoolFields:
+    def test_which_is_shared_and_equality_is_a_bool(self):
+        """A str field is shared by every row, and a bool column's row is a
+        bool, through row, select and stacked."""
+        rep = check("prod", Paraboloid(2), 0.5, np.array([1.0, 0.0]))
+        assert type(rep.which) is str and type(rep.equality_detected) is bool
+        stack = rep.stacked()
+        assert stack.which == "prod" and stack.equality_detected.dtype == bool
+        assert stack.select(np.array([True])).which == "prod"
+        assert_same(stack.row(0), rep)
+        assert stack.row(0).to_dict() == rep.to_dict()
+
+
 class TestSuiteSkips:
     def test_every_sampled_point_is_checked_or_counted_as_skipped(self):
         summary = run_suite("prod", dim=2, n_fields=3, seed=4)
@@ -357,8 +370,8 @@ class TestSuiteSkips:
         for which in WHICH:
             regular, reports = checks(which, field, np.array([0.5, 0.0, 0.125]), X)
             assert regular.tolist() == [True, False, True]
-            assert [r.x for r in reports] == [(1.0, 0.0), (0.0, 0.5)]
-            # with no regular row, an all-False mask and no report
+            assert reports.x.tolist() == [[1.0, 0.0], [0.0, 0.5]]
+            # with no regular row, an all-False mask and a stack of no rows
             regular, reports = checks(which, field, 0.0, np.zeros((2, 2)))
             assert regular.tolist() == [False, False]
-            assert reports == []
+            assert reports.x.shape == (0, 2) and reports.gap.shape == (0,)

@@ -132,8 +132,8 @@ class TestTrigFamily:
 
 
 def per_field_route(which, dim, n_fields, rays, levels, seed):
-    """run_suite's reports by the per-field route: pick_levels, slice_points
-    and one checks call per field."""
+    """run_suite's report rows by the per-field route: pick_levels,
+    slice_points and one checks call per field."""
     out = []
     for k in range(n_fields):
         fld = random_trig_field(dim, seed + 1000 * k)
@@ -143,8 +143,8 @@ def per_field_route(which, dim, n_fields, rays, levels, seed):
             for p in slice_points(fld, eps, rays=rays, seed=seed + 1000 * k + 13)
         ]
         if found:
-            _, reports = checks(which, fld, np.array([e for e, _ in found]), np.array([p for _, p in found]))
-            out += reports
+            regular, reports = checks(which, fld, np.array([e for e, _ in found]), np.array([p for _, p in found]))
+            out += [reports.row(i) for i in range(np.count_nonzero(regular))]
     return out
 
 
@@ -155,11 +155,11 @@ class TestWholeSuiteRoute:
         suite = run_suite(which, dim=dim, n_fields=5, rays=6, levels=2, seed=11)
         want = per_field_route(which, dim, 5, 6, 2, 11)
         assert suite.points == len(want) > 0
-        assert [r.to_dict() for r in suite.reports] == [r.to_dict() for r in want]
+        assert [suite.reports.row(i).to_dict() for i in range(suite.points)] == [r.to_dict() for r in want]
 
     def test_no_fields(self):
         suite = run_suite("prod", n_fields=0)
-        assert suite.points == 0 and np.isnan(suite.min_gap)
+        assert suite.points == 0 and np.isnan(suite.min_gap) and suite.reports is None
 
 
 def probe_counts(dim, seeds, level_seeds):
@@ -178,7 +178,7 @@ class TestRaggedProbes:
         suite = run_suite(which, dim=12, n_fields=3, rays=4, levels=2, seed=0)
         want = per_field_route(which, 12, 3, 4, 2, 0)
         assert suite.points == len(want) > 0
-        assert [r.to_dict() for r in suite.reports] == [r.to_dict() for r in want]
+        assert [suite.reports.row(i).to_dict() for i in range(suite.points)] == [r.to_dict() for r in want]
 
     def test_a_member_with_no_probes_has_nan_levels(self):
         # n = 16, seed 0: the fifth member keeps none of its draws
