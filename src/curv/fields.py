@@ -190,10 +190,11 @@ class ScalarField:
         return 0.0
 
     def ray_slopes(self, dirs: np.ndarray, reach):
-        """(L, delta) on each ray o + t d, d a row of dirs, its points within
-        `reach` of 0 in each coordinate: |d/dt u| <= L, and delta bounds the
-        rounding of the slicer's block test; inf declares no bound."""
-        return (np.full(dirs.shape[:-1], np.inf),) * 2
+        """(L, M, delta) on each ray o + t d, d a row of dirs, its points
+        within `reach` of 0 in each coordinate: |d/dt u| <= L, |d^2/dt^2 u| <=
+        M, and delta bounds the rounding of the slicer's two block tests; inf
+        declares no bound."""
+        return (np.full(dirs.shape[:-1], np.inf),) * 3
 
 
 def _row_values(value: Callable, X, dim: int):
@@ -272,10 +273,12 @@ class PolynomialField(ScalarField):
 
     u, each D_k u and each D_k D_l u is a polynomial, kept as a row of a
     (coefficient, exponents) table in the order of `terms`, padded with zero
-    terms. A row of the kernel raises each coordinate to its exponent with
-    np.float_power, multiplies the powers from the first axis on, and adds
-    the terms in order (cumsum), so a point's jet is the term-by-term
-    formula with scalar `**` bit for bit.
+    terms. The kernel raises each coordinate to p = 0 ... top, the largest
+    exponent, with np.float_power (n (top + 1) powers a point, not one per
+    row, term and axis), gathers each term's powers from that table,
+    multiplies them from the first axis on and adds the terms in order
+    (cumsum), so a point's jet is the term-by-term formula with scalar `**`
+    bit for bit.
     """
 
     def __init__(self, dim: int, terms: Sequence[tuple[float, tuple[int, ...]]]):
@@ -299,14 +302,18 @@ class PolynomialField(ScalarField):
         pad = [(0.0, [0] * dim)]
         table = [row + pad * (width - len(row)) for row in table]
         self._coeffs = np.array([[c for c, _ in row] for row in table])
-        self._exps = np.array([[a for _, a in row] for row in table], dtype=float)
+        self._exps = np.array([[a for _, a in row] for row in table])
+        self._powers = np.arange(self._exps.max() + 1.0)[:, None]  # the table's rows p = 0 ... top
+        self._axes = np.arange(dim)
 
     def _sums(self, X, rows):
         """The table rows `rows` (a slice) at the rows of a stack, last axis."""
-        powers = np.float_power(X[..., None, None, :], self._exps[rows])
-        terms = self._coeffs[rows] * np.multiply.accumulate(powers, axis=-1)[..., -1]
-        # cumsum adds in term order; + 0.0 is the 0.0 the sum starts from
-        return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+        factors = np.float_power(X[..., None, :], self._powers)[..., self._exps[rows], self._axes]
+        prod = factors[..., 0]
+        for k in range(1, self.dim):
+            prod = prod * factors[..., k]
+        # add.accumulate is cumsum, adding in term order; + 0.0 is the 0.0 the sum starts from
+        return np.add.accumulate(self._coeffs[rows] * prod, axis=-1)[..., -1] + 0.0
 
     def values(self, X):
         return self._sums(X, slice(1))[..., 0]
@@ -373,19 +380,25 @@ class TrigField(ScalarField):
         return np.vecdot(np.sin(np.matvec(self.freqs, X) + self.phases), self.amps)
 
     def ray_slopes(self, dirs, reach):
-        """L = sum_k |a_k| |f_k . d| bounds d/dt u(o + t d). With unit roundoff
-        r, C = n + K + 9 for K modes, S = sum_k |a_k| |f_k|_1 and rho = reach,
-        a value computed at fl(o + fl(t d)) is within N = C r (S rho + sum_k
-        |a_k| (1 + |phi_k|)) of u(o + t d): the point, the matvec and the phase
-        move the angle of mode k by (n + 5) r |f_k|_1 rho + r |phi_k|, sin
-        (taken as accurate to 4 ulps) adds 8 r and the sum K r sum_k |a_k|.
-        The computed L is at most C r (S + L) short, so delta = 8 C r (S rho +
-        sum_k |a_k| (1 + |phi_k|) + L rho) + 2^-500 exceeds 6 N, that shortfall
-        over t <= rho and the rounding of the block test (see `_slice_rows`)."""
+        """L = sum_k |a_k| |f_k . d| bounds d/dt u(o + t d), and M = sum_k
+        |a_k| (f_k . d)^2 bounds d^2/dt^2 u(o + t d). With unit roundoff r, C =
+        n + K + 9 for K modes, S = sum_k |a_k| |f_k|_1, S2 = sum_k |a_k|
+        |f_k|_1^2 and rho = reach, a value computed at fl(o + fl(t d)) is
+        within N = C r (S rho + sum_k |a_k| (1 + |phi_k|)) of u(o + t d): the
+        point, the matvec and the phase move the angle of mode k by (n + 5) r
+        |f_k|_1 rho + r |phi_k|, sin (taken as accurate to 4 ulps) adds 8 r and
+        the sum K r sum_k |a_k|. The computed L is at most C r (S + L) short.
+        The matvec is within n r |f_k|_1 of f_k . d, and |f_k . d| <= |f_k|_1,
+        so the computed M is at most 2 C r S2 short, and M <= S2. So delta =
+        8 C r (S rho + sum_k |a_k| (1 + |phi_k|) + L rho + S2 rho^2) + 2^-500
+        exceeds 6 N, the shortfall of L over t <= rho and the rounding of the
+        slope test, and also 2 N, the shortfall of M h^2 / 8 over h <= rho and
+        the rounding of the curvature test (see `_slice_rows`)."""
         a, c = np.abs(self.amps), self.dim + self.amps.shape[-1] + 9
-        slopes = np.vecdot(np.abs(np.matvec(self.freqs, dirs)), a)
-        size = (np.vecdot(a, np.add.reduce(np.abs(self.freqs), axis=-1)) + slopes) * reach
-        return slopes, 4.0 * _EPS * c * (size + np.vecdot(a, 1.0 + np.abs(self.phases))) + 2.0**-500
+        fd, f1 = np.matvec(self.freqs, dirs), np.add.reduce(np.abs(self.freqs), axis=-1)
+        slopes, curvs = np.vecdot(np.abs(fd), a), np.vecdot(fd * fd, a)
+        size = (np.vecdot(a, f1) + slopes + np.vecdot(a, f1 * f1) * reach) * reach
+        return slopes, curvs, 4.0 * _EPS * c * (size + np.vecdot(a, 1.0 + np.abs(self.phases))) + 2.0**-500
 
     def jets(self, X):
         args = np.matvec(self.freqs, X) + self.phases
@@ -477,7 +490,8 @@ class ScaledField(ScalarField):
 
 class NegatedField(ScaledField):
     """-u: the scaled field at factor -1. Negation is exact, so the base's
-    slope bound holds unchanged; a general factor rounds and declares none."""
+    slope and curvature bounds hold unchanged; a general factor rounds and
+    declares none."""
 
     def __init__(self, base: ScalarField):
         super().__init__(base, -1.0)

@@ -235,15 +235,24 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     member idx, or a family for an index array.
 
     The scan reads the ends of its blocks of BLOCK intervals, then the inner
-    samples of the blocks a level may cross: with (L, delta) = `ray_slopes`,
-    a block [A, B] is skipped where |z_A| + |z_B| > L (t_B - t_A) + delta, z
-    = v - e, at every level e (never at a NaN). A bracket [t_i, t_i+1] in it
-    would give z_i, z_i+1 opposite signs (or |z| < 2^-537, if their product
-    underflows), so |z_A| + |z_B| <= |z_i - z_A| + |z_i+1 - z_i| + |z_B -
-    z_i+1| (+ 2^-536) <= L (t_B - t_A) + 6 N, N the error of a value, which
-    delta exceeds. Each sample read is the full scan's, and so are the
-    brackets, put back in its order, and all that follows; `brentq_lanes`
-    solves all brackets."""
+    samples of the blocks a level may cross: with (L, M, delta) =
+    `ray_slopes` and h = t_B - t_A, a block [A, B] is skipped where, at every
+    level e, z = v - e passes one of two tests (never at a NaN, which fails
+    both). A bracket [t_i, t_i+1] is a pair of finite samples whose signs
+    (np.sign: -1, 0 or 1) differ, so in the block it would give some z_i <= 0
+    <= z_i+1 or the reverse; with N the error of a value:
+    - the slope test, |z_A| + |z_B| > L h + delta: the bracket would give
+      |z_A| + |z_B| <= |z_i - z_A| + |z_i+1 - z_i| + |z_B - z_i+1| <= L h + 6
+      N, which delta exceeds;
+    - the curvature test, z_A and z_B both > M h^2 / 8 + delta or both <
+      -(M h^2 / 8 + delta): on [A, B] the exact z is at least min(z_A, z_B)
+      - M h^2 / 8 less the error N of an end (Taylor about the chord), and a
+      sample is within N of it, so no sample in the block reaches 0: 2 N,
+      the rounding of M h^2 / 8 + delta and the relative rounding of v - e
+      stay below delta (see `TrigField.ray_slopes`). A product M h^2 that
+      underflows loses under 2^-1074, far below delta.
+    Each sample read is the full scan's, and so are the brackets, put back
+    in its order, and all that follows; `brentq_lanes` solves all brackets."""
     (F, L), (R, n), dom = eps.shape, dirs.shape[1:], at(0).domain
     # origin + t d, not t d: adding +0.0 turns a -0.0 coordinate into +0.0
     origin = dom.probe_cube()[0] + 0.0
@@ -257,18 +266,21 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     ts += 0.0
     ts[..., -1] = extents
     members = at(np.arange(F)[:, None])
-    slopes, delta = members.ray_slopes(dirs, np.maximum.reduce(np.abs(origin)) + extents)
+    slopes, curvs, delta = members.ray_slopes(dirs, np.maximum.reduce(np.abs(origin)) + extents)
     ends, u = ts[..., _ENDS], np.empty_like(ts)  # u is read only where it is written
     u[..., _ENDS] = members.values((origin + ends[..., None] * dirs[:, :, None, :]).reshape(F, -1, n)).reshape(F, R, -1)
-    z = np.abs(u[:, None, :, _ENDS] - eps[:, :, None, None])
-    far = z[..., :-1] + z[..., 1:] > (slopes[..., None] * (ends[..., 1:] - ends[..., :-1]) + delta[..., None])[:, None]
+    z = u[:, None, :, _ENDS] - eps[:, :, None, None]
+    za, zb, h = z[..., :-1], z[..., 1:], ends[..., 1:] - ends[..., :-1]
+    bend = (curvs[..., None] * (h * h) / 8.0 + delta[..., None])[:, None]
+    far = np.abs(za) + np.abs(zb) > (slopes[..., None] * h + delta[..., None])[:, None]
+    far |= (np.minimum(za, zb) > bend) | (np.maximum(za, zb) < -bend)
     f, r, blk = (~np.logical_and.reduce(far, axis=1) & (extents > 0)[..., None]).nonzero()  # extent 0: no samples
     cols = _BLOCKS[blk]
     inner = f[:, None], r[:, None], cols[:, 1:-1]
     u[inner] = at(f[:, None]).values(origin + ts[inner][..., None] * dirs[f, r, None, :])
     vals = u[f[:, None], r[:, None], cols][:, None] - eps[f, :, None]
     a, b = vals[..., :-1], vals[..., 1:]
-    bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
+    bracket = np.isfinite(a) & np.isfinite(b) & (np.sign(a) != np.sign(b))
     bracket &= (cols[:, 1:] > cols[:, :-1])[:, None]  # the repeated last sample brackets nothing
     row, j, c = bracket.nonzero()
     f, r, i = f[row], r[row], cols[row, c]

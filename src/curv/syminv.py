@@ -193,12 +193,17 @@ def randomized_identity_suite(
     for k in range(trials - sum(counts.values())):
         counts[orders[k % len(orders)]] += 1
     worst, worst_n = 0.0, orders[0]
+    buf = np.empty(max(min(IDENTITY_BATCH, counts[n]) * n * n for n in orders))
     for n in orders:
         left = counts[n]
         while left > 0:
             m = min(IDENTITY_BATCH, left)
             left -= m
-            res, lhs = _identity_terms(rng.uniform(-1.0, 1.0, size=(m, n, n)))
+            # uniform(-1, 1) draws -1 + 2 r from the same stream; 2 r and 2 r - 1 are exact
+            a = rng.random(out=buf[: m * n * n].reshape(m, n, n))
+            a *= 2.0
+            a -= 1.0
+            res, lhs = _identity_terms(a)
             r = float((np.abs(res) / np.maximum(1.0, np.abs(lhs))).max())
             if r > worst:
                 worst, worst_n = r, n

@@ -269,7 +269,7 @@ def reference_ray(field, eps, center, d, samples_per_ray=160, max_per_ray=2, del
         if len(found) >= max_per_ray:
             break
         a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0 or (a == 0 and b == 0):
+        if not (np.isfinite(a) and np.isfinite(b)) or np.sign(a) == np.sign(b):
             continue
         root = brentq(lambda t: field.value(center + t * d) - eps, ts[i], ts[i + 1], xtol=1e-13)
         p = center + root * d
@@ -283,6 +283,11 @@ def cap_without_domain():
     """A sphere cap whose value raises beyond the rim, on the whole plane, so
     the ray samples cross the rim."""
     return FiniteDifferenceField(SphereCap(2, 1.0).value, 2)
+
+
+def subnormal_sine():
+    """u = sin(x_1): an exact zero at the center and a unit gradient everywhere on it."""
+    return TrigField([1.0], [[1.0, 0.0]], [0.0])
 
 
 def quartic_bowl():
@@ -306,6 +311,8 @@ class TestSliceScanReference:
         "plane-zero-ray": (lambda: Plane([0.0, 1.0]), 0.0, {}),  # u = 0 along the first ray
         "paraboloid-center": (lambda: Paraboloid(2), 0.0, {}),
         "quartic-center-skip": (quartic_bowl, 0.0, {"max_per_ray": 1}),
+        # u(center) = 0 sits one subnormal above the level, so z_0 z_1 underflows to 0 on every ray
+        "sine-subnormal-level": (subnormal_sine, -5e-324, {}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -335,6 +342,11 @@ class TestSliceScanReference:
         assert len(pts) == 12
         assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-12 for p in pts)
         assert slice_points(Paraboloid(2), 0.0, rays=12, seed=5) == []
+        # a same-sign pair whose product underflows brackets nothing: only the rays with d_1 < 0 keep a root
+        z = subnormal_sine().values(np.linspace(0.0, 2.0, 160)[:2, None] * np.array([1.0, 0.0])) + 5e-324
+        assert z[0] * z[1] == 0.0 < min(z)
+        pts = slice_points(subnormal_sine(), -5e-324, rays=12, seed=5)
+        assert len(pts) == np.count_nonzero(unit_directions(2, 12, 5)[:, 0] < 0) == 5
 
     def test_flat_list_is_the_rays_in_order(self):
         field = random_trig_field(2, 3)
@@ -458,7 +470,7 @@ def full_scan_rows(at, eps, dirs, max_per_ray=inequality.MAX_PER_RAY):
     origin, extents, ts, _, u = full_scan_grid(at, F, dirs)
     vals = u[:, None] - eps[:, :, None, None]
     a, b = vals[..., :-1], vals[..., 1:]
-    bracket = np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0))
+    bracket = np.isfinite(a) & np.isfinite(b) & (np.sign(a) != np.sign(b))
     bracket &= (extents > 0)[:, None, :, None]
     f, j, r, i = np.nonzero(bracket)
     d, e, lo, hi = dirs[f, r], eps[f, j], ts[f, r, i], ts[f, r, i + 1]
@@ -483,13 +495,19 @@ def assert_same_rows(got, want):
 def screened_cases(draw):
     """A trig family, its rays and its levels: amplitudes and frequencies
     scaled by 1e-6 to 1e6, levels at a sample value, at a ray's sample
-    extremum, at the field's bound or in its range, and domains whose rays
-    include ones of extent 0 (every other ray has d_0 = 0, and a thin box
-    gives the rest extent 0). A "linear" family has one mode of frequency
-    1e-9 to 1e-5 with a zero of the sine at the origin, and its other rays
-    run along the frequency: a block then changes by nearly L (t_B - t_A),
-    and only the rounding term of the test keeps the blocks that a sample
-    level sits in."""
+    extremum, one ulp inside a ray's interior sample extremum, at the
+    field's bound or in its range, and domains whose rays include ones of
+    extent 0 (every other ray has d_0 = 0, and a thin box gives the rest
+    extent 0). A level inside an interior extremum crosses the blocks about
+    it whose ends lie on one side of it, which the curvature test must keep
+    by its allowance M h^2 / 8 + delta. A "linear" family has one mode of
+    frequency 1e-9 to 1e-5 with a zero of the sine at the origin. Its ray 1
+    runs across the frequency, where u is constant up to rounding and M h^2
+    / 8 is far below it, so only the rounding term of the curvature test
+    keeps the blocks a level crosses; its other rays run along the
+    frequency, where a block changes by nearly L (t_B - t_A), and only the
+    rounding term of the slope test keeps the blocks that a sample level
+    sits in."""
     n, F, linear = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 30)), draw(st.booleans())
     R, L = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     K = 1 if linear else draw(st.integers(1, 5))
@@ -505,16 +523,24 @@ def screened_cases(draw):
         "thin": Box((-1e-7,) + (-1.0,) * (n - 1), (1e-7,) + (1.0,) * (n - 1)),
     }[domain]
     dirs = freqs[:, :1] * rng.choice([-1.0, 1.0], (F, R, 1)) if linear else rng.normal(size=(F, R, n))
+    if linear and R > 1:
+        dirs[:, 1] = 0.0
+        dirs[:, 1, :2] = freqs[:, 0, 1::-1] * [-1.0, 1.0]
     dirs[:, ::2, 0] = 0.0
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     family = TrigField(amps, freqs, phases, domain)
     *_, u = full_scan_grid(family.rows, F, dirs)
     f, r = np.arange(F), rng.integers(0, R, F)
-    kinds = [draw(st.sampled_from(["sample", "max", "min", "bound", "range"])) for _ in range(L)]
+    kinds = [draw(st.sampled_from(["sample", "max", "min", "inside", "bound", "range"])) for _ in range(L)]
     eps = np.stack([{
         "sample": lambda: u[f, r, rng.integers(0, u.shape[-1], F)],
         "max": lambda: u[f, r].max(axis=-1),
         "min": lambda: u[f, r].min(axis=-1),
+        "inside": lambda: np.where(
+            rng.random(F) < 0.5,
+            np.nextafter(u[f, r, 1:-1].max(axis=-1), -np.inf),
+            np.nextafter(u[f, r, 1:-1].min(axis=-1), np.inf),
+        ),
         "bound": lambda: np.abs(amps).sum(axis=-1),
         "range": lambda: rng.uniform(u[f, r].min(axis=-1), u[f, r].max(axis=-1)),
     }[kind]() for kind in kinds], axis=1)
@@ -565,7 +591,8 @@ class TestScreenedScan:
 
     def test_negation_keeps_the_base_bound(self, monkeypatch):
         """Negation is exact, so a negated field screens with its base's
-        slope bound: it reads the base's rows and slices the base's points."""
+        slope and curvature bounds: it reads the base's rows and slices the
+        base's points (516 rows with the slope test alone)."""
         field = random_trig_field(2, 3)
         eps = pick_levels(field, 2, seed=2)[0]
         read, values = [], TrigField.values
@@ -576,7 +603,7 @@ class TestScreenedScan:
         negated = slice_points(NegatedField(field), -eps, rays=16)
         assert len(base) == 8
         assert np.array(negated).tobytes() == np.array(base).tobytes()
-        assert base_rows == sum(read) == 516
+        assert base_rows == sum(read) == 439
 
 
 def reference_probes(field, seed, probes=256):

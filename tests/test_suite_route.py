@@ -24,7 +24,7 @@ def scan_brackets(field, eps, d, samples=160):
     ts = np.linspace(0.0, 2.0 - 1e-6, samples)
     v = field.values(ts[:, None] * d) - eps
     a, b = v[:-1], v[1:]
-    i = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ~(a * b > 0) & ~((a == 0) & (b == 0)))
+    i = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & (np.sign(a) != np.sign(b)))
     return ts[i], ts[i + 1]
 
 

@@ -84,6 +84,16 @@ class TestIdentity:
             results.append(randomized_identity_suite(orders=(2, 5, 9), trials=3000, seed=2))
         assert results[0] == results[1] == results[2]
 
+    def test_draws_are_the_uniform_draws(self, monkeypatch):
+        """The suite's matrices are uniform(-1, 1)'s doubles, order after order, batch after batch."""
+        seen, terms = [], syminv._identity_terms
+        monkeypatch.setattr(syminv, "IDENTITY_BATCH", 333)
+        monkeypatch.setattr(syminv, "_identity_terms", lambda a: seen.append(a.copy()) or terms(a))
+        randomized_identity_suite(orders=(2, 5), trials=1000, seed=4)
+        rng = np.random.default_rng(4)
+        want = [rng.uniform(-1.0, 1.0, size=(m, n, n)) for n in (2, 5) for m in (333, 167)]
+        assert [a.tobytes() for a in seen] == [a.tobytes() for a in want]
+
     def test_suite_deterministic(self):
         a = randomized_identity_suite(orders=(3,), trials=500, seed=1)
         b = randomized_identity_suite(orders=(3,), trials=500, seed=1)
