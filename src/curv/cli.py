@@ -364,8 +364,7 @@ def _handle_example(args, tol):
             ),
         }
         cols = ["z", "value", "lam1", "lam2", "scalar"]
-        rows = [[float(v) for v in row] for row in table]
-        return [checks], checks["passed"], (cols, rows)
+        return [checks], checks["passed"], (cols, table.tolist())
 
     # spherical-glued
     a = args.a
@@ -394,8 +393,7 @@ def _handle_example(args, tol):
         and mono.passed
     )
     cols = ["branch", "r", "value", "lam1", "lam2", "scalar"]
-    rows = [[0.0] + [float(v) for v in row] for row in u_table]
-    rows += [[1.0] + [float(v) for v in row] for row in v_table]
+    rows = [[0.0, *row] for row in u_table.tolist()] + [[1.0, *row] for row in v_table.tolist()]
     return [checks], checks["passed"], (cols, rows)
 
 

@@ -27,14 +27,14 @@ from .errors import ConformalFactorError
 from .fields import ScalarField, eval_jet
 from .graphgeom import ExtrinsicPoint, extrinsic_points
 from .metrics import AmbientSpec, PhiJet
-from .util import Stacked, _new, as_point, eye
+from .util import Stacked, _new, as_point, count_nonzero, eye
 
 
 def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
     """Abar = phi A + nu(phi) I for the factor value and normal derivative,
     at a point or row by row over a stack."""
     phi, dphi_nu = np.asarray(phi), np.asarray(dphi_nu)
-    if np.count_nonzero(phi <= 0):
+    if count_nonzero(phi <= 0):
         raise ConformalFactorError(f"conformal factor {phi} must be positive")
     return phi[..., None, None] * point.shape_operator + dphi_nu[..., None, None] * eye(point.dim)
 

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteJetError, OutOfDomainError
-from .util import as_point, as_points, einsum, outer
+from .util import as_point, as_points, count_nonzero, einsum, eye, outer, where
 
 _EPS = float(np.finfo(float).eps)
 
@@ -48,19 +48,23 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
+    @functools.cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """lo and hi as arrays, built at the first call."""
+        return np.asarray(self.lo), np.asarray(self.hi)
+
     def contains(self, x: np.ndarray, margin=0.0):
         """Whether x lies in the box less the margin (one value, or one per
         row): a bool for a point, a mask for a stack of rows."""
-        lo = np.asarray(self.lo) + np.asarray(margin)[..., None]
-        hi = np.asarray(self.hi) - np.asarray(margin)[..., None]
-        inside = np.all((x >= lo) & (x <= hi), axis=-1)
-        return inside if np.ndim(x) > 1 else bool(inside)
+        (lo, hi), margin = self._bounds, np.asarray(margin)[..., None]
+        inside = np.logical_and.reduce((x >= lo + margin) & (x <= hi - margin), axis=-1)
+        return inside if x.ndim > 1 else bool(inside)
 
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
         """Largest t >= 0 with center + t d in the box less the margin, for d
         or each row of a stack; the minimum over the axes skips NaN (fmin)."""
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
+        lo, hi = self._bounds
+        lo, hi = lo + margin, hi - margin
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(direction > 0, (hi - center) / direction, (lo - center) / direction)
         t = np.maximum(np.fmin.reduce(np.where(direction != 0, t, np.inf), axis=-1, initial=np.inf), 0.0)
@@ -68,7 +72,7 @@ class Box:
 
     def probe_cube(self) -> tuple[np.ndarray, float]:
         """Midpoint and half-width of the cube about it that covers the box."""
-        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        lo, hi = self._bounds
         return 0.5 * (lo + hi), float(np.max(0.5 * (hi - lo)))
 
 
@@ -89,7 +93,7 @@ class _RoundDomain:
         d = x if self.center is None else x - self._center()  # x - 0.0 is x, -0.0 included
         r = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
         inside = (self.inner + margin <= r) & (r <= self.rim - margin)
-        return inside if np.ndim(x) > 1 else bool(inside)
+        return inside if x.ndim > 1 else bool(inside)
 
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
         """Largest t >= 0 with |center + t d - c| <= rim - margin, for d or
@@ -216,9 +220,9 @@ def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray
     OutOfDomainError or NonFiniteJetError, as eval_jet does for it."""
     X = as_points(X, field.dim)
     inside = field.domain.contains(X, margin=field.margin(X))
-    k = len(X) if np.count_nonzero(inside) == len(X) else int(np.argmin(inside))
+    k = len(X) if count_nonzero(inside) == len(X) else int(inside.argmin())
     u, du, ddu = field.jets(X[:k])
-    finite = np.count_nonzero(np.isfinite(u)) + np.count_nonzero(np.isfinite(du)) + np.count_nonzero(np.isfinite(ddu))
+    finite = count_nonzero(np.isfinite(u)) + count_nonzero(np.isfinite(du)) + count_nonzero(np.isfinite(ddu))
     if finite < u.size + du.size + ddu.size:  # counts cost less than .all()
         finite = np.isfinite(u) & np.isfinite(du).all(axis=1) & np.isfinite(ddu).all(axis=(1, 2))
         raise NonFiniteJetError(f"non-finite jet of {field.name} at {X[np.argmin(finite)].tolist()}")
@@ -265,7 +269,7 @@ class SphereCap(ScalarField):
     def jets(self, X):
         s = self._s(X)
         ss = s[..., None, None]
-        return self.height + s, -X / s[..., None], -np.eye(self.dim) / ss - outer(X, X) / np.float_power(ss, 3)
+        return self.height + s, -X / s[..., None], -eye(self.dim) / ss - outer(X, X) / np.float_power(ss, 3)
 
 
 class PolynomialField(ScalarField):
@@ -459,13 +463,13 @@ class RadialField(ScalarField):
         dp, ddp = np.asarray(dp), np.asarray(ddp)
         xu = X / rr[..., None]
         uu = outer(xu, xu)
-        eye = np.eye(self.dim)
+        ident = eye(self.dim)
         grad = dp[..., None] * xu
-        hess = ddp[..., None, None] * uu + (dp / rr)[..., None, None] * (eye - uu)
+        hess = ddp[..., None, None] * uu + (dp / rr)[..., None, None] * (ident - uu)
         origin = r < 1e-12
-        if np.count_nonzero(origin):  # the symmetric limit
+        if count_nonzero(origin):  # the symmetric limit
             grad = np.where(origin[..., None], 0.0, grad)
-            hess = np.where(origin[..., None, None], ddp[..., None, None] * eye, hess)
+            hess = np.where(origin[..., None, None], ddp[..., None, None] * ident, hess)
         return p, grad, hess
 
 
@@ -518,10 +522,11 @@ class FiniteDifferenceField(ScalarField):
         self._func = func
         self.dim = dim
         self.domain = domain if domain is not None else func.domain if field else whole_space(dim)
-        self.step = None if step is None else float(step)
+        self.step = None if step is None else np.float64(step)  # a numpy scalar takes [..., None] as a row step does
         self.name = f"fd({func.name})" if field else name
 
     def _steps(self, x):
+        """The steps h1 of Du and h2 of D^2u at x or at each row."""
         if self.step is not None:
             return self.step, self.step
         s = np.maximum(1.0, np.sqrt(np.vecdot(x, x)))  # np.linalg.norm of each row, bit for bit
@@ -537,16 +542,18 @@ class FiniteDifferenceField(ScalarField):
 
     def jets(self, X):
         n, (a, b, step, sym) = self.dim, _stencil(self.dim)
-        hs = np.stack(self._steps(X), axis=-1)
-        h1, h2, h = hs[..., :1], hs[..., 1:], hs[..., step, None]
+        h1, h2 = self._steps(X)
+        h1, h2 = h1[..., None], h2[..., None]
+        h = np.concatenate((h1, h2), axis=-1)[..., step, None]
         P = (X[..., None, :] + h * a) + h * b
         if isinstance(self._func, ScalarField):
             f = self._func.values(P)
         else:
             f = np.array([self._func(p) for p in P.reshape(-1, n)], dtype=float).reshape(P.shape[:-1])
         f0, g, d, o = f[..., :1], f[..., 1 : 2 * n + 1], f[..., 2 * n + 1 : 4 * n + 1], f[..., 4 * n + 1 :]
-        diag = (d[..., ::2] - 2.0 * f0 + d[..., 1::2]) / (h2 * h2)
-        mixed = (o[..., ::4] - o[..., 1::4] - o[..., 2::4] + o[..., 3::4]) / (4.0 * h2 * h2)
+        hh = h2 * h2  # 4 hh is 4 h2 h2 exactly while h2 h2 is normal (h2 > 1.5e-154)
+        diag = (d[..., ::2] - 2.0 * f0 + d[..., 1::2]) / hh
+        mixed = (o[..., ::4] - o[..., 1::4] - o[..., 2::4] + o[..., 3::4]) / (4.0 * hh)
         return f0[..., 0], (g[..., ::2] - g[..., 1::2]) / (2.0 * h1), np.concatenate([diag, mixed], axis=-1)[..., sym]
 
 
@@ -573,12 +580,18 @@ def _stencil(n: int):
 # gridded mode
 
 GRID_MIN_SAMPLES = 5
+#: the grid basis (a t) (d t + b) + c, columns 3 order + offset: weights, first and second derivatives
+_GRID_A = np.array([0.5, -1.0, 0.5, 1.0, -2.0, 1.0, 0.0, 0.0, 0.0])
+_GRID_D = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_GRID_B = np.array([-1.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+_GRID_C = np.array([-0.0, 1.0, -0.0, -0.5, -0.0, 0.5, 1.0, -2.0, 1.0])
 
 
 class GridField(ScalarField):
     """Uniform tensor grid with local quadratic (3-point per axis) interpolation.
 
-    Queries within a 2h band of the grid boundary are out of domain.
+    Queries within a 2h band of the grid boundary are out of domain, and a
+    row outside the box is NaN.
     """
 
     def __init__(self, origin, h: float, samples: np.ndarray, name="grid"):
@@ -598,46 +611,56 @@ class GridField(ScalarField):
         hi = self.origin + self.h * (np.asarray(self.samples.shape) - 1)
         self.domain = Box(tuple(lo), tuple(hi))
         self.name = name
-        # the 3^n node offsets of the stencil in lexicographic order, and for
-        # each jet component (u, the n first and the n(n+1)/2 upper second
-        # derivatives) the basis each axis contributes: 0 the quadratic
-        # weights, 1 their first and 2 their second derivatives
-        self._offsets = np.array(list(itertools.product((-1, 0, 1), repeat=self.dim)))
-        eye = np.eye(self.dim, dtype=int)
-        self._upper = k, l = np.triu_indices(self.dim)
-        self._orders = np.concatenate([np.zeros((1, self.dim), dtype=int), eye, eye[k] + eye[l]])
+        # constants of the gather, built once: the box's upper corner, the
+        # largest stencil center index on each axis, the samples in C order
+        # with each axis' stride and the flat offsets of the 3^n stencil nodes
+        # (lexicographic), the basis gathers, and the Hessian's symmetric gather
+        self._hi = hi
+        self._top = np.asarray(self.samples.shape, dtype=float) - 2.0
+        self._flat = self.samples.ravel()
+        strides = np.cumprod((self.samples.shape[1:] + (1,))[::-1])[::-1]
+        self._strides = strides.astype(float)
+        self._nodes = np.array(list(itertools.product((-1, 0, 1), repeat=self.dim))) @ strides
+        n, offsets = self.dim, np.array(list(itertools.product((0, 1, 2), repeat=self.dim)))
+        eye = np.eye(n, dtype=int)
+        k, l = np.triu_indices(n)
+        orders = np.concatenate([np.zeros((1, n), dtype=int), eye, eye[k] + eye[l]])
+        # the factor of (node, component c, axis a) is entry 3 orders[c, a] + offset[node, a] of axis
+        # a's 9 basis values, which lie at 9 a + ... of the basis row
+        select = 9 * np.arange(n) + 3 * orders[None, :, :] + offsets[:, None, :]  # (node, component, axis)
+        self._select = select[:, :1], select
+        self._sym = np.empty((n, n), dtype=int)
+        self._sym[k, l] = self._sym[l, k] = n + 1 + np.arange(len(k))
 
     def margin(self, x) -> float:
         return 2.0 * self.h
 
-    def _gather(self, X, orders) -> np.ndarray:
-        """The jet components selected by `orders` at the rows of a stack,
-        last axis: each is the sum over the stencil nodes, in order, of the
-        sample times the running product of the axes' basis values, so every
-        row is the per-point loop bit for bit."""
-        idx = np.clip(np.rint((X - self.origin) / self.h).astype(int), 1, np.asarray(self.samples.shape) - 2)
-        t = ((X - (self.origin + idx * self.h)) / self.h)[..., None]
-        weights = np.concatenate([0.5 * t * (t - 1.0), 1.0 - t * t, 0.5 * t * (t + 1.0)], axis=-1)
-        basis = np.stack([  # (..., order, axis, node offset + 1)
-            weights,
-            np.concatenate([t - 0.5, -2.0 * t, t + 0.5], axis=-1),
-            np.broadcast_to([1.0, -2.0, 1.0], weights.shape),
-        ], axis=-3)
-        factors = basis[..., orders, np.arange(self.dim), self._offsets[:, None, :] + 1]
-        products = np.multiply.accumulate(factors, axis=-1)[..., -1]
-        nodes = self.samples[tuple(np.moveaxis(idx[..., None, :] + self._offsets, -1, 0))]
-        # cumsum adds in node order; + 0.0 is the 0.0 the loop starts from
-        return np.cumsum(nodes[..., None] * products, axis=-2)[..., -1, :] + 0.0
+    def _gather(self, X, select) -> np.ndarray:
+        """The jet components selected by `select` at the rows of a stack,
+        last axis; NaN in a row outside the box. Each is the sum over the
+        stencil nodes, in order, of the sample times the product over the
+        axes, in order, of the basis values, so every row is the per-point
+        loop bit for bit. The basis on an axis at offset t from its node is
+        (a t) (d t + b) + c per column: the quadratic weights (t/2)(t - 1),
+        1 - t^2, (t/2)(t + 1), their derivatives t - 1/2, -2t, t + 1/2 and
+        second derivatives 1, -2, 1, each as the loop rounds it (x + -0.0 is
+        x, and 0 t + c is c at a finite t, NaN at a NaN one)."""
+        idx = np.fmin(np.fmax(np.rint((X - self.origin) / self.h), 1.0), self._top)  # fmax takes NaN to 1
+        t = (X - (self.origin + idx * self.h)) / self.h
+        t = where((X < self.origin) | (X > self._hi), np.nan, t)[..., None]
+        basis = ((_GRID_A * t) * (_GRID_D * t + _GRID_B) + _GRID_C).reshape(X.shape[:-1] + (9 * self.dim,))
+        # multiply.reduce multiplies in axis order (only add.reduce sums pairwise)
+        products = np.multiply.reduce(basis[..., select], axis=-1)
+        nodes = self._flat[(np.vecdot(idx, self._strides)[..., None] + self._nodes).astype(np.intp)]
+        # add.accumulate adds in node order; + 0.0 is the 0.0 the loop starts from
+        return np.add.accumulate(nodes[..., None] * products, axis=-2)[..., -1, :] + 0.0
 
     def values(self, X):
-        return self._gather(X, self._orders[:1])[..., 0]
+        return self._gather(X, self._select[0])[..., 0]
 
     def jets(self, X):
-        n, s = self.dim, self._gather(X, self._orders)
-        k, l = self._upper
-        hess = np.empty(s.shape[:-1] + (n, n))
-        hess[..., k, l] = hess[..., l, k] = s[..., n + 1:]
-        return s[..., 0], s[..., 1 : n + 1] / self.h, hess / (self.h * self.h)
+        n, s = self.dim, self._gather(X, self._select[1])
+        return s[..., 0], s[..., 1 : n + 1] / self.h, s[..., self._sym] / (self.h * self.h)
 
     # ---- file round trip: header "n,h,origin...,counts...", then one sample
     # per line in row-major (C) order.

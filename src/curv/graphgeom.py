@@ -32,7 +32,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .errors import NonRegularPointError, NotOnLevelError
 from .fields import ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import Stacked, _new, as_point, as_points, brentq, brentq_lanes, einsum, eye, outer, trace
+from .util import Stacked, _new, as_point, as_points, brentq, brentq_lanes, count_nonzero, einsum, eye, outer, trace
 
 #: regularity threshold for slice frames: a point is regular where |grad u|_g >= DELTA_REG
 DELTA_REG = 1e-6
@@ -73,7 +73,7 @@ def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.linalg.cholesky, inv and eigvalsh are called directly, as their
     argument checks would add about 10 us to a one-point solve; one that
     fails flags the invalid state, which the errstate raises."""
-    if np.count_nonzero(np.isfinite(a)) + np.count_nonzero(np.isfinite(b)) < a.size + b.size:
+    if count_nonzero(np.isfinite(a)) + count_nonzero(np.isfinite(b)) < a.size + b.size:
         raise ValueError("array must not contain infs or NaNs")
     with np.errstate(invalid="raise"):
         try:
@@ -137,7 +137,7 @@ def adapted_frames(grad_up: np.ndarray, g: np.ndarray) -> np.ndarray:
     i equals adapted_frame(grad_up[i], g[i]) bit for bit."""
     m, n = grad_up.shape
     norm = np.sqrt(np.vecdot(np.vecmat(grad_up, g), grad_up))
-    if np.count_nonzero(norm) < m:
+    if count_nonzero(norm) < m:
         raise ValueError("adapted frame needs a nonzero gradient")
     frame = np.zeros((m, n, n))
     frame[:, :, 0] = grad_up / norm[:, None]
@@ -156,7 +156,7 @@ def adapted_frames(grad_up: np.ndarray, g: np.ndarray) -> np.ndarray:
             v = v - np.vecdot(eg[j], v)[:, None] * e
         vn = np.sqrt(np.vecdot(np.vecmat(v, g), v))
         take = vn > 1e-10
-        if filled is None and np.count_nonzero(take) == m:  # every row gains column `most`
+        if filled is None and count_nonzero(take) == m:  # every row gains column `most`
             frame[:, :, most] = v / vn[:, None]
             fewest = most = most + 1
         else:
@@ -240,7 +240,7 @@ def slice_frames(points: ExtrinsicPoint, eps) -> tuple[np.ndarray, SliceFrame]:
     grad_norm = _grad_norms(points)
     regular = ~(grad_norm < DELTA_REG)
     eps = np.full(regular.shape, eps, dtype=float)
-    if np.count_nonzero(regular) < len(regular):
+    if count_nonzero(regular) < len(regular):
         points, grad_norm, eps = points.select(regular), grad_norm[regular], eps[regular]
     frame = adapted_frames(points.grad_up, points.base_jet.g)
     tangent = frame[:, :, 1:]

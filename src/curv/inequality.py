@@ -36,7 +36,9 @@ from .graphgeom import (
     slice_frames,
 )
 from .metrics import AmbientSpec, FlatMetric, product_ambient, spherical_ambient
-from .util import Stacked, _new, as_point, as_points, brentq, brentq_lanes, eye, trace, unit_directions
+from .util import (
+    Stacked, _new, as_point, as_points, brentq, brentq_lanes, count_nonzero, eye, trace, unit_directions,
+)
 
 WHICH = ("prod", "phi", "euclid", "sphere")
 
@@ -120,7 +122,7 @@ def prod_reports(pt: ExtrinsicPoint, regular: np.ndarray, fr: SliceFrame, which:
     regular rows, as `checks` returns them. The stack comes from one array
     program over the rows, whose builder `_reports` the conformal inequality
     shares."""
-    if np.count_nonzero(regular) < len(regular):
+    if count_nonzero(regular) < len(regular):
         pt = pt.select(regular)
     n, mj = pt.dim, pt.base_jet
     cos, h, hs = fr.cos_angle, pt.mean_curvature, fr.h_sigma
@@ -139,7 +141,7 @@ def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which:
     """(regular mask, report stack) of the conformally-product inequality
     over a stack, given `slice_frames(cp.point, eps)`: one array program over
     the rows, through the builder `_reports`."""
-    if np.count_nonzero(regular) < len(regular):
+    if count_nonzero(regular) < len(regular):
         cp = cp.select(regular)
     pt, pj = cp.point, cp.factor
     n, cos, hbar = pt.dim, fr.cos_angle, cp.mean_curvature
@@ -411,11 +413,11 @@ def run_suite(
             raise ValueError("could not probe the field's domain for level values")
         if len(X):
             regular, reports = checks(which, family.rows(f), eps[f, j], X)
-            skips = int(np.count_nonzero(~regular))
+            skips = int(count_nonzero(~regular))
     gaps = reports.gap if reports is not None else np.empty(0)
     return SuiteSummary(
         which=which, seed=seed, fields=n_fields, points=len(gaps),
         min_gap=float(np.fmin.reduce(gaps, initial=np.inf)) if len(gaps) else np.nan,
-        violations=np.count_nonzero(gaps < -gap_tol), reports=reports if len(gaps) else None, nonregular_skips=skips,
+        violations=count_nonzero(gaps < -gap_tol), reports=reports if len(gaps) else None, nonregular_skips=skips,
     )
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConformalFactorError, MetricNotPositiveError
-from .util import Stacked, _new, as_point, einsum, eye, outer
+from .util import Stacked, _new, as_point, count_nonzero, einsum, eye, outer
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class ConformalMetric(Metric):
         n = self.dim
         phi, dphi, ddphi = self.factor_jet(X)
         bad = phi <= 0
-        if np.count_nonzero(bad):
+        if count_nonzero(bad):
             i = np.argmax(bad)
             raise ConformalFactorError(f"conformal factor {phi[i]} is not positive at {X[i]}")
         # g = e^{2w} delta with w = -log(phi)
@@ -155,7 +155,7 @@ class GeneralMetric(Metric):
         c = c.reshape(m, len(offsets), n, n)
         g = c[:, 0]
         bad = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(1, 2)))[:, 0] <= 0
-        if np.count_nonzero(bad):
+        if count_nonzero(bad):
             raise MetricNotPositiveError(f"metric {self.name} not positive definite at {X[np.argmax(bad)].tolist()}")
         k, l = np.triu_indices(n, 1)
         axis = c[:, 1 : 4 * n + 1].reshape(m, 4, n, n, n)  # (row, step, k, i, j)
@@ -257,7 +257,7 @@ class AmbientSpec:
             return _new(PhiJet, dict(value=np.ones(m), grad_x=np.zeros((m, self.base.dim)), dt=np.zeros(m)))
         out = self.phi_jet(X, t)
         bad = out.value <= 0
-        if np.count_nonzero(bad):
+        if count_nonzero(bad):
             i = np.argmax(bad)
             raise ConformalFactorError(f"ambient factor {out.value[i]} not positive at ({X[i]}, {t[i]})")
         return out

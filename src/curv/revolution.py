@@ -35,9 +35,11 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .fields import Annulus, Ball, RadialField, ScalarField
-from .util import brentq_lanes, richardson_limit
+from .util import brentq_lanes, count_nonzero, richardson_limit
 
 KINDS = ("E-f", "S-u", "S-v")
+_SQRT2 = math.sqrt(2.0)
+_HALF_OVER_SQRT2 = 1.0 / (2.0 * _SQRT2)
 _ALIASES = {
     "e-f": "E-f", "example-e-f": "E-f", "f": "E-f",
     "s-u": "S-u", "example-s-u": "S-u", "u": "S-u",
@@ -99,33 +101,31 @@ def profile_jets(profile: RevolutionProfile, s, order: int = 2) -> tuple[np.ndar
     a = profile.a
     with np.errstate(all="ignore"):  # the endpoints divide by zero; the outside is masked below
         if profile.kind == "S-u":
-            sa = math.sqrt(1.0 - a)
-            sr = np.sqrt(1.0 - s)
-            terms = (
-                lambda: math.sqrt(2.0) * (sa - sr) + (a - s) / (math.sqrt(2.0) * sa),
-                lambda: (1.0 / sr - 1.0 / sa) / math.sqrt(2.0),
-                lambda: (1.0 / (2.0 * math.sqrt(2.0))) * np.float_power(1.0 - s, -1.5),
-            )
+            sa, sr = math.sqrt(1.0 - a), np.sqrt(1.0 - s)
+            jet = (_SQRT2 * (sa - sr) + (a - s) / (_SQRT2 * sa),)
+            if order:
+                jet += ((1.0 / sr - 1.0 / sa) / _SQRT2, _HALF_OVER_SQRT2 * np.float_power(1.0 - s, -1.5))
         elif profile.kind == "S-v":
             w = 1.0 - s * s
-            terms = (lambda: spherical_cap_height(a) + np.sqrt(w), lambda: -s / np.sqrt(w),
-                     lambda: -np.float_power(w, -1.5))
-        else:  # E-f; s + 0.0 is 0.0 at s = -0.0, where f' is +inf as at 0.0
-            rz, s2 = np.sqrt(s + 0.0), s * s
-            rz1, sw = 1.0 + rz, np.sqrt(1.0 - s2)
-            half = 0.5 * rz / sw
-            terms = (
-                lambda: _f_value(s),
-                lambda: sw / (2.0 * rz) - s * rz1 / sw,
-                lambda: -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half
-                - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
-            )
-        jet = tuple(term() for term in terms[: order + 1])
-    if profile.kind == "S-u" and np.count_nonzero(s == 1.0):  # the counts skip the selects on interior points
+            jet = (spherical_cap_height(a) + np.sqrt(w),)
+            if order:
+                jet += (-s / np.sqrt(w), -np.float_power(w, -1.5))
+        else:
+            jet = (_f_value(s),)
+            if order:  # s + 0.0 is 0.0 at s = -0.0, where f' is +inf as at 0.0
+                rz, s2 = np.sqrt(s + 0.0), s * s
+                rz1, sw = 1.0 + rz, np.sqrt(1.0 - s2)
+                half = 0.5 * rz / sw
+                jet += (
+                    sw / (2.0 * rz) - s * rz1 / sw,
+                    -0.25 * np.float_power(s, -1.5) * sw - half - rz1 / sw - half
+                    - s2 * rz1 * np.float_power(1.0 - s2, -1.5),
+                )
+    if profile.kind == "S-u" and count_nonzero(s == 1.0):  # the counts skip the selects on interior points
         # the formula reads u(1) = 0.5000000000000003 at a = 0.5; the gluing needs u(1) = v(1) exactly
         jet = (np.where(s == 1.0, spherical_cap_height(a), jet[0]), *jet[1:])
     outside = ~((lo <= s) & (s <= hi))
-    if np.count_nonzero(outside):
+    if count_nonzero(outside):
         jet = tuple(np.where(outside, np.nan, v) for v in jet)
     return jet
 

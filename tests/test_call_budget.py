@@ -57,17 +57,21 @@ def route(name):
     if name == "extrinsic-point":
         base = metrics.FlatMetric(2)
         return lambda: graphgeom.extrinsic_point(f2, base, x2)
+    if name == "eval-jets":
+        return lambda: fields.eval_jets(f2, x2[None])
     return lambda: inequality.slice_points(f3, f3.value(x3), rays=16, seed=3)
 
 
 #: call and c_call events per route call, and in each comment the count
 #: before the route's numpy calls were cut, then, for the checks, the count
-#: while they built one report object per row
+#: while they built one report object per row, then the count before the
+#: shared domain and finiteness checks were cut
 BUDGETS = {
-    "check-prod": 145,  # 225, 159
-    "check-phi": 166,  # 269, 184
-    "extrinsic-point": 86,  # 112
-    "slice-points": 202,  # 306
+    "check-prod": 119,  # 225, 159, 145
+    "check-phi": 140,  # 269, 184, 166
+    "eval-jets": 17,  # 27
+    "extrinsic-point": 72,  # 112, 86
+    "slice-points": 168,  # 306, 202
 }
 
 
@@ -76,30 +80,37 @@ def test_one_row_call_budget(name):
     assert profile_events(route(name)) <= BUDGETS[name]
 
 
-#: (spec, value budget, jet budget) of a field's one-point methods, row 0 of
-#: the stack of one; the radial route's 2 events above 27/44 are the check
-#: that its profile's p has the radii's shape, and the poly kernel made 12/14
-#: while it called np.cumsum
+#: (field, value budget, jet budget) of a field's one-point methods, row 0 of
+#: the stack of one, and in each comment the counts before the kernel's
+#: numpy calls were cut; the radial route's 2 events are the check that its
+#: profile's p has the radii's shape, and the poly kernel made 12/14 while it
+#: called np.cumsum
 FIELD_BUDGETS = {
-    "trig": ("trig:5", 5, 7),
-    "poly": ("poly:0.3,0,1,-2,0.5,1,0,0.25", 7, 9),
-    "sphere-cap": ("sphere-cap:1.5,0.2", 7, 13),
-    "radial-S-u": ("radial:S-u:0.5", 29, 46),
+    "trig": (lambda: parse_field("trig:5", 2), 5, 7),
+    "poly": (lambda: parse_field("poly:0.3,0,1,-2,0.5,1,0,0.25", 2), 7, 9),
+    "sphere-cap": (lambda: parse_field("sphere-cap:1.5,0.2", 2), 7, 9),  # 7/13
+    "radial-S-u": (lambda: parse_field("radial:S-u:0.5", 2), 20, 25),  # 29/46
+    "grid": (  # 75/77
+        lambda: fields.sample_to_grid(fields.random_trig_field(2, 5), (-1.5, -1.5), 0.05, (61, 61)), 11, 12
+    ),
+    "fd": (lambda: fields.FiniteDifferenceField(fields.random_trig_field(2, 5), 2), 7, 11),  # 7/22
 }
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_BUDGETS))
 def test_one_point_field_call_budget(name):
-    spec, value, jet = FIELD_BUDGETS[name]
-    field, x = parse_field(spec, 2), np.array([0.6, 0.3])
+    make, value, jet = FIELD_BUDGETS[name]
+    field, x = make(), np.array([0.6, 0.3])
     assert profile_events(lambda: field.value(x)) <= value
     assert profile_events(lambda: field.jet(x)) <= jet
 
 
 def test_one_brent_lane_call_budget():
-    """The E-f inverse profile at one radius: one `brentq_lanes` lane, then the profile's jet there."""
+    """The E-f inverse profile at one radius: one `brentq_lanes` lane, then
+    the profile's jet there (284 events before the iteration's calls were
+    cut)."""
     r = np.array([0.7])
-    assert profile_events(lambda: revolution.inverse_profile_jet(r)) <= 284
+    assert profile_events(lambda: revolution.inverse_profile_jet(r)) <= 207
 
 
 #: trig rows that `TrigField.values` reads in a CLI run, and in each comment

@@ -371,6 +371,19 @@ class TestGrid:
             eval_jet(grid, np.array([0.99, 0.0]))
         assert np.isfinite(eval_jet(grid, np.array([0.85, 0.0])).value)
 
+    def test_rows_outside_the_box_are_undefined(self):
+        """The clamped stencil is not extrapolated past the box: a row
+        outside [lo, hi] is NaN, and `value` raises there as other kinds do."""
+        grid = sample_to_grid(random_trig_field(2, 5), (-1.5, -1.5), 0.05, (61, 61))
+        lo, hi = grid.domain.lo[0], grid.domain.hi[0]
+        below, above = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        X = np.array([[5.0, 5.0], [below, 0.0], [0.0, above], [lo, hi], [hi, 0.2], [0.3, -0.4]])
+        assert np.isnan(grid.values(X)).tolist() == [True, True, True, False, False, False]
+        for part in grid.jets(X):
+            assert np.isnan(part[:3]).all() and np.isfinite(part[3:]).all()
+        with pytest.raises(OutOfDomainError, match=r"point \[5.0, 5.0\] outside domain of gridded"):
+            grid.value(np.array([5.0, 5.0]))
+
     def test_min_samples_enforced(self):
         with pytest.raises(ValueError):
             GridField(np.zeros(2), 0.1, np.zeros((3, 3)))
@@ -566,7 +579,9 @@ class TestBatchedValues:
 
 def reference_grid_jet(grid, x):
     """GridField's jet as a per-point loop over the stencil nodes: the
-    reference for its gather kernel."""
+    reference for its gather kernel. Raises outside the sample box."""
+    if not (np.all(x >= grid.origin) and np.all(x <= np.asarray(grid.domain.hi))):
+        raise OutOfDomainError(f"point {x.tolist()} outside the box of {grid.name}")
     idx = np.clip(np.rint((x - grid.origin) / grid.h).astype(int), 1, np.asarray(grid.samples.shape) - 2)
     t = (x - (grid.origin + idx * grid.h)) / grid.h
     basis = [
