@@ -4,9 +4,11 @@ the slicer's scan reads, and the constants that route shares between calls.
 A one-row `check`, `extrinsic_point` or `slice_points` costs far more in
 Python and numpy call overhead than in arithmetic, so the number of calls it
 makes is the measure of that cost that does not depend on the machine. The
-counts are Python-level `call` and `c_call` events under `sys.setprofile`
-(ufunc calls raise neither), taken after a warm-up call with the garbage
-collector off. Each budget is the count this code makes with Python 3.11
+counts are Python-level `call` and `c_call` events under `sys.setprofile`,
+taken after a warm-up call with the garbage collector off. Ufunc calls and
+operators (`+`, `@`, indexing, `.T`) raise neither, so the count does not
+see a cut that removes only those; that part of a cut shows in timings
+alone. Each budget is the count this code makes with Python 3.11
 and numpy 2.4; a change that adds calls to the route fails here, and one
 that removes calls should lower the budget.
 """
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from curv import cli, fields, graphgeom, inequality, metrics, revolution, util
+from curv import cli, conformal, fields, graphgeom, inequality, metrics, revolution, util
 from curv.fieldspec import parse_field
 
 
@@ -57,6 +59,12 @@ def route(name):
     if name == "extrinsic-point":
         base = metrics.FlatMetric(2)
         return lambda: graphgeom.extrinsic_point(f2, base, x2)
+    if name == "extrinsic-point-round":
+        base = metrics.round_sphere_base(3)
+        return lambda: graphgeom.extrinsic_point(f3, base, x3)
+    if name == "conformal-point":
+        ambient = metrics.spherical_ambient(2)
+        return lambda: conformal.conformal_point(f2, ambient, x2)
     if name == "eval-jets":
         return lambda: fields.eval_jets(f2, x2[None])
     return lambda: inequality.slice_points(f3, f3.value(x3), rays=16, seed=3)
@@ -69,8 +77,10 @@ def route(name):
 BUDGETS = {
     "check-prod": 119,  # 225, 159, 145
     "check-phi": 140,  # 269, 184, 166
+    "conformal-point": 103,
     "eval-jets": 17,  # 27
     "extrinsic-point": 72,  # 112, 86
+    "extrinsic-point-round": 77,
     "slice-points": 168,  # 306, 202
 }
 

@@ -893,6 +893,31 @@ class TestGoldenRows:
     def test_dsygvd_gives_the_old_curved_rows(self, dsygvd, which, dim):
         assert self.curved_digest(which, dim) == self.DSYGVD_CURVED[which, dim]
 
+    #: the one-row `check` reports on the curved-n3 benchmark's recipe (two
+    #: fields, two levels, up to ten slice points each), prod on the round
+    #: base and phi in the spherical ambient, then the round base's metric
+    #: jet stack at the same points, as bytes: last bits and signed zeros
+    ROUND_BASE = (
+        "def6882c5f492d1bb98ad89b257b7f9a932bcd2d0d40e2ddff357bb7dd1b61db",
+        "07d27bfb23f6871e31dead2facc9511ba332975166618c9519dff9cc282f0fc8",
+    )
+
+    def test_round_base_rows(self):
+        base = round_sphere_base(3)
+        ambients = {"prod": product_ambient(3, base), "phi": spherical_ambient(3)}
+        rows, points = [], []
+        for seed in (100_005, 100_006):
+            field = random_trig_field(3, seed)
+            for eps in pick_levels(field, 2, seed + 7):
+                for x in slice_points(field, eps, rays=16, seed=seed + 13)[:10]:
+                    points.append(x)
+                    rows += [check(which, field, eps, x, ambient).to_dict() for which, ambient in ambients.items()]
+        jet = base.jets(np.array(points))
+        arrays = (jet.g, jet.ginv, jet.gamma, jet.ricci, jet.scalar)
+        digests = row_digest(rows), hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert len(points) >= 20
+        assert digests == self.ROUND_BASE
+
     def curved_digest(self, which, dim):
         field = random_trig_field(dim, 5)
         eps = pick_levels(field, 1, 5)[0]
