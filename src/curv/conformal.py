@@ -34,8 +34,11 @@ def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
     """Abar = phi A + nu(phi) I for the factor value and normal derivative,
     at a point or row by row over a stack."""
     phi, dphi_nu = np.asarray(phi), np.asarray(dphi_nu)
-    if count_nonzero(phi <= 0):
-        raise ConformalFactorError(f"conformal factor {phi} must be positive")
+    bad = phi <= 0.0
+    if count_nonzero(bad):
+        i = np.argmax(bad)
+        x = point.x.reshape(-1, point.dim)[i]
+        raise ConformalFactorError(f"conformal factor {phi.flat[i]} is not positive at {x.tolist()}")
     return phi[..., None, None] * point.shape_operator + dphi_nu[..., None, None] * eye(point.dim)
 
 
@@ -80,7 +83,7 @@ def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPo
     principal = pj.value[:, None] * pt.principal + mu[:, None]
     principal.sort(axis=-1)
     hbar = pj.value * pt.mean_curvature + n * mu
-    norm2 = (principal**2).sum(-1)
+    norm2 = np.add.reduce(principal**2, -1)
     # the Gauss relation R = n(n-1) + Hbar^2 - |Abar|^2 needs the rescaled
     # ambient to be the unit round sphere; leave R unset otherwise
     scalar = None

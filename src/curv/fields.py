@@ -585,6 +585,8 @@ _GRID_A = np.array([0.5, -1.0, 0.5, 1.0, -2.0, 1.0, 0.0, 0.0, 0.0])
 _GRID_D = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 _GRID_B = np.array([-1.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 _GRID_C = np.array([-0.0, 1.0, -0.0, -0.5, -0.0, 0.5, 1.0, -2.0, 1.0])
+for _arr in (_GRID_A, _GRID_D, _GRID_B, _GRID_C):  # shared by every call: read-only
+    _arr.flags.writeable = False
 
 
 class GridField(ScalarField):

@@ -24,15 +24,19 @@ satisfies (A|1) = cos * A_Sigma exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NonRegularPointError, NotOnLevelError
 from .fields import ScalarField, eval_jets
 from .metrics import FlatMetric, GeneralMetric, MetricJet, metric_jet
-from .util import Stacked, _new, as_point, as_points, brentq, brentq_lanes, count_nonzero, einsum, eye, outer, trace
+from .util import (
+    Stacked, _new, as_point, as_points, brentq, brentq_lanes, count_nonzero, einsum, eye, outer, trace, vdot,
+)
 
 #: regularity threshold for slice frames: a point is regular where |grad u|_g >= DELTA_REG
 DELTA_REG = 1e-6
@@ -51,9 +55,7 @@ class ExtrinsicPoint(Stacked):
     shape_operator: np.ndarray  # A^i_j in graph coordinates
     induced_metric: np.ndarray  # gM_ij = g_ij + u_i u_j
     mean_curvature: float
-    norm_a2: float
     principal: np.ndarray  # eigenvalues of A, ascending
-    scalar_curvature: float  # R_M
     w: float
     grad: np.ndarray  # covariant u_i
     grad_up: np.ndarray  # contravariant u^i
@@ -64,6 +66,19 @@ class ExtrinsicPoint(Stacked):
     def dim(self) -> int:
         return self.x.shape[-1]
 
+    @property
+    def norm_a2(self) -> float | np.ndarray:
+        """|A|^2 = tr(A A), computed when it is read."""
+        a = self.shape_operator
+        return trace(a @ a)
+
+    @property
+    def scalar_curvature(self) -> float | np.ndarray:
+        """R_M = H^2 - |A|^2 + R_g - 2 Ric_g(nu', nu'), computed when it is read."""
+        nu_h, mj = self.nu[..., :-1], self.base_jet
+        ric_nn = np.vecdot(np.vecmat(nu_h, mj.ricci), nu_h)
+        return self.mean_curvature * self.mean_curvature - self.norm_a2 + mj.scalar - 2.0 * ric_nn
+
 
 def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each pencil (a[i], b[i]), a[i] symmetric and
@@ -72,15 +87,20 @@ def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a b that is not positive definite LinAlgError. The gufuncs behind
     np.linalg.cholesky, inv and eigvalsh are called directly, as their
     argument checks would add about 10 us to a one-point solve; one that
-    fails flags the invalid state, which the errstate raises."""
-    if count_nonzero(np.isfinite(a)) + count_nonzero(np.isfinite(b)) < a.size + b.size:
-        raise ValueError("array must not contain infs or NaNs")
-    with np.errstate(invalid="raise"):
-        try:
-            inv = _umath_linalg.inv(_umath_linalg.cholesky_lo(b))
-            return _umath_linalg.eigvalsh_lo(inv @ a @ inv.mT)
-        except FloatingPointError as err:
-            raise LinAlgError(f"generalized eigensolve failed: {err}") from None
+    fails flags the invalid state, which np.errstate(invalid="raise"), set
+    without its context manager, raises. A non-finite entry makes vdot(a, b)
+    non-finite, so only then are the entries tested."""
+    if not math.isfinite(vdot(a, b)):
+        if count_nonzero(np.isfinite(a)) + count_nonzero(np.isfinite(b)) < a.size + b.size:
+            raise ValueError("array must not contain infs or NaNs")
+    token = _extobj_contextvar.set(_make_extobj(invalid="raise"))
+    try:
+        inv = _umath_linalg.inv(_umath_linalg.cholesky_lo(b))
+        return _umath_linalg.eigvalsh_lo(inv @ a @ inv.mT)
+    except FloatingPointError as err:
+        raise LinAlgError(f"generalized eigensolve failed: {err}") from None
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 #: np.linalg.eigvalsh of a stack of finite symmetric matrices, less the wrapper's checks
@@ -108,18 +128,12 @@ def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
     h_form = 0.5 * (h_form + h_form.mT)
     principal = _generalized_eigvalsh(h_form, gm)
 
-    mean = trace(a)
-    norm_a2 = trace(a @ a)
-
-    nu_h = -grad_up / w[:, None]  # horizontal contravariant components of nu
-    ric_nn = np.vecdot(np.vecmat(nu_h, mj.ricci), nu_h)
-    r_m = mean * mean - norm_a2 + mj.scalar - 2.0 * ric_nn
-
-    nu = np.concatenate([nu_h, (1.0 / w)[:, None]], axis=1)
+    nu = np.empty((len(X), field.dim + 1))  # (-grad u, 1) / W
+    nu[:, :-1], nu[:, -1] = -grad_up, 1.0
+    nu /= w[:, None]
     return _new(ExtrinsicPoint, dict(
-        x=X, u=u, nu=nu, shape_operator=a, induced_metric=gm, mean_curvature=mean, norm_a2=norm_a2,
-        principal=principal, scalar_curvature=r_m, w=w, grad=grad, grad_up=grad_up, cov_hessian=hess_cov,
-        base_jet=mj,
+        x=X, u=u, nu=nu, shape_operator=a, induced_metric=gm, mean_curvature=trace(a), principal=principal, w=w,
+        grad=grad, grad_up=grad_up, cov_hessian=hess_cov, base_jet=mj,
     ))
 
 
@@ -141,12 +155,12 @@ def adapted_frames(grad_up: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError("adapted frame needs a nonzero gradient")
     frame = np.zeros((m, n, n))
     frame[:, :, 0] = grad_up / norm[:, None]
-    eg, filled = [], None  # e^T g of the columns every row has; columns per row, once rows differ
+    axes, eg, filled = eye(n), [], None  # e^T g of the columns every row has; columns per row, once rows differ
     fewest = most = 1 if m else n
     for k in range(n):
         if fewest == n:
             break
-        v = eye(n)[k]
+        v = axes[k]
         # a column a row has not found yet is zero and leaves its v as it is
         # (v never holds -0.0, so v - (+-0.0) = v)
         for j in range(most):
@@ -239,15 +253,16 @@ def slice_frames(points: ExtrinsicPoint, eps) -> tuple[np.ndarray, SliceFrame]:
         raise ValueError(f"level slices need dimension >= 2, got {points.dim}")
     grad_norm = _grad_norms(points)
     regular = ~(grad_norm < DELTA_REG)
-    eps = np.full(regular.shape, eps, dtype=float)
+    levels = np.empty(len(grad_norm))  # np.full less its Python wrapper
+    levels[...] = eps
     if count_nonzero(regular) < len(regular):
-        points, grad_norm, eps = points.select(regular), grad_norm[regular], eps[regular]
+        points, grad_norm, levels = points.select(regular), grad_norm[regular], levels[regular]
     frame = adapted_frames(points.grad_up, points.base_jet.g)
     tangent = frame[:, :, 1:]
     a_sigma = tangent.mT @ points.cov_hessian @ tangent / grad_norm[:, None, None]
     a_sigma = 0.5 * (a_sigma + a_sigma.mT)
     return regular, _new(SliceFrame, dict(
-        eps=eps, x=points.x, eta=-points.grad_up / grad_norm[:, None], a_sigma=a_sigma, h_sigma=trace(a_sigma),
+        eps=levels, x=points.x, eta=-points.grad_up / grad_norm[:, None], a_sigma=a_sigma, h_sigma=trace(a_sigma),
         cos_angle=grad_norm / points.w, frame=frame, grad_norm=grad_norm,
     ))
 

@@ -52,6 +52,7 @@ SAMPLES_PER_RAY, MAX_PER_RAY = 160, 2
 BLOCK = 8
 _ENDS = np.append(np.arange(0, SAMPLES_PER_RAY - 1, BLOCK), SAMPLES_PER_RAY - 1)
 _BLOCKS = np.minimum(_ENDS[:-1, None] + np.arange(BLOCK + 1), SAMPLES_PER_RAY - 1)
+_ENDS.flags.writeable = _BLOCKS.flags.writeable = False  # shared by every call: read-only
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class InequalityReport(Stacked):
 
 def _mean(a: np.ndarray) -> np.ndarray:
     """np.mean over the last axis, bit for bit (the sum, then one division)."""
-    return a.sum(axis=-1) / a.shape[-1]
+    return np.add.reduce(a, -1) / float(a.shape[-1])
 
 
 def _reports(
@@ -104,7 +105,9 @@ def _reports(
     1 of the n ambient eigenvalues sit at `predicted` when the second largest
     distance to it is small."""
     spread = slice_eigs[:, -1] - slice_eigs[:, 0]
-    mult = np.sort(np.abs(ambient_eigs - predicted[:, None]), axis=-1)[:, -2]
+    dist = np.abs(ambient_eigs - predicted[:, None])
+    dist.sort(axis=-1)
+    mult = dist[:, -2]
     norm_slice = np.maximum(-slice_eigs[:, 0], slice_eigs[:, -1])
     norm_amb = np.maximum(-ambient_eigs[:, 0], ambient_eigs[:, -1])
     equal = (spread <= UMBILIC_TOL * (1.0 + norm_slice)) & (mult <= MULTIPLICITY_TOL * (1.0 + norm_amb))
@@ -130,10 +133,11 @@ def prod_reports(pt: ExtrinsicPoint, regular: np.ndarray, fr: SliceFrame, which:
     slice_eigs = eigvalsh(fr.a_sigma)
     kappa = _mean(slice_eigs)
     c = n / (2.0 * (n - 1.0))
-    rhs = 0.5 * pt.scalar_curvature - 0.5 * mj.scalar + cos * cos * ric_eta + c * cos * cos * np.float_power(hs, 2)
+    r_m = pt.scalar_curvature
+    rhs = 0.5 * r_m - 0.5 * mj.scalar + cos * cos * ric_eta + c * cos * cos * np.float_power(hs, 2.0)
     return regular, _reports(
         which, fr, lhs=cos * h * hs, rhs=rhs, h_mean=h, h_sigma=hs, kappa=kappa, slice_eigs=slice_eigs,
-        ambient_eigs=pt.principal, predicted=cos * kappa, scalar_base=mj.scalar, scalar_m=pt.scalar_curvature,
+        ambient_eigs=pt.principal, predicted=cos * kappa, scalar_base=mj.scalar, scalar_m=r_m,
     )
 
 
@@ -153,7 +157,7 @@ def _phi_reports(cp: ConformalPoint, regular: np.ndarray, fr: SliceFrame, which:
     nu_t, phi_t = pt.nu[:, -1], pj.dt
     c = n / (2.0 * (n - 1.0))
     bracket = cos * hbar_sigma + (n - 1.0) * nu_t * phi_t
-    rhs = 0.5 * (np.float_power(hbar, 2) - cp.norm_a2) + c * np.float_power(bracket, 2)
+    rhs = 0.5 * (np.float_power(hbar, 2.0) - cp.norm_a2) + c * np.float_power(bracket, 2.0)
     return regular, _reports(
         which, fr, lhs=hbar * bracket, rhs=rhs, h_mean=hbar, h_sigma=hbar_sigma, kappa=kappa,
         slice_eigs=slice_eigs, ambient_eigs=cp.principal, predicted=cos * kappa + nu_t * phi_t,

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConformalFactorError, MetricNotPositiveError
-from .util import Stacked, _new, as_point, count_nonzero, einsum, eye, outer
+from .util import Stacked, _new, as_point, count_nonzero, einsum, eye, outer, trace
 
 
 @dataclass(frozen=True)
@@ -81,25 +81,23 @@ class ConformalMetric(Metric):
     def jets(self, X) -> MetricJet:
         n = self.dim
         phi, dphi, ddphi = self.factor_jet(X)
-        bad = phi <= 0
+        bad = phi <= 0.0
         if count_nonzero(bad):
             i = np.argmax(bad)
-            raise ConformalFactorError(f"conformal factor {phi[i]} is not positive at {X[i]}")
+            raise ConformalFactorError(f"conformal factor {phi[i]} is not positive at {X[i].tolist()}")
         # g = e^{2w} delta with w = -log(phi)
-        phi2 = np.float_power(phi, 2)[:, None, None]
+        phi2 = np.float_power(phi, 2.0)[:, None, None]
         w1 = -dphi / phi[:, None]
-        w2 = -ddphi / phi[:, None, None] + outer(dphi, dphi) / phi2
-        lap_w = w2.diagonal(0, 1, 2).sum(1)
+        w2 = outer(dphi, dphi) / phi2 - ddphi / phi[:, None, None]
+        lap_w = trace(w2)
         grad2 = np.vecdot(w1, w1)
         e = eye(n)
-        # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k
-        gamma = (
-            e[:, :, None] * w1[:, None, None, :]
-            + e[:, None, :] * w1[:, None, :, None]
-            - e * w1[:, :, None, None]
-        )
-        ricci = -(n - 2) * (w2 - outer(w1, w1)) - (lap_w + (n - 2) * grad2)[:, None, None] * e
-        scalar = phi2[:, 0, 0] * (-2.0 * (n - 1) * lap_w - (n - 1) * (n - 2) * grad2)
+        # Gamma^k_ij = delta_ki w_j + delta_kj w_i - delta_ij w_k: the three
+        # products are views of d[:, k, i, j] = delta_ki w_j
+        d = e[:, :, None] * w1[:, None, None, :]
+        gamma = d + d.transpose(0, 1, 3, 2) - d.transpose(0, 3, 1, 2)
+        ricci = (2.0 - n) * (w2 - outer(w1, w1)) - (lap_w + (n - 2.0) * grad2)[:, None, None] * e
+        scalar = phi2[:, 0, 0] * (-2.0 * (n - 1) * lap_w - (n - 1.0) * (n - 2) * grad2)
         return _new(MetricJet, dict(g=e / phi2, ginv=e * phi2, gamma=gamma, ricci=ricci, scalar=scalar))
 
 
@@ -256,10 +254,10 @@ class AmbientSpec:
         if self.phi_jet is None:
             return _new(PhiJet, dict(value=np.ones(m), grad_x=np.zeros((m, self.base.dim)), dt=np.zeros(m)))
         out = self.phi_jet(X, t)
-        bad = out.value <= 0
+        bad = out.value <= 0.0
         if count_nonzero(bad):
             i = np.argmax(bad)
-            raise ConformalFactorError(f"ambient factor {out.value[i]} not positive at ({X[i]}, {t[i]})")
+            raise ConformalFactorError(f"ambient factor {out.value[i]} not positive at {[*X[i].tolist(), float(t[i])]}")
         return out
 
 

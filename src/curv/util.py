@@ -8,14 +8,14 @@ import numpy as np
 from numpy._core.multiarray import c_einsum as einsum  # np.einsum less its wrapper, about 2 us a call
 from numpy._core.multiarray import count_nonzero  # np.count_nonzero of a whole array less its wrapper
 
-# np.where and np.copyto less their __array_function__ dispatch, about 0.25 us a call
-where, copyto = np.where._implementation, np.copyto._implementation
+# np.where, np.copyto and np.vdot less their __array_function__ dispatch, about 0.25 us a call
+where, copyto, vdot = np.where._implementation, np.copyto._implementation, np.vdot._implementation
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.array(x, dtype=float, copy=None, ndmin=1)  # np.atleast_1d of np.asarray
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D point, got shape {x.shape}")
     if dim is not None and x.size != dim:
@@ -46,7 +46,7 @@ class Stacked:
         out = {}
         for name, v in self.__dict__.items():
             if type(v) is np.ndarray:
-                out[name] = (bool(v[i]) if v.dtype == bool else float(v[i])) if v.ndim == 1 else v[i]
+                out[name] = (bool(v[i]) if v.dtype.kind == "b" else float(v[i])) if v.ndim == 1 else v[i]
             else:
                 out[name] = v if v is None or type(v) is str else v.row(i)
         return _new(type(self), out)
@@ -92,7 +92,7 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def trace(a: np.ndarray) -> np.ndarray:
     """The trace of each matrix of a stack, as np.trace sums the diagonal."""
-    return a.diagonal(0, -2, -1).sum(-1)
+    return np.add.reduce(a.diagonal(0, -2, -1), -1)  # ndarray.sum less its Python wrapper
 
 
 def maxabs(a) -> float:

@@ -73,14 +73,15 @@ def route(name):
 #: call and c_call events per route call, and in each comment the count
 #: before the route's numpy calls were cut, then, for the checks, the count
 #: while they built one report object per row, then the count before the
-#: shared domain and finiteness checks were cut
+#: shared domain and finiteness checks were cut, then (with the two geometry
+#: routes) the count before the geometry's wrappers were cut
 BUDGETS = {
-    "check-prod": 119,  # 225, 159, 145
-    "check-phi": 140,  # 269, 184, 166
-    "conformal-point": 103,
+    "check-prod": 103,  # 225, 159, 145, 119
+    "check-phi": 114,  # 269, 184, 166, 140
+    "conformal-point": 88,  # 103
     "eval-jets": 17,  # 27
-    "extrinsic-point": 72,  # 112, 86
-    "extrinsic-point-round": 77,
+    "extrinsic-point": 59,  # 112, 86, 72
+    "extrinsic-point-round": 65,  # 77
     "slice-points": 168,  # 306, 202
 }
 
@@ -152,12 +153,15 @@ def test_trig_rows_read(argv, monkeypatch, tmp_path):
 
 X3 = np.array([0.3, -0.2, 0.1])
 
-#: arrays built once and shared by every call that returns them
+#: arrays built once, per n or per process, and shared by every call that reads them
 CONSTANTS = {
     "eye": lambda: util.eye(3),
     **{f"general stencil part {k}": (lambda k=k: metrics._general_stencil(3)[k]) for k in range(2)},
     "round factor hessian": lambda: metrics.round_sphere_factor(X3)[2],
     **{f"stencil part {k}": (lambda k=k: fields._stencil(3)[k]) for k in range(4)},
+    **{f"grid basis {c}": (lambda c=c: getattr(fields, f"_GRID_{c}")) for c in "ABCD"},
+    "scan block ends": lambda: inequality._ENDS,
+    "scan blocks": lambda: inequality._BLOCKS,
 }
 
 
@@ -166,19 +170,38 @@ def test_cached_constants_are_read_only(name):
     get = CONSTANTS[name]
     before = get().copy()
     with pytest.raises(ValueError, match="read-only"):
-        get()[...] = 7.0
+        get()[...] = 7
     assert np.array_equal(get(), before)
+
+
+X2 = np.array([[0.6, 0.3]])
+
+
+def _metric_arrays(base):
+    jet = base.jets(X3[None])
+    return jet.g, jet.ginv, jet.gamma, jet.ricci, jet.scalar
+
+
+#: routes whose results are built on the constants above, each as the
+#: arrays of one call
+FRESH = {
+    "flat metric": lambda: _metric_arrays(metrics.FlatMetric(3)),
+    "round metric": lambda: _metric_arrays(metrics.round_sphere_base(3)),
+    "general metric": lambda: _metric_arrays(metrics.GeneralMetric(3, lambda Y: np.eye(3) * (1.0 + Y[:, :1, None]))),
+    "adapted frames": lambda: (graphgeom.adapted_frames(X3[None], np.eye(3)[None]),),
+    "sphere-cap jets": lambda: fields.SphereCap(3, 1.5).jets(X3[None]),
+    "radial jets": lambda: parse_field("radial:S-u:0.5", 2).jets(X2),
+    "fd jets": lambda: fields.FiniteDifferenceField(fields.random_trig_field(3, 5), 3).jets(X3[None]),
+    "grid jets": lambda: fields.sample_to_grid(fields.random_trig_field(2, 5), (-1.0, -1.0), 0.1, (21, 21)).jets(X2),
+    "conformal shape": lambda: (conformal.conformal_shape(
+        graphgeom.extrinsic_points(fields.random_trig_field(3, 5), metrics.FlatMetric(3), X3[None]), 1.0, 0.0),),
+}
 
 
 def test_results_built_on_constants_are_fresh():
     """A stacked result is the caller's own: writing to it changes no later call."""
-    X = X3[None]
-    for base in (metrics.FlatMetric(3), metrics.round_sphere_base(3)):
-        jet = base.jets(X)
-        want = jet.g.copy()
-        jet.g[...] = 7.0
-        jet.ginv[...] = 7.0
-        assert np.array_equal(base.jets(X).g, want)
-    frame = graphgeom.adapted_frames(np.array([[1.0, 0.0, 0.0]]), metrics.FlatMetric(3).jets(X).g)
-    frame[...] = 7.0
-    assert np.array_equal(graphgeom.adapted_frames(np.array([[1.0, 0.0, 0.0]]), np.eye(3)[None]), np.eye(3)[None])
+    for name, route in FRESH.items():
+        want = [a.copy() for a in route()]
+        for a in route():
+            a[...] = 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(route(), want)), name
