@@ -7,10 +7,10 @@ makes is the measure of that cost that does not depend on the machine. The
 counts are Python-level `call` and `c_call` events under `sys.setprofile`,
 taken after a warm-up call with the garbage collector off. Ufunc calls and
 operators (`+`, `@`, indexing, `.T`) raise neither, so the count does not
-see a cut that removes only those; that part of a cut shows in timings
-alone. Each budget is the count this code makes with Python 3.11
-and numpy 2.4; a change that adds calls to the route fails here, and one
-that removes calls should lower the budget.
+see a cut that removes only those; that part of a cut shows only in the
+timings that `CHANGES.md` gives with it. Each budget is the count this code
+makes with Python 3.11 and numpy 2.4; a change that adds calls to the route
+fails here, and one that removes calls should lower the budget.
 """
 
 import contextlib
