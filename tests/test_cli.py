@@ -375,6 +375,10 @@ class TestGoldenReports:
         # the identity stage at production size: 100,000 matrices of orders 2-8
         # (seeds 0-2 reach the same largest residual, 6 machine epsilons)
         "identity-full": ["verify", "identity"],
+        # the inequality stages at production size, 25 fields of 10 rays, where the slicer's screen acts
+        "inequality-prod-full": ["verify", "inequality", "--which", "prod"],
+        "inequality-phi-full": ["verify", "inequality", "--which", "phi"],
+        "inequality-prod-full-3d": ["verify", "inequality", "--which", "prod", "--dim", "3"],
     }
     SHA256 = {
         ("identity", 0): "bbd296088c3150f80d1a349102d31223406b552a34b0d3194df8dbf591abd4ee",
@@ -407,6 +411,11 @@ class TestGoldenReports:
         ("identity-full", 1): "5d2aa7805013e981256ab0b35acd61b4e2ed4e9db68384e4531461287586d7ca",
         ("identity-full", 2): "5d2aa7805013e981256ab0b35acd61b4e2ed4e9db68384e4531461287586d7ca",
         ("identity-full", 3): "2253b755719e7245d84dad1315a5ec51248aece577b225eca16d69487333a345",
+        ("inequality-prod-full", 0): "c3cec147f0c896aa0cb0c0b0a32015e234d1674300b01bee4feec4cbef397507",
+        ("inequality-prod-full", 5): "a9f9d4ded10612e8be886fe1b47ac15a1ea78590d4b7d12f4dc27be5959dc193",
+        ("inequality-phi-full", 0): "dad27e63e7106d1ca6982a7b088cdc4e29cb32eaa5db75890cb20e6283eb3ca2",
+        ("inequality-phi-full", 5): "67e0ceb82007b3eb8c4507410bf4557be4ff6c3b2d54e456045f6d5c5725cc2c",
+        ("inequality-prod-full-3d", 0): "50adbd6528a914b5ce549a9392719ddafc63787d8caac9e5a3f5bd70626af62b",
     }
 
     @pytest.mark.parametrize("stage, seed", sorted(SHA256))
