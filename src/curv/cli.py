@@ -24,7 +24,7 @@ from .barrier import (
 )
 from .conformal import conformal_point, mean_curvature_spherical
 from .errors import CurvError, NoTouchError
-from .fields import FiniteDifferenceField, NegatedField, random_trig_field, trig_family
+from .fields import FiniteDifferenceField, NegatedField, random_trig_family
 from .fieldspec import parse_field
 from .graphgeom import (
     extrinsic_point,
@@ -234,12 +234,11 @@ def _handle_verify_minor(args, tol):
         raise ValueError(f"need --fields and --points >= 0, got {args.fields} and {args.points}")
     steps = [args.fd_step, args.fd_step / 2.0, args.fd_step / 4.0]
     seeds = [args.seed + i for i in range(args.fields)]
-    fields = [random_trig_field(args.dim, seed=s) for s in seeds]
     # the analytic half is one array program, on the first args.points points
     # of each field (a field whose domain gave no level probes samples none)
     owner = np.empty(0, dtype=int)
-    if fields:
-        family = trig_family(fields)
+    if seeds:
+        family = random_trig_family(args.dim, seeds)
         eps, owner, _, X = family_slices(family, 1, seeds, seeds, max(2, args.points // 2))
         first = np.arange(len(owner)) - np.searchsorted(owner, owner) < args.points
         owner, X = owner[first], X[first]

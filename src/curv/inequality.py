@@ -48,11 +48,16 @@ MULTIPLICITY_TOL = 1e-6
 
 #: slice_points' scan samples per ray and roots kept per ray
 SAMPLES_PER_RAY, MAX_PER_RAY = 160, 2
-#: the scan's blocks of BLOCK intervals: their ends, and the samples of each (the last repeats the last)
-BLOCK = 8
-_ENDS = np.append(np.arange(0, SAMPLES_PER_RAY - 1, BLOCK), SAMPLES_PER_RAY - 1)
-_BLOCKS = np.minimum(_ENDS[:-1, None] + np.arange(BLOCK + 1), SAMPLES_PER_RAY - 1)
-_ENDS.flags.writeable = _BLOCKS.flags.writeable = False  # shared by every call: read-only
+#: the block sizes of the scan's screen, coarse to fine: each divides SAMPLES_PER_RAY and is a multiple
+#: of the next, and each level screens the blocks of its size inside the blocks the level before kept
+SCREEN = (32, 8)
+#: per level, the screen's then the inner samples' (size 1): by a block the level before kept, the ends of its
+#: blocks there (the inner samples': the block's own, the last repeated, bracketing nothing); read-only
+_LEVELS = [(size, np.arange(0, SAMPLES_PER_RAY - 1, parent)[:, None] + np.arange(0, parent + 1, size))
+           for size, parent in zip(SCREEN + (1,), (SAMPLES_PER_RAY,) + SCREEN)]
+for _, _ends in _LEVELS:
+    np.minimum(_ends, SAMPLES_PER_RAY - 1, out=_ends)
+    _ends.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -240,13 +245,13 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     points) of the rows, in the order field, level, ray, root. `at(idx)` is
     member idx, or a family for an index array.
 
-    The scan reads the ends of its blocks of BLOCK intervals, then the inner
-    samples of the blocks a level may cross: with (L, M, delta) =
-    `ray_slopes` and h = t_B - t_A, a block [A, B] is skipped where, at every
-    level e, z = v - e passes one of two tests (never at a NaN, which fails
-    both). A bracket [t_i, t_i+1] is a pair of finite samples whose signs
-    (np.sign: -1, 0 or 1) differ, so in the block it would give some z_i <= 0
-    <= z_i+1 or the reverse; with N the error of a value:
+    The scan screens blocks coarse to fine (see SCREEN), reading each sample
+    once: with (L, M, delta) = `ray_slopes` and h = t_B - t_A <= the reach,
+    a block [A, B] is skipped where, at every level e, z = v - e passes one
+    of two tests (never at a NaN, which fails both). A bracket [t_i, t_i+1]
+    is a pair of finite samples whose signs (np.sign: -1, 0 or 1) differ, so
+    in the block it would give some z_i <= 0 <= z_i+1 or the reverse; with N
+    the error of a value:
     - the slope test, |z_A| + |z_B| > L h + delta: the bracket would give
       |z_A| + |z_B| <= |z_i - z_A| + |z_i+1 - z_i| + |z_B - z_i+1| <= L h + 6
       N, which delta exceeds;
@@ -261,38 +266,43 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     in its order, and all that follows; `brentq_lanes` solves all brackets."""
     (F, L), (R, n), dom = eps.shape, dirs.shape[1:], at(0).domain
     # origin + t d, not t d: adding +0.0 turns a -0.0 coordinate into +0.0
-    origin = dom.probe_cube()[0] + 0.0
-    extents = dom.ray_extent(origin, dirs.reshape(-1, n), margin=1e-6).reshape(F, R)
+    origin, S = dom.probe_cube()[0] + 0.0, SAMPLES_PER_RAY
+    rays, owner = dirs.reshape(-1, n), np.arange(F * R) // R  # rays field by field; take gathers rows faster than []
+    extents = dom.ray_extent(origin, rays, margin=1e-6)
     extents[~np.isfinite(extents)] = 2.0
-    # each row is the ray's np.linspace(0.0, extent, SAMPLES_PER_RAY), as linspace computes it: k times
-    # the step, or (k / div) times the extent where any step of the call is 0, plus the start 0.0
-    k, div = np.arange(SAMPLES_PER_RAY, dtype=float), SAMPLES_PER_RAY - 1
-    step = extents[..., None] / div
-    ts = k / div * extents[..., None] if 0.0 in step else k * step
+    # each row is the ray's np.linspace(0.0, extent, S), as linspace computes it: k times the step, or
+    # (k / div) times the extent where any step of the call is 0, plus the start 0.0
+    k, div = np.arange(S, dtype=float), S - 1
+    step = extents[:, None] / div
+    ts = k / div * extents[:, None] if 0.0 in step else k * step
     ts += 0.0
-    ts[..., -1] = extents
-    members = at(np.arange(F)[:, None])
-    slopes, curvs, delta = members.ray_slopes(dirs, np.maximum.reduce(np.abs(origin)) + extents)
-    ends, u = ts[..., _ENDS], np.empty_like(ts)  # u is read only where it is written
-    u[..., _ENDS] = members.values((origin + ends[..., None] * dirs[:, :, None, :]).reshape(F, -1, n)).reshape(F, R, -1)
-    z = u[:, None, :, _ENDS] - eps[:, :, None, None]
-    za, zb, h = z[..., :-1], z[..., 1:], ends[..., 1:] - ends[..., :-1]
-    bend = (curvs[..., None] * (h * h) / 8.0 + delta[..., None])[:, None]
-    far = np.abs(za) + np.abs(zb) > (slopes[..., None] * h + delta[..., None])[:, None]
-    far |= (np.minimum(za, zb) > bend) | (np.maximum(za, zb) < -bend)
-    f, r, blk = (~np.logical_and.reduce(far, axis=1) & (extents > 0)[..., None]).nonzero()  # extent 0: no samples
-    cols = _BLOCKS[blk]
-    inner = f[:, None], r[:, None], cols[:, 1:-1]
-    u[inner] = at(f[:, None]).values(origin + ts[inner][..., None] * dirs[f, r, None, :])
-    vals = u[f[:, None], r[:, None], cols][:, None] - eps[f, :, None]
-    a, b = vals[..., :-1], vals[..., 1:]
-    bracket = np.isfinite(a) & np.isfinite(b) & (np.sign(a) != np.sign(b))
-    bracket &= (cols[:, 1:] > cols[:, :-1])[:, None]  # the repeated last sample brackets nothing
-    row, j, c = bracket.nonzero()
-    f, r, i = f[row], r[row], cols[row, c]
-    order = (((f * L + j) * R + r) * SAMPLES_PER_RAY + i).argsort()
-    f, j, r, i = f[order], j[order], r[order], i[order]
-    d, e, lo, hi = dirs[f, r], eps[f, j], ts[f, r, i], ts[f, r, i + 1]
+    ts[:, -1] = extents
+    bounds = np.array(at(owner).ray_slopes(rays, np.maximum.reduce(np.abs(origin)) + extents))[:, :, None, None]
+    # the samples' values and positions at the flat index ray * S + sample; u_at is read only where written
+    u_at, ts_at, eps_ray = np.empty(ts.size), ts.reshape(-1), eps[owner, :, None]
+    q, b = (extents[:, None] > 0).nonzero()  # the blocks kept, by ray and block: first each ray of extent > 0
+    for size, ends in _LEVELS:
+        c = (q * S)[:, None] + ends[b]  # the ends of the level's blocks in the blocks kept
+        # the ends the level before did not read, less the last, which recurs among the inner samples
+        new = c if ends.shape[0] == 1 else c[:, 1:-1][c[:, 1:-1] % S < S - 1]
+        u_at[new] = at(owner[new // S]).values(origin + ts_at[new, None] * rays.take(new // S, axis=0))
+        z = u_at[c][:, None] - eps_ray[q]
+        if size == 1:  # z is the samples' of the blocks kept, less each level
+            break
+        (za, zb, t), (slopes, curvs, delta) = (z[..., :-1], z[..., 1:], ts_at[c][:, None]), bounds[:, q]
+        h = t[..., 1:] - t[..., :-1]
+        bend = curvs * (h * h) / 8.0 + delta
+        far = np.abs(za) + np.abs(zb) > slopes * h + delta
+        far |= (np.minimum(za, zb) > bend) | (np.maximum(za, zb) < -bend)
+        row, k = (~np.logical_and.reduce(far, axis=1)).nonzero()
+        q, b = q[row], b[row] * (ends.shape[1] - 1) + k
+    a, z = z[..., :-1], z[..., 1:]
+    row, j, k = (np.isfinite(a) & np.isfinite(z) & (np.sign(a) != np.sign(z))).nonzero()
+    q, i = q[row], ends[b[row], k]
+    order = ((owner[q] * L + j) * (R * S) + (q % R) * S + i).argsort()
+    q, j, i = q[order], j[order], i[order]
+    f, r = owner[q], q % R
+    d, e, lo, hi = rays.take(q, axis=0), eps[f, j], ts_at[q * S + i], ts_at[q * S + i + 1]
     roots = brentq_lanes(lambda t, k: at(f[k]).values(origin + t[:, None] * d[k]) - e[k], lo, hi, xtol=1e-13)
     P = origin + roots[:, None] * d
     ok = ~np.isnan(roots)
@@ -322,40 +332,48 @@ def slice_points(
     return list(_slice_rows(lambda idx: field, np.array([[eps]], dtype=float), dirs[None], max_per_ray)[2])
 
 
-def _probes(domain, dim: int, seeds: Sequence[int], probes: int = 256) -> list[np.ndarray]:
-    """For each seed, the first `probes` of at most 50 * probes draws from its
-    own generator on the domain's probe cube that lie inside the domain. Each
-    round draws a chunk per seed still short; one `contains` call tests all."""
+def _probes(domain, dim: int, seeds: Sequence[int], probes: int = 256):
+    """For each seed, the first `probes` of at most 50 * probes draws from its own generator on the domain's
+    probe cube that lie inside the domain (a list if ragged). Each round draws a chunk per seed still short
+    into one buffer; one `contains` call tests all, and one mask gathers the kept."""
     (center, extent), rngs = domain.probe_cube(), [np.random.default_rng(s) for s in seeds]
-    kept, live, drawn = [[np.empty((0, dim))] for _ in seeds], list(range(len(seeds))), 0
-    while live and drawn < 50 * probes:
+    row = f"V{8 * dim}"  # a row as one item of a void dtype, which a mask selects and fills whole
+    out, count, live, drawn = np.empty((len(seeds), probes, dim)), np.zeros(len(seeds), int), np.arange(len(seeds)), 0
+    while live.size and drawn < 50 * probes:
         k = min(drawn + 2 * probes, 50 * probes - drawn)  # chunks of 2, 4, 8, ... times probes
-        # (k, dim) draws are k one-point draws, so chunks keep each stream; + 0.0 keeps a centred domain's
-        X = np.stack([rngs[f].uniform(-extent, extent, size=(k, dim)) for f in live])
-        X += center
-        inside = domain.contains(X.reshape(-1, dim), margin=1e-6).reshape(len(live), k)
-        for f, Xf, mask in zip(live, X, inside):
-            kept[f].append(Xf[mask])
-        live, drawn = [f for f in live if sum(map(len, kept[f])) < probes], drawn + k
-    return [np.concatenate(P)[:probes] for P in kept]
+        X = np.empty((live.size, k, dim))
+        for f, Xf in zip(live.tolist(), X):
+            rngs[f].random(out=Xf)  # (k, dim) draws are k one-point draws, so chunks keep each stream
+        X = X * (extent - -extent) - extent + center  # uniform(-extent, extent), then + 0.0 keeps a centred domain's
+        inside = domain.contains(X.reshape(-1, dim), margin=1e-6).reshape(live.size, k)
+        kept, before = inside.cumsum(axis=1), count.copy()  # kept: the round's draws kept up to each
+        count[live] = np.minimum(before[live] + kept[:, -1], probes)
+        fill = (before[:, None] <= np.arange(probes)) & (np.arange(probes) < count[:, None])
+        out.view(row)[..., 0][fill] = X.view(row)[..., 0][inside & (kept <= probes - before[live, None])]
+        live, drawn = live[count[live] < probes], drawn + k
+    return [P[:c] for P, c in zip(out, count.tolist())] if count_nonzero(count < probes) else out
 
 
-def _levels(at, probes: list[np.ndarray], count: int) -> np.ndarray:
-    """pick_levels of each member f of a family on its probes[f], shape (F,
-    count); NaN for a member with no probes."""
+def _levels(at, probes, count: int) -> np.ndarray:
+    """pick_levels of each member f of a family on its probes[f] (a stack, or
+    a list if ragged), shape (F, count); NaN for a member with no probes."""
     if count < 1:
         raise ValueError(f"need at least one level, got {count}")
-    if len({len(P) for P in probes}) > 1:  # ragged draws go one member at a time
-        return np.concatenate([_levels(lambda idx, k=k: at(k), [P], count) for k, P in enumerate(probes)])
-    if not len(probes[0]):
+    if type(probes) is list:  # ragged draws go one member at a time
+        return np.concatenate([_levels(lambda idx, k=k: at(k), P[None], count) for k, P in enumerate(probes)])
+    if not probes.shape[1]:
         return np.full((len(probes), count), np.nan)
-    P = np.stack(probes)
-    vals = at(np.arange(len(P))[:, None]).values(P)
+    vals = at(np.arange(len(probes))[:, None]).values(probes)
     # a NaN sample is re-read at its point, where the field raises its error
     for f, i in zip(*np.nonzero(np.isnan(vals))):
-        vals[f, i] = at(f).value(P[f, i])
-    qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
-    return np.quantile(vals, qs, axis=1).T
+        vals[f, i] = at(f).value(probes[f, i])
+    # np.quantile(vals, qs, axis=1).T bit for bit, less its wrappers: the linear method, which partitions about
+    # the order statistics it reads (the last for a quantile at or past it) and interpolates between them
+    v = (vals.shape[1] - 1) * (np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5]))
+    lo, hi = np.where(v >= vals.shape[1] - 1, -1, [np.floor(v), np.floor(v) + 1]).astype(int)
+    vals.partition(np.unique(np.concatenate(([0, -1], lo, hi))), axis=1)
+    a, b, t = vals[:, lo], vals[:, hi], v - lo
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) -> list[float]:
@@ -364,7 +382,7 @@ def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) ->
     P = _probes(field.domain, field.dim, [seed], probes)[0]
     if not len(P):
         raise ValueError("could not probe the field's domain for level values")
-    return _levels(lambda idx: field, [P], count)[0].tolist()
+    return _levels(lambda idx: field, P[None], count)[0].tolist()
 
 
 def family_slices(family, count: int, level_seeds: Sequence[int], ray_seeds: Sequence[int], rays: int):
@@ -406,12 +424,12 @@ def run_suite(
         raise ValueError(f"unknown inequality selector {which!r}")
     if n_fields < 0:
         raise ValueError(f"need a nonnegative number of fields, got {n_fields}")
-    from .fields import random_trig_field, trig_family
+    from .fields import random_trig_family
 
     reports, skips = None, 0
     seeds = [seed + 1000 * k for k in range(n_fields)]
     if seeds:
-        family = trig_family([random_trig_field(dim, s) for s in seeds])
+        family = random_trig_family(dim, seeds)
         eps, f, j, X = family_slices(family, levels, [s + 7 for s in seeds], [s + 13 for s in seeds], rays)
         if np.isnan(eps).any():
             raise ValueError("could not probe the field's domain for level values")

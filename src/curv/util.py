@@ -12,6 +12,7 @@ from numpy._core.multiarray import count_nonzero  # np.count_nonzero of a whole 
 where, copyto, vdot = np.where._implementation, np.copyto._implementation, np.vdot._implementation
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+_EPS4 = 4.0 * float(np.finfo(float).eps)
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -122,9 +123,9 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     """Brent's method on lanes, lane i on [a[i], b[i]]: a step-for-step array
     port of scipy's `brentq.c` (Brent 1973, ch. 4), so each root equals
     `scipy.optimize.brentq`'s at its default rtol, bit for bit. `f(x, lanes)`
-    is f at x[j] on lane lanes[j], called on both ends at once, then once per
-    iteration on the open lanes. A lane where f is NaN (brentq raises) gets
-    root NaN; one-sign ends raise ValueError, and no convergence RuntimeError."""
+    is f at x[j] on lane lanes[j], called on both ends at once, then once per iteration on the open lanes,
+    to which the state is cut once at most half are open. A lane where f is NaN (brentq raises) gets root
+    NaN; one-sign ends raise ValueError, and no convergence RuntimeError."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     lanes = np.arange(a.size)
     ends = f(np.concatenate([a, b]), np.concatenate([lanes, lanes]))
@@ -136,7 +137,6 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
         raise ValueError("f(a) and f(b) must have different signs")
     xpre, xcur = a, b
     xblk, fblk, spre, scur = np.zeros((4, a.size))
-    eps4 = 4.0 * np.finfo(float).eps
     with np.errstate(all="ignore"):  # closed lanes, and the trial steps of bisecting ones, are ignored
         for _ in range(maxiter):
             # brentq.c flips where fpre != 0, fcur != 0 and the signs differ. An open lane has fpre
@@ -148,22 +148,24 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
                 copyto(fblk, fpre, where=flip)
                 copyto(spre, xcur - xpre, where=flip)
                 copyto(scur, spre, where=flip)
-            afcur = np.abs(fcur)
-            swap = np.abs(fblk) < afcur
+            swap = np.abs(fblk) < np.abs(fcur)
             if count_nonzero(swap):
                 xpre, xcur, xblk = where(swap, xcur, xpre), where(swap, xblk, xcur), where(swap, xcur, xblk)
                 fpre, fcur, fblk = where(swap, fcur, fpre), where(swap, fblk, fcur), where(swap, fcur, fblk)
-                afcur = np.abs(fcur)
             # Python floats, not ints, as the ufuncs convert them faster
-            delta = (xtol + eps4 * np.abs(xcur)) / 2.0  # brentq's default rtol
+            delta = (xtol + _EPS4 * np.abs(xcur)) / 2.0  # brentq's default rtol
             dxblk = xblk - xcur
             sbis = dxblk / 2.0
-            abis, apre = np.abs(sbis), np.abs(spre)
-            done = live & ((fcur == 0.0) | (abis < delta))
-            copyto(root, xcur, where=done)
+            done = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            root[lanes[done]] = xcur[done]
             live ^= done
-            if not count_nonzero(live):
-                return root
+            open_ = count_nonzero(live)
+            if 2 * open_ <= live.size:  # few lanes are open: the state is cut down to them
+                if not open_:
+                    return root
+                state = [v[live] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, lanes, delta, dxblk, sbis)]
+                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, lanes, delta, dxblk, sbis, live = *state, live[live]
+            afcur, abis, apre = np.abs(fcur), np.abs(sbis), np.abs(spre)
             dx, df = xpre - xcur, fpre - fcur
             dpre, dblk = df / dx, (fblk - fcur) / dxblk
             nfcur = -fcur
@@ -175,9 +177,9 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
             spre, scur = where(short, scur, sbis), where(short, stry, sbis)
             # an open lane has sbis != 0, so the bisection step takes its sign
             step = where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
-            xpre, fpre, xcur, fcur = xcur, fcur, xcur + step, np.zeros(a.size)
-            open_ = live.nonzero()[0]  # lanes[live]
-            fcur[open_] = f(xcur[open_], open_)
+            xpre, fpre, xcur, fcur = xcur, fcur, xcur + step, np.zeros(live.size)
+            at = live.nonzero()[0] if open_ < live.size else slice(None)  # the open lanes
+            fcur[at] = f(xcur[at], lanes[at])
             live &= fcur == fcur  # f is not NaN
     if live.any():
         raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur[live][0]}")

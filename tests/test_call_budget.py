@@ -124,20 +124,7 @@ def test_one_brent_lane_call_budget():
     assert profile_events(lambda: revolution.inverse_profile_jet(r)) <= 207
 
 
-#: trig rows that `TrigField.values` reads in a CLI run, and in each comment
-#: the count of the block scan with the slope test alone, then (for the rows
-#: pinned before the block scan) of the scan that read every sample
-TRIG_ROWS = {
-    ("verify", "inequality", "--which", "prod", "--seed", "0"): 16_662,  # 22,521, 48,598
-    ("verify", "inequality", "--which", "prod", "--dim", "3", "--seed", "0"): 16_148,  # 20,334
-    ("verify", "minor", "--fd", "--seed", "0"): 44_933,  # 50,967, 111,241
-}
-
-
-@pytest.mark.parametrize("argv", sorted(TRIG_ROWS), ids=" ".join)
-def test_trig_rows_read(argv, monkeypatch, tmp_path):
-    """The slicer's screen keeps the rows the trig kernel reads down; a
-    change that reads every sample again fails here."""
+def counted_trig_rows(monkeypatch):
     rows, values = [], fields.TrigField.values
 
     def counting(self, X):
@@ -146,9 +133,50 @@ def test_trig_rows_read(argv, monkeypatch, tmp_path):
         return out
 
     monkeypatch.setattr(fields.TrigField, "values", counting)
+    return rows
+
+
+#: trig rows that `TrigField.values` reads in a CLI run, and in each comment
+#: the count of the scan with one level of blocks of 8, then of that scan
+#: with the slope test alone, then (for the rows pinned before the block
+#: scan) of the scan that read every sample
+TRIG_ROWS = {
+    ("verify", "inequality", "--which", "prod", "--seed", "0"): 14_306,  # 16,662, 22,521, 48,598
+    ("verify", "inequality", "--which", "prod", "--dim", "3", "--seed", "0"): 13_637,  # 16,148, 20,334
+    ("verify", "minor", "--fd", "--seed", "0"): 39_058,  # 44,933, 50,967, 111,241
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TRIG_ROWS), ids=" ".join)
+def test_trig_rows_read(argv, monkeypatch, tmp_path):
+    """The slicer's screen keeps the rows the trig kernel reads down; a
+    change that reads every sample again fails here."""
+    rows = counted_trig_rows(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
     assert sum(rows) <= TRIG_ROWS[argv]
+
+
+def test_curved_route_rows_read(monkeypatch):
+    """The rows a curved-n3 field reads in `slice_points` at its three
+    levels, 16 rays each: 824 (1,424 with one level of blocks of 8)."""
+    field = fields.random_trig_field(3, 100_000)
+    levels = inequality.pick_levels(field, 3, 100_007)
+    rows = counted_trig_rows(monkeypatch)
+    for eps in levels:
+        inequality.slice_points(field, eps, rays=16, seed=100_013)
+    assert sum(rows) <= 824
+
+
+def test_suite_calls_per_field():
+    """`run_suite`'s call events grow by at most 28 a field: the family is one
+    draw a seed, the probes one chunk a seed still short, and the rest
+    array programs over all fields (17.5 a field, 38.6 while each field was
+    built, drawn and gathered on its own). Each seed's two generators, one
+    for the family and one for the probes, are most of it."""
+    few = profile_events(lambda: inequality.run_suite("prod", n_fields=1, seed=0))
+    many = profile_events(lambda: inequality.run_suite("prod", n_fields=51, seed=0))
+    assert many - few <= 28 * 50
 
 
 X3 = np.array([0.3, -0.2, 0.1])
@@ -160,8 +188,7 @@ CONSTANTS = {
     "round factor hessian": lambda: metrics.round_sphere_factor(X3)[2],
     **{f"stencil part {k}": (lambda k=k: fields._stencil(3)[k]) for k in range(4)},
     **{f"grid basis {c}": (lambda c=c: getattr(fields, f"_GRID_{c}")) for c in "ABCD"},
-    "scan block ends": lambda: inequality._ENDS,
-    "scan blocks": lambda: inequality._BLOCKS,
+    **{f"scan level {size} ends": (lambda ends=ends: ends) for size, ends in inequality._LEVELS},
 }
 
 

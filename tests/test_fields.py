@@ -30,9 +30,9 @@ from curv.fields import (
     TrigField,
     eval_jet,
     eval_jets,
+    random_trig_family,
     random_trig_field,
     sample_to_grid,
-    trig_family,
     whole_space,
 )
 import curv.fields
@@ -312,7 +312,7 @@ class TestFiniteDifferenceStencil:
     @pytest.mark.parametrize("step", [None, 0.01])
     def test_family_rows_are_the_members(self, n, step):
         members = [random_trig_field(n, seed=s) for s in range(5)]
-        family = trig_family(members)
+        family = random_trig_family(n, range(5))
         idx = np.random.default_rng(n).integers(0, len(members), size=9)
         X = _signed_zero_rows(n, seed=n)[:9]
         stack = FiniteDifferenceField(family.rows(idx[:, None]), n, step=step).jets(X)

@@ -36,6 +36,7 @@ from curv.graphgeom import DELTA_REG, adapted_matrix, extrinsic_point, flat_base
 from curv.inequality import (
     WHICH,
     InequalityReport,
+    _levels,
     _probes,
     check,
     check_euclid,
@@ -557,25 +558,27 @@ class TestScreenedScan:
         family, eps, dirs = case
         assert_same_rows(inequality._slice_rows(family.rows, eps, dirs), full_scan_rows(family.rows, eps, dirs))
 
+    @pytest.mark.parametrize("size", inequality.SCREEN)
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_a_peak_mid_block_keeps_its_block(self, n):
-        """The curvature test at its edge, every time: one mode of amplitude
-        a, each field's ray along its frequency f, the peak at a block's
-        middle sample and the level 2% of M h^2 / 8 (M = a |f|^2) below that
-        sample. The block's ends lie a (1 - cos(|f| h / 2)) below the peak,
-        within a (|f| h)^4 / 384 of M h^2 / 8, so they lie 97-98% of M h^2 /
-        8 below the level and only M itself keeps the block: a bound 5%
-        smaller skips it and loses the two roots about the peak."""
+    def test_a_peak_mid_block_keeps_its_block(self, n, size):
+        """The curvature test at its edge, at every level of the screen: one
+        mode of amplitude a, each field's ray along its frequency f, the peak
+        at the middle sample of a block of the level's size and the level 2%
+        of M h^2 / 8 (M = a |f|^2) below that sample. The block's ends lie a
+        (1 - cos(|f| h / 2)) below the peak, within a (|f| h)^4 / 384 of M h^2
+        / 8, so they lie 97-98% of M h^2 / 8 below the level and only M itself
+        keeps the block: a bound 5% smaller skips it, at this level or at a
+        coarser one, and loses the two roots about the peak."""
         rng = np.random.default_rng(n)
-        F, mid, a = 6, inequality.BLOCK // 2, 0.6
+        F, mid, a = min(6, inequality.SAMPLES_PER_RAY // size - 2), size // 2, 0.6
         freqs = rng.uniform(-1.7, 1.7, (F, 1, n))
         dirs = freqs / np.linalg.norm(freqs, axis=-1, keepdims=True)
         _, _, ts, _, _ = full_scan_grid(TrigField(np.ones((F, 1)), freqs, np.zeros((F, 1)), Ball(n, 2.0)).rows, F, dirs)
-        blocks = inequality._ENDS[1 : F + 1]  # blocks 1 ... F, one a field
+        blocks = size * np.arange(1, F + 1)  # blocks 1 ... F of the level, one a field, none the short last
         phases = np.pi / 2 - np.linalg.norm(freqs, axis=-1) * ts[np.arange(F), :, blocks + mid]
         family = TrigField(np.full((F, 1), a), freqs, phases, Ball(n, 2.0))
         *_, u = full_scan_grid(family.rows, F, dirs)
-        h = ts[:, 0, inequality.BLOCK] - ts[:, 0, 0]
+        h = ts[:, 0, size] - ts[:, 0, 0]
         bend = a * np.vecdot(freqs[:, 0], freqs[:, 0]) * h * h / 8.0
         eps = (u[np.arange(F), 0, blocks + mid] - 0.02 * bend)[:, None]
         want = full_scan_rows(family.rows, eps, dirs)
@@ -608,16 +611,40 @@ class TestScreenedScan:
         got = inequality._slice_rows(lambda idx: Recording(), eps, dirs)
         _, _, _, X, u = full_scan_grid(lambda idx: field, 1, dirs)
         assert np.isnan(u).any() == kind.endswith("-nan")
-        assert {x.tobytes() for x in X.reshape(-1, 2)} <= {x.tobytes() for x in np.concatenate(read[:2])}
+        # one read a level of the screen, then one of the inner samples, and each sample read once
+        scan = np.concatenate(read[: len(inequality.SCREEN) + 1])
+        assert sorted(x.tobytes() for x in scan) == sorted(x.tobytes() for x in X.reshape(-1, 2))
         want = full_scan_rows(lambda idx: field, eps, dirs)
         assert len(want[0])
         assert_same_rows(got, want)
 
 
+    def test_no_sample_is_read_twice(self):
+        """A family whose members declare no bound keeps every block, and its
+        scan reads each of the F R SAMPLES_PER_RAY samples once."""
+        field, F, R = quartic_bowl(), 3, 12
+        read = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(field, name)
+
+            def values(self, X):
+                read.append(np.size(X) // 2)
+                return field.values(X)
+
+        eps = np.zeros((F, 1))
+        dirs = np.stack([unit_directions(2, R, 0)] * F)
+        got = inequality._slice_rows(lambda idx: Recording(), eps, dirs)
+        assert sum(read[: len(inequality.SCREEN) + 1]) == F * R * inequality.SAMPLES_PER_RAY
+        assert len(got[0])
+        assert_same_rows(got, full_scan_rows(lambda idx: field, eps, dirs))
+
     def test_negation_keeps_the_base_bound(self, monkeypatch):
         """Negation is exact, so a negated field screens with its base's
         slope and curvature bounds: it reads the base's rows and slices the
-        base's points (516 rows with the slope test alone)."""
+        base's points (516 rows with the slope test alone, 439 with blocks of
+        8 alone)."""
         field = random_trig_field(2, 3)
         eps = pick_levels(field, 2, seed=2)[0]
         read, values = [], TrigField.values
@@ -628,7 +655,7 @@ class TestScreenedScan:
         negated = slice_points(NegatedField(field), -eps, rays=16)
         assert len(base) == 8
         assert np.array(negated).tobytes() == np.array(base).tobytes()
-        assert base_rows == sum(read) == 439
+        assert base_rows == sum(read) == 226
 
 
 def reference_probes(field, seed, probes=256):
@@ -738,6 +765,25 @@ class TestProbeRoute:
 
     def test_no_draws(self):
         assert [P.shape for P in _probes(whole_space(3), 3, [1, 2], probes=0)] == [(0, 3), (0, 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        F=st.integers(1, 6), n=st.integers(1, 300), count=st.integers(1, 5), ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_levels_are_numpys_quantiles(self, F, n, count, ties, seed):
+        """The levels are np.quantile's at 0.35 ... 0.65 of each member's
+        samples bit for bit, also where samples tie, 0.0 with -0.0 too."""
+        rng = np.random.default_rng(seed)
+        vals = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], (F, n)) if ties else rng.normal(size=(F, n))
+
+        class Table:
+            def values(self, P):
+                return vals.copy()
+
+        qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
+        want = np.ascontiguousarray(np.quantile(vals, qs, axis=1).T)
+        assert _levels(lambda idx: Table(), np.zeros((F, n, 2)), count).tobytes() == want.tobytes()
 
 
 class TestReportRows:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from curv.cli import main
-from curv.fields import random_trig_field, trig_family
+from curv.fields import random_trig_family, random_trig_field
 from curv.graphgeom import extrinsic_points, flat_base, minor_relation_residuals, slice_frames
 from curv.inequality import WHICH, _probes, checks, family_slices, pick_levels, run_suite, slice_points
 from curv.util import brentq_lanes, unit_directions
@@ -81,6 +81,44 @@ class TestBrentqLanes:
                 got = "no convergence"
             assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.floats(-0.9, 0.9),  # root
+            st.floats(0.01, 50.0),  # steepness: how many iterations the lane takes
+            st.floats(0.0, 3.0),  # cubic part, which keeps the lane monotone
+            st.sampled_from([-1.0, 1.0]),  # sign
+            st.integers(0, 3),  # 0-2: an end at 0.5 ** k off the bracket [-1, 1]; 3: the root is an end
+        ),
+        min_size=1, max_size=12,
+    ))
+    def test_lanes_closing_at_different_iterations(self, lanes):
+        """Lanes that close at different iterations, so that the state is cut
+        down between them: each root equals its one-lane solve and scipy's,
+        bit for bit, and f sees each lane at the points, and as many times,
+        as in the lane's own solve, never once it has closed."""
+        root, k, c, sign, end = (np.array(v) for v in zip(*lanes))
+        lo = np.where(end == 3, root, -1.0 - 0.5 ** end)
+        hi = np.where(end == 3, 1.0, 1.0 + 0.5 ** end)
+
+        def g(t, i):
+            return sign[i] * (np.sinh(k[i] * (t - root[i])) + c[i] * (t - root[i]) ** 3)
+
+        seen = []
+
+        def f(t, i):
+            seen.append((t.copy(), i.copy()))
+            return g(t, i)
+
+        got = brentq_lanes(f, lo, hi, 1e-13)
+        for lane in range(len(lanes)):
+            own = []
+            want = brentq_lanes(lambda t, i: own.append(t.copy()) or g(t, i + lane), lo[lane:lane + 1], hi[lane:lane + 1], 1e-13)
+            scipy_root = brentq(lambda t: float(g(np.array([t]), np.array([lane]))[0]), lo[lane], hi[lane], xtol=1e-13)
+            assert got[lane] == want[0] == scipy_root
+            mine = [t[i == lane] for t, i in seen if (i == lane).any()]
+            assert [x.tobytes() for x in mine] == [x.tobytes() for x in own]
+
     def test_same_sign_check(self):
         f = lambda t: (t - 0.5) * (t - 0.25)  # noqa: E731
         brackets = [(0.0, 0.3), (0.3, 0.6), (0.0, 0.6), (0.6, 1.0), (0.5, 1.0), (0.0, 0.5), (0.25, 0.5), (0.5, 0.5)]
@@ -116,7 +154,10 @@ class TestTrigFamily:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_members_are_the_fields_bit_for_bit(self, dim):
         fields = [random_trig_field(dim, s) for s in range(40)]
-        family = trig_family(fields)
+        family = random_trig_family(dim, range(40))
+        for k, f in enumerate(fields):  # one draw a seed makes each member's parameters
+            member = family.rows(k)
+            assert all(getattr(member, a).tobytes() == getattr(f, a).tobytes() for a in ("amps", "freqs", "phases"))
         X = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(40, 7, dim))
         per_field = [f.jets(x) for f, x in zip(fields, X)]
         # one parameter row per point
@@ -185,7 +226,7 @@ class TestRaggedProbes:
         seeds = [1000 * k for k in range(5)]
         counts = probe_counts(16, seeds, [s + 7 for s in seeds])
         assert counts[4] == 0 < min(counts[:4]) and len(set(counts)) > 2
-        family = trig_family([random_trig_field(16, s) for s in seeds])
+        family = random_trig_family(16, seeds)
         eps, f, _, X = family_slices(family, 2, [s + 7 for s in seeds], [s + 13 for s in seeds], 4)
         assert np.isnan(eps[4]).all() and 4 not in f
         for k, s in enumerate(seeds[:4]):
