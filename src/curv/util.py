@@ -131,11 +131,11 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     ends = f(np.concatenate([a, b]), np.concatenate([lanes, lanes]))
     fpre, fcur = ends[: a.size], ends[a.size :]
     nan = np.isnan(fpre) | np.isnan(fcur)
-    root = where(nan, np.nan, where(fpre == 0, a, where(fcur == 0, b, np.nan)))
+    out = where(nan, np.nan, where(fpre == 0, a, where(fcur == 0, b, np.nan)))
     live = ~nan & (fpre != 0) & (fcur != 0)
     if count_nonzero(live & (np.signbit(fpre) == np.signbit(fcur))):
         raise ValueError("f(a) and f(b) must have different signs")
-    xpre, xcur = a, b
+    xpre, xcur, root = a, b, out.copy()  # root: the state's lanes, out: all lanes
     xblk, fblk, spre, scur = np.zeros((4, a.size))
     with np.errstate(all="ignore"):  # closed lanes, and the trial steps of bisecting ones, are ignored
         for _ in range(maxiter):
@@ -157,14 +157,16 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
             dxblk = xblk - xcur
             sbis = dxblk / 2.0
             done = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
-            root[lanes[done]] = xcur[done]
+            copyto(root, xcur, where=done)
             live ^= done
             open_ = count_nonzero(live)
             if 2 * open_ <= live.size:  # few lanes are open: the state is cut down to them
+                out[lanes] = root
                 if not open_:
-                    return root
-                state = [v[live] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, lanes, delta, dxblk, sbis)]
-                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, lanes, delta, dxblk, sbis, live = *state, live[live]
+                    return out
+                state = [v[live] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, root, lanes, delta, dxblk)]
+                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, root, lanes, delta, dxblk = state
+                sbis, live = sbis[live], live[live]
             afcur, abis, apre = np.abs(fcur), np.abs(sbis), np.abs(spre)
             dx, df = xpre - xcur, fpre - fcur
             dpre, dblk = df / dx, (fblk - fcur) / dxblk
@@ -177,13 +179,16 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
             spre, scur = where(short, scur, sbis), where(short, stry, sbis)
             # an open lane has sbis != 0, so the bisection step takes its sign
             step = where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
-            xpre, fpre, xcur, fcur = xcur, fcur, xcur + step, np.zeros(live.size)
-            at = live.nonzero()[0] if open_ < live.size else slice(None)  # the open lanes
-            fcur[at] = f(xcur[at], lanes[at])
+            xpre, fpre, xcur = xcur, fcur, xcur + step
+            if open_ == live.size:
+                fcur = f(xcur, lanes)
+            else:
+                fcur, at = np.zeros(live.size), live.nonzero()[0]
+                fcur[at] = f(xcur[at], lanes[at])
             live &= fcur == fcur  # f is not NaN
     if live.any():
         raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur[live][0]}")
-    return root
+    return out
 
 
 def brentq(f, a: float, b: float, xtol: float) -> float:
