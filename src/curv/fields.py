@@ -377,7 +377,8 @@ class TrigField(ScalarField):
         self.name = name
 
     def rows(self, idx):
-        """Member idx of a family, or a family for an index array (take gathers rows faster than [])."""
+        """Member idx of a family, or a family for an index array (take
+        gathers rows faster than [])."""
         return TrigField(*[v.take(idx, axis=0) for v in (self.amps, self.freqs, self.phases)], self.domain, self.name)
 
     def values(self, X):
@@ -415,15 +416,17 @@ class TrigField(ScalarField):
 
 
 def random_trig_field(dim: int, seed: int, modes: int = 4, domain=None) -> TrigField:
-    """Seeded random superposition of sinusoids, of total amplitude 0.6 and frequencies in [-1.7, 1.7);
-    the suites' generic field, and the one-seed case of `random_trig_family`."""
+    """Seeded random superposition of sinusoids, of total amplitude 0.6 and
+    frequencies in [-1.7, 1.7); the suites' generic field, and the one-seed
+    case of `random_trig_family`."""
     family = random_trig_family(dim, [seed], modes, domain)
     return TrigField(family.amps[0], family.freqs[0], family.phases[0], family.domain, f"trig(seed={seed})")
 
 
 def random_trig_family(dim: int, seeds: Sequence[int], modes: int = 4, domain=None) -> TrigField:
-    """random_trig_field of each seed as one family (see TrigField), bit for bit: one draw a seed, of its
-    freqs, phases and amps, into one buffer, taken to Generator.uniform(low, high)'s low + (high - low) r."""
+    """random_trig_field of each seed as one family (see TrigField), bit for
+    bit: one draw a seed, of its freqs, phases and amps, into one buffer,
+    taken to Generator.uniform(low, high)'s values, low + (high - low) r."""
     r = np.empty((len(seeds), modes * (dim + 2)))
     for seed, row in zip(seeds, r):
         np.random.default_rng(seed).random(out=row)

@@ -333,9 +333,10 @@ def slice_points(
 
 
 def _probes(domain, dim: int, seeds: Sequence[int], probes: int = 256):
-    """For each seed, the first `probes` of at most 50 * probes draws from its own generator on the domain's
-    probe cube that lie inside the domain (a list if ragged). Each round draws a chunk per seed still short
-    into one buffer; one `contains` call tests all, and one mask gathers the kept."""
+    """For each seed, the first `probes` of at most 50 * probes draws from its
+    own generator on the domain's probe cube that lie inside the domain (a
+    list if ragged). Each round draws a chunk per seed still short into one
+    buffer; one `contains` call tests all, and one mask gathers the kept."""
     (center, extent), rngs = domain.probe_cube(), [np.random.default_rng(s) for s in seeds]
     row = f"V{8 * dim}"  # a row as one item of a void dtype, which a mask selects and fills whole
     out, count, live, drawn = np.empty((len(seeds), probes, dim)), np.zeros(len(seeds), int), np.arange(len(seeds)), 0
@@ -344,7 +345,8 @@ def _probes(domain, dim: int, seeds: Sequence[int], probes: int = 256):
         X = np.empty((live.size, k, dim))
         for f, Xf in zip(live.tolist(), X):
             rngs[f].random(out=Xf)  # (k, dim) draws are k one-point draws, so chunks keep each stream
-        X = X * (extent - -extent) - extent + center  # uniform(-extent, extent), then + 0.0 keeps a centred domain's
+        # Generator.uniform(-extent, extent), then + center (+ 0.0 keeps a centred domain's draws)
+        X = X * (extent - -extent) - extent + center
         inside = domain.contains(X.reshape(-1, dim), margin=1e-6).reshape(live.size, k)
         kept, before = inside.cumsum(axis=1), count.copy()  # kept: the round's draws kept up to each
         count[live] = np.minimum(before[live] + kept[:, -1], probes)

@@ -123,9 +123,10 @@ def brentq_lanes(f, a, b, xtol: float, maxiter: int = 100) -> np.ndarray:
     """Brent's method on lanes, lane i on [a[i], b[i]]: a step-for-step array
     port of scipy's `brentq.c` (Brent 1973, ch. 4), so each root equals
     `scipy.optimize.brentq`'s at its default rtol, bit for bit. `f(x, lanes)`
-    is f at x[j] on lane lanes[j], called on both ends at once, then once per iteration on the open lanes,
-    to which the state is cut once at most half are open. A lane where f is NaN (brentq raises) gets root
-    NaN; one-sign ends raise ValueError, and no convergence RuntimeError."""
+    is f at x[j] on lane lanes[j], called on both ends at once, then once per
+    iteration on the open lanes, to which the state is cut once at most half
+    are open. A lane where f is NaN (brentq raises) gets root NaN; one-sign
+    ends raise ValueError, and no convergence RuntimeError."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     lanes = np.arange(a.size)
     ends = f(np.concatenate([a, b]), np.concatenate([lanes, lanes]))
