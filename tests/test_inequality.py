@@ -558,32 +558,33 @@ class TestScreenedScan:
         family, eps, dirs = case
         assert_same_rows(inequality._slice_rows(family.rows, eps, dirs), full_scan_rows(family.rows, eps, dirs))
 
-    @pytest.mark.parametrize("size", inequality.SCREEN)
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_a_peak_mid_block_keeps_its_block(self, n, size):
+    def test_a_peak_mid_block_keeps_its_block(self, n):
         """The curvature test at its edge, at every level of the screen: one
         mode of amplitude a, each field's ray along its frequency f, the peak
         at the middle sample of a block of the level's size and the level 2%
         of M h^2 / 8 (M = a |f|^2) below that sample. The block's ends lie a
         (1 - cos(|f| h / 2)) below the peak, within a (|f| h)^4 / 384 of M h^2
         / 8, so they lie 97-98% of M h^2 / 8 below the level and only M itself
-        keeps the block: a bound 5% smaller skips it, at this level or at a
-        coarser one, and loses the two roots about the peak."""
+        keeps the block: a bound 5% smaller at any one level skips it and
+        loses the two roots about the peak."""
         rng = np.random.default_rng(n)
-        F, mid, a = min(6, inequality.SAMPLES_PER_RAY // size - 2), size // 2, 0.6
-        freqs = rng.uniform(-1.7, 1.7, (F, 1, n))
-        dirs = freqs / np.linalg.norm(freqs, axis=-1, keepdims=True)
-        _, _, ts, _, _ = full_scan_grid(TrigField(np.ones((F, 1)), freqs, np.zeros((F, 1)), Ball(n, 2.0)).rows, F, dirs)
-        blocks = size * np.arange(1, F + 1)  # blocks 1 ... F of the level, one a field, none the short last
-        phases = np.pi / 2 - np.linalg.norm(freqs, axis=-1) * ts[np.arange(F), :, blocks + mid]
-        family = TrigField(np.full((F, 1), a), freqs, phases, Ball(n, 2.0))
-        *_, u = full_scan_grid(family.rows, F, dirs)
-        h = ts[:, 0, size] - ts[:, 0, 0]
-        bend = a * np.vecdot(freqs[:, 0], freqs[:, 0]) * h * h / 8.0
-        eps = (u[np.arange(F), 0, blocks + mid] - 0.02 * bend)[:, None]
-        want = full_scan_rows(family.rows, eps, dirs)
-        assert np.bincount(want[0], minlength=F).tolist() == [2] * F
-        assert_same_rows(inequality._slice_rows(family.rows, eps, dirs), want)
+        for size in inequality.SCREEN:
+            F, mid, a = min(6, inequality.SAMPLES_PER_RAY // size - 2), size // 2, 0.6
+            freqs = rng.uniform(-1.7, 1.7, (F, 1, n))
+            dirs = freqs / np.linalg.norm(freqs, axis=-1, keepdims=True)
+            unit = TrigField(np.ones((F, 1)), freqs, np.zeros((F, 1)), Ball(n, 2.0))
+            _, _, ts, _, _ = full_scan_grid(unit.rows, F, dirs)
+            blocks = size * np.arange(1, F + 1)  # blocks 1 ... F of the level, one a field, none the short last
+            phases = np.pi / 2 - np.linalg.norm(freqs, axis=-1) * ts[np.arange(F), :, blocks + mid]
+            family = TrigField(np.full((F, 1), a), freqs, phases, Ball(n, 2.0))
+            *_, u = full_scan_grid(family.rows, F, dirs)
+            h = ts[:, 0, size] - ts[:, 0, 0]
+            bend = a * np.vecdot(freqs[:, 0], freqs[:, 0]) * h * h / 8.0
+            eps = (u[np.arange(F), 0, blocks + mid] - 0.02 * bend)[:, None]
+            want = full_scan_rows(family.rows, eps, dirs)
+            assert np.bincount(want[0], minlength=F).tolist() == [2] * F, size
+            assert_same_rows(inequality._slice_rows(family.rows, eps, dirs), want)
 
     FIELDS = {
         "poly": (quartic_bowl, 0.0),
