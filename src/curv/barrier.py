@@ -207,7 +207,13 @@ def slide(
     spacing = (r_out - a_prime) / (radial - 1)
     # a touch on the outer sampled ring keeps the grid point
     if not degenerate and r0 < r_out - 0.5 * spacing:
-        x = _newton_refine_ratio(field, x0, a_prime, r_out, cell=4.0 * spacing)
+        # Newton's cell spans the grid around x0: its radial spacing, and the
+        # widest angle between a direction and its nearest neighbour at |x0|
+        dirs = unit_directions(field.dim, angular, seed)
+        cos = dirs @ dirs.T
+        np.fill_diagonal(cos, -1.0)
+        cell = 4.0 * max(spacing, r0 * float(np.arccos(min(1.0, cos.max(axis=1).min()))))
+        x = _newton_refine_ratio(field, x0, a_prime, r_out, cell=cell)
         if x is None:
             x = _radial_polish(field, x0, max(a_prime, r0 - spacing), min(r_out, r0 + spacing))
         r, jet = float(np.linalg.norm(x)), field.jet(x)

@@ -34,10 +34,6 @@ class NotOnLevelError(CurvError):
     """The queried point does not lie on the requested level set."""
 
 
-class SignConditionError(CurvError):
-    """Off-diagonal sign condition a_ij * a_ji >= 0 violated beyond tolerance."""
-
-
 class ConformalFactorError(CurvError):
     """Conformal factor is non-positive where it must be positive."""
 

@@ -415,15 +415,15 @@ class TrigField(ScalarField):
         )
 
 
-def random_trig_field(dim: int, seed: int, modes: int = 4, domain=None) -> TrigField:
+def random_trig_field(dim: int, seed: int, modes: int = 4) -> TrigField:
     """Seeded random superposition of sinusoids, of total amplitude 0.6 and
     frequencies in [-1.7, 1.7); the suites' generic field, and the one-seed
     case of `random_trig_family`."""
-    family = random_trig_family(dim, [seed], modes, domain)
+    family = random_trig_family(dim, [seed], modes)
     return TrigField(family.amps[0], family.freqs[0], family.phases[0], family.domain, f"trig(seed={seed})")
 
 
-def random_trig_family(dim: int, seeds: Sequence[int], modes: int = 4, domain=None) -> TrigField:
+def random_trig_family(dim: int, seeds: Sequence[int], modes: int = 4) -> TrigField:
     """random_trig_field of each seed as one family (see TrigField), bit for
     bit: one draw a seed, of its freqs, phases and amps, into one buffer,
     taken to Generator.uniform(low, high)'s values, low + (high - low) r."""
@@ -434,7 +434,7 @@ def random_trig_family(dim: int, seeds: Sequence[int], modes: int = 4, domain=No
     r = low + (high - low) * r
     freqs, phases, amps = r[:, : modes * dim].reshape(-1, modes, dim), r[:, modes * dim : -modes], r[:, -modes:]
     amps *= 0.6 / np.add.reduce(amps, axis=-1, keepdims=True)
-    return TrigField(amps, freqs, phases, domain=domain, name="trig family")
+    return TrigField(amps, freqs, phases, name="trig family")
 
 
 class RadialField(ScalarField):
@@ -523,13 +523,13 @@ class FiniteDifferenceField(ScalarField):
     evaluates one stencil stack: a field in one `values` call, a callable
     row by row, its errors propagating."""
 
-    def __init__(self, func, dim: int, domain=None, step: float | None = None, name="fd"):
+    def __init__(self, func, dim: int, domain=None, step: float | None = None):
         field = isinstance(func, ScalarField)
         self._func = func
         self.dim = dim
         self.domain = domain if domain is not None else func.domain if field else whole_space(dim)
         self.step = None if step is None else np.float64(step)  # a numpy scalar takes [..., None] as a row step does
-        self.name = f"fd({func.name})" if field else name
+        self.name = f"fd({func.name})" if field else "fd"
 
     def _steps(self, x):
         """The steps h1 of Du and h2 of D^2u at x or at each row."""

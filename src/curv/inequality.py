@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import ConformalPoint, conformal_points
-from .fields import ScalarField
+from .fields import ScalarField, random_trig_family
 from .graphgeom import (
     DELTA_REG,
     ExtrinsicPoint,
@@ -426,7 +426,6 @@ def run_suite(
         raise ValueError(f"unknown inequality selector {which!r}")
     if n_fields < 0:
         raise ValueError(f"need a nonnegative number of fields, got {n_fields}")
-    from .fields import random_trig_family
 
     reports, skips = None, 0
     seeds = [seed + 1000 * k for k in range(n_fields)]

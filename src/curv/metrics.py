@@ -242,14 +242,10 @@ class AmbientSpec:
         own factor over a flat base, whatever the spec is named."""
         return self.phi_jet is round_ambient_factor and isinstance(self.base, FlatMetric)
 
-    def phi(self, x, t: float) -> PhiJet:
-        """The factor jet at (x, t): the one-row case of `phis`."""
-        return self.phis(np.asarray(x, dtype=float)[None], np.array([t], dtype=float)).row(0)
-
     def phis(self, X: np.ndarray, t: np.ndarray) -> PhiJet:
-        """The PhiJet stack at the rows (X[i], t[i]), one call of phi_jet;
-        row i equals phi(X[i], t[i]) bit for bit. The first row with a
-        factor that is not positive raises ConformalFactorError."""
+        """The PhiJet stack at the rows (X[i], t[i]), one call of phi_jet.
+        The first row with a factor that is not positive raises
+        ConformalFactorError."""
         m = len(X)
         if self.phi_jet is None:
             return _new(PhiJet, dict(value=np.ones(m), grad_x=np.zeros((m, self.base.dim)), dt=np.zeros(m)))

@@ -5,7 +5,6 @@ configuration and seed produce byte-identical files.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any, Iterable, Sequence
 
@@ -15,10 +14,8 @@ TOOL_NAME = "curv"
 
 
 def jsonable(obj: Any) -> Any:
-    """Recursively convert dataclasses, numpy types, and containers to plain
+    """Recursively convert numpy types and containers to plain
     JSON-serializable values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):

@@ -137,13 +137,13 @@ def _f_value(s):
     return (1.0 + np.sqrt(s)) * np.sqrt(1.0 - s * s)
 
 
-def profile_jet(profile: RevolutionProfile, s: float, order: int = 2) -> tuple[float, ...]:
+def profile_jet(profile: RevolutionProfile, s: float) -> tuple[float, ...]:
     """profile_jets at one s, as floats; raises OutOfDomainError outside
     profile.domain."""
     lo, hi = profile.domain
     if not (lo <= s <= hi):
         raise OutOfDomainError(f"{profile.kind} profile is defined on [{lo}, {hi}], got s = {s}")
-    return tuple(float(v) for v in profile_jets(profile, s, order))
+    return tuple(float(v) for v in profile_jets(profile, s))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,14 @@
-"""Elementary symmetric invariants of square matrices.
+"""The splitting of sigma1(A) * sigma1(A|1), and its randomized suite.
 
 For a real n x n matrix A (n >= 2) with first row/column singled out, the
-product sigma1(A) * sigma1(A|1) splits exactly as
+product of the traces sigma1(A) * sigma1(A|1) splits exactly as
 
     sigma2(A) + n/(2(n-1)) * sigma1(A|1)^2
              + sum_{i<j} a_ij a_ji
              + 1/(2(n-1)) * sum_{2<=i<j} (a_ii - a_jj)^2
 
-where (A|1) is the lower-right (n-1) x (n-1) minor. When every off-diagonal
-product a_ij a_ji is nonnegative the last two groups are nonnegative, giving
-the Newton-type bound
-
-    sigma1(A) * sigma1(A|1) >= sigma2(A) + n/(2(n-1)) * sigma1(A|1)^2
-
-with equality exactly when the minor diagonal is constant and all
-off-diagonal products vanish.
+where (A|1) is the lower-right (n-1) x (n-1) minor and sigma2(A) =
+sum_{i<j} (a_ii a_jj - a_ij a_ji).
 
 The batched residual sums each diagonal as columns, in the order numpy's
 `add.reduce` sums a row: fewer than 8 terms in sequence; 8 to 128 into eight
@@ -28,96 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SignConditionError
-from .util import maxabs
-
-#: relative tolerance for the equality diagnostics and the sign precondition
-DEFAULT_EQUALITY_TOL = 1e-8
 #: randomized_identity_suite's matrices per draw: 2 MB at order 8, which keeps
 #: the suite's peak memory low; the draws, and so its result, do not depend on it
 IDENTITY_BATCH = 4096
-
-
-def _checked(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise ValueError("matrix order must be at least 2")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def sigma1(a) -> float:
-    """Trace of A."""
-    return float(np.trace(_checked(a)))
-
-
-def sigma1_minor(a) -> float:
-    """Trace of the minor (A|1): the diagonal sum skipping the first entry."""
-    a = _checked(a)
-    return float(np.trace(a) - a[0, 0])
-
-
-def sigma2(a) -> float:
-    """Second elementary symmetric invariant, sum_{i<j} (a_ii a_jj - a_ij a_ji).
-
-    Computed definitionally; tests cross-check against (sigma1^2 - tr A^2)/2.
-    """
-    a = _checked(a)
-    d = np.diagonal(a)
-    i, j = np.triu_indices(a.shape[0], k=1)
-    return float(np.sum(d[i] * d[j] - a[i, j] * a[j, i]))
-
-
-@dataclass(frozen=True)
-class NewtonGap:
-    """Gap of the Newton-type bound plus its equality diagnostics."""
-
-    gap: float
-    minor_diag_spread: float
-    max_offdiag_product: float
-    minor_diag_equal: bool
-    offdiag_products_zero: bool
-
-    @property
-    def equality(self) -> bool:
-        return self.minor_diag_equal and self.offdiag_products_zero
-
-
-def newton_gap(a) -> NewtonGap:
-    """Evaluate sigma1*sigma1_minor - sigma2 - n/(2(n-1))*sigma1_minor^2.
-
-    Requires a_ij a_ji >= 0 for all i != j (up to DEFAULT_EQUALITY_TOL,
-    relative to the squared max-norm); raises SignConditionError otherwise.
-    Under that condition the gap is nonnegative up to roundoff. Equality
-    flags use DEFAULT_EQUALITY_TOL relative to the matrix max-norm.
-    """
-    a = _checked(a)
-    n = a.shape[0]
-    scale = max(1.0, maxabs(a))
-    i, j = np.triu_indices(n, k=1)
-    products = a[i, j] * a[j, i]
-    if products.size and float(products.min()) < -DEFAULT_EQUALITY_TOL * scale * scale:
-        raise SignConditionError(
-            f"off-diagonal product a_ij*a_ji = {products.min():.3e} violates the sign condition"
-        )
-    d = np.diagonal(a)
-    s1 = float(d.sum())
-    s1m = s1 - float(a[0, 0])
-    s2 = float(np.sum(d[i] * d[j] - products))
-    gap = s1 * s1m - s2 - n / (2.0 * (n - 1.0)) * s1m**2
-    dm = d[1:]
-    spread = float(dm.max() - dm.min()) if dm.size else 0.0
-    max_prod = float(np.max(np.abs(products))) if products.size else 0.0
-    return NewtonGap(
-        gap=float(gap),
-        minor_diag_spread=spread,
-        max_offdiag_product=max_prod,
-        minor_diag_equal=spread <= DEFAULT_EQUALITY_TOL * scale,
-        offdiag_products_zero=max_prod <= DEFAULT_EQUALITY_TOL * scale * scale,
-    )
 
 
 def _column_sum(cols: np.ndarray) -> np.ndarray:
@@ -157,12 +64,6 @@ def _identity_terms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lhs = s1 * s1m
     rhs = s2 + n / (2.0 * (n - 1.0)) * s1m**2 + offdiag + spread / (2.0 * (n - 1.0))
     return lhs - rhs, lhs
-
-
-def identity_residual(a) -> float:
-    """lhs - rhs of the exact splitting; zero up to roundoff for every
-    matrix. The one-matrix case of the suite's kernel."""
-    return float(_identity_terms(_checked(a)[None])[0][0])
 
 
 @dataclass(frozen=True)

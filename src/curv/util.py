@@ -96,24 +96,14 @@ def trace(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a.diagonal(0, -2, -1), -1)  # ndarray.sum less its Python wrapper
 
 
-def maxabs(a) -> float:
-    a = np.asarray(a, dtype=float)
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def ring_directions(count: int) -> np.ndarray:
-    """count unit vectors in the plane, golden-angle spaced (no axis bias)."""
-    k = np.arange(count)
-    th = np.mod(k * GOLDEN_ANGLE, 2.0 * np.pi)
-    return np.stack([np.cos(th), np.sin(th)], axis=1)
-
-
 def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic unit vectors: golden-angle ring in 2-D, seeded Gaussian higher."""
+    """Deterministic unit vectors: a golden-angle ring in 2-D (no axis bias),
+    seeded Gaussian higher."""
     if count < 1:
         raise ValueError(f"need at least one ray direction, got {count}")
     if dim == 2:
-        return ring_directions(count)
+        th = np.mod(np.arange(count) * GOLDEN_ANGLE, 2.0 * np.pi)
+        return np.stack([np.cos(th), np.sin(th)], axis=1)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, dim))
     return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))  # np.linalg.norm's own reduction

@@ -232,15 +232,26 @@ class TestPolish:
         assert run.x0 == tuple(newton[0])
         assert run.lam_star == lam_star and gradient_bound_margin(run) == margin
 
-    def test_radial_polish_certifies(self, monkeypatch):
-        # Newton's first step leaves its cell here, so the Brent lane polishes the touch
+    @pytest.mark.parametrize("angular", [16, 32, 64])
+    def test_newton_cell_covers_the_angular_spacing(self, monkeypatch, angular):
+        """On coarse rings the touch lies between rays; Newton's cell reaches
+        it, and lambda_star is the finer grids' to 2 ulps."""
         newton = spy(monkeypatch, "_newton_refine_ratio")
         polish = spy(monkeypatch, "_radial_polish")
-        run = self.poly_run(128, 64)
+        run = self.poly_run(128, angular)
+        assert len(newton) == 1 and newton[0] is not None and not polish
+        assert run.successful and run.x0 == tuple(newton[0])
+        assert abs(run.lam_star - 0.6445897676493282) <= 2 * np.spacing(0.6445897676493282)
+
+    def test_radial_polish_certifies(self, monkeypatch):
+        # on the bump's ridge of q the Hessian is singular, Newton gives up and the Brent lane polishes the touch
+        newton = spy(monkeypatch, "_newton_refine_ratio")
+        polish = spy(monkeypatch, "_radial_polish")
+        run = TestSlideInterior().run()
         assert newton == [None] and len(polish) == 1
         assert run.successful and run.x0 == tuple(polish[0])
         assert gradient_bound_margin(run) >= -1e-15
-        assert abs(run.lam_star - 0.6441536371218181) <= 2 * np.spacing(0.6441536371218181)
+        assert run.lam_star == 0.1225
 
     def test_radial_polish_is_the_ratio_maximum(self):
         """On the bump, q = (r - 0.3)(1 - r) peaks at r = 0.65; a bracket on

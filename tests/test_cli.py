@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -325,6 +326,20 @@ class TestDeterminism:
         assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_run_examples_script(self, tmp_path, capsys):
+        """scripts/run_examples.py writes its six reports, and a rerun
+        writes the same bytes."""
+        path = Path(__file__).resolve().parent.parent / "scripts" / "run_examples.py"
+        spec = importlib.util.spec_from_file_location("run_examples", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.run(tmp_path / "a") == 0 and script.run(tmp_path / "b") == 0
+        capsys.readouterr()
+        names = [f"{stem}.{fmt}" for stem in ("euclid-cone", "spherical-glued", "spherical-glued-a025")
+                 for fmt in ("csv", "json")]
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(names)
+        assert [(tmp_path / "a" / n).read_bytes() for n in names] == [(tmp_path / "b" / n).read_bytes() for n in names]
 
     def test_seed_changes_report(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -695,8 +710,7 @@ RUNS = [
     ("prod --fields 2", ["verify", "inequality", "--which", "prod", "--fields", "2"]),
     ("point radial:E-f", ["point", "--field", "radial:E-f", "--at", "0.5,0"]),
     ("slice radial:E-f", ["slice", "--field", "radial:E-f", "--eps", "0.6,0.8"]),
-    ("barrier poly --angular 64", ["barrier", "--field", "poly:0.3,0.5,-0.2,-0.6,0,-0.6,-1,0.4,-1,0.4,0.3,0,0.6,0,0.3,"
-                                   "0.5,-0.2,1,-0.4,0.5,-0.2", "--a", "0.3", "--radial", "128", "--angular", "64"]),
+    ("barrier poly (1 - |x|^2)^2", ["barrier", "--field", "poly:1,0,0,-2,0,-2,0,0,0,0,1,0,2,0,1", "--a", "0.2"]),
 ]
 for name, argv in RUNS + STAGES:
     with contextlib.redirect_stdout(io.StringIO()):

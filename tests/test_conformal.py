@@ -23,7 +23,7 @@ class TestSphericalFactor:
     def test_normal_derivative_pairs_coordinates(self):
         pt = extrinsic_point(Paraboloid(2), flat_base(2), np.array([1.0, 0.0]))
         amb = spherical_ambient(2)
-        pj = amb.phi(np.array([1.0, 0.0]), pt.u)
+        pj = amb.phis(np.array([[1.0, 0.0]]), np.array([pt.u])).row(0)
         mu = normal_derivative(pt, pj)
         # nu = (-1, 0, 1)/sqrt(2), grad phi = (x, t): mu = (-1 + 0.5)/sqrt(2)
         assert mu == pytest.approx((-1.0 + 0.5) / np.sqrt(2.0))

@@ -19,7 +19,8 @@ from curv.graphgeom import (
 )
 from curv.metrics import metric_jet, round_sphere_base
 from curv.revolution import RevolutionProfile, radial_field
-from curv.util import maxabs
+
+from syminv_reference import maxabs
 
 SQRT2 = np.sqrt(2.0)
 

@@ -150,7 +150,7 @@ class TestAmbients:
     def test_product_ambient_unit_factor(self):
         amb = product_ambient(2)
         assert amb.phi_jet is None
-        pj = amb.phi(np.array([0.3, 0.4]), 1.7)
+        pj = amb.phis(np.array([[0.3, 0.4]]), np.array([1.7])).row(0)
         assert pj.value == 1.0
         assert np.array_equal(pj.grad_x, np.zeros(2))
         assert pj.dt == 0.0
@@ -159,14 +159,14 @@ class TestAmbients:
         amb = spherical_ambient(2)
         assert amb.phi_jet is not None
         assert amb.name == "spherical"
-        pj = amb.phi(np.array([0.3, 0.4]), 0.5)
+        pj = amb.phis(np.array([[0.3, 0.4]]), np.array([0.5])).row(0)
         assert pj.value == pytest.approx((1.0 + 0.25 + 0.25) / 2.0)
         assert np.allclose(pj.grad_x, [0.3, 0.4])
         assert pj.dt == 0.5
 
     def test_constant_ambient(self):
         amb = constant_ambient(3, 2.5)
-        pj = amb.phi(np.zeros(3), 1.0)
+        pj = amb.phis(np.zeros((1, 3)), np.array([1.0])).row(0)
         assert pj.value == 2.5
         assert pj.dt == 0.0
         assert amb.phi_jet is not None
@@ -244,7 +244,7 @@ class TestKernelsAreThePerPointFormulas:
         for name in ("value", "grad_x", "dt"):
             assert np.array_equal(getattr(stack, name), np.array([getattr(want, name)] * len(X)))
         for x, ti in zip(X, t):
-            assert_same(amb.phi(x, ti), reference_constant_phi(X.shape[1], value))
+            assert_same(amb.phis(x[None], np.array([ti])).row(0), reference_constant_phi(X.shape[1], value))
 
     @settings(max_examples=60, deadline=None)
     @given(X=point_stacks())

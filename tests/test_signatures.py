@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from curv import barrier, conformal, fields, graphgeom, inequality, metrics, revolution, syminv, util
+from curv import barrier, conformal, errors, fields, graphgeom, inequality, metrics, revolution, syminv, util
+
+import syminv_reference
 
 REMOVED = [
     (graphgeom.level_slice, {"delta_reg", "level_tol"}),
@@ -26,14 +28,17 @@ REMOVED = [
     (inequality.slice_points, {"center", "delta_reg", "samples_per_ray"}),
     (inequality._checks, {"delta_reg"}),
     (inequality._slice_rows, {"center", "delta_reg", "samples_per_ray"}),
-    (fields.random_trig_field, {"amplitude", "freq_scale"}),
+    (fields.random_trig_field, {"amplitude", "freq_scale", "domain"}),
+    (fields.random_trig_family, {"domain"}),
+    (fields.FiniteDifferenceField, {"name"}),
     (metrics.GeneralMetric, {"step"}),
     (revolution.monotonicity_checks, {"grid"}),
     (revolution.junction_c2_check, {"ks"}),
     (revolution.radial_field, {"rim_margin"}),
+    (revolution.profile_jet, {"order"}),
     (revolution.sweep_u, {"r_max"}),
     (revolution.sweep_f, {"z_lo", "z_hi"}),
-    (syminv.newton_gap, {"tol"}),
+    (syminv_reference.newton_gap, {"tol"}),
     (syminv.randomized_identity_suite, {"batch"}),
     (barrier._newton_refine_ratio, {"iters"}),
 ]
@@ -58,7 +63,10 @@ def test_check_is_the_one_row_route():
 #: library only the tests reached: the rotated field kind (the invariance
 #: tests rotate a trig field through its frequencies), the wrappers around
 #: the production pipeline that the tests now compute inline, the slice
-#: frame's minor (`adapted_matrix` serves) and the metric kinds' unread names
+#: frame's minor (`adapted_matrix` serves), the metric kinds' unread names,
+#: the ambient's one-point factor (row 0 of `phis` serves) and the 2-D ring
+#: (inlined in `unit_directions`); and the closed-form references of the
+#: splitting with their helpers, which live in tests/syminv_reference.py
 DELETED = [
     (util.Stacked, "from_rows"),
     (fields, "_broadcast"),
@@ -84,6 +92,12 @@ DELETED = [
     (metrics.ConformalMetric, "kind"),
     (metrics.GeneralMetric, "kind"),
     (inequality.InequalityReport, "extras"),
+    (metrics.AmbientSpec, "phi"),
+    (util, "ring_directions"),
+    *[(syminv, name) for name in ("sigma1", "sigma1_minor", "sigma2", "NewtonGap", "newton_gap",
+                                  "identity_residual", "_checked", "DEFAULT_EQUALITY_TOL")],
+    (util, "maxabs"),
+    (errors, "SignConditionError"),
 ]
 
 
@@ -108,11 +122,6 @@ UNCALLED = {
     "principal_curvatures_u": "closed-form reference: the u-graph's curvatures in the round ambient",
     "principal_curvatures_f": "closed-form reference: the E-f surface's meridian and parallel curvatures",
     "gauss_curvature_f": "closed-form reference: the E-f surface's Gauss curvature",
-    "sigma1": "closed-form reference: the trace, definitionally",
-    "sigma1_minor": "closed-form reference: the minor's trace, definitionally",
-    "sigma2": "closed-form reference: the second symmetric invariant, definitionally",
-    "newton_gap": "closed-form reference: the Newton-type gap of one matrix",
-    "identity_residual": "closed-form reference: the identity kernel at one matrix",
 }
 
 
