@@ -155,6 +155,16 @@ def _radial_polish(field: ScalarField, x: np.ndarray, lo: float, hi: float) -> n
     return float(brentq_lanes(h, [lo], [hi], xtol=1e-13)[0]) * d if ends[0] > 0.0 > ends[1] else x
 
 
+def _newton_cell(dim: int, angular: int, seed: int, spacing: float, r0: float) -> float:
+    """Newton's trust cell at a grid touch of radius r0: it spans the grid
+    around the touch, 4 times the wider of the radial spacing and, at r0, the
+    widest angle between a sample direction and its nearest neighbour."""
+    dirs = unit_directions(dim, angular, seed)
+    cos = dirs @ dirs.T
+    np.fill_diagonal(cos, -1.0)
+    return 4.0 * max(spacing, r0 * float(np.arccos(min(1.0, cos.max(axis=1).min()))))
+
+
 def slide(
     field: ScalarField,
     annulus: tuple[float, float],
@@ -207,13 +217,7 @@ def slide(
     spacing = (r_out - a_prime) / (radial - 1)
     # a touch on the outer sampled ring keeps the grid point
     if not degenerate and r0 < r_out - 0.5 * spacing:
-        # Newton's cell spans the grid around x0: its radial spacing, and the
-        # widest angle between a direction and its nearest neighbour at |x0|
-        dirs = unit_directions(field.dim, angular, seed)
-        cos = dirs @ dirs.T
-        np.fill_diagonal(cos, -1.0)
-        cell = 4.0 * max(spacing, r0 * float(np.arccos(min(1.0, cos.max(axis=1).min()))))
-        x = _newton_refine_ratio(field, x0, a_prime, r_out, cell=cell)
+        x = _newton_refine_ratio(field, x0, a_prime, r_out, cell=_newton_cell(field.dim, angular, seed, spacing, r0))
         if x is None:
             x = _radial_polish(field, x0, max(a_prime, r0 - spacing), min(r_out, r0 + spacing))
         r, jet = float(np.linalg.norm(x)), field.jet(x)

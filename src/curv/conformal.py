@@ -23,23 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConformalFactorError
 from .fields import ScalarField, eval_jet
 from .graphgeom import ExtrinsicPoint, extrinsic_points
 from .metrics import AmbientSpec, PhiJet
-from .util import Stacked, _new, as_point, count_nonzero, eye
-
-
-def conformal_shape(point: ExtrinsicPoint, phi, dphi_nu) -> np.ndarray:
-    """Abar = phi A + nu(phi) I for the factor value and normal derivative,
-    at a point or row by row over a stack."""
-    phi, dphi_nu = np.asarray(phi), np.asarray(dphi_nu)
-    bad = phi <= 0.0
-    if count_nonzero(bad):
-        i = np.argmax(bad)
-        x = point.x.reshape(-1, point.dim)[i]
-        raise ConformalFactorError(f"conformal factor {phi.flat[i]} is not positive at {x.tolist()}")
-    return phi[..., None, None] * point.shape_operator + dphi_nu[..., None, None] * eye(point.dim)
+from .util import Stacked, _new, as_point
 
 
 def normal_derivative(point: ExtrinsicPoint, phi_jet: PhiJet) -> float | np.ndarray:
@@ -59,17 +46,8 @@ class ConformalPoint(Stacked):
     dphi_nu: float
     mean_curvature: float
     norm_a2: float
-    principal: np.ndarray
+    principal: np.ndarray  # Abar's eigenvalues, phi times A's plus nu(phi), ascending
     scalar_curvature: float | None  # via the round Gauss relation; round-sphere ambient only
-
-    @property
-    def dim(self) -> int:
-        return self.point.dim
-
-    @property
-    def shape_operator(self) -> np.ndarray:
-        """Abar = phi A + nu(phi) I, computed when it is read."""
-        return conformal_shape(self.point, self.factor.value, self.dphi_nu)
 
 
 def conformal_points(field: ScalarField, ambient: AmbientSpec, X) -> ConformalPoint:

@@ -77,45 +77,39 @@ class Box:
 
 
 class _RoundDomain:
-    """Geometry shared by the round domains: a center, an inner rim (-inf for
-    a ball) and an outer rim."""
+    """Geometry shared by the round domains, centred at the origin: an inner
+    rim (-inf for a ball) and an outer rim."""
 
     @property
     def dim(self) -> int:
         return self.dim_
 
-    def _center(self) -> np.ndarray:
-        return np.zeros(self.dim_) if self.center is None else np.asarray(self.center)
-
     def contains(self, x: np.ndarray, margin=0.0):
         """Whether x lies in the domain less the margin (one value, or one
         per row): a bool for a point, a mask for a stack of rows."""
-        d = x if self.center is None else x - self._center()  # x - 0.0 is x, -0.0 included
-        r = np.sqrt(np.vecdot(d, d))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
+        r = np.sqrt(np.vecdot(x, x))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
         inside = (self.inner + margin <= r) & (r <= self.rim - margin)
         return inside if x.ndim > 1 else bool(inside)
 
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
-        """Largest t >= 0 with |center + t d - c| <= rim - margin, for d or
-        each row of a stack; 0 where the rim less the margin is negative."""
-        c = center if self.center is None else center - self._center()
+        """Largest t >= 0 with |center + t d| <= rim - margin, for d or each
+        row of a stack; 0 where the rim less the margin is negative."""
         r = self.rim - margin
-        b = np.vecdot(direction, c)
-        disc = b * b - (c @ c - r * r)
+        b = np.vecdot(direction, center)
+        disc = b * b - (center @ center - r * r)
         t = np.where((disc < 0) | (r < 0), 0.0, np.maximum(-b + np.sqrt(np.maximum(disc, 0.0)), 0.0))
         return t if np.ndim(direction) > 1 else float(t)
 
     def probe_cube(self) -> tuple[np.ndarray, float]:
         """Center and half-width of the cube that probes the domain, capped
         at 1.5 for large or unbounded domains."""
-        return self._center(), min(float(self.rim), 1.5)
+        return np.zeros(self.dim_), min(float(self.rim), 1.5)
 
 
 @dataclass(frozen=True)
 class Ball(_RoundDomain):
     dim_: int
     radius: float
-    center: tuple[float, ...] | None = None
     inner = -np.inf  # no hole
 
     @property
@@ -128,7 +122,6 @@ class Annulus(_RoundDomain):
     dim_: int
     inner: float
     outer: float
-    center: tuple[float, ...] | None = None
 
     @property
     def rim(self) -> float:
@@ -227,7 +220,7 @@ def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray
         finite = np.isfinite(u) & np.isfinite(du).all(axis=1) & np.isfinite(ddu).all(axis=(1, 2))
         raise NonFiniteJetError(f"non-finite jet of {field.name} at {X[np.argmin(finite)].tolist()}")
     if k < len(X):
-        raise OutOfDomainError(f"point {X[k].tolist()} outside domain of {field.name}")
+        field._outside(X[k])  # raises OutOfDomainError, as `value` does
     return u, du, ddu
 
 
@@ -242,20 +235,24 @@ def eval_jet(field: ScalarField, x) -> Jet:
 # analytic built-ins
 
 
+#: SphereCap's domain stops this fraction of the radius short of the equator
+CAP_RIM_MARGIN = 1e-8
+
+
 class SphereCap(ScalarField):
     """u = height + sqrt(radius^2 - |x|^2): the upper cap of a round sphere.
 
-    The domain stops a small relative margin short of the equator, where the
-    gradient blows up; at and past the rim a row is NaN.
+    The domain stops CAP_RIM_MARGIN of the radius short of the equator, where
+    the gradient blows up; at and past the rim a row is NaN.
     """
 
-    def __init__(self, dim: int, radius: float, height: float = 0.0, rim_margin: float = 1e-8):
+    def __init__(self, dim: int, radius: float, height: float = 0.0):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.dim = dim
         self.radius = float(radius)
         self.height = float(height)
-        self.domain = Ball(dim, radius * (1.0 - rim_margin))
+        self.domain = Ball(dim, radius * (1.0 - CAP_RIM_MARGIN))
         self.name = f"spherecap(radius={radius},height={height})"
 
     def _s(self, X):

@@ -19,7 +19,7 @@ least n-1; the report carries both deviations and an equality flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +48,8 @@ MULTIPLICITY_TOL = 1e-6
 
 #: slice_points' scan samples per ray and roots kept per ray
 SAMPLES_PER_RAY, MAX_PER_RAY = 160, 2
+#: pick_levels' domain samples: the first PROBES of at most 50 * PROBES draws inside the domain
+PROBES = 256
 #: the block sizes of the scan's screen, coarse to fine: each divides SAMPLES_PER_RAY and is a multiple
 #: of the next, and each level screens the blocks of its size inside the blocks the level before kept
 SCREEN = (32, 8)
@@ -87,12 +89,6 @@ class InequalityReport(Stacked):
     scalar_base: float | None = None  # R_g
     scalar_m: float | None = None  # R_M
     scalar_round: float | None = None  # R_M via the round Gauss relation
-
-    def to_dict(self) -> dict:
-        """A row's fields in order, less those that are None."""
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self) if getattr(self, f.name) is not None}
-        out["x"] = self.x.tolist()
-        return out
 
 
 def _mean(a: np.ndarray) -> np.ndarray:
@@ -187,21 +183,21 @@ def _checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None)
     raise ValueError(f"unknown inequality selector {which!r}; expected one of {WHICH}")
 
 
-def checks(which: str, field: ScalarField, eps, X, ambient: AmbientSpec | None = None):
+def checks(which: str, field: ScalarField, eps, X):
     """The inequality `which` at every row of X, shape (m, n), on the level
-    eps (one value, or one per row).
+    eps (one value, or one per row), in the selector's default ambient.
 
     Returns the mask of the regular rows and the InequalityReport stack of
     those rows, in row order; each row equals check(which, field, eps_i,
-    X[i], ambient) bit for bit, and check raises NonRegularPointError at a
-    row off the mask. The stack comes from one array program: squares use
+    X[i]) bit for bit, and check raises NonRegularPointError at a row off
+    the mask. The stack comes from one array program: squares use
     np.float_power, which rounds as scalar `**` does, and the equality
     diagnostics read ascending eigenvalue stacks.
     """
     X = as_points(X, field.dim)
     if np.ndim(eps) and np.shape(eps) != X.shape[:1]:
         raise ValueError(f"eps of shape {np.shape(eps)} is neither one level nor one per row of X, shape {X.shape}")
-    _, regular, reports = _checks(which, field, eps, X, ambient)
+    _, regular, reports = _checks(which, field, eps, X, None)
     return regular, reports
 
 
@@ -239,7 +235,7 @@ def check_sphere(field: ScalarField, eps: float, x) -> InequalityReport:
 # slice-point sampling
 
 
-def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
+def _slice_rows(at, eps, dirs):
     """slice_points of each member f of a family at its levels eps[f], along
     its rays dirs[f] from the domain's probe center: the arrays (f, j,
     points) of the rows, in the order field, level, ray, root. `at(idx)` is
@@ -270,8 +266,8 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     rays, owner = dirs.reshape(-1, n), np.arange(F * R) // R  # rays field by field; take gathers rows faster than []
     extents = dom.ray_extent(origin, rays, margin=1e-6)
     extents[~np.isfinite(extents)] = 2.0
-    # each row is the ray's np.linspace(0.0, extent, S), as linspace computes it: k times the step, or
-    # (k / div) times the extent where any step of the call is 0, plus the start 0.0
+    # each row is the ray's np.linspace(0.0, extent, S) as linspace computes it, less its 40-odd Python calls:
+    # k times the step, or (k / div) times the extent where any step of the call is 0, plus the start 0.0
     k, div = np.arange(S, dtype=float), S - 1
     step = extents[:, None] / div
     ts = k / div * extents[:, None] if 0.0 in step else k * step
@@ -310,7 +306,7 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     grad = at(f[ok]).jets(P[ok])[1]
     ok[ok] = ~(np.sqrt(np.vecdot(grad, grad)) < DELTA_REG)  # np.linalg.norm of each row, bit for bit
     ray, before = (f * L + j) * R + r, ok.cumsum() - ok
-    reached = before - before[ray.searchsorted(ray)] < max_per_ray  # fewer roots kept before it on its ray
+    reached = before - before[ray.searchsorted(ray)] < MAX_PER_RAY  # fewer roots kept before it on its ray
     for k in (np.isnan(roots) & reached).nonzero()[0]:
         # a lane that met NaN, solved point by point, raises the field's error there
         brentq(lambda t, fk=at(f[k]): fk.value(origin + t * d[k]) - e[k], lo[k], hi[k], xtol=1e-13)
@@ -318,30 +314,28 @@ def _slice_rows(at, eps, dirs, max_per_ray: int = MAX_PER_RAY):
     return f[keep], j[keep], P[keep]
 
 
-def slice_points(
-    field: ScalarField, eps: float, rays: int = 16, seed: int = 0, max_per_ray: int = MAX_PER_RAY
-) -> list[np.ndarray]:
+def slice_points(field: ScalarField, eps: float, rays: int = 16, seed: int = 0) -> list[np.ndarray]:
     """Deterministic points of {u = eps}: 1-D root finding along rays from the
     domain's probe center (golden-angle directions in 2-D, seeded otherwise),
     keeping regular interior points only; the one-field, one-level case of
     `_slice_rows`. A sample where the field is undefined is NaN and brackets
     no root. A root is kept if it lies inside the domain less the field's
-    evaluation margin and |Du| >= DELTA_REG there, and at most max_per_ray
+    evaluation margin and |Du| >= DELTA_REG there, and at most MAX_PER_RAY
     roots are kept per ray."""
     dirs = unit_directions(field.dim, rays, seed)
-    return list(_slice_rows(lambda idx: field, np.array([[eps]], dtype=float), dirs[None], max_per_ray)[2])
+    return list(_slice_rows(lambda idx: field, np.array([[eps]], dtype=float), dirs[None])[2])
 
 
-def _probes(domain, dim: int, seeds: Sequence[int], probes: int = 256):
-    """For each seed, the first `probes` of at most 50 * probes draws from its
+def _probes(domain, dim: int, seeds: Sequence[int]):
+    """For each seed, the first PROBES of at most 50 * PROBES draws from its
     own generator on the domain's probe cube that lie inside the domain (a
     list if ragged). Each round draws a chunk per seed still short into one
     buffer; one `contains` call tests all, and one mask gathers the kept."""
     (center, extent), rngs = domain.probe_cube(), [np.random.default_rng(s) for s in seeds]
     row = f"V{8 * dim}"  # a row as one item of a void dtype, which a mask selects and fills whole
-    out, count, live, drawn = np.empty((len(seeds), probes, dim)), np.zeros(len(seeds), int), np.arange(len(seeds)), 0
-    while live.size and drawn < 50 * probes:
-        k = min(drawn + 2 * probes, 50 * probes - drawn)  # chunks of 2, 4, 8, ... times probes
+    out, count, live, drawn = np.empty((len(seeds), PROBES, dim)), np.zeros(len(seeds), int), np.arange(len(seeds)), 0
+    while live.size and drawn < 50 * PROBES:
+        k = min(drawn + 2 * PROBES, 50 * PROBES - drawn)  # chunks of 2, 4, 8, ... times PROBES
         X = np.empty((live.size, k, dim))
         for f, Xf in zip(live.tolist(), X):
             rngs[f].random(out=Xf)  # (k, dim) draws are k one-point draws, so chunks keep each stream
@@ -349,11 +343,11 @@ def _probes(domain, dim: int, seeds: Sequence[int], probes: int = 256):
         X = X * (extent - -extent) - extent + center
         inside = domain.contains(X.reshape(-1, dim), margin=1e-6).reshape(live.size, k)
         kept, before = inside.cumsum(axis=1), count.copy()  # kept: the round's draws kept up to each
-        count[live] = np.minimum(before[live] + kept[:, -1], probes)
-        fill = (before[:, None] <= np.arange(probes)) & (np.arange(probes) < count[:, None])
-        out.view(row)[..., 0][fill] = X.view(row)[..., 0][inside & (kept <= probes - before[live, None])]
-        live, drawn = live[count[live] < probes], drawn + k
-    return [P[:c] for P, c in zip(out, count.tolist())] if count_nonzero(count < probes) else out
+        count[live] = np.minimum(before[live] + kept[:, -1], PROBES)
+        fill = (before[:, None] <= np.arange(PROBES)) & (np.arange(PROBES) < count[:, None])
+        out.view(row)[..., 0][fill] = X.view(row)[..., 0][inside & (kept <= PROBES - before[live, None])]
+        live, drawn = live[count[live] < PROBES], drawn + k
+    return [P[:c] for P, c in zip(out, count.tolist())] if count_nonzero(count < PROBES) else out
 
 
 def _levels(at, probes, count: int) -> np.ndarray:
@@ -369,19 +363,13 @@ def _levels(at, probes, count: int) -> np.ndarray:
     # a NaN sample is re-read at its point, where the field raises its error
     for f, i in zip(*np.nonzero(np.isnan(vals))):
         vals[f, i] = at(f).value(probes[f, i])
-    # np.quantile(vals, qs, axis=1).T bit for bit, less its wrappers: the linear method, which partitions about
-    # the order statistics it reads (the last for a quantile at or past it) and interpolates between them
-    v = (vals.shape[1] - 1) * (np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5]))
-    lo, hi = np.where(v >= vals.shape[1] - 1, -1, [np.floor(v), np.floor(v) + 1]).astype(int)
-    vals.partition(np.unique(np.concatenate(([0, -1], lo, hi))), axis=1)
-    a, b, t = vals[:, lo], vals[:, hi], v - lo
-    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return np.quantile(vals, np.linspace(0.35, 0.65, count) if count > 1 else [0.5], axis=1).T
 
 
-def pick_levels(field: ScalarField, count: int, seed: int, probes: int = 256) -> list[float]:
+def pick_levels(field: ScalarField, count: int, seed: int) -> list[float]:
     """Level values at interior quantiles of u over seeded domain samples:
-    the first `probes` of at most 50 * probes draws inside the domain."""
-    P = _probes(field.domain, field.dim, [seed], probes)[0]
+    the first PROBES of at most 50 * PROBES draws inside the domain."""
+    P = _probes(field.domain, field.dim, [seed])[0]
     if not len(P):
         raise ValueError("could not probe the field's domain for level values")
     return _levels(lambda idx: field, P[None], count)[0].tolist()

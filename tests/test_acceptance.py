@@ -95,7 +95,7 @@ def collect_slice_battery(n_fields=50, per_field=20, dim=2):
     for seed in itertools.count():
         field = random_trig_field(dim, seed=seed)
         eps = pick_levels(field, 1, seed)[0]
-        pts = slice_points(field, eps, rays=24, seed=seed, max_per_ray=2)
+        pts = slice_points(field, eps, rays=24, seed=seed)
         if len(pts) < per_field:
             continue
         battery.append((field, eps, pts[:per_field]))

@@ -7,6 +7,7 @@ from curv import barrier
 from curv.barrier import (
     TOUCH_TOL,
     BarrierRun,
+    _newton_cell,
     _newton_refine_ratio,
     _radial_polish,
     comparison_bounds,
@@ -393,7 +394,8 @@ def bisection_slide(field, annulus, a_prime, lam_max, radial=512, angular=128, s
     on_rim = norms[i0] >= r_out - 0.5 * spacing
     x0 = None
     if not on_rim:
-        x0 = _newton_refine_ratio(field, x_grid, a_prime, r_out, cell=4.0 * spacing)
+        x0 = _newton_refine_ratio(field, x_grid, a_prime, r_out,
+                                  cell=_newton_cell(field.dim, angular, seed, spacing, float(norms[i0])))
     if x0 is None:
         lo_r = max(a_prime, norms[i0] - spacing)
         hi_r = min(r_out, norms[i0] + spacing)

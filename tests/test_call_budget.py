@@ -220,8 +220,6 @@ FRESH = {
     "radial jets": lambda: parse_field("radial:S-u:0.5", 2).jets(X2),
     "fd jets": lambda: fields.FiniteDifferenceField(fields.random_trig_field(3, 5), 3).jets(X3[None]),
     "grid jets": lambda: fields.sample_to_grid(fields.random_trig_field(2, 5), (-1.0, -1.0), 0.1, (21, 21)).jets(X2),
-    "conformal shape": lambda: (conformal.conformal_shape(
-        graphgeom.extrinsic_points(fields.random_trig_field(3, 5), metrics.FlatMetric(3), X3[None]), 1.0, 0.0),),
 }
 
 

@@ -1,11 +1,14 @@
 """Keywords that had one value in every caller are module constants; they stay
 out of the signatures. Routes that were folded into another stay deleted, no
-module of curv imports scipy, and every public name of curv has a caller in
-the program or is an oracle or closed-form reference the tests check it by."""
+module of curv imports scipy, every public name of curv (a class's public
+methods and properties too) has a caller in the program or is an oracle or
+closed-form reference the tests check it by, and every defaulted parameter
+is passed by some call in the program or has a stated reason to stay."""
 
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -25,12 +28,18 @@ REMOVED = [
     (inequality.check_euclid, {"delta_reg"}),
     (inequality.check_phi, {"delta_reg"}),
     (inequality.check_sphere, {"delta_reg"}),
-    (inequality.slice_points, {"center", "delta_reg", "samples_per_ray"}),
+    (inequality.slice_points, {"center", "delta_reg", "samples_per_ray", "max_per_ray"}),
     (inequality._checks, {"delta_reg"}),
-    (inequality._slice_rows, {"center", "delta_reg", "samples_per_ray"}),
+    (inequality.checks, {"ambient"}),
+    (inequality._slice_rows, {"center", "delta_reg", "samples_per_ray", "max_per_ray"}),
+    (inequality.pick_levels, {"probes"}),
+    (inequality._probes, {"probes"}),
     (fields.random_trig_field, {"amplitude", "freq_scale", "domain"}),
     (fields.random_trig_family, {"domain"}),
     (fields.FiniteDifferenceField, {"name"}),
+    (fields.SphereCap, {"rim_margin"}),
+    (fields.Ball, {"center"}),
+    (fields.Annulus, {"center"}),
     (metrics.GeneralMetric, {"step"}),
     (revolution.monotonicity_checks, {"grid"}),
     (revolution.junction_c2_check, {"ks"}),
@@ -65,8 +74,11 @@ def test_check_is_the_one_row_route():
 #: the production pipeline that the tests now compute inline, the slice
 #: frame's minor (`adapted_matrix` serves), the metric kinds' unread names,
 #: the ambient's one-point factor (row 0 of `phis` serves) and the 2-D ring
-#: (inlined in `unit_directions`); and the closed-form references of the
-#: splitting with their helpers, which live in tests/syminv_reference.py
+#: (inlined in `unit_directions`); the closed-form references of the
+#: splitting with their helpers, which live in tests/syminv_reference.py; and
+#: the members only tests read: the rescaled shape operator Abar (the phi route
+#: reads its eigenvalues), the round domains' off-origin center and the report
+#: row's dict (tests/report_dict.py)
 DELETED = [
     (util.Stacked, "from_rows"),
     (fields, "_broadcast"),
@@ -98,6 +110,11 @@ DELETED = [
                                   "identity_residual", "_checked", "DEFAULT_EQUALITY_TOL")],
     (util, "maxabs"),
     (errors, "SignConditionError"),
+    (conformal, "conformal_shape"),
+    (conformal.ConformalPoint, "shape_operator"),
+    (conformal.ConformalPoint, "dim"),
+    (fields._RoundDomain, "_center"),
+    (inequality.InequalityReport, "to_dict"),
 ]
 
 
@@ -115,6 +132,8 @@ def test_inequality_reports_carry_no_extras_dict():
 
 
 REPO = Path(util.__file__).parents[2]
+CURV = sorted(Path(util.__file__).parent.glob("*.py"))
+PROGRAM = [p for d in ("src", "scripts", "perfbench") for p in sorted((REPO / d).rglob("*.py"))]
 
 #: public names of curv that only the tests call, each with the reason it stays
 UNCALLED = {
@@ -126,27 +145,41 @@ UNCALLED = {
 
 
 def _public_names() -> set[str]:
-    """The public names each module of curv defines at its top level."""
+    """The public names each module of curv defines at its top level, and
+    the public methods and properties of each class."""
     names = set()
-    for path in Path(util.__file__).parent.glob("*.py"):
+    for path in CURV:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if isinstance(node, ast.ClassDef):
+                names |= {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
     return {n for n in names if not n.startswith("_")}
+
+
+def _units(tree: ast.Module):
+    """(node, own names) of each top-level statement, a class taken member by
+    member: a function, class or method that names itself does not count as
+    its own caller."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((node, {top.name}) for node in top.bases + top.keywords + top.decorator_list)
+            yield from ((m, {top.name} | ({m.name} if isinstance(m, ast.FunctionDef) else set())) for m in top.body)
+        else:
+            yield top, {top.name} if isinstance(top, ast.FunctionDef) else set()
 
 
 def _referenced_names() -> set[str]:
     """Every name, attribute and import in src/, scripts/ and perfbench/, and
-    every string of perfbench/tracing.py (its tables patch by name). A
-    function or class that names itself does not count as its own caller."""
+    every string of perfbench/tracing.py (its tables patch by name)."""
     refs = set()
-    for path in [p for d in ("src", "scripts", "perfbench") for p in sorted((REPO / d).rglob("*.py"))]:
-        for top in ast.parse(path.read_text()).body:
+    for path in PROGRAM:
+        for unit, own in _units(ast.parse(path.read_text())):
             found = set()
-            for node in ast.walk(top):
+            for node in ast.walk(unit):
                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     found.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -155,24 +188,82 @@ def _referenced_names() -> set[str]:
                     found.add(node.name.rpartition(".")[2])
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path.name == "tracing.py":
                     found.add(node.value)
-            refs |= found - ({top.name} if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else set())
+            refs |= found - own
     return refs
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    """src/ grows no library that only the tests reach: a public name is
-    called from the program, or it is on UNCALLED, and nothing on UNCALLED
-    has gained a caller."""
+    """src/ grows no library that only the tests reach: a public name or
+    member is called from the program, or it is on UNCALLED, and nothing on
+    UNCALLED has gained a caller."""
     public, refs = _public_names(), _referenced_names()
     assert sorted(public - refs - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - public) == []
     assert sorted(set(UNCALLED) & refs) == []
 
 
+#: (function or class, parameter) of the defaulted parameters that no call in
+#: the program passes, each with the reason it stays
+UNPASSED = {
+    ("brentq_lanes", "maxiter"): "the tests compare its iterates with scipy's at maxiter 1 to 8",
+    ("FiniteDifferenceField", "domain"): "a plain value callable carries no domain",
+    ("slice_shape_sampled", "step"): "the oracle's convergence studies vary it",
+    ("profile_jets", "order"): "RadialField's profile callable passes it",
+    ("inverse_profile_jet", "order"): "RadialField's profile callable passes it",
+}
+
+
+def _defaulted_parameters():
+    """(name, parameter, position) of each defaulted parameter of a public
+    function of curv or of a public class's own __init__, the position
+    counted without self; a keyword-only parameter has none."""
+    for path in CURV:
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            inits = [(m, 1) for m in top.body if isinstance(m, ast.FunctionDef) and m.name == "__init__"]
+            for fn, skip in [(top, 0)] if isinstance(top, ast.FunctionDef) else inits:
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                yield from ((top.name, a.arg, i - skip) for i, a in enumerate(args) if i >= first)
+                kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                yield from ((top.name, a.arg, None) for a, d in kwonly if d is not None)
+
+
+def _passed() -> dict[str, tuple[set[str], float]]:
+    """For each name that the program calls (a function, a class, or a
+    method's attribute), the keywords its calls pass and the most positional
+    arguments one call passes; a call that unpacks *args may pass any
+    position, and one that unpacks **kwargs any keyword ("**")."""
+    calls = {}
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                keywords, most = calls.get(name, (set(), 0))
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = keywords | {k.arg or "**" for k in node.keywords}
+                calls[name] = keywords, max(most, math.inf if star else len(node.args))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_or_has_a_reason():
+    """src/ keeps no option that only the tests set: some call in the
+    program passes each defaulted parameter, by keyword or by position, or it
+    is on UNPASSED, and nothing on UNPASSED has gained a caller."""
+    calls, unpassed = _passed(), set()
+    for name, param, position in _defaulted_parameters():
+        keywords, most = calls.get(name, (set(), 0))
+        if not ({param, "**"} & keywords or (position is not None and position < most)):
+            unpassed.add((name, param))
+    assert sorted(unpassed - set(UNPASSED)) == []
+    assert sorted(set(UNPASSED) - unpassed) == []
+
+
 def test_no_module_imports_scipy():
     """curv runs on numpy alone: no import of scipy in any scope of any module."""
     imported = []
-    for path in sorted(Path(util.__file__).parent.glob("*.py")):
+    for path in CURV:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]

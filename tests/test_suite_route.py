@@ -18,6 +18,8 @@ from curv.graphgeom import extrinsic_points, flat_base, minor_relation_residuals
 from curv.inequality import WHICH, _probes, checks, family_slices, pick_levels, run_suite, slice_points
 from curv.util import brentq_lanes, unit_directions
 
+from report_dict import report_dict
+
 
 def scan_brackets(field, eps, d, samples=160):
     """The (lo, hi) brackets of the ray scan of slice_points along d from 0."""
@@ -196,7 +198,7 @@ class TestWholeSuiteRoute:
         suite = run_suite(which, dim=dim, n_fields=5, rays=6, levels=2, seed=11)
         want = per_field_route(which, dim, 5, 6, 2, 11)
         assert suite.points == len(want) > 0
-        assert [suite.reports.row(i).to_dict() for i in range(suite.points)] == [r.to_dict() for r in want]
+        assert [report_dict(suite.reports.row(i)) for i in range(suite.points)] == [report_dict(r) for r in want]
 
     def test_no_fields(self):
         suite = run_suite("prod", n_fields=0)
@@ -219,7 +221,7 @@ class TestRaggedProbes:
         suite = run_suite(which, dim=12, n_fields=3, rays=4, levels=2, seed=0)
         want = per_field_route(which, 12, 3, 4, 2, 0)
         assert suite.points == len(want) > 0
-        assert [suite.reports.row(i).to_dict() for i in range(suite.points)] == [r.to_dict() for r in want]
+        assert [report_dict(suite.reports.row(i)) for i in range(suite.points)] == [report_dict(r) for r in want]
 
     def test_a_member_with_no_probes_has_nan_levels(self):
         # n = 16, seed 0: the fifth member keeps none of its draws
