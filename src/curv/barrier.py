@@ -189,8 +189,8 @@ def slide(
     NonFiniteJetError.
     """
     a, outer = float(annulus[0]), float(annulus[1])
-    if not (a < a_prime < outer):
-        raise ValueError(f"need a < a_prime < outer, got {a}, {a_prime}, {outer}")
+    if not (0.0 <= a < a_prime < outer):
+        raise ValueError(f"need 0 <= a < a_prime < outer, got {a}, {a_prime}, {outer}")
     if radial < 2:
         raise ValueError(f"need radial >= 2, got {radial}")
     r_out = outer - (outer - a_prime) / radial
@@ -198,10 +198,10 @@ def slide(
     pts = sample_annulus(field.dim, a_prime, r_out, radial=radial, angular=angular, seed=seed)
     vals = field.values(pts)
     bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        # a NaN would silence every comparison below; raise the pointwise error instead
+    if bad.size:  # a NaN would silence every comparison below
         x_bad = pts[bad[0]]
-        field.value(x_bad)
+        if np.isnan(vals[bad[0]]):
+            field.raise_outside(x_bad)
         raise NonFiniteJetError(f"non-finite value of {field.name} at {x_bad.tolist()}")
     norms = np.linalg.norm(pts, axis=1)
     slack = 1.0 - norms  # positive on the sampled range

@@ -253,8 +253,7 @@ def _handle_verify_minor(args, tol):
     # per step over every kept row of every field; points in the stencil
     # margin of the largest step (it holds the others) stay analytic only
     if args.fd and len(owner):
-        margin = FiniteDifferenceField(family, args.dim, step=steps[0]).margin(frames.x)
-        keep = family.domain.contains(frames.x, margin=margin)
+        keep = family.domain.contains(frames.x, margin=2.0 * steps[0])
         fds = [FiniteDifferenceField(family.rows(owner[keep][:, None]), args.dim, step=h) for h in steps]
         kept = frames.select(keep)
         errs = np.stack([minor_relation_residuals(kept, extrinsic_points(fd, base, kept.x)) for fd in fds], axis=1)

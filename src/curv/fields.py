@@ -3,19 +3,20 @@
 A kernel kind defines `values(X)` and `jets(X)` on a stack of points, NaN in
 a row where the field is undefined. `value` and `jet` (and `gradient` and
 `hessian`, which read `jet`) are row 0 of the stack of one, and raise
-OutOfDomainError where that row is NaN. The kernel kinds are the trig,
-sphere-cap and polynomial built-ins, radial profiles (the profile maps an
-array of radii to its jet, NaN where it is undefined), gridded samples with
-local quadratic tensor interpolation (an index gather), the scaled wrapper
-of any field, and finite differences on a field or a value callable
-(central stencils, order 2, one stencil stack per call). Finite
-differences read only values, never the wrapped field's jets, so they serve
-as an independent oracle. A configured kind only sets up a kernel kind and
-defines no kernel: the paraboloid, cup, plane and constant are polynomials,
-and the negated wrapper is the scaled one at factor -1. A kernel raises to a
-power with `np.float_power`, which calls C `pow` per element as scalar `**`
-does; array `**` rounds differently, and a kernel must equal the per-point
-formula bit for bit.
+OutOfDomainError where that row is NaN, through `raise_outside`, which a
+caller that finds a NaN row in a stack calls too. The kernel kinds are the
+trig, sphere-cap and polynomial built-ins, radial profiles (the profile maps
+an array of radii to its jet, NaN where it is undefined), gridded samples
+with local quadratic tensor interpolation (an index gather), the scaled
+wrapper of any field, and finite differences on a field (central stencils,
+order 2, one `values` call on the stencil stack). Finite differences read
+only values, never the wrapped field's jets, so they serve as an independent
+oracle. A configured kind only sets up a kernel kind and defines no kernel:
+the paraboloid, cup, plane and constant are polynomials, and the negated
+wrapper is the scaled one at factor -1. A kernel raises to a power with
+`np.float_power`, which calls C `pow` per element as scalar `**` does; array
+`**` rounds differently, and a kernel must equal the per-point formula bit
+for bit.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -165,7 +166,7 @@ class ScalarField:
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         u = float(self.values(x[None])[0])
-        return u if u == u else self._outside(x)  # u != u only where u is NaN
+        return u if u == u else self.raise_outside(x)  # u != u only where u is NaN
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x).gradient
@@ -177,9 +178,10 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         u, du, ddu = self.jets(x[None])
         u = float(u[0])
-        return Jet(u if u == u else self._outside(x), du[0], ddu[0])
+        return Jet(u if u == u else self.raise_outside(x), du[0], ddu[0])
 
-    def _outside(self, x: np.ndarray):
+    def raise_outside(self, x: np.ndarray):
+        """Raise the OutOfDomainError of a NaN row at x, as `value` does."""
         raise OutOfDomainError(f"point {x.tolist()} outside domain of {self.name}")
 
     def margin(self, x: np.ndarray):
@@ -192,18 +194,6 @@ class ScalarField:
         M, and delta bounds the rounding of the slicer's two block tests; inf
         declares no bound."""
         return (np.full(dirs.shape[:-1], np.inf),) * 3
-
-
-def _row_values(value: Callable, X, dim: int):
-    """value at each row of a stack X (any leading axes), NaN where it raises OutOfDomainError."""
-    rows = np.reshape(X, (-1, dim))
-    out = np.empty(len(rows))
-    for i, x in enumerate(rows):
-        try:
-            out[i] = value(x)
-        except OutOfDomainError:
-            out[i] = np.nan
-    return out.reshape(np.shape(X)[:-1])
 
 
 def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,7 +210,7 @@ def eval_jets(field: ScalarField, X) -> tuple[np.ndarray, np.ndarray, np.ndarray
         finite = np.isfinite(u) & np.isfinite(du).all(axis=1) & np.isfinite(ddu).all(axis=(1, 2))
         raise NonFiniteJetError(f"non-finite jet of {field.name} at {X[np.argmin(finite)].tolist()}")
     if k < len(X):
-        field._outside(X[k])  # raises OutOfDomainError, as `value` does
+        field.raise_outside(X[k])
     return u, du, ddu
 
 
@@ -513,20 +503,18 @@ class NegatedField(ScaledField):
 
 
 class FiniteDifferenceField(ScalarField):
-    """Jets by central differences on the values of a field or a value
-    callable, never on its jets: the independent oracle. With no explicit
-    step, Du uses eps^(1/3) * max(1, |x|) and D^2u eps^(1/4) * max(1, |x|);
-    an explicit step serves both (as convergence studies vary it). `jets`
-    evaluates one stencil stack: a field in one `values` call, a callable
-    row by row, its errors propagating."""
+    """Jets by central differences on a field's values, never on its jets:
+    the independent oracle. With no explicit step, Du uses eps^(1/3) *
+    max(1, |x|) and D^2u eps^(1/4) * max(1, |x|); an explicit step serves
+    both (as convergence studies vary it). `values` and `jets` each make one
+    call to the field's `values`, `jets` on the whole stencil stack."""
 
-    def __init__(self, func, dim: int, domain=None, step: float | None = None):
-        field = isinstance(func, ScalarField)
-        self._func = func
+    def __init__(self, field: ScalarField, dim: int, step: float | None = None):
+        self._field = field
         self.dim = dim
-        self.domain = domain if domain is not None else func.domain if field else whole_space(dim)
+        self.domain = field.domain
         self.step = None if step is None else np.float64(step)  # a numpy scalar takes [..., None] as a row step does
-        self.name = f"fd({func.name})" if field else "fd"
+        self.name = f"fd({field.name})"
 
     def _steps(self, x):
         """The steps h1 of Du and h2 of D^2u at x or at each row."""
@@ -539,20 +527,14 @@ class FiniteDifferenceField(ScalarField):
         return 2.0 * np.maximum(*self._steps(x))
 
     def values(self, X):
-        if isinstance(self._func, ScalarField):
-            return self._func.values(X)
-        return _row_values(self._func, X, self.dim)
+        return self._field.values(X)
 
     def jets(self, X):
         n, (a, b, step, sym) = self.dim, _stencil(self.dim)
         h1, h2 = self._steps(X)
         h1, h2 = h1[..., None], h2[..., None]
         h = np.concatenate((h1, h2), axis=-1)[..., step, None]
-        P = (X[..., None, :] + h * a) + h * b
-        if isinstance(self._func, ScalarField):
-            f = self._func.values(P)
-        else:
-            f = np.array([self._func(p) for p in P.reshape(-1, n)], dtype=float).reshape(P.shape[:-1])
+        f = self._field.values((X[..., None, :] + h * a) + h * b)
         f0, g, d, o = f[..., :1], f[..., 1 : 2 * n + 1], f[..., 2 * n + 1 : 4 * n + 1], f[..., 4 * n + 1 :]
         hh = h2 * h2  # 4 hh is 4 h2 h2 exactly while h2 h2 is normal (h2 > 1.5e-154)
         diag = (d[..., ::2] - 2.0 * f0 + d[..., 1::2]) / hh
@@ -703,6 +685,7 @@ def sample_to_grid(field: ScalarField, origin, h: float, counts) -> GridField:
     counts = tuple(int(c) for c in counts)
     nodes = origin + h * np.indices(counts).reshape(len(counts), -1).T
     values = field.values(nodes)
-    # a NaN node is re-read at its point, where `value` raises OutOfDomainError
-    values[np.isnan(values)] = [field.value(x) for x in nodes[np.isnan(values)]]
+    nan = np.isnan(values)
+    if nan.any():
+        field.raise_outside(nodes[nan.argmax()])
     return GridField(origin, h, values.reshape(counts), name=f"gridded({field.name})")

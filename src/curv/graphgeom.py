@@ -314,9 +314,10 @@ def intrinsic_scalar_curvature(field: ScalarField, base, x) -> float:
     x = as_point(x, field.dim)
 
     def components(Y):
-        du = field.jets(Y)[1]
-        for y in Y[np.isnan(du).any(axis=1)]:
-            field.gradient(y)  # an undefined stencil point raises the field's own error
+        u, du, _ = field.jets(Y)
+        nan = np.isnan(u)
+        if nan.any():  # the first undefined stencil point raises the field's own error
+            field.raise_outside(Y[nan.argmax()])
         return base.jets(Y).g + outer(du, du)
 
     induced = GeneralMetric(field.dim, components, name="induced")

@@ -360,9 +360,10 @@ def _levels(at, probes, count: int) -> np.ndarray:
     if not probes.shape[1]:
         return np.full((len(probes), count), np.nan)
     vals = at(np.arange(len(probes))[:, None]).values(probes)
-    # a NaN sample is re-read at its point, where the field raises its error
-    for f, i in zip(*np.nonzero(np.isnan(vals))):
-        vals[f, i] = at(f).value(probes[f, i])
+    nan = np.isnan(vals)
+    if nan.any():  # the first NaN sample raises the field's OutOfDomainError there
+        f, i = np.unravel_index(nan.argmax(), nan.shape)
+        at(f).raise_outside(probes[f, i])
     return np.quantile(vals, np.linspace(0.35, 0.65, count) if count > 1 else [0.5], axis=1).T
 
 

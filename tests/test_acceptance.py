@@ -21,7 +21,6 @@ from curv.cli import main
 from curv.conformal import conformal_point, conformal_points, mean_curvature_spherical
 from curv.errors import NoTouchError
 from curv.fields import (
-    Ball,
     Constant,
     FiniteDifferenceField,
     NegatedField,
@@ -59,6 +58,8 @@ from curv.revolution import (
     sweep_u,
 )
 from curv.syminv import randomized_identity_suite
+
+from kernels import enveloped_field
 
 SQRT2 = np.sqrt(2.0)
 
@@ -344,16 +345,6 @@ def test_criterion_7_euclidean_cone_curvature():
         elapsed,
         2.0,
     )
-
-
-def enveloped_field(seed):
-    trig = random_trig_field(2, seed=seed)
-
-    def func(x):
-        w = 1.0 - float(np.linalg.norm(x))
-        return w * w * trig.value(x)
-
-    return FiniteDifferenceField(func, 2, domain=Ball(2, 1.2), step=1e-5)
 
 
 def test_criterion_8_barrier_slides_and_bounds():

@@ -22,13 +22,15 @@ from curv.fieldspec import parse_field
 from curv.fields import (
     Ball,
     Constant,
-    FiniteDifferenceField,
     NegatedField,
     RadialField,
     ScaledField,
     random_trig_field,
+    whole_space,
 )
 from curv.revolution import RevolutionProfile, radial_field
+
+from kernels import enveloped_field
 
 BISECT_TOL = 1e-10
 
@@ -145,6 +147,13 @@ class TestSlideEdgeCases:
         assert run.lam_star == 0.0
         assert not run.successful
 
+    @pytest.mark.parametrize("a, a_prime", [(-0.5, -0.425), (-1.0, 0.0), (0.3, 0.3), (0.3, 1.0)])
+    def test_annulus_needs_zero_to_a_to_a_prime_to_outer(self, a, a_prime):
+        # a negative inner radius would sample rings of negative radius, mirrored through the origin
+        with pytest.raises(ValueError, match=rf"^need 0 <= a < a_prime < outer, got {a}, {a_prime}, 1\.0$"):
+            slide(Constant(2, 1.0), (a, 1.0), a_prime, radial=16, angular=8)
+        assert slide(Constant(2, 1.0), (0.0, 1.0), 0.05, radial=16, angular=8).a_prime == 0.05
+
     def test_negative_field_never_touches(self):
         with pytest.raises(NoTouchError):
             slide(Constant(2, -1.0), (0.3, 1.0), 0.35, radial=64, angular=16)
@@ -163,10 +172,11 @@ class TestSlideEdgeCases:
             slide(field, (0.3, 1.0), 0.335, radial=64, angular=16)
 
     def test_non_finite_samples_raise(self):
-        # the callable returns NaN or inf beyond r = 0.8 without raising: the scan must not go silent;
+        # the profile is NaN or inf beyond r = 0.8: the scan must not go silent;
         # a NaN value is undefined, and its point raises
         for beyond, error in [(np.nan, OutOfDomainError), (np.inf, NonFiniteJetError)]:
-            field = FiniteDifferenceField(lambda x: 1.0 - x @ x if x @ x < 0.64 else beyond, 2)
+            profile = lambda r, order, beyond=beyond: (np.where(r < 0.8, 1.0 - r * r, beyond), -2.0 * r, -2.0)
+            field = RadialField(2, profile, whole_space(2))
             with pytest.raises(error):
                 slide(field, (0.3, 1.0), 0.35, radial=64, angular=16)
 
@@ -266,22 +276,10 @@ class TestPolish:
 
 
 class TestSlideBattery:
-    @staticmethod
-    def enveloped(seed):
-        """(1 - |x|)^2 times a trig field: vanishes at the rim, so the slide
-        certifies an interior touching point."""
-        trig = random_trig_field(2, seed=seed)
-
-        def func(x):
-            w = 1.0 - float(np.linalg.norm(x))
-            return w * w * trig.value(x)
-
-        return FiniteDifferenceField(func, 2, domain=Ball(2, 1.2), step=1e-5)
-
     def test_random_fields_respect_certificates(self):
         successful = 0
         for seed in range(10):
-            field = self.enveloped(seed)
+            field = enveloped_field(seed)
             try:
                 run = slide(field, (0.3, 1.0), 0.35, radial=128, angular=24, seed=seed)
             except NoTouchError:

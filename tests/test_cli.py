@@ -628,6 +628,10 @@ class TestDegenerateSizes:
          "bad --n '9-8': use an order, a range lo-hi with 2 <= lo <= hi, or a list like 2,3,5"),
         (["verify", "identity", "--n", "2-3,5"],
          "bad --n '2-3,5': use an order, a range lo-hi with 2 <= lo <= hi, or a list like 2,3,5"),
+        # a negative inner radius would sample the annulus through the origin
+        (["barrier", "--field", "trig:1", "--a", "-0.5", "--radial", "16", "--angular", "8"],
+         "need 0 <= a < a_prime < outer, got -0.5, -0.425, 1.0"),
+        (["barrier", "--field", "trig:1", "--a", "-1", "--aprime", "0"], "need 0 <= a < a_prime < outer, got -1.0, 0.0, 1.0"),
     ])
     def test_usage_error(self, capsys, argv, message):
         assert main(argv) == 2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curv.barrier import slide
 from curv.errors import NonFiniteJetError, OutOfDomainError
 from curv.fields import (
     Annulus,
@@ -37,8 +38,12 @@ from curv.fields import (
 )
 import curv.fields
 from curv.fieldspec import graded_lex_monomials, parse_field
+from curv.graphgeom import flat_base, intrinsic_scalar_curvature
+from curv.inequality import pick_levels
 from curv import revolution
 from curv.revolution import RevolutionProfile, radial_field
+
+from kernels import ValuesKernel, cap_without_domain
 
 
 def fd_gradient(field, x, h=1e-5):
@@ -225,11 +230,6 @@ class TestFiniteDifference:
         slopes = np.log(np.divide(errs[:-1], errs[1:])) / np.log(steps[:-1] / steps[1:])
         assert np.min(slopes) > 1.7
 
-    def test_wraps_plain_callable(self):
-        fd = FiniteDifferenceField(lambda x: float(x[0] ** 2 + x[1]), 2, step=1e-4)
-        x = np.array([1.5, 0.2])
-        assert np.allclose(fd.gradient(x), [3.0, 1.0], atol=1e-7)
-
 
 def reference_fd_jet(func, x, step=None):
     """The per-point central stencil, one `func` call per stencil point, as
@@ -278,23 +278,33 @@ def _signed_zero_rows(n, seed):
     return X
 
 
+#: math.atan2 of each pair of entries, as an object array
+ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 class TestFiniteDifferenceStencil:
-    """FD jets from one stencil stack equal the per-point stencil bit for
-    bit, for every input kind, on a point and on a stack."""
+    """FD jets from one stencil stack equal the per-point stencil of the
+    wrapped field's `value` bit for bit, on a point and on a stack, for a
+    field of curv and for kernels that only the tests define."""
 
     INPUTS = {
         "field": lambda trig: (trig, trig.value),
-        "bound-method": lambda trig: (trig.value, trig.value),
+        # a kernel whose values are a field's bound method
+        "bound-method": lambda trig: (ValuesKernel(trig.values, trig.dim), trig.value),
         # atan2(+-0.0, negative) is +-pi: the stencil must keep each zero's sign as x +- e did
-        "callable": lambda trig: (lambda x: math.atan2(x[-1], x[0] - 2.0) - trig.value(x),) * 2,
+        # (np.arctan2 of an array rounds otherwise than math.atan2, so the kernel maps math.atan2)
+        "callable": lambda trig: (
+            ValuesKernel(lambda X: ATAN2(X[..., -1], X[..., 0] - 2.0).astype(float) - trig.values(X), trig.dim),
+            lambda x: math.atan2(x[-1], x[0] - 2.0) - trig.value(x),
+        ),
     }
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("step", [None, 1e-3, 0.05])
     @pytest.mark.parametrize("kind", sorted(INPUTS))
     def test_jets_are_the_pointwise_stencil(self, n, step, kind):
-        func, ref = self.INPUTS[kind](random_trig_field(n, seed=n))
-        fd = FiniteDifferenceField(func, n, step=step)
+        field, ref = self.INPUTS[kind](random_trig_field(n, seed=n))
+        fd = FiniteDifferenceField(field, n, step=step)
         X = _signed_zero_rows(n, seed=10 * n)
         want = [reference_fd_jet(ref, x, step) for x in X]
         stack = fd.jets(X)
@@ -320,20 +330,25 @@ class TestFiniteDifferenceStencil:
         for i, (k, x) in enumerate(zip(idx, X)):
             want = _bits(*FiniteDifferenceField(members[k], n, step=step).jets(x))
             assert _bits(*(a[i] for a in stack)) == want
-            assert _bits(*FiniteDifferenceField(members[k].value, n, step=step).jets(x)) == want
 
-    def test_stencil_past_the_rim_raises_the_callables_error(self):
+    def test_stencil_past_the_rim_is_a_non_finite_jet(self):
         # the cap is the whole plane's field here, so the domain check passes and the stencil meets the rim
-        fd = FiniteDifferenceField(SphereCap(2, 1.0).value, 2)
+        cap = cap_without_domain()
+        fd = FiniteDifferenceField(cap, 2)
         rim = np.array([1.0 - 1e-7, 0.0])
-        with pytest.raises(OutOfDomainError):
+        # the value is defined and the derivatives are not: the jet has NaN where the stencil crossed
+        assert fd.value(rim) == cap.value(rim)
+        assert np.isnan(fd.jet(rim).gradient).tolist() == [True, False]
+        message = f"^non-finite jet of fd\\(spherecap\\(radius=1.0,height=0.0\\)\\) at {re.escape(str(rim.tolist()))}$"
+        with pytest.raises(NonFiniteJetError, match=message):
             eval_jet(fd, rim)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(NonFiniteJetError, match=message):
             eval_jets(fd, np.array([[0.1, 0.2], rim, [0.3, -0.1]]))
-        # values follows the field contract: NaN on a stack, raised at a point
+        # values follows the field contract: NaN on a stack, raised at a point, in the FD field's name
         assert np.isnan(fd.values(np.array([[0.1, 0.2], [1.5, 0.0]]))).tolist() == [False, True]
-        with pytest.raises(OutOfDomainError):
-            fd.value(np.array([1.5, 0.0]))
+        for method in (fd.value, fd.jet):
+            with pytest.raises(OutOfDomainError, match=r"^point \[1\.5, 0\.0\] outside domain of fd\(spherecap"):
+                method(np.array([1.5, 0.0]))
 
 
 class TestGrid:
@@ -1155,7 +1170,7 @@ class TestEvalJetsDomainCheck:
 
     def _cases(self):
         trig = random_trig_field(2, 3)
-        fd = FiniteDifferenceField(trig.value, 2, trig.domain)
+        fd = FiniteDifferenceField(trig, 2)
         grid = sample_to_grid(trig, (-1.0, -1.0), 0.1, (21, 21))
         return {
             # trig has no margin: the band row lies just outside the ball
@@ -1181,7 +1196,7 @@ class TestEvalJetsDomainCheck:
                 assert np.array_equal(a, b)
 
     def test_fd_margin_per_row(self):
-        fd = FiniteDifferenceField(random_trig_field(3, 1).value, 3)
+        fd = FiniteDifferenceField(random_trig_field(3, 1), 3)
         X = np.random.default_rng(2).uniform(-3.0, 3.0, size=(50, 3))
         eps = float(np.finfo(float).eps)
         # the scalar margin as it was computed before it took stacks
@@ -1234,6 +1249,39 @@ class TestSampleToGrid:
             sample_to_grid(Constant(2, np.nan), (0.0, 0.0), 0.1, (6, 6))
         with pytest.raises(ValueError, match="finite"):
             sample_to_grid(Constant(2, np.inf), (0.0, 0.0), 0.1, (6, 6))
+
+
+def s_u_field():
+    """The S-u revolution field, NaN in the hole r < 0.5 that its domain leaves out."""
+    return radial_field(RevolutionProfile("S-u", 0.5))
+
+
+class TestNanRowsRaiseWhereFound:
+    """A caller that finds a NaN row in a stack raises the field's
+    OutOfDomainError at the first one and evaluates no point again: a
+    NaN row of `values` and a raise of `value` mean the same thing."""
+
+    # pick_levels probes only inside a field's domain, so it reads the whole-plane cap, NaN past its rim
+    SITES = {
+        "pick_levels": (cap_without_domain, lambda field: pick_levels(field, 2, seed=3)),
+        "sample_to_grid": (s_u_field, lambda field: sample_to_grid(field, (-0.3, -0.2), 0.05, (13, 11))),
+        "slide": (s_u_field, lambda field: slide(field, (0.3, 1.0), 0.335, radial=64, angular=16)),
+        "intrinsic_scalar_curvature": (
+            s_u_field, lambda field: intrinsic_scalar_curvature(field, flat_base(2), [0.5015, 0.0])
+        ),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_no_point_is_read_again(self, site):
+        make, call = self.SITES[site]
+        field = make()
+
+        def read_again(x):
+            raise AssertionError(f"{site} read {np.asarray(x).tolist()} again")
+
+        field.value = field.jet = field.gradient = read_again
+        with pytest.raises(OutOfDomainError, match=rf"^point \[.*\] outside domain of {re.escape(field.name)}$"):
+            call(field)
 
 
 def reference_ray_extent(dom, center, d, margin):

@@ -51,6 +51,7 @@ from curv.metrics import constant_ambient, product_ambient, round_sphere_base, s
 from curv.util import brentq_lanes, unit_directions
 
 from report_dict import report_dict
+from kernels import cap_without_domain, raises_beyond
 from syminv_reference import newton_gap
 
 
@@ -279,12 +280,6 @@ def reference_ray(field, eps, center, d, samples_per_ray=160, max_per_ray=2, del
             continue
         found.append(p)
     return found
-
-
-def cap_without_domain():
-    """A sphere cap whose value raises beyond the rim, on the whole plane, so
-    the ray samples cross the rim."""
-    return FiniteDifferenceField(SphereCap(2, 1.0).value, 2)
 
 
 def subnormal_sine():
@@ -580,7 +575,7 @@ class TestScreenedScan:
     FIELDS = {
         "poly": (quartic_bowl, 0.0),
         "grid": (lambda: sample_to_grid(random_trig_field(2, 5), origin=(0.5, 0.5), h=0.05, counts=(41, 41)), None),
-        "fd-nan": (cap_without_domain, 0.3),
+        "fd-nan": (lambda: FiniteDifferenceField(cap_without_domain(), 2), 0.3),
         "radial-E-f-nan": (lambda: parse_field("radial:E-f", 2), 0.8),
     }
 
@@ -674,15 +669,6 @@ def reference_pick_levels(field, count, seed):
         raise ValueError("could not probe the field's domain for level values")
     qs = np.linspace(0.35, 0.65, count) if count > 1 else np.array([0.5])
     return [float(v) for v in np.quantile(np.asarray(vals), qs)]
-
-
-def raises_beyond(limit):
-    """A field that raises a plain error, naming the point, where x_0 > limit."""
-    def func(x):
-        if x[0] > limit:
-            raise ArithmeticError(f"no value at {x.tolist()}")
-        return float(x @ x)
-    return FiniteDifferenceField(func, 2)
 
 
 class TestPickLevelsReference:

@@ -36,7 +36,7 @@ REMOVED = [
     (inequality._probes, {"probes"}),
     (fields.random_trig_field, {"amplitude", "freq_scale", "domain"}),
     (fields.random_trig_family, {"domain"}),
-    (fields.FiniteDifferenceField, {"name"}),
+    (fields.FiniteDifferenceField, {"name", "domain"}),
     (fields.SphereCap, {"rim_margin"}),
     (fields.Ball, {"center"}),
     (fields.Annulus, {"center"}),
@@ -78,7 +78,8 @@ def test_check_is_the_one_row_route():
 #: splitting with their helpers, which live in tests/syminv_reference.py; and
 #: the members only tests read: the rescaled shape operator Abar (the phi route
 #: reads its eigenvalues), the round domains' off-origin center and the report
-#: row's dict (tests/report_dict.py)
+#: row's dict (tests/report_dict.py); and the finite differences' row loop
+#: over a value callable (they wrap a field, whose `values` takes the stack)
 DELETED = [
     (util.Stacked, "from_rows"),
     (fields, "_broadcast"),
@@ -115,6 +116,7 @@ DELETED = [
     (conformal.ConformalPoint, "dim"),
     (fields._RoundDomain, "_center"),
     (inequality.InequalityReport, "to_dict"),
+    (fields, "_row_values"),
 ]
 
 
@@ -206,7 +208,6 @@ def test_every_public_name_has_a_caller_or_a_reason():
 #: the program passes, each with the reason it stays
 UNPASSED = {
     ("brentq_lanes", "maxiter"): "the tests compare its iterates with scipy's at maxiter 1 to 8",
-    ("FiniteDifferenceField", "domain"): "a plain value callable carries no domain",
     ("slice_shape_sampled", "step"): "the oracle's convergence studies vary it",
     ("profile_jets", "order"): "RadialField's profile callable passes it",
     ("inverse_profile_jet", "order"): "RadialField's profile callable passes it",
