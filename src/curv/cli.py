@@ -65,6 +65,8 @@ def _parse_floats(text: str, flag: str) -> np.ndarray:
         values = np.empty(0)
     if not values.size:
         raise ValueError(f"bad {flag} {text!r}: use one number or a comma-separated list like 0.1,-0.2")
+    if not np.isfinite(values).all():
+        raise ValueError(f"bad {flag} {text!r}: every number must be finite")
     return values
 
 
@@ -119,6 +121,8 @@ def _run(args) -> int:
         for key, flag in args.tolerances.items()
     }
     for key, value in tol.items():
+        if not np.isfinite(value):
+            raise ValueError(f"tolerance {key} = {value} is not finite")
         if value < MIN_TOL:
             raise ValueError(f"tolerance {key} = {value} is below the floor {MIN_TOL}")
     results, passed, csv_table = args.handler(args, tol)
@@ -228,6 +232,8 @@ def _handle_verify_minor(args, tol):
     worst_fd = 0.0
     slopes_all: list[float] = []
     checked = 0
+    if not np.isfinite(args.fd_step):
+        raise ValueError(f"need a finite --fd-step, got {args.fd_step}")
     if args.fd_step <= 0:
         raise ValueError(f"need --fd-step > 0, got {args.fd_step}")
     if min(args.fields, args.points) < 0:

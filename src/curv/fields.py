@@ -7,16 +7,15 @@ OutOfDomainError where that row is NaN, through `raise_outside`, which a
 caller that finds a NaN row in a stack calls too. The kernel kinds are the
 trig, sphere-cap and polynomial built-ins, radial profiles (the profile maps
 an array of radii to its jet, NaN where it is undefined), gridded samples
-with local quadratic tensor interpolation (an index gather), the scaled
-wrapper of any field, and finite differences on a field (central stencils,
-order 2, one `values` call on the stencil stack). Finite differences read
-only values, never the wrapped field's jets, so they serve as an independent
+with local quadratic tensor interpolation (an index gather), the negation
+of any field, and finite differences on a field (central stencils, order 2,
+one `values` call on the stencil stack). Finite differences read only
+values, never the wrapped field's jets, so they serve as an independent
 oracle. A configured kind only sets up a kernel kind and defines no kernel:
-the paraboloid, cup, plane and constant are polynomials, and the negated
-wrapper is the scaled one at factor -1. A kernel raises to a power with
-`np.float_power`, which calls C `pow` per element as scalar `**` does; array
-`**` rounds differently, and a kernel must equal the per-point formula bit
-for bit.
+the paraboloid, cup, plane and constant are polynomials. A kernel raises to
+a power with `np.float_power`, which calls C `pow` per element as scalar
+`**` does; array `**` rounds differently, and a kernel must equal the
+per-point formula bit for bit.
 
 A field carries its domain; `eval_jet` refuses points outside it (including
 any finite-difference or interpolation margin) and refuses non-finite output.
@@ -44,10 +43,6 @@ _EPS = float(np.finfo(float).eps)
 class Box:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
 
     @functools.cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -77,25 +72,26 @@ class Box:
         return 0.5 * (lo + hi), float(np.max(0.5 * (hi - lo)))
 
 
-class _RoundDomain:
-    """Geometry shared by the round domains, centred at the origin: an inner
-    rim (-inf for a ball) and an outer rim."""
+@dataclass(frozen=True)
+class Annulus:
+    """inner <= |x| <= outer, centred at the origin; a ball is the annulus
+    with inner = -inf."""
 
-    @property
-    def dim(self) -> int:
-        return self.dim_
+    dim: int
+    inner: float
+    outer: float
 
     def contains(self, x: np.ndarray, margin=0.0):
         """Whether x lies in the domain less the margin (one value, or one
         per row): a bool for a point, a mask for a stack of rows."""
         r = np.sqrt(np.vecdot(x, x))  # np.linalg.norm of each row bit for bit, unlike norm(X, axis=1)
-        inside = (self.inner + margin <= r) & (r <= self.rim - margin)
+        inside = (self.inner + margin <= r) & (r <= self.outer - margin)
         return inside if x.ndim > 1 else bool(inside)
 
     def ray_extent(self, center: np.ndarray, direction: np.ndarray, margin: float = 0.0):
-        """Largest t >= 0 with |center + t d| <= rim - margin, for d or each
-        row of a stack; 0 where the rim less the margin is negative."""
-        r = self.rim - margin
+        """Largest t >= 0 with |center + t d| <= outer - margin, for d or each
+        row of a stack; 0 where the outer radius less the margin is negative."""
+        r = self.outer - margin
         b = np.vecdot(direction, center)
         disc = b * b - (center @ center - r * r)
         t = np.where((disc < 0) | (r < 0), 0.0, np.maximum(-b + np.sqrt(np.maximum(disc, 0.0)), 0.0))
@@ -104,32 +100,15 @@ class _RoundDomain:
     def probe_cube(self) -> tuple[np.ndarray, float]:
         """Center and half-width of the cube that probes the domain, capped
         at 1.5 for large or unbounded domains."""
-        return np.zeros(self.dim_), min(float(self.rim), 1.5)
+        return np.zeros(self.dim), min(float(self.outer), 1.5)
 
 
-@dataclass(frozen=True)
-class Ball(_RoundDomain):
-    dim_: int
-    radius: float
-    inner = -np.inf  # no hole
-
-    @property
-    def rim(self) -> float:
-        return self.radius
+def Ball(dim: int, radius: float) -> Annulus:
+    """|x| <= radius: the annulus with no hole."""
+    return Annulus(dim, -np.inf, radius)
 
 
-@dataclass(frozen=True)
-class Annulus(_RoundDomain):
-    dim_: int
-    inner: float
-    outer: float
-
-    @property
-    def rim(self) -> float:
-        return self.outer
-
-
-def whole_space(dim: int) -> Ball:
+def whole_space(dim: int) -> Annulus:
     return Ball(dim, np.inf)
 
 
@@ -154,7 +133,7 @@ class ScalarField:
     """
 
     dim: int
-    domain: Box | Ball | Annulus
+    domain: Box | Annulus
     name: str = "field"
 
     def values(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
@@ -466,33 +445,25 @@ class RadialField(ScalarField):
         return p, grad, hess
 
 
-class ScaledField(ScalarField):
-    def __init__(self, base: ScalarField, factor: float):
+class NegatedField(ScalarField):
+    """-u. Negation is exact, so the base's margin and its slope and
+    curvature bounds hold unchanged."""
+
+    def __init__(self, base: ScalarField):
         self.base = base
-        self.factor = float(factor)
         self.dim = base.dim
         self.domain = base.domain
-        self.name = f"scaled({base.name},{factor})"
+        self.name = f"neg({base.name})"
 
     def values(self, X):
-        return self.factor * self.base.values(X)
+        return -self.base.values(X)
 
     def jets(self, X):
         u, du, ddu = self.base.jets(X)
-        return self.factor * u, self.factor * du, self.factor * ddu
+        return -u, -du, -ddu
 
     def margin(self, x):
         return self.base.margin(x)
-
-
-class NegatedField(ScaledField):
-    """-u: the scaled field at factor -1. Negation is exact, so the base's
-    slope and curvature bounds hold unchanged; a general factor rounds and
-    declares none."""
-
-    def __init__(self, base: ScalarField):
-        super().__init__(base, -1.0)
-        self.name = f"neg({base.name})"
 
     def ray_slopes(self, dirs, reach):
         return self.base.ray_slopes(dirs, reach)
@@ -649,17 +620,8 @@ class GridField(ScalarField):
         n, s = self.dim, self._gather(X, self._select[1])
         return s[..., 0], s[..., 1 : n + 1] / self.h, s[..., self._sym] / (self.h * self.h)
 
-    # ---- file round trip: header "n,h,origin...,counts...", then one sample
+    # ---- file format: header "n,h,origin...,counts...", then one sample
     # per line in row-major (C) order.
-
-    def write(self, path) -> None:
-        header = [repr(self.dim), repr(self.h)]
-        header += [repr(float(v)) for v in self.origin]
-        header += [repr(int(c)) for c in self.samples.shape]
-        lines = [",".join(header)]
-        lines += [repr(float(v)) for v in self.samples.ravel(order="C")]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def read(cls, path) -> "GridField":

@@ -49,6 +49,15 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _params(spec: str, text: str, most: int) -> list[float]:
+    """The numbers of a parameter list that takes at most `most` of them;
+    text with no number, or with more numbers, raises ValueError."""
+    params = _floats(text)
+    if len(params) > most or (text.strip() and not params):
+        raise ValueError(f"bad field spec {spec!r}: expected 1 to {most} numbers after the colon, got {len(params)}")
+    return params
+
+
 def parse_field(spec: str, dim: int = 2) -> ScalarField:
     """Parse a field spec string; raises ValueError on malformed input."""
     spec = spec.strip()
@@ -58,16 +67,14 @@ def parse_field(spec: str, dim: int = 2) -> ScalarField:
     name = name.strip().lower()
 
     if name == "paraboloid":
-        scale = _floats(rest)[0] if rest else 1.0
-        return Paraboloid(dim, scale)
+        return Paraboloid(dim, *_params(spec, rest, 1))
     if name in ("sphere-cap", "spherecap"):
-        params = _floats(rest)
+        params = _params(spec, rest, 2)
         if not params:
             raise ValueError("sphere-cap needs a radius")
-        height = params[1] if len(params) > 1 else 0.0
-        return SphereCap(dim, params[0], height)
+        return SphereCap(dim, *params)
     if name == "hemisphere":
-        params = _floats(rest)
+        params = _params(spec, rest, 1)
         if not params:
             raise ValueError("hemisphere needs a radius")
         return SphereCap(dim, params[0], 0.0)
@@ -82,7 +89,7 @@ def parse_field(spec: str, dim: int = 2) -> ScalarField:
             raise ValueError("plane needs coefficients")
         return Plane(coeffs)
     if name == "constant":
-        return Constant(dim, _floats(rest)[0] if rest else 0.0)
+        return Constant(dim, *_params(spec, rest, 1))
     if name == "poly":
         coeffs = _floats(rest)
         if not coeffs:

@@ -53,7 +53,6 @@ class ExtrinsicPoint(Stacked):
     u: float
     nu: np.ndarray  # n+1 contravariant components, upward
     shape_operator: np.ndarray  # A^i_j in graph coordinates
-    induced_metric: np.ndarray  # gM_ij = g_ij + u_i u_j
     mean_curvature: float
     principal: np.ndarray  # eigenvalues of A, ascending
     w: float
@@ -123,7 +122,7 @@ def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
     proj = mj.ginv - outer(grad_up, grad_up) / w2[:, None, None]
     a = proj @ hess_cov / w[:, None, None]
 
-    gm = mj.g + outer(grad, grad)
+    gm = mj.g + outer(grad, grad)  # the induced metric gM_ij = g_ij + u_i u_j
     h_form = gm @ a
     h_form = 0.5 * (h_form + h_form.mT)
     principal = _generalized_eigvalsh(h_form, gm)
@@ -132,7 +131,7 @@ def extrinsic_points(field: ScalarField, base, X) -> ExtrinsicPoint:
     nu[:, :-1], nu[:, -1] = -grad_up, 1.0
     nu /= w[:, None]
     return _new(ExtrinsicPoint, dict(
-        x=X, u=u, nu=nu, shape_operator=a, induced_metric=gm, mean_curvature=trace(a), principal=principal, w=w,
+        x=X, u=u, nu=nu, shape_operator=a, mean_curvature=trace(a), principal=principal, w=w,
         grad=grad, grad_up=grad_up, cov_hessian=hess_cov, base_jet=mj,
     ))
 

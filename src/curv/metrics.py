@@ -233,10 +233,6 @@ class AmbientSpec:
     name: str = "product"
 
     @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
     def is_round_sphere(self) -> bool:
         """True for the unit round sphere that `spherical_ambient` builds: its
         own factor over a flat base, whatever the spec is named."""
@@ -275,8 +271,8 @@ def spherical_ambient(dim: int) -> AmbientSpec:
 
 def constant_ambient(dim: int, value: float = 1.0) -> AmbientSpec:
     """Constant conformal factor; rescales the product metric rigidly."""
-    if value <= 0:
-        raise ConformalFactorError("constant factor must be positive")
+    if not 0 < value < np.inf:  # NaN fails both comparisons
+        raise ConformalFactorError(f"constant factor must be positive and finite, got {value}")
 
     def jet(x, t):
         return PhiJet(np.full(np.shape(t), float(value)), np.zeros(np.shape(x)), np.zeros(np.shape(t)))

@@ -1,6 +1,7 @@
-"""Field kinds that only the tests build. A kernel here defines `values` on
-a stack of rows, NaN where it is undefined, and no jets: the
-finite-difference field, the one route that reads it, reads only values."""
+"""Field kinds that only the tests build, and the grid file writer. A
+values kernel here defines `values` on a stack of rows, NaN where it is
+undefined, and no jets: the finite-difference field, the one route that
+reads it, reads only values. The scaled field is a full kernel kind."""
 
 import numpy as np
 
@@ -54,3 +55,38 @@ def raises_beyond(limit: float) -> ValuesKernel:
         return np.vecdot(X, X)
 
     return ValuesKernel(values, 2, name=f"raises-beyond({limit})")
+
+
+class ScaledField(ScalarField):
+    """c u for a general factor c. It declares no slope bounds (a product
+    rounds), so a slicer scans every block of its rays."""
+
+    def __init__(self, base: ScalarField, factor: float):
+        self.base = base
+        self.factor = float(factor)
+        self.dim = base.dim
+        self.domain = base.domain
+        self.name = f"scaled({base.name},{factor})"
+
+    def values(self, X):
+        return self.factor * self.base.values(X)
+
+    def jets(self, X):
+        u, du, ddu = self.base.jets(X)
+        return self.factor * u, self.factor * du, self.factor * ddu
+
+    def margin(self, x):
+        return self.base.margin(x)
+
+
+def write_grid(grid, path) -> None:
+    """Write a GridField in the format GridField.read parses: the header
+    "n,h,origin...,counts...", then one sample per line in row-major (C)
+    order."""
+    header = [repr(grid.dim), repr(grid.h)]
+    header += [repr(float(v)) for v in grid.origin]
+    header += [repr(int(c)) for c in grid.samples.shape]
+    lines = [",".join(header)]
+    lines += [repr(float(v)) for v in grid.samples.ravel(order="C")]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -24,13 +24,12 @@ from curv.fields import (
     Constant,
     NegatedField,
     RadialField,
-    ScaledField,
     random_trig_field,
     whole_space,
 )
 from curv.revolution import RevolutionProfile, radial_field
 
-from kernels import enveloped_field
+from kernels import ScaledField, enveloped_field
 
 BISECT_TOL = 1e-10
 

@@ -16,6 +16,8 @@ from curv import __version__, inequality
 from curv.cli import build_parser, main
 from curv.fields import Paraboloid, random_trig_field, sample_to_grid
 
+from kernels import write_grid
+
 
 def run_json(capsys, argv):
     rc = main(argv)
@@ -115,7 +117,7 @@ class TestPoint:
             Paraboloid(2), origin=np.array([-1.5, -1.5]), h=0.05, counts=(61, 61)
         )
         path = tmp_path / "parab.csv"
-        grid.write(path)
+        write_grid(grid, path)
         rc, doc = run_json(capsys, ["point", "--field", f"grid:{path}", "--at", "1,0"])
         assert rc == 0
         row = doc["results"][0]
@@ -147,7 +149,7 @@ class TestSlice:
     def test_grid_roots_inside_the_evaluation_margin(self, capsys, tmp_path):
         # a root between the ray's end and the grid's 2h band used to abort the sweep
         path = tmp_path / "g5.csv"
-        sample_to_grid(random_trig_field(2, 5), origin=(-1, -1), h=0.05, counts=(41, 41)).write(path)
+        write_grid(sample_to_grid(random_trig_field(2, 5), origin=(-1, -1), h=0.05, counts=(41, 41)), path)
         rc, doc = run_json(capsys, ["slice", "--field", f"grid:{path}", "--eps=-0.09999999999999998"])
         assert rc == 0
         assert doc["results"][-1]["points"] > 0
@@ -180,18 +182,27 @@ class TestVerify:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["slice", "--field", "paraboloid", "--eps", "0.5", "--tol"],
-        ["slice", "--field", "paraboloid", "--eps", "0.5", "--gap-tol"],
-        ["verify", "minor", "--fields", "1", "--tol"],
-        ["verify", "minor", "--fields", "1", "--fd-tol"],
-        ["verify", "inequality", "--which", "prod", "--fields", "1", "--gap-tol"],
-        ["barrier", "--field", "radial:S-u:0.5", "--touch-tol"],
+    @pytest.mark.parametrize("argv, value, message", [
+        *[pytest.param(argv, "1e-15", "below the floor", id=f"argv{i}") for i, argv in enumerate([
+            ["slice", "--field", "paraboloid", "--eps", "0.5", "--tol"],
+            ["slice", "--field", "paraboloid", "--eps", "0.5", "--gap-tol"],
+            ["verify", "minor", "--fields", "1", "--tol"],
+            ["verify", "minor", "--fields", "1", "--fd-tol"],
+            ["verify", "inequality", "--which", "prod", "--fields", "1", "--gap-tol"],
+            ["barrier", "--field", "radial:S-u:0.5", "--touch-tol"],
+        ])],
+        # NaN and inf pass a floor test (NaN compares false), and a NaN gap tolerance counts no violation
+        pytest.param(["verify", "inequality", "--which", "prod", "--fields", "3", "--format", "csv", "--gap-tol"],
+                     "nan", "curv: error: tolerance gap = nan is not finite\n", id="gap-tol-nan"),
+        pytest.param(["slice", "--field", "paraboloid", "--eps", "0.5", "--tol"],
+                     "inf", "curv: error: tolerance minor = inf is not finite\n", id="tol-inf"),
+        pytest.param(["verify", "minor", "--fields", "1", "--fd-tol"],
+                     "nan", "curv: error: tolerance fd = nan is not finite\n", id="fd-tol-nan"),
     ])
-    def test_tolerance_floor(self, capsys, argv):
-        rc = main(argv + ["1e-15"])
+    def test_tolerance_floor(self, capsys, argv, value, message):
+        rc = main(argv + [value])
         assert rc == 2
-        assert "below the floor" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_minor(self, capsys):
         rc, doc = run_json(
@@ -368,7 +379,7 @@ class TestGoldenReports:
 
     def unseeded_argv(self, tmp_path, stage):
         grid = tmp_path / "trig.grid"
-        sample_to_grid(random_trig_field(2, 3), (-1.0, -1.0), 0.1, (21, 21)).write(grid)
+        write_grid(sample_to_grid(random_trig_field(2, 3), (-1.0, -1.0), 0.1, (21, 21)), grid)
         return [a.format(grid=grid) for a in self.UNSEEDED[stage]]
 
     STAGES = {
@@ -632,6 +643,8 @@ class TestDegenerateSizes:
         (["barrier", "--field", "trig:1", "--a", "-0.5", "--radial", "16", "--angular", "8"],
          "need 0 <= a < a_prime < outer, got -0.5, -0.425, 1.0"),
         (["barrier", "--field", "trig:1", "--a", "-1", "--aprime", "0"], "need 0 <= a < a_prime < outer, got -1.0, 0.0, 1.0"),
+        (["verify", "minor", "--fields", "2", "--fd", "--fd-step", "nan"], "need a finite --fd-step, got nan"),
+        (["verify", "minor", "--fields", "2", "--fd", "--fd-step", "inf"], "need a finite --fd-step, got inf"),
     ])
     def test_usage_error(self, capsys, argv, message):
         assert main(argv) == 2
@@ -701,6 +714,43 @@ class TestErrors:
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
         assert json.loads(out.read_text())["meta"]["tool"] == "curv"
+
+    @pytest.mark.parametrize("spec, count, most", [
+        ("paraboloid:,", 0, 1),
+        ("constant:,", 0, 1),
+        ("sphere-cap:,", 0, 2),
+        ("paraboloid:1,2", 2, 1),
+        ("constant:1,2", 2, 1),
+        ("sphere-cap:1,0.2,9", 3, 2),
+        ("hemisphere:1,0.2", 2, 1),
+    ])
+    def test_parameter_lists_of_the_wrong_length(self, capsys, spec, count, most):
+        """A list with text but no number, or with more numbers than the kind
+        takes, is a usage error naming the spec, never a traceback or a
+        number dropped."""
+        assert main(["point", "--field", spec, "--at", "0.1,0"]) == 2
+        assert capsys.readouterr().err == (
+            f"curv: error: bad field spec {spec!r}: expected 1 to {most} numbers after the colon, got {count}\n"
+        )
+
+    @pytest.mark.parametrize("spec, value", [("paraboloid", 0.5), ("paraboloid:", 0.5), ("constant", 0.0)])
+    def test_bare_kinds_keep_their_default(self, capsys, spec, value):
+        rc, doc = run_json(capsys, ["point", "--field", spec, "--at", "1,0"])
+        assert rc == 0 and doc["results"][0]["value"] == value
+
+    @pytest.mark.parametrize("argv, message", [
+        (["slice", "--field", "trig:1", "--eps", "0.1,nan"], "bad --eps '0.1,nan': every number must be finite"),
+        (["point", "--field", "trig:1", "--at", "0.1,inf"], "bad --at '0.1,inf': every number must be finite"),
+        (["point", "--field", "trig:1", "--at", "0.1,0.2", "--ambient", "constant:nan", "--format", "csv"],
+         "constant factor must be positive and finite, got nan"),
+        (["point", "--field", "trig:1", "--at", "0.1,0.2", "--ambient", "constant:inf"],
+         "constant factor must be positive and finite, got inf"),
+    ])
+    def test_non_finite_numbers_are_usage_errors(self, capsys, argv, message):
+        """A NaN or infinite number would leave a level unchecked or a
+        curvature NaN, and the run would still pass."""
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"curv: error: {message}\n"
 
 
 COLD_RUN = """

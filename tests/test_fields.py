@@ -26,7 +26,6 @@ from curv.fields import (
     QuadraticCup,
     RadialField,
     ScalarField,
-    ScaledField,
     SphereCap,
     TrigField,
     eval_jet,
@@ -43,7 +42,7 @@ from curv.inequality import pick_levels
 from curv import revolution
 from curv.revolution import RevolutionProfile, radial_field
 
-from kernels import ValuesKernel, cap_without_domain
+from kernels import ScaledField, ValuesKernel, cap_without_domain, write_grid
 
 
 def fd_gradient(field, x, h=1e-5):
@@ -371,9 +370,9 @@ class TestGrid:
         grid = self.make_grid()
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        grid.write(p1)
+        write_grid(grid, p1)
         again = GridField.read(p1)
-        again.write(p2)
+        write_grid(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
         x = np.array([0.3, -0.2])
         assert again.value(x) == grid.value(x)
@@ -468,7 +467,7 @@ class TestParser:
             Paraboloid(2), origin=np.array([-1.0, -1.0]), h=0.1, counts=(21, 21)
         )
         path = tmp_path / "g.csv"
-        grid.write(path)
+        write_grid(grid, path)
         f = parse_field(f"grid:{path}")
         assert f.value(np.array([0.2, 0.2])) == pytest.approx(0.04, abs=1e-12)
 
@@ -637,7 +636,7 @@ def reference_grid_jet(grid, x):
 
 #: the configured kinds and the kernel kind each one sets up
 CONFIGURED = {Paraboloid: PolynomialField, QuadraticCup: PolynomialField, Plane: PolynomialField,
-              Constant: PolynomialField, NegatedField: ScaledField}
+              Constant: PolynomialField}
 
 
 def closed_form_jet(field, x):
@@ -676,6 +675,9 @@ def reference_jet(field, x):
         return reference_radial_jet(field.reference_profile, x)
     if isinstance(field, PolynomialField):
         return reference_poly_jet(field, x)
+    if isinstance(field, NegatedField):
+        j = reference_jet(field.base, x)
+        return Jet(-j.value, -j.gradient, -j.hessian)
     if isinstance(field, ScaledField):
         j = reference_jet(field.base, x)
         return Jet(field.factor * j.value, field.factor * j.gradient, field.factor * j.hessian)
@@ -1080,7 +1082,7 @@ class TestDeclaredStructure:
     def test_each_kind_defines_one_route(self):
         classes = _concrete_field_classes()
         assert {c.__name__ for c in classes} - {c.__name__ for c in CONFIGURED} == {
-            "SphereCap", "PolynomialField", "TrigField", "RadialField", "GridField", "ScaledField",
+            "SphereCap", "PolynomialField", "TrigField", "RadialField", "GridField", "NegatedField",
             "FiniteDifferenceField",
         }
         for cls in classes:
@@ -1097,8 +1099,7 @@ def reference_contains(dom, x, margin):
     if isinstance(dom, Box):
         return bool(np.all(x >= np.asarray(dom.lo) + margin) and np.all(x <= np.asarray(dom.hi) - margin))
     r = float(np.linalg.norm(x))
-    inner = dom.inner if isinstance(dom, Annulus) else -np.inf
-    return inner + margin <= r <= dom.rim - margin
+    return dom.inner + margin <= r <= dom.outer - margin
 
 
 def _round_rims(x):
@@ -1295,7 +1296,7 @@ def reference_ray_extent(dom, center, d, margin):
             elif d[k] < 0:
                 t = min(t, (lo[k] - center[k]) / d[k])
         return max(t, 0.0)
-    r = dom.rim - margin
+    r = dom.outer - margin
     b = float(center @ d)
     disc = b * b - (center @ center - r * r)
     return 0.0 if disc < 0 or r < 0 else max(-b + np.sqrt(disc), 0.0)

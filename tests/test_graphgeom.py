@@ -55,11 +55,6 @@ class TestParaboloidPoint:
         # H^2 - |A|^2 with flat base: 9/8 - 5/8 = 1/2
         assert pt.scalar_curvature == pytest.approx(0.5)
 
-    def test_induced_metric(self):
-        pt = self.point()
-        expected = np.eye(2) + np.outer([1.0, 0.0], [1.0, 0.0])
-        assert np.allclose(pt.induced_metric, expected)
-
 
 class TestParaboloidSlice:
     def frame(self):

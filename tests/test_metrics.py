@@ -172,7 +172,6 @@ class TestAmbients:
         assert amb.phi_jet is not None
 
     def test_dim(self):
-        assert product_ambient(4).dim == 4
         assert isinstance(spherical_ambient(2), AmbientSpec)
 
 

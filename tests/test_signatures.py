@@ -78,8 +78,12 @@ def test_check_is_the_one_row_route():
 #: splitting with their helpers, which live in tests/syminv_reference.py; and
 #: the members only tests read: the rescaled shape operator Abar (the phi route
 #: reads its eigenvalues), the round domains' off-origin center and the report
-#: row's dict (tests/report_dict.py); and the finite differences' row loop
-#: over a value callable (they wrap a field, whose `values` takes the stack)
+#: row's dict (tests/report_dict.py); the finite differences' row loop
+#: over a value callable (they wrap a field, whose `values` takes the stack);
+#: the general-factor scaled wrapper (tests/kernels.py; the program only
+#: negates) and the round domains' base class (a ball is an annulus with no
+#: hole); and the members nothing in the program read: the grid writer
+#: (tests/kernels.py) and the box's and the ambient's dim
 DELETED = [
     (util.Stacked, "from_rows"),
     (fields, "_broadcast"),
@@ -114,9 +118,14 @@ DELETED = [
     (conformal, "conformal_shape"),
     (conformal.ConformalPoint, "shape_operator"),
     (conformal.ConformalPoint, "dim"),
-    (fields._RoundDomain, "_center"),
+    (fields.Annulus, "_center"),
     (inequality.InequalityReport, "to_dict"),
     (fields, "_row_values"),
+    (fields, "ScaledField"),
+    (fields, "_RoundDomain"),
+    (fields.GridField, "write"),
+    (fields.Box, "dim"),
+    (metrics.AmbientSpec, "dim"),
 ]
 
 
@@ -127,6 +136,10 @@ def test_deleted_routes_stay_deleted(owner, name):
 
 def test_slice_frames_do_not_carry_their_points():
     assert "point" not in {f.name for f in dataclasses.fields(graphgeom.SliceFrame)}
+
+
+def test_extrinsic_points_do_not_carry_the_induced_metric():
+    assert "induced_metric" not in {f.name for f in dataclasses.fields(graphgeom.ExtrinsicPoint)}
 
 
 def test_inequality_reports_carry_no_extras_dict():
@@ -176,7 +189,15 @@ def _units(tree: ast.Module):
 
 def _referenced_names() -> set[str]:
     """Every name, attribute and import in src/, scripts/ and perfbench/, and
-    every string of perfbench/tracing.py (its tables patch by name)."""
+    every string of perfbench/tracing.py (its tables patch by name).
+
+    A member counts as referenced when any attribute of that name is read,
+    whatever the object, so a member named like a common attribute escapes
+    the guard: `GridField.write` (any file's `write`) and the `dim` of
+    `Box`, of the round domains and of `AmbientSpec` (any field's `dim`)
+    escaped it until they were deleted. Dataclass fields, such as the
+    deleted `ExtrinsicPoint.induced_metric`, are not members here at all;
+    the dataclass-field tests above pin those that were deleted."""
     refs = set()
     for path in PROGRAM:
         for unit, own in _units(ast.parse(path.read_text())):

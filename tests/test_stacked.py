@@ -230,7 +230,7 @@ def reference_extrinsic_point(field, base, x):
     r_m = mean * mean - norm_a2 + mj.scalar - 2.0 * float(nu_h @ mj.ricci @ nu_h)
     return {
         "u": float(jet.value), "nu": np.concatenate([nu_h, [1.0 / w]]), "shape_operator": a,
-        "induced_metric": gm, "mean_curvature": mean, "norm_a2": norm_a2, "principal": principal,
+        "mean_curvature": mean, "norm_a2": norm_a2, "principal": principal,
         "scalar_curvature": float(r_m), "w": w, "grad": grad, "grad_up": grad_up, "cov_hessian": hess_cov,
     }
 
